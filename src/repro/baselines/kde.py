@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..core.interface import CardinalityEstimator
 from ..distances import get_distance
@@ -61,7 +61,7 @@ class KernelDensityEstimator(CardinalityEstimator):
         distances = self.distance.cross_distances(records, self._sample)
         bandwidths = self._resolve_bandwidths(distances)
         thetas = np.asarray(thetas, dtype=np.float64)
-        smoothed = norm.cdf((thetas[:, None] - distances) / bandwidths[:, None])
+        smoothed = ndtr((thetas[:, None] - distances) / bandwidths[:, None])
         return smoothed.sum(axis=1) * self._scale
 
     def estimate_curve_many(
@@ -79,7 +79,7 @@ class KernelDensityEstimator(CardinalityEstimator):
         scaled_bandwidths = self._resolve_bandwidths(distances)[:, None]
         curves = np.empty((len(records), len(thetas)))
         for column, theta in enumerate(thetas):
-            curves[:, column] = norm.cdf((theta - distances) / scaled_bandwidths).sum(axis=1)
+            curves[:, column] = ndtr((theta - distances) / scaled_bandwidths).sum(axis=1)
         return curves * self._scale
 
     def size_in_bytes(self) -> int:

@@ -11,6 +11,10 @@ threshold ``τ ∈ [0, τ_max]``.  The forward pass is
 4. incremental prediction: ``ĉ = Σ_{i=0..τ} g_i(x)``.
 
 Monotonicity in τ follows from non-negative deterministic decoders (Lemma 2).
+
+Training builds these steps as a :class:`Tensor` graph (``forward``); inference
+(``estimate_curve`` / ``estimate``) evaluates the same steps on plain arrays,
+one pass for the whole curve, and ``forward`` is what the tests check it against.
 """
 
 from __future__ import annotations
@@ -125,20 +129,35 @@ class CardNet(nn.Module):
         return PerDistanceDecoders.cumulative(per_distance, taus)
 
     # ------------------------------------------------------------------ #
-    # Inference API (numpy in, numpy out, always deterministic)
+    # Inference API (numpy in, numpy out, always deterministic, graph-free)
     # ------------------------------------------------------------------ #
-    def estimate(self, features: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Deterministic cardinality estimates for pre-featurized queries."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        taus = np.atleast_1d(np.asarray(taus, dtype=np.int64))
-        output = self.forward(Tensor(features), taus, deterministic=True)
-        return np.maximum(output.data, 0.0)
-
     def estimate_curve(self, features: np.ndarray) -> np.ndarray:
-        """Cumulative estimates for *all* τ = 0..τ_max (one monotone curve per row)."""
+        """Cumulative estimates for *all* τ = 0..τ_max (one monotone curve per row).
+
+        The same arithmetic as ``forward(..., deterministic=True)`` on plain
+        arrays: no :class:`Tensor` is built and nothing is cached — every
+        parameter's live ``.data`` is read on each call, so optimizer steps,
+        ``load_state_dict`` and snapshot restore are visible immediately.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        per_distance = self.per_distance_estimates(Tensor(features), deterministic=True)
-        return np.cumsum(np.maximum(per_distance.data, 0.0), axis=1)
+        representation = self.vae.infer_representation(features)
+        # Ψ: Z[k, i] = z_x^i for row k, shape (batch, τ_max+1, z_dim).
+        if isinstance(self.encoder, AcceleratedEncoder):
+            embeddings = self.encoder.infer_embeddings(representation)
+        else:
+            embeddings = self.encoder.infer_embeddings(
+                representation, self.distance_embedding.infer_all_embeddings()
+            )
+        # Decoder bank g_i, then the incremental sum.
+        return np.cumsum(self.decoders.infer_all(embeddings), axis=1)
+
+    def estimate(self, features: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Deterministic estimates for pre-featurized queries: ``estimate_curve(x)[τ]``."""
+        taus = np.atleast_1d(np.asarray(taus, dtype=np.int64))
+        if taus.size and (taus.min() < 0 or taus.max() > self.tau_max):
+            raise ValueError(f"tau outside [0, {self.tau_max}]")
+        curves = self.estimate_curve(features)
+        return curves[np.arange(curves.shape[0]), taus]
 
     def vae_loss(self, features: Tensor) -> Tensor:
         """The VAE term L_vae of the joint objective (Eq. 2)."""

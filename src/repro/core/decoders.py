@@ -59,6 +59,12 @@ class PerDistanceDecoders(nn.Module):
         ]
         return nn.concatenate(columns, axis=1)
 
+    def infer_all(self, embeddings: np.ndarray) -> np.ndarray:
+        """(batch, τ_max+1) per-distance estimates from Z of shape (batch, τ_max+1, z_dim)."""
+        per_distance = np.einsum("ntz,tz->nt", embeddings, self.weights.data)
+        per_distance += self.biases.data
+        return np.maximum(per_distance, 0.0, out=per_distance)
+
     @staticmethod
     def cumulative(per_distance: Tensor, taus: np.ndarray) -> Tensor:
         """Incremental-prediction sum: ĉ_j = Σ_{i <= τ_j} g_i(x_j) for each row j.

@@ -41,6 +41,10 @@ class DistanceEmbedding(nn.Module):
         """Embeddings of every distance value 0..τ_max as a (τ_max+1, dim) tensor."""
         return self.table(np.arange(self.tau_max + 1))
 
+    def infer_all_embeddings(self) -> np.ndarray:
+        """The live (τ_max+1, dim) embedding matrix itself (not a copy)."""
+        return self.table.weight.data
+
 
 class SharedEncoder(nn.Module):
     """Φ: FNN applied to the concatenation of x' and one distance embedding."""
@@ -83,6 +87,20 @@ class SharedEncoder(nn.Module):
         for index in range(distance_embeddings.shape[0]):
             outputs.append(self.forward(representation, distance_embeddings[index]))
         return outputs
+
+    def infer_embeddings(
+        self, representation: np.ndarray, distance_embeddings: np.ndarray
+    ) -> np.ndarray:
+        """Z of shape (batch, τ_max+1, z_dim): Φ once over the stacked [(x' ; e_i)] rows."""
+        batch, num_distances = representation.shape[0], distance_embeddings.shape[0]
+        stacked = np.concatenate(
+            [
+                np.repeat(representation, num_distances, axis=0),
+                np.tile(distance_embeddings, (batch, 1)),
+            ],
+            axis=1,
+        )
+        return self.network.infer(stacked).reshape(batch, num_distances, -1)
 
 
 class AcceleratedEncoder(nn.Module):
@@ -140,6 +158,16 @@ class AcceleratedEncoder(nn.Module):
             region = head(hidden).reshape(batch, self.tau_max + 1, width)
             regions.append(region)
         return nn.concatenate(regions, axis=2)
+
+    def infer_embeddings(self, representation: np.ndarray) -> np.ndarray:
+        """``forward`` on plain arrays: Z of shape (batch, τ_max+1, z_dim)."""
+        batch = representation.shape[0]
+        regions: List[np.ndarray] = []
+        hidden = representation
+        for trunk, head, width in zip(self._trunk_layers, self._heads, self.region_widths):
+            hidden = np.maximum(trunk.infer(hidden), 0.0)
+            regions.append(head.infer(hidden).reshape(batch, self.tau_max + 1, width))
+        return np.concatenate(regions, axis=2)
 
     def embed_all(self, representation: Tensor) -> List[Tensor]:
         """Per-distance embeddings as a list (interface-compatible with Φ)."""

@@ -77,12 +77,14 @@ def featurize_examples(
             return frozenset(record)
         return record
 
-    grouped: Dict[object, Tuple[object, List[QueryExample]]] = {}
-    for example in examples:
+    # One θ → τ call for the whole workload; groups hold (τ, cardinality) pairs.
+    taus = extractor.transform_thresholds([example.theta for example in examples])
+    grouped: Dict[object, Tuple[object, List[Tuple[int, float]]]] = {}
+    for example, tau in zip(examples, taus.tolist()):
         key = record_key(example.record)
         if key not in grouped:
             grouped[key] = (example.record, [])
-        grouped[key][1].append(example)
+        grouped[key][1].append((tau, float(example.cardinality)))
 
     records = [entry[0] for entry in grouped.values()]
     if records:
@@ -94,9 +96,8 @@ def featurize_examples(
     for query_index, (_, group) in enumerate(grouped.values()):
         # Cumulative cardinality per transformed threshold (max over aliased θ).
         by_tau: Dict[int, float] = {}
-        for example in group:
-            tau = extractor.transform_threshold(example.theta)
-            by_tau[tau] = max(by_tau.get(tau, 0.0), float(example.cardinality))
+        for tau, cardinality in group:
+            by_tau[tau] = max(by_tau.get(tau, 0.0), cardinality)
         previous_tau = -1
         previous_cumulative = 0.0
         for tau in sorted(by_tau):

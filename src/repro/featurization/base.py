@@ -30,8 +30,15 @@ class FeatureExtractor(ABC):
         """Binary representation x ∈ {0, 1}^d of a record."""
 
     @abstractmethod
+    def transform_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
+        """Monotone map from each θ ∈ [0, θ_max] to τ ∈ [0, τ_max] (int64 vector).
+
+        The one θ → τ definition of an extractor; the scalar form delegates here.
+        """
+
     def transform_threshold(self, theta: float) -> int:
-        """Monotone map from θ ∈ [0, θ_max] to τ ∈ [0, τ_max]."""
+        """Scalar form of :meth:`transform_thresholds` (a one-element batch)."""
+        return int(self.transform_thresholds(np.asarray([theta], dtype=np.float64))[0])
 
     # ------------------------------------------------------------------ #
     # Batch helpers
@@ -40,22 +47,10 @@ class FeatureExtractor(ABC):
         """Stack the binary representations of many records into an (n, d) matrix."""
         return np.stack([self.transform_record(record) for record in records]).astype(np.float64)
 
-    def transform_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
-        """Vector of integer thresholds for many original thresholds."""
-        return np.asarray([self.transform_threshold(theta) for theta in thetas], dtype=np.int64)
-
-    def validate_threshold(self, theta: float) -> None:
-        if theta < 0 or theta > self.theta_max + 1e-9:
-            raise ValueError(
-                f"threshold {theta} outside supported range [0, {self.theta_max}]"
-            )
-
     def validate_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`validate_threshold`; returns the float array.
+        """Range check shared by every ``transform_thresholds``; returns the float array.
 
-        The single place the accepted range/tolerance lives for the batch
-        paths — vectorized ``transform_thresholds`` overrides call this
-        instead of re-implementing the check.
+        The single place the accepted range/tolerance lives.
         """
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.size and (thetas.min() < 0 or thetas.max() > self.theta_max + 1e-9):
@@ -66,25 +61,19 @@ class FeatureExtractor(ABC):
 
     def available_taus(self) -> List[int]:
         """All integer thresholds that some θ ∈ [0, θ_max] can map to."""
-        return sorted({self.transform_threshold(theta) for theta in np.linspace(0.0, self.theta_max, 512)})
+        taus = self.transform_thresholds(np.linspace(0.0, self.theta_max, 512))
+        return np.unique(taus).tolist()
 
 
-def proportional_threshold_map(theta: float, theta_max: float, tau_max: int) -> int:
-    """τ = floor(τ_max · θ / θ_max), the transformation used for HM/ED/JC (§4).
-
-    For integer-valued distances with θ_max <= τ_max the identity is used by
-    the callers instead, so each original threshold keeps its own decoder.
-    """
-    if theta_max <= 0:
-        return 0
-    ratio = min(max(theta / theta_max, 0.0), 1.0)
-    return int(np.floor(tau_max * ratio + 1e-12))
-
-
-def proportional_threshold_map_batch(
+def proportional_threshold_map(
     thetas: Sequence[float], theta_max: float, tau_max: int
 ) -> np.ndarray:
-    """Vectorized form of :func:`proportional_threshold_map`."""
+    """τ = floor(τ_max · θ / θ_max), the transformation used for HM/ED/JC (§4).
+
+    Array-valued (a scalar θ gives a 0-d result).  For integer-valued
+    distances with θ_max <= τ_max the identity is used by the callers instead,
+    so each original threshold keeps its own decoder.
+    """
     thetas = np.asarray(thetas, dtype=np.float64)
     if theta_max <= 0:
         return np.zeros(thetas.shape, dtype=np.int64)

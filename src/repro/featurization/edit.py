@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map, proportional_threshold_map_batch
+from .base import FeatureExtractor, proportional_threshold_map
 
 
 class EditFeatureExtractor(FeatureExtractor):
@@ -69,14 +69,8 @@ class EditFeatureExtractor(FeatureExtractor):
             vector[start:stop] = 1.0
         return vector
 
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        if self.theta_max <= self.tau_max:
-            return int(np.floor(theta + 1e-12))
-        return proportional_threshold_map(theta, self.theta_max, self.tau_max)
-
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)
         if self.theta_max <= self.tau_max:
             return np.floor(thetas + 1e-12).astype(np.int64)
-        return proportional_threshold_map_batch(thetas, self.theta_max, self.tau_max)
+        return proportional_threshold_map(thetas, self.theta_max, self.tau_max)

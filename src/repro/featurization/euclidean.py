@@ -14,28 +14,30 @@ which is monotone in θ because ``ε`` is decreasing.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from .base import FeatureExtractor
+from .base import FeatureExtractor, proportional_threshold_map
 
 
-def collision_probability(theta: float, r: float) -> float:
-    """P[h_{a,b}(x) = h_{a,b}(y)] for p-stable LSH when ||x - y|| = theta.
+def collision_probability(theta, r: float):
+    """P[h_{a,b}(x) = h_{a,b}(y)] for p-stable LSH when ||x - y|| = θ, elementwise in θ.
 
     Formula from Datar et al. (SOCG 2004):
         ε(θ) = 1 - 2·Φ(-r/θ) - (2 / (sqrt(2π)·r/θ)) · (1 - exp(-(r/θ)²/2))
     with ε(0) = 1 by continuity.
     """
-    if theta <= 0.0:
-        return 1.0
-    ratio = r / theta
-    if ratio > 40.0:
-        # For vanishingly small θ the collision probability is 1 up to terms
-        # below double precision; the closed form would overflow in exp(ratio²).
-        return 1.0
-    term1 = 1.0 - 2.0 * norm.cdf(-ratio)
+    thetas = np.asarray(theta, dtype=np.float64)
+    epsilon = np.ones(thetas.shape)
+    # θ <= 0 collides surely; for vanishingly small θ (r/θ > 40) ε is 1 up to
+    # terms below double precision and exp(ratio²) in the closed form overflows.
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = r / thetas
+    closed_form = (thetas > 0.0) & (ratio <= 40.0)
+    ratio = ratio[closed_form]
+    term1 = 1.0 - 2.0 * ndtr(-ratio)
     term2 = (2.0 / (np.sqrt(2.0 * np.pi) * ratio)) * (1.0 - np.exp(-(ratio ** 2) / 2.0))
-    return float(max(0.0, min(1.0, term1 - term2)))
+    epsilon[closed_form] = np.clip(term1 - term2, 0.0, 1.0)
+    return epsilon[()]  # a scalar θ gives a scalar ε
 
 
 class PStableEuclideanFeatureExtractor(FeatureExtractor):
@@ -64,31 +66,38 @@ class PStableEuclideanFeatureExtractor(FeatureExtractor):
         rng = np.random.default_rng(seed)
         self._projections = rng.normal(0.0, 1.0, size=(self.num_hashes, self.input_dimension))
         self._offsets = rng.uniform(0.0, self.bucket_width, size=self.num_hashes)
-        self._epsilon_at_max = collision_probability(self.theta_max, self.bucket_width)
+        self._epsilon_at_max = float(collision_probability(self.theta_max, self.bucket_width))
 
-    def hash_values(self, record) -> np.ndarray:
-        """Integer hash value per hash function, clipped to [0, max_hash_value]."""
-        vector = np.asarray(record, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self.input_dimension:
+    def collision_probabilities(self, thetas) -> np.ndarray:
+        """ε(θ) per threshold at this extractor's bucket width."""
+        return collision_probability(thetas, self.bucket_width)
+
+    def hash_values(self, records) -> np.ndarray:
+        """(n, num_hashes) integer hash values, clipped to [0, max_hash_value]."""
+        matrix = np.asarray(records, dtype=np.float64).reshape(len(records), -1)
+        if matrix.shape[1] != self.input_dimension:
             raise ValueError(
-                f"expected {self.input_dimension}-dimensional vector, got {vector.shape[0]}"
+                f"expected {self.input_dimension}-dimensional vectors, got {matrix.shape[1]}"
             )
-        raw = np.floor((self._projections @ vector + self._offsets) / self.bucket_width)
+        raw = np.floor((matrix @ self._projections.T + self._offsets) / self.bucket_width)
         return np.clip(raw, 0, self.max_hash_value).astype(np.int64)
 
     def transform_record(self, record) -> np.ndarray:
-        values = self.hash_values(record)
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        offsets = np.arange(self.num_hashes) * self.block_size + values
-        vector[offsets] = 1.0
-        return vector
+        return self.transform_records([record])[0]
 
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        epsilon = collision_probability(theta, self.bucket_width)
+    def transform_records(self, records) -> np.ndarray:
+        values = self.hash_values(records)
+        matrix = np.zeros((len(values), self.dimension), dtype=np.float64)
+        columns = np.arange(self.num_hashes) * self.block_size + values
+        matrix[np.arange(len(values))[:, None], columns] = 1.0
+        return matrix
+
+    def transform_thresholds(self, thetas) -> np.ndarray:
+        thetas = self.validate_thresholds(thetas)
         denominator = 1.0 - self._epsilon_at_max
         if denominator <= 1e-12:
-            return 0
-        ratio = (1.0 - epsilon) / denominator
-        ratio = min(max(ratio, 0.0), 1.0)
-        return int(np.floor(self.tau_max * ratio + 1e-12))
+            return np.zeros(thetas.shape, dtype=np.int64)
+        # The proportional map on expected Hamming distance (1 - ε(θ)) · d.
+        return proportional_threshold_map(
+            1.0 - self.collision_probabilities(thetas), denominator, self.tau_max
+        )

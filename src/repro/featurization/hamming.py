@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map, proportional_threshold_map_batch
+from .base import FeatureExtractor, proportional_threshold_map
 
 
 class HammingFeatureExtractor(FeatureExtractor):
@@ -24,22 +24,18 @@ class HammingFeatureExtractor(FeatureExtractor):
         self.tau_max = int(tau_max)
 
     def transform_record(self, record) -> np.ndarray:
-        vector = np.asarray(record, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self.dimension:
-            raise ValueError(
-                f"expected {self.dimension}-dimensional binary vector, got {vector.shape[0]}"
-            )
-        return (vector > 0.5).astype(np.float64)
+        return self.transform_records([record])[0]
 
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        if self.theta_max <= self.tau_max:
-            return int(np.floor(theta + 1e-12))
-        return proportional_threshold_map(theta, self.theta_max, self.tau_max)
+    def transform_records(self, records) -> np.ndarray:
+        matrix = np.asarray(records, dtype=np.float64).reshape(len(records), -1)
+        if matrix.shape[1] != self.dimension:
+            raise ValueError(
+                f"expected {self.dimension}-dimensional binary vectors, got {matrix.shape[1]}"
+            )
+        return (matrix > 0.5).astype(np.float64)
 
     def transform_thresholds(self, thetas) -> np.ndarray:
-        """Vectorized θ → τ map (the batch-first hot path avoids the scalar loop)."""
         thetas = self.validate_thresholds(thetas)
         if self.theta_max <= self.tau_max:
             return np.floor(thetas + 1e-12).astype(np.int64)
-        return proportional_threshold_map_batch(thetas, self.theta_max, self.tau_max)
+        return proportional_threshold_map(thetas, self.theta_max, self.tau_max)

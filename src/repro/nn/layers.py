@@ -47,12 +47,21 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.use_bias:
+            out += self.bias.data
+        return out
+
 
 class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
 
 
 class ELU(Module):
@@ -64,6 +73,9 @@ class ELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.elu(self.alpha)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
 
 class Sigmoid(Module):
@@ -99,6 +111,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for module in self._ordered:
             x = module(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for module in self._ordered:
+            x = module.infer(x)
         return x
 
     def __iter__(self):

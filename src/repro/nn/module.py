@@ -112,5 +112,9 @@ class Module:
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
+    def infer(self, *args, **kwargs):
+        """``forward`` on plain arrays: live ``.data`` in, no graph, no gradient."""
+        raise NotImplementedError(f"{type(self).__name__} has no graph-free form")
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -326,7 +326,9 @@ class EstimationService:
         one atomic step, so two threads missing on the same record never
         race a half-filled cache.  Holding the lock ACROSS the model call is
         deliberate: estimators are outside the thread-safety contract
-        (several hold RNGs or live autograd machinery), so cold-path
+        (sampling baselines hold RNGs, deep baselines still infer through
+        the autograd graph; CardNet's own inference is graph-free but reads
+        weights a concurrent retrain may be stepping), so cold-path
         inference serializes.  Concurrency wins come from everything outside
         this step — warm cache hits queue only briefly, and the engine's
         verification/fan-out work never touches the service at all.
