@@ -32,7 +32,7 @@ from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.metrics import mean_q_error
-from repro.selection import LinearScanSelector, default_selector
+from repro.selection import LinearScanSelector
 from repro.workloads import Workload, build_workload
 
 NUM_RECORDS = 2500
@@ -159,9 +159,10 @@ def test_feedback_loop_detects_update_drift(hamming_feedback_setup, hm_dataset, 
         "hm", hm_dataset.records, "hamming", estimator,
         theta_max=hm_dataset.theta_max, gph_part_size=8,
     )
+    # The manager shares the attribute's own index: one maintained state.
     manager = IncrementalUpdateManager(
         estimator,
-        default_selector("hamming", hm_dataset.records),
+        engine.catalog.get("hm").selector,
         hm_workload.train,
         hm_workload.validation,
         max_epochs_per_update=4,

@@ -23,7 +23,6 @@ from repro.datasets import make_binary_dataset
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.baselines import UniformSamplingEstimator
-from repro.selection import default_selector
 from repro.workloads import build_workload
 
 
@@ -56,9 +55,10 @@ def main() -> None:
         UniformSamplingEstimator(embeddings, "euclidean", sample_ratio=0.1, seed=0),
         theta_max=1.2,
     )
+    # The manager shares the attribute's own index: one maintained state.
     manager = IncrementalUpdateManager(
         signature_estimator,
-        default_selector("hamming", signatures.records),
+        engine.catalog.get("signature").selector,
         workload.train,
         workload.validation,
         max_epochs_per_update=3,

@@ -77,7 +77,6 @@ class IncrementalUpdateManager:
         self.selector = selector
         self.train_examples: List[QueryExample] = list(train_examples)
         self.validation_examples: List[QueryExample] = list(validation_examples)
-        self.records = list(selector.dataset)
         self.error_tolerance = error_tolerance
         self.max_epochs_per_update = max_epochs_per_update
         if service is not None and service_endpoint is None:
@@ -90,6 +89,13 @@ class IncrementalUpdateManager:
         # update steps that skip retraining never touch the training set.
         self._pending_train_inserted: List = []
         self._pending_train_removed: List = []
+
+    @property
+    def records(self) -> Sequence:
+        """The rows labels are computed against — a read-only view of the
+        index's live dataset.  The manager owns no rows and no index: an
+        engine hands it the attribute's (or shard's) own index at attach."""
+        return self.selector.dataset
 
     # ------------------------------------------------------------------ #
     # Serving integration
@@ -128,6 +134,35 @@ class IncrementalUpdateManager:
             self._baseline_validation_error = self._validation_msle()
         return self._baseline_validation_error
 
+    def _retrain_if_degraded(
+        self, refresh_training_labels, force: bool = False
+    ) -> RevalidationReport:
+        """Steps 2–3 of the §8 loop, shared by :meth:`process` and :meth:`revalidate`.
+
+        Measures the validation error (labels already refreshed by the
+        caller); if it degraded past tolerance, or ``force``, training labels
+        are refreshed with ``refresh_training_labels()`` and the model trains
+        further from its current parameters."""
+        error_before = self._validation_msle()
+        if self._baseline_validation_error is None:
+            self._baseline_validation_error = error_before
+        if not (force or error_before > self._baseline_validation_error + self.error_tolerance):
+            self._baseline_validation_error = min(self._baseline_validation_error, error_before)
+            return RevalidationReport(error_before, error_before, False, 0)
+        self.train_examples = refresh_training_labels()
+        self._pending_train_inserted = []
+        self._pending_train_removed = []
+        result = self.estimator.incremental_fit(
+            self.train_examples,
+            self.validation_examples,
+            max_epochs=self.max_epochs_per_update,
+        )
+        # The model parameters moved: cached curves are stale again.
+        self._invalidate_serving_cache()
+        error_after = self._validation_msle()
+        self._baseline_validation_error = error_after
+        return RevalidationReport(error_before, error_after, True, result.epochs_run)
+
     def revalidate(self, force_retrain: bool = False) -> RevalidationReport:
         """Revalidate (and retrain if degraded) without applying an update.
 
@@ -138,37 +173,12 @@ class IncrementalUpdateManager:
         the serving path, and — if it degraded past tolerance, or
         ``force_retrain`` — training labels are refreshed and the model is
         trained further from its current parameters, exactly as in
-        :meth:`process` steps 1–2.
+        :meth:`process` steps 1–2.  Labels are refreshed in full: updates may
+        have reached the adopted index without passing through this manager.
         """
         self.validation_examples = relabel(self.validation_examples, self.selector)
-        error_before = self._validation_msle()
-        if self._baseline_validation_error is None:
-            self._baseline_validation_error = error_before
-
-        retrained = False
-        epochs_run = 0
-        error_after = error_before
-        if force_retrain or error_before > self._baseline_validation_error + self.error_tolerance:
-            self.train_examples = relabel(self.train_examples, self.selector)
-            self._pending_train_inserted = []
-            self._pending_train_removed = []
-            result = self.estimator.incremental_fit(
-                self.train_examples,
-                self.validation_examples,
-                max_epochs=self.max_epochs_per_update,
-            )
-            retrained = True
-            epochs_run = result.epochs_run
-            self._invalidate_serving_cache()
-            error_after = self._validation_msle()
-            self._baseline_validation_error = error_after
-        else:
-            self._baseline_validation_error = min(self._baseline_validation_error, error_before)
-        return RevalidationReport(
-            validation_msle_before=error_before,
-            validation_msle_after=error_after,
-            retrained=retrained,
-            epochs_run=epochs_run,
+        return self._retrain_if_degraded(
+            lambda: relabel(self.train_examples, self.selector), force=force_retrain
         )
 
     def _apply_operation_delta(self, operation: UpdateOperation) -> tuple:
@@ -183,18 +193,31 @@ class IncrementalUpdateManager:
             inserted = list(operation.records)
             if inserted:
                 self.selector.insert_many(inserted)
-                self.records.extend(inserted)
             return inserted, []
-        positions = resolve_delete_positions(len(self.records), operation.records)
+        positions = resolve_delete_positions(len(self.selector), operation.records)
         if positions.size == 0:
             return [], []
-        removed = [self.records[int(i)] for i in positions]
+        records = self.records
+        removed = [records[int(i)] for i in positions]
         self.selector.delete_many(positions)
-        dropped = {int(i) for i in positions}
-        self.records = [
-            record for index, record in enumerate(self.records) if index not in dropped
-        ]
         return [], removed
+
+    def _relabel_training_from_pending(self) -> List[QueryExample]:
+        """Training labels after every delta parked since the last refresh.
+
+        Probing every pending delta stays exact (deltas are additive and
+        cancel when a row was inserted then removed); once the accumulated Δ
+        rivals the dataset itself, one full relabel is cheaper than two large
+        probes."""
+        pending = len(self._pending_train_inserted) + len(self._pending_train_removed)
+        if pending >= max(1, len(self.selector)):
+            return relabel(self.train_examples, self.selector)
+        return relabel_delta(
+            self.train_examples,
+            self.selector,
+            self._pending_train_inserted,
+            self._pending_train_removed,
+        )
 
     def process(self, operation: UpdateOperation, operation_index: int = 0) -> UpdateStepReport:
         """Apply one update operation and retrain incrementally if needed.
@@ -211,58 +234,11 @@ class IncrementalUpdateManager:
         self._pending_train_removed.extend(removed)
         # The dataset changed, so every cached curve for this estimator is stale.
         self._invalidate_serving_cache()
-
-        # Step 1: refresh validation labels and measure the error.
         self.validation_examples = relabel_delta(
             self.validation_examples, self.selector, inserted, removed
         )
-        error_before = self._validation_msle()
-        if self._baseline_validation_error is None:
-            self._baseline_validation_error = error_before
-
-        retrained = False
-        epochs_run = 0
-        error_after = error_before
-        if error_before > self._baseline_validation_error + self.error_tolerance:
-            # Step 2: refresh training labels and continue training in place.
-            # Probing every pending delta stays exact (deltas are additive
-            # and cancel when a row was inserted then removed); once the
-            # accumulated Δ rivals the dataset itself, one full relabel is
-            # cheaper than two large probes.
-            pending = len(self._pending_train_inserted) + len(self._pending_train_removed)
-            if pending >= max(1, len(self.records)):
-                self.train_examples = relabel(self.train_examples, self.selector)
-            else:
-                self.train_examples = relabel_delta(
-                    self.train_examples,
-                    self.selector,
-                    self._pending_train_inserted,
-                    self._pending_train_removed,
-                )
-            self._pending_train_inserted = []
-            self._pending_train_removed = []
-            result = self.estimator.incremental_fit(
-                self.train_examples,
-                self.validation_examples,
-                max_epochs=self.max_epochs_per_update,
-            )
-            retrained = True
-            epochs_run = result.epochs_run
-            # The model parameters moved: cached curves are stale again.
-            self._invalidate_serving_cache()
-            error_after = self._validation_msle()
-            self._baseline_validation_error = error_after
-        else:
-            self._baseline_validation_error = min(self._baseline_validation_error, error_before)
-
-        return UpdateStepReport(
-            operation_index=operation_index,
-            dataset_size=len(self.records),
-            validation_msle_before=error_before,
-            validation_msle_after=error_after,
-            retrained=retrained,
-            epochs_run=epochs_run,
-        )
+        outcome = self._retrain_if_degraded(self._relabel_training_from_pending)
+        return UpdateStepReport(operation_index, len(self.selector), **vars(outcome))
 
     def process_stream(self, operations: Sequence[UpdateOperation]) -> List[UpdateStepReport]:
         """Process a whole update stream, returning one report per operation."""

@@ -5,13 +5,14 @@ access paths the planner and executor need — the raw column, its distance
 function, the exact selection index, and the serving endpoint(s) answering
 cardinality estimates for it.  The catalog enforces the single table-shape
 invariant (every attribute has the same record count, so record ids line up
-across predicates of one conjunctive query) and owns rebuilds after updates.
+across predicates of one conjunctive query); a binding is the one place its
+column changes under updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +37,6 @@ class AttributeBinding:
     #: horizontally sharded attributes; ``endpoint`` is then the merged
     #: endpoint whose curves sum the per-shard cached curves.
     shard_endpoints: List[str] = field(default_factory=list)
-    #: Bumped on every :meth:`replace_records`; consumers (feedback manager
-    #: links) use it to detect that their dataset view went stale.
-    version: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -61,50 +59,46 @@ class AttributeBinding:
             return self.records[record_ids]
         return [self.records[int(record_id)] for record_id in record_ids]
 
-    def replace_records(self, records: Sequence) -> None:
-        """Point the binding at an updated column and rebuild its index.
+    def units(self) -> List[Tuple[SimilaritySelector, str]]:
+        """The attribute's maintenance units, ``(exact index, serving endpoint)``.
 
-        The wholesale path — for bulk replacement, not incremental updates
-        (those go through :meth:`apply_delta`, which is O(Δ)).
+        One unit per shard of a sharded attribute; an unsharded attribute is
+        the one-unit case — its own index and planning endpoint.
         """
-        self.records = records
-        self.selector = self.selector.rebuild(records)  # repro: ignore[RPR010] - wholesale column replacement, not the update path
-        self.version += 1
+        if self.sharded:
+            return list(zip(self.selector.shards, self.shard_endpoints))
+        return [(self.selector, self.endpoint)]
 
-    def apply_delta(self, operation) -> None:
-        """Absorb one update operation as an in-place O(Δ) index delta.
+    def apply_column_delta(self, operation) -> None:
+        """Absorb one *normalized* update operation into the column.
 
-        The selector keeps its identity (append segments + tombstones on
-        delta-maintained selectors); only the column view and version move.
-        Delete positions follow the update stream's lenient
-        :func:`~repro.datasets.updates.apply_operation` semantics.
+        The one place the column changes: the indexes take the same operation
+        as their own O(Δ) deltas (through a §8 manager, or directly), so an
+        array column keeps its type and dtype through any update sequence.
+        Delete positions must already be distinct and in range
+        (:func:`~repro.selection.delta.resolve_delete_positions`).
         """
-        from ..selection.delta import resolve_delete_positions
-
+        array = isinstance(self.records, np.ndarray)
         if operation.kind == "insert":
             added = list(operation.records)
-            if added:
-                self.selector.insert_many(added)
-                if isinstance(self.records, np.ndarray):
-                    self.records = np.concatenate(
-                        [self.records, np.asarray(added, dtype=self.records.dtype)]
-                    )
-                else:
-                    self.records = list(self.records) + added
-        else:
-            positions = resolve_delete_positions(len(self.records), operation.records)
-            if positions.size:
-                self.selector.delete_many(positions)
-                if isinstance(self.records, np.ndarray):
-                    self.records = np.delete(self.records, positions, axis=0)
-                else:
-                    dropped = {int(i) for i in positions}
-                    self.records = [
-                        record
-                        for index, record in enumerate(self.records)
-                        if index not in dropped
-                    ]
-        self.version += 1
+            if not added:
+                return
+            if array:
+                self.records = np.concatenate(
+                    [self.records, np.asarray(added, dtype=self.records.dtype)]
+                )
+            else:
+                self.records = list(self.records) + added
+        elif len(operation.records):
+            if array:
+                self.records = np.delete(self.records, operation.records, axis=0)
+            else:
+                dropped = {int(i) for i in operation.records}
+                self.records = [
+                    record
+                    for index, record in enumerate(self.records)
+                    if index not in dropped
+                ]
 
 
 class AttributeCatalog:

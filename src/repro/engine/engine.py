@@ -10,10 +10,17 @@ everything below it into a system that answers similarity queries end to end:
   answers exactly through the indexes;
 * every execution feeds the observed driver cardinality back into the
   :class:`~repro.engine.feedback.FeedbackMonitor`, which flushes stale curves
-  and drives incremental revalidation/retraining when estimates drift;
-* dataset updates go through :meth:`apply_update`, which routes through the
-  attached :class:`~repro.core.IncrementalUpdateManager` (paper §8) and keeps
-  the engine's indexes and per-part endpoints in sync.
+  and drives incremental revalidation/retraining when estimates drift.
+
+Maintenance has one model.  An attribute is a list of *units*
+``(exact index, serving endpoint, optional §8 manager)``: one per shard of a
+sharded attribute (which also keeps a merged planning endpoint over them), and
+exactly one — the attribute's own index and planning endpoint — otherwise.
+An :class:`~repro.core.IncrementalUpdateManager` adopts its unit's index by
+reference at attach and never owns rows or an index of its own, so there is
+one maintained state per unit and nothing to reconcile: :meth:`apply_update`
+routes an operation to the units it touches, each applies it once (through
+its manager, or directly), and the attribute's column absorbs it once.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ from ..core.incremental import (
 )
 from ..core.interface import CardinalityEstimator
 from ..datasets.updates import UpdateOperation
+from ..distances import get_distance
 from ..obs.explain import ExplainAnalyzeReport, PredicateAnalysis, SlowQueryLog
 from ..obs.monitor import HealthReport, MonitoringHub, build_health_report
 from ..obs.trace import current_span, span, start_trace
 from ..runtime import Runtime
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
+from ..selection.delta import resolve_delete_positions
 from ..serving import EstimationService
 from ..sharding import Partitioner, ShardedEstimatorGroup, ShardedSelector
 from ..sharding.group import resolve_curve_grid
@@ -86,68 +95,41 @@ class ShardedRevalidationReport:
         return int(sum(report.epochs_run for report in self.reports.values()))
 
 
+def _integer_grid(distance, estimator, theta_max, curve_thetas):
+    """Integer-valued distances given only ``theta_max`` get the exact grid
+    ``0..theta_max`` (unless the estimator brings its own)."""
+    if (
+        curve_thetas is None
+        and theta_max is not None
+        and distance.integer_valued
+        and estimator.curve_thetas() is None
+    ):
+        return np.arange(int(theta_max) + 1, dtype=np.float64)
+    return curve_thetas
+
+
+@dataclass
 class _ManagerLink:
-    """Feedback-side handle on an update manager, pinned to a binding.
+    """The §8 managers of one attribute, keyed by maintenance unit — the
+    feedback monitor's repair handle for the attribute's planning endpoint.
 
-    Drift can be detected long after the engine's data moved (updates may
-    bypass the manager entirely), so revalidation first syncs the manager's
-    dataset view to the binding it serves — labels must refresh against the
-    data the engine is *currently* answering from, not a stale snapshot.
+    Drift is detected on the planning endpoint (the merged one, for a sharded
+    attribute) but repaired per unit: every manager revalidates against its
+    unit's index, which it shares with the engine by reference — labels
+    refresh against the data being served whether or not updates were routed
+    through the manager.
     """
 
-    def __init__(self, binding: AttributeBinding, manager: IncrementalUpdateManager) -> None:
-        self.binding = binding
-        self.manager = manager
-        # The manager is assumed to start in sync (built over the binding's
-        # current records); only later binding versions force a resync.
-        self._synced_version = binding.version
+    managers: Dict[int, IncrementalUpdateManager]
+    route_updates: bool
+    sharded: bool
 
-    def sync(self) -> None:
-        if self._synced_version == self.binding.version:
-            return
-        self.manager.records = list(self.binding.records)
-        self.manager.selector = self.manager.selector.rebuild(self.manager.records)  # repro: ignore[RPR010] - resync after wholesale replace_records, not the update path
-        self._synced_version = self.binding.version
-
-    def revalidate(self):
-        self.sync()
-        return self.manager.revalidate()
-
-
-class _ShardedManagerLink:
-    """Feedback-side handle fanning drift repairs out to per-shard managers.
-
-    Drift is detected on the *merged* endpoint (that is the estimate queries
-    are planned against), but repair is per shard: every attached manager
-    revalidates its own shard — after resyncing its dataset view to that
-    shard's current records if engine updates bypassed the managers.
-    """
-
-    def __init__(
-        self, binding: AttributeBinding, managers: Dict[int, IncrementalUpdateManager]
-    ) -> None:
-        self.binding = binding
-        self.managers = dict(managers)
-        self._synced_version = binding.version
-
-    def sync(self) -> None:
-        if self._synced_version == self.binding.version:
-            return
-        selector = self.binding.selector
-        for shard_id, manager in self.managers.items():
-            shard = selector.shard(shard_id)
-            manager.records = list(shard.dataset)
-            manager.selector = shard
-        self._synced_version = self.binding.version
-
-    def revalidate(self) -> ShardedRevalidationReport:
-        self.sync()
-        return ShardedRevalidationReport(
-            reports={
-                shard_id: manager.revalidate()
-                for shard_id, manager in sorted(self.managers.items())
-            }
-        )
+    def revalidate(self) -> "Union[RevalidationReport, ShardedRevalidationReport]":
+        reports = {
+            unit_id: manager.revalidate()
+            for unit_id, manager in sorted(self.managers.items())
+        }
+        return ShardedRevalidationReport(reports) if self.sharded else reports[0]
 
 
 class SimilarityQueryEngine:
@@ -186,10 +168,9 @@ class SimilarityQueryEngine:
             window_size=feedback_window,
             min_observations=min_feedback_observations,
         )
-        self._managers: Dict[str, IncrementalUpdateManager] = {}
-        self._links: Dict[str, "Union[_ManagerLink, _ShardedManagerLink]"] = {}
+        #: Attribute → its attached §8 managers (one per maintenance unit).
+        self._links: Dict[str, _ManagerLink] = {}
         self._groups: Dict[str, ShardedEstimatorGroup] = {}
-        self._shard_managers: Dict[str, Dict[int, IncrementalUpdateManager]] = {}
         #: Per-shard estimator factories kept from register_sharded_attribute
         #: so a live rebalance can build estimators for the new shard layout.
         #: Caller closures — dropped from snapshots; re-arm after restore with
@@ -226,8 +207,6 @@ class SimilarityQueryEngine:
         attribute to a pigeonhole index with GPH-allocated plans, backed by one
         per-part histogram endpoint (``name::partJ``) on the same service.
         """
-        from ..distances import get_distance
-
         distance = get_distance(distance_name)
         if gph_part_size is not None:
             if distance_name != "hamming":
@@ -239,13 +218,7 @@ class SimilarityQueryEngine:
                     "pigeonhole configuration)"
                 )
             selector = PigeonholeHammingSelector(records, part_size=gph_part_size)
-        if (
-            curve_thetas is None
-            and theta_max is not None
-            and distance.integer_valued
-            and estimator.curve_thetas() is None
-        ):
-            curve_thetas = np.arange(int(theta_max) + 1, dtype=np.float64)
+        curve_thetas = _integer_grid(distance, estimator, theta_max, curve_thetas)
         self.service.register(
             name,
             estimator,
@@ -318,8 +291,6 @@ class SimilarityQueryEngine:
         the fan-out on forked worker processes (shard arrays published once
         via a shared data plane); results stay bit-identical either way.
         """
-        from ..distances import get_distance
-
         if name in self.catalog:
             raise KeyError(f"attribute {name!r} is already registered")
         distance = get_distance(distance_name)
@@ -340,13 +311,7 @@ class SimilarityQueryEngine:
             estimator_factory(list(shard.dataset), shard_index)
             for shard_index, shard in enumerate(sharded.shards)
         ]
-        if (
-            curve_thetas is None
-            and theta_max is not None
-            and distance.integer_valued
-            and estimators[0].curve_thetas() is None
-        ):
-            curve_thetas = np.arange(int(theta_max) + 1, dtype=np.float64)
+        curve_thetas = _integer_grid(distance, estimators[0], theta_max, curve_thetas)
         grid = resolve_curve_grid(estimators, curve_thetas, theta_max)
         if theta_max is None:
             theta_max = float(grid[-1])
@@ -446,23 +411,18 @@ class SimilarityQueryEngine:
                 for shard_index, shard in enumerate(selector.shards)
             ]
             old_group = self._groups[name]
-            grid = old_group.curve_thetas
             old_group.unregister()
-            group = ShardedEstimatorGroup(
+            group = self._groups[name] = ShardedEstimatorGroup(
                 name,
                 self.service,
                 estimators,
-                curve_thetas=grid,
+                curve_thetas=old_group.curve_thetas,
                 distance_name=binding.distance.name,
             )
-            self._groups[name] = group
             binding.shard_endpoints = list(group.shard_endpoints)
-            binding.records = selector.dataset
-            binding.version += 1
             # Per-shard managers were built for the old layout; drop them so
             # drift repair never retrains against shards that no longer exist.
-            if self._shard_managers.pop(name, None) is not None:
-                self._links.pop(name, None)
+            if self._links.pop(name, None) is not None:
                 self.feedback.detach_manager(binding.endpoint)
         return report
 
@@ -473,95 +433,88 @@ class SimilarityQueryEngine:
     ) -> None:
         """Wire one :class:`~repro.core.IncrementalUpdateManager` per shard.
 
-        Each manager must hold that shard's records/selector and shard-local
-        labelled examples; :meth:`apply_update` then routes every update to
-        only the managers of the shards it touches (paper §8 per shard), and
-        drift on the merged endpoint revalidates every attached shard.
-        A manager without a service connection adopts the engine's service
-        under its shard's endpoint, so its invalidations stay shard-local.
+        Each manager must hold shard-local labelled examples for its shard;
+        :meth:`apply_update` then routes every update to only the managers of
+        the shards it touches (paper §8 per shard), and drift on the merged
+        endpoint revalidates every attached shard.  Wiring follows
+        :meth:`attach_manager`, against the shard's index and endpoint.
         """
-        binding = self.catalog.get(name)
-        if not binding.sharded:
-            raise ValueError(
-                f"attribute {name!r} is not sharded; use attach_manager instead"
-            )
         if not isinstance(managers, Mapping):
             managers = dict(enumerate(managers))
-        selector: ShardedSelector = binding.selector
-        normalized: Dict[int, IncrementalUpdateManager] = {}
-        for shard_id, manager in managers.items():
-            shard_id = int(shard_id)
-            if not 0 <= shard_id < len(binding.shard_endpoints):
-                raise ValueError(
-                    f"shard {shard_id} out of range for {name!r} "
-                    f"({len(binding.shard_endpoints)} shards)"
-                )
-            if len(manager.records) != len(selector.shard(shard_id)):
-                raise ValueError(
-                    f"manager for shard {shard_id} holds {len(manager.records)} "
-                    f"records but the shard has {len(selector.shard(shard_id))}; "
-                    "build managers from the shard's own records"
-                )
-            shard_endpoint = binding.shard_endpoints[shard_id]
-            if manager.service is None:
-                manager.service = self.service
-                manager.service_endpoint = shard_endpoint
-            elif (
-                manager.service is not self.service
-                or manager.service_endpoint != shard_endpoint
-            ):
-                # A mis-wired manager would invalidate the wrong endpoint on
-                # update/retrain; the stale shard curve would then be summed
-                # into every merged answer — silently wrong estimates.
-                raise ValueError(
-                    f"manager for shard {shard_id} is wired to endpoint "
-                    f"{manager.service_endpoint!r} on "
-                    f"{'another service' if manager.service is not self.service else 'this service'}; "
-                    f"it must serve {shard_endpoint!r} on the engine's service "
-                    "(or be left unwired to adopt it)"
-                )
-            manager.ensure_baseline()
-            normalized[shard_id] = manager
-        link = _ShardedManagerLink(binding, normalized)
-        self.feedback.attach_manager(binding.endpoint, link)
-        self._links[name] = link
-        self._shard_managers[name] = normalized
+        managers = {int(shard_id): manager for shard_id, manager in managers.items()}
+        self._attach(name, managers, route_updates=True, sharded=True)
 
     def attach_manager(
         self, name: str, manager: IncrementalUpdateManager, route_updates: bool = True
     ) -> None:
         """Wire an update manager to an attribute.
 
-        Drift detected by the feedback monitor always triggers the manager's
-        revalidation (after syncing its dataset view to the binding's current
-        records).  With ``route_updates`` (the default) :meth:`apply_update`
-        additionally takes the paper-§8 path through ``manager.process``;
-        ``route_updates=False`` keeps the manager a pure model-maintenance
-        component — updates hit the data plane directly and only the feedback
-        loop repairs the model, the scenario where serving-side drift
-        monitoring earns its keep.
+        The manager adopts the attribute's index by reference (it must have
+        been built over the same rows): one maintained index, not two.  Drift
+        detected by the feedback monitor always triggers its revalidation.
+        With ``route_updates`` (the default) :meth:`apply_update` also takes
+        the paper-§8 path through ``manager.process``; ``route_updates=False``
+        keeps the manager a pure model-maintenance component — updates hit
+        the data plane directly and only the feedback loop repairs the model.
 
-        A manager without a service connection adopts the engine's service so
-        its invalidations and validation measurements hit the serving path the
-        engine actually answers from.
+        A manager without a service connection adopts the engine's service
+        under the attribute's endpoint, so its invalidations and validation
+        measurements hit the serving path the engine answers from; one wired
+        anywhere else is rejected.
         """
+        self._attach(name, {0: manager}, route_updates, sharded=False)
+
+    def _attach(
+        self,
+        name: str,
+        managers: Dict[int, IncrementalUpdateManager],
+        route_updates: bool,
+        sharded: bool,
+    ) -> None:
+        """Validate, wire and baseline one manager per maintenance unit."""
         binding = self.catalog.get(name)
-        if binding.sharded:
+        if binding.sharded != sharded:
             raise ValueError(
-                f"attribute {name!r} is sharded; attach one manager per shard "
-                "with attach_shard_managers"
+                f"attribute {name!r} is {'' if binding.sharded else 'not '}sharded; use "
+                f"{'attach_shard_managers' if binding.sharded else 'attach_manager'}"
             )
-        if manager.service is None:
-            manager.service = self.service
-            manager.service_endpoint = binding.endpoint
-        # Pin the healthy validation error now, while the model is known-good:
-        # drift-triggered revalidation needs it to recognize degradation.
-        manager.ensure_baseline()
-        link = _ManagerLink(binding, manager)
+        units = binding.units()
+        for unit_id, manager in managers.items():
+            if not 0 <= unit_id < len(units):
+                raise ValueError(
+                    f"shard {unit_id} out of range for {binding.name!r} "
+                    f"({len(units)} shards)"
+                )
+            index, endpoint = units[unit_id]
+            if len(manager.records) != len(index):
+                raise ValueError(
+                    f"manager for {endpoint!r} holds {len(manager.records)} "
+                    f"records but its index has {len(index)}; build managers "
+                    "over the rows (or the index itself) they maintain"
+                )
+            if manager.service is None:
+                manager.service = self.service
+                manager.service_endpoint = endpoint
+            elif (
+                manager.service is not self.service
+                or manager.service_endpoint != endpoint
+            ):
+                # A mis-wired manager would invalidate the wrong endpoint on
+                # update/retrain; the stale curve would keep being served (or
+                # summed into every merged answer) — silently wrong estimates.
+                raise ValueError(
+                    f"manager is wired to endpoint {manager.service_endpoint!r} on "
+                    f"{'another service' if manager.service is not self.service else 'this service'}; "
+                    f"it must serve {endpoint!r} on the engine's service "
+                    "(or be left unwired to adopt it)"
+                )
+            # Managers adopt, never own, an index: one maintained state per unit.
+            manager.selector = index
+            # Pin the healthy validation error while the model is known-good:
+            # drift-triggered revalidation recognizes degradation against it.
+            manager.ensure_baseline()
+        link = self._links[name] = _ManagerLink(managers, route_updates, sharded)
         self.feedback.attach_manager(binding.endpoint, link)
-        self._links[name] = link
-        if route_updates:
-            self._managers[name] = manager
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -599,7 +552,8 @@ class SimilarityQueryEngine:
         if not use_pool:
             results = []
             for plan in self.planner.plan_many(normalized):
-                results.append(self._execute_with_feedback(plan))
+                results.append(self.executor.execute(plan))
+                self._observe(plan, results[-1])
             return results
         pool = self.runtime.pool(
             self.EXECUTE_POOL, num_workers=self.execute_workers
@@ -689,11 +643,6 @@ class SimilarityQueryEngine:
             )
         return analyses
 
-    def _execute_with_feedback(self, plan: QueryPlan) -> QueryResult:
-        result = self.executor.execute(plan)
-        self._observe(plan, result)
-        return result
-
     def _observe(self, plan: QueryPlan, result: QueryResult) -> None:
         self.feedback.observe(
             self.catalog.get(plan.driver.attribute).endpoint,
@@ -723,78 +672,54 @@ class SimilarityQueryEngine:
     def apply_update(
         self, name: str, operation: UpdateOperation, operation_index: int = 0
     ) -> "Union[UpdateStepReport, ShardedUpdateReport, None]":
-        """Apply one dataset update to an attribute and resynchronize.
+        """Apply one dataset update to an attribute.
 
-        With a manager attached the update takes the paper-§8 path (relabel,
-        monitor, retrain incrementally if degraded, invalidate served curves);
-        without one the records are updated and the cached curves dropped.
-        Either way the binding's index and any per-part endpoints rebuild over
-        the new records.  Sharded attributes route per shard: only the shards
-        the operation touches rebuild their index, invalidate their endpoint,
-        and (when per-shard managers are attached) relabel/retrain.
+        The operation is routed to the maintenance units it touches (the one
+        unit of an unsharded attribute; per shard otherwise).  A unit with a
+        routed manager takes the paper-§8 path (relabel, monitor, retrain
+        incrementally if degraded, invalidate served curves); any other unit
+        drops its cached curves and absorbs the delta into its index.
+        Untouched units do no work at all.  Delete positions follow the
+        update stream's lenient semantics (out-of-range skipped, duplicates
+        collapsed).  Returns the manager's step report (or ``None``) for an
+        unsharded attribute, a :class:`ShardedUpdateReport` for a sharded one.
         """
         binding = self.catalog.get(name)
-        if binding.sharded:
-            return self._apply_sharded_update(binding, operation, operation_index)
-        manager = self._managers.get(name)
-        report: Optional[UpdateStepReport] = None
-        if manager is not None:
-            report = manager.process(operation, operation_index)
-            if manager.selector is binding.selector:
-                # The manager applied the delta to the shared index in place;
-                # just resync the column view.
-                binding.records = manager.records
-                binding.version += 1
-            else:
-                # Distinct index objects: the binding absorbs the same
-                # operation as its own O(Δ) delta — no rebuild either way.
-                binding.apply_delta(operation)
-            # The manager applied this update itself — its view is current.
-            self._links[name]._synced_version = binding.version
-        else:
-            binding.apply_delta(operation)
-            self.service.invalidate(binding.endpoint)
-        if isinstance(binding.selector, PigeonholeHammingSelector):
-            self._register_part_endpoints(binding)
-        return report
-
-    def _apply_sharded_update(
-        self,
-        binding: AttributeBinding,
-        operation: UpdateOperation,
-        operation_index: int,
-    ) -> ShardedUpdateReport:
-        """The per-shard §8 path: route, repair touched shards only, commit."""
-        selector: ShardedSelector = binding.selector
-        routing = selector.route_operation(operation)
-        managers = self._shard_managers.get(binding.name, {})
+        if operation.kind == "delete":
+            operation = UpdateOperation(
+                "delete", resolve_delete_positions(len(binding), operation.records)
+            )
+        link = self._links.get(name)
+        managers = link.managers if link is not None and link.route_updates else {}
+        routing = (
+            binding.selector.route_operation(operation) if binding.sharded else None
+        )
+        local_operations = {0: operation} if routing is None else routing.local_operations
+        units = binding.units()
         reports: Dict[int, UpdateStepReport] = {}
-        rebuilt: Dict[int, SimilaritySelector] = {}
-        for shard_id, local_operation in sorted(routing.local_operations.items()):
-            manager = managers.get(shard_id)
+        for unit_id, local_operation in sorted(local_operations.items()):
+            index, endpoint = units[unit_id]
+            manager = managers.get(unit_id)
             if manager is not None:
-                # The manager applies the local operation itself (relabel,
-                # monitor, retrain if degraded) and invalidates its shard
-                # endpoint; adopt its rebuilt selector instead of rebuilding.
-                reports[shard_id] = manager.process(local_operation, operation_index)
-                rebuilt[shard_id] = manager.selector
-            else:
-                self.service.invalidate(binding.shard_endpoints[shard_id])
-        selector.apply_routed(routing, rebuilt)
-        binding.records = selector.dataset
-        binding.version += 1
+                reports[unit_id] = manager.process(local_operation, operation_index)
+                continue
+            self.service.invalidate(endpoint)
+            if routing is None:  # a shard's delta commits in apply_routed, under its lock
+                apply = index.insert_many if operation.kind == "insert" else index.delete_many
+                apply(operation.records)
+        binding.apply_column_delta(operation)
+        if routing is None:
+            if isinstance(binding.selector, PigeonholeHammingSelector):
+                self._register_part_endpoints(binding)
+            return reports.get(0)
+        binding.selector.apply_routed(routing, applied_shards=reports)
         # Merged curves are sums over every shard — stale whenever any shard
         # moved, even though untouched shards keep their own cached curves.
         self.service.invalidate(binding.endpoint)
-        link = self._links.get(binding.name)
-        if link is not None:
-            # Touched shards went through their managers (or have none);
-            # untouched shards never moved: the link's view is current.
-            link._synced_version = binding.version
         return ShardedUpdateReport(
             operation_index=operation_index,
             touched_shards=routing.touched_shards,
-            dataset_size=len(binding.records),
+            dataset_size=len(binding),
             reports=reports,
         )
 
@@ -876,15 +801,7 @@ class SimilarityQueryEngine:
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        # Engines saved before the observability layer carry no slow-query
-        # ring; default one so restored engines expose the same API.
         self.__dict__.update(state)
-        if "slow_queries" not in self.__dict__:
-            self.slow_queries = SlowQueryLog()
-        # ... and engines saved before continuous monitoring carry no hub.
-        if "monitoring" not in self.__dict__:
-            self.monitoring = None
-        self.__dict__.setdefault("_estimator_factories", {})
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -149,7 +149,7 @@ class ConjunctiveQueryProcessor:
             for (query_index, _, _), value in zip(requests, values):
                 estimates[query_index][attribute] = float(value)
         # Each dict must follow the query's own predicate order: the planner's
-        # argmin breaks ties by insertion order, and the legacy per-query path
+        # argmin breaks ties by insertion order, and per-query planning
         # inserts in predicate order — batching must not change tie-breaks.
         return [
             {predicate.attribute: values[predicate.attribute] for predicate in query.predicates}
@@ -165,8 +165,7 @@ class ConjunctiveQueryProcessor:
         estimates: Dict[str, float],
         estimation_seconds: float = 0.0,
     ) -> ConjunctivePlan:
-        # min() breaks ties by insertion order = the query's predicate order,
-        # matching the legacy inline-argmin behavior exactly.
+        # min() breaks ties by insertion order = the query's predicate order.
         chosen_attribute = min(estimates, key=estimates.get)
         verify_order = sorted(
             (attribute for attribute in estimates if attribute != chosen_attribute),
@@ -245,26 +244,15 @@ class ConjunctiveQueryProcessor:
         )
 
     def execute(
-        self,
-        query: ConjunctiveQuery,
-        estimators: Dict[str, CardinalityEstimator],
-        precomputed_estimates: Optional[Dict[str, float]] = None,
-        estimation_seconds: float = 0.0,
+        self, query: ConjunctiveQuery, estimators: Dict[str, CardinalityEstimator]
     ) -> QueryExecution:
-        """Plan (unless estimates are precomputed) and execute one query.
+        """Plan and execute one query.
 
         ``estimators[attribute]`` estimates the cardinality of a predicate on
         that attribute.  The exact per-predicate cardinalities are computed as
-        well (outside the timed region) to determine the optimal plan.  When
-        ``precomputed_estimates`` is given (the workload-batched path of
-        :func:`run_conjunctive_workload`), ``estimation_seconds`` carries this
-        query's amortized share of the batched estimation time.
+        well (outside the timed region) to determine the optimal plan.
         """
-        if precomputed_estimates is None:
-            plan = self.plan(query, estimators)
-        else:
-            plan = self._plan_from_estimates(query, precomputed_estimates, estimation_seconds)
-        return self.execute_plan(plan)
+        return self.execute_plan(self.plan(query, estimators))
 
 
 @dataclass
@@ -299,24 +287,16 @@ def run_conjunctive_workload(
     processor: ConjunctiveQueryProcessor,
     queries: Sequence[ConjunctiveQuery],
     estimators: Dict[str, CardinalityEstimator],
-    batch_planning: bool = True,
 ) -> WorkloadReport:
     """Execute a query workload and aggregate timing / planning precision.
 
-    With ``batch_planning`` (the default) all predicate estimates for the
-    workload are fetched up front with one batched call per attribute
-    estimator; each execution's ``estimation_seconds`` is its amortized share
-    of that planning time.  ``batch_planning=False`` keeps the legacy
-    one-query-at-a-time estimation loop.
+    All predicate estimates for the workload are fetched up front with one
+    batched call per attribute estimator; each execution's
+    ``estimation_seconds`` is its amortized share of that planning time.
     """
-    queries = list(queries)
     report = WorkloadReport()
-    if batch_planning and queries:
-        for plan in processor.plan_workload(queries, estimators):
-            report.add(processor.execute_plan(plan))
-        return report
-    for query in queries:
-        report.add(processor.execute(query, estimators))
+    for plan in processor.plan_workload(queries, estimators):
+        report.add(processor.execute_plan(plan))
     return report
 
 

@@ -415,8 +415,7 @@ class WorkerPool:
 
         Returns ``(value, error, extras)``; ``extras`` is the child's
         observability sidecar (metrics state + traced span subtree, see
-        :mod:`repro.runtime.process`).  Two-element legacy replies parse as
-        extras-free.
+        :mod:`repro.runtime.process`).
         """
         child = self._children[index]
         if child is None or not child.alive:
@@ -434,8 +433,7 @@ class WorkerPool:
                 f"process worker {index} of pool {self.name!r} died mid-task "
                 f"({exc!r}); the task is lost and the worker will be replaced"
             ), None
-        code, obj = reply[0], reply[1]
-        extras = reply[2] if len(reply) > 2 else None
+        code, obj, extras = reply
         if code == OK:
             return obj, None, extras
         if code == ERROR:

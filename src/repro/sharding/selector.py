@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -578,17 +578,6 @@ class ShardedSelector(SimilaritySelector):
         self.__dict__.update(state)
         self.selector_factory = self._rebuild_shard
         self._lock = threading.RLock()
-        # Selectors saved before the process backend / delta-update era
-        # restore without the newer fields; default them.
-        self.__dict__.setdefault("backend", "thread")
-        self.__dict__.setdefault("auto_compact", False)
-        self.__dict__.setdefault("_dataset_stale", False)
-        self.__dict__.setdefault("_plane", None)
-        self.__dict__.setdefault("_shard_planes", None)
-        self.__dict__.setdefault("_plane_disabled", False)
-        self.__dict__.setdefault("_dirty_plane_shards", set())
-        self.__dict__.setdefault("_journal", None)
-        self.__dict__.setdefault("_maintenance_handles", [])
 
     # ------------------------------------------------------------------ #
     # Update routing (the per-shard §8 path)
@@ -668,9 +657,7 @@ class ShardedSelector(SimilaritySelector):
         )
 
     def apply_routed(
-        self,
-        routing: ShardRouting,
-        rebuilt_shards: Optional[Dict[int, SimilaritySelector]] = None,
+        self, routing: ShardRouting, applied_shards: Collection[int] = ()
     ) -> None:
         """Commit a routed update in place as O(Δ) deltas on touched shards.
 
@@ -680,14 +667,11 @@ class ShardedSelector(SimilaritySelector):
         delta support.  Untouched shards are not even looked at, and only the
         touched shards' published planes are invalidated.
 
-        ``rebuilt_shards`` carries shard selectors an external component (a
-        per-shard :class:`~repro.core.IncrementalUpdateManager`) already
-        updated while processing its local operation.  A manager applying
-        deltas in place hands back the *same* object — adoption is then just
-        the length validation; a manager that rebuilt hands back a new object
-        that replaces the shard.
+        ``applied_shards`` names the touched shards whose local operation was
+        already applied in place (by the per-shard
+        :class:`~repro.core.IncrementalUpdateManager` sharing that shard's
+        index); for those only the resulting length is validated.
         """
-        rebuilt_shards = rebuilt_shards or {}
         with self._lock:
             if routing.operation.kind == "insert":
                 delta = routing.new_shard_of[len(self._assignment):]
@@ -699,25 +683,20 @@ class ShardedSelector(SimilaritySelector):
             for shard_id, local_operation in routing.local_operations.items():
                 expected = len(new_assignment.global_ids[shard_id])
                 shard = self._shards[shard_id]
-                adopted = rebuilt_shards.get(shard_id)
-                if adopted is not None and adopted is not shard:
-                    shard = adopted
-                elif adopted is None:
-                    if local_operation.kind == "insert":
-                        shard.insert_many(local_operation.records)
-                    else:
-                        shard.delete_many(
-                            resolve_delete_positions(
-                                len(shard), local_operation.records
-                            )
-                        )
+                if shard_id in applied_shards:
+                    pass  # applied in place already; only the length is checked
+                elif local_operation.kind == "insert":
+                    shard.insert_many(local_operation.records)
+                else:
+                    shard.delete_many(
+                        resolve_delete_positions(len(shard), local_operation.records)
+                    )
                 if len(shard) != expected:
                     raise ValueError(
                         f"shard {shard_id} has {len(shard)} records after the update, "
                         f"expected {expected}; the routed local operation and the "
-                        "adopted selector disagree"
+                        "shard's index disagree"
                     )
-                self._shards[shard_id] = shard
             self._assignment = new_assignment
             if routing.operation.kind == "insert" and not self._dataset_stale:
                 self._dataset.extend(routing.operation.records)

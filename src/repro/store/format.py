@@ -39,7 +39,12 @@ FORMAT_NAME = "repro-snapshot"
 #       `auto_flush_failures`.  Version-1 snapshots would decode into objects
 #       missing those attributes, so they are refused loudly here instead of
 #       failing obscurely later.
-FORMAT_VERSION = 2
+#   3 — one maintenance path: the engine persists one `_links` map of
+#       per-unit managers (no `_managers`/`_shard_managers`), bindings carry
+#       no `version`, and an IncrementalUpdateManager shares its unit's index
+#       instead of persisting `records`.  The "saved before …" restore
+#       defaults of the engine, ShardedSelector and ReplicaSet went with it.
+FORMAT_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

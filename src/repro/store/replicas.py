@@ -292,11 +292,6 @@ class ReplicaSet:
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        # Sets saved before the process backend existed restore without the
-        # newer routing fields; default them to the historical behaviour.
-        self.__dict__.setdefault("backend", "thread")
-        self.__dict__.setdefault("snapshot_path", None)
-        self.__dict__.setdefault("num_replicas", len(self.replicas))
 
     # ------------------------------------------------------------------ #
     # Writes are refused

@@ -281,9 +281,10 @@ class TestCurveBatchedCalls:
             assert estimator.batch_calls == 1  # whole workload in one batched call
             assert estimator.curve_calls == 0
 
-    def test_conjunctive_tie_break_matches_legacy(self, relation):
+    def test_conjunctive_tie_break_matches_per_query_planning(self, relation):
         """Tied estimates must break by each query's own predicate order in
-        both planning modes (the argmin tie-break is insertion order)."""
+        workload-batched and per-query planning alike (the argmin tie-break
+        is insertion order)."""
 
         class ConstantEstimator(CardinalityEstimator):
             monotonic = True
@@ -296,15 +297,14 @@ class TestCurveBatchedCalls:
         # Reverse one query's predicate order so insertion order differs per query.
         queries[1] = ConjunctiveQuery(predicates=list(reversed(queries[1].predicates)))
         estimators = {attribute: ConstantEstimator() for attribute in relation.attribute_names}
-        batched = run_conjunctive_workload(processor, queries, estimators, batch_planning=True)
-        legacy = run_conjunctive_workload(processor, queries, estimators, batch_planning=False)
-        assert [e.chosen_attribute for e in batched.executions] == [
-            e.chosen_attribute for e in legacy.executions
-        ]
+        batched = processor.plan_workload(queries, estimators)
+        single = [processor.plan(query, estimators) for query in queries]
+        assert [p.chosen_attribute for p in batched] == [p.chosen_attribute for p in single]
+        assert [p.verify_order for p in batched] == [p.verify_order for p in single]
         # And the tie-break follows each query's first predicate.
-        assert batched.executions[1].chosen_attribute == queries[1].predicates[0].attribute
+        assert batched[1].chosen_attribute == queries[1].predicates[0].attribute
 
-    def test_conjunctive_batch_planning_same_plans_as_legacy(self, relation):
+    def test_conjunctive_batch_planning_same_plans_as_per_query(self, relation):
         processor = ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
         queries = generate_conjunctive_queries(relation, num_queries=6, seed=3)
         estimators = {
@@ -313,16 +313,16 @@ class TestCurveBatchedCalls:
             )
             for attribute, matrix in relation.attributes.items()
         }
-        batched = run_conjunctive_workload(processor, queries, estimators, batch_planning=True)
-        legacy = run_conjunctive_workload(processor, queries, estimators, batch_planning=False)
-        assert [e.chosen_attribute for e in batched.executions] == [
-            e.chosen_attribute for e in legacy.executions
-        ]
-        assert [e.result_ids for e in batched.executions] == [
-            e.result_ids for e in legacy.executions
-        ]
-        assert batched.total_candidates == legacy.total_candidates
-        assert batched.planning_precision == legacy.planning_precision
+        batched = processor.plan_workload(queries, estimators)
+        single = [processor.plan(query, estimators) for query in queries]
+        assert [p.estimates for p in batched] == [p.estimates for p in single]
+        assert [p.chosen_attribute for p in batched] == [p.chosen_attribute for p in single]
+        assert [p.verify_order for p in batched] == [p.verify_order for p in single]
+        # Same plans, same executions: the workload runner adds nothing else.
+        report = run_conjunctive_workload(processor, queries, estimators)
+        inline = [processor.execute(query, estimators) for query in queries]
+        assert [e.result_ids for e in report.executions] == [e.result_ids for e in inline]
+        assert report.total_candidates == sum(e.candidates_examined for e in inline)
 
 
 # --------------------------------------------------------------------------- #

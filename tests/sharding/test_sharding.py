@@ -265,13 +265,13 @@ class TestUpdateRouting:
         sharded.apply_routed(routing)
         assert len(sharded) == size - 1
 
-    def test_adopted_shard_size_is_validated(self, binary_dataset):
+    def test_already_applied_shard_size_is_validated(self, binary_dataset):
         sharded = sharded_for(binary_dataset, 2)
         routing = sharded.route_operation(UpdateOperation("delete", [0, 1]))
-        wrong = default_selector("hamming", binary_dataset.records)  # stale size
         shard_id = routing.touched_shards[0]
+        # Claimed as applied in place, but nobody applied it: stale size.
         with pytest.raises(ValueError):
-            sharded.apply_routed(routing, {shard_id: wrong})
+            sharded.apply_routed(routing, applied_shards=[shard_id])
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,6 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.selection import PackedHammingSelector
 from repro.store import ReplicaSet, inspect_snapshot, load_engine, save_engine
 
 
@@ -327,7 +326,7 @@ class TestManagerAndFeedbackResume:
         )
         manager = IncrementalUpdateManager(
             estimator,
-            PackedHammingSelector(dataset.records),
+            engine.catalog.get("vec").selector,
             workload.train,
             workload.validation,
             max_epochs_per_update=1,
@@ -353,18 +352,20 @@ class TestManagerAndFeedbackResume:
         # The restored manager serves the SAME estimator object the endpoint
         # serves, on the engine's own service — a retrain reaches serving.
         link = restored._links["vec"]
-        assert link.manager.estimator is restored.service.registry.get("vec").estimator
-        assert link.manager.service is restored.service
+        manager = link.managers[0]
+        assert manager.estimator is restored.service.registry.get("vec").estimator
+        assert manager.service is restored.service
+        assert manager.selector is restored.catalog.get("vec").selector
         assert restored.feedback._managers["vec"] is link
         assert (
-            link.manager._baseline_validation_error
-            == engine._links["vec"].manager._baseline_validation_error
+            manager._baseline_validation_error
+            == engine._links["vec"].managers[0]._baseline_validation_error
         )
 
         # Optimizer moments survive, so incremental retraining resumes from
         # exactly the saved trajectory.
         original_opt = estimator.trainer._optimizer
-        restored_opt = link.manager.estimator.trainer._optimizer
+        restored_opt = manager.estimator.trainer._optimizer
         assert restored_opt._step_count == original_opt._step_count
         for m_a, m_b in zip(original_opt._m, restored_opt._m):
             np.testing.assert_array_equal(m_a, m_b)

@@ -197,6 +197,17 @@ class TestSnapshotFiles:
         with pytest.raises(SnapshotFormatError, match="version"):
             read_snapshot(directory)
 
+    def test_pre_bump_manifest_is_refused_naming_both_versions(self, tmp_path):
+        directory = _write_minimal_snapshot(tmp_path / "snap")
+        manifest_file = directory / MANIFEST_FILENAME
+        data = json.loads(manifest_file.read_text())
+        data["version"] = FORMAT_VERSION - 1
+        manifest_file.write_text(json.dumps(data))
+        with pytest.raises(
+            SnapshotFormatError, match=rf"version {FORMAT_VERSION - 1}\b.*version {FORMAT_VERSION}\b"
+        ):
+            read_snapshot(directory)
+
     def test_foreign_format_name_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
