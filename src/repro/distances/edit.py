@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,54 +72,68 @@ def levenshtein_within(x: str, y: str, threshold: int) -> Optional[int]:
     return result if result <= threshold else None
 
 
+def string_codes(strings: Sequence[str], width: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Strings as a code-point matrix: one row per string padded with -1, plus lengths.
+
+    The matrix is as wide as the longest string, and at least ``width``.  The
+    batch is encoded once (UTF-32, so a non-BMP character is one code) and
+    scattered into the padded rows — no per-string array is built.
+    """
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    codes = np.full((len(strings), max(width, int(lengths.max(initial=0)))), -1, dtype=np.int32)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<i4"
+    )
+    return codes, lengths
+
+
+def levenshtein_codes(
+    x: np.ndarray, codes: np.ndarray, lengths: np.ndarray, threshold: Optional[int] = None
+) -> np.ndarray:
+    """Edit distances from the code vector ``x`` to every row of a padded code matrix.
+
+    One dynamic program runs for all rows at once, on ``e[j] = d[j] - j`` so
+    the column offsets cancel: the insertion recurrence
+    ``d[j] = min(b[j], d[j-1] + 1)`` unrolls to a prefix minimum,
+    ``e[j] = min(i, min_{k<=j}(b[k] - k))`` with
+    ``b[k] - k = min(e_prev[k-1] - [x_i == y_k], e_prev[k] + 1)`` — so the only
+    Python loop is over the characters of ``x``.  ``codes`` may be wider than
+    the longest row: pad columns (-1) match nothing and each distance is read
+    at its own row's length.
+
+    With ``threshold`` the DP stops as soon as every row's minimum (a lower
+    bound on its final distance, non-decreasing across rows) exceeds it;
+    entries whose true distance exceeds ``threshold`` are then only guaranteed
+    to be reported as some value ``> threshold``.
+    """
+    count, width = codes.shape
+    if x.size == 0 or width == 0:
+        return np.maximum(lengths, x.size)
+    # Candidates run along the contiguous axis, so each prefix-minimum step is
+    # one vector operation across all of them.
+    codes = np.ascontiguousarray(codes.T)
+    columns = np.arange(width + 1, dtype=np.int32)[:, None]
+    previous = np.zeros((width + 1, count), dtype=np.int32)
+    current = np.empty_like(previous)
+    for i, code in enumerate(x.tolist(), start=1):
+        current[0] = i
+        best = current[1:]
+        np.subtract(previous[:-1], codes == code, out=best)
+        np.minimum(best, previous[1:] + 1, out=best)
+        np.minimum.accumulate(best, axis=0, out=best)
+        np.minimum(best, i, out=best)
+        previous, current = current, previous
+        if threshold is not None and (previous + columns).min() > threshold:
+            break
+    return previous[lengths, np.arange(count)] + lengths
+
+
 def batch_levenshtein(
     x: str, candidates: Sequence[str], threshold: Optional[int] = None
 ) -> np.ndarray:
-    """Edit distances from ``x`` to every candidate, vectorized over candidates.
-
-    One dynamic program runs for all candidates at once: candidates are padded
-    into a character-code matrix and each DP row is computed with vectorized
-    numpy operations.  The insertion recurrence ``d[j] = min(b[j-1], d[j-1]+1)``
-    unrolls to ``d[j] = j + min(i, min_{k<=j}(b[k-1] - k))`` — a prefix minimum
-    — so the only Python loop is over the characters of ``x``.
-
-    With ``threshold`` the DP stops as soon as every candidate's row minimum
-    (a lower bound on its final distance, non-decreasing across rows) exceeds
-    it; entries whose true distance exceeds ``threshold`` are then only
-    guaranteed to be reported as some value ``> threshold``.
-    """
-    num_candidates = len(candidates)
-    if num_candidates == 0:
-        return np.zeros(0, dtype=np.int64)
-    lengths = np.fromiter((len(c) for c in candidates), dtype=np.int64, count=num_candidates)
-    max_length = int(lengths.max())
-    if not x:
-        return lengths.copy()
-    if max_length == 0:
-        return np.full(num_candidates, len(x), dtype=np.int64)
-
-    codes = np.full((num_candidates, max_length), -1, dtype=np.int64)
-    for row, candidate in enumerate(candidates):
-        if candidate:
-            codes[row, : len(candidate)] = np.fromiter(
-                map(ord, candidate), dtype=np.int64, count=len(candidate)
-            )
-
-    columns = np.arange(1, max_length + 1, dtype=np.int64)
-    previous = np.broadcast_to(
-        np.arange(max_length + 1, dtype=np.int64), (num_candidates, max_length + 1)
-    ).copy()
-    current = np.empty_like(previous)
-    for i, char_x in enumerate(x, start=1):
-        cost = (codes != ord(char_x)).astype(np.int64)
-        best = np.minimum(previous[:, :-1] + cost, previous[:, 1:] + 1)
-        running = np.minimum.accumulate(best - columns[None, :], axis=1)
-        current[:, 0] = i
-        current[:, 1:] = np.minimum(running, i) + columns[None, :]
-        previous, current = current, previous
-        if threshold is not None and previous.min(axis=1).min() > threshold:
-            break
-    return previous[np.arange(num_candidates), lengths]
+    """Edit distances from ``x`` to every candidate: encode, then :func:`levenshtein_codes`."""
+    codes, lengths = string_codes(candidates)
+    return levenshtein_codes(string_codes([x])[0][0], codes, lengths, threshold)
 
 
 class EditDistance(DistanceFunction):

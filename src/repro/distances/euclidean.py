@@ -23,6 +23,8 @@ class EuclideanDistance(DistanceFunction):
         return float(np.linalg.norm(x - y))
 
     def distances_to(self, x, dataset: Sequence) -> np.ndarray:
+        if len(dataset) == 0:
+            return np.zeros(0)
         data = np.asarray(dataset, dtype=np.float64)
         if data.ndim != 2:
             data = np.stack([np.asarray(record, dtype=np.float64) for record in dataset])

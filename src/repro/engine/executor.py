@@ -99,7 +99,7 @@ class QueryExecutor:
                     shards=len(shard_counts) if shard_counts is not None else 1,
                 )
 
-            surviving = np.asarray(sorted(matches), dtype=np.int64)
+            surviving = np.asarray(matches, dtype=np.int64)
             verification_examined = 0
             for planned in plan.residuals:
                 if surviving.size == 0:

@@ -85,7 +85,9 @@ class SimilaritySelector(ABC):
 
     @abstractmethod
     def query(self, record: Any, threshold: float) -> List[int]:
-        """Return the indexes of all records within ``threshold`` of ``record``."""
+        """Return the indexes of all records within ``threshold`` of ``record``,
+        as Python ints in ascending order — the order a linear scan yields,
+        so callers compare and merge results without sorting."""
 
     def cardinality(self, record: Any, threshold: float) -> int:
         """Exact cardinality of the selection (length of :meth:`query`)."""

@@ -37,8 +37,9 @@ path (:func:`rebuild_in_place`); rule RPR010 keeps everyone else honest.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Sequence
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "GrowableArray",
     "TombstoneView",
     "check_delete_positions",
+    "extend_postings",
     "rebuild_in_place",
     "resolve_delete_positions",
 ]
@@ -110,6 +112,17 @@ class GrowableArray:
         self._rows[self._count : need] = rows
         self._count = need
 
+    def widen(self, width: int, fill) -> None:
+        """Pad the rows of a 2-D store with ``fill`` up to ``width`` columns.
+
+        One O(n) copy per call that actually widens; a store only ever widens
+        to a new maximum, so the copies total at most the final matrix size.
+        """
+        if width > self._rows.shape[1]:
+            grown = np.full((len(self._rows), width), fill, dtype=self._rows.dtype)
+            grown[: self._count, : self._rows.shape[1]] = self.view()
+            self._rows = grown
+
     def __len__(self) -> int:
         return self._count
 
@@ -129,6 +142,26 @@ class GrowableArray:
 
     def __snapshot_restore__(self, state) -> None:
         self.__dict__.update(state)
+
+
+def extend_postings(
+    postings: Dict[Hashable, GrowableArray], entries: Iterable[Tuple[Hashable, Any]]
+) -> None:
+    """Append ``(key, row)`` entries to posting arrays: ONE append per distinct key.
+
+    A posting array holds int64 rows in arrival order — physical row ids, or
+    ``(row id, multiplicity)`` pairs — so a batch costs one array append per
+    key it touches, however many rows carry that key.
+    """
+    grouped: Dict[Hashable, list] = defaultdict(list)
+    for key, row in entries:
+        grouped[key].append(row)
+    for key, rows in grouped.items():
+        rows = np.asarray(rows, dtype=np.int64)
+        if key in postings:
+            postings[key].append(rows)
+        else:
+            postings[key] = GrowableArray(rows)
 
 
 class TombstoneView:
@@ -185,6 +218,8 @@ class TombstoneView:
 
     def to_logical(self, physical_ids: np.ndarray) -> np.ndarray:
         """Logical positions of live physical ids (order-preserving)."""
+        if self.is_compact:
+            return physical_ids
         return np.searchsorted(self.live_physical, np.asarray(physical_ids, dtype=np.int64))
 
 

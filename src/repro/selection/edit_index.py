@@ -1,42 +1,54 @@
-"""Exact edit-distance selection with length, signature, and q-gram count filtering.
+"""Exact edit-distance selection: array-stored filters, one batched verification.
 
-This mirrors the structure of state-of-the-art string similarity selection:
-cheap filters prune most of the dataset, and the banded verification
-(:func:`repro.distances.edit.levenshtein_within`) confirms survivors.
+Everything a probe reads is stored as arrays over *physical* rows, so a probe
+is a fixed number of array passes; its only Python loop runs over the query's
+own distinct q-grams (and, inside the DP, its characters):
 
-Filters used (all are necessary conditions for ``ed(x, y) <= θ``):
+* ``_lengths`` (int64) and ``_codes`` (int32 code points, one padded row per
+  string, -1 beyond its length) — the verification operand, stored once
+  instead of re-encoded from Python strings on every probe;
+* ``_signatures`` (uint64): each row's distinct q-grams hashed into a 64-bit
+  mask with :func:`zlib.crc32` — stable across processes and hash-seed
+  randomization, so a signature built elsewhere matches a query's;
+* ``_postings``: q-gram → ``(row id, multiplicity)`` pairs, one posting array
+  per distinct gram.
 
-* length filter: ``| |x| - |y| | <= θ``;
-* signature filter: each record's distinct q-grams are hashed into a 64-bit
-  mask; one edit destroys at most ``q`` q-grams of ``x``, so at most ``q·θ``
-  distinct q-grams of ``x`` can be absent from ``y``.  Every signature bit
-  set for ``x`` but clear for ``y`` certifies at least one absent q-gram, so
-  ``popcount(sig(x) & ~sig(y)) > q·θ`` safely prunes — evaluated as ONE
-  vectorized ``np.bitwise_count`` over all length-surviving candidates, far
-  cheaper than walking the inverted index (hash collisions only weaken the
-  filter, never break it).  The hash is :func:`zlib.crc32`, stable across
-  processes and Python hash-seed randomization, so signatures built in one
-  process (or restored from a snapshot) match query signatures computed in
-  another.
-* count filter on positional-free q-grams: two strings within edit distance θ
-  share at least ``max(|x|, |y|) - q + 1 - q·θ`` q-grams.
+Filters, all necessary conditions for ``ed(x, y) <= θ``, so answers equal a
+linear scan:
 
-Updates are O(Δ): inserts append gram counters, lengths, signature rows, and
-bucket entries for the new rows only; deletes tombstone rows that the
-candidate filters mask out (see :mod:`repro.selection.delta`).
+* length and liveness are one boolean mask over the physical rows,
+  ``| |x| - |y| | <= θ`` and the tombstone mask; ``np.flatnonzero`` of it is
+  the candidate list, ascending;
+* signature: ``popcount(sig(x) & ~sig(y)) <= q·θ`` over the candidates' gathered
+  signatures — one edit destroys at most ``q`` q-grams of ``x`` and every
+  signature bit set for ``x`` but clear for ``y`` certifies an absent gram
+  (hash collisions only weaken the filter);
+* count filter: two strings within distance θ share at least
+  ``max(|x|, |y|) - q + 1 - q·θ`` q-grams.  Shared counts are accumulated with
+  one ``shared[rows] += min(multiplicity, m)`` per distinct query gram, and
+  the pass is skipped when no survivor needs a positive count;
+* verification: :func:`repro.distances.edit.levenshtein_codes` over the
+  gathered code rows of the survivors.
+
+Updates are O(Δ): an insert appends the new rows' lengths, signatures and code
+rows (widening the code matrix only when a string is longer than every stored
+one) and one block per distinct gram of the batch to the posting arrays;
+deletes tombstone rows, which the probe mask hides (see
+:mod:`repro.selection.delta`).  Every array derives from the strings, so
+snapshots persist only the strings and ``q``.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import Counter, defaultdict
-from typing import Dict, List, Sequence
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.edit import batch_levenshtein
+from ..distances.edit import levenshtein_codes, string_codes
 from .base import SimilaritySelector
-from .delta import DeltaIndexMixin, GrowableArray
+from .delta import DeltaIndexMixin, GrowableArray, extend_postings
 
 
 def qgrams(text: str, q: int) -> Counter:
@@ -55,111 +67,68 @@ def qgram_signature(grams: Counter) -> int:
 
 
 class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
-    """Inverted q-gram index + length/signature filters + banded verification."""
+    """Length/signature mask + q-gram posting arrays + batched DP verification."""
 
-    _SNAPSHOT_DROP = ("_signatures",)
+    _SNAPSHOT_DROP = ("_lengths", "_codes", "_signatures", "_postings")
 
     def __init__(self, dataset: Sequence[str], q: int = 2) -> None:
         super().__init__([str(record) for record in dataset])
         if q <= 0:
             raise ValueError("q must be positive")
         self.q = q
-        self._grams: List[Counter] = [qgrams(record, q) for record in self._dataset]
-        self._lengths: List[int] = [len(record) for record in self._dataset]
-        self._signatures = GrowableArray(
-            np.array([qgram_signature(grams) for grams in self._grams], dtype=np.uint64)
-        )
-        # Inverted index: q-gram -> physical row ids containing it.
-        inverted: Dict[str, List[int]] = defaultdict(list)
-        for record_id, grams in enumerate(self._grams):
-            for gram in grams:
-                inverted[gram].append(record_id)
-        self._inverted: Dict[str, List[int]] = dict(inverted)
-        # Group physical row ids by length for the length filter.
-        by_length: Dict[int, List[int]] = defaultdict(list)
-        for record_id, length in enumerate(self._lengths):
-            by_length[length].append(record_id)
-        self._by_length: Dict[int, List[int]] = dict(by_length)
+        self._restore_derived()
         self._init_delta()
 
-    def _length_candidates(self, query_length: int, threshold: int) -> List[int]:
-        candidates: List[int] = []
-        for length in range(query_length - threshold, query_length + threshold + 1):
-            candidates.extend(self._by_length.get(length, ()))
-        return candidates
-
     def _signature_survivors(
-        self, query_signature: int, candidates: List[int], threshold: int
-    ) -> List[int]:
-        """Drop candidates whose signature certifies > q·θ absent query grams
-        (and, in the same vectorized pass, any tombstoned rows)."""
-        if not candidates:
-            return candidates
-        ids = np.asarray(candidates, dtype=np.int64)
-        if not self._view.is_compact:
-            ids = ids[self._view.alive_rows[ids]]
-            if ids.size == 0:
-                return []
+        self, query_signature: int, candidates, threshold: int
+    ) -> np.ndarray:
+        """The candidates whose signature certifies at most q·θ absent query grams."""
+        candidates = np.asarray(candidates, dtype=np.int64)
         missing = np.bitwise_count(
-            np.uint64(query_signature) & ~self._signatures.view()[ids]
+            np.uint64(query_signature) & ~self._signatures.view()[candidates]
         )
-        return [int(i) for i in ids[missing <= self.q * threshold]]
+        return candidates[missing <= self.q * threshold]
 
-    def query(self, record: str, threshold: float) -> List[int]:
+    def _probe(self, record: str, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(ascending logical ids, their exact distances) within ``int(threshold)``."""
         threshold_int = int(threshold)
         record = str(record)
         query_grams = qgrams(record, self.q)
-        query_length = len(record)
+        lengths = self._lengths.view()
 
-        length_candidates = self._length_candidates(query_length, threshold_int)
-        length_candidates = self._signature_survivors(
-            qgram_signature(query_grams), length_candidates, threshold_int
+        mask = np.abs(lengths - len(record)) <= threshold_int
+        if not self._view.is_compact:
+            mask &= self._view.alive_rows
+        survivors = self._signature_survivors(
+            qgram_signature(query_grams), np.flatnonzero(mask), threshold_int
         )
-        if not length_candidates:
-            return []
 
-        # Count common q-grams through the inverted index, restricted by length.
-        length_candidate_set = set(length_candidates)
-        shared_counts: Dict[int, int] = defaultdict(int)
-        for gram, multiplicity in query_grams.items():
-            for record_id in self._inverted.get(gram, ()):
-                if record_id in length_candidate_set:
-                    shared_counts[record_id] += min(multiplicity, self._grams[record_id][gram])
-
-        survivors: List[int] = []
-        for record_id in length_candidates:
-            required = max(query_length, self._lengths[record_id]) - self.q + 1 - self.q * threshold_int
-            if required > 0 and shared_counts.get(record_id, 0) < required:
-                continue
-            survivors.append(record_id)
-        if not survivors:
-            return []
-        # Batched verification: one vectorized DP over every surviving candidate
-        # instead of one banded scalar verification per candidate.
-        distances = batch_levenshtein(
-            record, [self._phys_records[record_id] for record_id in survivors], threshold_int
+        required = (
+            np.maximum(lengths[survivors], len(record)) - self.q + 1 - self.q * threshold_int
         )
-        matches = [record_id for record_id, d in zip(survivors, distances) if d <= threshold_int]
-        if self._view.is_compact:
-            return matches
-        return [int(i) for i in self._view.to_logical(np.asarray(matches, dtype=np.int64))]
+        if required.max(initial=0) > 0:
+            shared = np.zeros(lengths.size, dtype=np.int64)  # per call: probes run concurrently
+            for gram, multiplicity in query_grams.items():
+                posting = self._postings.get(gram)
+                if posting is not None:
+                    rows, counts = posting.view().T
+                    shared[rows] += np.minimum(counts, multiplicity)
+            survivors = survivors[shared[survivors] >= required]
 
-    def cardinality_curve(self, record: str, thresholds) -> np.ndarray:
-        """Matches at the widest threshold, then exact distances answer the rest."""
-        thresholds = np.asarray(thresholds, dtype=np.float64)
-        if thresholds.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        widest = int(thresholds.max())
-        matches = self.query(str(record), widest)
-        if not matches:
-            return np.zeros(thresholds.size, dtype=np.int64)
-        physical = self._view.live_physical[np.asarray(matches, dtype=np.int64)]
-        distances = batch_levenshtein(
-            str(record), [self._phys_records[int(i)] for i in physical]
+        lengths = lengths[survivors]
+        distances = levenshtein_codes(
+            string_codes([record])[0][0],
+            self._codes.view()[:, : lengths.max(initial=0)][survivors],
+            lengths,
         )
-        return np.count_nonzero(
-            distances[None, :] <= thresholds.astype(np.int64)[:, None], axis=1
-        ).astype(np.int64)
+        keep = distances <= threshold_int
+        return self._view.to_logical(survivors[keep]), distances[keep]
+
+    def query(self, record: str, threshold: float) -> List[int]:
+        return self._probe(record, threshold)[0].tolist()
+
+    def _match_distances(self, record: str, threshold: float) -> np.ndarray:
+        return self._probe(record, threshold)[1]
 
     def rebuild(self, dataset: Sequence) -> "QGramEditSelector":
         return QGramEditSelector(dataset, q=self.q)
@@ -171,21 +140,28 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
         return str(record)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
-        signatures = np.zeros(len(records), dtype=np.uint64)
-        for row, (record, physical_id) in enumerate(zip(records, physical_ids)):
-            grams = qgrams(record, self.q)
-            self._grams.append(grams)
-            self._lengths.append(len(record))
-            signatures[row] = qgram_signature(grams)
-            for gram in grams:
-                self._inverted.setdefault(gram, []).append(int(physical_id))
-            self._by_length.setdefault(len(record), []).append(int(physical_id))
-        self._signatures.append(signatures)
+        grams = [qgrams(record, self.q) for record in records]
+        codes, lengths = string_codes(records, self._codes.view().shape[1])
+        self._codes.widen(codes.shape[1], fill=-1)
+        self._codes.append(codes)
+        self._lengths.append(lengths)
+        self._signatures.append(np.array([qgram_signature(g) for g in grams], dtype=np.uint64))
+        extend_postings(
+            self._postings,
+            (
+                (gram, (physical_id, multiplicity))
+                for physical_id, row_grams in zip(physical_ids.tolist(), grams)
+                for gram, multiplicity in row_grams.items()
+            ),
+        )
 
     def _restore_derived(self) -> None:
-        self._signatures = GrowableArray(
-            np.array([qgram_signature(grams) for grams in self._grams], dtype=np.uint64)
-        )
+        """Index the live strings: the insert path, run once over empty arrays."""
+        self._lengths = GrowableArray(np.zeros(0, dtype=np.int64))
+        self._codes = GrowableArray(np.zeros((0, 0), dtype=np.int32))
+        self._signatures = GrowableArray(np.zeros(0, dtype=np.uint64))
+        self._postings: Dict[str, GrowableArray] = {}
+        self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
 
     # ------------------------------------------------------------------ #
     # Shared-data-plane protocol

@@ -2,21 +2,30 @@
 
 The paper uses a cover tree for the conjunctive-query case study.  Here the
 dataset is partitioned into balls around pivot points (a light-weight
-approximation of a one-level cover tree): at query time the triangle
-inequality prunes whole balls whose pivot is farther than
-``threshold + ball_radius`` from the query, and the survivors are verified
-with vectorized distance computations.
+approximation of a one-level cover tree).  Stored, over *physical* rows:
+``_matrix`` (float64 rows), ``_pivots`` and ``_radii`` (one per ball), and
+``_members`` (one ascending row-id array per ball).
 
-Under updates the pivots are frozen: inserted rows join the ball of their
-nearest existing pivot (growing its radius as needed) and deletes tombstone
-rows without shrinking radii — a conservative prune bound, never a wrong one,
-since every surviving candidate is verified exactly.  Compaction re-picks
-pivots from scratch.
+A probe is a fixed number of array passes, its only Python loop running over
+the balls that survive pruning:
+
+* triangle-inequality prune, one ``np.flatnonzero`` over all pivots: a ball is
+  kept when ``|query - pivot| - radius <= θ`` (no member of any other ball can
+  be within θ);
+* one concatenate of the surviving balls' member arrays, one tombstone mask;
+* one gathered distance pass over those rows — the exact predicate — and one
+  sort of the matches into ascending id order.
+
+Under updates the pivots are frozen: an insert appends the new rows to the
+matrix and their ids to the ball of their nearest existing pivot (growing its
+radius as needed); deletes tombstone rows without shrinking radii — a
+conservative prune bound, never a wrong one, since every surviving row is
+verified exactly.  Compaction re-picks pivots from scratch.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +38,8 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
 
     def __init__(self, dataset: Sequence, num_pivots: int = 16, seed: int = 0) -> None:
         matrix = np.asarray(dataset, dtype=np.float64)
-        if matrix.ndim != 2:
-            matrix = np.stack([np.asarray(record, dtype=np.float64) for record in dataset])
+        if matrix.ndim != 2 and matrix.size == 0:
+            matrix = np.zeros((0, 0))  # no rows, no dimension: the next insert re-derives it
         super().__init__(list(matrix))
         self._matrix = GrowableArray(matrix)
         rng = np.random.default_rng(seed)
@@ -52,48 +61,38 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
                 if member_ids.size:
                     self._radii[pivot_id] = distances[member_ids, pivot_id].max()
         else:
-            self._pivots = np.zeros((0, matrix.shape[1] if matrix.ndim == 2 else 0))
+            self._pivots = np.zeros((0, matrix.shape[1]))
             self._members = []
             self._radii = np.zeros(0)
         self._init_delta()
 
-    def query(self, record, threshold: float) -> List[int]:
+    def _probe(self, record, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(ascending logical ids, their exact distances) within ``threshold``."""
+        empty = np.zeros(0, dtype=np.int64), np.zeros(0)
         if len(self) == 0:
-            return []
+            return empty
         query = np.asarray(record, dtype=np.float64)
+        # Every member is within radii[pivot] of its pivot, so the closest any
+        # member can be to the query is pivot_distance - radius.
         pivot_distances = np.linalg.norm(self._pivots - query[None, :], axis=1)
-        view = self._view
-        rows = self._matrix.view()
-        matches: List[int] = []
-        for pivot_id, pivot_distance in enumerate(pivot_distances):
-            member_ids = self._members[pivot_id].view()
-            if member_ids.size == 0:
-                continue
-            # Prune: every member is within radii[pivot] of the pivot, so the
-            # closest any member can be to the query is pivot_distance - radius.
-            if pivot_distance - self._radii[pivot_id] > threshold + 1e-12:
-                continue
-            if not view.is_compact:
-                member_ids = member_ids[view.alive_rows[member_ids]]
-                if member_ids.size == 0:
-                    continue
-            block = rows[member_ids]
-            deltas = block - query[None, :]
-            distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-            matches.extend(int(i) for i in member_ids[distances <= threshold + 1e-12])
-        if not view.is_compact:
-            matches = [int(i) for i in view.to_logical(np.asarray(matches, dtype=np.int64))]
-        return sorted(matches)
+        balls = np.flatnonzero(pivot_distances - self._radii <= threshold + 1e-12)
+        if balls.size == 0:
+            return empty
+        rows = np.concatenate([self._members[ball].view() for ball in balls])
+        if not self._view.is_compact:
+            rows = rows[self._view.alive_rows[rows]]
+        deltas = np.take(self._matrix.view(), rows, axis=0)
+        deltas -= query
+        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+        keep = np.flatnonzero(distances <= threshold + 1e-12)
+        keep = keep[np.argsort(rows[keep])]
+        return self._view.to_logical(rows[keep]), distances[keep]
+
+    def query(self, record, threshold: float) -> List[int]:
+        return self._probe(record, threshold)[0].tolist()
 
     def _match_distances(self, record, threshold: float) -> np.ndarray:
-        """Euclidean distances of the matches at ``threshold`` (for curve batching)."""
-        matches = self.query(record, threshold)
-        if not matches:
-            return np.zeros(0)
-        physical = self._view.live_physical[np.asarray(matches, dtype=np.int64)]
-        block = self._matrix.view()[physical]
-        deltas = block - np.asarray(record, dtype=np.float64)[None, :]
-        return np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+        return self._probe(record, threshold)[1]
 
     def rebuild(self, dataset: Sequence) -> "BallIndexEuclideanSelector":
         return BallIndexEuclideanSelector(dataset, num_pivots=len(self._pivots) or 16)

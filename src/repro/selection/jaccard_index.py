@@ -1,118 +1,85 @@
-"""Exact Jaccard-distance selection with size and prefix filtering.
+"""Exact Jaccard-distance selection from posting arrays: exact overlaps, no per-row verify.
 
-For a Jaccard distance threshold ``θ`` (similarity threshold ``s = 1 - θ``):
+Stored, over *physical* rows: ``_sizes`` (int64 set sizes) and ``_postings``,
+token → the ids of the rows holding it (one posting array per distinct token;
+tokens are arbitrary hashables).  A probe with similarity threshold
+``s = 1 - θ`` adds 1 to ``overlap[posting]`` once per query token — row ids
+inside a posting are unique, so ``overlap`` is the *exact* intersection size
+of every row sharing a token — and the similarity of those rows is
+``overlap / (|x| + |y| - overlap)``: the same integers
+:func:`repro.distances.jaccard.jaccard_similarity` divides, so the same float.
+The only Python loop runs over the query's own tokens.
 
+Filters applied to the rows that share a token (or, for the empty query, the
+empty rows — two empty sets are identical by convention):
+
+* the tombstone mask;
 * size filter: ``s · |x| <= |y| <= |x| / s``;
-* prefix filter: order the element universe globally; two sets with
-  ``J(x, y) >= s`` must share at least one element among the first
-  ``|x| - ceil(s · |x|) + 1`` elements of x (its *prefix*).
+* the exact predicate ``similarity >= s``.
 
-Candidates surviving both filters are verified with the exact similarity.
+The class keeps its historical name, but with exact overlaps in hand a prefix
+restriction has nothing left to save: there is no global token order and no
+prefix computation.  ``s <= 0`` matches every live row.
 
-Under updates the global element order is frozen at build time (unknown
-elements fall back to the ``(0, element)`` key, exactly as unknown *query*
-elements always have): the prefix filter only needs *some* consistent total
-order to stay a necessary condition, and every candidate is verified exactly,
-so a stale frequency order can cost selectivity but never correctness.
-Compaction re-derives frequencies from the live records.
+Updates are O(Δ): an insert appends the new rows' sizes and one block of row
+ids per distinct token of the batch; deletes tombstone rows (see
+:mod:`repro.selection.delta`).  Both arrays derive from the sets, so snapshots
+persist only the sets.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.jaccard import as_frozenset, jaccard_similarity
+from ..distances.jaccard import as_frozenset
 from .base import SimilaritySelector
-from .delta import DeltaIndexMixin
+from .delta import DeltaIndexMixin, GrowableArray, extend_postings
 
 
 class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
-    """Prefix-filter inverted index for Jaccard similarity selection."""
+    """Token posting arrays + size filter; similarities from exact overlap counts."""
+
+    _SNAPSHOT_DROP = ("_sizes", "_postings")
 
     def __init__(self, dataset: Sequence) -> None:
-        records = [as_frozenset(record) for record in dataset]
-        super().__init__(records)
-        # Global ordering by document frequency (rare elements first), the
-        # standard choice that keeps prefixes selective.
-        frequency: Dict[int, int] = defaultdict(int)
-        for record in records:
-            for element in record:
-                frequency[element] += 1
-        self._order: Dict[int, Tuple[int, int]] = {
-            element: (count, element) for element, count in frequency.items()
-        }
-        self._sorted_records: List[List[int]] = [
-            sorted(record, key=lambda el: self._order.get(el, (0, el))) for record in records
-        ]
-        self._sizes = [len(record) for record in records]
-        # Inverted index over *all* elements (physical row ids); prefix
-        # filtering happens at query time so one index supports every threshold.
-        inverted: Dict[int, List[int]] = defaultdict(list)
-        for record_id, sorted_record in enumerate(self._sorted_records):
-            for element in sorted_record:
-                inverted[element].append(record_id)
-        self._inverted: Dict[int, List[int]] = dict(inverted)
+        super().__init__([as_frozenset(record) for record in dataset])
+        self._restore_derived()
         self._init_delta()
 
-    def _element_key(self, element: int) -> Tuple[int, int]:
-        return self._order.get(element, (0, element))
+    def _probe(self, record, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(ascending logical ids, their exact Jaccard distances) within ``threshold``."""
+        query_set = as_frozenset(record)
+        query_size = len(query_set)
+        similarity_threshold = 1.0 - float(threshold)
+        sizes = self._sizes.view()
+        overlap = np.zeros(sizes.size, dtype=np.int64)  # per call: probes run concurrently
+        for token in query_set:
+            posting = self._postings.get(token)
+            if posting is not None:
+                overlap[posting.view()] += 1
+
+        if similarity_threshold <= 0.0:
+            rows = np.arange(sizes.size)
+        else:
+            rows = np.flatnonzero(overlap if query_size else sizes == 0)
+        size, shared = sizes[rows], overlap[rows]
+        union = query_size + size - shared
+        similarity = np.divide(shared, union, out=np.ones(rows.size), where=union > 0)
+        keep = similarity >= similarity_threshold - 1e-12
+        if similarity_threshold > 0.0:
+            keep &= size >= similarity_threshold * query_size - 1e-9
+            keep &= size <= query_size / similarity_threshold + 1e-9
+        if not self._view.is_compact:
+            keep &= self._view.alive_rows[rows]
+        return self._view.to_logical(rows[keep]), 1.0 - similarity[keep]
 
     def query(self, record, threshold: float) -> List[int]:
-        query_set = as_frozenset(record)
-        similarity_threshold = 1.0 - float(threshold)
-        if similarity_threshold <= 0.0:
-            return list(range(len(self)))
-        query_sorted = sorted(query_set, key=self._element_key)
-        query_size = len(query_sorted)
-        view = self._view
-        if query_size == 0:
-            # Empty query matches exactly the empty sets (similarity convention 1.0).
-            return [
-                logical
-                for logical, physical in enumerate(view.live_physical)
-                if self._sizes[int(physical)] == 0
-            ]
-
-        prefix_length = query_size - math.ceil(similarity_threshold * query_size) + 1
-        prefix_length = max(1, min(prefix_length, query_size))
-        candidate_ids: set[int] = set()
-        for element in query_sorted[:prefix_length]:
-            candidate_ids.update(self._inverted.get(element, ()))
-
-        alive = view.alive_rows
-        min_size = similarity_threshold * query_size
-        max_size = query_size / similarity_threshold
-        matches: List[int] = []
-        for record_id in candidate_ids:
-            if not alive[record_id]:
-                continue
-            size = self._sizes[record_id]
-            if size < min_size - 1e-9 or size > max_size + 1e-9:
-                continue
-            if (
-                jaccard_similarity(query_set, self._phys_records[record_id])
-                >= similarity_threshold - 1e-12
-            ):
-                matches.append(record_id)
-        if view.is_compact:
-            return sorted(matches)
-        return sorted(int(i) for i in view.to_logical(np.asarray(matches, dtype=np.int64)))
+        return self._probe(record, threshold)[0].tolist()
 
     def _match_distances(self, record, threshold: float) -> np.ndarray:
-        """Jaccard distances of the matches at ``threshold`` (for curve batching)."""
-        query_set = as_frozenset(record)
-        physical = self._view.live_physical
-        return np.asarray(
-            [
-                1.0 - jaccard_similarity(query_set, self._phys_records[int(physical[i])])
-                for i in self.query(record, threshold)
-            ],
-            dtype=np.float64,
-        )
+        return self._probe(record, threshold)[1]
 
     def rebuild(self, dataset: Sequence) -> "PrefixFilterJaccardSelector":
         return PrefixFilterJaccardSelector(dataset)
@@ -124,12 +91,21 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
         return as_frozenset(record)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
-        for record, physical_id in zip(records, physical_ids):
-            sorted_record = sorted(record, key=self._element_key)
-            self._sorted_records.append(sorted_record)
-            self._sizes.append(len(record))
-            for element in sorted_record:
-                self._inverted.setdefault(element, []).append(int(physical_id))
+        self._sizes.append(np.fromiter(map(len, records), dtype=np.int64, count=len(records)))
+        extend_postings(
+            self._postings,
+            (
+                (token, physical_id)
+                for physical_id, record in zip(physical_ids.tolist(), records)
+                for token in record
+            ),
+        )
+
+    def _restore_derived(self) -> None:
+        """Index the live sets: the insert path, run once over empty arrays."""
+        self._sizes = GrowableArray(np.zeros(0, dtype=np.int64))
+        self._postings: Dict[Hashable, GrowableArray] = {}
+        self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
 
     def export_arrays(self):
         """Sets as one sorted-token int64 column + offsets; workers rebuild.

@@ -44,7 +44,12 @@ FORMAT_NAME = "repro-snapshot"
 #       no `version`, and an IncrementalUpdateManager shares its unit's index
 #       instead of persisting `records`.  The "saved before …" restore
 #       defaults of the engine, ShardedSelector and ReplicaSet went with it.
-FORMAT_VERSION = 3
+#   4 — array-native index probes: the edit and Jaccard selectors persist
+#       only their records (every array a probe reads is re-derived on
+#       restore); their `_grams`/`_inverted`/`_by_length`/`_sorted_records`/
+#       `_order` state is gone, so a version-3 selector would restore without
+#       the arrays its probe needs.
+FORMAT_VERSION = 4
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

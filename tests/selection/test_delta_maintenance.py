@@ -126,11 +126,9 @@ class TestDeltaBitIdentity:
             selector = factory(records[:150])
             live = _mutate(selector, records, rng)
             reference = LinearScanSelector(live, distance)
-            # Sorted comparison: QGramEditSelector returns matches in
-            # survivor (length-bucket) order, linear scan in id order.
             for i in rng.integers(0, len(live), size=5):
                 for theta in thresholds:
-                    assert sorted(selector.query(live[int(i)], theta)) == reference.query(
+                    assert selector.query(live[int(i)], theta) == reference.query(
                         live[int(i)], theta
                     ), name
 
