@@ -30,7 +30,7 @@ import pytest
 from artifacts import emit_json
 from repro.baselines import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.obs import AlertRule, SLObjective, disable_tracing, enable_metrics, metric_key
+from repro.obs import AlertRule, SLObjective, disable_tracing, metric_key
 
 NUM_RECORDS = 16000
 NUM_QUERIES = 20
@@ -101,7 +101,6 @@ def test_monitoring_overhead_within_bar(monitoring_setup, print_table):
     engine, queries = monitoring_setup
     hub = engine.monitoring
     disable_tracing()
-    enable_metrics()
 
     def _configure(mode: str) -> None:
         if mode == "monitoring":

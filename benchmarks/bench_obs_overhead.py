@@ -1,27 +1,22 @@
-"""Observability overhead: the zero-cost-when-off guarantee, measured.
+"""Observability overhead: what full tracing costs over the shipped default.
 
-One warm-cache conjunctive-query workload, executed sequentially under three
+One warm-cache conjunctive-query workload, executed sequentially under two
 observability configurations.  The configurations are interleaved at the
-*query* level — each query runs under all three back-to-back (the in-trio
-order rotating every round), so every configuration sees the same machine
-state — and each (query, configuration) cell keeps the mean of its few
-fastest samples across rounds (a scheduler hiccup inflates one sample, not
-a whole pass; a one-off turbo burst cannot fake an impossibly fast cell
-either).  A configuration's overhead is the ratio of summed per-query bests
-against baseline:
+*query* level — each query runs under both back-to-back (the order rotating
+every round), so every configuration sees the same machine state — and each
+(query, configuration) cell keeps the mean of its few fastest samples across
+rounds (a scheduler hiccup inflates one sample, not a whole pass; a one-off
+turbo burst cannot fake an impossibly fast cell either).  The overhead is the
+ratio of summed per-query bests against baseline:
 
-* **baseline** — tracing off AND the metrics kill switch thrown
-  (``disable_metrics()``): every instrumentation call site is a no-op.
-* **disabled** — the shipped default: tracing off, metrics on.  The bar is
-  **< 2%** over baseline — a disabled ``span(...)`` is one thread-local read
-  plus a bool check, and the per-query metric feeds are a handful of O(1)
-  histogram observes.
+* **baseline** — the shipped default: tracing off (a disabled ``span(...)``
+  is one thread-local read plus a bool check); metrics always record.
 * **enabled** — ``enable_tracing()``: every query builds its full span tree
   through planner, executor, and residual verification.  The bar is **< 10%**
   over baseline.
 
-Results must be identical across all three configurations (observability
-never changes what is computed).  Emits ``BENCH_obs_overhead.json``.
+Results must be identical across both configurations (observability never
+changes what is computed).  Emits ``BENCH_obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import pytest
 from artifacts import emit_json
 from repro.baselines import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.obs import disable_metrics, disable_tracing, enable_metrics, enable_tracing
+from repro.obs import disable_tracing, enable_tracing
 
 NUM_RECORDS = 24000
 NUM_QUERIES = 24
@@ -46,7 +41,6 @@ ROUNDS = 8
 #: both sides keep converging toward their real cost.
 MAX_RESCUE_BATCHES = 3
 
-DISABLED_BAR = 0.02
 ENABLED_BAR = 0.10
 
 
@@ -89,18 +83,13 @@ def overhead_setup():
 def _configure(mode: str) -> None:
     if mode == "baseline":
         disable_tracing()
-        disable_metrics()
-    elif mode == "disabled":
-        disable_tracing()
-        enable_metrics()
     elif mode == "enabled":
         enable_tracing()
-        enable_metrics()
     else:  # pragma: no cover - guarded by the MODES list
         raise ValueError(mode)
 
 
-MODES = ("baseline", "disabled", "enabled")
+MODES = ("baseline", "enabled")
 
 
 def test_observability_overhead_within_bars(overhead_setup, print_table):
@@ -112,15 +101,15 @@ def test_observability_overhead_within_bars(overhead_setup, print_table):
     def run_rounds(count: int, reference) -> None:
         nonlocal rounds_seen
         for _ in range(count):
-            # Rotate the in-trio order every round: if machine load ramps
-            # during a trio, the penalty lands on every configuration
-            # equally often instead of always on the later ones.
+            # Rotate the order every round: if machine load ramps during a
+            # pair, the penalty lands on both configurations equally often
+            # instead of always on the later one.
             shift = rounds_seen % len(MODES)
             rounds_seen += 1
             order = MODES[shift:] + MODES[:shift]
             for index, query in enumerate(queries):
                 # Untimed warm execute: the first timed configuration must
-                # not pay this query's CPU-cache misses for the other two.
+                # not pay this query's CPU-cache misses for the other.
                 _configure("baseline")
                 engine.execute(query)
                 for mode in order:
@@ -147,11 +136,7 @@ def test_observability_overhead_within_bars(overhead_setup, print_table):
             mode: sum(trimmed_best(mode, i) for i in range(len(queries)))
             for mode in MODES
         }
-        return (
-            best,
-            best["disabled"] / best["baseline"] - 1.0,
-            best["enabled"] / best["baseline"] - 1.0,
-        )
+        return best, best["enabled"] / best["baseline"] - 1.0
 
     rounds_run = ROUNDS
     try:
@@ -171,25 +156,22 @@ def test_observability_overhead_within_bars(overhead_setup, print_table):
         gc.collect()
         gc.disable()
         run_rounds(ROUNDS, reference)
-        best, disabled_overhead, enabled_overhead = overheads()
+        best, enabled_overhead = overheads()
         # A load spike on a shared box can inflate one configuration's bests
-        # past a bar.  Rescue rounds keep tightening every minimum; a real
+        # past the bar.  Rescue rounds keep tightening every minimum; a real
         # regression stays over the bar no matter how many rounds run.
         for _ in range(MAX_RESCUE_BATCHES):
-            if disabled_overhead < DISABLED_BAR and enabled_overhead < ENABLED_BAR:
+            if enabled_overhead < ENABLED_BAR:
                 break
             run_rounds(ROUNDS // 2, reference)
             rounds_run += ROUNDS // 2
-            best, disabled_overhead, enabled_overhead = overheads()
+            best, enabled_overhead = overheads()
     finally:
         gc.enable()
         disable_tracing()
-        enable_metrics()
 
     rows = [
-        ["baseline (all off)", f"{best['baseline'] * 1e3:.2f}", "-"],
-        ["disabled (default)", f"{best['disabled'] * 1e3:.2f}",
-         f"{disabled_overhead * 100:+.2f}%"],
+        ["baseline (default)", f"{best['baseline'] * 1e3:.2f}", "-"],
         ["enabled (tracing)", f"{best['enabled'] * 1e3:.2f}",
          f"{enabled_overhead * 100:+.2f}%"],
     ]
@@ -206,20 +188,13 @@ def test_observability_overhead_within_bars(overhead_setup, print_table):
         "num_queries": NUM_QUERIES,
         "rounds": rounds_run,
         "baseline_seconds": best["baseline"],
-        "disabled_seconds": best["disabled"],
         "enabled_seconds": best["enabled"],
-        "disabled_overhead": disabled_overhead,
         "enabled_overhead": enabled_overhead,
-        "disabled_bar": DISABLED_BAR,
         "enabled_bar": ENABLED_BAR,
         "results_identical": True,
     }
     emit_json("obs_overhead", payload)
 
-    assert disabled_overhead < DISABLED_BAR, (
-        f"default-config overhead {disabled_overhead:.2%} breaches the "
-        f"{DISABLED_BAR:.0%} zero-cost-when-off bar"
-    )
     assert enabled_overhead < ENABLED_BAR, (
         f"tracing overhead {enabled_overhead:.2%} breaches the "
         f"{ENABLED_BAR:.0%} bar"

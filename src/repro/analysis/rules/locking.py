@@ -1,11 +1,11 @@
 """RPR006 — state guarded once is guarded everywhere.
 
 The lock-owning classes (``WorkerPool``, ``EstimationService``,
-``ServingTelemetry``, ``MetricsRegistry``, ...) follow one discipline: any
+``MetricsRegistry``, ...) follow one discipline: any
 attribute ever written under ``with self._lock`` is part of the class's
 shared mutable state and every later write must also hold the lock.  A
 single unlocked write reintroduces exactly the races PR 5's thread-safety
-work removed — lost micro-batch resolutions, torn telemetry sums.
+work removed — lost micro-batch resolutions, torn counter sums.
 
 Recognized conventions (writes there are lock-held or single-threaded by
 construction and neither establish nor violate guarding):
@@ -14,7 +14,7 @@ construction and neither establish nor violate guarding):
 * ``__snapshot_restore__`` / ``__snapshot_state__`` — snapshot hooks run
   single-threaded (save refuses in-flight work, restore precedes sharing);
 * methods whose name ends in ``_locked`` — the repo's documented "caller
-  holds the lock" suffix (``_endpoint_locked``, ``_spawn_locked``), except
+  holds the lock" suffix (``_spawn_locked``), except
   that their writes DO mark the attribute as guarded.
 """
 
@@ -61,7 +61,7 @@ class LockDisciplineRule(ContextVisitor):
     name = "lock-discipline"
     summary = "lock-guarded attribute mutated outside `with self._lock`"
     rationale = (
-        "PR 5 made EstimationService/ServingTelemetry thread-safe behind "
+        "PR 5 made EstimationService thread-safe behind "
         "one lock; a single unlocked write to guarded state reintroduces "
         "lost-update races no test reliably catches."
     )

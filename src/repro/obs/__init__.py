@@ -6,8 +6,8 @@ Observability substrate for the whole stack:
   worker threads and forked process-backend children (child subtrees ride
   back with task results and re-parent in the submitter's tree);
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket mergeable
-  histograms with Prometheus/JSON exposition; ``ServingTelemetry`` records
-  into a registry without changing its own API;
+  histograms with Prometheus/JSON exposition; ``ServingTelemetry`` keeps its
+  one ledger in a registry and serves its flat counters as views of it;
 * :mod:`repro.obs.explain` — ``Engine.explain_analyze`` report structures
   pairing estimated vs actual cardinality per predicate, plus a bounded
   slow-query ring buffer;
@@ -22,9 +22,8 @@ Observability substrate for the whole stack:
 * :mod:`repro.obs.monitor` — the :class:`MonitoringHub` behind
   ``engine.monitor()`` and the ``health_report()`` renderer.
 
-Tracing (``REPRO_TRACE``), library metrics (``REPRO_METRICS=0``), and
-profiling (``REPRO_PROFILE``) all have kill switches;
-``benchmarks/bench_obs_overhead.py`` and
+Tracing (``REPRO_TRACE``) and profiling (``REPRO_PROFILE``) are opt-in;
+metrics always record.  ``benchmarks/bench_obs_overhead.py`` and
 ``benchmarks/bench_monitoring_overhead.py`` pin the cost envelopes.
 """
 
@@ -40,10 +39,7 @@ from .metrics import (
     bucket_quantile,
     current_registry,
     default_registry,
-    disable_metrics,
-    enable_metrics,
     metric_key,
-    metrics_enabled,
     use_registry,
 )
 from .monitor import HealthReport, MonitoringHub, build_health_report
@@ -111,15 +107,12 @@ __all__ = [
     "current_registry",
     "current_span",
     "default_registry",
-    "disable_metrics",
     "disable_profiling",
     "disable_tracing",
-    "enable_metrics",
     "enable_profiling",
     "enable_tracing",
     "merge_child_state",
     "metric_key",
-    "metrics_enabled",
     "profile_scope",
     "profiling_enabled",
     "set_active_profiler",

@@ -1,7 +1,6 @@
 """Metrics: counters, gauges, and fixed-bucket mergeable histograms.
 
-The registry is the percentile substrate the flat telemetry sums could never
-provide: a :class:`Histogram` keeps one count per fixed bucket boundary plus
+A :class:`Histogram` keeps one count per fixed bucket boundary plus
 a running sum/count/max — O(1) memory however many observations arrive, p50 /
 p95 / p99 derivable by bucket interpolation, and two histograms with the same
 buckets merge by adding counts.  That mergeability is what carries metrics
@@ -20,41 +19,15 @@ metric's own lock, so worker threads, the serving path, and merge-on-result
 can all record into one registry; the locks are dropped and rebuilt across
 snapshots (``repro.store``).
 
-``REPRO_METRICS=0`` (or :func:`disable_metrics`) turns the *instrumentation
-call sites* in the library into no-ops — the kill switch behind the
-"zero cost when off" guarantee pinned by ``benchmarks/bench_obs_overhead.py``.
-Direct use of a registry keeps working either way.
+The library's instrumentation always records; the serving telemetry
+(:mod:`repro.serving.telemetry`) keeps its one ledger in a registry.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-
-def _env_flag_default_on(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("0", "false", "off")
-
-
-#: Library instrumentation switch (telemetry histograms, shard-op counters).
-_ENABLED = _env_flag_default_on("REPRO_METRICS")
-
-
-def metrics_enabled() -> bool:
-    """Whether the library's built-in instrumentation records metrics."""
-    return _ENABLED
-
-
-def enable_metrics() -> None:
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable_metrics() -> None:
-    global _ENABLED
-    _ENABLED = False
 
 
 #: Default latency buckets (seconds): sub-millisecond through 10 s, roughly
@@ -67,6 +40,9 @@ DEFAULT_LATENCY_BUCKETS = (
 
 #: Default q-error buckets: 1 is a perfect estimate; the tail is the story.
 DEFAULT_Q_ERROR_BUCKETS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 64.0, 256.0)
+
+#: Default micro-batch size buckets (records per model call): powers of two.
+DEFAULT_BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 
 def bucket_quantile(

@@ -43,7 +43,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.metrics import current_registry, metrics_enabled
+from ..obs.metrics import current_registry
 
 __all__ = [
     "CompactionPolicy",
@@ -58,20 +58,18 @@ __all__ = [
 
 
 def _record_delta_rows(op: str, rows: int) -> None:
-    if metrics_enabled():
-        current_registry().counter(
-            "repro_update_delta_rows_total",
-            {"op": op},
-            description="Rows applied through O(Δ) delta maintenance, by operation kind.",
-        ).inc(rows)
+    current_registry().counter(
+        "repro_update_delta_rows_total",
+        {"op": op},
+        description="Rows applied through O(Δ) delta maintenance, by operation kind.",
+    ).inc(rows)
 
 
 def _record_compaction() -> None:
-    if metrics_enabled():
-        current_registry().counter(
-            "repro_compactions_total",
-            description="Tombstone-reclaiming index compactions (from-scratch rebuilds).",
-        ).inc()
+    current_registry().counter(
+        "repro_compactions_total",
+        description="Tombstone-reclaiming index compactions (from-scratch rebuilds).",
+    ).inc()
 
 
 class GrowableArray:

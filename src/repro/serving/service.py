@@ -25,7 +25,7 @@ every resolution step (re-entrant because a merged shard endpoint's estimator
 calls back into the service for the per-shard curves); deferred requests
 coalesce through a :class:`~repro.runtime.BatchCoalescer`, which atomically
 hands a just-completed micro-batch to exactly one thread — no request is ever
-lost, dropped, or resolved twice, and telemetry counters (themselves
+lost, dropped, or resolved twice, and telemetry counters (each metric
 lock-protected) sum exactly to the work submitted.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -144,29 +144,20 @@ class EstimationService:
         unknown endpoint raises even when there is no work to do, instead of
         silently succeeding on empty input.
         """
-        start = time.perf_counter()
-        with profile_scope(name), span("service.estimate", endpoint=name) as estimate_span:
-            with self._lock:
-                entry = self.registry.get(name)
-                records = list(records)
-                thetas = np.asarray(thetas, dtype=np.float64)
-                if len(thetas) != len(records):
-                    raise ValueError("records and thetas must have the same length")
-                if not records:
-                    # Zero-work requests still show up in the latency telemetry,
-                    # so per-request accounting stays consistent across batch
-                    # sizes.
-                    self.telemetry.record_latency(name, time.perf_counter() - start)
-                    return np.zeros(0)
-                curves = self._curves_for(entry, records)
-                columns = entry.curve_indices(thetas)  # one vectorized map per batch
-                answers = np.asarray(
-                    [curve[column] for curve, column in zip(curves, columns)],
-                    dtype=np.float64,
-                )
-                estimate_span.set(batch=len(records))
-                self.telemetry.record_latency(name, time.perf_counter() - start)
-                return answers
+        def answer(entry: RegisteredEstimator, records: List[Any]) -> np.ndarray:
+            requested = np.asarray(thetas, dtype=np.float64)
+            if len(requested) != len(records):
+                raise ValueError("records and thetas must have the same length")
+            if not records:
+                return np.zeros(0)
+            curves = self._curves_for(entry, records)
+            columns = entry.curve_indices(requested)  # one vectorized map per batch
+            return np.asarray(
+                [curve[column] for curve, column in zip(curves, columns)],
+                dtype=np.float64,
+            )
+
+        return self._request(name, records, answer)
 
     def estimate(self, name: str, record: Any, theta: float) -> float:
         """Single-query estimate (a one-element batch through the curve path)."""
@@ -174,12 +165,9 @@ class EstimationService:
 
     def estimate_curve(self, name: str, record: Any) -> np.ndarray:
         """The full cached curve for one record (a copy; grid = entry's thetas)."""
-        start = time.perf_counter()
-        with self._lock:
-            entry = self.registry.get(name)
-            curve = self._curves_for(entry, [record])[0]
-            self.telemetry.record_latency(name, time.perf_counter() - start)
-            return curve.copy()
+        return self._request(
+            name, [record], lambda entry, records: self._curves_for(entry, records)[0].copy()
+        )
 
     def estimate_curve_many(self, name: str, records: Sequence[Any]) -> np.ndarray:
         """One cached curve per record, stacked into a fresh ``(n, t)`` matrix.
@@ -188,17 +176,28 @@ class EstimationService:
         in one micro-batch, hits come straight from the cache.  The sharded
         serving layer sums these matrices across shard endpoints.
         """
-        start = time.perf_counter()
-        with self._lock:
-            entry = self.registry.get(name)
-            records = list(records)
+        def answer(entry: RegisteredEstimator, records: List[Any]) -> np.ndarray:
             if not records:
-                self.telemetry.record_latency(name, time.perf_counter() - start)
                 return np.zeros((0, len(entry.curve_thetas)))
-            curves = self._curves_for(entry, records)
-            stacked = np.stack(curves)  # a copy: cached rows stay frozen
-            self.telemetry.record_latency(name, time.perf_counter() - start)
-            return stacked
+            return np.stack(self._curves_for(entry, records))  # a copy: cached rows stay frozen
+
+        return self._request(name, records, answer)
+
+    def _request(self, name: str, records: Sequence[Any], answer: Callable[..., Any]) -> Any:
+        """The one prologue of every public estimate call: the request is
+        timed, profile-scoped, traced as ``service.estimate``, resolved and
+        answered (``answer(entry, records)``) under the service lock, and its
+        latency recorded — zero-work requests included, so per-request
+        accounting stays consistent across batch sizes."""
+        start = time.perf_counter()
+        with profile_scope(name), span("service.estimate", endpoint=name) as request_span:
+            with self._lock:
+                entry = self.registry.get(name)
+                records = list(records)
+                request_span.set(batch=len(records))
+                result = answer(entry, records)
+                self.telemetry.record_latency(name, time.perf_counter() - start)
+                return result
 
     # ------------------------------------------------------------------ #
     # Deferred micro-batching

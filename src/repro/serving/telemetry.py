@@ -1,42 +1,59 @@
-"""Per-request telemetry for the estimation service.
+"""Serving telemetry: one ledger, kept in a metrics registry.
 
-The service records, per registered estimator and globally: request counts,
-curve-cache hits/misses, the size of every micro-batch sent to a model,
-wall-clock latency, auto-flush failures on the deferred path, and — when a
-feedback loop reports observed cardinalities back
-(:mod:`repro.engine.feedback`) — estimated-vs-actual drift statistics
-(online q-error and drift-event counts).  ``snapshot()`` returns a plain dict
-suitable for logging or for the benchmark harness to emit as JSON.
+Every serving event — a request's curve-cache hits/misses, a micro-batch's
+size, a request's latency, an auto-flush failure, a worker-pool task, the
+feedback loop's estimated-vs-actual observations and drift crossings — is
+recorded once, in a labelled metric of ``telemetry.metrics`` (``_LEDGER``;
+``docs/metrics_catalog.md``).  That registry is the only state: snapshots persist
+it, the monitoring hub scrapes it, pools and their child processes record into it.
 
-The flat counters are backed by a :class:`repro.obs.MetricsRegistry`
-(``telemetry.metrics``): every recording feeds both the legacy
-:class:`EndpointStats` sums (API unchanged) and labelled counters/histograms,
-which is where percentiles come from — ``snapshot()`` now reports
-``latency_p50/p95/p99`` per endpoint, and :meth:`ServingTelemetry.
-to_prometheus` exposes the whole registry in Prometheus text format.  Worker
-pools route their ambient metrics into this same registry (it is the pool's
-metrics sink), including metrics merged back from process-backend children.
-Setting ``REPRO_METRICS=0`` skips the registry feeds (the flat counters keep
-working) — the zero-cost-when-off path pinned by
-``benchmarks/bench_obs_overhead.py``.
-
-Recording is thread-safe: one internal lock serializes every counter update,
-so worker-pool threads (:mod:`repro.runtime`), concurrent service clients,
-and the feedback loop can all report into one instance without losing
-increments.  The lock is dropped and rebuilt across snapshots.
+``endpoint(name)``, ``total``, ``snapshot()`` and ``to_prometheus()`` are views
+computed from it when called: :class:`EndpointStats` values, not live objects.
+``total`` sums the ``endpoint``-labelled metrics; ``pool``-labelled tasks (the
+fan-out of requests already counted) stay out.  Every metric takes its own
+lock, so pool threads, clients and the feedback loop lose no increment.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import add
 from typing import Any, Dict, Optional
 
-from ..obs.metrics import (
-    DEFAULT_Q_ERROR_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    metrics_enabled,
+from ..obs import metrics
+
+#: The ledger: metric name -> (scoping label, histogram buckets or ``None`` for a
+#: counter, the :class:`EndpointStats` fields its value — or a histogram's count,
+#: sum, max — is read back into (``None``: not reported), HELP text).
+_LEDGER = {
+    "repro_requests_total": ("endpoint", None, ("requests",), "estimation requests per endpoint"),
+    "repro_cache_hits_total": ("endpoint", None, ("cache_hits",), "curve-cache hits per endpoint"),
+    "repro_cache_misses_total": (
+        "endpoint", None, ("cache_misses",), "curve-cache misses per endpoint"),
+    "repro_micro_batch_records": (
+        "endpoint", metrics.DEFAULT_BATCH_SIZE_BUCKETS,
+        ("batches", "batched_records", "max_batch_size"), "records per model micro-batch"),
+    "repro_request_latency_seconds": (
+        "endpoint", metrics.DEFAULT_LATENCY_BUCKETS,
+        (None, "latency_seconds", "max_latency_seconds"), "recorded request latency per endpoint"),
+    "repro_auto_flush_failures_total": (
+        "endpoint", None, ("auto_flush_failures",), "micro-batches whose auto-flush raised"),
+    "repro_q_error": (
+        "endpoint", metrics.DEFAULT_Q_ERROR_BUCKETS,
+        ("observations", "q_error_sum", "q_error_max"), "estimated-vs-actual q-error per endpoint"),
+    "repro_drift_events_total": (
+        "endpoint", None, ("drift_events",), "drift-threshold crossings per endpoint"),
+    "repro_pool_tasks_total": ("pool", None, ("requests",), "completed worker-pool tasks per pool"),
+    "repro_pool_task_seconds": (
+        "pool", metrics.DEFAULT_LATENCY_BUCKETS,
+        (None, "latency_seconds", "max_latency_seconds"), "worker-pool task wall-time per pool"),
+}
+
+#: Attributes ``EndpointStats.snapshot()`` reports under their own names.
+_SNAPSHOT_KEYS = (
+    "requests", "cache_hits", "cache_misses", "hit_rate", "batches", "mean_batch_size",
+    "max_batch_size", "latency_seconds", "max_latency_seconds", "auto_flush_failures",
+    "observations", "mean_q_error", "drift_events",
 )
 
 
@@ -48,10 +65,9 @@ def q_error(estimated: float, actual: float) -> float:
     return max(safe_actual / safe_estimated, safe_estimated / safe_actual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndpointStats:
-    """Counters for one registered estimator (all O(1) memory — the service
-    may live for millions of micro-batches)."""
+    """One endpoint's readings at the moment they were asked for."""
 
     requests: int = 0
     cache_hits: int = 0
@@ -62,16 +78,14 @@ class EndpointStats:
     latency_seconds: float = 0.0
     #: Largest single recorded duration — the straggler a sum cannot show.
     max_latency_seconds: float = 0.0
-    #: Deferred-path micro-batches whose auto-flush raised.  ``submit``
-    #: swallows the error by design (it may belong to another caller's
-    #: endpoint; each affected handle still carries it) — this counter is
-    #: what keeps those failures observable instead of silent.
+    #: ``submit`` swallows an auto-flush error by design; this count keeps it observable.
     auto_flush_failures: int = 0
-    #: Feedback-loop drift counters: estimated-vs-actual observations.
     observations: int = 0
     q_error_sum: float = 0.0
     q_error_max: float = 0.0
     drift_events: int = 0
+    #: Request-latency ``p50``/``p95``/``p99`` (``None`` until one is recorded).
+    latency_percentiles: Optional[Dict[str, float]] = None
 
     @property
     def hit_rate(self) -> float:
@@ -87,262 +101,120 @@ class EndpointStats:
         """Online mean q-error over every observation reported so far."""
         return self.q_error_sum / self.observations if self.observations else 0.0
 
-    def record_duration(self, seconds: float) -> None:
-        """Fold one duration into the sum and the running max."""
-        self.latency_seconds += seconds
-        if seconds > self.max_latency_seconds:
-            self.max_latency_seconds = seconds
-
     def snapshot(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "max_batch_size": self.max_batch_size,
-            "latency_seconds": self.latency_seconds,
-            "mean_latency_seconds": (
-                self.latency_seconds / self.requests if self.requests else 0.0
-            ),
-            "max_latency_seconds": self.max_latency_seconds,
-            "auto_flush_failures": self.auto_flush_failures,
-            "observations": self.observations,
-            "mean_q_error": self.mean_q_error,
-            "max_q_error": self.q_error_max,
-            "drift_events": self.drift_events,
-        }
+        report = {key: getattr(self, key) for key in _SNAPSHOT_KEYS}
+        mean_latency = self.latency_seconds / self.requests if self.requests else 0.0
+        report.update(mean_latency_seconds=mean_latency, max_q_error=self.q_error_max)
+        report.update({f"latency_{k}": v for k, v in (self.latency_percentiles or {}).items()})
+        return report
 
-    # -- snapshot hooks (repro.store): tolerate states from older formats -- #
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        """Explicit full-``__dict__`` capture (matched pair of the restore
-        hook below — RPR002): restore backfills defaults for fields this
-        snapshot predates, so capture stays the plain field dict."""
-        return dict(self.__dict__)
 
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        for field_ in fields(self):
-            setattr(self, field_.name, field_.default)
-        self.__dict__.update(state)
+def _fold(into: Dict[str, Any], state: Dict[str, Any]) -> None:
+    """Add one exported ledger metric to a field dict (sums add, maxima take the larger)."""
+    fields = _LEDGER[state["name"]][2]
+    readings = ("count", "sum", "max") if len(fields) == 3 else ("value",)
+    for field, reading, combine in zip(fields, readings, (add, add, max)):
+        if field is not None:
+            zero = getattr(EndpointStats, field)  # 0 or 0.0: counts are ints, counters floats
+            into[field] = combine(into.get(field, zero), type(zero)(state[reading]))
+    if state["name"] == "repro_request_latency_seconds" and state["count"]:
+        if "latency" not in into:
+            into["latency"] = metrics.Histogram(state["name"], buckets=state["buckets"])
+        into["latency"].merge_export(state)
 
 
 class ServingTelemetry:
-    """Aggregates :class:`EndpointStats` per estimator plus a global view.
-
-    ``telemetry.metrics`` is the attached registry; worker pools handed this
-    telemetry use it as their metrics sink, so child-process metrics merge
-    here too.
-    """
+    """Recorder into ``self.metrics`` and reader of the flat view (module docstring)."""
 
     def __init__(self) -> None:
-        self._endpoints: Dict[str, EndpointStats] = {}
-        self.total = EndpointStats()
-        self.metrics = MetricsRegistry()
-        self._lock = threading.Lock()
-        # Resolved metric handles, keyed (kind, endpoint).  Get-or-create in
-        # the registry costs a key format + a lock per call; recording is on
-        # the per-request hot path, so resolve each handle once.  Benign
-        # races: both writers cache the same registry-owned object.
-        self._metric_cache: Dict[Any, Any] = {}
+        #: The ledger; pools, the monitoring hub and its scraper hold this very object.
+        self.metrics = metrics.MetricsRegistry()
+        #: (metric name, endpoint or pool) -> the resolved metric: get-or-create
+        #: costs a key format and a registry lock, recording is per request.
+        self._handles: Dict[Any, Any] = {}
 
-    def endpoint(self, name: str) -> EndpointStats:
-        with self._lock:
-            return self._endpoint_locked(name)
-
-    def _endpoint_locked(self, name: str) -> EndpointStats:
-        """Get-or-create one endpoint's stats; caller holds the lock."""
-        stats = self._endpoints.get(name)
-        if stats is None:
-            stats = self._endpoints[name] = EndpointStats()
-        return stats
-
-    def _both(self, name: str):
-        """The endpoint's stats and the totals, under the lock."""
-        return self._endpoint_locked(name), self.total
-
-    def _latency_histogram(self, endpoint: str) -> Histogram:
-        histogram = self._metric_cache.get(("latency", endpoint))
-        if histogram is None:
-            histogram = self.metrics.histogram(
-                "repro_request_latency_seconds",
-                {"endpoint": endpoint},
-                description="recorded request latency per endpoint",
-            )
-            # repro: ignore[RPR006] - benign race: both writers cache the same registry-owned handle
-            self._metric_cache[("latency", endpoint)] = histogram
-        return histogram
-
-    def _request_counters(self, name: str):
-        counters = self._metric_cache.get(("requests", name))
-        if counters is None:
-            labels = {"endpoint": name}
-            counters = (
-                self.metrics.counter(
-                    "repro_requests_total", labels,
-                    description="estimation requests per endpoint",
-                ),
-                self.metrics.counter(
-                    "repro_cache_hits_total", labels,
-                    description="curve-cache hits per endpoint",
-                ),
-                self.metrics.counter(
-                    "repro_cache_misses_total", labels,
-                    description="curve-cache misses per endpoint",
-                ),
-            )
-            # repro: ignore[RPR006] - benign race: both writers cache the same registry-owned handle
-            self._metric_cache[("requests", name)] = counters
-        return counters
+    def _metric(self, name: str, scope: str) -> Any:
+        """Metric ``name`` of endpoint (or pool) ``scope``, created on first use."""
+        metric = self._handles.get((name, scope))
+        if metric is None:
+            label, buckets, _, description = _LEDGER[name]
+            if buckets is None:
+                metric = self.metrics.counter(name, {label: scope}, description)
+            else:
+                metric = self.metrics.histogram(name, {label: scope}, description, buckets)
+            # Benign race: both writers cache the same registry-owned metric.
+            self._handles[(name, scope)] = metric
+        return metric
 
     def record_requests(self, name: str, count: int, hits: int, misses: int) -> None:
-        with self._lock:
-            for stats in self._both(name):
-                stats.requests += count
-                stats.cache_hits += hits
-                stats.cache_misses += misses
-        if metrics_enabled():
-            requests_total, hits_total, misses_total = self._request_counters(name)
-            requests_total.inc(count)
-            if hits:
-                hits_total.inc(hits)
-            if misses:
-                misses_total.inc(misses)
+        self._metric("repro_requests_total", name).inc(count)
+        if hits:
+            self._metric("repro_cache_hits_total", name).inc(hits)
+        if misses:
+            self._metric("repro_cache_misses_total", name).inc(misses)
 
     def record_batch(self, name: str, batch_size: int) -> None:
-        with self._lock:
-            for stats in self._both(name):
-                stats.batches += 1
-                stats.batched_records += batch_size
-                stats.max_batch_size = max(stats.max_batch_size, batch_size)
+        self._metric("repro_micro_batch_records", name).observe(batch_size)
 
     def record_latency(self, name: str, seconds: float) -> None:
-        with self._lock:
-            for stats in self._both(name):
-                stats.record_duration(seconds)
-        if metrics_enabled():
-            self._latency_histogram(name).observe(seconds)
-            self._latency_histogram("total").observe(seconds)
+        self._metric("repro_request_latency_seconds", name).observe(seconds)
 
     def record_auto_flush_failure(self, name: str) -> None:
         """Count one deferred micro-batch whose auto-flush raised."""
-        with self._lock:
-            for stats in self._both(name):
-                stats.auto_flush_failures += 1
+        self._metric("repro_auto_flush_failures_total", name).inc()
 
     def record_pool_task(self, pool_name: str, seconds: float) -> None:
-        """One finished worker-pool task, under the ``pool:<name>`` endpoint.
-
-        Deliberately NOT aggregated into ``total``: pool tasks are the
-        internal fan-out of client-facing requests already counted there —
-        adding them would double-count every parallel request.
-        """
-        with self._lock:
-            stats = self._endpoint_locked(f"pool:{pool_name}")
-            stats.requests += 1
-            stats.record_duration(seconds)
-        if metrics_enabled():
-            pool_metrics = self._metric_cache.get(("pool", pool_name))
-            if pool_metrics is None:
-                labels = {"pool": pool_name}
-                pool_metrics = (
-                    self.metrics.counter(
-                        "repro_pool_tasks_total", labels,
-                        description="completed worker-pool tasks per pool",
-                    ),
-                    self.metrics.histogram(
-                        "repro_pool_task_seconds", labels,
-                        description="worker-pool task wall-time per pool",
-                    ),
-                )
-                # repro: ignore[RPR006] - benign race: both writers cache the same registry-owned handle
-                self._metric_cache[("pool", pool_name)] = pool_metrics
-            pool_metrics[0].inc()
-            pool_metrics[1].observe(seconds)
+        """One finished worker-pool task, read back as entry ``pool:<name>``."""
+        self._metric("repro_pool_tasks_total", pool_name).inc()
+        self._metric("repro_pool_task_seconds", pool_name).observe(seconds)
 
     def record_observation(self, name: str, estimated: float, actual: float) -> float:
-        """Feed one estimated-vs-actual cardinality pair into the drift stats.
-
-        Returns the observation's q-error so feedback monitors don't have to
-        recompute it for their own (windowed) bookkeeping.
-        """
+        """Feed one estimated-vs-actual pair into the drift stats; returns its
+        q-error so feedback monitors need not recompute it for their windows."""
         error = q_error(estimated, actual)
-        with self._lock:
-            for stats in self._both(name):
-                stats.observations += 1
-                stats.q_error_sum += error
-                stats.q_error_max = max(stats.q_error_max, error)
-        if metrics_enabled():
-            histogram = self._metric_cache.get(("q_error", name))
-            if histogram is None:
-                histogram = self.metrics.histogram(
-                    "repro_q_error", {"endpoint": name},
-                    description="estimated-vs-actual q-error per endpoint",
-                    buckets=DEFAULT_Q_ERROR_BUCKETS,
-                )
-                # repro: ignore[RPR006] - benign race: both writers cache the same registry-owned handle
-                self._metric_cache[("q_error", name)] = histogram
-            histogram.observe(error)
+        self._metric("repro_q_error", name).observe(error)
         return error
 
     def record_drift(self, name: str) -> None:
         """Count one drift-threshold crossing (cache flush + revalidation)."""
-        with self._lock:
-            for stats in self._both(name):
-                stats.drift_events += 1
-        if metrics_enabled():
-            self.metrics.counter(
-                "repro_drift_events_total", {"endpoint": name},
-                description="drift-threshold crossings per endpoint",
-            ).inc()
+        self._metric("repro_drift_events_total", name).inc()
 
-    def _percentiles_for(self, endpoint: str) -> Optional[Dict[str, float]]:
-        histogram = self.metrics.get(
-            "repro_request_latency_seconds", {"endpoint": endpoint}
-        )
-        if not isinstance(histogram, Histogram) or histogram.count == 0:
-            return None
-        return histogram.percentiles()
+    def _stats(self) -> Dict[str, EndpointStats]:
+        """The views, computed now: ``total``, then each endpoint and ``pool:<name>``."""
+        entries: Dict[str, Dict[str, Any]] = {"total": {}}
+        for metric in self.metrics.collect():
+            label = _LEDGER.get(metric.name, (None,))[0]
+            if label in metric.labels:
+                state = metric.export()  # one consistent read, under the metric's lock
+                scope = metric.labels[label]
+                for name in (scope, "total") if label == "endpoint" else (f"pool:{scope}",):
+                    _fold(entries.setdefault(name, {}), state)
+        stats = {}
+        for name, fields in [("total", entries.pop("total")), *sorted(entries.items())]:
+            latency = fields.pop("latency", None)
+            percentiles = latency and latency.percentiles()
+            stats[name] = EndpointStats(**fields, latency_percentiles=percentiles)
+        return stats
+
+    def endpoint(self, name: str) -> EndpointStats:
+        return self._stats().get(name, EndpointStats())
+
+    @property
+    def total(self) -> EndpointStats:
+        """Sum over every client endpoint (pool entries excluded)."""
+        return self._stats()["total"]
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            report = {"total": self.total.snapshot()}
-            for name, stats in sorted(self._endpoints.items()):
-                report[name] = stats.snapshot()
-        # Percentiles come from the registry histograms (outside the flat
-        # lock — the registry has its own), keyed latency_p50/p95/p99.
-        for name, entry in report.items():
-            quantiles = self._percentiles_for(name)
-            if quantiles is not None:
-                entry["latency_p50"] = quantiles["p50"]
-                entry["latency_p95"] = quantiles["p95"]
-                entry["latency_p99"] = quantiles["p99"]
-        return report
+        return {name: stats.snapshot() for name, stats in self._stats().items()}
 
     def to_prometheus(self) -> str:
-        """The attached registry in Prometheus text exposition format."""
+        """The registry in Prometheus text exposition format."""
         return self.metrics.to_prometheus()
 
-    def reset(self) -> None:
-        with self._lock:
-            self._endpoints.clear()
-            self.total = EndpointStats()
-            self.metrics = MetricsRegistry()
-            self._metric_cache = {}
-
-    # ------------------------------------------------------------------ #
-    # Snapshot hooks (repro.store) — counters persist, the lock does not.
-    # ------------------------------------------------------------------ #
+    # Snapshot hooks (repro.store): the registry is the whole state.
     def __snapshot_state__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        state.pop("_metric_cache", None)  # handles re-resolve lazily
-        return state
+        return {"metrics": self.metrics}
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        # Snapshots written before the metrics rebase carry no registry.
-        if "metrics" not in self.__dict__:
-            self.metrics = MetricsRegistry()
-        self._metric_cache = {}
-        self._lock = threading.Lock()
+        self.metrics = state["metrics"]
+        self._handles = {}  # re-resolved on first use

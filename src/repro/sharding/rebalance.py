@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.metrics import current_registry, metric_key, metrics_enabled
+from ..obs.metrics import current_registry, metric_key
 from ..runtime import Runtime, default_runtime
 from ..selection.base import SimilaritySelector
 from ..store import load_component, save_component
@@ -49,8 +49,6 @@ REBALANCE_SLICE_KIND = "repro.rebalance.slice"
 
 
 def _record_rebalance(outcome: str, seconds: float) -> None:
-    if not metrics_enabled():
-        return
     registry = current_registry()
     registry.counter(
         "repro_rebalance_total", {"outcome": outcome},
@@ -63,8 +61,6 @@ def _record_rebalance(outcome: str, seconds: float) -> None:
 
 
 def _record_rebalance_volume(moved_records: int, journal_replayed: int) -> None:
-    if not metrics_enabled():
-        return
     registry = current_registry()
     if moved_records:
         registry.counter(

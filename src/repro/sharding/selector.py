@@ -43,7 +43,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Se
 import numpy as np
 
 from ..datasets.updates import UpdateOperation
-from ..obs.metrics import current_registry, metrics_enabled
+from ..obs.metrics import current_registry
 from ..obs.trace import span
 from ..runtime import POOL_BACKENDS, Runtime, default_runtime
 from ..selection.base import SimilaritySelector
@@ -127,8 +127,7 @@ def _plane_shard_task(
     started = time.perf_counter()
     with span("shard.task", op=op, shard=shard_id):
         result = _run_shard_op(selector, op, payload)
-    if metrics_enabled():
-        _record_shard_op(op, shard_id, time.perf_counter() - started)
+    _record_shard_op(op, shard_id, time.perf_counter() - started)
     return result
 
 
@@ -303,8 +302,7 @@ class ShardedSelector(SimilaritySelector):
         started = time.perf_counter()
         with span("shard.task", op=op, shard=shard_id):
             result = task(shard)
-        if metrics_enabled():
-            _record_shard_op(op, shard_id, time.perf_counter() - started)
+        _record_shard_op(op, shard_id, time.perf_counter() - started)
         return result
 
     def _map_shards(

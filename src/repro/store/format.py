@@ -49,7 +49,12 @@ FORMAT_NAME = "repro-snapshot"
 #       restore); their `_grams`/`_inverted`/`_by_length`/`_sorted_records`/
 #       `_order` state is gone, so a version-3 selector would restore without
 #       the arrays its probe needs.
-FORMAT_VERSION = 4
+#   5 — one telemetry ledger: ServingTelemetry persists its MetricsRegistry
+#       and nothing else (no `_endpoints`/`total` EndpointStats sums), and
+#       micro-batch sizes and auto-flush failures live in registry metrics a
+#       version-4 registry does not hold, so a version-4 telemetry would
+#       restore with those readings lost.
+FORMAT_VERSION = 5
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import current_registry, metrics_enabled
+from ..obs.metrics import current_registry
 from .format import (
     ArrayEntry,
     ArrayWriter,
@@ -45,8 +45,6 @@ def _count_cleanup_failure(count: int = 1) -> None:
     metrics module may already be torn down), so the recording itself is
     guarded; the counter is the observability, not the recovery.
     """
-    if not metrics_enabled():
-        return
     try:
         current_registry().counter(
             "repro_plane_cleanup_failures_total",

@@ -149,6 +149,63 @@ class TestReportContents:
             engine.runtime.shutdown()
 
 
+class TestServiceSpans:
+    """Every public estimate call of the service is a ``service.estimate``
+    span — the curve entry points behind GPH part curves and the per-shard
+    fetches of a merged endpoint included (they used to be invisible)."""
+
+    @staticmethod
+    def _service_endpoints(report):
+        return [s.attributes["endpoint"] for s in report.trace.find("service.estimate")]
+
+    def test_gph_plan_shows_a_service_span_per_part_endpoint(self):
+        records = [row for row in RNG.integers(0, 2, size=(80, 24)).astype(np.uint8)]
+        engine = SimilarityQueryEngine()
+        engine.register_attribute(
+            "bits",
+            records,
+            "hamming",
+            UniformSamplingEstimator(records, "hamming", sample_ratio=0.3, seed=0),
+            theta_max=12.0,
+            gph_part_size=8,
+        )
+        try:
+            report = engine.explain_analyze(SimilarityPredicate("bits", records[3], 6.0))
+            assert report.plan["allocation"] is not None  # GPH drove the plan
+            endpoints = self._service_endpoints(report)
+            for part in range(3):
+                assert f"bits::part{part}" in endpoints
+            assert "bits" in endpoints
+            assert all(
+                s.attributes["batch"] >= 1 for s in report.trace.find("service.estimate")
+            )
+            # ... and each of those requests was recorded like any other.
+            for part in range(3):
+                stats = engine.service.telemetry.endpoint(f"bits::part{part}")
+                assert stats.requests >= 1
+                assert stats.latency_percentiles is not None
+        finally:
+            engine.runtime.shutdown()
+
+    def test_sharded_attribute_shows_a_service_span_per_shard_endpoint(self):
+        engine, vec, aux = _build_engine()
+        try:
+            report = engine.explain_analyze(_two_predicate_query(vec, aux, index=5))
+            endpoints = self._service_endpoints(report)
+            assert {"vec", "aux"} <= set(endpoints)
+            for shard in range(3):
+                assert f"vec#shard{shard}" in endpoints
+            # The per-shard fetches nest under the merged endpoint's request.
+            (merged,) = [
+                s for s in report.trace.find("service.estimate")
+                if s.attributes["endpoint"] == "vec"
+            ]
+            nested = {s.attributes["endpoint"] for s in merged.find("service.estimate")}
+            assert {f"vec#shard{shard}" for shard in range(3)} <= nested
+        finally:
+            engine.runtime.shutdown()
+
+
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 class TestProcessBackendReport:
     def test_shard_spans_come_from_forked_children(self):

@@ -1,0 +1,43 @@
+"""Drift guard: ``docs/metrics_catalog.md`` and the metric names under ``src/``
+list the same set.  RPR009 lints how a name is spelled; nothing else checks
+that an emitted metric is documented, or that a documented one still exists."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: Every ``repro_*`` string literal under ``src/`` is a metric name (the
+#: environment switches are upper-case, the snapshot kinds dotted).
+LITERAL = re.compile(r"""["'](repro_[a-z0-9_]+)["']""")
+#: A catalog row: ``| `name` | type | labels | ...``.
+ROW = re.compile(r"^\| `(repro_[a-z0-9_]+)` \| (counter|gauge|histogram) \|", re.MULTILINE)
+
+
+def _emitted() -> dict:
+    names: dict = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for name in LITERAL.findall(path.read_text()):
+            names.setdefault(name, path.relative_to(ROOT))
+    return names
+
+
+def _catalogued() -> dict:
+    return dict(ROW.findall((ROOT / "docs" / "metrics_catalog.md").read_text()))
+
+
+def test_every_emitted_metric_has_a_catalog_row():
+    missing = {name: str(path) for name, path in _emitted().items() if name not in _catalogued()}
+    assert not missing, f"metrics without a row in docs/metrics_catalog.md: {missing}"
+
+
+def test_every_catalog_row_has_an_emitter():
+    stale = sorted(set(_catalogued()) - set(_emitted()))
+    assert not stale, f"catalog rows no code under src/ emits: {stale}"
+
+
+def test_catalogued_counters_are_the_total_suffixed_names():
+    for name, kind in _catalogued().items():
+        assert (kind == "counter") == name.endswith("_total"), (name, kind)

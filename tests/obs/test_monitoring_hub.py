@@ -245,3 +245,29 @@ class TestEngineIntegration:
                 restored.runtime.shutdown()
         finally:
             engine.runtime.shutdown()
+
+    def test_hub_reattached_after_restore_scrapes_the_restored_ledger(self, tmp_path):
+        engine = make_engine(num_records=200)
+        try:
+            hub = engine.monitor(start=False)
+            self.execute(engine)
+            hub.tick(now=0.0)
+            engine.save(tmp_path / "engine")
+            restored = SimilarityQueryEngine.load(tmp_path / "engine")
+            try:
+                telemetry = restored.service.telemetry
+                assert telemetry.snapshot() == engine.service.telemetry.snapshot()
+                assert telemetry.to_prometheus() == engine.service.telemetry.to_prometheus()
+                restored_hub = restored.monitor(start=False)
+                assert restored_hub.registry is telemetry.metrics
+                assert restored_hub.slos.registry is telemetry.metrics
+                series = metric_key("repro_requests_total", {"endpoint": "vec"})
+                before = restored_hub.store.latest(series)[1]
+                self.execute(restored, record_id=7)
+                restored_hub.tick(now=10.0)
+                assert restored_hub.store.latest(series)[1] > before
+                assert hub.registry is engine.service.telemetry.metrics
+            finally:
+                restored.runtime.shutdown()
+        finally:
+            engine.runtime.shutdown()

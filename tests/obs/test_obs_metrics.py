@@ -17,9 +17,6 @@ from repro.obs import (
     MetricsRegistry,
     current_registry,
     default_registry,
-    disable_metrics,
-    enable_metrics,
-    metrics_enabled,
     use_registry,
 )
 from repro.obs.metrics import metric_key
@@ -241,12 +238,3 @@ class TestAmbientRegistry:
                 assert current_registry() is inner
             assert current_registry() is scoped
         assert current_registry() is default_registry()
-
-    def test_kill_switch_toggles(self):
-        assert metrics_enabled()  # shipped default: on
-        disable_metrics()
-        try:
-            assert not metrics_enabled()
-        finally:
-            enable_metrics()
-        assert metrics_enabled()

@@ -15,7 +15,7 @@ from repro.selection.hamming_index import PackedHammingSelector
 from repro.selection.jaccard_index import PrefixFilterJaccardSelector
 from repro.serving.telemetry import ServingTelemetry
 from repro.sharding import ShardedSelector
-from repro.sharding.selector import SHARD_PROCESS_POOL
+from repro.sharding.selector import SHARD_POOL, SHARD_PROCESS_POOL
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process backend needs the fork start method"
@@ -106,10 +106,22 @@ def test_child_counters_merge_into_parent_registry(kind):
                     ).value
                 )
 
-        # The pool itself reported parent-side task telemetry as usual.
+        # The pool itself reported parent-side task telemetry as usual: one
+        # count, the same in the flat view, in the Prometheus text, and in
+        # what the thread backend recorded for the same fan-out.
+        fanout_tasks = len(queries) * 2 * NUM_SHARDS
         pool_stats = telemetry.endpoint(f"pool:{SHARD_PROCESS_POOL}")
-        assert pool_stats.requests == len(queries) * 2 * NUM_SHARDS
+        assert pool_stats.requests == fanout_tasks
         assert pool_stats.max_latency_seconds > 0.0
+        assert thread_telemetry.endpoint(f"pool:{SHARD_POOL}").requests == fanout_tasks
+        text = telemetry.to_prometheus()
+        assert f'repro_pool_tasks_total{{pool="{SHARD_PROCESS_POOL}"}} {fanout_tasks}' in text
+        assert (
+            f'repro_pool_task_seconds_count{{pool="{SHARD_PROCESS_POOL}"}} {fanout_tasks}'
+            in text
+        )
+        assert telemetry.snapshot()[f"pool:{SHARD_PROCESS_POOL}"]["requests"] == fanout_tasks
+        assert telemetry.total.requests == 0  # fan-out tasks are not client requests
     finally:
         process_side.runtime.shutdown()
         thread_side.runtime.shutdown()

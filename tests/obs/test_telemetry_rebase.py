@@ -1,39 +1,46 @@
-"""ServingTelemetry on the metrics registry: the flat-counter API is
-unchanged, percentiles and Prometheus exposition come from the registry, and
-snapshot restore tolerates pre-rebase states."""
+"""ServingTelemetry is one ledger: every event is recorded once, in the
+metrics registry, and the flat counters (``endpoint``, ``total``,
+``snapshot``), the percentiles and the Prometheus text are views of it."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.obs import Histogram, disable_metrics, enable_metrics
+from repro.obs import Histogram, MetricsRegistry, MonitoringHub, metric_key
+from repro.runtime import WorkerPool
 from repro.serving.telemetry import EndpointStats, ServingTelemetry
-
-
-@pytest.fixture(autouse=True)
-def _metrics_on():
-    enable_metrics()
-    yield
-    enable_metrics()
+from repro.store import load_component, save_component
 
 
 class TestEndpointStats:
-    def test_record_duration_tracks_sum_and_max(self):
-        stats = EndpointStats()
-        stats.record_duration(0.2)
-        stats.record_duration(0.5)
-        stats.record_duration(0.1)
-        assert stats.latency_seconds == pytest.approx(0.8)
-        assert stats.max_latency_seconds == 0.5
-        assert stats.snapshot()["max_latency_seconds"] == 0.5
+    def test_endpoint_answers_a_value_not_a_live_object(self):
+        telemetry = ServingTelemetry()
+        telemetry.record_requests("euclid", 2, 1, 1)
+        before = telemetry.endpoint("euclid")
+        telemetry.record_requests("euclid", 3, 0, 3)
+        assert before.requests == 2  # computed when asked for, then fixed
+        assert telemetry.endpoint("euclid").requests == 5
+        with pytest.raises(AttributeError):
+            before.requests = 9  # frozen: nothing writes through the view
 
-    def test_restore_tolerates_states_missing_new_fields(self):
-        stats = EndpointStats.__new__(EndpointStats)
-        stats.__snapshot_restore__({"requests": 7, "latency_seconds": 1.5})
-        assert stats.requests == 7
-        assert stats.latency_seconds == 1.5
-        assert stats.max_latency_seconds == 0.0  # defaulted, not KeyError
-        assert stats.drift_events == 0
+    def test_reading_an_unknown_endpoint_records_nothing(self):
+        telemetry = ServingTelemetry()
+        assert telemetry.endpoint("never-seen") == EndpointStats()
+        assert len(telemetry.metrics) == 0
+        assert telemetry.snapshot() == {"total": EndpointStats().snapshot()}
+
+    def test_counts_are_ints(self):
+        telemetry = ServingTelemetry()
+        telemetry.record_requests("euclid", 5, 3, 2)
+        telemetry.record_batch("euclid", 4)
+        telemetry.record_observation("euclid", 10, 5)
+        for entry in telemetry.snapshot().values():
+            for key in ("requests", "cache_hits", "cache_misses", "batches",
+                        "max_batch_size", "auto_flush_failures", "observations",
+                        "drift_events"):
+                assert type(entry[key]) is int, key
 
 
 class TestRegistryFeeds:
@@ -49,15 +56,25 @@ class TestRegistryFeeds:
         assert metrics.get("repro_cache_misses_total", labels).value == 2.0
 
     def test_latency_feeds_endpoint_and_total_histograms(self):
+        """One histogram per endpoint is written; the total's is the read-time
+        merge of them — no ``endpoint="total"`` series exists."""
         telemetry = ServingTelemetry()
         telemetry.record_latency("euclid", 0.004)
         telemetry.record_latency("euclid", 0.04)
-        for endpoint in ("euclid", "total"):
-            histogram = telemetry.metrics.get(
-                "repro_request_latency_seconds", {"endpoint": endpoint}
-            )
-            assert isinstance(histogram, Histogram)
-            assert histogram.count == 2
+        telemetry.record_latency("hamming", 0.3)
+        histogram = telemetry.metrics.get(
+            "repro_request_latency_seconds", {"endpoint": "euclid"}
+        )
+        assert isinstance(histogram, Histogram)
+        assert histogram.count == 2
+        assert telemetry.metrics.get(
+            "repro_request_latency_seconds", {"endpoint": "total"}
+        ) is None
+        euclid, total = telemetry.endpoint("euclid"), telemetry.total
+        assert euclid.latency_seconds == pytest.approx(0.044)
+        assert euclid.max_latency_seconds == 0.04
+        assert total.latency_seconds == pytest.approx(0.344)
+        assert total.max_latency_seconds == 0.3
 
     def test_snapshot_reports_latency_percentiles(self):
         telemetry = ServingTelemetry()
@@ -72,6 +89,31 @@ class TestRegistryFeeds:
         telemetry.record_requests("cold", 1, 0, 1)
         assert "latency_p50" not in telemetry.snapshot()["cold"]
 
+    def test_total_percentiles_add_the_endpoints_bucket_counts(self):
+        telemetry = ServingTelemetry()
+        reference = Histogram("reference")
+        for endpoint, seconds in (("a", 0.002), ("a", 0.03), ("b", 0.2), ("b", 12.0)):
+            telemetry.record_latency(endpoint, seconds)
+            reference.observe(seconds)
+        total = telemetry.snapshot()["total"]
+        assert total["latency_p50"] == reference.quantile(0.50)
+        assert total["latency_p95"] == reference.quantile(0.95)
+        assert total["latency_p99"] == reference.quantile(0.99)  # overflow: the max
+
+    def test_batches_and_auto_flush_failures_are_metrics_too(self):
+        telemetry = ServingTelemetry()
+        telemetry.record_batch("euclid", 6)
+        telemetry.record_batch("euclid", 2)
+        telemetry.record_auto_flush_failure("euclid")
+        labels = {"endpoint": "euclid"}
+        batches = telemetry.metrics.get("repro_micro_batch_records", labels)
+        assert (batches.count, batches.sum, batches.max) == (2, 8.0, 6.0)
+        assert telemetry.metrics.get("repro_auto_flush_failures_total", labels).value == 1.0
+        stats = telemetry.endpoint("euclid")
+        assert (stats.batches, stats.batched_records, stats.max_batch_size) == (2, 8, 6)
+        assert stats.mean_batch_size == 4.0
+        assert stats.auto_flush_failures == telemetry.total.auto_flush_failures == 1
+
     def test_pool_tasks_share_the_endpoint_helper_and_track_max(self):
         telemetry = ServingTelemetry()
         telemetry.record_pool_task("shards", 0.01)
@@ -82,6 +124,7 @@ class TestRegistryFeeds:
         assert stats.max_latency_seconds == 0.03
         # Pool tasks never inflate the client-facing totals.
         assert telemetry.total.requests == 0
+        assert telemetry.total.latency_seconds == 0.0
         labels = {"pool": "shards"}
         assert telemetry.metrics.get("repro_pool_tasks_total", labels).value == 2.0
         assert telemetry.metrics.get("repro_pool_task_seconds", labels).count == 2
@@ -93,6 +136,7 @@ class TestRegistryFeeds:
         histogram = telemetry.metrics.get("repro_q_error", {"endpoint": "euclid"})
         assert histogram.count == 1
         assert histogram.max == 2.0
+        assert telemetry.endpoint("euclid").mean_q_error == 2.0
 
     def test_drift_feeds_counter(self):
         telemetry = ServingTelemetry()
@@ -103,19 +147,7 @@ class TestRegistryFeeds:
             ).value
             == 1.0
         )
-
-    def test_kill_switch_skips_registry_but_keeps_flat_counters(self):
-        telemetry = ServingTelemetry()
-        disable_metrics()
-        try:
-            telemetry.record_requests("euclid", 2, 1, 1)
-            telemetry.record_latency("euclid", 0.01)
-            telemetry.record_pool_task("shards", 0.01)
-        finally:
-            enable_metrics()
-        assert telemetry.endpoint("euclid").requests == 2
-        assert telemetry.endpoint("pool:shards").max_latency_seconds == 0.01
-        assert len(telemetry.metrics) == 0
+        assert telemetry.endpoint("euclid").drift_events == 1
 
     def test_to_prometheus_delegates_to_registry(self):
         telemetry = ServingTelemetry()
@@ -123,32 +155,119 @@ class TestRegistryFeeds:
         text = telemetry.to_prometheus()
         assert 'repro_requests_total{endpoint="euclid"} 1' in text
 
-    def test_reset_clears_registry_too(self):
+    def test_counts_merged_from_another_registry_show_in_the_flat_view(self):
+        """What a process-backend child ships back lands in the one ledger,
+        so the flat view counts it — even for entries never recorded here."""
+        child = ServingTelemetry()
+        child.record_requests("euclid", 4, 1, 3)
+        child.record_pool_task("shards-proc", 0.02)
         telemetry = ServingTelemetry()
         telemetry.record_requests("euclid", 1, 1, 0)
-        telemetry.reset()
-        assert len(telemetry.metrics) == 0
-        assert telemetry.snapshot() == {"total": telemetry.total.snapshot()}
+        telemetry.metrics.merge_state(child.metrics.export_state())
+        assert telemetry.endpoint("euclid").requests == 5
+        assert telemetry.endpoint("euclid").cache_misses == 3
+        assert telemetry.endpoint("pool:shards-proc").requests == 1
+        assert telemetry.total.requests == 5
+        # ... and recording keeps working on the merged entries.
+        telemetry.record_pool_task("shards-proc", 0.01)
+        assert telemetry.endpoint("pool:shards-proc").requests == 2
+
+
+class TestMonitoringSeesTheLedger:
+    def test_hub_over_a_telemetry_sees_traffic_after_every_public_call(self):
+        """Regression: ``reset()`` used to swap in a new registry, orphaning
+        every hub, SLO evaluator, alert manager and scraper built over the
+        old one.  The registry's identity is now fixed for the telemetry's
+        lifetime, whichever public method runs."""
+        telemetry = ServingTelemetry()
+        registry = telemetry.metrics
+        hub = MonitoringHub(telemetry=telemetry, clock=lambda: 0.0)
+        series = metric_key("repro_requests_total", {"endpoint": "euclid"})
+        calls = [
+            lambda: telemetry.record_requests("euclid", 1, 0, 1),
+            lambda: telemetry.record_batch("euclid", 1),
+            lambda: telemetry.record_latency("euclid", 0.01),
+            lambda: telemetry.record_auto_flush_failure("euclid"),
+            lambda: telemetry.record_pool_task("shards", 0.01),
+            lambda: telemetry.record_observation("euclid", 3.0, 4.0),
+            lambda: telemetry.record_drift("euclid"),
+            lambda: telemetry.endpoint("euclid"),
+            lambda: telemetry.total,
+            lambda: telemetry.snapshot(),
+            lambda: telemetry.to_prometheus(),
+            lambda: telemetry.__snapshot_state__(),
+        ]
+        assert not hasattr(telemetry, "reset")
+        for tick, call in enumerate(calls, start=1):
+            call()
+            assert telemetry.metrics is registry
+            assert hub.registry is telemetry.metrics
+            telemetry.record_requests("euclid", 1, 0, 1)
+            hub.tick(now=float(tick))
+            assert hub.store.latest(series) == (float(tick), float(tick + 1))
 
 
 class TestSnapshotHooks:
-    def test_state_roundtrip_drops_and_rebuilds_lock(self):
+    def test_state_roundtrip_drops_and_rebuilds_lock(self, tmp_path):
         telemetry = ServingTelemetry()
         telemetry.record_requests("euclid", 3, 2, 1)
         telemetry.record_latency("euclid", 0.01)
-        state = telemetry.__snapshot_state__()
-        assert "_lock" not in state
-        restored = ServingTelemetry.__new__(ServingTelemetry)
-        restored.__snapshot_restore__(state)
-        restored.record_requests("euclid", 1, 0, 1)  # lock works again
+        save_component(telemetry, tmp_path / "telemetry")
+        restored = load_component(tmp_path / "telemetry")
+        assert restored.snapshot() == telemetry.snapshot()
+        assert restored.to_prometheus() == telemetry.to_prometheus()
+        # The metrics' locks were rebuilt and the handles re-resolve.
+        restored.record_requests("euclid", 1, 0, 1)
         assert restored.endpoint("euclid").requests == 4
+        assert telemetry.endpoint("euclid").requests == 3
 
-    def test_restore_defaults_registry_for_pre_rebase_states(self):
-        restored = ServingTelemetry.__new__(ServingTelemetry)
-        restored.__snapshot_restore__(
-            {"_endpoints": {}, "total": EndpointStats()}
-        )
-        restored.record_latency("euclid", 0.01)
-        assert restored.metrics.get(
-            "repro_request_latency_seconds", {"endpoint": "euclid"}
-        ).count == 1
+    def test_state_is_the_registry_and_nothing_else(self):
+        telemetry = ServingTelemetry()
+        telemetry.record_requests("euclid", 3, 2, 1)
+        state = telemetry.__snapshot_state__()
+        assert list(state) == ["metrics"]
+        assert isinstance(state["metrics"], MetricsRegistry)
+
+
+class TestThreadSafety:
+    def test_eight_threads_recording_into_one_telemetry_sum_exactly(self):
+        telemetry = ServingTelemetry()
+        threads, rounds = 8, 400
+        barrier = threading.Barrier(threads)
+
+        def work(index: int) -> None:
+            barrier.wait(timeout=30)  # all eight record at the same time
+            for _ in range(rounds):
+                # Every thread hits the shared endpoint (handle resolution
+                # races included) and one of its own.
+                for name in ("shared", f"own{index}"):
+                    telemetry.record_requests(name, 3, 1, 2)
+                    telemetry.record_batch(name, 2)
+                    telemetry.record_latency(name, 0.5)
+                    telemetry.record_observation(name, 2.0, 1.0)
+                telemetry.record_pool_task("fanout", 0.25)
+                telemetry.record_drift("shared")
+                telemetry.record_auto_flush_failure("shared")
+
+        pool = WorkerPool("recorders", num_workers=threads, telemetry=telemetry)
+        try:
+            pool.map(work, range(threads))
+        finally:
+            pool.shutdown()
+
+        calls = threads * rounds
+        shared = telemetry.endpoint("shared")
+        assert shared.requests == 3 * calls
+        assert (shared.cache_hits, shared.cache_misses) == (calls, 2 * calls)
+        assert (shared.batches, shared.batched_records) == (calls, 2 * calls)
+        assert shared.latency_seconds == 0.5 * calls  # exact: 0.5 is a power of two
+        assert (shared.observations, shared.q_error_sum) == (calls, 2.0 * calls)
+        assert shared.drift_events == shared.auto_flush_failures == calls
+        for index in range(threads):
+            assert telemetry.endpoint(f"own{index}").requests == 3 * rounds
+        fanout = telemetry.endpoint("pool:fanout")
+        assert (fanout.requests, fanout.latency_seconds) == (calls, 0.25 * calls)
+        assert telemetry.endpoint("pool:recorders").requests == threads
+        total = telemetry.total
+        assert total.requests == 2 * 3 * calls  # pool tasks stay out
+        assert total.latency_seconds == 2 * 0.5 * calls

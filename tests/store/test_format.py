@@ -201,11 +201,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        data["version"] = FORMAT_VERSION - 1
+        assert FORMAT_VERSION == 5  # one telemetry ledger (4 = array-native probes)
+        data["version"] = 4
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(
-            SnapshotFormatError, match=rf"version {FORMAT_VERSION - 1}\b.*version {FORMAT_VERSION}\b"
-        ):
+        with pytest.raises(SnapshotFormatError, match=r"version 4\b.*version 5\b"):
             read_snapshot(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):
