@@ -1,31 +1,56 @@
-"""Runtime concurrency smoke benchmark: pipelined multi-query throughput.
+"""Runtime concurrency benchmark: what batching buys, and when a pool pays.
 
-Two sections, each emitting a machine-readable ``JSON:`` line and a
+Three sections, each emitting a machine-readable ``JSON:`` line and a
 ``BENCH_*.json`` artifact:
 
-* **pipelined engine throughput** — the same multi-predicate workload
-  answered by (a) the pre-runtime serving pattern, one ``execute(query)``
-  call at a time (per-query planning, per-query micro-batches), and (b) the
-  runtime path, ``execute_many(queries)`` with 4 execute workers (ONE batched
-  estimation pass per endpoint, plan assembly overlapped with residual
-  verification on the ``engine-execute`` pool).  Results must be
-  bit-identical — the runtime moves wall-clock, never answers — and the
-  headline assertion is ≥1.5x multi-query throughput at 4 workers.  The win
-  is architectural (batching + pipelining), so it holds on a single-core
-  runner; extra cores widen it through the GIL-releasing verification
-  kernels.
+* **multi-query throughput** — the same multi-predicate workload answered on
+  ONE engine configuration by (a) an ``execute(query)`` loop (per-query
+  planning, per-query micro-batches), (b) ``execute_many(queries,
+  parallel=False)`` (ONE batched estimation pass per endpoint, plans executed
+  in order on the caller) and (c) ``execute_many(queries)`` as shipped.
+  Results must be bit-identical across the three.  The ≥1.5x bar is on what
+  was measured to earn it — batched planning, (b) over (a); (c) is (b) unless
+  execution waits on worker processes (``pipelines_execution``), so here it
+  must submit nothing to any pool.  (An earlier version of this benchmark
+  timed (a) on a 1-worker engine against (c) on a 4-worker engine and
+  credited the difference to pipelining.)
+
+* **thread fan-out break-even** — the evidence behind
+  ``repro.sharding.selector.THREAD_DISPATCH_FLOOR_SECONDS``: a standalone
+  4-shard ``ShardedSelector`` on Hamming and Euclidean data at 5k / 40k /
+  200k / 400k / 800k rows, the same probes answered by a thread fan-out (floor
+  patched to 0) and by the inline loop (``parallel=False``) in interleaved
+  passes, with the CPU seconds per shard task the selector's own meter read.
+  Asserts the shipped floor picks the faster side in every cell whose sides
+  differ by more than their spread (cells inside ``COIN_TOSS_BAND_MS``, where
+  repeated processes contradict each other, are reported but not asserted).
+  About a minute and ~0.5 GB at the largest cell, so it runs only when asked
+  for::
+
+      PYTHONPATH=src python -m pytest benchmarks/bench_runtime_concurrency.py \
+          -q -s -k break_even --run-break-even
 
 * **backpressure accounting** — a full bounded queue driven through each
   admission-control policy (``block`` / ``reject`` / ``shed_oldest``) with
   the counts the pool reports for every decision, pinning that admitted work
   always completes and every rejection/shed is accounted.
+
+Run it the way ``benchmarks/e2e/run.py`` runs the engine, BLAS on one thread
+(``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``, set before numpy is imported,
+so on the command line): with two BLAS threads on a two-core box the batched
+estimation pass is bimodal from process to process (0.038–0.094 s for the
+same 120 queries) and the first section's ratio reads anywhere in 1.4–3.0x.
+The artifacts record the pins they were taken under.
 """
 
 from __future__ import annotations
 
 import os
+import platform
+import statistics
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +59,11 @@ from artifacts import emit_json
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.datasets import make_binary_dataset, make_vector_dataset
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.runtime import PoolRejectedError, WorkerPool
+from repro.runtime import PoolRejectedError, Runtime, WorkerPool, usable_cores
+from repro.selection.euclidean_index import BallIndexEuclideanSelector
+from repro.selection.hamming_index import PackedHammingSelector
+from repro.sharding import ShardedSelector
+from repro.sharding import selector as selector_module
 
 NUM_RECORDS = 5000
 NUM_QUERIES = 120
@@ -56,9 +85,9 @@ def runtime_datasets():
     return hamming, euclidean
 
 
-def _build_engine(datasets, execute_workers):
+def _build_engine(datasets):
     hamming, euclidean = datasets
-    engine = SimilarityQueryEngine(execute_workers=execute_workers)
+    engine = SimilarityQueryEngine(execute_workers=EXECUTE_WORKERS)
     engine.register_attribute(
         "bits",
         hamming.records,
@@ -99,86 +128,245 @@ def _workload(datasets):
     return queries
 
 
-def test_pipelined_execute_many_is_faster_and_bit_identical(
+def _machine():
+    return {
+        "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
+        "blas_thread_pins": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "loadavg": os.getloadavg(),
+    }
+
+
+def test_batched_execute_many_is_faster_and_bit_identical(
     runtime_datasets, print_table
 ):
     queries = _workload(runtime_datasets)
+    paths = {
+        "execute() loop": lambda engine: [engine.execute(query) for query in queries],
+        "execute_many(parallel=False)": lambda engine: engine.execute_many(
+            queries, parallel=False
+        ),
+        "execute_many()": lambda engine: engine.execute_many(queries),
+    }
 
-    # Best-of-2 on a FRESH engine per repetition (a warm curve cache would
-    # measure caching, not the execution path); answers come from run 1.
-    def measure(run):
-        best, results = float("inf"), None
-        for _ in range(2):
-            engine, seconds, answered = run()
-            if seconds < best:
-                best = seconds
-            results = results if results is not None else answered
-        return best, results, engine
+    # Best-of-3, rounds interleaved across the paths, each on a FRESH engine
+    # of the one configuration (a warm curve cache would measure caching, not
+    # the execution path); answers come from round 1.
+    seconds = {name: float("inf") for name in paths}
+    answers, engines = {}, {}
+    for _ in range(3):
+        for name, run in paths.items():
+            engine = _build_engine(runtime_datasets)
+            start = time.perf_counter()
+            answered = run(engine)
+            seconds[name] = min(seconds[name], time.perf_counter() - start)
+            answers.setdefault(name, answered)
+            engines[name] = engine
 
-    # (a) Sequential reference: one query at a time, the pre-runtime pattern.
-    def run_sequential():
-        engine = _build_engine(runtime_datasets, execute_workers=1)
-        start = time.perf_counter()
-        answered = [engine.execute(query) for query in queries]
-        return engine, time.perf_counter() - start, answered
+    # Exactness first: batching may only move wall-clock, never answers.
+    reference = answers["execute() loop"]
+    for name in paths:
+        for expected, result in zip(reference, answers[name]):
+            assert result.record_ids == expected.record_ids
+            assert result.driver_actual == expected.driver_actual
+            assert result.plan.driver.attribute == expected.plan.driver.attribute
 
-    # (b) Pipelined path: one batched planning pass + a 4-worker pool.
-    def run_pipelined():
-        engine = _build_engine(runtime_datasets, execute_workers=EXECUTE_WORKERS)
-        start = time.perf_counter()
-        answered = engine.execute_many(queries)
-        return engine, time.perf_counter() - start, answered
+    # Nothing here leaves the interpreter, so the shipped path dispatches
+    # nothing: it IS the batched sequential path.
+    assert engines["execute_many()"].runtime.pool_names() == []
 
-    sequential_seconds, sequential, _ = measure(run_sequential)
-    pipelined_seconds, pipelined, pipelined_engine = measure(run_pipelined)
-
-    # Exactness first: the runtime may only move wall-clock, never answers.
-    for reference, result in zip(sequential, pipelined):
-        assert result.record_ids == reference.record_ids
-        assert result.driver_actual == reference.driver_actual
-        assert result.plan.driver.attribute == reference.plan.driver.attribute
-
-    pool_stats = pipelined_engine.runtime.stats()["engine-execute"]
-    assert pool_stats["num_workers"] == EXECUTE_WORKERS
-    assert pool_stats["completed"] == NUM_QUERIES
-
-    speedup = sequential_seconds / pipelined_seconds
-    throughput_sequential = NUM_QUERIES / sequential_seconds
-    throughput_pipelined = NUM_QUERIES / pipelined_seconds
+    loop = seconds["execute() loop"]
     print_table(
-        f"Pipelined multi-query throughput — {NUM_QUERIES} conjunctive queries, "
-        f"{NUM_RECORDS} records x 2 attributes (cpus={os.cpu_count()})",
-        ["path", "seconds", "queries/s", "speedup"],
+        f"Multi-query throughput — {NUM_QUERIES} conjunctive queries, "
+        f"{NUM_RECORDS} records x 2 attributes, execute_workers={EXECUTE_WORKERS} "
+        f"(usable cores={usable_cores()})",
+        ["path", "seconds", "queries/s", "vs loop"],
         [
-            ["execute() loop (sequential)", f"{sequential_seconds:.4f}",
-             f"{throughput_sequential:.1f}", "-"],
-            [f"execute_many() @ {EXECUTE_WORKERS} workers",
-             f"{pipelined_seconds:.4f}", f"{throughput_pipelined:.1f}",
-             f"{speedup:.1f}x"],
+            [name, f"{seconds[name]:.4f}", f"{NUM_QUERIES / seconds[name]:.1f}",
+             f"{loop / seconds[name]:.2f}x"]
+            for name in paths
         ],
     )
+    batched_speedup = loop / seconds["execute_many(parallel=False)"]
     emit_json(
         "runtime_concurrency",
         {
             "benchmark": "runtime_concurrency",
-            "section": "pipelined_engine_throughput",
+            "section": "multi_query_throughput",
             "num_records": NUM_RECORDS,
             "num_queries": NUM_QUERIES,
             "execute_workers": EXECUTE_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "sequential_seconds": sequential_seconds,
-            "pipelined_seconds": pipelined_seconds,
-            "queries_per_second_sequential": throughput_sequential,
-            "queries_per_second_pipelined": throughput_pipelined,
-            "speedup_4_workers_vs_sequential": speedup,
-            "results_identical": True,
-            "pool": {
-                "completed": pool_stats["completed"],
-                "max_queue_seen": pool_stats["max_queue_seen"],
+            "machine": _machine(),
+            "seconds": seconds,
+            "queries_per_second": {
+                name: NUM_QUERIES / value for name, value in seconds.items()
             },
+            "speedup_batched_planning_vs_loop": batched_speedup,
+            "speedup_as_shipped_vs_loop": loop / seconds["execute_many()"],
+            "results_identical": True,
+            "pools_used_as_shipped": engines["execute_many()"].runtime.pool_names(),
         },
     )
-    assert speedup >= 1.5
+    assert batched_speedup >= 1.5
+
+
+# --------------------------------------------------------------------------- #
+# Thread fan-out break-even (evidence for THREAD_DISPATCH_FLOOR_SECONDS)
+# --------------------------------------------------------------------------- #
+BREAK_EVEN_ROWS = (5_000, 40_000, 200_000, 400_000, 800_000)
+BREAK_EVEN_SHARDS = 4
+BREAK_EVEN_PASSES = 4
+BREAK_EVEN_PROBES = 24
+#: CPU ms per shard task between which the two sides trade places from one
+#: process to the next on this 2-core box (10 cells measured there while the
+#: floor was chosen: inline ahead in 2, the pool in 3, ranges overlapping in
+#: 5; CHANGES.md, PR 18).  Cells inside it are reported, not asserted.
+COIN_TOSS_BAND_MS = (1.0, 2.95)
+
+BREAK_EVEN_KINDS = {
+    "hamming": (
+        lambda rng, rows: rng.integers(0, 2, size=(rows, 64)).astype(np.uint8),
+        PackedHammingSelector,
+        20.0,
+    ),
+    "euclidean": (
+        lambda rng, rows: rng.normal(size=(rows, 12)),
+        BallIndexEuclideanSelector,
+        2.5,
+    ),
+}
+
+
+def _median_ms_per_query(selector, probes, threshold):
+    timings = []
+    for probe in probes:
+        start = time.perf_counter()
+        selector.query(probe, threshold)
+        timings.append(time.perf_counter() - start)
+    return statistics.median(timings) * 1e3
+
+
+def _break_even_cell(kind, rows):
+    """One (distance, size) cell: interleaved passes of the two sides over
+    the same probes, plus the mean CPU seconds per shard task the selector's
+    meter read while the loop ran inline — the decision's input."""
+    make_matrix, selector_cls, threshold = BREAK_EVEN_KINDS[kind]
+    rng = np.random.default_rng(rows)
+    matrix = make_matrix(rng, rows)
+    runtime = Runtime()
+    selector = ShardedSelector(
+        list(matrix),
+        selector_cls,
+        num_shards=BREAK_EVEN_SHARDS,
+        partitioner="round_robin",
+        runtime=runtime,
+    )
+    probes = [matrix[int(i)] for i in rng.integers(0, rows, size=BREAK_EVEN_PROBES)]
+    pool_ms, inline_ms, task_cpu = [], [], []
+    try:
+        for pass_index in range(BREAK_EVEN_PASSES + 1):  # pass 0 warms both sides
+            for side in ("pool", "inline") if pass_index % 2 else ("inline", "pool"):
+                if side == "pool":
+                    selector.parallel = True
+                    with mock.patch.multiple(
+                        selector_module,
+                        THREAD_DISPATCH_FLOOR_SECONDS=0.0,
+                        usable_cores=lambda: 2,
+                    ):
+                        reading = _median_ms_per_query(selector, probes, threshold)
+                    assert selector.stats()["last_fan_out"] == "thread"
+                else:
+                    selector.parallel = False
+                    reading = _median_ms_per_query(selector, probes, threshold)
+                    assert selector.stats()["last_fan_out"] == "inline"
+                    if pass_index:
+                        task_cpu.append(selector.stats()["mean_task_seconds"]["query"])
+                if pass_index:
+                    (pool_ms if side == "pool" else inline_ms).append(reading)
+    finally:
+        runtime.shutdown()
+    return {
+        "kind": kind,
+        "rows": rows,
+        "pool_ms": pool_ms,
+        "inline_ms": inline_ms,
+        "task_cpu_ms": statistics.median(task_cpu) * 1e3,
+    }
+
+
+def _verdict(cell):
+    """The faster side where the ranges separate (else ``None``), and the
+    side the shipped floor sends this cell's tasks to on a 2-core box."""
+    faster = None
+    if max(cell["inline_ms"]) < min(cell["pool_ms"]):
+        faster = "inline"
+    elif max(cell["pool_ms"]) < min(cell["inline_ms"]):
+        faster = "pool"
+    chosen = selector_module.fan_out_mode(
+        True, BREAK_EVEN_SHARDS, False, 2, cell["task_cpu_ms"] / 1e3
+    )
+    return faster, {"thread": "pool", "inline": "inline"}[chosen]
+
+
+def test_thread_fan_out_break_even_table(request, print_table):
+    if not request.config.getoption("--run-break-even"):
+        pytest.skip("~1 min and ~0.5 GB: pass --run-break-even (see module docstring)")
+    floor = selector_module.THREAD_DISPATCH_FLOOR_SECONDS
+    low, high = COIN_TOSS_BAND_MS
+    cells = [
+        _break_even_cell(kind, rows)
+        for kind in BREAK_EVEN_KINDS
+        for rows in BREAK_EVEN_ROWS
+    ]
+    table = []
+    for cell in cells:
+        faster, chosen = _verdict(cell)
+        cell["faster"], cell["rule_runs"] = faster, chosen
+        cell["coin_toss_band"] = low <= cell["task_cpu_ms"] < high
+        table.append(
+            [
+                cell["kind"], f"{cell['rows']:,}",
+                f"{min(cell['pool_ms']):.2f}–{max(cell['pool_ms']):.2f}",
+                f"{min(cell['inline_ms']):.2f}–{max(cell['inline_ms']):.2f}",
+                f"{cell['task_cpu_ms']:.3f}",
+                faster or "overlap",
+                chosen + (" (coin-toss band)" if cell["coin_toss_band"] else ""),
+            ]
+        )
+    print_table(
+        f"Thread fan-out break-even — {BREAK_EVEN_SHARDS} shards, "
+        f"{BREAK_EVEN_PASSES} interleaved passes x {BREAK_EVEN_PROBES} probes, "
+        f"median ms/query per pass (usable cores={usable_cores()}, "
+        f"floor={floor * 1e3:g} ms CPU/task)",
+        ["distance", "rows", "pool ms", "inline ms", "task CPU ms", "faster", "rule runs"],
+        table,
+    )
+    emit_json(
+        "runtime_fan_out_break_even",
+        {
+            "benchmark": "runtime_concurrency",
+            "section": "thread_fan_out_break_even",
+            "num_shards": BREAK_EVEN_SHARDS,
+            "passes": BREAK_EVEN_PASSES,
+            "probes_per_pass": BREAK_EVEN_PROBES,
+            "floor_seconds": floor,
+            "coin_toss_band_ms": COIN_TOSS_BAND_MS,
+            "machine": _machine(),
+            "cells": cells,
+        },
+    )
+    # The rule is right where it was measured: wherever the two sides'
+    # ranges separate (outside the band where they trade places run to run),
+    # the shipped floor runs the faster one.
+    for cell in cells:
+        if cell["faster"] is not None and not cell["coin_toss_band"]:
+            assert cell["rule_runs"] == cell["faster"], cell
 
 
 def test_backpressure_policies_account_for_every_submission(print_table):

@@ -64,6 +64,16 @@ def print_table():
     return _print_table
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-break-even",
+        action="store_true",
+        default=False,
+        help="run bench_runtime_concurrency.py's thread fan-out break-even "
+        "table (~1 min, ~0.5 GB at its largest cell)",
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Datasets (one per distance function, mirroring the paper's default datasets)
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ Partitions a binary dataset across 4 shards, builds one exact index and one
 estimator per shard, and registers the whole deployment as ONE engine
 attribute: the planner reads the merged monotone curve (the elementwise sum
 of the per-shard cached curves), the executor fans the query out across the
-shard indexes in parallel and merges bit-exactly, and a dataset update is
+shard indexes (a loop on the caller at this size; a pool once shards are large
+enough for one to pay) and merges bit-exactly, and a dataset update is
 routed to — and relabels — only the shard it touches.
 
 Run with:  python examples/sharded_quickstart.py
@@ -45,7 +46,7 @@ def main() -> None:
     print(f"shard sizes: {binding.selector.shard_sizes()}")
     print(f"endpoints:   {['fingerprints', *binding.shard_endpoints]}")
 
-    # --- Plan against the merged curve, execute by parallel fan-out ------- #
+    # --- Plan against the merged curve, execute by fan-out + merge -------- #
     query = SimilarityPredicate("fingerprints", dataset.records[7], 10.0)
     plan = engine.explain(query)
     print("\n" + plan.describe())

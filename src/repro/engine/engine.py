@@ -108,6 +108,23 @@ def _integer_grid(distance, estimator, theta_max, curve_thetas):
     return curve_thetas
 
 
+def pipelines_execution(
+    parallel: bool, execute_workers: int, num_queries: int, waits_outside: bool
+) -> bool:
+    """Whether ``execute_many`` hands plans to the ``engine-execute`` pool —
+    the pipelining site's one decision.
+
+    Plan execution is interpreter-bound (index probes, candidate filtering,
+    merging), so pool workers would only take turns on one interpreter lock:
+    measured, pipelining made every in-process batch slower (README, *Runtime
+    & concurrency*).  It pays in one case, which is therefore the only one
+    dispatched: execution *waits* outside the interpreter, on the worker
+    processes of a ``backend="process"`` attribute (``waits_outside``), and
+    there is a batch and a pool to overlap those waits with.
+    """
+    return parallel and execute_workers > 1 and num_queries > 1 and waits_outside
+
+
 @dataclass
 class _ManagerLink:
     """The §8 managers of one attribute, keyed by maintenance unit — the
@@ -135,7 +152,8 @@ class _ManagerLink:
 class SimilarityQueryEngine:
     """End-to-end engine over one table of similarity-queryable attributes."""
 
-    #: Runtime pool the pipelined ``execute_many`` runs verification on.
+    #: Runtime pool ``execute_many`` pipelines on when execution waits on
+    #: worker processes (:func:`pipelines_execution`).
     EXECUTE_POOL = "engine-execute"
 
     def __init__(
@@ -150,9 +168,10 @@ class SimilarityQueryEngine:
         slow_query_capacity: int = 64,
     ) -> None:
         self.service = service if service is not None else EstimationService()
-        #: One runtime under the whole engine: shard fan-out, the pipelined
-        #: executor, and anything else that needs workers share these pools,
-        #: and every pool reports into the service's telemetry.
+        #: One runtime under the whole engine: shard fan-out, pipelined
+        #: execution, and anything else that needs workers share its pools
+        #: (created on first use, so an engine whose work stays on the caller
+        #: has none), and every pool reports into the service's telemetry.
         self.runtime = (
             runtime if runtime is not None else Runtime(self.service.telemetry)
         )
@@ -287,9 +306,12 @@ class SimilarityQueryEngine:
         ``name#shardK`` per shard plus a merged ``name`` endpoint whose curves
         are the sums of the per-shard cached curves — the planner addresses
         only the merged endpoint, the executor fans out across the shard
-        indexes in parallel and merges exactly.  ``backend="process"`` runs
-        the fan-out on forked worker processes (shard arrays published once
-        via a shared data plane); results stay bit-identical either way.
+        indexes and merges exactly.  The fan-out is a loop on the caller's
+        thread until shard tasks are large enough for the thread pool to pay
+        (:func:`repro.sharding.selector.fan_out_mode`; ``parallel=False``
+        never dispatches).  ``backend="process"`` runs it on forked worker
+        processes (shard arrays published once via a shared data plane);
+        results stay bit-identical either way.
         """
         if name in self.catalog:
             raise KeyError(f"attribute {name!r} is already registered")
@@ -535,21 +557,24 @@ class SimilarityQueryEngine:
         """The bulk path: one batched planning pass for the whole workload,
         then per-query execution and feedback.
 
-        With ``parallel`` (the default, when the engine has more than one
-        execute worker and more than one query), execution is *pipelined*:
-        each plan is handed to the runtime's ``engine-execute`` pool the
-        moment the planner assembles it, so residual verification of early
-        queries overlaps plan assembly (GPH allocation, service curve
-        fetches) of later ones.  Execution only reads the catalog's indexes
-        and distance kernels, and feedback is applied on this thread in query
-        order after each result lands — so results AND the drift/repair
-        sequence are bit-identical to the sequential path.
+        Plans execute on this thread, in order, unless
+        :func:`pipelines_execution` says the batch waits outside the
+        interpreter (an attribute it names fans out to worker processes, and
+        ``parallel`` allows dispatch).  Then execution is *pipelined*: each
+        plan is handed to the runtime's ``engine-execute`` pool the moment
+        the planner assembles it, so the wait on one query's shard processes
+        overlaps plan assembly and execution of the others.  Execution only
+        reads the catalog's indexes and distance kernels, and feedback is
+        applied on this thread in query order after each result lands — so
+        results AND the drift/repair sequence are bit-identical either way.
         """
         normalized = as_queries(queries)
-        use_pool = (
-            parallel and self.execute_workers > 1 and len(normalized) > 1
-        )
-        if not use_pool:
+        if not pipelines_execution(
+            parallel,
+            self.execute_workers,
+            len(normalized),
+            self._waits_on_processes(normalized),
+        ):
             results = []
             for plan in self.planner.plan_many(normalized):
                 results.append(self.executor.execute(plan))
@@ -568,6 +593,20 @@ class SimilarityQueryEngine:
             self._observe(plan, result)
             results.append(result)
         return results
+
+    def _waits_on_processes(self, queries: Sequence[ConjunctiveQuery]) -> bool:
+        """Whether executing ``queries`` can wait on worker processes: some
+        attribute they name is sharded and currently fans out to processes."""
+        outside = {
+            binding.name
+            for binding in self.catalog
+            if binding.sharded and binding.selector.dispatches_to_processes
+        }
+        return bool(outside) and any(
+            predicate.attribute in outside
+            for query in queries
+            for predicate in query.predicates
+        )
 
     def explain_analyze(
         self,

@@ -206,7 +206,9 @@ class HealthReport:
             lines.append("  attributes:")
             for name, info in sorted(self.attributes.items()):
                 shard_note = (
-                    f" shards={info['shards']}" if info.get("shards") else ""
+                    f" shards={info['shards']} fan_out={info.get('fan_out')}"
+                    if info.get("shards")
+                    else ""
                 )
                 lines.append(
                     f"    {name:<20} {info['distance']:<10} "
@@ -278,6 +280,8 @@ def build_health_report(engine: Any, now: Optional[float] = None) -> HealthRepor
             info["shards"] = shard_stats["num_shards"]
             info["shard_sizes"] = shard_stats["shard_sizes"]
             info["backend"] = shard_stats["backend"]
+            info["fan_out"] = shard_stats["last_fan_out"]
+            info["mean_task_seconds"] = shard_stats["mean_task_seconds"]
         report.attributes[name] = info
     report.pools = engine.runtime.stats()
     report.service = engine.service.stats()

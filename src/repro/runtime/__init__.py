@@ -16,7 +16,10 @@ They all run here now:
   mmaps rather than per-task pickling;
 * :class:`Runtime` — the named-pool registry layers share (engine, sharding,
   replicas on one runtime = one set of workers), snapshot-aware: pools are
-  dropped at save and rebuilt lazily after restore;
+  dropped at save and rebuilt lazily after restore.  A pool is used only when
+  it pays: :meth:`Runtime.run_inline` runs a batch on the caller's thread
+  under the same metrics sink, and :func:`usable_cores` is the core count a
+  dispatch decision may rely on;
 * :class:`BatchCoalescer` — thread-safe merging of requests from many threads
   into one micro-batch per endpoint, the concurrent core of
   :class:`~repro.serving.EstimationService`'s deferred path.
@@ -32,7 +35,7 @@ from .pool import (
     WorkerPool,
     fork_available,
 )
-from .runtime import Runtime, default_runtime
+from .runtime import Runtime, default_runtime, usable_cores
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -45,4 +48,5 @@ __all__ = [
     "WorkerPool",
     "default_runtime",
     "fork_available",
+    "usable_cores",
 ]

@@ -1,13 +1,13 @@
 """Worker pools: the one thread-parallel execution primitive of the library.
 
 Every concurrent site in the stack — sharded fan-out, replica routing, the
-engine's pipelined ``execute_many`` — runs its tasks on a :class:`WorkerPool`
-acquired from a shared :class:`~repro.runtime.Runtime` instead of constructing
-a private executor.  A pool is *named* (so independent layers sharing one
-runtime reuse the same workers instead of oversubscribing the machine),
-*sized* at creation, and *lazily started* — no thread exists until the first
-submission, which is what lets snapshots simply drop pools at save and
-rebuild them on demand after restore.
+engine's pipelined ``execute_many`` — runs the tasks it dispatches on a
+:class:`WorkerPool` acquired from a shared :class:`~repro.runtime.Runtime`
+instead of constructing a private executor.  A pool is *named* (so
+independent layers sharing one runtime reuse the same workers instead of
+oversubscribing the machine), *sized* at creation, and *lazily started* — no
+thread exists until the first submission, which is what lets snapshots simply
+drop pools at save and rebuild them on demand after restore.
 
 Submission goes through a bounded queue with an explicit admission-control
 policy chosen per pool:
@@ -31,8 +31,16 @@ exactly like endpoint traffic.
 Two execution backends share ALL of the above (same queue, same admission
 control, same handles, same telemetry, same drain/shutdown):
 
-* ``backend="thread"`` (default) — tasks run on the worker threads.  Wins
-  when the tasks are GIL-releasing numpy kernels; zero serialization.
+* ``backend="thread"`` (default) — tasks run on the worker threads, zero
+  serialization.  Threads take turns on one interpreter lock, so a fan-out
+  gains only the time its tasks spend outside it (waiting on a child process
+  or a file, or inside a numpy kernel long enough to release it).  Measured
+  on 2 cores with 4 shard probes per fan-out: below 1 ms of CPU per task the
+  pool never beat a plain loop, from 3 ms it never lost to one (by up to
+  ~1.5x), and in between the two trade places (table at
+  ``repro.sharding.selector.THREAD_DISPATCH_FLOOR_SECONDS``).  Foreground
+  callers therefore ask first and run small batches on their own thread
+  (:meth:`~repro.runtime.Runtime.run_inline`).
 * ``backend="process"`` — each worker thread is paired 1:1 with a forked
   daemon child process; the thread ships the pre-pickled task down a pipe
   and blocks (GIL released) on the reply while the child executes on its own
@@ -68,6 +76,13 @@ POOL_BACKENDS = ("thread", "process")
 def fork_available() -> bool:
     """Whether this platform supports the ``fork`` start method (Linux/macOS)."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def metrics_sink(telemetry: Optional[Any]) -> Any:
+    """Where a runtime's ambient metrics land: the telemetry's registry when
+    it has one, otherwise the process default registry."""
+    registry = getattr(telemetry, "metrics", None)
+    return registry if registry is not None else default_registry()
 
 
 class _ChildWorker:
@@ -455,12 +470,6 @@ class WorkerPool:
                 if child is not None:
                     child.stop()
 
-    def _metrics_sink(self) -> Any:
-        """Where this pool's ambient metrics land: the telemetry's registry
-        when the pool has one, otherwise the process default registry."""
-        registry = getattr(self.telemetry, "metrics", None)
-        return registry if registry is not None else default_registry()
-
     def _run_task(
         self,
         index: int,
@@ -523,7 +532,7 @@ class WorkerPool:
                 self._active += 1
                 self._not_full.notify()
             start = time.perf_counter()
-            sink = self._metrics_sink()
+            sink = metrics_sink(self.telemetry)
             task_span: Optional[Any] = None
             if context is not None:
                 # Re-activate the submitter's span on this thread so the

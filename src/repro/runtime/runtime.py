@@ -17,11 +17,23 @@ identity between e.g. an engine and its sharded selectors.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from .pool import WorkerPool
+from ..obs.metrics import use_registry
+from .pool import WorkerPool, metrics_sink
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its scheduler affinity where the
+    platform reports one (a container or ``taskset`` shrinks it below the
+    machine's count), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS / Windows have no affinity call
+        return os.cpu_count() or 1
 
 
 class Runtime:
@@ -72,6 +84,19 @@ class Runtime:
             )
             self._pools[name] = created
             return created
+
+    def run_inline(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        """Run ``fn`` on the calling thread, under the metrics sink a pool of
+        this runtime would push around it.
+
+        The one inline counterpart of :meth:`WorkerPool.submit` — a site that
+        decides a batch is too small to dispatch runs it here, so ambient
+        instrumentation inside the task (shard-op counters, service
+        histograms) lands in the same registry wherever the task ran.  It is
+        not a pool task: nothing is queued, and no ``pool:<name>`` count moves.
+        """
+        with use_registry(metrics_sink(self.telemetry)):
+            return fn(*args, **kwargs)
 
     def pool_names(self) -> List[str]:
         with self._lock:

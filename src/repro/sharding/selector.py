@@ -2,11 +2,17 @@
 
 :class:`ShardedSelector` partitions the dataset into shards (one inner
 selector per shard, built by a caller-supplied factory) and answers every
-query by fan-out + merge: each shard runs the exact selection on its slice —
-in parallel on a thread pool — and the shard-local match ids are translated
-back to global record ids and merged in ascending order.  Because every shard
-is exact and the merge loses nothing, results are bit-identical to running
-the unsharded selector over the full dataset, for any partitioning.
+query by fan-out + merge: each shard runs the exact selection on its slice
+and the shard-local match ids are translated back to global record ids and
+merged in ascending order.  Because every shard is exact and the merge loses
+nothing, results are bit-identical to running the unsharded selector over the
+full dataset, for any partitioning.
+
+Where the shard tasks run is decided per fan-out from what the selector can
+observe (:func:`fan_out_mode`): on the calling thread, unless more than one
+core is usable and one task of that op has been costing at least
+:data:`THREAD_DISPATCH_FLOOR_SECONDS` of CPU — the measured size from which
+handing tasks to the runtime's thread pool beats looping over them.
 
 With ``backend="process"`` the fan-out escapes the GIL entirely: each shard's
 index arrays are published once through a
@@ -15,8 +21,9 @@ arguments to forked worker processes, which attach the shard's arrays as
 read-only mmap views and rebuild the selector exactly once per (shard,
 process).  Results stay bit-identical to the thread backend — same selector
 classes, same kernels, only the address space differs.  Shards whose selector
-cannot export a plane (``export_arrays() is None``) silently keep the thread
-fan-out, as do platforms without ``fork``.
+cannot export a plane (``export_arrays() is None``) silently keep the
+in-process fan-out; on platforms without ``fork`` the process pool itself
+runs on threads.
 
 Updates route the same way (§8 per shard, not globally): an insert/delete
 expressed against *global* record ids is translated into one local operation
@@ -45,7 +52,7 @@ import numpy as np
 from ..datasets.updates import UpdateOperation
 from ..obs.metrics import current_registry
 from ..obs.trace import span
-from ..runtime import POOL_BACKENDS, Runtime, default_runtime
+from ..runtime import POOL_BACKENDS, Runtime, default_runtime, usable_cores
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
 from ..store.plane import PlaneHandle, SharedDataPlane, cached_rebuild
@@ -62,6 +69,117 @@ SHARD_POOL = "shards"
 #: first-acquisition-wins, so the process path must never race a component
 #: that already created ``"shards"`` as a thread pool.
 SHARD_PROCESS_POOL = "shards-proc"
+
+#: Mean CPU seconds of one shard task from which a thread fan-out pays — the
+#: measured break-even, read in :func:`fan_out_mode` and nowhere else.
+#:
+#: Standalone 4-shard selector, thread fan-out vs the inline loop over the same
+#: 24 probes, 4 interleaved passes, median ms per query per pass (ranges: this
+#: box wanders), beside the CPU ms per shard task the selector's own meter
+#: read.  2 usable cores (Linux 6.18 Firecracker guest, Python 3.11.7, numpy
+#: 2.4.6, BLAS on one thread); committed with its machine block as
+#: ``BENCH_runtime_fan_out_break_even.json``, reproduced by
+#: ``pytest benchmarks/bench_runtime_concurrency.py -k break_even --run-break-even``:
+#:
+#: ========= ======= =========== =========== ======== ======= =========
+#: distance  rows    pool ms     inline ms   task CPU faster  rule runs
+#: ========= ======= =========== =========== ======== ======= =========
+#: hamming   5,000   0.19–0.23   0.10–0.12   0.018    inline  inline
+#: hamming   40,000  0.28–0.43   0.17–0.21   0.035    inline  inline
+#: hamming   200,000 0.79–1.11   0.66–0.80   0.144    overlap inline
+#: hamming   400,000 1.85–2.31   1.68–2.00   0.403    overlap inline
+#: hamming   800,000 3.82–7.02   3.60–4.07   0.854    overlap inline
+#: euclidean 5,000   0.42–0.55   0.35–0.37   0.071    inline  inline
+#: euclidean 40,000  2.45–3.23   2.23–2.89   0.529    overlap inline
+#: euclidean 200,000 7.35–13.41  11.13–11.63 2.733    overlap inline
+#: euclidean 400,000 12.86–14.17 17.94–24.84 5.910    pool    pool
+#: euclidean 800,000 33.99–38.60 51.00–53.36 12.955   pool    pool
+#: ========= ======= =========== =========== ======== ======= =========
+#:
+#: Over every cell measured while the floor was chosen (61, five runs of this
+#: table or parts of it in separate processes; all listed in CHANGES.md):
+#: below 1 ms of CPU per task the pool was never the faster side (27 cells:
+#: inline ahead in 18, ranges overlapping in 9); from 2.95 ms it was never the
+#: slower one (24 cells: pool ahead in 20, overlapping in 4, by up to ~1.5x);
+#: between, the sides trade places from process to process (10 cells: inline
+#: 2, pool 3, overlap 5).  The floor sits at the top of that band: a pool is
+#: used only where it was never seen to lose.  Scaling on >= 4 cores is
+#: unmeasured (this box has two); on two, the thread path does not scale yet
+#: beyond that ~1.5x.
+THREAD_DISPATCH_FLOOR_SECONDS = 0.003
+
+
+def fan_out_mode(
+    parallel: bool,
+    num_tasks: int,
+    planes: bool,
+    cores: int,
+    mean_task_seconds: float,
+) -> str:
+    """Where one batch of shard tasks runs — the shard fan-out's one decision.
+
+    Published process planes mean worker processes (the selector was asked
+    for them and every shard could export).  Otherwise the tasks are a loop
+    on the calling thread unless dispatch is allowed (``parallel``), there is
+    something to overlap (more than one task, more than one usable core) and
+    one task has been costing at least :data:`THREAD_DISPATCH_FLOOR_SECONDS`
+    of CPU.  No measurement yet reads as ``0.0`` and so as inline: the first
+    fan-out of an op is the measurement.
+    """
+    if planes:
+        return "process"
+    if (
+        parallel
+        and num_tasks > 1
+        and cores > 1
+        and mean_task_seconds >= THREAD_DISPATCH_FLOOR_SECONDS
+    ):
+        return "thread"
+    return "inline"
+
+
+class _FanOutMeter:
+    """What a selector has observed about its own fan-outs: per op, the
+    running mean of one shard task's CPU seconds, and where the last fan-out
+    ran.
+
+    CPU time (``time.thread_time``) is the same number on the caller and on
+    a pool worker and does not count waiting for the interpreter lock, so
+    the mode chosen from it does not feed back into it.  The mean is plain
+    over the first :attr:`WINDOW` tasks and exponentially weighted after, so
+    it follows shards that grow.  Advisory state: it is dropped from
+    snapshots, and losing it costs at most one inline fan-out per op.
+    """
+
+    WINDOW = 32
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._means: Dict[str, Tuple[int, float]] = {}
+        self._last_mode: Optional[str] = None
+
+    def observe(self, op: str, cpu_seconds: float) -> None:
+        with self._lock:
+            count, mean = self._means.get(op, (0, 0.0))
+            count = min(count + 1, self.WINDOW)
+            self._means[op] = (count, mean + (cpu_seconds - mean) / count)
+
+    def ran(self, mode: str) -> None:
+        with self._lock:
+            self._last_mode = mode
+
+    def mean(self, op: str) -> float:
+        with self._lock:
+            return self._means.get(op, (0, 0.0))[1]
+
+    def snapshot(self) -> Dict[str, Any]:
+        with self._lock:
+            return {
+                "last_fan_out": self._last_mode,
+                "mean_task_seconds": {
+                    op: mean for op, (_, mean) in sorted(self._means.items())
+                },
+            }
 
 
 def _record_shard_op(op: str, shard_id: int, seconds: float) -> None:
@@ -171,8 +289,21 @@ class ShardLayoutSnapshot:
     versions: List[int]
 
 
+class _MergedIds(list):
+    """The ascending global ids :meth:`ShardedSelector.query` promises — the
+    plain list they always were — carrying the sorted int64 array they were
+    read from, so the engine's executor (the one caller that wants the array)
+    takes it as is instead of rebuilding it from the list."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        super().__init__(array.tolist())
+        self.array = array
+
+
 class ShardedSelector(SimilaritySelector):
-    """Fan-out + merge over per-shard exact selectors (thread-pool parallel)."""
+    """Fan-out + merge over per-shard exact selectors."""
 
     DEFAULT_NUM_SHARDS = 4
 
@@ -239,6 +370,7 @@ class ShardedSelector(SimilaritySelector):
         #: applied since :meth:`begin_rebalance`, replayed at commit.
         self._journal: Optional[List[UpdateOperation]] = None
         self._maintenance_handles: List[Any] = []
+        self._meter = _FanOutMeter()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -280,7 +412,10 @@ class ShardedSelector(SimilaritySelector):
         return self._assignment.shard_sizes()
 
     def stats(self) -> Dict[str, Any]:
-        """Shard-topology summary (the health report's per-attribute view)."""
+        """Shard-topology summary (the health report's per-attribute view),
+        with where the last fan-out ran (``inline`` / ``thread`` /
+        ``process``; ``None`` before the first) and the per-op mean CPU
+        seconds of one shard task that choice was made on."""
         return {
             "num_shards": self.num_shards,
             "shard_sizes": self.shard_sizes(),
@@ -289,7 +424,15 @@ class ShardedSelector(SimilaritySelector):
             "records": len(self),
             "rebalance_in_flight": self._journal is not None,
             "journal_depth": len(self._journal) if self._journal is not None else 0,
+            **self._meter.snapshot(),
         }
+
+    @property
+    def dispatches_to_processes(self) -> bool:
+        """Whether fan-outs currently go to worker processes: asked for,
+        allowed, and no shard has refused to export a plane.  The one case
+        in which a caller of this selector waits outside the interpreter."""
+        return self.backend == "process" and self.parallel and not self._plane_disabled
 
     # ------------------------------------------------------------------ #
     # Parallel fan-out
@@ -298,38 +441,55 @@ class ShardedSelector(SimilaritySelector):
         self, op: str, shard_id: int, shard: SimilaritySelector,
         task: Callable[[SimilaritySelector], Any],
     ) -> Any:
-        """Run one shard's task under a ``shard.task`` span + op metrics."""
+        """Run one shard's task under a ``shard.task`` span + op metrics,
+        metering the CPU seconds of the task body for :func:`fan_out_mode`."""
         started = time.perf_counter()
         with span("shard.task", op=op, shard=shard_id):
+            cpu_started = time.thread_time()
             result = task(shard)
+            self._meter.observe(op, time.thread_time() - cpu_started)
         _record_shard_op(op, shard_id, time.perf_counter() - started)
         return result
+
+    def _shard_loop(
+        self,
+        op: str,
+        task: Callable[[SimilaritySelector], Any],
+        shards: List[SimilaritySelector],
+    ) -> List[Any]:
+        return [
+            self._shard_call(op, shard_id, shard, task)
+            for shard_id, shard in enumerate(shards)
+        ]
 
     def _map_shards(
         self,
         op: str,
         task: Callable[[SimilaritySelector], Any],
         shards: List[SimilaritySelector],
+        mode: str,
     ) -> List[Any]:
-        """Run ``task`` on every shard selector, in parallel when enabled.
+        """Run ``task`` on every shard selector in this process: as a loop on
+        the calling thread (``mode="inline"``) or as one task per shard on
+        the runtime's shared :data:`SHARD_POOL` (``mode="thread"``).
 
-        Thread parallelism pays off because the shard kernels are numpy
-        scans/reductions that release the GIL; with one shard (or disabled
-        parallelism) the plain loop avoids pool overhead entirely.  The
-        fan-out runs on the runtime's shared :data:`SHARD_POOL` — acquired
-        lazily, so a freshly restored selector (whose runtime dropped its
-        pools at save) just rebuilds it on the first parallel query.
+        The same :meth:`_shard_call` runs either way — same span, same
+        metrics, same registry (:meth:`~repro.runtime.Runtime.run_inline`
+        pushes the sink a pool worker would).  Worker threads share one
+        interpreter lock, so the pool gains only what the shard kernels spend
+        outside it; :func:`fan_out_mode` picks it from the measured
+        break-even (:data:`THREAD_DISPATCH_FLOOR_SECONDS`), not on faith.
+        The pool is acquired lazily, so a freshly restored selector (whose
+        runtime dropped its pools at save) rebuilds it on its first thread
+        fan-out.
 
         Submission is shard-id-aware (each task knows which shard it covers,
         for spans and metrics) but keeps ``pool.map``'s error contract: every
         handle resolves before the first failure re-raises.
         """
-        if not self.parallel or len(shards) == 1:
-            return [
-                self._shard_call(op, shard_id, shard, task)
-                for shard_id, shard in enumerate(shards)
-            ]
         runtime = self.runtime if self.runtime is not None else default_runtime()
+        if mode == "inline":
+            return runtime.run_inline(self._shard_loop, op, task, shards)
         pool = runtime.pool(SHARD_POOL, num_workers=len(shards))
         handles = [
             pool.submit(self._shard_call, op, shard_id, shard, task)
@@ -357,7 +517,7 @@ class ShardedSelector(SimilaritySelector):
         # Unlike the thread path there is no single-shard shortcut: one shard
         # in one worker process still moves the scan off the caller's core
         # (and keeps 1-worker measurements honest about pipe overhead).
-        if self.backend != "process" or not self.parallel:
+        if not self.dispatches_to_processes:
             return None
         with self._lock:
             if self._plane_disabled:
@@ -422,9 +582,10 @@ class ShardedSelector(SimilaritySelector):
     def _fan_out(
         self, op: str, payload: Tuple, task: Callable[[SimilaritySelector], Any]
     ) -> Tuple[List[Any], ShardAssignment]:
-        """Run one op on every shard: process plane fan-out when available,
-        the thread (or serial) path otherwise.  Both execute the same
-        selector code, so their results are interchangeable bit for bit.
+        """Run one op on every shard, where :func:`fan_out_mode` says: on
+        worker processes over published planes, on the thread pool, or as a
+        loop on this thread.  All three execute the same selector code, so
+        their results are interchangeable bit for bit.
 
         The (shards, assignment, planes) triple is captured under the layout
         lock so a concurrent rebalance commit cannot tear it; the shard
@@ -436,8 +597,16 @@ class ShardedSelector(SimilaritySelector):
             shards = list(self._shards)
             assignment = self._assignment
             planes = self._ensure_planes()
-        if planes is None:
-            return self._map_shards(op, task, shards), assignment
+        mode = fan_out_mode(
+            self.parallel,
+            len(shards),
+            planes is not None,
+            usable_cores(),
+            self._meter.mean(op),
+        )
+        self._meter.ran(mode)
+        if mode != "process":
+            return self._map_shards(op, task, shards, mode), assignment
         runtime = self.runtime if self.runtime is not None else default_runtime()
         pool = runtime.pool(
             SHARD_PROCESS_POOL, num_workers=len(planes), backend="process"
@@ -452,15 +621,17 @@ class ShardedSelector(SimilaritySelector):
     def _merge(
         local_matches: Sequence[Sequence[int]], assignment: ShardAssignment
     ) -> np.ndarray:
-        """Translate per-shard local match ids to one sorted global id array."""
-        parts = [
-            assignment.to_global(shard_id, matches)
-            for shard_id, matches in enumerate(local_matches)
-            if len(matches)
-        ]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+        """Translate per-shard local match ids to one sorted global id array:
+        one buffer, filled shard by shard and sorted in place."""
+        counts = [len(matches) for matches in local_matches]
+        merged = np.empty(sum(counts), dtype=np.int64)
+        offset = 0
+        for shard_id, (matches, count) in enumerate(zip(local_matches, counts)):
+            if count:
+                merged[offset:offset + count] = assignment.to_global(shard_id, matches)
+                offset += count
+        merged.sort()
+        return merged
 
     # ------------------------------------------------------------------ #
     # Exact selection (bit-identical to the unsharded selector)
@@ -476,14 +647,16 @@ class ShardedSelector(SimilaritySelector):
         local_matches, assignment = self._fan_out(
             "query", (record, threshold), lambda shard: shard.query(record, threshold)
         )
-        merged = self._merge(local_matches, assignment)
-        return [int(i) for i in merged], [len(matches) for matches in local_matches]
+        return (
+            _MergedIds(self._merge(local_matches, assignment)),
+            [len(matches) for matches in local_matches],
+        )
 
     def query_many(
         self, records: Sequence[Any], thresholds: Sequence[float]
     ) -> List[List[int]]:
         """Batched fan-out: each shard answers the whole workload in one task,
-        amortizing the thread dispatch over every query."""
+        amortizing the per-task overhead over every query."""
         if len(records) != len(thresholds):
             raise ValueError("records and thresholds must have the same length")
         per_shard, assignment = self._fan_out(
@@ -495,12 +668,7 @@ class ShardedSelector(SimilaritySelector):
             ],
         )
         return [
-            [
-                int(i)
-                for i in self._merge(
-                    [matches[q] for matches in per_shard], assignment
-                )
-            ]
+            self._merge([matches[q] for matches in per_shard], assignment).tolist()
             for q in range(len(records))
         ]
 
@@ -556,7 +724,8 @@ class ShardedSelector(SimilaritySelector):
         an engine and its sharded selectors restore onto ONE runtime, and the
         shard pool is rebuilt lazily on the first parallel fan-out.  Plane
         state (temp files + handles into them), the layout lock, any pending
-        maintenance handles, and an in-flight rebalance journal are likewise
+        maintenance handles, the fan-out meter (advisory; re-learned by the
+        first fan-out), and an in-flight rebalance journal are likewise
         dropped — a restored selector serves the committed layout.
         """
         state = dict(self.__dict__)
@@ -570,12 +739,14 @@ class ShardedSelector(SimilaritySelector):
         state["_dirty_plane_shards"] = set()
         state["_journal"] = None
         state["_maintenance_handles"] = []
+        state.pop("_meter", None)
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self.selector_factory = self._rebuild_shard
         self._lock = threading.RLock()
+        self._meter = _FanOutMeter()
 
     # ------------------------------------------------------------------ #
     # Update routing (the per-shard §8 path)

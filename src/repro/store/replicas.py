@@ -199,9 +199,13 @@ class ReplicaSet:
         fanning the per-replica batches out on a thread pool.
 
         Replicas share no state (each is a fully independent restore), so
-        concurrent execution is safe; like the sharded selector's fan-out,
-        the parallelism pays off because the replica kernels are numpy
-        scans/reductions that release the GIL."""
+        concurrent execution is safe.  Whether the thread fan-out is *faster*
+        than running the shares in turn is not measured: plan execution is
+        interpreter-bound, and the engine's own two fan-outs lost to the
+        calling thread at every size where their work stayed in the
+        interpreter (README, *Runtime & concurrency*).  No end-to-end
+        workload reaches this method yet; it dispatches as it always has
+        until one does and the same measurement can be made here."""
         queries = list(queries)
         picks = [self._pick() for _ in queries]
         results: List[Any] = [None] * len(queries)

@@ -64,7 +64,9 @@ def _build(records, factory, backend, telemetry):
 
 
 @pytest.mark.parametrize("kind", sorted(WORKLOADS))
-def test_child_counters_merge_into_parent_registry(kind):
+def test_child_counters_merge_into_parent_registry(kind, thread_fan_out):
+    # ``thread_fan_out``: the comparison side runs its shard tasks on the
+    # thread pool (these shards are far below the size at which it would).
     records, factory, threshold = WORKLOADS[kind]
     telemetry = ServingTelemetry()
     thread_telemetry = ServingTelemetry()

@@ -188,9 +188,8 @@ class TestDisabledPath:
 
 
 class TestLiveAttribution:
-    def test_sharded_workload_is_90_percent_attributed(self):
-        """Thread backend: pool workers attribute by thread name, the driver
-        thread by its profile_scope — >=90% of samples must land rooted."""
+    @staticmethod
+    def _profile_sharded_workload():
         enable_profiling()
         rng = np.random.default_rng(3)
         records = [row for row in rng.normal(size=(4000, 12))]
@@ -217,6 +216,19 @@ class TestLiveAttribution:
             f"only {fraction:.0%} of {profiler.total_samples} samples attributed:"
             f" {profiler.label_totals()}"
         )
-        totals = profiler.label_totals()
-        assert any(label.startswith("pool:") for label in totals), totals
+        return selector, profiler.label_totals()
+
+    def test_sharded_workload_is_90_percent_attributed(self, thread_fan_out):
+        """Thread fan-out: pool workers attribute by thread name, the driver
+        thread by its profile_scope — >=90% of samples must land rooted."""
+        selector, totals = self._profile_sharded_workload()
+        assert selector.stats()["last_fan_out"] == "thread"
+        assert "pool:shards" in totals, totals
+        assert "endpoint:driver" in totals
+
+    def test_inline_shard_tasks_are_attributed_to_their_caller(self):
+        """Inline fan-out (what shards this small get): the shard tasks run
+        on the driver thread, so its profile_scope roots them — still >=90%."""
+        selector, totals = self._profile_sharded_workload()
+        assert selector.stats()["last_fan_out"] == "inline"
         assert "endpoint:driver" in totals

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import Runtime, WorkerPool, default_runtime
+from repro.obs import current_registry, default_registry
+from repro.runtime import Runtime, WorkerPool, default_runtime, usable_cores
 from repro.serving import ServingTelemetry
 from repro.store import load_component, save_component
 
@@ -120,6 +121,50 @@ class TestPoolRegistry:
             deadline.wait(0.05)
         assert not alive, "dropped Runtime leaked its worker threads"
         assert before <= {t.name for t in threading.enumerate()} | spawned
+
+
+class TestRunInline:
+    def test_runs_on_the_caller_under_the_sink_a_pool_would_push(self):
+        import threading
+
+        telemetry = ServingTelemetry()
+        runtime = Runtime(telemetry)
+        pool_side = runtime.pool("probe", num_workers=1).submit(current_registry).result()
+
+        def task(a, b=0):
+            return threading.get_ident(), current_registry(), a + b
+
+        ident, inline_side, value = runtime.run_inline(task, 2, b=3)
+        assert ident == threading.get_ident() and value == 5
+        assert inline_side is pool_side is telemetry.metrics
+        # The caller's own ambient registry is back afterwards, and an inline
+        # task is not a pool task: no pool, no pool:<name> count.
+        assert current_registry() is default_registry()
+        assert runtime.pool_names() == ["probe"]
+        assert telemetry.snapshot()["pool:probe"]["requests"] == 1
+        runtime.shutdown()
+
+    def test_without_telemetry_the_sink_is_the_default_registry(self):
+        assert Runtime().run_inline(current_registry) is default_registry()
+
+    def test_errors_propagate_and_the_registry_is_restored(self):
+        runtime = Runtime(ServingTelemetry())
+        with pytest.raises(ZeroDivisionError):
+            runtime.run_inline(lambda: 1 / 0)
+        assert current_registry() is default_registry()
+        assert runtime.pool_names() == []
+
+    def test_usable_cores_is_the_affinity_when_the_platform_has_one(self, monkeypatch):
+        import os
+
+        assert usable_cores() >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cores() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
 
 
 class TestSnapshotHooks:

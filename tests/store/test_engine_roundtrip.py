@@ -18,6 +18,7 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
+from repro.runtime import fork_available
 from repro.store import ReplicaSet, inspect_snapshot, load_engine, save_engine
 
 
@@ -233,7 +234,7 @@ class TestRuntimeBackedTopology:
     executor + sharded fan-out) must snapshot WITHOUT serializing pools and
     restore to a fully working parallel topology — including replicas."""
 
-    def _sharded_runtime_engine(self, dataset):
+    def _sharded_runtime_engine(self, dataset, backend="thread"):
         engine = SimilarityQueryEngine(execute_workers=4)
         engine.register_sharded_attribute(
             "vec",
@@ -244,40 +245,52 @@ class TestRuntimeBackedTopology:
             ),
             num_shards=3,
             theta_max=dataset.theta_max,
+            backend=backend,
         )
         return engine
 
+    @pytest.mark.skipif(
+        not fork_available(), reason="process backend needs the fork start method"
+    )
     def test_runtime_pools_never_serialize_and_rebuild_after_restore(
         self, datasets, tmp_path
     ):
         dataset = datasets["hamming"]
-        engine = self._sharded_runtime_engine(dataset)
+        # Process shards: the one topology in which BOTH foreground sites
+        # (pipelined execution, shard fan-out) run on pools.
+        engine = self._sharded_runtime_engine(dataset, backend="process")
         queries = [
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
         ]
-        engine.execute_many(queries)  # spin up both pools before saving
-        assert set(engine.runtime.pool_names()) == {"engine-execute", "shards"}
+        restored = None
+        try:
+            engine.execute_many(queries)  # spin up both pools before saving
+            assert set(engine.runtime.pool_names()) == {"engine-execute", "shards-proc"}
 
-        save_engine(engine, tmp_path / "snap")
-        manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
-        assert "WorkerPool" not in manifest_text  # pools are dropped, not saved
-        assert "_thread" not in manifest_text
+            save_engine(engine, tmp_path / "snap")
+            manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
+            assert "WorkerPool" not in manifest_text  # pools are dropped, not saved
+            assert "_thread" not in manifest_text
 
-        restored = load_engine(tmp_path / "snap")
-        # The restored runtime starts empty; identity survives — the restored
-        # sharded selector fans out on the restored ENGINE's runtime.
-        assert restored.runtime.pool_names() == []
-        assert restored.catalog.get("vec").selector.runtime is restored.runtime
+            restored = load_engine(tmp_path / "snap")
+            # The restored runtime starts empty; identity survives — the restored
+            # sharded selector fans out on the restored ENGINE's runtime.
+            assert restored.runtime.pool_names() == []
+            assert restored.catalog.get("vec").selector.runtime is restored.runtime
 
-        # Parallel execution works again (pools rebuilt lazily) and matches
-        # the original engine query for query, shard counts included.
-        for original, loaded in zip(
-            engine.execute_many(queries), restored.execute_many(queries)
-        ):
-            assert_results_equal(original, loaded)
-        assert set(restored.runtime.pool_names()) == {"engine-execute", "shards"}
-        pool_report = restored.service.telemetry.snapshot()["pool:engine-execute"]
-        assert pool_report["requests"] >= len(queries)
+            # Parallel execution works again (pools rebuilt lazily) and matches
+            # the original engine query for query, shard counts included.
+            for original, loaded in zip(
+                engine.execute_many(queries), restored.execute_many(queries)
+            ):
+                assert_results_equal(original, loaded)
+            assert set(restored.runtime.pool_names()) == {"engine-execute", "shards-proc"}
+            pool_report = restored.service.telemetry.snapshot()["pool:engine-execute"]
+            assert pool_report["requests"] >= len(queries)
+        finally:
+            engine.runtime.shutdown()
+            if restored is not None:
+                restored.runtime.shutdown()
 
     def test_replicas_of_a_runtime_backed_engine_route_on_their_own_pools(
         self, datasets, tmp_path
