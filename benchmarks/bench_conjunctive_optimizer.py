@@ -7,6 +7,10 @@ reports total processing time, candidates examined, and planning precision
 Paper shape: Exact has the best precision and time; CardNet-A is close behind
 and clearly better than the naive Mean policy; estimation time is a small
 fraction of total processing time.
+
+A paper-figure reproduction with no CI gate (ROADMAP retirement item, bin 1):
+every policy plans through ``repro.engine.QueryPlanner`` and runs on one shared
+``QueryExecutor``; only the estimate source differs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from repro.baselines import KernelDensityEstimator, MeanEstimator
 from repro.baselines.simple import ExactEstimator
 from repro.core import CardNetEstimator
 from repro.datasets.synthetic import Dataset
+from repro.engine import QueryExecutor, QueryPlanner
 from repro.optimizer import (
-    ConjunctiveQueryProcessor,
+    DirectEstimates,
     generate_conjunctive_queries,
-    run_conjunctive_workload,
+    plan_quality,
+    relation_catalog,
 )
 from repro.selection import BallIndexEuclideanSelector
 from repro.workloads import build_workload
@@ -61,19 +67,24 @@ def planners(relation):
 
 
 def test_figures11_12_conjunctive_optimizer(relation, planners, print_table, benchmark):
-    processor = ConjunctiveQueryProcessor(relation, num_pivots=12, seed=0)
+    catalog = relation_catalog(relation, num_pivots=12, seed=0)
+    executor = QueryExecutor(catalog)
     queries = generate_conjunctive_queries(relation, num_queries=30, threshold_range=(0.2, 0.5), seed=5)
 
-    reports = {
-        policy: run_conjunctive_workload(processor, queries, estimators)
+    results = {
+        policy: [
+            executor.execute(plan)
+            for plan in QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
+        ]
         for policy, estimators in planners.items()
     }
+    reports = {policy: plan_quality(catalog, executed) for policy, executed in results.items()}
     rows = [
         [
             policy,
             f"{report.total_seconds:.3f}",
-            f"{report.total_estimation_seconds:.3f}",
-            str(report.total_candidates),
+            f"{report.estimation_seconds:.3f}",
+            str(report.driver_candidates),
             f"{report.planning_precision:.2f}",
         ]
         for policy, report in reports.items()
@@ -96,14 +107,22 @@ def test_figures11_12_conjunctive_optimizer(relation, planners, print_table, ben
     # planning clearly better than picking an attribute uniformly at random
     # (expected precision 1/3 here).
     assert reports["Exact"].planning_precision == 1.0
-    assert reports["CardNet-A"].total_candidates <= max(
-        reports["Mean"].total_candidates * 1.5, reports["Mean"].total_candidates + 15
+    assert reports["CardNet-A"].driver_candidates <= max(
+        reports["Mean"].driver_candidates * 1.5, reports["Mean"].driver_candidates + 15
     )
     random_floor = 1.0 / len(relation.attribute_names)
     assert reports["CardNet-A"].planning_precision > random_floor
-    # Whatever plan was chosen, execution stays exact.
-    for policy, report in reports.items():
-        for execution, query in zip(report.executions, queries):
-            assert sorted(execution.result_ids) == processor.answer(query), policy
+    # Whatever plan was chosen, execution stays exact: the conjunction is the
+    # intersection of its predicates' own index answers.
+    for policy, executed in results.items():
+        for result, query in zip(executed, queries):
+            truth = set.intersection(
+                *(
+                    set(catalog.get(p.attribute).selector.query(p.record, p.theta))
+                    for p in query.predicates
+                )
+            )
+            assert result.record_ids == sorted(truth), policy
 
-    benchmark(lambda: processor.execute(queries[0], planners["CardNet-A"]))
+    planner = QueryPlanner(catalog, DirectEstimates(planners["CardNet-A"]))
+    benchmark(lambda: executor.execute(planner.plan(queries[0])))

@@ -7,9 +7,16 @@ and total time, and sweeps the histogram size (Figure 14).
 
 Paper shape: Exact ≈ CardNet-A < Histogram < Mean in candidates/time; larger
 histograms help the histogram policy but it stays behind the learned model.
+
+A paper-figure reproduction with no CI gate (ROADMAP retirement item, bin 1).
+Each query is planned by ``GPHQueryProcessor.plan`` and run the way the
+engine's executor runs a GPH driver: ``selector.verified_candidates`` under the
+plan's allocation.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -17,11 +24,10 @@ import pytest
 from repro.core import CardNetEstimator
 from repro.datasets.synthetic import Dataset
 from repro.optimizer import (
+    ExactPartCardinalities,
     GPHQueryProcessor,
-    exact_part_estimator,
-    histogram_part_estimator,
-    mean_part_estimator,
-    model_part_estimator,
+    MeanPartCardinalities,
+    ModelPartCardinalities,
 )
 from repro.workloads import build_workload
 
@@ -56,16 +62,28 @@ def cardnet_part_models(hm_dataset, gph_processor):
     return models
 
 
-def _run_policy(processor, records, queries, thresholds, estimator):
+def _plan_and_execute(processor, query, threshold, estimator):
+    """(candidates, allocation seconds, processing seconds) of one query."""
+    plan = processor.plan(query, threshold, estimator)
+    processing_start = time.perf_counter()
+    _, num_candidates = processor.selector.verified_candidates(
+        query, threshold, allocation=plan.allocation
+    )
+    return num_candidates, plan.allocation_seconds, time.perf_counter() - processing_start
+
+
+def _run_policy(processor, queries, thresholds, estimator):
     total_candidates = 0
     total_seconds = 0.0
     allocation_seconds = 0.0
     for query in queries:
         for threshold in thresholds:
-            execution = processor.execute(query, threshold, estimator)
-            total_candidates += execution.num_candidates
-            total_seconds += execution.total_seconds
-            allocation_seconds += execution.allocation_seconds
+            candidates, allocation, processing = _plan_and_execute(
+                processor, query, threshold, estimator
+            )
+            total_candidates += candidates
+            total_seconds += allocation + processing
+            allocation_seconds += allocation
     return total_candidates, total_seconds, allocation_seconds
 
 
@@ -76,13 +94,13 @@ def test_figure13_gph_policies(hm_dataset, gph_processor, cardnet_part_models, p
     thresholds = [8, 12, 16]
 
     policies = {
-        "Exact": exact_part_estimator(gph_processor, records),
-        "CardNet-A": model_part_estimator(gph_processor, cardnet_part_models),
-        "Histogram": histogram_part_estimator(gph_processor, records, group_size=8),
-        "Mean": mean_part_estimator(gph_processor, records),
+        "Exact": ExactPartCardinalities(gph_processor, records),
+        "CardNet-A": ModelPartCardinalities(gph_processor, cardnet_part_models),
+        "Histogram": ModelPartCardinalities.histograms(gph_processor, records, group_size=8),
+        "Mean": MeanPartCardinalities(gph_processor, records),
     }
     results = {
-        name: _run_policy(gph_processor, records, queries, thresholds, estimator)
+        name: _run_policy(gph_processor, queries, thresholds, estimator)
         for name, estimator in policies.items()
     }
     rows = [
@@ -104,7 +122,7 @@ def test_figure13_gph_policies(hm_dataset, gph_processor, cardnet_part_models, p
     assert results["CardNet-A"][0] <= results["Mean"][0] * 1.5
 
     estimator = policies["CardNet-A"]
-    benchmark(lambda: gph_processor.execute(queries[0], 12, estimator))
+    benchmark(lambda: _plan_and_execute(gph_processor, queries[0], 12, estimator))
 
 
 def test_figure14_histogram_size_sweep(hm_dataset, gph_processor, print_table, benchmark, rng):
@@ -116,8 +134,8 @@ def test_figure14_histogram_size_sweep(hm_dataset, gph_processor, print_table, b
     rows = []
     candidate_counts = {}
     for group_size in (4, 8, 16):
-        estimator = histogram_part_estimator(gph_processor, records, group_size=group_size)
-        candidates, seconds, _ = _run_policy(gph_processor, records, queries, [threshold], estimator)
+        estimator = ModelPartCardinalities.histograms(gph_processor, records, group_size=group_size)
+        candidates, seconds, _ = _run_policy(gph_processor, queries, [threshold], estimator)
         candidate_counts[group_size] = candidates
         rows.append([str(group_size), str(candidates), f"{seconds:.3f}"])
     print_table(
@@ -130,5 +148,5 @@ def test_figure14_histogram_size_sweep(hm_dataset, gph_processor, print_table, b
     # bits) should not lead to more candidates than the coarsest setting.
     assert candidate_counts[16] <= candidate_counts[4] * 1.5
 
-    estimator = histogram_part_estimator(gph_processor, records, group_size=8)
-    benchmark(lambda: gph_processor.execute(queries[0], threshold, estimator))
+    estimator = ModelPartCardinalities.histograms(gph_processor, records, group_size=8)
+    benchmark(lambda: _plan_and_execute(gph_processor, queries[0], threshold, estimator))

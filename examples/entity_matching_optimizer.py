@@ -8,6 +8,8 @@ selective one first with an index; the rest are verified on the fly.
 This example builds a multi-attribute relation, trains one CardNet-A per
 attribute, and compares three planning policies (Exact oracle, CardNet-A, and
 a query-independent Mean policy) by planning precision and candidates examined.
+Every policy runs on the engine's own planner and executor; a policy is only
+the estimate source the planner is given.
 
 Run with:  python examples/entity_matching_optimizer.py
 """
@@ -19,10 +21,12 @@ from repro.baselines.simple import ExactEstimator
 from repro.core import CardNetEstimator
 from repro.datasets import make_multi_attribute_relation
 from repro.datasets.synthetic import Dataset
+from repro.engine import QueryExecutor, QueryPlanner
 from repro.optimizer import (
-    ConjunctiveQueryProcessor,
+    DirectEstimates,
     generate_conjunctive_queries,
-    run_conjunctive_workload,
+    plan_quality,
+    relation_catalog,
 )
 from repro.selection import BallIndexEuclideanSelector
 from repro.workloads import build_workload
@@ -49,7 +53,8 @@ def main() -> None:
         seed=11,
         name="Publications",
     )
-    processor = ConjunctiveQueryProcessor(relation, num_pivots=12, seed=0)
+    catalog = relation_catalog(relation, num_pivots=12, seed=0)
+    executor = QueryExecutor(catalog)
     queries = generate_conjunctive_queries(relation, num_queries=25, threshold_range=(0.2, 0.5), seed=12)
 
     print("Training one CardNet-A per attribute ...")
@@ -71,15 +76,16 @@ def main() -> None:
 
     print("\nExecuting the conjunctive-query workload under each planning policy:")
     print(f"{'policy':>10}  {'precision':>9}  {'candidates':>10}  {'total time (s)':>14}")
-    for policy_name, planner in (
+    for policy_name, estimators in (
         ("Exact", exact_planner),
         ("CardNet-A", cardnet_planner),
         ("Mean", mean_planner),
     ):
-        report = run_conjunctive_workload(processor, queries, planner)
+        plans = QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
+        report = plan_quality(catalog, [executor.execute(plan) for plan in plans])
         print(
             f"{policy_name:>10}  {report.planning_precision:>9.2f}  "
-            f"{report.total_candidates:>10}  {report.total_seconds:>14.3f}"
+            f"{report.driver_candidates:>10}  {report.total_seconds:>14.3f}"
         )
     print("\nA better cardinality estimator picks the truly most selective predicate more often,")
     print("which shrinks the candidate sets the remaining predicates have to verify.")

@@ -7,7 +7,8 @@ Public API highlights
 * :mod:`repro.datasets` — synthetic datasets standing in for the paper's corpora.
 * :mod:`repro.workloads` — query workload and label generation.
 * :mod:`repro.baselines` — every estimator the paper compares against.
-* :mod:`repro.optimizer` — the query-optimizer case studies (§9.11).
+* :mod:`repro.optimizer` — the GPH allocation DP the engine's planner calls, and
+  the §9.11 case-study workload and plan-quality report.
 * :mod:`repro.serving` — registry + micro-batching service + curve cache.
 * :mod:`repro.engine` — end-to-end query engine (plan → execute → feedback).
 * :mod:`repro.sharding` — horizontal scale-out: partitioned exact selection

@@ -1,9 +1,10 @@
 """Estimator-driven query planning.
 
-The planner never touches an estimator directly: every estimate flows through
-the :class:`repro.serving.EstimationService`, so micro-batching and the
-monotone curve cache apply to planning traffic exactly as to any other client.
-Two levels of planning happen here:
+The planner never touches an estimator directly: every estimate comes from its
+estimate source — in the engine the :class:`repro.serving.EstimationService`,
+so micro-batching and the monotone curve cache apply to planning traffic
+exactly as to any other client (the §9.11 case study passes
+:class:`repro.optimizer.DirectEstimates` instead).  Two levels of planning:
 
 * **predicate ordering** — all predicates of a query (and, in
   :meth:`QueryPlanner.plan_many`, of a whole workload) are estimated with one
@@ -43,9 +44,6 @@ class ServicePartCurves(PartCardinalityEstimator):
     def __init__(self, service: EstimationService, part_endpoints: Sequence[str]) -> None:
         self._service = service
         self._part_endpoints = list(part_endpoints)
-
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        return self._service.estimate(self._part_endpoints[part_index], part_bits, threshold)
 
     def part_curves(
         self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
@@ -119,7 +117,9 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Turns query specs into :class:`QueryPlan` objects via the service."""
+    """Turns query specs into :class:`QueryPlan` objects.  ``service`` is the
+    estimate source: anything with the service's ``estimate_many`` (and, for
+    GPH attributes, ``estimate_curve``)."""
 
     def __init__(self, catalog: AttributeCatalog, service: EstimationService) -> None:
         self.catalog = catalog

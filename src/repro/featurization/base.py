@@ -71,11 +71,20 @@ def proportional_threshold_map(
     """τ = floor(τ_max · θ / θ_max), the transformation used for HM/ED/JC (§4).
 
     Array-valued (a scalar θ gives a 0-d result).  For integer-valued
-    distances with θ_max <= τ_max the identity is used by the callers instead,
-    so each original threshold keeps its own decoder.
+    distances with θ_max <= τ_max :func:`integer_threshold_map` uses the
+    identity instead.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if theta_max <= 0:
         return np.zeros(thetas.shape, dtype=np.int64)
     ratios = np.clip(thetas / theta_max, 0.0, 1.0)
     return np.floor(tau_max * ratios + 1e-12).astype(np.int64)
+
+
+def integer_threshold_map(thetas: np.ndarray, theta_max: float, tau_max: int) -> np.ndarray:
+    """θ → τ for integer-valued distances (HM/ED), on range-checked ``thetas``:
+    the identity when θ_max fits in τ_max — each original threshold keeps its
+    own decoder — and the proportional map otherwise."""
+    if theta_max <= tau_max:
+        return np.floor(thetas + 1e-12).astype(np.int64)
+    return proportional_threshold_map(thetas, theta_max, tau_max)

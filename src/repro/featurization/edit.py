@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map
+from .base import FeatureExtractor, integer_threshold_map
 
 
 class EditFeatureExtractor(FeatureExtractor):
@@ -71,6 +71,4 @@ class EditFeatureExtractor(FeatureExtractor):
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)
-        if self.theta_max <= self.tau_max:
-            return np.floor(thetas + 1e-12).astype(np.int64)
-        return proportional_threshold_map(thetas, self.theta_max, self.tau_max)
+        return integer_threshold_map(thetas, self.theta_max, self.tau_max)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map
+from .base import FeatureExtractor, integer_threshold_map
 
 
 class HammingFeatureExtractor(FeatureExtractor):
@@ -36,6 +36,4 @@ class HammingFeatureExtractor(FeatureExtractor):
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)
-        if self.theta_max <= self.tau_max:
-            return np.floor(thetas + 1e-12).astype(np.int64)
-        return proportional_threshold_map(thetas, self.theta_max, self.tau_max)
+        return integer_threshold_map(thetas, self.theta_max, self.tau_max)

@@ -1,51 +1,37 @@
-"""Query-optimizer case studies driven by cardinality estimation (paper §9.11)."""
+"""Query-optimizer case studies driven by cardinality estimation (paper §9.11).
+
+Planning and execution live in :mod:`repro.engine`.  This package holds the
+GPH threshold-allocation DP the engine's planner calls (:mod:`.gph`, with the
+per-part policies Figure 13 compares) and the conjunctive case study's
+workload, direct estimate source and plan-quality report (:mod:`.conjunctive`).
+"""
 
 from .conjunctive import (
-    ConjunctivePlan,
-    ConjunctiveQuery,
-    ConjunctiveQueryProcessor,
-    Predicate,
-    QueryExecution,
-    WorkloadReport,
+    DirectEstimates,
+    PlanQualityReport,
     generate_conjunctive_queries,
-    run_conjunctive_workload,
+    plan_quality,
+    relation_catalog,
 )
 from .gph import (
     ExactPartCardinalities,
-    GPHExecution,
     GPHPlan,
     GPHQueryProcessor,
-    HistogramPartCardinalities,
     MeanPartCardinalities,
     ModelPartCardinalities,
     PartCardinalityEstimator,
-    exact_part_estimator,
-    fetch_part_curves,
-    histogram_part_estimator,
-    mean_part_estimator,
-    model_part_estimator,
 )
 
 __all__ = [
     "PartCardinalityEstimator",
     "ExactPartCardinalities",
     "MeanPartCardinalities",
-    "HistogramPartCardinalities",
     "ModelPartCardinalities",
-    "fetch_part_curves",
-    "Predicate",
-    "ConjunctiveQuery",
-    "ConjunctivePlan",
-    "ConjunctiveQueryProcessor",
-    "QueryExecution",
-    "WorkloadReport",
-    "generate_conjunctive_queries",
-    "run_conjunctive_workload",
     "GPHQueryProcessor",
-    "GPHExecution",
     "GPHPlan",
-    "exact_part_estimator",
-    "mean_part_estimator",
-    "histogram_part_estimator",
-    "model_part_estimator",
+    "generate_conjunctive_queries",
+    "relation_catalog",
+    "DirectEstimates",
+    "PlanQualityReport",
+    "plan_quality",
 ]

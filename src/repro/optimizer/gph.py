@@ -16,70 +16,34 @@ what Fig. 13/14 measure.
 The allocation DP needs the estimate for *every* per-part threshold
 ``t = 0..budget`` — exactly one cardinality curve per part.  Estimators
 therefore implement :meth:`PartCardinalityEstimator.part_curves`, which
-fetches each part's whole curve in one batched call per plan enumeration;
-the legacy scalar signature ``estimator(part_index, part_bits, t)`` is kept
-as a fallback (and all built-in estimators still support it).
+fetches each part's whole curve in one batched call per plan enumeration.
+
+This module plans; it does not execute.  A plan runs the way the engine's
+executor runs it: ``selector.verified_candidates(record, θ,
+allocation=plan.allocation)``.
 """
 
 from __future__ import annotations
 
 import time
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..selection.hamming_index import PigeonholeHammingSelector
 
-#: Legacy signature of a per-part cardinality estimator:
-#: (part_index, part_query_bits, threshold) -> estimated count.
-PartEstimator = Callable[[int, np.ndarray, int], float]
 
+class PartCardinalityEstimator(ABC):
+    """The estimate source of the allocation DP: one curve per part."""
 
-def _scalar_part_curves(
-    estimator: PartEstimator,
-    part_queries: Sequence[np.ndarray],
-    limits: Sequence[int],
-) -> List[np.ndarray]:
-    """Curves fetched point by point through the scalar callable protocol."""
-    return [
-        np.asarray(
-            [estimator(part_index, part_bits, t) for t in range(limit + 1)],
-            dtype=np.float64,
-        )
-        for part_index, (part_bits, limit) in enumerate(zip(part_queries, limits))
-    ]
-
-
-class PartCardinalityEstimator:
-    """Per-part estimator with a curve-batched primary operation.
-
-    Subclasses implement the scalar ``__call__`` (kept for compatibility with
-    the legacy ``PartEstimator`` callable protocol) and, when they can do
-    better than a per-threshold loop, override :meth:`part_curves` — the
-    operation the allocation DP actually consumes.
-    """
-
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        raise NotImplementedError
-
+    @abstractmethod
     def part_curves(
         self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
     ) -> List[np.ndarray]:
         """One cardinality curve per part: ``curves[p][t]`` estimates part ``p``
         at per-part threshold ``t`` for ``t = 0..limits[p]``."""
-        return _scalar_part_curves(self, part_queries, limits)
-
-
-def fetch_part_curves(
-    estimator: Union[PartCardinalityEstimator, PartEstimator],
-    part_queries: Sequence[np.ndarray],
-    limits: Sequence[int],
-) -> List[np.ndarray]:
-    """Curves from a curve-capable estimator, or a scalar-loop fallback."""
-    if hasattr(estimator, "part_curves"):
-        return estimator.part_curves(part_queries, limits)
-    return _scalar_part_curves(estimator, part_queries, limits)
 
 
 @dataclass
@@ -90,21 +54,6 @@ class GPHPlan:
     allocation: List[int]
     estimated_candidates: float
     allocation_seconds: float = 0.0
-
-
-@dataclass
-class GPHExecution:
-    """Outcome of answering one Hamming query through GPH."""
-
-    allocation: List[int]
-    num_candidates: int
-    num_results: int
-    allocation_seconds: float
-    processing_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.allocation_seconds + self.processing_seconds
 
 
 class GPHQueryProcessor:
@@ -140,22 +89,11 @@ class GPHQueryProcessor:
         """Minimum total per-part threshold required by the pigeonhole principle."""
         return max(0, int(threshold) - self.num_parts + 1)
 
-    def allocate(
-        self,
-        record: np.ndarray,
-        threshold: int,
-        estimator: Union[PartCardinalityEstimator, PartEstimator],
-        max_part_threshold: Optional[int] = None,
-    ) -> List[int]:
-        """The allocation of :meth:`plan` (kept for callers that only need it)."""
-        return self.plan(record, threshold, estimator, max_part_threshold).allocation
-
     def plan(
         self,
         record: np.ndarray,
         threshold: int,
-        estimator: Union[PartCardinalityEstimator, PartEstimator],
-        max_part_threshold: Optional[int] = None,
+        estimator: PartCardinalityEstimator,
     ) -> GPHPlan:
         """Dynamic-programming allocation minimizing the estimated candidate count.
 
@@ -163,7 +101,7 @@ class GPHQueryProcessor:
         parts with a remaining budget of ``b``; part ``p`` may take any
         ``t ∈ [0, min(b, part width)]`` at cost ``curve_p[t]``.  The per-part
         curves are fetched in one batched request per plan enumeration
-        (:func:`fetch_part_curves`) rather than one scalar estimate per
+        (``estimator.part_curves``) rather than one scalar estimate per
         (part, threshold) pair.  The returned plan carries the allocation AND
         the DP's estimated candidate count, so executors and feedback monitors
         can compare the estimate against the observed cost.
@@ -172,14 +110,11 @@ class GPHQueryProcessor:
         record = np.asarray(record, dtype=np.uint8)
         num_parts = self.num_parts
         budget = self.allocation_budget(threshold)
-        part_widths = [stop - start for start, stop in self.selector.parts]
-        if max_part_threshold is not None:
-            part_widths = [min(width, max_part_threshold) for width in part_widths]
 
         # Whole cardinality curve per (part, per-part threshold), batched.
         part_queries = [self.part_query(record, p) for p in range(num_parts)]
-        limits = [min(width, budget) for width in part_widths]
-        estimates = fetch_part_curves(estimator, part_queries, limits)
+        limits = [min(stop - start, budget) for start, stop in self.selector.parts]
+        estimates = estimator.part_curves(part_queries, limits)
 
         infinity = float("inf")
         cost = np.full((num_parts + 1, budget + 1), infinity)
@@ -199,11 +134,12 @@ class GPHQueryProcessor:
 
         # The DP must end with the full budget spent (remaining == 0); spending
         # more than the minimum only adds candidates, so remaining 0 is optimal
-        # whenever reachable.  Fall back to the best reachable state otherwise.
+        # whenever reachable.  It is not only when the budget exceeds the sum
+        # of the part widths (θ past the dimension); the smallest reachable
+        # remainder then gives every part its full width, so every row collides.
         final_remaining = 0
         if cost[num_parts, 0] == infinity:
-            reachable = np.nonzero(cost[num_parts] < infinity)[0]
-            final_remaining = int(reachable[0]) if reachable.size else budget
+            final_remaining = int(np.nonzero(cost[num_parts] < infinity)[0][0])
 
         allocation = [0] * num_parts
         remaining = final_remaining
@@ -217,37 +153,6 @@ class GPHQueryProcessor:
             allocation=allocation,
             estimated_candidates=estimated if np.isfinite(estimated) else 0.0,
             allocation_seconds=time.perf_counter() - allocation_start,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Query answering
-    # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        record: np.ndarray,
-        threshold: int,
-        estimator: Optional[Union[PartCardinalityEstimator, PartEstimator]] = None,
-        max_part_threshold: Optional[int] = None,
-        plan: Optional[GPHPlan] = None,
-    ) -> GPHExecution:
-        """Execute one Hamming query, planning first unless a plan is supplied."""
-        record = np.asarray(record, dtype=np.uint8)
-        if plan is None:
-            if estimator is None:
-                raise ValueError("either an estimator or a precomputed plan is required")
-            plan = self.plan(record, threshold, estimator, max_part_threshold)
-
-        processing_start = time.perf_counter()
-        results, num_candidates = self.selector.verified_candidates(
-            record, threshold, allocation=plan.allocation
-        )
-        processing_seconds = time.perf_counter() - processing_start
-        return GPHExecution(
-            allocation=plan.allocation,
-            num_candidates=num_candidates,
-            num_results=len(results),
-            allocation_seconds=plan.allocation_seconds,
-            processing_seconds=processing_seconds,
         )
 
 
@@ -264,10 +169,6 @@ class ExactPartCardinalities(PartCardinalityEstimator):
     def _part_distances(self, part_index: int, part_bits: np.ndarray) -> np.ndarray:
         start, stop = self._parts[part_index]
         return np.count_nonzero(self._matrix[:, start:stop] != part_bits[None, :], axis=1)
-
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        distances = self._part_distances(part_index, part_bits)
-        return float(np.count_nonzero(distances <= threshold))
 
     def part_curves(
         self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
@@ -301,10 +202,6 @@ class MeanPartCardinalities(PartCardinalityEstimator):
             expected_distribution = binom.pmf(np.arange(width + 1), width, diff_probability)
             self._tables.append(np.cumsum(expected_distribution) * num_records)
 
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        table = self._tables[part_index]
-        return float(table[min(threshold, len(table) - 1)])
-
     def part_curves(
         self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
     ) -> List[np.ndarray]:
@@ -317,37 +214,9 @@ class MeanPartCardinalities(PartCardinalityEstimator):
         return curves
 
 
-class HistogramPartCardinalities(PartCardinalityEstimator):
-    """DB histogram estimator applied to each part independently."""
-
-    def __init__(
-        self, processor: GPHQueryProcessor, dataset_records: Sequence, group_size: int = 8
-    ) -> None:
-        from ..baselines.db_specialized import HistogramHammingEstimator
-
-        matrix = np.asarray(dataset_records, dtype=np.uint8)
-        self._estimators = [
-            HistogramHammingEstimator(matrix[:, start:stop], group_size=group_size)
-            for start, stop in processor.selector.parts
-        ]
-
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        return self._estimators[part_index].estimate(part_bits, threshold)
-
-    def part_curves(
-        self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
-    ) -> List[np.ndarray]:
-        """One ``estimate_curve_many`` call per part (whole curve at once)."""
-        return [
-            self._estimators[part_index].estimate_curve_many(
-                [part_bits], np.arange(limit + 1, dtype=np.float64)
-            )[0]
-            for part_index, (part_bits, limit) in enumerate(zip(part_queries, limits))
-        ]
-
-
 class ModelPartCardinalities(PartCardinalityEstimator):
-    """Adapter: one trained CardinalityEstimator per part (e.g. CardNet-A models)."""
+    """Adapter: one CardinalityEstimator per part (CardNet-A models, or the DB
+    histogram applied to each part independently via :meth:`histograms`)."""
 
     def __init__(self, processor: GPHQueryProcessor, estimators: Sequence) -> None:
         estimators = list(estimators)
@@ -357,8 +226,21 @@ class ModelPartCardinalities(PartCardinalityEstimator):
             )
         self._estimators = estimators
 
-    def __call__(self, part_index: int, part_bits: np.ndarray, threshold: int) -> float:
-        return float(self._estimators[part_index].estimate(part_bits, threshold))
+    @classmethod
+    def histograms(
+        cls, processor: GPHQueryProcessor, dataset_records: Sequence, group_size: int = 8
+    ) -> "ModelPartCardinalities":
+        """The Histogram policy: one ``HistogramHammingEstimator`` per part."""
+        from ..baselines.db_specialized import HistogramHammingEstimator
+
+        matrix = np.asarray(dataset_records, dtype=np.uint8)
+        return cls(
+            processor,
+            [
+                HistogramHammingEstimator(matrix[:, start:stop], group_size=group_size)
+                for start, stop in processor.selector.parts
+            ],
+        )
 
     def part_curves(
         self, part_queries: Sequence[np.ndarray], limits: Sequence[int]
@@ -373,31 +255,3 @@ class ModelPartCardinalities(PartCardinalityEstimator):
             )
             for part_index, (part_bits, limit) in enumerate(zip(part_queries, limits))
         ]
-
-
-def exact_part_estimator(
-    processor: GPHQueryProcessor, dataset_records: Sequence
-) -> ExactPartCardinalities:
-    """Oracle: exact per-part cardinalities (scan of the part columns)."""
-    return ExactPartCardinalities(processor, dataset_records)
-
-
-def mean_part_estimator(
-    processor: GPHQueryProcessor, dataset_records: Sequence
-) -> MeanPartCardinalities:
-    """Naive: query-independent mean cardinality per (part, threshold)."""
-    return MeanPartCardinalities(processor, dataset_records)
-
-
-def histogram_part_estimator(
-    processor: GPHQueryProcessor, dataset_records: Sequence, group_size: int = 8
-) -> HistogramPartCardinalities:
-    """DB histogram estimator applied to each part independently."""
-    return HistogramPartCardinalities(processor, dataset_records, group_size=group_size)
-
-
-def model_part_estimator(
-    processor: GPHQueryProcessor, estimators: Sequence
-) -> ModelPartCardinalities:
-    """Adapter: one trained CardinalityEstimator per part (e.g. CardNet-A models)."""
-    return ModelPartCardinalities(processor, estimators)

@@ -147,8 +147,6 @@ def build_workload(
     thresholds = sample_thresholds(dataset.theta_max, num_thresholds, distance.integer_valued, rng)
 
     def records_for(ids: np.ndarray) -> List:
-        if isinstance(dataset.records, np.ndarray):
-            return [dataset.records[int(i)] for i in ids]
         return [dataset.records[int(i)] for i in ids]
 
     workload = Workload()

@@ -271,6 +271,23 @@ class TestConjunctive:
             # curve micro-batch through the serving layer.
             assert counter.curve_calls == 1
 
+    def test_tied_estimates_break_by_each_querys_predicate_order(self, relation, queries):
+        """Constant estimates tie every predicate: the driver is each query's
+        own first predicate, in a batched workload and per query alike."""
+        engine = SimilarityQueryEngine()
+        for attribute, matrix in relation.attributes.items():
+            engine.register_attribute(
+                attribute, matrix, "euclidean", ConstantEstimator(7.0), theta_max=1.0
+            )
+        # Reverse one query's predicates so the order differs within the batch.
+        queries[1] = ConjunctiveQuery(list(reversed(queries[1].predicates)))
+        batched = engine.planner.plan_many(queries)
+        for query, plan in zip(queries, batched):
+            single = engine.planner.plan(query)
+            assert plan.driver.predicate is query.predicates[0] is single.driver.predicate
+            assert [p.predicate for p in plan.residuals] == query.predicates[1:]
+            assert [p.predicate for p in single.residuals] == query.predicates[1:]
+
     def test_unknown_attribute_fails_fast(self, engine):
         with pytest.raises(KeyError):
             engine.execute(SimilarityPredicate("nope", np.zeros(12), 0.3))
@@ -418,15 +435,3 @@ class TestUpdates:
                 selector=PackedHammingSelector(binary_dataset.records),
                 theta_max=binary_dataset.theta_max, gph_part_size=8,
             )
-
-    def test_engine_query_rejected_by_optimizer_processor(self, relation):
-        """The two ConjunctiveQuery classes must not silently cross layers."""
-        from repro.optimizer import ConjunctiveQueryProcessor
-
-        processor = ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
-        attribute = relation.attribute_names[0]
-        engine_query = ConjunctiveQuery(
-            [SimilarityPredicate(attribute, relation.attributes[attribute][0], 0.3)]
-        )
-        with pytest.raises(TypeError):
-            processor.plan_estimates([engine_query], {})

@@ -1,24 +1,33 @@
-"""Unit tests for the query-optimizer case studies (conjunctive + GPH)."""
+"""Tests for the §9.11 case studies on the one planning path.
+
+The conjunctive study runs on ``repro.engine``'s ``QueryPlanner`` +
+``QueryExecutor`` (a policy is the estimate source the planner is given);
+the GPH study plans with ``GPHQueryProcessor.plan`` and executes with
+``selector.verified_candidates`` under the plan's allocation, as the engine's
+executor does.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import KernelDensityEstimator, MeanEstimator
-from repro.core.interface import CardinalityEstimator
-from repro.optimizer import (
-    ConjunctiveQuery,
-    ConjunctiveQueryProcessor,
-    GPHQueryProcessor,
-    Predicate,
-    exact_part_estimator,
-    generate_conjunctive_queries,
-    histogram_part_estimator,
-    mean_part_estimator,
-    model_part_estimator,
-    run_conjunctive_workload,
-)
 from repro.baselines.simple import ExactEstimator
-from repro.selection import BallIndexEuclideanSelector
+from repro.core.interface import CardinalityEstimator
+from repro.engine import QueryExecutor, QueryPlanner
+from repro.optimizer import (
+    DirectEstimates,
+    ExactPartCardinalities,
+    GPHQueryProcessor,
+    MeanPartCardinalities,
+    ModelPartCardinalities,
+    generate_conjunctive_queries,
+    plan_quality,
+    relation_catalog,
+)
+from repro.selection import BallIndexEuclideanSelector, PigeonholeHammingSelector
+from repro.workloads import QueryExample
 
 
 class CountingEstimator(CardinalityEstimator):
@@ -41,13 +50,61 @@ class CountingEstimator(CardinalityEstimator):
         return self.inner.estimate_curve_many(records, thetas)
 
 
+def conjunction_oracle(catalog, query):
+    """Reference answer: the intersection of each predicate's own index result."""
+    return sorted(
+        set.intersection(
+            *(
+                set(catalog.get(p.attribute).selector.query(p.record, p.theta))
+                for p in query.predicates
+            )
+        )
+    )
+
+
+def run_policy(catalog, estimators, queries):
+    """Plan a workload from a policy's estimators and execute every plan."""
+    executor = QueryExecutor(catalog)
+    plans = QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
+    return [executor.execute(plan) for plan in plans]
+
+
+def exact_policy(relation):
+    return {
+        attribute: ExactEstimator(BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0))
+        for attribute, matrix in relation.attributes.items()
+    }
+
+
+def mean_policy(relation):
+    """A fitted query-independent Mean estimator per attribute."""
+    policy = {}
+    for attribute, matrix in relation.attributes.items():
+        rng = np.random.default_rng(0)
+        selector = BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0)
+        examples = []
+        for _ in range(20):
+            row = matrix[rng.integers(0, len(matrix))]
+            theta = float(rng.uniform(0.2, 0.5))
+            examples.append(QueryExample(row, theta, selector.cardinality(row, theta)))
+        policy[attribute] = MeanEstimator(theta_max=1.0, num_buckets=16).fit(examples)
+    return policy
+
+
+def kde_policy(relation):
+    return {
+        attribute: KernelDensityEstimator(matrix, "euclidean", sample_size=60, seed=0)
+        for attribute, matrix in relation.attributes.items()
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Conjunctive queries
 # --------------------------------------------------------------------------- #
 class TestConjunctive:
     @pytest.fixture(scope="class")
-    def processor(self, relation):
-        return ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
+    def catalog(self, relation):
+        return relation_catalog(relation, num_pivots=8, seed=0)
 
     @pytest.fixture(scope="class")
     def queries(self, relation):
@@ -55,69 +112,76 @@ class TestConjunctive:
 
     @pytest.fixture(scope="class")
     def exact_estimators(self, relation):
-        return {
-            attribute: ExactEstimator(BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0))
-            for attribute, matrix in relation.attributes.items()
-        }
+        return exact_policy(relation)
 
     def test_queries_have_all_attributes(self, relation, queries):
         for query in queries:
             assert set(query.attributes()) == set(relation.attribute_names)
 
-    def test_answer_is_intersection(self, processor, queries):
-        query = queries[0]
-        answer = set(processor.answer(query))
-        for predicate in query.predicates:
-            assert answer <= set(processor.predicate_matches(predicate))
+    def test_answer_is_intersection(self, catalog, queries, exact_estimators):
+        for result in run_policy(catalog, exact_estimators, queries[:2]):
+            answer = set(result.record_ids)
+            for predicate in result.plan.query.predicates:
+                selector = catalog.get(predicate.attribute).selector
+                assert answer <= set(selector.query(predicate.record, predicate.theta))
 
-    def test_execute_returns_correct_results(self, processor, queries, exact_estimators):
-        for query in queries[:4]:
-            execution = processor.execute(query, exact_estimators)
-            assert sorted(execution.result_ids) == processor.answer(query)
+    def test_execute_returns_correct_results(self, relation, catalog, queries):
+        """Whatever the estimate quality, the answer is the exact conjunction."""
+        for policy in (exact_policy, mean_policy, kde_policy):
+            results = run_policy(catalog, policy(relation), queries)
+            for query, result in zip(queries, results):
+                assert result.record_ids == conjunction_oracle(catalog, query), policy.__name__
 
-    def test_exact_estimator_has_perfect_precision(self, processor, queries, exact_estimators):
-        report = run_conjunctive_workload(processor, queries, exact_estimators)
+    def test_exact_estimator_has_perfect_precision(self, catalog, queries, exact_estimators):
+        report = plan_quality(catalog, run_policy(catalog, exact_estimators, queries))
         assert report.planning_precision == 1.0
         assert report.num_queries == len(queries)
 
-    def test_better_estimator_fewer_candidates(self, relation, processor, queries, exact_estimators):
+    def test_better_estimator_fewer_candidates(self, relation, catalog, queries, exact_estimators):
         """The exact planner should examine no more candidates than a naive Mean planner."""
-        mean_estimators = {}
-        for attribute, matrix in relation.attributes.items():
-            estimator = MeanEstimator(theta_max=1.0, num_buckets=16)
-            # Fit on a few random predicate cardinalities for this attribute.
-            from repro.workloads import QueryExample
+        exact_report = plan_quality(catalog, run_policy(catalog, exact_estimators, queries))
+        mean_report = plan_quality(catalog, run_policy(catalog, mean_policy(relation), queries))
+        assert exact_report.driver_candidates <= mean_report.driver_candidates
 
-            rng = np.random.default_rng(0)
-            examples = []
-            selector = BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0)
-            for _ in range(20):
-                row = matrix[rng.integers(0, len(matrix))]
-                theta = float(rng.uniform(0.2, 0.5))
-                examples.append(QueryExample(row, theta, selector.cardinality(row, theta)))
-            mean_estimators[attribute] = estimator.fit(examples)
-        exact_report = run_conjunctive_workload(processor, queries, exact_estimators)
-        mean_report = run_conjunctive_workload(processor, queries, mean_estimators)
-        assert exact_report.total_candidates <= mean_report.total_candidates
-
-    def test_kde_planner_reasonable_precision(self, relation, processor, queries):
-        estimators = {
-            attribute: KernelDensityEstimator(matrix, "euclidean", sample_size=60, seed=0)
-            for attribute, matrix in relation.attributes.items()
-        }
-        report = run_conjunctive_workload(processor, queries, estimators)
+    def test_kde_planner_reasonable_precision(self, relation, catalog, queries):
+        report = plan_quality(catalog, run_policy(catalog, kde_policy(relation), queries))
         assert 0.0 <= report.planning_precision <= 1.0
-        assert report.total_seconds > 0.0
+        assert report.estimation_seconds > 0.0
+        assert report.processing_seconds > 0.0
+        assert report.total_seconds == pytest.approx(
+            report.estimation_seconds + report.processing_seconds
+        )
 
-    def test_workload_report_accumulates(self, processor, queries, exact_estimators):
-        report = run_conjunctive_workload(processor, queries[:3], exact_estimators)
-        assert len(report.executions) == 3
-        assert report.total_candidates >= sum(len(e.result_ids) for e in report.executions)
+    def test_workload_report_accumulates(self, catalog, queries, exact_estimators):
+        results = run_policy(catalog, exact_estimators, queries[:3])
+        report = plan_quality(catalog, results)
+        assert report.num_queries == 3
+        assert report.driver_candidates == sum(r.driver_candidates for r in results)
+        assert report.driver_candidates >= sum(len(r.record_ids) for r in results)
+        assert plan_quality(catalog, []).planning_precision == 0.0
 
 
 # --------------------------------------------------------------------------- #
 # GPH Hamming query processing
 # --------------------------------------------------------------------------- #
+def gph_policy(name, processor, records):
+    if name == "exact":
+        return ExactPartCardinalities(processor, records)
+    if name == "mean":
+        return MeanPartCardinalities(processor, records)
+    return ModelPartCardinalities.histograms(processor, records, group_size=4)
+
+
+def gph_candidates(processor, query, threshold, estimator):
+    """(results, candidate count) of one query under the policy's allocation."""
+    plan = processor.plan(query, threshold, estimator)
+    return processor.selector.verified_candidates(query, threshold, allocation=plan.allocation)
+
+
+def hamming_scan(records, query, threshold):
+    return np.flatnonzero(np.count_nonzero(records != query[None, :], axis=1) <= threshold).tolist()
+
+
 class TestGPH:
     @pytest.fixture(scope="class")
     def records(self, binary_dataset):
@@ -135,65 +199,113 @@ class TestGPH:
         assert processor.allocation_budget(0) == 0
 
     def test_allocation_satisfies_pigeonhole(self, processor, records):
-        estimator = exact_part_estimator(processor, records)
+        estimator = ExactPartCardinalities(processor, records)
         query = records[0]
         for threshold in (4, 8, 12):
-            allocation = processor.allocate(query, threshold, estimator)
+            allocation = processor.plan(query, threshold, estimator).allocation
             assert sum(allocation) >= processor.allocation_budget(threshold)
 
     @pytest.mark.parametrize("builder", ["exact", "mean", "histogram"])
     def test_results_are_exact_for_every_estimator(self, processor, records, builder):
         """Whatever the allocation quality, GPH must return the exact result set."""
-        if builder == "exact":
-            estimator = exact_part_estimator(processor, records)
-        elif builder == "mean":
-            estimator = mean_part_estimator(processor, records)
-        else:
-            estimator = histogram_part_estimator(processor, records, group_size=4)
+        estimator = gph_policy(builder, processor, records)
         rng = np.random.default_rng(0)
         for _ in range(4):
             query = records[rng.integers(0, len(records))]
             threshold = int(rng.integers(2, 10))
-            execution = processor.execute(query, threshold, estimator)
-            truth = int(
-                np.count_nonzero(np.count_nonzero(records != query[None, :], axis=1) <= threshold)
-            )
-            assert execution.num_results == truth
-            assert execution.num_candidates >= execution.num_results
+            results, num_candidates = gph_candidates(processor, query, threshold, estimator)
+            assert results == hamming_scan(records, query, threshold)
+            assert num_candidates >= len(results)
 
     def test_exact_allocation_never_worse_than_mean(self, processor, records):
         """Cardinality-aware allocation should not produce more candidates than naive."""
-        exact = exact_part_estimator(processor, records)
-        naive = mean_part_estimator(processor, records)
+        exact = ExactPartCardinalities(processor, records)
+        naive = MeanPartCardinalities(processor, records)
         rng = np.random.default_rng(1)
         exact_total, naive_total = 0, 0
         for _ in range(5):
             query = records[rng.integers(0, len(records))]
             threshold = int(rng.integers(6, 12))
-            exact_total += processor.execute(query, threshold, exact).num_candidates
-            naive_total += processor.execute(query, threshold, naive).num_candidates
+            exact_total += gph_candidates(processor, query, threshold, exact)[1]
+            naive_total += gph_candidates(processor, query, threshold, naive)[1]
         assert exact_total <= naive_total
 
     def test_model_part_estimator_adapter(self, processor, records):
         class ConstantEstimator:
-            def estimate(self, record, theta):
-                return 1.0
+            def estimate_curve_many(self, records, thetas):
+                return np.ones((len(records), len(thetas)))
 
-        adapter = model_part_estimator(processor, [ConstantEstimator()] * processor.num_parts)
-        assert adapter(0, records[0][:8], 2) == 1.0
+        adapter = ModelPartCardinalities(processor, [ConstantEstimator()] * processor.num_parts)
+        part_queries = [processor.part_query(records[0], p) for p in range(processor.num_parts)]
+        curves = adapter.part_curves(part_queries, [2] * processor.num_parts)
+        assert [curve.tolist() for curve in curves] == [[1.0, 1.0, 1.0]] * processor.num_parts
 
     def test_model_part_estimator_wrong_count(self, processor):
         with pytest.raises(ValueError):
-            model_part_estimator(processor, [])
+            ModelPartCardinalities(processor, [])
 
-    def test_execution_timing_fields(self, processor, records):
-        estimator = exact_part_estimator(processor, records)
-        execution = processor.execute(records[0], 6, estimator)
-        assert execution.allocation_seconds >= 0.0
-        assert execution.processing_seconds >= 0.0
-        assert execution.total_seconds == pytest.approx(
-            execution.allocation_seconds + execution.processing_seconds
-        )
+
+@st.composite
+def gph_cases(draw):
+    part_size = draw(st.sampled_from([4, 8, 16]))
+    # Up to three parts, the last possibly narrower than the others.
+    dimension = draw(st.integers(part_size, 2 * part_size + part_size // 2))
+    num_records = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Clustered rows, so thresholds below the dimension select non-trivially.
+    centre = rng.integers(0, 2, size=dimension)
+    flips = rng.random((num_records, dimension)) < draw(st.sampled_from([0.05, 0.3, 0.5]))
+    records = (centre[None, :] ^ flips).astype(np.uint8)
+    query = (centre ^ (rng.random(dimension) < 0.2)).astype(np.uint8)
+    num_parts = -(-dimension // part_size)
+    threshold = draw(st.integers(0, dimension + num_parts))
+    return part_size, records, query, threshold
+
+
+class TestGPHAllocationProperty:
+    """The allocation is complete for every policy and every θ, including θ
+    past the dimension where the pigeonhole budget exceeds the part widths
+    (the removed per-part cap returned under-budget allocations there and
+    dropped rows silently)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=gph_cases())
+    def test_allocation_spends_the_budget_and_answers_exactly(self, case):
+        part_size, records, query, threshold = case
+        processor = GPHQueryProcessor(records, part_size=part_size)
+        widths = [stop - start for start, stop in processor.selector.parts]
+        truth = hamming_scan(records, query, threshold)
+        for name in ("exact", "mean", "histogram"):
+            plan = processor.plan(query, threshold, gph_policy(name, processor, records))
+            assert all(0 <= t <= width for t, width in zip(plan.allocation, widths)), name
+            assert sum(plan.allocation) >= min(
+                processor.allocation_budget(threshold), sum(widths)
+            ), name
+            results, _ = processor.selector.verified_candidates(
+                query, threshold, allocation=plan.allocation
+            )
+            assert results == truth, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=gph_cases())
+    def test_exact_part_curves_equal_a_column_scan(self, case):
+        """Point-by-point reference for the oracle's whole-curve kernel."""
+        part_size, records, query, threshold = case
+        processor = GPHQueryProcessor(records, part_size=part_size)
+        part_queries = [processor.part_query(query, p) for p in range(processor.num_parts)]
+        limits = [
+            min(stop - start, processor.allocation_budget(threshold))
+            for start, stop in processor.selector.parts
+        ]
+        curves = ExactPartCardinalities(processor, records).part_curves(part_queries, limits)
+        for (start, stop), bits, limit, curve in zip(
+            processor.selector.parts, part_queries, limits, curves
+        ):
+            distances = np.count_nonzero(records[:, start:stop] != bits[None, :], axis=1)
+            assert curve.tolist() == [
+                float(np.count_nonzero(distances <= t)) for t in range(limit + 1)
+            ]
 
 
 # --------------------------------------------------------------------------- #
@@ -210,8 +322,6 @@ class TestCurveBatchedCalls:
 
     def _part_mean_estimators(self, processor, records):
         """One fitted MeanEstimator per part, wrapped with call counters."""
-        from repro.workloads import QueryExample
-
         estimators = []
         for start, stop in processor.selector.parts:
             width = stop - start
@@ -234,40 +344,14 @@ class TestCurveBatchedCalls:
 
     def test_gph_allocation_issues_one_curve_call_per_part(self, processor, records):
         estimators = self._part_mean_estimators(processor, records)
-        adapter = model_part_estimator(processor, estimators)
-        processor.allocate(records[0], 8, adapter)
+        adapter = ModelPartCardinalities(processor, estimators)
+        processor.plan(records[0], 8, adapter)
         for estimator in estimators:
             assert estimator.curve_calls == 1
             assert estimator.batch_calls == 0  # no per-threshold scalar calls
 
-    def test_gph_legacy_callable_still_supported(self, processor, records):
-        calls = []
-
-        def legacy(part_index, part_bits, threshold):
-            calls.append((part_index, threshold))
-            return 1.0
-
-        allocation = processor.allocate(records[0], 8, legacy)
-        assert sum(allocation) >= processor.allocation_budget(8)
-        assert calls  # the scalar fallback fetched the curves point by point
-
-    def test_gph_curve_path_allocates_like_scalar_path(self, processor, records):
-        """Curve-batched and scalar-loop estimation must yield identical plans."""
-        exact = exact_part_estimator(processor, records)
-
-        def scalar_view(part_index, part_bits, threshold):
-            return exact(part_index, part_bits, threshold)
-
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            query = records[rng.integers(0, len(records))]
-            threshold = int(rng.integers(4, 12))
-            assert processor.allocate(query, threshold, exact) == processor.allocate(
-                query, threshold, scalar_view
-            )
-
     def test_conjunctive_batch_planning_one_call_per_attribute(self, relation):
-        processor = ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
+        catalog = relation_catalog(relation, num_pivots=8, seed=0)
         queries = generate_conjunctive_queries(relation, num_queries=6, seed=2)
         estimators = {
             attribute: CountingEstimator(
@@ -275,125 +359,72 @@ class TestCurveBatchedCalls:
             )
             for attribute, matrix in relation.attributes.items()
         }
-        report = run_conjunctive_workload(processor, queries, estimators)
+        report = plan_quality(catalog, run_policy(catalog, estimators, queries))
         assert report.num_queries == len(queries)
         for estimator in estimators.values():
             assert estimator.batch_calls == 1  # whole workload in one batched call
             assert estimator.curve_calls == 0
 
-    def test_conjunctive_tie_break_matches_per_query_planning(self, relation):
-        """Tied estimates must break by each query's own predicate order in
-        workload-batched and per-query planning alike (the argmin tie-break
-        is insertion order)."""
-
-        class ConstantEstimator(CardinalityEstimator):
-            monotonic = True
-
-            def estimate_batch(self, records, thetas):
-                return np.full(len(records), 7.0)
-
-        processor = ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
-        queries = generate_conjunctive_queries(relation, num_queries=4, seed=4)
-        # Reverse one query's predicate order so insertion order differs per query.
-        queries[1] = ConjunctiveQuery(predicates=list(reversed(queries[1].predicates)))
-        estimators = {attribute: ConstantEstimator() for attribute in relation.attribute_names}
-        batched = processor.plan_workload(queries, estimators)
-        single = [processor.plan(query, estimators) for query in queries]
-        assert [p.chosen_attribute for p in batched] == [p.chosen_attribute for p in single]
-        assert [p.verify_order for p in batched] == [p.verify_order for p in single]
-        # And the tie-break follows each query's first predicate.
-        assert batched[1].chosen_attribute == queries[1].predicates[0].attribute
-
-    def test_conjunctive_batch_planning_same_plans_as_per_query(self, relation):
-        processor = ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
-        queries = generate_conjunctive_queries(relation, num_queries=6, seed=3)
-        estimators = {
-            attribute: ExactEstimator(
-                BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0)
-            )
-            for attribute, matrix in relation.attributes.items()
-        }
-        batched = processor.plan_workload(queries, estimators)
-        single = [processor.plan(query, estimators) for query in queries]
-        assert [p.estimates for p in batched] == [p.estimates for p in single]
-        assert [p.chosen_attribute for p in batched] == [p.chosen_attribute for p in single]
-        assert [p.verify_order for p in batched] == [p.verify_order for p in single]
-        # Same plans, same executions: the workload runner adds nothing else.
-        report = run_conjunctive_workload(processor, queries, estimators)
-        inline = [processor.execute(query, estimators) for query in queries]
-        assert [e.result_ids for e in report.executions] == [e.result_ids for e in inline]
-        assert report.total_candidates == sum(e.candidates_examined for e in inline)
-
 
 # --------------------------------------------------------------------------- #
-# Plan objects (the engine consumes these; execute == plan + execute_plan)
+# Plan objects
 # --------------------------------------------------------------------------- #
 class TestPlanObjects:
     @pytest.fixture(scope="class")
-    def processor(self, relation):
-        return ConjunctiveQueryProcessor(relation, num_pivots=8, seed=0)
+    def planner(self, relation):
+        catalog = relation_catalog(relation, num_pivots=8, seed=0)
+        return QueryPlanner(catalog, DirectEstimates(exact_policy(relation)))
 
     @pytest.fixture(scope="class")
     def queries(self, relation):
         return generate_conjunctive_queries(relation, num_queries=6, seed=7)
 
-    @pytest.fixture(scope="class")
-    def estimators(self, relation):
-        return {
-            attribute: ExactEstimator(BallIndexEuclideanSelector(matrix, num_pivots=8, seed=0))
-            for attribute, matrix in relation.attributes.items()
+    def test_plan_is_inspectable(self, planner, queries):
+        plan = planner.plan(queries[0])
+        assert plan.driver.attribute in queries[0].attributes()
+        assert {p.attribute for p in plan.residuals} == set(queries[0].attributes()) - {
+            plan.driver.attribute
         }
-
-    def test_plan_is_inspectable(self, processor, queries, estimators):
-        plan = processor.plan(queries[0], estimators)
-        assert plan.chosen_attribute in queries[0].attributes()
-        assert set(plan.verify_order) == set(queries[0].attributes()) - {plan.chosen_attribute}
         # Residuals verify in ascending-estimate order.
-        residual_estimates = [plan.estimates[a] for a in plan.verify_order]
+        residual_estimates = [p.estimated_cardinality for p in plan.residuals]
         assert residual_estimates == sorted(residual_estimates)
-        assert plan.estimated_candidates == plan.estimates[plan.chosen_attribute]
+        assert plan.estimated_candidates == plan.driver.estimated_cardinality
+        # The exact policy's estimate is the driver's true cardinality.
+        selector = planner.catalog.get(plan.driver.attribute).selector
+        assert plan.estimated_candidates == len(
+            selector.query(plan.driver.predicate.record, plan.driver.theta)
+        )
 
-    def test_execute_plan_equals_execute(self, processor, queries, estimators):
-        for query in queries:
-            planned = processor.execute_plan(processor.plan(query, estimators))
-            inline = processor.execute(query, estimators)
-            assert planned.chosen_attribute == inline.chosen_attribute
-            assert planned.result_ids == inline.result_ids
-            assert planned.candidates_examined == inline.candidates_examined
+    def test_plan_workload_matches_per_query_plans(self, planner, queries):
+        """Gathering a workload's estimates per endpoint scatters each back to
+        its own query: a batch of N plans like N batches of one."""
 
-    def test_plan_workload_matches_per_query_plans(self, processor, queries, estimators):
-        workload_plans = processor.plan_workload(queries, estimators)
-        for query, plan in zip(queries, workload_plans):
-            single = processor.plan(query, estimators)
-            assert plan.chosen_attribute == single.chosen_attribute
-            assert plan.verify_order == single.verify_order
-            assert plan.estimates == single.estimates
+        def shape(plan):
+            return (
+                plan.driver.attribute,
+                plan.driver.estimated_cardinality,
+                [(p.attribute, p.estimated_cardinality) for p in plan.residuals],
+            )
+
+        for query, plan in zip(queries, planner.plan_many(queries)):
+            assert plan.query is query
+            assert shape(plan) == shape(planner.plan(query))
 
     def test_gph_plan_carries_cost(self, binary_dataset):
         records = binary_dataset.records[:200]
         processor = GPHQueryProcessor(records, part_size=8)
-        estimator = exact_part_estimator(processor, records)
-        plan = processor.plan(records[0], 8, estimator)
+        plan = processor.plan(records[0], 8, ExactPartCardinalities(processor, records))
+        assert plan.threshold == 8
         assert sum(plan.allocation) >= processor.allocation_budget(8)
-        assert plan.estimated_candidates >= 0.0
         assert plan.allocation_seconds >= 0.0
-        # Executing a precomputed plan skips re-allocation and matches.
-        execution = processor.execute(records[0], 8, plan=plan)
-        direct = processor.execute(records[0], 8, estimator)
-        assert execution.allocation == direct.allocation
-        assert execution.num_results == direct.num_results
-        # The exact oracle's DP cost equals the candidate upper bound shape:
-        # estimated >= actual results is not guaranteed, but both are finite.
+        # The oracle's DP cost is the sum of the per-part candidate counts,
+        # an upper bound on the size of their union.
         assert np.isfinite(plan.estimated_candidates)
-
-    def test_execute_requires_estimator_or_plan(self, binary_dataset):
-        processor = GPHQueryProcessor(binary_dataset.records[:50], part_size=8)
-        with pytest.raises(ValueError):
-            processor.execute(binary_dataset.records[0], 4)
+        assert plan.estimated_candidates >= processor.selector.candidate_count(
+            records[0], plan.allocation
+        )
 
     def test_injected_selector_is_reused(self, binary_dataset):
-        from repro.selection import PigeonholeHammingSelector
-
         selector = PigeonholeHammingSelector(binary_dataset.records[:100], part_size=8)
         processor = GPHQueryProcessor([], selector=selector)
         assert processor.selector is selector
