@@ -160,14 +160,11 @@ def test_rebalance_serves_bounded_latency_and_swaps_bit_identically(print_table)
     selector.abort_rebalance()  # hand the staging to the real executor below
 
     # Execute the same plan for real (begin → build on the pool → commit with
-    # journal replay), injecting the same mid-flight updates.
-    class StreamingRebalancer(Rebalancer):
-        def _build_targets(self, sel, base, assignment, resolved, scratch):
-            built = super()._build_targets(sel, base, assignment, resolved, scratch)
-            sel.apply_operation(UpdateOperation("insert", inserted))
-            return built
-
-    report = StreamingRebalancer().execute(selector, plan)
+    # journal replay), injecting the same mid-flight updates between the halves.
+    rebalancer = Rebalancer()
+    staged = rebalancer.begin(selector, plan)
+    selector.apply_operation(UpdateOperation("insert", inserted))
+    report = rebalancer.commit(staged)
 
     post_swap = [sorted(selector.query(query, THRESHOLD)) for query in queries]
     reference = LinearScanSelector(

@@ -65,15 +65,17 @@ def generate_update_stream(
 
 
 def apply_operation(records: Sequence, operation: UpdateOperation) -> List:
-    """Apply one update operation to a record list, returning a new list."""
-    updated = list(records)
+    """Apply one update operation to a record list, returning a new list.
+
+    A delete removes the distinct listed positions that lie within
+    ``[0, len(records))`` — repeats and out-of-range entries name nothing —
+    which is what every lenient update path means by a delete list
+    (:func:`repro.selection.delta.resolve_delete_positions`).
+    """
     if operation.kind == "insert":
-        updated.extend(operation.records)
-        return updated
-    for index in sorted((int(i) for i in operation.records), reverse=True):
-        if 0 <= index < len(updated):
-            del updated[index]
-    return updated
+        return [*records, *operation.records]
+    dropped = {int(i) for i in operation.records}
+    return [record for index, record in enumerate(records) if index not in dropped]
 
 
 def apply_stream(records: Sequence, operations: Sequence[UpdateOperation]) -> Tuple[List, List[int]]:

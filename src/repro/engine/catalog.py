@@ -107,15 +107,10 @@ class AttributeCatalog:
     def __init__(self) -> None:
         self._bindings: Dict[str, AttributeBinding] = {}
 
-    def add(
-        self,
-        name: str,
-        records: Sequence,
-        distance_name: str,
-        endpoint: str,
-        theta_max: float,
-        selector: Optional[SimilaritySelector] = None,
-    ) -> AttributeBinding:
+    def validate(self, name: str, records: Sequence) -> None:
+        """Refuse what :meth:`add` would refuse — a taken name, no rows, rows
+        misaligned with the table — without adding anything, so a caller can
+        ask before it builds what the binding needs."""
         if name in self._bindings:
             raise KeyError(f"attribute {name!r} is already registered")
         if len(records) == 0:
@@ -127,6 +122,17 @@ class AttributeCatalog:
                     f"{other.name!r} has {len(other.records)}; conjunctive queries "
                     "need aligned record ids across attributes"
                 )
+
+    def add(
+        self,
+        name: str,
+        records: Sequence,
+        distance_name: str,
+        endpoint: str,
+        theta_max: float,
+        selector: Optional[SimilaritySelector] = None,
+    ) -> AttributeBinding:
+        self.validate(name, records)
         binding = AttributeBinding(
             name=name,
             records=records,

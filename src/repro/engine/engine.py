@@ -25,9 +25,10 @@ its manager, or directly), and the attribute's column absorbs it once.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,16 +40,14 @@ from ..core.incremental import (
 )
 from ..core.interface import CardinalityEstimator
 from ..datasets.updates import UpdateOperation
-from ..distances import get_distance
 from ..obs.explain import ExplainAnalyzeReport, PredicateAnalysis, SlowQueryLog
 from ..obs.monitor import HealthReport, MonitoringHub, build_health_report
 from ..obs.trace import current_span, span, start_trace
 from ..runtime import Runtime
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
 from ..selection.delta import resolve_delete_positions
-from ..serving import EstimationService
+from ..serving import EstimationService, resolve_curve_grid
 from ..sharding import Partitioner, ShardedEstimatorGroup, ShardedSelector
-from ..sharding.group import resolve_curve_grid
 from ..sharding.rebalance import (
     RebalancePlan,
     Rebalancer,
@@ -93,19 +92,6 @@ class ShardedRevalidationReport:
     @property
     def epochs_run(self) -> int:
         return int(sum(report.epochs_run for report in self.reports.values()))
-
-
-def _integer_grid(distance, estimator, theta_max, curve_thetas):
-    """Integer-valued distances given only ``theta_max`` get the exact grid
-    ``0..theta_max`` (unless the estimator brings its own)."""
-    if (
-        curve_thetas is None
-        and theta_max is not None
-        and distance.integer_valued
-        and estimator.curve_thetas() is None
-    ):
-        return np.arange(int(theta_max) + 1, dtype=np.float64)
-    return curve_thetas
 
 
 def pipelines_execution(
@@ -206,6 +192,78 @@ class SimilarityQueryEngine:
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
+    def _bring_up(
+        self, name, distance_name, selector, estimators,
+        curve_thetas=None, theta_max=None, records=None, commit=None,
+    ):
+        """Bring the serving endpoints of attribute ``name`` up — the one way
+        it happens.  The exact index ``selector`` says which family they are
+        and ``estimators`` holds one per maintenance unit: the attribute's own
+        endpoint plus a ``::partJ`` histogram per part of a pigeonhole index
+        (after an update no estimator is passed: only the histograms, which
+        summarize the rows, are rebuilt), or ``#shardK`` per shard plus the
+        merged endpoint (at registration, and again for a rebalanced layout).
+
+        Callers have validated what is cheap (options, the catalog's say on
+        name and rows) and built what is dear (index, estimators), touching
+        nothing.  Here the curve grid is resolved once; every family name
+        must be free or belong to the family ``name`` serves from now
+        (``records`` announce a first registration, which has none); that
+        family comes down and the new one up, all-or-nothing; ``commit()`` (a
+        rebalance's selector swap) runs; a new attribute enters the catalog.
+        Whatever fails, service and catalog are as they were: what came up
+        comes down again, what it replaced is restored whole.
+        """
+        binding = self.catalog.get(name) if records is None else None
+        if estimators:
+            grid, canonical = resolve_curve_grid(
+                estimators, curve_thetas, theta_max, distance_name
+            )
+        sharded = isinstance(selector, ShardedSelector)
+        if sharded:
+            names = ShardedEstimatorGroup.endpoints_for(name, len(estimators))
+            up = functools.partial(
+                ShardedEstimatorGroup, name, self.service, estimators,
+                curve_thetas=grid, distance_name=distance_name,
+            )
+        else:
+            endpoints = self._part_endpoints(
+                name, selector, records if binding is None else binding.records
+            )
+            if estimators:
+                own = {"curve_thetas": None if canonical else grid, "distance_name": distance_name}
+                endpoints.insert(0, (name, estimators[0], own))
+            names = [endpoint for endpoint, _, _ in endpoints]
+            up = functools.partial(self.service.register_all, endpoints)
+        replacing = [] if binding is None else [
+            *binding.shard_endpoints, *binding.part_endpoints, *([name] if estimators else [])
+        ]
+        taken = [e for e in names if e in self.service.registry and e not in replacing]
+        if taken:
+            raise KeyError(f"attribute {name!r} needs endpoint(s) {taken}, already registered")
+        replaced = [self.service.registry.get(e).registration() for e in replacing]
+        for endpoint in replacing:
+            self.service.unregister(endpoint)
+        family = None
+        try:
+            family = up()
+            committed = commit() if commit else None
+            if binding is None:
+                theta_max = grid[-1] if theta_max is None else theta_max
+                binding = self.catalog.add(name, records, distance_name, name, theta_max, selector)
+        except BaseException:
+            if family is not None:
+                for endpoint in names:
+                    self.service.unregister(endpoint)
+            self.service.register_all(replaced)
+            raise
+        if sharded:
+            binding.shard_endpoints = list(family.shard_endpoints)
+            self._groups[name] = family
+        else:
+            binding.part_endpoints = [e for e in names if e != name]
+        return committed if commit else binding
+
     def register_attribute(
         self,
         name: str,
@@ -219,14 +277,12 @@ class SimilarityQueryEngine:
     ) -> AttributeBinding:
         """Register one queryable attribute.
 
-        ``estimator`` is served under an endpoint named after the attribute.
-        The curve grid resolves like :meth:`repro.serving.EstimatorRegistry.register`,
-        except integer-valued distances given only ``theta_max`` get the exact
-        integer grid ``0..theta_max``.  ``gph_part_size`` switches a Hamming
-        attribute to a pigeonhole index with GPH-allocated plans, backed by one
-        per-part histogram endpoint (``name::partJ``) on the same service.
+        ``estimator`` is served under an endpoint named after the attribute,
+        on the grid :func:`repro.serving.resolve_curve_grid` decides.
+        ``gph_part_size`` switches a Hamming attribute to a pigeonhole index
+        with GPH-allocated plans, backed by one per-part histogram endpoint
+        (``name::partJ``) on the same service; so does a pigeonhole ``selector``.
         """
-        distance = get_distance(distance_name)
         if gph_part_size is not None:
             if distance_name != "hamming":
                 raise ValueError("gph_part_size only applies to hamming attributes")
@@ -236,50 +292,35 @@ class SimilarityQueryEngine:
                     "(a supplied selector would silently override the requested "
                     "pigeonhole configuration)"
                 )
+        self.catalog.validate(name, records)
+        if gph_part_size is not None:
             selector = PigeonholeHammingSelector(records, part_size=gph_part_size)
-        curve_thetas = _integer_grid(distance, estimator, theta_max, curve_thetas)
-        self.service.register(
-            name,
-            estimator,
-            curve_thetas=curve_thetas,
-            theta_max=theta_max,
-            distance_name=distance_name,
+        elif selector is None:
+            selector = default_selector(distance_name, records)
+        return self._bring_up(
+            name, distance_name, selector, [estimator], curve_thetas, theta_max, records
         )
-        if theta_max is None:
-            theta_max = float(self.service.registry.get(name).curve_thetas[-1])
-        binding = self.catalog.add(
-            name,
-            records,
-            distance_name,
-            endpoint=name,
-            theta_max=theta_max,
-            selector=selector,
-        )
-        if isinstance(binding.selector, PigeonholeHammingSelector):
-            self._register_part_endpoints(binding)
-        return binding
 
-    def _register_part_endpoints(self, binding: AttributeBinding) -> None:
-        """(Re)build one histogram endpoint per pigeonhole part of ``binding``.
-
-        Called at registration and again after every dataset update — the
-        histograms summarize the data, so stale ones would mis-allocate.
-        """
-        for endpoint in binding.part_endpoints:
-            self.service.unregister(endpoint)
-        binding.part_endpoints = []
-        matrix = np.asarray(binding.records, dtype=np.uint8)
-        for part_index, (start, stop) in enumerate(binding.selector.parts):
-            endpoint = f"{binding.name}::part{part_index}"
-            width = stop - start
-            self.service.register(
-                endpoint,
+    @staticmethod
+    def _part_endpoints(name: str, selector: SimilaritySelector, records) -> List[Tuple]:
+        """One histogram endpoint per part of a pigeonhole index (none for any
+        other), over the current rows — the histograms summarize the data, so
+        stale ones would mis-allocate."""
+        if not isinstance(selector, PigeonholeHammingSelector):
+            return []
+        matrix = np.asarray(records, dtype=np.uint8)
+        return [
+            (
+                f"{name}::part{part_index}",
                 HistogramHammingEstimator(matrix[:, start:stop]),
-                curve_thetas=np.arange(width + 1, dtype=np.float64),
-                distance_name="hamming",
-                metadata={"part_of": binding.name, "part_index": part_index},
+                {
+                    "curve_thetas": np.arange(stop - start + 1, dtype=np.float64),
+                    "distance_name": "hamming",
+                    "metadata": {"part_of": name, "part_index": part_index},
+                },
             )
-            binding.part_endpoints.append(endpoint)
+            for part_index, (start, stop) in enumerate(selector.parts)
+        ]
 
     def register_sharded_attribute(
         self,
@@ -302,7 +343,8 @@ class SimilarityQueryEngine:
         instance), one exact index is built per shard (``selector_factory``
         over the shard's records, or the distance's default selector), and
         ``estimator_factory(shard_records, shard_index)`` supplies one
-        estimator per shard.  Serving endpoints:
+        estimator per shard (called once per shard, in shard order, with a
+        list of that shard's rows — here and at a rebalance).  Serving endpoints:
         ``name#shardK`` per shard plus a merged ``name`` endpoint whose curves
         are the sums of the per-shard cached curves — the planner addresses
         only the merged endpoint, the executor fans out across the shard
@@ -313,9 +355,7 @@ class SimilarityQueryEngine:
         processes (shard arrays published once via a shared data plane);
         results stay bit-identical either way.
         """
-        if name in self.catalog:
-            raise KeyError(f"attribute {name!r} is already registered")
-        distance = get_distance(distance_name)
+        self.catalog.validate(name, records)
         if selector_factory is None:
             selector_factory = lambda shard_records: default_selector(  # noqa: E731
                 distance_name, shard_records
@@ -333,33 +373,9 @@ class SimilarityQueryEngine:
             estimator_factory(list(shard.dataset), shard_index)
             for shard_index, shard in enumerate(sharded.shards)
         ]
-        curve_thetas = _integer_grid(distance, estimators[0], theta_max, curve_thetas)
-        grid = resolve_curve_grid(estimators, curve_thetas, theta_max)
-        if theta_max is None:
-            theta_max = float(grid[-1])
-        # Endpoints first (atomic inside the group), catalog second with
-        # rollback: a failure on either side leaves no half-registered state.
-        group = ShardedEstimatorGroup(
-            name,
-            self.service,
-            estimators,
-            curve_thetas=grid,
-            distance_name=distance_name,
+        binding = self._bring_up(
+            name, distance_name, sharded, estimators, curve_thetas, theta_max, records
         )
-        try:
-            binding = self.catalog.add(
-                name,
-                records,
-                distance_name,
-                endpoint=name,
-                theta_max=theta_max,
-                selector=sharded,
-            )
-        except Exception:
-            group.unregister()
-            raise
-        binding.shard_endpoints = list(group.shard_endpoints)
-        self._groups[name] = group
         self._estimator_factories[name] = estimator_factory
         return binding
 
@@ -387,7 +403,6 @@ class SimilarityQueryEngine:
         self,
         name: str,
         plan: Optional[RebalancePlan] = None,
-        rebalancer: Optional[Rebalancer] = None,
         partitioner: Optional[Partitioner] = None,
     ) -> Optional[RebalanceReport]:
         """Reshape a sharded attribute's layout while it keeps serving.
@@ -395,14 +410,16 @@ class SimilarityQueryEngine:
         Without an explicit ``plan``, one is derived from the current shard
         sizes plus the per-shard query-latency series the monitoring hub has
         scraped (:func:`~repro.sharding.suggest_plan`); a balanced layout
-        returns ``None`` without doing anything.  The selector-side swap is
-        atomic (old layout serves queries and journals updates until commit);
-        afterwards the serving group is rebuilt — fresh per-shard estimators
-        from the registered factory, new ``name#shardK`` endpoints on the
-        same curve grid — and attached per-shard update managers are dropped
-        (they were built for the old layout; reattach with
-        :meth:`attach_shard_managers` if per-shard paper-§8 maintenance is
-        still wanted).
+        returns ``None`` without doing anything.  The new shards and then
+        their serving estimators (the registered factory, over each new
+        shard's rows) are built while the old layout serves and journals
+        updates; only then do the ``name#shardK`` endpoints swap (same curve
+        grid) and the selector commit atomically.  If anything fails, the
+        factory included, the rebalance is aborted with the old layout,
+        endpoints and managers still serving.  On success attached per-shard
+        update managers are dropped (they were built for the old layout;
+        reattach with :meth:`attach_shard_managers` if per-shard paper-§8
+        maintenance is still wanted).
         """
         binding = self.catalog.get(name)
         if not binding.sharded:
@@ -422,26 +439,22 @@ class SimilarityQueryEngine:
             plan = suggest_plan(selector._assignment, store=store, now=now)
             if plan is None:
                 return None
-        if rebalancer is None:
-            rebalancer = Rebalancer(runtime=self.runtime)
+        rebalancer = Rebalancer(runtime=self.runtime)
         with span("engine.rebalance", attribute=name, actions=len(plan)):
-            report = rebalancer.execute(selector, plan, partitioner=partitioner)
-            # New serving estimators are built *before* the old group comes
-            # down, so the unregister→register gap stays as short as possible.
-            estimators = [
-                factory(list(shard.dataset), shard_index)
-                for shard_index, shard in enumerate(selector.shards)
-            ]
-            old_group = self._groups[name]
-            old_group.unregister()
-            group = self._groups[name] = ShardedEstimatorGroup(
-                name,
-                self.service,
-                estimators,
-                curve_thetas=old_group.curve_thetas,
-                distance_name=binding.distance.name,
-            )
-            binding.shard_endpoints = list(group.shard_endpoints)
+            staged = rebalancer.begin(selector, plan, partitioner)
+            try:
+                estimators = [
+                    factory(staged.shard_records(target), target)
+                    for target in range(staged.resolved.num_shards)
+                ]
+                report = self._bring_up(
+                    name, binding.distance.name, selector, estimators,
+                    self._groups[name].curve_thetas,
+                    commit=lambda: rebalancer.commit(staged),
+                )
+            except BaseException:
+                rebalancer.abort(staged)
+                raise
             # Per-shard managers were built for the old layout; drop them so
             # drift repair never retrains against shards that no longer exist.
             if self._links.pop(name, None) is not None:
@@ -748,8 +761,10 @@ class SimilarityQueryEngine:
                 apply(operation.records)
         binding.apply_column_delta(operation)
         if routing is None:
-            if isinstance(binding.selector, PigeonholeHammingSelector):
-                self._register_part_endpoints(binding)
+            if binding.uses_gph:
+                # Fresh histograms for the changed rows; if they cannot come
+                # up the stale family is back whole and the error propagates.
+                self._bring_up(name, binding.distance.name, binding.selector, None)
             return reports.get(0)
         binding.selector.apply_routed(routing, applied_shards=reports)
         # Merged curves are sums over every shard — stale whenever any shard

@@ -274,15 +274,15 @@ def check_delete_positions(live_count: int, positions: Iterable[int]) -> np.ndar
 
 
 def resolve_delete_positions(live_count: int, positions: Iterable[int]) -> np.ndarray:
-    """Lenient resolution matching ``datasets.updates.apply_operation``.
+    """What a lenient delete list means: the distinct positions within
+    ``[0, live_count)``, sorted ascending.
 
-    ``apply_operation`` replays deletes descending and skips positions that
-    fall outside the shrinking list.  For distinct in-range positions the
-    descending replay removes exactly the original indices (the j-th largest
-    position ``p_j`` satisfies ``p_j <= n-1-j < n-j``, the list length when it
-    is processed), so the equivalent one-shot delete set is simply the
-    distinct positions within ``[0, live_count)`` — which this returns, sorted
-    ascending, ready for :meth:`DeltaIndexMixin.delete_many`.
+    One meaning for every entry point that forgives — the engine's
+    ``apply_update``, ``IncrementalUpdateManager.process``,
+    ``ShardedSelector.route_operation`` and
+    :func:`repro.datasets.updates.apply_operation`: a repeated position names
+    one row, a position outside the list names none.  The result is ready for
+    the strict :meth:`DeltaIndexMixin.delete_many`.
     """
     positions = np.unique(np.asarray(list(positions), dtype=np.int64))
     return positions[(positions >= 0) & (positions < live_count)]

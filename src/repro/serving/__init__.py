@@ -13,6 +13,7 @@ from .registry import (
     EstimatorRegistry,
     RegisteredEstimator,
     default_record_key,
+    resolve_curve_grid,
 )
 from .service import EstimationService, PendingEstimate
 from .telemetry import EndpointStats, ServingTelemetry, q_error
@@ -23,6 +24,7 @@ __all__ = [
     "RegisteredEstimator",
     "default_record_key",
     "DEFAULT_CURVE_RESOLUTION",
+    "resolve_curve_grid",
     "EstimationService",
     "PendingEstimate",
     "ServingTelemetry",

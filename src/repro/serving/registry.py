@@ -10,17 +10,71 @@ the serving hot path is pure lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.interface import CardinalityEstimator
+from ..distances import get_distance
 
 #: Maps a query record to a stable, hashable cache key.
 RecordKeyFunction = Callable[[Any], bytes]
 
 #: Grid points used when a registration supplies only ``theta_max``.
 DEFAULT_CURVE_RESOLUTION = 65
+
+
+def resolve_curve_grid(
+    estimators: Sequence[CardinalityEstimator],
+    curve_thetas: Optional[Sequence[float]] = None,
+    theta_max: Optional[float] = None,
+    distance_name: str = "",
+) -> Tuple[np.ndarray, bool]:
+    """The threshold grid ``estimators`` are served on, and whether it is
+    their own canonical one — the one place a curve grid is decided.
+
+    One estimator for an endpoint; one per shard for a sharded attribute,
+    whose curves only sum on a shared grid.  In priority order: an explicit
+    ``curve_thetas``; the estimators' canonical grid
+    (:meth:`CardinalityEstimator.curve_thetas`, which must then be identical
+    across all of them); given only ``theta_max``, the exact grid
+    ``0..theta_max`` when ``distance_name`` names an integer-valued distance
+    and otherwise :data:`DEFAULT_CURVE_RESOLUTION` uniform points over
+    ``[0, theta_max]``.
+    """
+    canonical = False
+    if curve_thetas is None:
+        curve_thetas = estimators[0].curve_thetas()
+        canonical = curve_thetas is not None
+    if canonical:
+        for position, estimator in enumerate(estimators[1:], start=1):
+            other = estimator.curve_thetas()
+            if other is None or not np.array_equal(other, curve_thetas):
+                raise ValueError(
+                    f"estimator {position} has a different canonical curve grid "
+                    "than estimator 0; per-shard curves only sum on a shared "
+                    "grid — pass an explicit curve_thetas"
+                )
+    elif curve_thetas is None:
+        if theta_max is None:
+            raise ValueError(
+                "the estimator has no canonical curve grid; "
+                "pass curve_thetas or theta_max"
+            )
+        try:
+            integer_valued = get_distance(distance_name).integer_valued
+        except KeyError:  # a name the library does not know is only a label
+            integer_valued = False
+        if integer_valued:
+            curve_thetas = np.arange(int(theta_max) + 1)
+        else:
+            curve_thetas = np.linspace(0.0, float(theta_max), DEFAULT_CURVE_RESOLUTION)
+    grid = np.asarray(curve_thetas, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("curve_thetas must be a non-empty 1-D grid")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("curve_thetas must be non-decreasing")
+    return grid, canonical
 
 
 def default_record_key(record: Any) -> bytes:
@@ -59,6 +113,16 @@ class RegisteredEstimator:
     def key_for(self, record: Any) -> bytes:
         return self.record_key(record)
 
+    def registration(self) -> Tuple[str, CardinalityEstimator, Dict[str, Any]]:
+        """``(name, estimator, options)`` that register this endpoint again as
+        it stands — grid, ``canonical`` flag and all."""
+        return self.name, self.estimator, {
+            "curve_thetas": None if self.canonical else self.curve_thetas,
+            "record_key": self.record_key,
+            "distance_name": self.distance_name,
+            "metadata": self.metadata,
+        }
+
     def curve_index(self, theta: float) -> int:
         """Column of the endpoint's curves that answers threshold ``theta``."""
         return self.estimator.curve_index(theta, self.curve_thetas)
@@ -80,36 +144,17 @@ class EstimatorRegistry:
         estimator: CardinalityEstimator,
         curve_thetas: Optional[Sequence[float]] = None,
         theta_max: Optional[float] = None,
-        curve_resolution: int = DEFAULT_CURVE_RESOLUTION,
         record_key: Optional[RecordKeyFunction] = None,
         distance_name: str = "",
         metadata: Optional[Dict[str, Any]] = None,
     ) -> RegisteredEstimator:
-        """Register an estimator under ``name``.
-
-        The curve grid is resolved in priority order: an explicit
-        ``curve_thetas``, the estimator's own canonical grid
-        (:meth:`CardinalityEstimator.curve_thetas`), or a uniform grid over
-        ``[0, theta_max]`` with ``curve_resolution`` points.
-        """
+        """Register an estimator under ``name``, on the curve grid
+        :func:`resolve_curve_grid` decides for it."""
         if name in self._entries:
             raise KeyError(f"estimator {name!r} is already registered")
-        canonical = False
-        if curve_thetas is None:
-            curve_thetas = estimator.curve_thetas()
-            canonical = curve_thetas is not None
-        if curve_thetas is None:
-            if theta_max is None:
-                raise ValueError(
-                    f"estimator {name!r} has no canonical curve grid; "
-                    "pass curve_thetas or theta_max"
-                )
-            curve_thetas = np.linspace(0.0, float(theta_max), int(curve_resolution))
-        grid = np.asarray(curve_thetas, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("curve_thetas must be a non-empty 1-D grid")
-        if np.any(np.diff(grid) < 0):
-            raise ValueError("curve_thetas must be non-decreasing")
+        grid, canonical = resolve_curve_grid(
+            [estimator], curve_thetas, theta_max, distance_name
+        )
         entry = RegisteredEstimator(
             name=name,
             estimator=estimator,

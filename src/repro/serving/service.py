@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +119,23 @@ class EstimationService:
             # directly on the registry), make sure no stale curves survive.
             self.cache.invalidate(name)
             return entry
+
+    def register_all(
+        self, endpoints: Sequence[Tuple[str, Any, Dict[str, Any]]]
+    ) -> List[str]:
+        """Register ``(name, estimator, options)`` endpoints all-or-nothing:
+        when one is refused (a taken name, a bad grid) the ones already up
+        come down again before the refusal propagates.  Returns the names."""
+        registered: List[str] = []
+        try:
+            for name, estimator, options in endpoints:
+                self.register(name, estimator, **options)
+                registered.append(name)
+        except BaseException:
+            for name in registered:
+                self.unregister(name)
+            raise
+        return registered
 
     def unregister(self, name: str) -> None:
         """Remove an endpoint AND its cached curves.

@@ -12,12 +12,12 @@ shard cleanly:
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
 * :class:`Rebalancer` executes :class:`RebalancePlan` s (split hot shards,
-  merge cold ones, migrate id ranges) from snapshot slices on background
+  merge cold ones, migrate id ranges) from the base rows on background
   pools while the old layout serves, committing with an atomic swap after
   replaying mid-rebalance updates from the journal.
 """
 
-from .group import MergedShardEstimator, ShardedEstimatorGroup, resolve_curve_grid
+from .group import MergedShardEstimator, ShardedEstimatorGroup
 from .partitioner import (
     HashPartitioner,
     Partitioner,
@@ -47,7 +47,6 @@ __all__ = [
     "ShardRouting",
     "ShardedEstimatorGroup",
     "MergedShardEstimator",
-    "resolve_curve_grid",
     "RebalancePlan",
     "RebalanceReport",
     "Rebalancer",

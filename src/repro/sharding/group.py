@@ -22,46 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.interface import CardinalityEstimator
-from ..serving import DEFAULT_CURVE_RESOLUTION, EstimationService
-
-
-def resolve_curve_grid(
-    estimators: Sequence[CardinalityEstimator],
-    curve_thetas: Optional[Sequence[float]] = None,
-    theta_max: Optional[float] = None,
-    curve_resolution: int = DEFAULT_CURVE_RESOLUTION,
-) -> np.ndarray:
-    """The shared threshold grid every shard endpoint serves curves on.
-
-    Per-shard curves only sum meaningfully when they share one grid, so the
-    grid is resolved once for the whole group: an explicit ``curve_thetas``,
-    the estimators' common canonical grid (it must be *identical* across
-    shards), or a uniform grid over ``[0, theta_max]``.
-    """
-    if curve_thetas is not None:
-        grid = np.asarray(curve_thetas, dtype=np.float64)
-    else:
-        canonical = estimators[0].curve_thetas()
-        if canonical is not None:
-            for shard_index, estimator in enumerate(estimators[1:], start=1):
-                other = estimator.curve_thetas()
-                if other is None or not np.array_equal(other, canonical):
-                    raise ValueError(
-                        f"shard {shard_index} has a different canonical curve grid "
-                        "than shard 0; per-shard curves only sum on a shared grid "
-                        "— pass an explicit curve_thetas"
-                    )
-            grid = np.asarray(canonical, dtype=np.float64)
-        elif theta_max is not None:
-            grid = np.linspace(0.0, float(theta_max), int(curve_resolution))
-        else:
-            raise ValueError(
-                "shard estimators have no canonical curve grid; "
-                "pass curve_thetas or theta_max"
-            )
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("curve grid must be a non-empty 1-D array")
-    return grid
+from ..serving import EstimationService, resolve_curve_grid
 
 
 class MergedShardEstimator(CardinalityEstimator):
@@ -142,7 +103,6 @@ class ShardedEstimatorGroup:
         estimators: Sequence[CardinalityEstimator],
         curve_thetas: Optional[Sequence[float]] = None,
         theta_max: Optional[float] = None,
-        curve_resolution: int = DEFAULT_CURVE_RESOLUTION,
         distance_name: str = "",
     ) -> None:
         estimators = list(estimators)
@@ -151,38 +111,42 @@ class ShardedEstimatorGroup:
         self.name = name
         self.service = service
         self.estimators = estimators
-        self.curve_thetas = resolve_curve_grid(
-            estimators, curve_thetas, theta_max, curve_resolution
+        #: The one grid every shard endpoint serves curves on: per-shard
+        #: curves only sum meaningfully on a shared grid.
+        self.curve_thetas, _ = resolve_curve_grid(
+            estimators, curve_thetas, theta_max, distance_name
         )
-        self.shard_endpoints: List[str] = []
-        # Registration is atomic: a name collision partway through (e.g. the
-        # merged name is already taken) must not leak half the endpoints.
-        registered: List[str] = []
-        try:
-            for shard_index, estimator in enumerate(estimators):
-                endpoint = f"{name}#shard{shard_index}"
-                service.register(
-                    endpoint,
-                    estimator,
-                    curve_thetas=self.curve_thetas,
-                    distance_name=distance_name,
-                    metadata={"shard_of": name, "shard_index": shard_index},
-                )
-                registered.append(endpoint)
-                self.shard_endpoints.append(endpoint)
-            self.merged = MergedShardEstimator(
-                service, self.shard_endpoints, estimators, self.curve_thetas
+        self.shard_endpoints: List[str] = self.endpoints_for(name, len(estimators))[:-1]
+        self.merged = MergedShardEstimator(
+            service, self.shard_endpoints, estimators, self.curve_thetas
+        )
+        endpoints = [
+            (
+                endpoint,
+                estimator,
+                {
+                    "curve_thetas": self.curve_thetas,
+                    "distance_name": distance_name,
+                    "metadata": {"shard_of": name, "shard_index": shard_index},
+                },
             )
-            service.register(
-                name,
-                self.merged,
-                distance_name=distance_name,
-                metadata={"sharded": True, "num_shards": len(estimators)},
+            for shard_index, (endpoint, estimator) in enumerate(
+                zip(self.shard_endpoints, estimators)
             )
-        except Exception:
-            for endpoint in registered:
-                service.unregister(endpoint)
-            raise
+        ]
+        merged_options = {
+            "distance_name": distance_name,
+            "metadata": {"sharded": True, "num_shards": len(estimators)},
+        }
+        # All-or-nothing: a name collision partway through (e.g. the merged
+        # name is already taken) must not leak half the endpoints.
+        service.register_all([*endpoints, (name, self.merged, merged_options)])
+
+    @staticmethod
+    def endpoints_for(name: str, num_shards: int) -> List[str]:
+        """Every endpoint a group of ``num_shards`` registers under ``name``:
+        one per shard, then the merged one."""
+        return [*(f"{name}#shard{shard_index}" for shard_index in range(num_shards)), name]
 
     # ------------------------------------------------------------------ #
     # Serving façade (everything flows through the merged endpoint)
@@ -229,7 +193,7 @@ class ShardedEstimatorGroup:
         return dropped + self.service.invalidate(self.name)
 
     def unregister(self) -> None:
-        for endpoint in [*self.shard_endpoints, self.name]:
+        for endpoint in self.endpoints_for(self.name, self.num_shards):
             self.service.unregister(endpoint)
 
     def stats(self) -> Dict[str, Any]:

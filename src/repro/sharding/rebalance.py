@@ -14,13 +14,14 @@ The :class:`Rebalancer` executes a plan against a live
 1. :meth:`~repro.sharding.ShardedSelector.begin_rebalance` captures the base
    layout and starts journaling updates; the old layout keeps serving
    queries *and updates* throughout.
-2. Only the *changed* targets are persisted as snapshot slices
-   (:func:`~repro.store.save_component`) and their selectors built from
-   those slices on a background pool; unchanged shards are aliased — zero
-   build cost, zero extra memory.
+2. Only the *changed* targets are built, each from the base rows it holds,
+   on a background pool; unchanged shards are aliased — zero build cost,
+   zero extra memory.
 3. :meth:`~repro.sharding.ShardedSelector.commit_rebalance` swaps the staged
    layout in atomically, replaying every journaled update first, so the new
    layout answers bit-identically to the old one.
+
+Steps 1–2 are :meth:`Rebalancer.begin`, step 3 :meth:`Rebalancer.commit`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from ..obs.metrics import current_registry, metric_key
 from ..runtime import Runtime, default_runtime
 from ..selection.base import SimilaritySelector
-from ..store import load_component, save_component
 from .partitioner import Partitioner, ShardAssignment
 from .selector import ShardedSelector, ShardLayoutSnapshot
 
@@ -42,10 +42,9 @@ from .selector import ShardedSelector, ShardLayoutSnapshot
 #: background `start()` never deadlocks waiting for its own builds).
 REBALANCE_POOL = "rebalance"
 #: Pool target-shard builds fan out on (thread backend: index construction is
-#: numpy-heavy and releases the GIL).
+#: numpy-heavy and releases the GIL), and the most workers it is created with.
 REBALANCE_BUILD_POOL = "rebalance-build"
-
-REBALANCE_SLICE_KIND = "repro.rebalance.slice"
+BUILD_WORKERS = 4
 
 
 def _record_rebalance(outcome: str, seconds: float) -> None:
@@ -333,47 +332,32 @@ class RebalanceReport:
     seconds: float
 
 
-def _build_target_from_slice(path, factory) -> SimilaritySelector:
-    """Build one target shard's selector from its persisted snapshot slice.
+@dataclass
+class StagedRebalance:
+    """A rebalance between :meth:`Rebalancer.begin` and its commit or abort:
+    the new layout resolved and its changed shards built, the old one serving."""
 
-    Module-level so the build pool's task graph stays introspectable.  The
-    slice is loaded *without* mmap: the built selector would otherwise hold
-    views into files whose lifetime ends with the rebalance scratch
-    directory.
-    """
-    payload = load_component(path, expected_kind=REBALANCE_SLICE_KIND)
-    return factory(payload["records"])
+    selector: ShardedSelector
+    base: ShardLayoutSnapshot
+    partitioner: Optional[Partitioner]
+    resolved: Optional[ResolvedPlan] = None
+    assignment: Optional[ShardAssignment] = None
+    built: Dict[int, SimilaritySelector] = field(default_factory=dict)
+    started: float = field(default_factory=time.perf_counter)
+
+    def shard_records(self, target: int) -> List:
+        """The base rows new shard ``target`` holds, in its local order."""
+        return [self.base.records[int(i)] for i in self.assignment.global_ids[target]]
 
 
 class Rebalancer:
     """Executes :class:`RebalancePlan` s against live sharded selectors."""
 
-    def __init__(
-        self,
-        runtime: Optional[Runtime] = None,
-        workdir: Optional[Any] = None,
-        build_workers: int = 4,
-    ) -> None:
+    def __init__(self, runtime: Optional[Runtime] = None) -> None:
         self.runtime = runtime
-        self.workdir = workdir
-        self.build_workers = int(build_workers)
 
     def _runtime(self) -> Runtime:
         return self.runtime if self.runtime is not None else default_runtime()
-
-    def _scratch_dir(self):
-        if self.workdir is not None:
-            from pathlib import Path
-
-            path = Path(self.workdir)
-            path.mkdir(parents=True, exist_ok=True)
-            return path, None
-        import tempfile
-
-        holder = tempfile.TemporaryDirectory(prefix="repro-rebalance-")
-        from pathlib import Path
-
-        return Path(holder.name), holder
 
     def execute(
         self,
@@ -381,45 +365,61 @@ class Rebalancer:
         plan: RebalancePlan,
         partitioner: Optional[Partitioner] = None,
     ) -> RebalanceReport:
-        """Run one plan to completion: begin → build (background) → commit.
+        """Run one plan to completion: :meth:`begin` → :meth:`commit`.
 
         The selector keeps serving queries and absorbing updates on its old
         layout the whole time; mid-rebalance updates are journaled and
         replayed before the atomic swap.  On any failure the staging is
         aborted and the live (old, fully current) layout keeps serving.
         """
-        started = time.perf_counter()
-        base = selector.begin_rebalance()
+        staged = self.begin(selector, plan, partitioner)
         try:
-            resolved = plan.resolve(base.assignment)
-            assignment = ShardAssignment.from_shard_of(
+            return self.commit(staged)
+        except BaseException:
+            self.abort(staged)
+            raise
+
+    def begin(
+        self,
+        selector: ShardedSelector,
+        plan: RebalancePlan,
+        partitioner: Optional[Partitioner] = None,
+    ) -> StagedRebalance:
+        """Start journaling, resolve ``plan`` against the captured base and
+        build the changed target shards; a failure in here aborts the staging.
+        A caller may stand between this and :meth:`commit` — the old layout
+        serves and journals meanwhile — to build what else the new one needs."""
+        staged = StagedRebalance(selector, selector.begin_rebalance(), partitioner)
+        try:
+            resolved = staged.resolved = plan.resolve(staged.base.assignment)
+            staged.assignment = ShardAssignment.from_shard_of(
                 resolved.shard_of, resolved.num_shards
             )
-            scratch, holder = self._scratch_dir()
-            try:
-                built = self._build_targets(selector, base, assignment, resolved, scratch)
-            finally:
-                if holder is not None:
-                    holder.cleanup()
             if partitioner is None and resolved.num_shards != selector.num_shards:
-                partitioner = self._derive_partitioner(selector, resolved.num_shards)
-            replayed = selector.commit_rebalance(
-                base,
-                assignment,
-                built,
-                aliased_sources=resolved.aliased,
-                partitioner=partitioner,
-            )
+                staged.partitioner = self._derive_partitioner(selector, resolved.num_shards)
+            staged.built = self._build_targets(staged)
         except BaseException:
-            selector.abort_rebalance()
-            _record_rebalance("aborted", time.perf_counter() - started)
+            self.abort(staged)
             raise
-        seconds = time.perf_counter() - started
+        return staged
+
+    def commit(self, staged: StagedRebalance) -> RebalanceReport:
+        """Swap the staged layout in atomically, replaying the journal; a
+        refusal leaves the staging open for :meth:`abort`."""
+        resolved, assignment = staged.resolved, staged.assignment
+        replayed = staged.selector.commit_rebalance(
+            staged.base,
+            assignment,
+            staged.built,
+            aliased_sources=resolved.aliased,
+            partitioner=staged.partitioner,
+        )
+        seconds = time.perf_counter() - staged.started
         moved = int(sum(len(assignment.global_ids[t]) for t in resolved.build_targets))
         _record_rebalance("committed", seconds)
         _record_rebalance_volume(moved, replayed)
         return RebalanceReport(
-            num_shards_before=base.assignment.num_shards,
+            num_shards_before=staged.base.assignment.num_shards,
             num_shards_after=resolved.num_shards,
             built_targets=resolved.build_targets,
             aliased_targets=resolved.aliased,
@@ -427,6 +427,11 @@ class Rebalancer:
             journal_replayed=replayed,
             seconds=seconds,
         )
+
+    def abort(self, staged: StagedRebalance) -> None:
+        """Discard the staging; the live layout never stopped being current."""
+        staged.selector.abort_rebalance()
+        _record_rebalance("aborted", time.perf_counter() - staged.started)
 
     def start(self, selector: ShardedSelector, plan: RebalancePlan, **kwargs) -> Any:
         """Run :meth:`execute` on a background pool; returns its task handle.
@@ -440,51 +445,21 @@ class Rebalancer:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _build_targets(
-        self,
-        selector: ShardedSelector,
-        base: ShardLayoutSnapshot,
-        assignment: ShardAssignment,
-        resolved: ResolvedPlan,
-        scratch,
-    ) -> Dict[int, SimilaritySelector]:
-        """Persist changed-target slices and build their selectors in parallel.
-
-        Only the *changed* targets are materialized (``save_component`` per
-        slice, re-loaded inside the build task) — aliased shards cost
-        nothing.  Builds run on the thread build pool: index construction is
-        dominated by numpy packing/sorting, which releases the GIL.
-        """
-        targets = resolved.build_targets
+    def _build_targets(self, staged: StagedRebalance) -> Dict[int, SimilaritySelector]:
+        """Build the changed targets' selectors in parallel, each from the
+        base rows it holds — aliased shards cost nothing.  Thread build pool:
+        index construction is mostly numpy packing/sorting, off the GIL."""
+        targets = staged.resolved.build_targets
         if not targets:
             return {}
-        factory = selector.selector_factory
-        paths = {}
-        for target in targets:
-            slice_records = [
-                base.records[int(i)] for i in assignment.global_ids[target]
-            ]
-            path = scratch / f"target-{target}"
-            save_component(
-                {"records": slice_records},
-                path,
-                kind=REBALANCE_SLICE_KIND,
-                meta={"target": target, "records": len(slice_records)},
-            )
-            paths[target] = path
         pool = self._runtime().pool(
-            REBALANCE_BUILD_POOL,
-            num_workers=max(1, min(self.build_workers, len(targets))),
+            REBALANCE_BUILD_POOL, num_workers=min(BUILD_WORKERS, len(targets))
         )
-        handles = {
-            target: pool.submit(_build_target_from_slice, paths[target], factory)
-            for target in targets
-        }
-        errors = {t: handle.exception() for t, handle in handles.items()}
-        for error in errors.values():
-            if error is not None:
-                raise error
-        return {target: handle.result() for target, handle in handles.items()}
+        built = pool.map(
+            staged.selector.selector_factory,
+            [staged.shard_records(target) for target in targets],
+        )
+        return dict(zip(targets, built))
 
     @staticmethod
     def _derive_partitioner(selector: ShardedSelector, num_shards: int) -> Partitioner:

@@ -316,7 +316,6 @@ class ShardedSelector(SimilaritySelector):
         parallel: bool = True,
         runtime: Optional[Runtime] = None,
         backend: str = "thread",
-        auto_compact: bool = False,
     ) -> None:
         super().__init__(dataset)
         if backend not in POOL_BACKENDS:
@@ -352,12 +351,8 @@ class ShardedSelector(SimilaritySelector):
         #: Requested fan-out backend; the effective one degrades to threads
         #: per query when a shard cannot publish a plane (see _shard_planes).
         self.backend = backend
-        #: Schedule background compaction of touched shards after updates.
-        #: Off by default: background tasks in flight block ``engine.save``
-        #: until :meth:`join_maintenance` drains them.
-        self.auto_compact = bool(auto_compact)
         #: Serializes layout changes (shards/assignment/planes/journal)
-        #: against query capture and background maintenance.  Shard *compute*
+        #: against query capture and compaction.  Shard *compute*
         #: runs outside the lock, so queries never block behind an update for
         #: longer than the O(Δ) commit itself.
         self._lock = threading.RLock()
@@ -369,7 +364,6 @@ class ShardedSelector(SimilaritySelector):
         #: ``None`` = no rebalance in flight; a list = journal of updates
         #: applied since :meth:`begin_rebalance`, replayed at commit.
         self._journal: Optional[List[UpdateOperation]] = None
-        self._maintenance_handles: List[Any] = []
         self._meter = _FanOutMeter()
 
     # ------------------------------------------------------------------ #
@@ -701,7 +695,6 @@ class ShardedSelector(SimilaritySelector):
             parallel=self.parallel,
             runtime=self.runtime,
             backend=self.backend,
-            auto_compact=self.auto_compact,
         )
 
     # ------------------------------------------------------------------ #
@@ -723,10 +716,10 @@ class ShardedSelector(SimilaritySelector):
         the live pools), preserving runtime-sharing identity across restore:
         an engine and its sharded selectors restore onto ONE runtime, and the
         shard pool is rebuilt lazily on the first parallel fan-out.  Plane
-        state (temp files + handles into them), the layout lock, any pending
-        maintenance handles, the fan-out meter (advisory; re-learned by the
-        first fan-out), and an in-flight rebalance journal are likewise
-        dropped — a restored selector serves the committed layout.
+        state (temp files + handles into them), the layout lock, the fan-out
+        meter (advisory; re-learned by the first fan-out), and an in-flight
+        rebalance journal are likewise dropped — a restored selector serves
+        the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale
@@ -738,7 +731,6 @@ class ShardedSelector(SimilaritySelector):
         state["_plane_disabled"] = False
         state["_dirty_plane_shards"] = set()
         state["_journal"] = None
-        state["_maintenance_handles"] = []
         state.pop("_meter", None)
         return state
 
@@ -757,11 +749,10 @@ class ShardedSelector(SimilaritySelector):
         Nothing is applied; the returned routing is committed with
         :meth:`apply_routed`.  Applying each shard's local operation to that
         shard's records yields exactly the shards of the globally updated
-        dataset — deletes follow :func:`~repro.datasets.updates.apply_operation`
-        semantics (descending positional replay, out-of-range skipped) so the
-        two views cannot diverge.  Distinct in-range delete positions take a
-        vectorized O(Δ) directory gather; duplicate or out-of-range positions
-        fall back to the faithful replay loop.
+        dataset.  A delete list means what it means everywhere lenient
+        (:func:`~repro.selection.delta.resolve_delete_positions`: the distinct
+        positions within ``[0, n)``), and its per-shard locals are a
+        vectorized O(Δ) directory gather.
         """
         with self._lock:
             assignment = self._assignment
@@ -780,44 +771,16 @@ class ShardedSelector(SimilaritySelector):
                 local_operations[int(shard_id)] = UpdateOperation("insert", subset)
             new_shard_of = np.concatenate([assignment.shard_of, shard_ids])
         else:  # delete, by global positional index
-            raw = np.asarray([int(i) for i in operation.records], dtype=np.int64)
+            positions = resolve_delete_positions(total, operation.records)
             removed = np.zeros(total, dtype=bool)
-            if (
-                raw.size
-                and bool((raw >= 0).all())
-                and bool((raw < total).all())
-                and np.unique(raw).size == raw.size
-            ):
-                # Fast path: distinct in-range positions delete exactly those
-                # records, so the per-shard locals are two directory gathers.
-                positions = np.sort(raw)
-                removed[positions] = True
-                position_shards = assignment.shard_of[positions]
-                position_locals = assignment.local_of[positions]
-                for shard_id in np.unique(position_shards):
-                    locals_ = position_locals[position_shards == shard_id]
-                    local_operations[int(shard_id)] = UpdateOperation(
-                        "delete", [int(i) for i in locals_[::-1]]
-                    )
-            else:
-                # Positions shift as deletes apply; replay them descending
-                # over a live view of original ids, exactly like
-                # apply_operation does.
-                alive = list(range(total))
-                per_shard_locals: Dict[int, List[int]] = {}
-                for position in sorted((int(i) for i in raw), reverse=True):
-                    if not 0 <= position < len(alive):
-                        continue
-                    original = alive.pop(position)
-                    removed[original] = True
-                    shard_id = int(assignment.shard_of[original])
-                    per_shard_locals.setdefault(shard_id, []).append(
-                        int(assignment.local_of[original])
-                    )
-                local_operations = {
-                    shard_id: UpdateOperation("delete", locals_)
-                    for shard_id, locals_ in per_shard_locals.items()
-                }
+            removed[positions] = True
+            position_shards = assignment.shard_of[positions]
+            position_locals = assignment.local_of[positions]
+            for shard_id in np.unique(position_shards):
+                locals_ = position_locals[position_shards == shard_id]
+                local_operations[int(shard_id)] = UpdateOperation(
+                    "delete", [int(i) for i in locals_[::-1]]
+                )
             new_shard_of = assignment.shard_of[~removed]
         return ShardRouting(
             operation=operation,
@@ -875,7 +838,6 @@ class ShardedSelector(SimilaritySelector):
             self._invalidate_planes_locked(routing.touched_shards)
             if self._journal is not None:
                 self._journal.append(routing.operation)
-            self._schedule_compaction_locked(routing.touched_shards)
 
     def apply_operation(self, operation: UpdateOperation) -> ShardRouting:
         """Route and commit a global update in one call (no external managers)."""
@@ -901,10 +863,10 @@ class ShardedSelector(SimilaritySelector):
         return int(checked.size)
 
     # ------------------------------------------------------------------ #
-    # Background maintenance (opt-in)
+    # Compaction
     # ------------------------------------------------------------------ #
     def _compact_shard(self, shard_id: int) -> int:
-        """Compact one shard and refresh its plane; runs on the shard pool."""
+        """Compact one shard and refresh its plane."""
         with self._lock:
             shard = self._shards[shard_id]
             reclaimed = shard.compact()
@@ -912,38 +874,10 @@ class ShardedSelector(SimilaritySelector):
                 self._invalidate_planes_locked([shard_id])
             return reclaimed
 
-    def _schedule_compaction_locked(self, shard_ids: Sequence[int]) -> None:
-        """Queue background compaction for shards past their policy threshold.
-
-        Caller holds the layout lock.  No-op unless ``auto_compact`` — the
-        selector otherwise relies on each shard's forced-compaction bound
-        (synchronous, amortized O(Δ)) plus explicit ``compact()`` calls.
-        """
-        if not self.auto_compact:
-            return
-        pending = [
-            int(i) for i in shard_ids if self._shards[int(i)].needs_compaction()
-        ]
-        if not pending:
-            return
-        runtime = self.runtime if self.runtime is not None else default_runtime()
-        pool = runtime.pool(SHARD_POOL, num_workers=self.num_shards)
-        self._maintenance_handles = [
-            handle for handle in self._maintenance_handles if not handle.done()
-        ]
-        for shard_id in pending:
-            self._maintenance_handles.append(
-                pool.submit(self._compact_shard, shard_id)
-            )
-
-    def join_maintenance(self) -> int:
-        """Drain pending background compactions; returns rows reclaimed."""
-        with self._lock:
-            handles, self._maintenance_handles = self._maintenance_handles, []
-        return sum(int(handle.result()) for handle in handles)
-
     def compact(self) -> int:
-        """Synchronously compact every shard; returns total rows reclaimed."""
+        """Synchronously compact every shard; returns total rows reclaimed.
+        Between calls each shard's forced-compaction bound (synchronous,
+        amortized O(Δ)) keeps its tombstones bounded."""
         reclaimed = 0
         with self._lock:
             for shard_id in range(self.num_shards):

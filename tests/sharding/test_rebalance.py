@@ -172,23 +172,12 @@ class TestExecution:
         records = make_records(180)
         sharded = make_sharded(records, num_shards=3)
 
-        class UpdatingRebalancer(Rebalancer):
-            """Injects updates after staging starts, before the commit."""
-
-            def _build_targets(self, selector, base, assignment, resolved, scratch):
-                built = super()._build_targets(
-                    selector, base, assignment, resolved, scratch
-                )
-                extra = make_records(7, seed=99)
-                selector.apply_operation(UpdateOperation("insert", extra))
-                selector.apply_operation(
-                    UpdateOperation("delete", np.array([4, 40, 170]))
-                )
-                return built
-
-        report = UpdatingRebalancer().execute(
-            sharded, RebalancePlan([SplitShard(0, parts=2)])
-        )
+        # Updates arrive after staging, before the commit.
+        rebalancer = Rebalancer()
+        staged = rebalancer.begin(sharded, RebalancePlan([SplitShard(0, parts=2)]))
+        sharded.apply_operation(UpdateOperation("insert", make_records(7, seed=99)))
+        sharded.apply_operation(UpdateOperation("delete", np.array([4, 40, 170])))
+        report = rebalancer.commit(staged)
         assert report.journal_replayed == 2
         assert len(sharded) == 180 + 7 - 3
         assert sharded.stats()["journal_depth"] == 0
@@ -200,19 +189,11 @@ class TestExecution:
         sharded = make_sharded(records, num_shards=4)
         positions = np.flatnonzero(np.asarray(sharded._assignment.shard_of) == 3)[:2]
 
-        class MutatingRebalancer(Rebalancer):
-            """Deletes rows on an otherwise-aliased shard mid-rebalance."""
-
-            def _build_targets(self, selector, base, assignment, resolved, scratch):
-                built = super()._build_targets(
-                    selector, base, assignment, resolved, scratch
-                )
-                selector.apply_operation(UpdateOperation("delete", positions))
-                return built
-
-        report = MutatingRebalancer().execute(
-            sharded, RebalancePlan([MergeShards((0, 1))])
-        )
+        # Rows on an otherwise-aliased shard are deleted mid-rebalance.
+        rebalancer = Rebalancer()
+        staged = rebalancer.begin(sharded, RebalancePlan([MergeShards((0, 1))]))
+        sharded.apply_operation(UpdateOperation("delete", positions))
+        report = rebalancer.commit(staged)
         # Shard 3 was an alias candidate but mutated mid-flight: the commit
         # must fall back to rebuilding it from base records, then journal
         # replay re-applies the delete — never silently losing either side.
