@@ -6,11 +6,11 @@ from .encoder import AcceleratedEncoder, DistanceEmbedding, SharedEncoder
 from .estimator import CardNetEstimator
 from .incremental import IncrementalUpdateManager, RevalidationReport, UpdateStepReport
 from .interface import CardinalityEstimator
-from .loss import DynamicLossWeights, empirical_tau_distribution, weighted_msle
+from ..nn import weighted_msle
+from .loss import DynamicLossWeights, empirical_tau_distribution
 from .training import (
     CardNetTrainer,
     FeaturizedSplit,
-    RegressionRow,
     TrainingResult,
     featurize_examples,
 )
@@ -24,7 +24,6 @@ __all__ = [
     "CardNetTrainer",
     "TrainingResult",
     "FeaturizedSplit",
-    "RegressionRow",
     "featurize_examples",
     "VariationalAutoEncoder",
     "pretrain_vae",

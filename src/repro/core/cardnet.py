@@ -20,7 +20,7 @@ one pass for the whole curve, and ``forward`` is what the tests check it against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,18 +108,30 @@ class CardNet(nn.Module):
     # ------------------------------------------------------------------ #
     # Forward passes
     # ------------------------------------------------------------------ #
-    def per_distance_embeddings(self, features: Tensor, deterministic: bool) -> List[Tensor]:
-        """z_x^i for every distance i, as a list of (batch, z_dim) tensors."""
-        representation = self.vae.representation(features, deterministic=deterministic)
+    def embeddings(self, representation: Tensor) -> Tensor:
+        """Ψ: Z of shape (batch, τ_max+1, z_dim); row i of ``Z[k]`` is z_x^i for query k."""
         if isinstance(self.encoder, AcceleratedEncoder):
-            return self.encoder.embed_all(representation)
-        all_embeddings = self.distance_embedding.all_embeddings()
-        return self.encoder.embed_all(representation, all_embeddings)
+            return self.encoder(representation)
+        return self.encoder(representation, self.distance_embedding.all_embeddings())
 
     def per_distance_estimates(self, features: Tensor, deterministic: bool) -> Tensor:
         """(batch, τ_max+1) matrix of non-negative per-distance cardinalities."""
-        embeddings = self.per_distance_embeddings(features, deterministic)
-        return self.decoders.decode_all(embeddings)
+        representation = self.vae.representation(features, deterministic=deterministic)
+        return self.decoders(self.embeddings(representation))
+
+    def training_outputs(self, features: Tensor) -> Tuple[Tensor, Tensor]:
+        """(per-distance estimates, L_vae) of one training batch, the two model
+        terms of Eq. 2.
+
+        Both need the posterior q(z | x), so the VAE's encoder runs once; each
+        term then draws its own latent, in the order — and from the same noise
+        stream — as ``per_distance_estimates`` followed by ``vae_loss``.
+        """
+        mean, log_var = self.vae.encode(features)
+        latent = self.vae.reparameterize(mean, log_var)
+        representation = nn.concatenate([features, latent], axis=-1)
+        per_distance = self.decoders(self.embeddings(representation))
+        return per_distance, self.vae.posterior_loss(features, mean, log_var)
 
     def forward(self, features: Tensor, taus: np.ndarray, deterministic: Optional[bool] = None) -> Tensor:
         """Estimated cardinalities ĉ for a batch of (feature vector, τ) pairs."""

@@ -11,8 +11,6 @@ increasing in τ.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from .. import nn
@@ -36,28 +34,16 @@ class PerDistanceDecoders(nn.Module):
         )
         self.biases = Tensor(np.zeros(tau_max + 1), requires_grad=True)
 
-    def decode_distance(self, embedding: Tensor, distance: int) -> Tensor:
-        """g_distance(x): (batch,) non-negative cardinality estimate for one distance."""
-        if not 0 <= distance <= self.tau_max:
-            raise IndexError(f"distance {distance} outside [0, {self.tau_max}]")
-        weight = self.weights[distance].reshape(-1, 1)
-        bias = self.biases[distance]
-        return ((embedding @ weight).reshape(embedding.shape[0]) + bias).relu()
+    def forward(self, embeddings: Tensor) -> Tensor:
+        """(batch, τ_max+1) per-distance estimates from Z of shape (batch, τ_max+1, z_dim).
 
-    def decode_all(self, embeddings: List[Tensor]) -> Tensor:
-        """Stack per-distance estimates into a (batch, τ_max+1) tensor.
-
-        ``embeddings[i]`` is the (batch, z_dim) embedding for distance i.
+        ``embeddings[:, i]`` is the (batch, z_dim) embedding for distance i.
         """
-        if len(embeddings) != self.tau_max + 1:
+        if embeddings.ndim != 3 or embeddings.shape[1] != self.tau_max + 1:
             raise ValueError(
-                f"expected {self.tau_max + 1} embeddings, got {len(embeddings)}"
+                f"expected (batch, {self.tau_max + 1}, z) embeddings, got {embeddings.shape}"
             )
-        columns = [
-            self.decode_distance(embedding, distance).reshape(-1, 1)
-            for distance, embedding in enumerate(embeddings)
-        ]
-        return nn.concatenate(columns, axis=1)
+        return nn.linear_bank(embeddings, self.weights, self.biases, "relu")
 
     def infer_all(self, embeddings: np.ndarray) -> np.ndarray:
         """(batch, τ_max+1) per-distance estimates from Z of shape (batch, τ_max+1, z_dim)."""

@@ -38,8 +38,8 @@ class DistanceEmbedding(nn.Module):
         return self.table(distances)
 
     def all_embeddings(self) -> Tensor:
-        """Embeddings of every distance value 0..τ_max as a (τ_max+1, dim) tensor."""
-        return self.table(np.arange(self.tau_max + 1))
+        """Embeddings of every distance value 0..τ_max: the (τ_max+1, dim) table itself."""
+        return self.table.weight
 
     def infer_all_embeddings(self) -> np.ndarray:
         """The live (τ_max+1, dim) embedding matrix itself (not a copy)."""
@@ -68,25 +68,15 @@ class SharedEncoder(nn.Module):
             rng=np.random.default_rng(seed),
         )
 
-    def forward(self, representation: Tensor, distance_embedding: Tensor) -> Tensor:
-        """Embed one distance value for a batch of representations.
+    def forward(self, representation: Tensor, distance_embeddings: Tensor) -> Tensor:
+        """Z of shape (batch, τ_max+1, z_dim): Φ once over the stacked [(x' ; e_i)] rows.
 
-        ``representation`` is (batch, rep_dim); ``distance_embedding`` is either
-        (emb_dim,) broadcast to the batch or (batch, emb_dim).
+        ``representation`` is (batch, rep_dim), ``distance_embeddings`` is the
+        (τ_max+1, emb_dim) matrix E; row ``i`` of ``Z[k]`` is ``z_x^i`` for query k.
         """
-        if distance_embedding.ndim == 1:
-            tiled = Tensor(np.ones((representation.shape[0], 1))) @ distance_embedding.reshape(1, -1)
-        else:
-            tiled = distance_embedding
-        joined = nn.concatenate([representation, tiled], axis=-1)
-        return self.network(joined)
-
-    def embed_all(self, representation: Tensor, distance_embeddings: Tensor) -> List[Tensor]:
-        """Per-distance embeddings z_x^i for i = 0..τ_max (list of (batch, z_dim))."""
-        outputs: List[Tensor] = []
-        for index in range(distance_embeddings.shape[0]):
-            outputs.append(self.forward(representation, distance_embeddings[index]))
-        return outputs
+        batch, num_distances = representation.shape[0], distance_embeddings.shape[0]
+        stacked = nn.pair_rows(representation, distance_embeddings)
+        return self.network(stacked).reshape(batch, num_distances, -1)
 
     def infer_embeddings(
         self, representation: np.ndarray, distance_embeddings: np.ndarray
@@ -154,7 +144,7 @@ class AcceleratedEncoder(nn.Module):
         regions: List[Tensor] = []
         hidden = representation
         for trunk, head, width in zip(self._trunk_layers, self._heads, self.region_widths):
-            hidden = trunk(hidden).relu()
+            hidden = nn.linear(hidden, trunk.weight, trunk.bias, "relu")
             region = head(hidden).reshape(batch, self.tau_max + 1, width)
             regions.append(region)
         return nn.concatenate(regions, axis=2)
@@ -168,8 +158,3 @@ class AcceleratedEncoder(nn.Module):
             hidden = np.maximum(trunk.infer(hidden), 0.0)
             regions.append(head.infer(hidden).reshape(batch, self.tau_max + 1, width))
         return np.concatenate(regions, axis=2)
-
-    def embed_all(self, representation: Tensor) -> List[Tensor]:
-        """Per-distance embeddings as a list (interface-compatible with Φ)."""
-        z_matrix = self.forward(representation)
-        return [z_matrix[:, index, :] for index in range(self.tau_max + 1)]

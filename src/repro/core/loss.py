@@ -9,7 +9,8 @@ where ``P`` is the empirical distribution of transformed thresholds on the
 validation set, ``ĉ_i / c_i`` are the per-distance (incremental) estimates and
 targets, and the weights ``ω_i`` are adjusted dynamically: after each
 validation pass, distances whose validation loss *increased* receive weight
-proportional to the increase, all others receive zero (§6.2).
+proportional to the increase, all others receive zero (§6.2).  The MSLE itself
+is :func:`repro.nn.weighted_msle`; this module owns the weights ω_i and P.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-
-from ..nn import Tensor
-
-
-def weighted_msle(prediction: Tensor, target: Tensor, weights: Optional[np.ndarray] = None) -> Tensor:
-    """MSLE with optional per-row weights (used for the E_{τ~P}[·] expectation)."""
-    log_pred = prediction.clip(min_value=0.0).log1p()
-    log_target = target.clip(min_value=0.0).log1p()
-    squared = (log_pred - log_target) ** 2
-    if weights is None:
-        return squared.mean()
-    weight_tensor = Tensor(np.asarray(weights, dtype=np.float64))
-    return (squared * weight_tensor).sum() / float(max(np.sum(weights), 1e-12))
 
 
 class DynamicLossWeights:

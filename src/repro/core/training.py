@@ -15,53 +15,39 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..featurization.base import FeatureExtractor
-from ..metrics import msle
-from ..nn import Tensor
+from ..nn import Tensor, weighted_msle
 from ..workloads.examples import QueryExample
 from .cardnet import CardNet
-from .loss import DynamicLossWeights, empirical_tau_distribution, weighted_msle
-
-
-@dataclass
-class RegressionRow:
-    """One flattened training row in the Hamming-space interface.
-
-    ``segment_low`` is the previous labelled τ for the same query (or -1), so
-    the segment target is the cardinality increment over ``(segment_low, tau]``
-    — exactly what the per-distance decoders in that range must add up to.
-    """
-
-    query_index: int
-    tau: int
-    cumulative: float
-    segment_low: int
-    segment_target: float
+from .loss import DynamicLossWeights, empirical_tau_distribution
 
 
 @dataclass
 class FeaturizedSplit:
-    """A featurized workload split: unique query features + flattened rows."""
+    """A featurized workload split: unique query features + flattened rows.
+
+    The rows are stored as one array per field.  Row ``r`` is the labelled
+    point (query ``query_index[r]``, threshold ``tau[r]``) with cardinality
+    ``cumulative[r]``; ``segment_low[r]`` is the previous labelled τ of the
+    same query (or -1), so ``segment_target[r]`` is the cardinality increment
+    over ``(segment_low, tau]`` — exactly what the per-distance decoders in
+    that range must add up to.
+    """
 
     features: np.ndarray                      # (num_queries, d)
-    rows: List[RegressionRow] = field(default_factory=list)
+    query_index: np.ndarray                   # (num_rows,) int64, row of ``features``
+    tau: np.ndarray                           # (num_rows,) int64
+    cumulative: np.ndarray                    # (num_rows,) float64
+    segment_low: np.ndarray                   # (num_rows,) int64
+    segment_target: np.ndarray                # (num_rows,) float64
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def row_features(self, rows: Sequence[RegressionRow]) -> np.ndarray:
-        return self.features[[row.query_index for row in rows]]
-
-    def taus(self) -> np.ndarray:
-        return np.asarray([row.tau for row in self.rows], dtype=np.int64)
-
-    def cumulative_targets(self) -> np.ndarray:
-        return np.asarray([row.cumulative for row in self.rows], dtype=np.float64)
+        return len(self.tau)
 
 
 def featurize_examples(
@@ -92,7 +78,8 @@ def featurize_examples(
     else:
         features = np.zeros((0, extractor.dimension))
 
-    split = FeaturizedSplit(features=features)
+    # (query_index, tau, cumulative, segment_low, segment_target) per row.
+    rows: List[Tuple[int, int, float, int, float]] = []
     for query_index, (_, group) in enumerate(grouped.values()):
         # Cumulative cardinality per transformed threshold (max over aliased θ).
         by_tau: Dict[int, float] = {}
@@ -102,34 +89,39 @@ def featurize_examples(
         previous_cumulative = 0.0
         for tau in sorted(by_tau):
             cumulative = by_tau[tau]
-            split.rows.append(
-                RegressionRow(
-                    query_index=query_index,
-                    tau=tau,
-                    cumulative=cumulative,
-                    segment_low=previous_tau,
-                    segment_target=max(cumulative - previous_cumulative, 0.0),
+            rows.append(
+                (
+                    query_index,
+                    tau,
+                    cumulative,
+                    previous_tau,
+                    max(cumulative - previous_cumulative, 0.0),
                 )
             )
             previous_tau = tau
             previous_cumulative = cumulative
-    return split
+    # One float64 table: the integer fields (indices, τ values) are exact in it.
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    return FeaturizedSplit(
+        features=features,
+        query_index=table[:, 0].astype(np.int64),
+        tau=table[:, 1].astype(np.int64),
+        cumulative=table[:, 2].copy(),
+        segment_low=table[:, 3].astype(np.int64),
+        segment_target=table[:, 4].copy(),
+    )
 
 
-def _segment_mask(rows: Sequence[RegressionRow], tau_max: int) -> np.ndarray:
+def _segment_mask(segment_low: np.ndarray, taus: np.ndarray, tau_max: int) -> np.ndarray:
     """Mask selecting the decoders in (segment_low, tau] for each row."""
-    mask = np.zeros((len(rows), tau_max + 1))
-    for index, row in enumerate(rows):
-        mask[index, row.segment_low + 1 : row.tau + 1] = 1.0
-    return mask
+    decoders = np.arange(tau_max + 1)
+    selected = (decoders > segment_low[:, None]) & (decoders <= taus[:, None])
+    return selected.astype(np.float64)
 
 
-def _cumulative_mask(rows: Sequence[RegressionRow], tau_max: int) -> np.ndarray:
+def _cumulative_mask(taus: np.ndarray, tau_max: int) -> np.ndarray:
     """Mask selecting the decoders in [0, tau] for each row."""
-    mask = np.zeros((len(rows), tau_max + 1))
-    for index, row in enumerate(rows):
-        mask[index, : row.tau + 1] = 1.0
-    return mask
+    return _segment_mask(np.full_like(taus, -1), taus, tau_max)
 
 
 @dataclass
@@ -171,55 +163,50 @@ class CardNetTrainer:
     def _batch_loss(
         self,
         split: FeaturizedSplit,
-        rows: Sequence[RegressionRow],
+        batch: np.ndarray,
         tau_probabilities: np.ndarray,
     ) -> Tensor:
-        features = Tensor(split.row_features(rows))
-        per_distance = self.model.per_distance_estimates(features, deterministic=False)
+        """The joint objective (Eq. 2/3) on the rows of ``split`` that ``batch`` indexes."""
+        tau_max = self.model.tau_max
+        taus = split.tau[batch]
+        features = Tensor(split.features[split.query_index[batch]])
+        per_distance, vae_loss = self.model.training_outputs(features)
 
-        cumulative_mask = Tensor(_cumulative_mask(rows, self.model.tau_max))
-        segment_mask = Tensor(_segment_mask(rows, self.model.tau_max))
+        cumulative_mask = Tensor(_cumulative_mask(taus, tau_max))
+        segment_mask = Tensor(_segment_mask(split.segment_low[batch], taus, tau_max))
         cumulative_estimate = (per_distance * cumulative_mask).sum(axis=1)
         segment_estimate = (per_distance * segment_mask).sum(axis=1)
 
-        cumulative_target = Tensor(np.asarray([row.cumulative for row in rows]))
-        segment_target = Tensor(np.asarray([row.segment_target for row in rows]))
-
         # Row weights realize E_{τ~P}[·]; normalized so the loss scale is stable.
-        row_weights = tau_probabilities[[row.tau for row in rows]]
+        row_weights = tau_probabilities[taus]
         if row_weights.sum() <= 0:
-            row_weights = np.ones(len(rows))
+            row_weights = np.ones(len(batch))
 
-        total_loss = weighted_msle(cumulative_estimate, cumulative_target, row_weights)
-
+        total_loss = weighted_msle(
+            cumulative_estimate, Tensor(split.cumulative[batch]), row_weights
+        )
         dynamic_term = weighted_msle(
             segment_estimate,
-            segment_target,
-            self.dynamic_weights.weights[[row.tau for row in rows]],
+            Tensor(split.segment_target[batch]),
+            self.dynamic_weights.weights[taus],
         )
         loss = total_loss + self.model.config.dynamic_loss_weight * dynamic_term
-        loss = loss + self.model.config.vae_loss_weight * self.model.vae_loss(features)
+        loss = loss + self.model.config.vae_loss_weight * vae_loss
         return loss
 
     def _validation_losses(self, split: FeaturizedSplit) -> Tuple[float, np.ndarray]:
         """Overall validation MSLE and the per-distance (per-τ-bucket) MSLE vector."""
-        if not split.rows:
-            return 0.0, np.zeros(self.model.tau_max + 1)
-        features = split.features
-        curves = self.model.estimate_curve(features)
-        estimates = np.asarray(
-            [curves[row.query_index, row.tau] for row in split.rows], dtype=np.float64
-        )
-        targets = split.cumulative_targets()
-        overall = msle(targets, estimates)
-
-        per_distance = np.zeros(self.model.tau_max + 1)
-        taus = split.taus()
-        for bucket in range(self.model.tau_max + 1):
-            mask = taus == bucket
-            if np.any(mask):
-                per_distance[bucket] = msle(targets[mask], estimates[mask])
-        return overall, per_distance
+        num_buckets = self.model.tau_max + 1
+        if not len(split):
+            return 0.0, np.zeros(num_buckets)
+        curves = self.model.estimate_curve(split.features)
+        estimates = curves[split.query_index, split.tau]
+        squared = (
+            np.log1p(np.maximum(split.cumulative, 0.0)) - np.log1p(np.maximum(estimates, 0.0))
+        ) ** 2
+        counts = np.bincount(split.tau, minlength=num_buckets)
+        sums = np.bincount(split.tau, weights=squared, minlength=num_buckets)
+        return float(squared.mean()), sums / np.maximum(counts, 1)
 
     # ------------------------------------------------------------------ #
     # Training loops
@@ -266,30 +253,61 @@ class CardNetTrainer:
         patience: Optional[int],
         verbose: bool,
     ) -> TrainingResult:
-        rng = np.random.default_rng(self.seed)
+        best_validation = np.inf
+        epochs_without_improvement = 0
+
+        def out_of_patience(overall: float) -> bool:
+            nonlocal best_validation, epochs_without_improvement
+            if overall < best_validation - 1e-6:
+                best_validation = overall
+                epochs_without_improvement = 0
+                return False
+            epochs_without_improvement += 1
+            return patience is not None and epochs_without_improvement >= patience
+
+        return self._run_epochs(
+            train_split,
+            validation_split,
+            np.random.default_rng(self.seed),
+            epochs,
+            out_of_patience,
+            verbose=verbose,
+        )
+
+    def _run_epochs(
+        self,
+        train_split: FeaturizedSplit,
+        validation_split: FeaturizedSplit,
+        rng: np.random.Generator,
+        max_epochs: int,
+        should_stop: Callable[[float], bool],
+        verbose: bool = False,
+    ) -> TrainingResult:
+        """The epoch loop: shuffled mini-batch steps, a validation pass, the
+        dynamic-weight update, then ``should_stop(validation MSLE)``."""
         if self._optimizer is None:
             self._optimizer = nn.Adam(self.model.parameters(), lr=self.learning_rate)
         optimizer = self._optimizer
-
-        validation_taus = validation_split.taus() if validation_split.rows else train_split.taus()
-        tau_probabilities = empirical_tau_distribution(validation_taus, self.model.tau_max)
+        tau_probabilities = empirical_tau_distribution(
+            validation_split.tau if len(validation_split) else train_split.tau,
+            self.model.tau_max,
+        )
 
         train_losses: List[float] = []
         validation_losses: List[float] = []
         per_distance_history: List[np.ndarray] = []
-        best_validation = np.inf
-        epochs_without_improvement = 0
         epochs_run = 0
 
         self.model.train()
-        for epoch in range(epochs):
+        for epoch in range(max_epochs):
             epochs_run = epoch + 1
-            order = rng.permutation(len(train_split.rows))
+            order = rng.permutation(len(train_split))
             epoch_losses: List[float] = []
             for start in range(0, len(order), self.batch_size):
-                batch_rows = [train_split.rows[i] for i in order[start : start + self.batch_size]]
                 optimizer.zero_grad()
-                loss = self._batch_loss(train_split, batch_rows, tau_probabilities)
+                loss = self._batch_loss(
+                    train_split, order[start : start + self.batch_size], tau_probabilities
+                )
                 loss.backward()
                 optimizer.clip_grad_norm(10.0)
                 optimizer.step()
@@ -305,14 +323,8 @@ class CardNetTrainer:
 
             if verbose:  # pragma: no cover - console aid
                 print(f"epoch {epoch + 1}: train={train_losses[-1]:.4f} valid={overall:.4f}")
-
-            if overall < best_validation - 1e-6:
-                best_validation = overall
-                epochs_without_improvement = 0
-            else:
-                epochs_without_improvement += 1
-                if patience is not None and epochs_without_improvement >= patience:
-                    break
+            if should_stop(overall):
+                break
 
         self.model.eval()
         return TrainingResult(
@@ -344,57 +356,26 @@ class CardNetTrainer:
         train_split = featurize_examples(train_examples, self.extractor)
         validation_split = featurize_examples(validation_examples, self.extractor)
 
-        rng = np.random.default_rng(self.seed + 17)
-        if self._optimizer is None:
-            self._optimizer = nn.Adam(self.model.parameters(), lr=self.learning_rate)
-        optimizer = self._optimizer
-        tau_probabilities = empirical_tau_distribution(
-            validation_split.taus() if validation_split.rows else train_split.taus(),
-            self.model.tau_max,
-        )
-
-        train_losses: List[float] = []
-        validation_losses: List[float] = []
-        per_distance_history: List[np.ndarray] = []
-        previous_validation = None
+        previous_validation: Optional[float] = None
         stable_count = 0
-        epochs_run = 0
 
-        self.model.train()
-        for epoch in range(max_epochs):
-            epochs_run = epoch + 1
-            order = rng.permutation(len(train_split.rows))
-            epoch_losses: List[float] = []
-            for start in range(0, len(order), self.batch_size):
-                batch_rows = [train_split.rows[i] for i in order[start : start + self.batch_size]]
-                optimizer.zero_grad()
-                loss = self._batch_loss(train_split, batch_rows, tau_probabilities)
-                loss.backward()
-                optimizer.clip_grad_norm(10.0)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
-
-            self.model.eval()
-            overall, per_distance = self._validation_losses(validation_split)
-            self.model.train()
-            validation_losses.append(overall)
-            per_distance_history.append(per_distance)
-            self.dynamic_weights.update(per_distance)
-
+        def stable(overall: float) -> bool:
+            nonlocal previous_validation, stable_count
             if previous_validation is not None and abs(overall - previous_validation) < 1e-3:
                 stable_count += 1
                 if stable_count >= stable_epochs:
-                    break
+                    return True
             else:
                 stable_count = 0
             previous_validation = overall
+            return False
 
-        self.model.eval()
-        return TrainingResult(
-            epochs_run=epochs_run,
-            train_losses=train_losses,
-            validation_losses=validation_losses,
-            per_distance_validation_losses=per_distance_history,
-            training_seconds=time.perf_counter() - start_time,
+        result = self._run_epochs(
+            train_split,
+            validation_split,
+            np.random.default_rng(self.seed + 17),
+            max_epochs,
+            stable,
         )
+        result.training_seconds = time.perf_counter() - start_time
+        return result

@@ -63,8 +63,7 @@ class VariationalAutoEncoder(nn.Module):
         """Sample ``z = μ + σ·ε`` with ε ~ N(0, I) (training-time stochastic latent)."""
         if noise is None:
             noise = self._noise_rng.normal(0.0, 1.0, size=mean.shape)
-        std = (log_var * 0.5).exp()
-        return mean + std * Tensor(noise)
+        return nn.gaussian_sample(mean, log_var, noise)
 
     def decode(self, z: Tensor) -> Tensor:
         """Reconstruction logits for the binary input."""
@@ -82,7 +81,15 @@ class VariationalAutoEncoder(nn.Module):
     # ------------------------------------------------------------------ #
     def loss(self, x: Tensor, beta: float = 1.0) -> Tensor:
         """Standard VAE objective: Bernoulli reconstruction + β·KL."""
-        _, logits, mean, log_var = self.forward(x)
+        return self.posterior_loss(x, *self.encode(x), beta=beta)
+
+    def posterior_loss(self, x: Tensor, mean: Tensor, log_var: Tensor, beta: float = 1.0) -> Tensor:
+        """``loss(x)`` given the posterior ``encode(x)`` already returned.
+
+        Lets a caller that also needs a latent of ``x`` (CardNet's joint step)
+        run the encoder trunk once; the latent decoded here is a fresh draw.
+        """
+        logits = self.decode(self.reparameterize(mean, log_var))
         reconstruction = nn.bce_with_logits_loss(logits, x)
         kl = nn.gaussian_kl_loss(mean, log_var)
         return reconstruction + beta * kl

@@ -6,13 +6,105 @@ of all deep-learning baselines (DL-DNN, DL-MoE, DL-RMI, DL-DLN calibrators).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import init
+from .activations import ACTIVATIONS
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, _node
+
+
+def linear(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    activation: Optional[str] = None,
+    params: Tuple[float, ...] = (),
+) -> Tensor:
+    """``activation(x W + b)`` as ONE graph node (x is (batch, in), W is (in, out)).
+
+    The same floating-point operations, in the same order, as the primitive
+    chain ``(x @ W + b).<activation>()``: the backward is that chain's three
+    closures run back to back, without the two intermediate tensors.
+    """
+    pre_activation = x.data @ weight.data
+    if bias is not None:
+        pre_activation += bias.data
+    if activation is None:
+        out_data = pre_activation
+    else:
+        function = ACTIVATIONS[activation]
+        out_data = function.value(pre_activation, *params)
+
+    def backward(grad: np.ndarray) -> None:
+        if activation is not None:
+            grad = grad * function.slope(pre_activation, out_data, *params)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T, fresh=True)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ grad, fresh=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _node(out_data, parents, backward)
+
+
+def linear_bank(z: Tensor, weights: Tensor, biases: Tensor, activation: str) -> Tensor:
+    """A bank of T one-output affine heads, one per slice of ``z``, as ONE node.
+
+    ``z`` is (batch, T, d), ``weights`` (T, d), ``biases`` (T,); the result is
+    ``activation(Σ_d z[n, t, d] · weights[t, d] + biases[t])`` of shape (batch, T).
+    """
+    function = ACTIVATIONS[activation]
+    pre_activation = np.einsum("ntd,td->nt", z.data, weights.data)
+    pre_activation += biases.data
+    out_data = function.value(pre_activation)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad * function.slope(pre_activation, out_data)
+        if biases.requires_grad:
+            biases._accumulate(grad.sum(axis=0), fresh=True)
+        if weights.requires_grad:
+            weights._accumulate(np.einsum("nt,ntd->td", grad, z.data), fresh=True)
+        if z.requires_grad:
+            z._accumulate(grad[:, :, None] * weights.data, fresh=True)
+
+    return _node(out_data, (z, weights, biases), backward)
+
+
+def gaussian_sample(mean: Tensor, log_var: Tensor, noise: np.ndarray) -> Tensor:
+    """The reparameterization ``mean + exp(log_var / 2) · noise`` as ONE node."""
+    std = np.exp(log_var.data * 0.5)
+
+    def backward(grad: np.ndarray) -> None:
+        mean._accumulate(grad)
+        if log_var.requires_grad:
+            log_var._accumulate(grad * noise * std * 0.5, fresh=True)
+
+    return _node(mean.data + std * noise, (mean, log_var), backward)
+
+
+def pair_rows(left: Tensor, right: Tensor) -> Tensor:
+    """All ``[left_i ; right_j]`` rows, ``i`` major, as ONE node.
+
+    ``left`` is (n, a), ``right`` (m, b); the result is (n·m, a + b) with row
+    ``i·m + j`` equal to the concatenation of ``left[i]`` and ``right[j]``.
+    """
+    (n, a), (m, b) = left.shape, right.shape
+    out_data = np.concatenate(
+        [np.repeat(left.data, m, axis=0), np.tile(right.data, (n, 1))], axis=1
+    )
+
+    def backward(grad: np.ndarray) -> None:
+        if left.requires_grad:
+            left._accumulate(grad[:, :a].reshape(n, m, a).sum(axis=1), fresh=True)
+        if right.requires_grad:
+            right._accumulate(grad[:, a:].reshape(n, m, b).sum(axis=0), fresh=True)
+
+    return _node(out_data, (left, right), backward)
 
 
 class Linear(Module):
@@ -42,10 +134,7 @@ class Linear(Module):
             self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.use_bias:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias if self.use_bias else None)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.data
@@ -54,43 +143,54 @@ class Linear(Module):
         return out
 
 
-class ReLU(Module):
-    """Rectified linear unit."""
+class _ActivationModule(Module):
+    """An element-wise activation: one row of :data:`ACTIVATIONS` as a module.
+
+    ``function`` names the row; ``params`` are the extra arguments its value
+    and slope take.  :class:`Sequential` folds such a module into the
+    :class:`Linear` in front of it.
+    """
+
+    function: str
+    params: Tuple[float, ...] = ()
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+        return x._activate(self.function, *self.params)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+        return ACTIVATIONS[self.function].value(x, *self.params)
 
 
-class ELU(Module):
+class ReLU(_ActivationModule):
+    """Rectified linear unit."""
+
+    function = "relu"
+
+
+class ELU(_ActivationModule):
     """Exponential linear unit (used by the VAE, in line with the paper)."""
+
+    function = "elu"
 
     def __init__(self, alpha: float = 1.0) -> None:
         super().__init__()
         self.alpha = alpha
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.elu(self.alpha)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+    @property
+    def params(self) -> Tuple[float, ...]:
+        return (self.alpha,)
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
+class Sigmoid(_ActivationModule):
+    function = "sigmoid"
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
+class Tanh(_ActivationModule):
+    function = "tanh"
 
 
-class Softplus(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softplus()
+class Softplus(_ActivationModule):
+    function = "softplus"
 
 
 class Identity(Module):
@@ -109,8 +209,24 @@ class Sequential(Module):
             self._ordered.append(module)
 
     def forward(self, x: Tensor) -> Tensor:
-        for module in self._ordered:
-            x = module(x)
+        modules = self._ordered
+        position = 0
+        while position < len(modules):
+            module = modules[position]
+            following = modules[position + 1] if position + 1 < len(modules) else None
+            if type(module) is Linear and isinstance(following, _ActivationModule):
+                # Affine layer + its activation: one node instead of three.
+                x = linear(
+                    x,
+                    module.weight,
+                    module.bias if module.use_bias else None,
+                    following.function,
+                    following.params,
+                )
+                position += 2
+            else:
+                x = module(x)
+                position += 1
         return x
 
     def infer(self, x: np.ndarray) -> np.ndarray:

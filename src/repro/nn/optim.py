@@ -29,7 +29,7 @@ class Optimizer:
         total = 0.0
         for param in self.parameters:
             if param.grad is not None:
-                total += float(np.sum(param.grad ** 2))
+                total += float((param.grad ** 2).sum())
         norm = float(np.sqrt(total))
         if norm > max_norm and norm > 0.0:
             scale = max_norm / norm
@@ -101,11 +101,22 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            self._m[index] = self.beta1 * self._m[index] + (1.0 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1.0 - self.beta2) * grad ** 2
-            m_hat = self._m[index] / bias_correction1
-            v_hat = self._v[index] / bias_correction2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # The textbook expressions, evaluated in the same order but into the
+            # moment arrays and two scratch arrays instead of eight temporaries.
+            first, second = self._m[index], self._v[index]
+            first *= self.beta1
+            first += (1.0 - self.beta1) * grad
+            squared = grad ** 2
+            squared *= 1.0 - self.beta2
+            second *= self.beta2
+            second += squared
+            denominator = np.divide(second, bias_correction2, out=squared)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            update = first / bias_correction1
+            update *= self.lr
+            update /= denominator
+            param.data -= update
 
 
 class StepLR:

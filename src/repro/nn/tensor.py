@@ -11,6 +11,23 @@ reductions, concatenation, slicing, and embedding lookup) and nothing more.
 Every operation records a local backward closure, so the implementation stays
 small, auditable, and easy to verify with finite-difference gradient checks
 (see ``repro.nn.gradcheck``).
+
+Ownership of gradients
+----------------------
+A tensor's ``.grad`` array belongs to that tensor alone: it is never the same
+memory as another tensor's ``.grad``, as the upstream gradient a closure was
+handed, or as an array a caller passed to :meth:`Tensor.backward`.  That is
+what makes the in-place steps safe — ``self.grad += …`` on a second gradient,
+``clip_grad_norm`` scaling ``param.grad`` in place, a basic-index
+``__getitem__`` adding through a view of ``self.grad``.  The rule is kept at
+one place, :meth:`Tensor._accumulate`: the *first* gradient a node receives is
+taken as its ``.grad`` (no zero array, no add) only when the closure declares
+it ``fresh`` — a temporary it just computed and holds no other reference to —
+and is copied otherwise (``__add__``, ``reshape``, ``transpose``,
+``concatenate`` and ``stack`` hand the same array, or views of it, to several
+parents).  Later gradients are added in place.  A node that is not a leaf
+drops its ``.grad`` as soon as its own closure has consumed it, so after
+``backward()`` only leaves hold gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +35,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .activations import ACTIVATIONS
 
 ArrayLike = Union[np.ndarray, float, int, Sequence[float]]
 
@@ -29,6 +48,15 @@ def _as_array(data: ArrayLike, dtype: np.dtype = np.float64) -> np.ndarray:
             return data
         return data.astype(dtype)
     return np.asarray(data, dtype=dtype)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``array[index]`` is numpy basic indexing (a view, no repeats)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis or isinstance(item, (int, np.integer, slice))
+        for item in items
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -48,6 +76,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _node(
+    data: np.ndarray,
+    parents: Tuple["Tensor", ...],
+    backward: Callable[[np.ndarray], None],
+) -> "Tensor":
+    """The result of one operation; ``backward`` is kept only if a parent needs it."""
+    for parent in parents:
+        if parent.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(data, _parents=parents)
 
 
 class Tensor:
@@ -118,30 +158,29 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Graph construction helpers
     # ------------------------------------------------------------------ #
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` to ``self.grad`` (see the module's ownership rule).
+
+        ``fresh`` is the caller's promise that nothing else references
+        ``grad``'s memory, so a first gradient may be kept instead of copied.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad if fresh else grad.copy()
+        else:
+            self.grad += grad
+
+    def _accumulate_unbroadcast(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """``_accumulate`` after reducing ``grad`` over the axes broadcasting added."""
+        reduced = _unbroadcast(grad, self.shape)
+        self._accumulate(reduced, fresh or reduced is not grad)
 
     @staticmethod
     def _lift(value: Union["Tensor", ArrayLike]) -> "Tensor":
         if isinstance(value, Tensor):
             return value
         return Tensor(value)
-
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=parents)
-        if requires:
-            out._backward = backward
-        return out
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -151,18 +190,18 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
+            self._accumulate_unbroadcast(grad)
+            other._accumulate_unbroadcast(grad)
 
-        return self._make(out_data, (self, other), backward)
+        return _node(out_data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, fresh=True)
 
-        return self._make(-self.data, (self,), backward)
+        return _node(-self.data, (self,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-self._lift(other))
@@ -175,10 +214,12 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate_unbroadcast(grad * other.data, fresh=True)
+            if other.requires_grad:
+                other._accumulate_unbroadcast(grad * self.data, fresh=True)
 
-        return self._make(out_data, (self, other), backward)
+        return _node(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -187,12 +228,14 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
-            )
+            if self.requires_grad:
+                self._accumulate_unbroadcast(grad / other.data, fresh=True)
+            if other.requires_grad:
+                other._accumulate_unbroadcast(
+                    -grad * self.data / (other.data ** 2), fresh=True
+                )
 
-        return self._make(out_data, (self, other), backward)
+        return _node(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._lift(other) / self
@@ -203,9 +246,9 @@ class Tensor:
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
@@ -213,11 +256,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ other.data.swapaxes(-1, -2))
+                self._accumulate(grad @ other.data.swapaxes(-1, -2), fresh=True)
             if other.requires_grad:
-                other._accumulate(self.data.swapaxes(-1, -2) @ grad)
+                other._accumulate(self.data.swapaxes(-1, -2) @ grad, fresh=True)
 
-        return self._make(out_data, (self, other), backward)
+        return _node(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # Element-wise functions
@@ -226,73 +269,53 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def log1p(self) -> "Tensor":
         out_data = np.log1p(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / (1.0 + self.data))
+            self._accumulate(grad / (1.0 + self.data), fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
+    def _activate(self, name: str, *params: float) -> "Tensor":
+        """One row of the shared activation table as a primitive node."""
+        activation = ACTIVATIONS[name]
+        out_data = activation.value(self.data, *params)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * activation.slope(self.data, out_data, *params), fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
+
+    def relu(self) -> "Tensor":
+        return self._activate("relu")
 
     def elu(self, alpha: float = 1.0) -> "Tensor":
-        positive = self.data > 0
-        exp_part = alpha * (np.exp(np.minimum(self.data, 0.0)) - 1.0)
-        out_data = np.where(positive, self.data, exp_part)
-
-        def backward(grad: np.ndarray) -> None:
-            local = np.where(positive, 1.0, exp_part + alpha)
-            self._accumulate(grad * local)
-
-        return self._make(out_data, (self,), backward)
+        return self._activate("elu", alpha)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
+        return self._activate("sigmoid")
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return self._make(out_data, (self,), backward)
+        return self._activate("tanh")
 
     def softplus(self) -> "Tensor":
-        # Numerically stable softplus: log(1 + exp(x)).
-        out_data = np.logaddexp(0.0, self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / (1.0 + np.exp(-self.data)))
-
-        return self._make(out_data, (self,), backward)
+        return self._activate("softplus")
 
     def clip(self, min_value: Optional[float] = None, max_value: Optional[float] = None) -> "Tensor":
         out_data = np.clip(self.data, min_value, max_value)
@@ -303,9 +326,9 @@ class Tensor:
             mask = mask * (self.data <= max_value)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -317,9 +340,9 @@ class Tensor:
             expanded = grad
             if axis is not None and not keepdims:
                 expanded = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(expanded, self.shape).copy())
+            self._accumulate(np.broadcast_to(expanded, self.shape).copy(), fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -342,9 +365,9 @@ class Tensor:
             mask = (self.data == expanded_out).astype(self.data.dtype)
             # Split ties evenly so gradient checks remain well behaved.
             mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * expanded_grad)
+            self._accumulate(mask * expanded_grad, fresh=True)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -355,7 +378,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(self.shape))
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     def transpose(self) -> "Tensor":
         out_data = self.data.T
@@ -363,7 +386,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.T)
 
-        return self._make(out_data, (self,), backward)
+        return _node(out_data, (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -372,12 +395,23 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
+        basic = _is_basic_index(index)
 
-        return self._make(out_data, (self,), backward)
+        def backward(grad: np.ndarray) -> None:
+            if basic:
+                # A basic index selects each element at most once, so adding
+                # through a view of the owned ``self.grad`` is exact.
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[index] += grad
+            else:
+                # An integer or boolean array may repeat elements: sum the
+                # repeats first (unbuffered), then add that like any gradient.
+                full = np.zeros_like(self.data)
+                np.add.at(full, index, grad)
+                self._accumulate(full, fresh=True)
+
+        return _node(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -392,9 +426,10 @@ class Tensor:
             if self.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
-        grad = _as_array(grad)
+        grad = np.broadcast_to(_as_array(grad), self.shape)
 
-        # Topological order over the graph reachable from self.
+        # Topological order over the operations reachable from self.  Leaves and
+        # constants have no closure to run, so only nodes with one are ordered.
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[Tuple[Tensor, bool]] = [(self, False)]
@@ -408,17 +443,16 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self._accumulate(grad)
 
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------- #
@@ -429,36 +463,28 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [Tensor._lift(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors))
 
-    if requires:
-        def backward(grad: np.ndarray) -> None:
-            offsets = np.cumsum([0] + sizes)
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
+    def backward(grad: np.ndarray) -> None:
+        offsets = np.cumsum([0] + sizes)
+        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            index = [slice(None)] * grad.ndim
+            index[axis] = slice(start, stop)
+            tensor._accumulate(grad[tuple(index)])
 
-        out._backward = backward
-    return out
+    return _node(out_data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
     tensors = [Tensor._lift(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors))
 
-    if requires:
-        def backward(grad: np.ndarray) -> None:
-            slabs = np.split(grad, len(tensors), axis=axis)
-            for tensor, slab in zip(tensors, slabs):
-                tensor._accumulate(np.squeeze(slab, axis=axis))
+    def backward(grad: np.ndarray) -> None:
+        slabs = np.split(grad, len(tensors), axis=axis)
+        for tensor, slab in zip(tensors, slabs):
+            tensor._accumulate(np.squeeze(slab, axis=axis))
 
-        out._backward = backward
-    return out
+    return _node(out_data, tuple(tensors), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -467,16 +493,12 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     b = Tensor._lift(b)
     cond = np.asarray(condition, dtype=bool)
     out_data = np.where(cond, a.data, b.data)
-    requires = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _parents=(a, b))
 
-    if requires:
-        def backward(grad: np.ndarray) -> None:
-            a._accumulate(_unbroadcast(grad * cond, a.shape))
-            b._accumulate(_unbroadcast(grad * (~cond), b.shape))
+    def backward(grad: np.ndarray) -> None:
+        a._accumulate_unbroadcast(grad * cond, fresh=True)
+        b._accumulate_unbroadcast(grad * (~cond), fresh=True)
 
-        out._backward = backward
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def no_grad_copy(tensor: Tensor) -> Tensor:

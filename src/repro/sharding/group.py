@@ -17,6 +17,7 @@ that argument in the serving layer:
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,11 @@ class MergedShardEstimator(CardinalityEstimator):
     shard endpoint's cached curves through the same service, then sums.
     Monotonicity survives by construction: a sum of monotone non-decreasing
     curves is monotone non-decreasing.
+
+    The service is held *weakly*: it owns this estimator through its registry,
+    and a strong reference back would make every sharded engine cyclic garbage
+    that only a generation-2 collection frees.  Snapshots store the service
+    itself, under the same ``_service`` key as before.
     """
 
     name = "ShardSum"
@@ -44,7 +50,7 @@ class MergedShardEstimator(CardinalityEstimator):
         shard_estimators: Sequence[CardinalityEstimator],
         grid: np.ndarray,
     ) -> None:
-        self._service = service
+        self._service = weakref.ref(service)
         self._shard_endpoints = list(shard_endpoints)
         self._shard_estimators = list(shard_estimators)
         self._grid = np.asarray(grid, dtype=np.float64)
@@ -77,9 +83,19 @@ class MergedShardEstimator(CardinalityEstimator):
         if not records:
             return np.zeros((0, len(self._grid)))
         total = np.zeros((len(records), len(self._grid)), dtype=np.float64)
+        service = self._service()
+        if service is None:
+            raise RuntimeError("the service this merged endpoint was registered on is gone")
         for endpoint in self._shard_endpoints:
-            total += self._service.estimate_curve_many(endpoint, records)
+            total += service.estimate_curve_many(endpoint, records)
         return total
+
+    def __snapshot_state__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_service": self._service()}
+
+    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._service = weakref.ref(state["_service"])
 
     def curve_thetas(self) -> Optional[np.ndarray]:
         return self._grid.copy()

@@ -10,7 +10,7 @@ from repro.core import (
     CardNetTrainer,
     featurize_examples,
 )
-from repro.core.training import RegressionRow, _cumulative_mask, _segment_mask
+from repro.core.training import _cumulative_mask, _segment_mask
 from repro.datasets import generate_update_stream
 from repro.core.incremental import IncrementalUpdateManager
 from repro.featurization import build_feature_extractor
@@ -91,34 +91,32 @@ class TestFeaturization:
         split = featurize_examples(binary_workload.train, extractor)
         unique_records = {example.record.tobytes() for example in binary_workload.train}
         assert split.features.shape[0] == len(unique_records)
-        assert len(split.rows) > 0
+        assert len(split) > 0
+        for column in (split.query_index, split.tau, split.cumulative,
+                       split.segment_low, split.segment_target):
+            assert column.shape == (len(split),)
 
     def test_segment_targets_sum_to_cumulative(self, binary_dataset, binary_workload):
         extractor = build_feature_extractor(binary_dataset)
         split = featurize_examples(binary_workload.train, extractor)
-        by_query = {}
-        for row in split.rows:
-            by_query.setdefault(row.query_index, []).append(row)
-        for rows in by_query.values():
-            rows.sort(key=lambda r: r.tau)
-            total = sum(row.segment_target for row in rows)
-            assert total == pytest.approx(rows[-1].cumulative)
+        for query in np.unique(split.query_index):
+            rows = np.flatnonzero(split.query_index == query)
+            last = rows[np.argmax(split.tau[rows])]
+            assert split.segment_target[rows].sum() == pytest.approx(split.cumulative[last])
 
     def test_segment_mask_covers_half_open_interval(self):
-        rows = [RegressionRow(query_index=0, tau=4, cumulative=10, segment_low=1, segment_target=4)]
-        mask = _segment_mask(rows, tau_max=6)
+        mask = _segment_mask(np.array([1]), np.array([4]), tau_max=6)
         assert np.array_equal(mask[0], [0, 0, 1, 1, 1, 0, 0])
 
     def test_cumulative_mask_covers_prefix(self):
-        rows = [RegressionRow(query_index=0, tau=2, cumulative=10, segment_low=-1, segment_target=10)]
-        mask = _cumulative_mask(rows, tau_max=4)
+        mask = _cumulative_mask(np.array([2]), tau_max=4)
         assert np.array_equal(mask[0], [1, 1, 1, 0, 0])
 
     def test_empty_examples(self, binary_dataset):
         extractor = build_feature_extractor(binary_dataset)
         split = featurize_examples([], extractor)
         assert split.features.shape[0] == 0
-        assert split.rows == []
+        assert len(split) == 0
 
 
 class TestTraining:

@@ -78,16 +78,15 @@ class TestDistanceEmbedding:
 
 
 class TestSharedEncoder:
-    def test_embed_all_count_and_shape(self):
+    def test_forward_shape(self):
         encoder = SharedEncoder(
             representation_dimension=10, distance_embedding_dimension=4,
             embedding_dimension=8, hidden_sizes=(16,), seed=0,
         )
         embeddings = DistanceEmbedding(tau_max=3, embedding_dimension=4, seed=0)
         representation = Tensor(np.random.default_rng(0).normal(size=(5, 10)))
-        outputs = encoder.embed_all(representation, embeddings.all_embeddings())
-        assert len(outputs) == 4
-        assert all(output.shape == (5, 8) for output in outputs)
+        z_matrix = encoder(representation, embeddings.all_embeddings())
+        assert z_matrix.shape == (5, 4, 8)
 
     def test_different_distances_different_embeddings(self):
         encoder = SharedEncoder(
@@ -96,8 +95,8 @@ class TestSharedEncoder:
         )
         embeddings = DistanceEmbedding(tau_max=2, embedding_dimension=4, seed=0)
         representation = Tensor(np.ones((1, 6)))
-        outputs = encoder.embed_all(representation, embeddings.all_embeddings())
-        assert not np.allclose(outputs[0].data, outputs[1].data)
+        z_matrix = encoder(representation, embeddings.all_embeddings()).data
+        assert not np.allclose(z_matrix[:, 0], z_matrix[:, 1])
 
 
 class TestAcceleratedEncoder:
@@ -116,34 +115,31 @@ class TestAcceleratedEncoder:
         )
         assert sum(encoder.region_widths) == 9
 
-    def test_embed_all_matches_forward(self):
-        encoder = AcceleratedEncoder(
-            representation_dimension=6, tau_max=3, embedding_dimension=4,
-            hidden_sizes=(8,), seed=0,
-        )
-        representation = Tensor(np.random.default_rng(1).normal(size=(2, 6)))
-        z_matrix = encoder(representation).data
-        per_distance = encoder.embed_all(representation)
-        for index, embedding in enumerate(per_distance):
-            assert np.allclose(embedding.data, z_matrix[:, index, :])
-
     def test_requires_hidden_layers(self):
         with pytest.raises(ValueError):
             AcceleratedEncoder(representation_dimension=4, tau_max=2, hidden_sizes=())
 
 
+def random_embeddings(batch: int, num_distances: int, dimension: int) -> Tensor:
+    """Z of shape (batch, num_distances, dimension); slice i is seeded by i."""
+    return Tensor(
+        np.stack(
+            [np.random.default_rng(i).normal(size=(batch, dimension)) for i in range(num_distances)],
+            axis=1,
+        )
+    )
+
+
 class TestDecoders:
     def test_nonnegative_outputs(self):
         decoders = PerDistanceDecoders(tau_max=4, embedding_dimension=6, seed=0)
-        embeddings = [Tensor(np.random.default_rng(i).normal(size=(7, 6))) for i in range(5)]
-        per_distance = decoders.decode_all(embeddings)
+        per_distance = decoders(random_embeddings(7, 5, 6))
         assert per_distance.shape == (7, 5)
         assert np.all(per_distance.data >= 0.0)
 
     def test_cumulative_monotone_in_tau(self):
         decoders = PerDistanceDecoders(tau_max=4, embedding_dimension=6, seed=0)
-        embeddings = [Tensor(np.random.default_rng(i).normal(size=(3, 6))) for i in range(5)]
-        per_distance = decoders.decode_all(embeddings)
+        per_distance = decoders(random_embeddings(3, 5, 6))
         previous = np.zeros(3)
         for tau in range(5):
             current = PerDistanceDecoders.cumulative(per_distance, np.full(3, tau)).data
@@ -152,22 +148,16 @@ class TestDecoders:
 
     def test_cumulative_equals_manual_sum(self):
         decoders = PerDistanceDecoders(tau_max=3, embedding_dimension=4, seed=1)
-        embeddings = [Tensor(np.random.default_rng(i).normal(size=(2, 4))) for i in range(4)]
-        per_distance = decoders.decode_all(embeddings)
+        per_distance = decoders(random_embeddings(2, 4, 4))
         taus = np.array([1, 3])
         cumulative = PerDistanceDecoders.cumulative(per_distance, taus).data
         manual = [per_distance.data[0, :2].sum(), per_distance.data[1, :4].sum()]
         assert np.allclose(cumulative, manual)
 
-    def test_out_of_range_distance(self):
-        decoders = PerDistanceDecoders(tau_max=2, embedding_dimension=4, seed=0)
-        with pytest.raises(IndexError):
-            decoders.decode_distance(Tensor(np.zeros((1, 4))), 3)
-
     def test_wrong_embedding_count(self):
         decoders = PerDistanceDecoders(tau_max=2, embedding_dimension=4, seed=0)
         with pytest.raises(ValueError):
-            decoders.decode_all([Tensor(np.zeros((1, 4)))])
+            decoders(Tensor(np.zeros((1, 1, 4))))
 
 
 class TestLossComponents:

@@ -143,6 +143,16 @@ class TestLosses:
         value = nn.bce_with_logits_loss(Tensor(logits), Tensor(targets)).item()
         assert value == pytest.approx(expected, rel=1e-6)
 
+    def test_bce_gradient_at_zero_logit(self):
+        """d/dz at z = 0 is (σ(0) − y)/N = (0.5 − y)/N — the composed form gave −y/N."""
+        logits = Tensor(np.array([[0.0, 0.0], [0.0, 1.5]]), requires_grad=True)
+        targets = np.array([[1.0, 0.0], [0.25, 1.0]])
+        nn.bce_with_logits_loss(logits, Tensor(targets)).backward()
+        sigmoid = 1.0 / (1.0 + np.exp(-logits.data))
+        np.testing.assert_allclose(logits.grad, (sigmoid - targets) / 4.0, rtol=1e-12)
+        assert logits.grad[0, 0] == pytest.approx(-0.125)
+        assert logits.grad[0, 1] == pytest.approx(0.125)
+
     def test_kl_zero_for_standard_normal(self):
         mean = Tensor(np.zeros((2, 3)))
         log_var = Tensor(np.zeros((2, 3)))
@@ -200,6 +210,40 @@ class TestOptimizers:
             loss().backward()
             optimizer.step()
         assert np.allclose(param.data, target, atol=1e-2)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_in_place_is_bit_identical_to_the_textbook_expressions(self, weight_decay):
+        """``Adam.step`` updates ``_m`` / ``_v`` / ``param.data`` in place; the
+        out-of-place expressions it replaced give the same bits, step after step."""
+        rng = np.random.default_rng(0)
+        shapes = [(7, 5), (5,), (3, 4, 2)]
+        params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        optimizer = nn.Adam(params, lr=3e-3, weight_decay=weight_decay)
+        moments = [(m, v) for m, v in zip(optimizer._m, optimizer._v)]
+        data = [p.data.copy() for p in params]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        beta1, beta2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
+        for step in range(1, 26):
+            for index, param in enumerate(params):
+                param.grad = rng.normal(size=param.shape) * 10.0 ** rng.integers(-6, 3)
+                grad = param.grad.copy()
+                if weight_decay:
+                    grad = grad + weight_decay * data[index]
+                first[index] = beta1 * first[index] + (1.0 - beta1) * grad
+                second[index] = beta2 * second[index] + (1.0 - beta2) * grad ** 2
+                m_hat = first[index] / (1.0 - beta1 ** step)
+                v_hat = second[index] / (1.0 - beta2 ** step)
+                data[index] = data[index] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            kept = [p.grad.copy() for p in params]
+            optimizer.step()
+            for index, param in enumerate(params):
+                assert np.array_equal(param.data, data[index])
+                assert np.array_equal(optimizer._m[index], first[index])
+                assert np.array_equal(optimizer._v[index], second[index])
+                assert np.array_equal(param.grad, kept[index])  # the gradient is only read
+        # ... and the moment arrays are the ones the optimizer was built with.
+        assert all(m is a and v is b for (a, b), m, v in zip(moments, optimizer._m, optimizer._v))
 
     def test_weight_decay_shrinks_parameters(self):
         param = Tensor(np.array([10.0]), requires_grad=True)

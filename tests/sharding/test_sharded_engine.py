@@ -450,3 +450,70 @@ class TestEngineRebalance:
         )
         result = engine.execute(SimilarityPredicate("hm", record, 5.0))
         assert result.record_ids == reference.query(record, 5.0)
+
+
+class TestShardedEngineLifetime:
+    """A dropped sharded engine is freed by reference counting, not by the
+    cycle collector: the merged estimator holds its service weakly."""
+
+    def test_service_registry_and_estimators_die_with_the_engine(self, binary_dataset):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SimilarityQueryEngine()
+            engine.register_sharded_attribute(
+                "hm", binary_dataset.records, "hamming",
+                sampling_factory("hamming", sample_ratio=0.3),
+                num_shards=4, theta_max=binary_dataset.theta_max,
+            )
+            engine.execute(SimilarityPredicate("hm", binary_dataset.records[0], 5.0))
+            group = engine.shard_group("hm")
+            watched = [
+                weakref.ref(engine.service),
+                weakref.ref(engine.service.registry),
+                weakref.ref(group.merged),
+                weakref.ref(group.estimators[0]),
+                weakref.ref(engine.service.cache),
+            ]
+            del group
+            engine.runtime.shutdown()
+            del engine
+            assert [ref() for ref in watched] == [None] * len(watched)
+        finally:
+            gc.enable()
+
+    def test_restored_engine_serves_the_same_merged_curves(self, sharded_engine, binary_dataset, tmp_path):
+        from repro.store import load_engine, save_engine
+
+        records = list(binary_dataset.records[:6])
+        before = sharded_engine.service.estimate_curve_many("hm", records)
+        save_engine(sharded_engine, tmp_path / "snap")
+        restored = load_engine(tmp_path / "snap")
+        merged = restored.shard_group("hm").merged
+        assert merged._service() is restored.service
+        assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
+        # A cold request (nothing cached) sums the restored shard endpoints.
+        restored.service.invalidate("hm")
+        for endpoint in restored.catalog.get("hm").shard_endpoints:
+            restored.service.invalidate(endpoint)
+        assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
+        restored.runtime.shutdown()
+
+    def test_merged_estimator_without_its_service_fails_loudly(self, binary_dataset):
+        engine = SimilarityQueryEngine()
+        engine.register_sharded_attribute(
+            "hm", binary_dataset.records, "hamming",
+            sampling_factory("hamming", sample_ratio=0.3),
+            num_shards=2, theta_max=binary_dataset.theta_max,
+        )
+        merged = engine.shard_group("hm").merged
+        engine.runtime.shutdown()
+        del engine
+        import gc
+
+        gc.collect()
+        with pytest.raises(RuntimeError, match="service"):
+            merged.estimate_curve_many([binary_dataset.records[0]])
