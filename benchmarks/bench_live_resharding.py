@@ -12,15 +12,19 @@ Three claims, each asserted (not just reported):
 3. **Bit-identity across the swap** — after the commit (journal replayed,
    layout atomically swapped) every query answers exactly what a linear scan
    over the merged dataset answers, and exactly what it answered pre-swap.
+
+Prints its tables and ``JSON:`` lines, writes no file and gates no merge: the
+only code timing a rebalance until ``benchmarks/e2e``'s ``update_mix`` scripts a
+split + merge mid-run (ROADMAP, "Every serving path has a workload").
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 
-from artifacts import emit_json
 from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
 from repro.selection import LinearScanSelector, PackedHammingSelector
@@ -121,19 +125,17 @@ def test_update_cost_is_o_delta(print_table):
     assert speedup >= 2.0, (
         f"delta update only {speedup:.2f}x faster than a from-scratch rebuild"
     )
-    emit_json(
-        "live_resharding_updates",
-        {
-            "delta_rows": DELTA,
-            "small_records": SMALL,
-            "large_records": LARGE,
-            "median_update_seconds_small": small_s,
-            "median_update_seconds_large": large_s,
-            "latency_ratio_10x": best_ratio,
-            "updates_per_second": 1.0 / max(large_s, 1e-9),
-            "update_speedup_vs_rebuild": speedup,
-        },
-    )
+    payload = {
+        "delta_rows": DELTA,
+        "small_records": SMALL,
+        "large_records": LARGE,
+        "median_update_seconds_small": small_s,
+        "median_update_seconds_large": large_s,
+        "latency_ratio_10x": best_ratio,
+        "updates_per_second": 1.0 / max(large_s, 1e-9),
+        "update_speedup_vs_rebuild": speedup,
+    }
+    print("JSON: " + json.dumps(payload, default=float))
 
 
 def test_rebalance_serves_bounded_latency_and_swaps_bit_identically(print_table):
@@ -199,21 +201,19 @@ def test_rebalance_serves_bounded_latency_and_swaps_bit_identically(print_table)
     assert identical_to_scan, "post-swap answers diverge from a linear scan"
     assert report.journal_replayed == 1
     assert len(selector) == LARGE + 2 * DELTA - 4
-    emit_json(
-        "live_resharding_serving",
-        {
-            "records": LARGE,
-            "steady_p99_seconds": steady_p99,
-            "inflight_p99_seconds": inflight_p99,
-            "inflight_over_steady": ratio,
-            "queries_per_second_inflight": 1.0 / max(inflight_p99, 1e-9),
-            "journal_replayed": report.journal_replayed,
-            "shards_before": report.num_shards_before,
-            "shards_after": report.num_shards_after,
-            "moved_records": report.moved_records,
-            "bit_identical_to_scan": identical_to_scan,
-        },
-    )
+    payload = {
+        "records": LARGE,
+        "steady_p99_seconds": steady_p99,
+        "inflight_p99_seconds": inflight_p99,
+        "inflight_over_steady": ratio,
+        "queries_per_second_inflight": 1.0 / max(inflight_p99, 1e-9),
+        "journal_replayed": report.journal_replayed,
+        "shards_before": report.num_shards_before,
+        "shards_after": report.num_shards_after,
+        "moved_records": report.moved_records,
+        "bit_identical_to_scan": identical_to_scan,
+    }
+    print("JSON: " + json.dumps(payload, default=float))
     # Swap stability: untouched answers must not have silently changed class
     # membership relative to pre-swap (sanity on the id remap).
     assert all(isinstance(ids, list) for ids in pre_swap)

@@ -1,12 +1,15 @@
-"""Multicore scaling benchmark: process-pool shard fan-out vs threads.
+"""Multicore scaling: process-pool shard fan-out vs threads.
 
-One section, emitting ``BENCH_multicore_scaling.json``: the same exact
-sharded-scan workload (``ShardedSelector.query_many``) answered on the thread
-backend and on the process backend at 1/2/4 workers, for all four distances
-(Hamming, Euclidean, Jaccard, edit).  The process backend publishes each
-shard's index arrays once through a :class:`~repro.store.SharedDataPlane` and
-forked workers attach them as read-only mmap views — so the per-query wire
+The same exact sharded-scan workload (``ShardedSelector.query_many``) answered
+on the thread backend and on the process backend at 1/2/4 workers, for all four
+distances (Hamming, Euclidean, Jaccard, edit).  The process backend publishes
+each shard's index arrays once through a :class:`~repro.store.SharedDataPlane`
+and forked workers attach them as read-only mmap views — so the per-query wire
 traffic is just the op + arguments, and N workers execute on N cores.
+
+Prints a ``JSON:`` line, writes no file and gates no merge: the only code
+timing the process backend until ``benchmarks/e2e`` has a
+``conj_process_shards`` workload (ROADMAP, "Every serving path has a workload").
 
 Hard assertion, always: results are **bit-identical** across backends and
 widths for every distance (both backends run the same selector code; only
@@ -19,18 +22,18 @@ cores — a 1-core CI runner physically cannot show multicore speedup:
 * no regression at 1 process worker vs 1 thread worker (≤1.5x slack for
   pipe + fork overhead).
 
-``BENCH_MULTICORE_MAX_WORKERS`` caps the widths swept (CI smoke uses 2).
+``BENCH_MULTICORE_MAX_WORKERS`` caps the widths swept.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
 import numpy as np
 import pytest
 
-from artifacts import emit_json
 from repro.runtime import Runtime, fork_available
 from repro.selection.edit_index import QGramEditSelector
 from repro.selection.euclidean_index import BallIndexEuclideanSelector
@@ -160,7 +163,7 @@ def multicore_report():
 
 
 def test_emit_and_scaling(multicore_report):
-    """Runs after the per-distance sweeps: emit the artifact, assert scaling."""
+    """Runs after the per-distance sweeps: print the report, assert scaling."""
     report = multicore_report
     assert set(report) == set(WORKLOADS), "per-distance sweeps did not all run"
     by_width = {
@@ -187,7 +190,7 @@ def test_emit_and_scaling(multicore_report):
         payload["hamming_one_worker_overhead"] = (
             base["process_seconds"] / base["thread_seconds"]
         )
-    emit_json("multicore_scaling", payload)
+    print("JSON: " + json.dumps(payload, default=float))
     if scaling_checked and "hamming" in by_width:
         speedup = payload["hamming_process_speedup"][4]
         assert speedup >= TARGET_SPEEDUP, (

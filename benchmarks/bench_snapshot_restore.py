@@ -1,6 +1,9 @@
-"""Snapshot/restore smoke benchmark: warm-start restore vs retraining.
+"""Snapshot/restore: warm-start restore vs retraining.
 
-Two sections, each emitting a ``JSON:`` line and a ``BENCH_*.json`` artifact:
+Two sections, each printing its table and a ``JSON:`` line (no file is written
+and no merge is gated: this is the only code timing save → load until
+``benchmarks/e2e`` has a snapshot → restore → resume phase; ROADMAP, "Every
+serving path has a workload"):
 
 * **warm-start restore** — a trained CardNet-A engine (warm curve cache,
   feedback windows populated) is saved and restored.  Reports snapshot size
@@ -17,12 +20,12 @@ Two sections, each emitting a ``JSON:`` line and a ``BENCH_*.json`` artifact:
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 import pytest
 
-from artifacts import emit_json
 from repro.core import CardNetEstimator
 from repro.datasets import make_binary_dataset
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
@@ -119,26 +122,24 @@ def test_warm_start_restore_vs_retrain(
             ["restore speedup", f"{speedup:.0f}x"],
         ],
     )
-    emit_json(
-        "snapshot_restore",
-        {
-            "benchmark": "snapshot_restore",
-            "section": "warm_start_vs_retrain",
-            "num_records": NUM_RECORDS,
-            "epochs": EPOCHS,
-            "snapshot_payload_bytes": info.payload_bytes,
-            "snapshot_total_bytes": info.total_bytes,
-            "num_arrays": info.num_arrays,
-            "num_objects": info.num_objects,
-            "cached_curves": cached,
-            "train_seconds": train_seconds,
-            "retrain_seconds": retrain_seconds,
-            "save_seconds": save_seconds,
-            "load_seconds": load_seconds,
-            "warm_start_speedup": speedup,
-            "results_identical": True,
-        },
-    )
+    payload = {
+        "benchmark": "snapshot_restore",
+        "section": "warm_start_vs_retrain",
+        "num_records": NUM_RECORDS,
+        "epochs": EPOCHS,
+        "snapshot_payload_bytes": info.payload_bytes,
+        "snapshot_total_bytes": info.total_bytes,
+        "num_arrays": info.num_arrays,
+        "num_objects": info.num_objects,
+        "cached_curves": cached,
+        "train_seconds": train_seconds,
+        "retrain_seconds": retrain_seconds,
+        "save_seconds": save_seconds,
+        "load_seconds": load_seconds,
+        "warm_start_speedup": speedup,
+        "results_identical": True,
+    }
+    print("JSON: " + json.dumps(payload, default=float))
     assert speedup >= 10.0, (
         f"warm-start restore ({load_seconds:.3f}s) should beat retraining "
         f"({retrain_seconds:.3f}s) by >= 10x, got {speedup:.1f}x"
@@ -173,18 +174,16 @@ def test_replica_spawn_and_routing(trained_engine, bench_queries, tmp_path_facto
             ["per-replica counts", str(counts)],
         ],
     )
-    emit_json(
-        "snapshot_replicas",
-        {
-            "benchmark": "snapshot_restore",
-            "section": "replica_spawn",
-            "num_replicas": NUM_REPLICAS,
-            "spawn_seconds": spawn_seconds,
-            "spawn_seconds_per_replica": spawn_seconds / NUM_REPLICAS,
-            "route_seconds": route_seconds,
-            "num_queries": NUM_QUERIES,
-            "query_counts": counts,
-            "results_identical": True,
-            "telemetry": replicas.telemetry.snapshot(),
-        },
-    )
+    payload = {
+        "benchmark": "snapshot_restore",
+        "section": "replica_spawn",
+        "num_replicas": NUM_REPLICAS,
+        "spawn_seconds": spawn_seconds,
+        "spawn_seconds_per_replica": spawn_seconds / NUM_REPLICAS,
+        "route_seconds": route_seconds,
+        "num_queries": NUM_QUERIES,
+        "query_counts": counts,
+        "results_identical": True,
+        "telemetry": replicas.telemetry.snapshot(),
+    }
+    print("JSON: " + json.dumps(payload, default=float))

@@ -1,13 +1,16 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the reproductions under ``benchmarks/``.
 
-Every benchmark corresponds to one table or figure of the paper (see
-DESIGN.md's experiment index and EXPERIMENTS.md for the mapping).  The
-fixtures below build scaled-down datasets/workloads and train each estimator
-exactly once per session so the whole harness runs on a CPU in minutes.
+Every ``bench_*.py`` here either reproduces one table or figure of the paper
+or times a serving path no ``benchmarks/e2e`` workload reaches yet (README,
+*Tests and benchmarks*, has the file → claim table).  The fixtures below build
+scaled-down datasets/workloads and train each estimator exactly once per
+session so the whole directory runs on a CPU in about a minute.
 
-Benchmarks print the rows of the corresponding paper table (shape comparison,
-not absolute numbers) and use ``pytest-benchmark`` to time the representative
-operation of the experiment (estimation, planning, training, ...).
+A reproduction prints the rows of its table (shape comparison, not absolute
+numbers), asserts the paper's shape, writes no file and gates nothing; some use
+``pytest-benchmark`` to time their representative operation.  How fast the
+system runs, and any comparison between two commits, is ``benchmarks/e2e/run.py``'s
+to say.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ def pytest_addoption(parser):
         "--run-break-even",
         action="store_true",
         default=False,
-        help="run bench_runtime_concurrency.py's thread fan-out break-even "
-        "table (~1 min, ~0.5 GB at its largest cell)",
+        help="run bench_fan_out_break_even.py's table "
+        "(~1 min, ~0.5 GB at its largest cell)",
     )
 
 

@@ -16,8 +16,8 @@ repo's tests) reproducible to the tick:
 
 In production you call ``engine.monitor()`` (no ``start=False``) and the
 same loop runs on the runtime's ``monitor`` pool at ``interval`` seconds;
-``benchmarks/bench_monitoring_overhead.py`` pins a live hub under 3%
-overhead.  Every metric name used here is listed in
+``benchmarks/bench_monitoring_overhead.py`` times a live hub against a 3%
+overhead bar.  Every metric name used here is listed in
 ``docs/metrics_catalog.md``.
 
 Run with:  python examples/monitoring_quickstart.py

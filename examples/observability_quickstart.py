@@ -14,9 +14,9 @@ observability pieces:
 3. slow-query ring — the engine keeps the last N queries over a wall-time
    threshold as plain dicts.
 
-Tracing is off by default and costs nothing until enabled (the envelope is
-pinned by ``benchmarks/bench_obs_overhead.py``: <2% with tracing off, <10%
-with it on, results bit-identical either way).
+Tracing is off by default (one thread-local read per call site) and never
+changes results; what it costs when on is ``trace.overhead_share`` of a
+``benchmarks/e2e/run.py --trace 1`` run.
 
 Run with:  python examples/observability_quickstart.py
 """

@@ -2,10 +2,9 @@
 
 Builds an engine whose sharded fan-out and multi-query execution share ONE
 runtime, shows where each of the two ran (a pool is used only when it pays:
-at this size both stay on the calling thread, and say so), drives the
+at this size both stay on the calling thread, and say so), and drives the
 estimation service from many threads at once through the coalescing deferred
-path, and demonstrates the three bounded-queue backpressure policies — with
-every pool's load visible through the same telemetry as endpoint traffic.
+path.
 
 Run with:  python examples/runtime_quickstart.py
 """
@@ -20,7 +19,6 @@ import numpy as np
 from repro.baselines import UniformSamplingEstimator
 from repro.datasets import make_binary_dataset
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.runtime import PoolRejectedError, TaskShedError, WorkerPool
 
 
 def main() -> None:
@@ -97,39 +95,6 @@ def main() -> None:
     merged = service.telemetry.endpoint("fingerprints")
     print(f"deferred requests from 4 threads coalesced: "
           f"requests={merged.requests} auto_flush_failures={merged.auto_flush_failures}")
-
-    # --- Backpressure: block / reject / shed_oldest ----------------------- #
-    for policy in ("block", "reject", "shed_oldest"):
-        pool = WorkerPool("demo", num_workers=1, max_queue_depth=4, policy=policy)
-        gate = threading.Event()
-        pool.submit(gate.wait, 5)          # park the worker
-        while pool.stats()["active"] == 0:
-            time.sleep(0.001)
-        handles = [pool.submit(lambda i=i: i) for i in range(4)]  # fill queue
-        outcome = ""
-        if policy == "reject":
-            try:
-                pool.submit(lambda: "overflow")
-            except PoolRejectedError:
-                outcome = "overflow submission rejected"
-            gate.set()
-        elif policy == "shed_oldest":
-            pool.submit(lambda: "overflow")
-            gate.set()
-            try:
-                handles[0].result()
-            except TaskShedError:
-                outcome = "oldest queued task shed"
-        else:
-            threading.Timer(0.01, gate.set).start()
-            pool.submit(lambda: "overflow")  # blocks until space opens
-            outcome = "submission blocked until the queue drained"
-        pool.drain(timeout=5)
-        stats = pool.stats()
-        print(f"policy {policy:>11}: {outcome} "
-              f"(completed={stats['completed']} rejected={stats['rejected']} "
-              f"shed={stats['shed']})")
-        pool.shutdown()
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Public API highlights
 * :mod:`repro.store` — versioned engine snapshots, warm-start restore, and
   snapshot-spawned read replicas.
 * :mod:`repro.runtime` — the shared concurrent execution layer: named worker
-  pools with explicit backpressure, request coalescing, one runtime under
+  pools, request coalescing, one runtime under
   serving, sharding, replicas, and the engine.
 * :mod:`repro.obs` — observability: span traces across threads and forked
   workers, mergeable histogram metrics with Prometheus/JSON exposition, and

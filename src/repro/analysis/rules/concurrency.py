@@ -2,7 +2,7 @@
 
 PR 5 consolidated three ad-hoc ``ThreadPoolExecutor`` sites (sharding fan-out,
 replica routing, service micro-batching) into one runtime layer with named
-pools, explicit backpressure, and pool telemetry.  RPR001 keeps it that way.
+pools, drain/shutdown, and pool telemetry.  RPR001 keeps it that way.
 RPR003 guards the process backend added in PR 6: tasks are pickled at submit
 time, so a lambda or closure handed to ``submit`` only fails at runtime, on
 the worker, after the pool has already accepted it.
@@ -39,7 +39,7 @@ class AdHocThreadRule(ContextVisitor):
     rationale = (
         "PR 5 removed three private ThreadPoolExecutors (ShardedSelector, "
         "ReplicaSet, EstimationService); ad-hoc threads bypass WorkerPool "
-        "backpressure, pool telemetry, and snapshot drop/rebuild hooks."
+        "drain/shutdown, pool telemetry, and snapshot drop/rebuild hooks."
     )
 
     def check_call(self, node: ast.Call) -> None:
@@ -50,7 +50,7 @@ class AdHocThreadRule(ContextVisitor):
             self.report(
                 node,
                 f"{resolved} constructed outside repro/runtime/ — use "
-                "Runtime.pool()/WorkerPool so backpressure, telemetry, and "
+                "Runtime.pool()/WorkerPool so drain/shutdown, telemetry, and "
                 "snapshot hooks apply",
             )
 

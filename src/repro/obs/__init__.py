@@ -23,8 +23,9 @@ Observability substrate for the whole stack:
   ``engine.monitor()`` and the ``health_report()`` renderer.
 
 Tracing (``REPRO_TRACE``) and profiling (``REPRO_PROFILE``) are opt-in;
-metrics always record.  ``benchmarks/bench_obs_overhead.py`` and
-``benchmarks/bench_monitoring_overhead.py`` pin the cost envelopes.
+metrics always record.  What tracing costs is ``trace.overhead_share`` of a
+``benchmarks/e2e/run.py --trace 1`` run; a live monitoring hub is timed by
+``benchmarks/bench_monitoring_overhead.py`` (a non-blocking reproduction).
 """
 
 from .alerts import ALERT_KINDS, AlertManager, AlertRule, AlertStatus

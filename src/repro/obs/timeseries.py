@@ -433,7 +433,7 @@ class Scraper:
     """Periodic registry → store sampler running as one long-lived pool task.
 
     The loop is paced by ``Event.wait(interval)`` on a worker of the
-    ``monitor`` pool — backpressure, telemetry, and snapshot drop/rebuild
+    ``monitor`` pool — drain/shutdown, telemetry, and snapshot drop/rebuild
     apply like any other runtime work (RPR001), and ``stop()`` resolves the
     task's handle so shutdown is observable.  ``clock=None`` reads
     ``time.monotonic()``; tests inject a deterministic clock and drive

@@ -5,9 +5,8 @@ concurrency mechanisms (serving's synchronous deferred micro-batching, and
 private thread pools inside the sharded selector and the replica router).
 They all run here now:
 
-* :class:`WorkerPool` — named, sized, lazily-started pools with bounded
-  submission queues and explicit backpressure (``block`` / ``reject`` /
-  ``shed_oldest``), Future-style :class:`TaskHandle`\\ s, graceful
+* :class:`WorkerPool` — named, sized, lazily-started pools over one FIFO
+  queue, Future-style :class:`TaskHandle`\\ s, graceful
   drain/shutdown, and per-pool telemetry through
   :class:`~repro.serving.ServingTelemetry`.  Two backends share that one
   API: ``backend="thread"`` (the default) and ``backend="process"`` — forked
@@ -27,24 +26,18 @@ They all run here now:
 
 from .coalescer import BatchCoalescer
 from .pool import (
-    BACKPRESSURE_POLICIES,
     POOL_BACKENDS,
-    PoolRejectedError,
     TaskHandle,
-    TaskShedError,
     WorkerPool,
     fork_available,
 )
 from .runtime import Runtime, default_runtime, usable_cores
 
 __all__ = [
-    "BACKPRESSURE_POLICIES",
     "BatchCoalescer",
     "POOL_BACKENDS",
-    "PoolRejectedError",
     "Runtime",
     "TaskHandle",
-    "TaskShedError",
     "WorkerPool",
     "default_runtime",
     "fork_available",

@@ -9,27 +9,20 @@ oversubscribing the machine), *sized* at creation, and *lazily started* — no
 thread exists until the first submission, which is what lets snapshots simply
 drop pools at save and rebuild them on demand after restore.
 
-Submission goes through a bounded queue with an explicit admission-control
-policy chosen per pool:
-
-* ``"block"`` (default) — a full queue makes ``submit`` wait for space; the
-  caller is the backpressure signal.
-* ``"reject"`` — a full queue raises :class:`PoolRejectedError` immediately;
-  the caller implements its own retry/degradation.
-* ``"shed_oldest"`` — a full queue drops the *oldest* queued task (its
-  :class:`TaskHandle` fails with :class:`TaskShedError`) and admits the new
-  one; freshest-work-wins, for traffic where a stale request's answer is
-  worthless by the time it would run.
+Submission appends to an unbounded FIFO queue: ``submit`` never waits and
+never refuses (no site in the library ever bounded one; a fan-out waits on the
+handles it submitted).  ``stats()["max_queue_seen"]`` records how deep the
+queue ever got.
 
 Handles are ``Future``-style: ``result()`` blocks for and returns the task's
-value (re-raising its exception), ``done``/``shed`` are non-blocking probes.
+value (re-raising its exception), ``done`` is a non-blocking probe.
 Per-pool telemetry (tasks completed, per-task wall-clock) is exported through
 the same :class:`~repro.serving.ServingTelemetry` machinery the serving layer
 uses, under the endpoint name ``pool:<name>`` — pool load is inspectable
 exactly like endpoint traffic.
 
-Two execution backends share ALL of the above (same queue, same admission
-control, same handles, same telemetry, same drain/shutdown):
+Two execution backends share ALL of the above (same queue, same handles,
+same telemetry, same drain/shutdown):
 
 * ``backend="thread"`` (default) — tasks run on the worker threads, zero
   serialization.  Threads take turns on one interpreter lock, so a fan-out
@@ -65,9 +58,6 @@ from ..obs.metrics import default_registry, use_registry
 from ..obs.profile import merge_child_state
 from ..obs.trace import Span, activate, capture_context, span
 from .process import ERROR, OK, SHUTDOWN_SENTINEL, run_child_loop
-
-#: Admission-control policies a bounded pool can apply when its queue is full.
-BACKPRESSURE_POLICIES = ("block", "reject", "shed_oldest")
 
 #: Execution backends a pool can run its tasks on.
 POOL_BACKENDS = ("thread", "process")
@@ -123,47 +113,32 @@ class _ChildWorker:
             self.process.join(timeout)
 
 
-class PoolRejectedError(RuntimeError):
-    """Raised by ``submit`` on a full ``"reject"``-policy queue."""
-
-
-class TaskShedError(RuntimeError):
-    """The failure a ``"shed_oldest"`` pool sets on a task it dropped."""
-
-
 class TaskHandle:
     """Future-style handle for one submitted task.
 
-    Resolution happens exactly once — by the worker that ran the task, or by
-    the pool when the task is shed before running.  ``result()`` blocks until
-    then; a task that raised re-raises its exception on the waiter's thread.
+    Resolution happens exactly once, by the worker that ran the task.
+    ``result()`` blocks until then; a task that raised re-raises its exception
+    on the waiter's thread.
     """
 
-    __slots__ = ("_event", "_value", "_error", "_shed")
+    __slots__ = ("_event", "_value", "_error")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._value: Any = None
         self._error: Optional[BaseException] = None
-        self._shed = False
 
     @property
     def done(self) -> bool:
-        """Whether the task finished (successfully, with an error, or shed)."""
+        """Whether the task finished (successfully or with an error)."""
         return self._event.is_set()
-
-    @property
-    def shed(self) -> bool:
-        """Whether the task was dropped by a ``shed_oldest`` pool before running."""
-        return self._shed
 
     def _resolve(self, value: Any) -> None:
         self._value = value
         self._event.set()
 
-    def _fail(self, error: BaseException, shed: bool = False) -> None:
+    def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._shed = shed
         self._event.set()
 
     def result(self, timeout: Optional[float] = None) -> Any:
@@ -181,26 +156,17 @@ class TaskHandle:
 
 
 class WorkerPool:
-    """A named, sized, lazily-started pool with bounded-queue admission control."""
+    """A named, sized, lazily-started pool over one unbounded FIFO queue."""
 
     def __init__(
         self,
         name: str,
         num_workers: int,
-        max_queue_depth: Optional[int] = None,
-        policy: str = "block",
         telemetry: Optional[Any] = None,
         backend: str = "thread",
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        if max_queue_depth is not None and max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive (or None for unbounded)")
-        if policy not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {policy!r}; choose from "
-                f"{BACKPRESSURE_POLICIES}"
-            )
         if backend not in POOL_BACKENDS:
             raise ValueError(
                 f"unknown pool backend {backend!r}; choose from {POOL_BACKENDS}"
@@ -213,12 +179,9 @@ class WorkerPool:
         self.backend = backend
         self.name = name
         self.num_workers = int(num_workers)
-        self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
-        self.policy = policy
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         #: Queue rows: (handle, fn, args, kwargs, payload, context) —
         #: ``payload`` is the pre-pickled task for the process backend
@@ -239,9 +202,6 @@ class WorkerPool:
         self.submitted = 0
         self.completed = 0
         self.failed = 0
-        self.rejected = 0
-        self.shed = 0
-        self.blocked_submissions = 0
         self.max_queue_seen = 0
 
     # ------------------------------------------------------------------ #
@@ -291,13 +251,13 @@ class WorkerPool:
             self.num_workers = int(num_workers)
 
     # ------------------------------------------------------------------ #
-    # Submission (admission control happens here)
+    # Submission
     # ------------------------------------------------------------------ #
     def submit(self, fn: Callable, *args: Any, **kwargs: Any) -> TaskHandle:
-        """Queue one task, applying the pool's backpressure policy when full.
+        """Queue one task.
 
         On the process backend the task is pickled HERE, outside the pool
-        lock and before admission — an unpicklable closure fails the caller
+        lock and before it is queued — an unpicklable closure fails the caller
         immediately and loudly instead of poisoning a worker later.
 
         The submitter's active trace span (if any) is captured alongside the
@@ -325,35 +285,6 @@ class WorkerPool:
         with self._lock:
             if self._shutdown:
                 raise RuntimeError(f"pool {self.name!r} is shut down")
-            if (
-                self.max_queue_depth is not None
-                and len(self._tasks) >= self.max_queue_depth
-            ):
-                if self.policy == "reject":
-                    self.rejected += 1
-                    raise PoolRejectedError(
-                        f"pool {self.name!r} queue is full "
-                        f"({self.max_queue_depth} tasks queued)"
-                    )
-                if self.policy == "shed_oldest":
-                    old_handle, _, _, _, _, _ = self._tasks.popleft()
-                    self.shed += 1
-                    old_handle._fail(
-                        TaskShedError(
-                            f"task shed from pool {self.name!r}: a newer "
-                            "submission displaced it from the full queue"
-                        ),
-                        shed=True,
-                    )
-                else:  # block
-                    self.blocked_submissions += 1
-                    while (
-                        len(self._tasks) >= self.max_queue_depth
-                        and not self._shutdown
-                    ):
-                        self._not_full.wait()
-                    if self._shutdown:
-                        raise RuntimeError(f"pool {self.name!r} is shut down")
             self._tasks.append((handle, fn, args, kwargs, payload, context))
             self.submitted += 1
             self.max_queue_seen = max(self.max_queue_seen, len(self._tasks))
@@ -406,7 +337,6 @@ class WorkerPool:
         with self._lock:
             self._shutdown = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
             threads = list(self._threads)
             stop_events = list(self._stop_events)
         for event in stop_events:
@@ -530,7 +460,6 @@ class WorkerPool:
                     return  # shutdown requested and the queue fully drained
                 handle, fn, args, kwargs, payload, context = self._tasks.popleft()
                 self._active += 1
-                self._not_full.notify()
             start = time.perf_counter()
             sink = metrics_sink(self.telemetry)
             task_span: Optional[Any] = None
@@ -630,16 +559,11 @@ class WorkerPool:
                 "backend": self.backend,
                 "requested_backend": self.requested_backend,
                 "num_workers": self.num_workers,
-                "policy": self.policy,
-                "max_queue_depth": self.max_queue_depth,
                 "started": bool(self._threads),
                 "queue_depth": len(self._tasks),
                 "active": self._active,
                 "submitted": self.submitted,
                 "completed": self.completed,
                 "failed": self.failed,
-                "rejected": self.rejected,
-                "shed": self.shed,
-                "blocked_submissions": self.blocked_submissions,
                 "max_queue_seen": self.max_queue_seen,
             }

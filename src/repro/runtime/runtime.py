@@ -53,15 +53,12 @@ class Runtime:
         self,
         name: str,
         num_workers: int = 4,
-        max_queue_depth: Optional[int] = None,
-        policy: str = "block",
         backend: str = "thread",
     ) -> WorkerPool:
         """The pool registered under ``name``, created on first acquisition.
 
-        Queue bound, policy, and backend apply only when this call creates
-        the pool (the first acquisition wins — layers state preferences
-        without fighting over shared settings; components that need true
+        The backend applies only when this call creates the pool (the first
+        acquisition wins; components that need true
         multicore acquire a distinctly-named ``backend="process"`` pool, e.g.
         ``"shards-proc"``, so they never silently land on a thread pool an
         earlier layer created), but the worker count is a *floor*: an
@@ -77,8 +74,6 @@ class Runtime:
             created = WorkerPool(
                 name,
                 num_workers=num_workers,
-                max_queue_depth=max_queue_depth,
-                policy=policy,
                 telemetry=self.telemetry,
                 backend=backend,
             )

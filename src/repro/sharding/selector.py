@@ -78,8 +78,8 @@ SHARD_PROCESS_POOL = "shards-proc"
 #: box wanders), beside the CPU ms per shard task the selector's own meter
 #: read.  2 usable cores (Linux 6.18 Firecracker guest, Python 3.11.7, numpy
 #: 2.4.6, BLAS on one thread); committed with its machine block as
-#: ``BENCH_runtime_fan_out_break_even.json``, reproduced by
-#: ``pytest benchmarks/bench_runtime_concurrency.py -k break_even --run-break-even``:
+#: ``docs/perf/pr-18/fan_out_break_even.json``, reproduced by
+#: ``pytest benchmarks/bench_fan_out_break_even.py -s --run-break-even``:
 #:
 #: ========= ======= =========== =========== ======== ======= =========
 #: distance  rows    pool ms     inline ms   task CPU faster  rule runs

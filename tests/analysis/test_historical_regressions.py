@@ -35,7 +35,7 @@ def test_pr3_mutable_cached_curve_fires_rpr007():
 
 def test_pr5_adhoc_threadpoolexecutor_fires_rpr001():
     # PR 5 removed ShardedSelector's private ThreadPoolExecutor; this is the
-    # pre-PR-5 fan-out shape, which bypassed WorkerPool backpressure,
+    # pre-PR-5 fan-out shape, which bypassed WorkerPool drain/shutdown,
     # pool telemetry, and the snapshot drop/rebuild hooks.
     source = """
         from concurrent.futures import ThreadPoolExecutor

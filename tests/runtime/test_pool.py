@@ -1,4 +1,4 @@
-"""WorkerPool semantics: lazy start, handles, backpressure, drain/shutdown."""
+"""WorkerPool semantics: lazy start, handles, the unbounded queue, drain/shutdown."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import time
 
 import pytest
 
-from repro.runtime import (
-    BACKPRESSURE_POLICIES,
-    PoolRejectedError,
-    TaskShedError,
-    WorkerPool,
-)
+from repro.runtime import WorkerPool
 from repro.serving import ServingTelemetry
 
 
@@ -111,81 +106,22 @@ class TestLifecycleAndHandles:
 
 
 class TestBackpressure:
-    """Each admission-control policy, exercised against a full queue."""
+    """There is none: the queue is unbounded and ``submit`` never waits."""
 
-    def _blocked_pool(self, policy, max_queue_depth=2):
-        """A 1-worker pool whose worker is parked on ``gate``, plus handles
-        for the running task and the queued filler tasks."""
-        pool = WorkerPool(
-            "bp", num_workers=1, max_queue_depth=max_queue_depth, policy=policy
-        )
+    def test_unbounded_pool_never_applies_backpressure(self):
+        pool = WorkerPool("unbounded", num_workers=1)
         gate = threading.Event()
         running = pool.submit(gate.wait, 10)
         while pool.stats()["active"] == 0:  # wait until the worker holds it
             time.sleep(0.001)
-        fillers = [pool.submit(lambda i=i: i) for i in range(max_queue_depth)]
-        assert pool.queue_depth == max_queue_depth
-        return pool, gate, running, fillers
-
-    def test_policies_are_exactly_the_documented_three(self):
-        assert BACKPRESSURE_POLICIES == ("block", "reject", "shed_oldest")
-        with pytest.raises(ValueError, match="backpressure policy"):
-            WorkerPool("bad", num_workers=1, policy="drop_newest")
-
-    def test_reject_policy_raises_when_full(self):
-        pool, gate, running, fillers = self._blocked_pool("reject")
-        with pytest.raises(PoolRejectedError, match="queue is full"):
-            pool.submit(lambda: "overflow")
-        gate.set()
-        # The rejected submission cost nothing: everything admitted still runs.
-        assert [handle.result(timeout=5) for handle in fillers] == [0, 1]
-        assert pool.stats()["rejected"] == 1
-        pool.shutdown()
-
-    def test_shed_oldest_policy_drops_the_oldest_queued_task(self):
-        pool, gate, running, fillers = self._blocked_pool("shed_oldest")
-        newest = pool.submit(lambda: "newest")
-        # The OLDEST queued task was shed; its handle fails loudly.
-        assert fillers[0].shed
-        with pytest.raises(TaskShedError, match="shed"):
-            fillers[0].result(timeout=5)
-        gate.set()
-        assert fillers[1].result(timeout=5) == 1
-        assert newest.result(timeout=5) == "newest"
-        assert pool.stats()["shed"] == 1
-        assert pool.queue_depth == 0
-        pool.shutdown()
-
-    def test_block_policy_waits_for_space(self):
-        pool, gate, running, fillers = self._blocked_pool("block")
-        submitted = threading.Event()
-        result_holder = {}
-
-        def blocked_submit():
-            handle = pool.submit(lambda: "late")
-            submitted.set()
-            result_holder["value"] = handle.result(timeout=5)
-
-        # repro: ignore[RPR001] - the backpressure block under test needs a submitter outside any pool
-        thread = threading.Thread(target=blocked_submit, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not submitted.is_set()  # full queue: the submitter is waiting
-        gate.set()  # worker drains the queue, space opens, submit completes
-        thread.join(timeout=5)
-        assert submitted.is_set()
-        assert result_holder["value"] == "late"
-        assert pool.stats()["blocked_submissions"] == 1
-        pool.shutdown()
-
-    def test_unbounded_pool_never_applies_backpressure(self):
-        pool = WorkerPool("unbounded", num_workers=1, policy="reject")
-        gate = threading.Event()
-        pool.submit(gate.wait, 10)
         handles = [pool.submit(lambda i=i: i) for i in range(100)]
+        assert pool.queue_depth == 100
         gate.set()
         assert [handle.result(timeout=5) for handle in handles] == list(range(100))
-        assert pool.stats()["rejected"] == 0
+        assert running.result(timeout=5) is True
+        stats = pool.stats()
+        assert stats["max_queue_seen"] == 100
+        assert stats["submitted"] == stats["completed"] == 101
         pool.shutdown()
 
 

@@ -13,11 +13,11 @@ from repro.store import load_component, save_component
 class TestPoolRegistry:
     def test_same_name_returns_the_same_pool(self):
         runtime = Runtime()
-        first = runtime.pool("workers", num_workers=3, max_queue_depth=9)
-        again = runtime.pool("workers", num_workers=2, max_queue_depth=4)
+        first = runtime.pool("workers", num_workers=3)
+        again = runtime.pool("workers", num_workers=2, backend="process")
         assert again is first
         assert first.num_workers == 3  # worker floor: never shrinks
-        assert first.max_queue_depth == 9  # bound/policy: first wins
+        assert first.backend == "thread"  # backend: first wins
         assert runtime.pool_names() == ["workers"]
         assert "workers" in runtime
 
@@ -56,10 +56,10 @@ class TestPoolRegistry:
     def test_stats_aggregates_every_pool(self):
         runtime = Runtime()
         runtime.pool("a", num_workers=1).map(lambda i: i, range(3))
-        runtime.pool("b", num_workers=2, policy="reject", max_queue_depth=9)
+        runtime.pool("b", num_workers=2)
         stats = runtime.stats()
         assert stats["a"]["completed"] == 3
-        assert stats["b"]["policy"] == "reject"
+        assert stats["b"]["num_workers"] == 2
         assert stats["b"]["started"] is False  # never submitted to: still lazy
 
     def test_shutdown_forgets_pools_and_stays_usable(self):
@@ -210,8 +210,6 @@ class TestSnapshotHooks:
 
 
 class TestWorkerPoolValidation:
-    def test_rejects_nonpositive_workers_and_queue(self):
+    def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="num_workers"):
             WorkerPool("bad", num_workers=0)
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            WorkerPool("bad", num_workers=1, max_queue_depth=0)

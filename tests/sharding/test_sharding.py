@@ -333,6 +333,22 @@ class TestShardedEstimatorGroup:
         # The repeat is answered fully from the merged endpoint's cache.
         assert service.cache.hits >= hits_before + len(records)
         assert service.telemetry.endpoint("hm").hit_rate > 0.0
+        # The client-facing endpoint accounts the two passes exactly as an
+        # unsharded endpoint does: the shard endpoints' traffic stays theirs.
+        unsharded = EstimationService()
+        unsharded.register(
+            "hm",
+            ExactCountEstimator(binary_dataset.records, "hamming"),
+            curve_thetas=np.arange(int(binary_dataset.theta_max) + 1, dtype=np.float64),
+            distance_name="hamming",
+        )
+        for _ in range(2):
+            unsharded.estimate_many("hm", records, thetas)
+        merged = service.telemetry.endpoint("hm").snapshot()
+        plain = unsharded.telemetry.endpoint("hm").snapshot()
+        for key in ("requests", "cache_hits", "hit_rate"):
+            assert merged[key] == plain[key], key
+        assert merged["cache_hits"] == len(records)
 
     def test_shard_invalidation_also_drops_merged_curves(self, setup, binary_dataset):
         _, service, group = setup
