@@ -1,6 +1,6 @@
 """Snapshot/restore: warm-start restore vs retraining.
 
-Two sections, each printing its table and a ``JSON:`` line (no file is written
+One section, printing its table and a ``JSON:`` line (no file is written
 and no merge is gated: this is the only code timing save → load until
 ``benchmarks/e2e`` has a snapshot → restore → resume phase; ROADMAP, "Every
 serving path has a workload"):
@@ -11,11 +11,6 @@ serving path has a workload"):
   workload bit-identically (cache hits included), and asserts the headline
   property: restoring is at least 10x faster than retraining the estimator
   from scratch — the snapshot subsystem's reason to exist.
-
-* **replica spawn** — N read replicas are spawned from the same snapshot and
-  a workload is routed round-robin across them.  Verifies every replica
-  answers identically to the primary, reports spawn latency per replica and
-  the per-replica query counts from the routing telemetry.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import pytest
 from repro.core import CardNetEstimator
 from repro.datasets import make_binary_dataset
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.store import ReplicaSet, load_engine, save_engine
+from repro.store import load_engine, save_engine
 from repro.workloads import build_workload
 
 NUM_RECORDS = 1200
@@ -37,7 +32,6 @@ DIMENSION = 32
 THETA_MAX = 12
 EPOCHS = 20
 NUM_QUERIES = 80
-NUM_REPLICAS = 3
 
 
 @pytest.fixture(scope="module")
@@ -144,46 +138,3 @@ def test_warm_start_restore_vs_retrain(
         f"warm-start restore ({load_seconds:.3f}s) should beat retraining "
         f"({retrain_seconds:.3f}s) by >= 10x, got {speedup:.1f}x"
     )
-
-
-def test_replica_spawn_and_routing(trained_engine, bench_queries, tmp_path_factory, print_table):
-    engine, _ = trained_engine
-    baseline = engine.execute_many(bench_queries)
-    path = tmp_path_factory.mktemp("snapshot") / "engine"
-    save_engine(engine, path)
-
-    start = time.perf_counter()
-    replicas = ReplicaSet.from_snapshot(path, NUM_REPLICAS, routing="round_robin", seed=5)
-    spawn_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    routed = replicas.execute_many(bench_queries)
-    route_seconds = time.perf_counter() - start
-    assert [r.record_ids for r in routed] == [r.record_ids for r in baseline]
-
-    counts = replicas.query_counts()
-    assert sum(counts) == NUM_QUERIES and max(counts) - min(counts) <= 1
-
-    print_table(
-        f"Replica spawn — {NUM_REPLICAS} replicas from one snapshot",
-        ["metric", "value"],
-        [
-            ["spawn seconds (total)", f"{spawn_seconds:.3f}"],
-            ["spawn seconds (per replica)", f"{spawn_seconds / NUM_REPLICAS:.3f}"],
-            ["routed queries", str(NUM_QUERIES)],
-            ["per-replica counts", str(counts)],
-        ],
-    )
-    payload = {
-        "benchmark": "snapshot_restore",
-        "section": "replica_spawn",
-        "num_replicas": NUM_REPLICAS,
-        "spawn_seconds": spawn_seconds,
-        "spawn_seconds_per_replica": spawn_seconds / NUM_REPLICAS,
-        "route_seconds": route_seconds,
-        "num_queries": NUM_QUERIES,
-        "query_counts": counts,
-        "results_identical": True,
-        "telemetry": replicas.telemetry.snapshot(),
-    }
-    print("JSON: " + json.dumps(payload, default=float))

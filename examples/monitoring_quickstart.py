@@ -116,8 +116,7 @@ def main() -> None:
 
     engine.runtime.shutdown()
     print("\nThe same hub runs continuously via engine.monitor(interval=1.0);")
-    print("series history survives engine.save()/load(), and REPRO_PROFILE=1")
-    print("adds a sampling profiler whose collapsed stacks feed flamegraphs.")
+    print("series history survives engine.save()/load().")
 
 
 if __name__ == "__main__":

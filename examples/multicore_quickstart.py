@@ -25,7 +25,7 @@ from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.runtime import Runtime, fork_available
 from repro.selection.hamming_index import PackedHammingSelector
 from repro.sharding import ShardedSelector
-from repro.store import ReplicaSet, save_engine
+from repro.store import load_engine, save_engine
 
 NUM_SHARDS = 4
 
@@ -60,7 +60,7 @@ def main() -> None:
     assert answers["thread"] == answers["process"], "backends must agree exactly"
     print(f"bit-identical across backends: {sum(map(len, answers['thread']))} matches")
 
-    # --- zero-copy snapshot restore + process replicas ------------------ #
+    # --- zero-copy snapshot restore -------------------------------------- #
     engine = SimilarityQueryEngine()
     engine.register_attribute(
         "bits",
@@ -74,15 +74,15 @@ def main() -> None:
         info = save_engine(engine, path)
         print(f"snapshot: {info.payload_bytes} payload bytes, {info.num_arrays} arrays")
 
-        # Workers mmap-load their own engine from this snapshot; the parent
-        # keeps one mmap'd copy for planning.  Replica ids are routing labels.
-        replicas = ReplicaSet.from_snapshot(path, 2, backend="process")
+        # Arrays restore as read-only views over the mapped payload file.
+        restored = load_engine(path, mmap=True)
         workload = [SimilarityPredicate("bits", record, 20.0) for record in queries]
-        results = replicas.execute_many(workload)
-        print(f"replica backend={replicas.stats()['backend']}, "
-              f"query_counts={replicas.query_counts()}, "
-              f"answered={sum(len(result.record_ids) for result in results)} matches")
-        replicas.runtime.shutdown()
+        results = restored.execute_many(workload)
+        expected = engine.execute_many(workload)
+        assert [r.record_ids for r in results] == [r.record_ids for r in expected]
+        print(f"mmap restore answered "
+              f"{sum(len(result.record_ids) for result in results)} matches, "
+              "identical to the saved engine")
 
 
 if __name__ == "__main__":

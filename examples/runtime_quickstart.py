@@ -3,8 +3,7 @@
 Builds an engine whose sharded fan-out and multi-query execution share ONE
 runtime, shows where each of the two ran (a pool is used only when it pays:
 at this size both stay on the calling thread, and say so), and drives the
-estimation service from many threads at once through the coalescing deferred
-path.
+estimation service from many threads at once.
 
 Run with:  python examples/runtime_quickstart.py
 """
@@ -74,27 +73,24 @@ def main() -> None:
     # (backend="process" shards — examples/multicore_quickstart.py — fan out
     # to worker processes, and execute_many then pipelines on "engine-execute".)
 
-    # --- Thread-safe serving: concurrent submitters coalesce -------------- #
+    # --- Thread-safe serving: many threads, one service ------------------- #
     service = engine.service
-    def submit_burst(thread_id: int) -> None:
-        for i in range(8):
-            service.submit(
-                "fingerprints",
-                dataset.records[(thread_id * 8 + i) % len(dataset.records)],
-                9.0,
-            )
+    def estimate_burst(thread_id: int) -> None:
+        picks = [(thread_id * 8 + i) % len(dataset.records) for i in range(8)]
+        service.estimate_many(
+            "fingerprints", [dataset.records[i] for i in picks], [9.0] * len(picks)
+        )
 
     threads = [
-        threading.Thread(target=submit_burst, args=(t,)) for t in range(4)
+        threading.Thread(target=estimate_burst, args=(t,)) for t in range(4)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    service.flush()
     merged = service.telemetry.endpoint("fingerprints")
-    print(f"deferred requests from 4 threads coalesced: "
-          f"requests={merged.requests} auto_flush_failures={merged.auto_flush_failures}")
+    print(f"4 threads on one service: requests={merged.requests} "
+          f"= hits {merged.cache_hits} + misses {merged.cache_misses}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def main() -> None:
     jaccard_estimator, jaccard_workload = train_estimator(jaccard_dataset)
 
     print("Registering both behind one service ...")
-    service = EstimationService(cache_capacity=512, max_batch_size=32)
+    service = EstimationService(cache_capacity=512)
     service.register("images/hamming", hamming_estimator, distance_name="hamming")
     service.register("baskets/jaccard", jaccard_estimator, distance_name="jaccard")
     print(f"  endpoints: {service.registry.names()}")
@@ -70,14 +70,6 @@ def main() -> None:
         [example.record for example in examples],
         new_thetas.astype(float),
     )
-
-    print("Deferred single-query API (micro-batched on flush) ...")
-    pending = [
-        service.submit("baskets/jaccard", example.record, example.theta)
-        for example in jaccard_workload.test[:10]
-    ]
-    service.flush()
-    print(f"  first deferred answer: {pending[0].result():.1f}")
 
     stats = service.stats()
     cache = stats["cache"]

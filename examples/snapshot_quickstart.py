@@ -1,11 +1,10 @@
-"""Snapshot quickstart: train → save → kill → load → serve, plus replicas.
+"""Snapshot quickstart: train → save → kill → load → serve.
 
 Trains a CardNet-A estimator, serves it through an engine (warming the curve
 cache), snapshots the whole engine to a directory, throws the process state
 away, and warm-start restores: the loaded engine answers bit-identically —
 trained weights, optimizer moments, selection index, warm cache, feedback
-windows all included — without retraining anything.  Then spawns three read
-replicas from the same snapshot and round-robins a workload across them.
+windows all included — without retraining anything.
 
 Run with:  python examples/snapshot_quickstart.py
 """
@@ -19,7 +18,7 @@ from pathlib import Path
 from repro.core import CardNetEstimator
 from repro.datasets import make_binary_dataset
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.store import ReplicaSet, inspect_snapshot
+from repro.store import inspect_snapshot
 from repro.workloads import build_workload
 
 
@@ -75,17 +74,6 @@ def main() -> None:
         f"results identical: {identical}; served {hits} requests from the "
         "restored warm cache"
     )
-
-    # --- Spawn read replicas from the same snapshot ----------------------- #
-    replicas = ReplicaSet.from_snapshot(snapshot_dir, 3, routing="round_robin", seed=7)
-    routed = replicas.execute_many(queries)
-    assert all(a.record_ids == b.record_ids for a, b in zip(baseline, routed))
-    print(f"3 replicas answered {len(routed)} queries; load: {replicas.query_counts()}")
-    telemetry = replicas.stats()["telemetry"]
-    per_replica = {
-        name: stats["requests"] for name, stats in telemetry.items() if name != "total"
-    }
-    print(f"routing telemetry: {per_replica}")
 
 
 if __name__ == "__main__":

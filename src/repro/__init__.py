@@ -13,11 +13,9 @@ Public API highlights
 * :mod:`repro.engine` — end-to-end query engine (plan → execute → feedback).
 * :mod:`repro.sharding` — horizontal scale-out: partitioned exact selection
   and per-shard serving endpoints merged by curve summation.
-* :mod:`repro.store` — versioned engine snapshots, warm-start restore, and
-  snapshot-spawned read replicas.
+* :mod:`repro.store` — versioned engine snapshots and warm-start restore.
 * :mod:`repro.runtime` — the shared concurrent execution layer: named worker
-  pools, request coalescing, one runtime under
-  serving, sharding, replicas, and the engine.
+  pools, one runtime under sharding, monitoring, and the engine.
 * :mod:`repro.obs` — observability: span traces across threads and forked
   workers, mergeable histogram metrics with Prometheus/JSON exposition, and
   ``Engine.explain_analyze``.
@@ -38,13 +36,13 @@ from .obs import (
     start_trace,
     tracing_enabled,
 )
-from .runtime import BatchCoalescer, Runtime, WorkerPool, default_runtime
+from .runtime import Runtime, WorkerPool, default_runtime
 from .serving import CurveCache, EstimationService, EstimatorRegistry
 from .sharding import ShardedEstimatorGroup, ShardedSelector
-from .store import ReplicaSet, load_engine, save_engine
+from .store import load_engine, save_engine
 from .workloads import Workload, build_workload
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CardNet",
@@ -59,10 +57,8 @@ __all__ = [
     "ConjunctiveQuery",
     "ShardedSelector",
     "ShardedEstimatorGroup",
-    "ReplicaSet",
     "Runtime",
     "WorkerPool",
-    "BatchCoalescer",
     "default_runtime",
     "save_engine",
     "load_engine",

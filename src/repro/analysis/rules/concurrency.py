@@ -1,8 +1,9 @@
 """RPR001 / RPR003 — all concurrency lives in ``repro.runtime``.
 
-PR 5 consolidated three ad-hoc ``ThreadPoolExecutor`` sites (sharding fan-out,
-replica routing, service micro-batching) into one runtime layer with named
-pools, drain/shutdown, and pool telemetry.  RPR001 keeps it that way.
+PR 5 consolidated three ad-hoc ``ThreadPoolExecutor`` sites (sharding fan-out
+and two paths since deleted, a replica router and the service's deferred
+queue) into one runtime layer with named pools, drain/shutdown, and pool
+telemetry.  RPR001 keeps it that way.
 RPR003 guards the process backend added in PR 6: tasks are pickled at submit
 time, so a lambda or closure handed to ``submit`` only fails at runtime, on
 the worker, after the pool has already accepted it.
@@ -37,8 +38,8 @@ class AdHocThreadRule(ContextVisitor):
         "outside repro/runtime/"
     )
     rationale = (
-        "PR 5 removed three private ThreadPoolExecutors (ShardedSelector, "
-        "ReplicaSet, EstimationService); ad-hoc threads bypass WorkerPool "
+        "PR 5 removed three private ThreadPoolExecutors (ShardedSelector's "
+        "and two in paths since deleted); ad-hoc threads bypass WorkerPool "
         "drain/shutdown, pool telemetry, and snapshot drop/rebuild hooks."
     )
 

@@ -1,7 +1,7 @@
 """RPR008 — library randomness is seeded-instance only.
 
 Results in this repo are pinned bit-identical across backends, shard counts,
-replica routing, and snapshot restore; every benchmark asserts it.  That only
+and snapshot restore; every benchmark asserts it.  That only
 holds because randomness flows through explicitly-seeded generators
 (``np.random.default_rng(seed)``, RNG state in snapshots).  A single call to
 the *global* RNG (``np.random.shuffle``, ``random.random``) in library code

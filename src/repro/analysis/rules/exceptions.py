@@ -1,9 +1,10 @@
 """RPR005 — no exception vanishes without a trace.
 
 PR 3 found drift detection dead for an entire release because a swallowed
-validation error made ``FeedbackMonitor`` clamp silently; PR 5 added the
+validation error made ``FeedbackMonitor`` clamp silently; PR 5 added an
 ``auto_flush_failures`` counter after ``EstimationService.submit`` was found
-eating auto-flush errors.  The contract: an except handler either *does
+eating auto-flush errors (path and counter were deleted in PR 24; the lesson
+stays).  The contract: an except handler either *does
 something observable* (count it, log it, re-raise, return a fallback) or
 carries an explicit suppression saying why silence is safe.
 """

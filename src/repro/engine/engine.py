@@ -72,12 +72,6 @@ class ShardedUpdateReport:
     dataset_size: int
     reports: Dict[int, UpdateStepReport] = field(default_factory=dict)
 
-    @property
-    def retrained_shards(self) -> List[int]:
-        return sorted(
-            shard for shard, report in self.reports.items() if report.retrained
-        )
-
 
 @dataclass
 class ShardedRevalidationReport:
@@ -786,13 +780,12 @@ class SimilarityQueryEngine:
         capacity: int = 1024,
         retention_seconds: Optional[float] = None,
         start: bool = True,
-        profile_interval: float = 0.005,
     ) -> MonitoringHub:
         """The engine's live :class:`~repro.obs.monitor.MonitoringHub`.
 
         First call builds the hub over the engine's runtime and telemetry
-        registry (and, with ``start``, launches its scraper/profiler loops on
-        the runtime's monitor pool); later calls return the same hub,
+        registry (and, with ``start``, launches its scraper loop on the
+        runtime's monitor pool); later calls return the same hub,
         restarting it if stopped.  ``start=False`` answers an idle hub for
         deterministic ``tick(now)``-driven use.
         """
@@ -803,7 +796,6 @@ class SimilarityQueryEngine:
                 interval=interval,
                 capacity=capacity,
                 retention_seconds=retention_seconds,
-                profile_interval=profile_interval,
             )
         elif self.monitoring.runtime is None:
             # Restored from a snapshot: re-wire the live runtime.
@@ -826,8 +818,8 @@ class SimilarityQueryEngine:
         assignments, feedback state — to directory ``path``.  Returns the
         :class:`~repro.store.SnapshotInfo`; restore with :meth:`load`.
 
-        A running monitoring hub is stopped first (its loops are live pool
-        tasks); the scraped history, SLO definitions, and alert states are
+        A running monitoring hub is stopped first (its loop is a live pool
+        task); the scraped history, SLO definitions, and alert states are
         captured and resume when ``monitor()`` is called after restore."""
         from ..store import save_engine
 

@@ -93,11 +93,6 @@ class QueryPlan:
     #: so planning sees one monotone curve however many shards execute it.
     driver_shards: int = 1
 
-    @property
-    def estimated_result_cardinality(self) -> float:
-        """Upper bound: the conjunction returns at most the driver's estimate."""
-        return self.driver.estimated_cardinality
-
     def describe(self) -> str:
         """Human-readable plan, EXPLAIN-style."""
         lines = [

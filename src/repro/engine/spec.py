@@ -29,7 +29,7 @@ class SimilarityPredicate:
 
     def __post_init__(self) -> None:
         self.theta = float(self.theta)
-        if self.theta < 0:
+        if not self.theta >= 0:  # also rejects NaN, which no index orders
             raise ValueError(f"theta must be non-negative, got {self.theta}")
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ from .layers import (
     ReLU,
     Sequential,
     Sigmoid,
-    Softplus,
     Tanh,
     gaussian_sample,
     linear,
@@ -57,7 +56,6 @@ __all__ = [
     "ELU",
     "Sigmoid",
     "Tanh",
-    "Softplus",
     "Identity",
     "Sequential",
     "Embedding",

@@ -189,10 +189,6 @@ class Tanh(_ActivationModule):
     function = "tanh"
 
 
-class Softplus(_ActivationModule):
-    function = "softplus"
-
-
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x

@@ -33,13 +33,6 @@ class Module:
             self.__dict__.setdefault("_modules", {})[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
-        """Explicitly register a trainable tensor under ``name``."""
-        tensor.requires_grad = True
-        self._parameters[name] = tensor
-        object.__setattr__(self, name, tensor)
-        return tensor
-
     def add_module(self, name: str, module: "Module") -> "Module":
         """Explicitly register a child module under ``name``."""
         self._modules[name] = module

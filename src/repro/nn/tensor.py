@@ -32,7 +32,7 @@ drops its ``.grad`` as soon as its own closure has consumed it, so after
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -499,16 +499,3 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         b._accumulate_unbroadcast(grad * (~cond), fresh=True)
 
     return _node(out_data, (a, b), backward)
-
-
-def no_grad_copy(tensor: Tensor) -> Tensor:
-    """Deep-copy a tensor's value into a fresh leaf tensor (no graph links)."""
-    return Tensor(np.array(tensor.data, copy=True), requires_grad=False)
-
-
-def parameters_norm(params: Iterable[Tensor]) -> float:
-    """L2 norm across all parameter tensors (monitoring aid)."""
-    total = 0.0
-    for param in params:
-        total += float(np.sum(param.data ** 2))
-    return float(np.sqrt(total))

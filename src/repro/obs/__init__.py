@@ -17,14 +17,12 @@ Observability substrate for the whole stack:
 * :mod:`repro.obs.slo` / :mod:`repro.obs.alerts` — declarative objectives
   evaluated as multi-window burn rates, and a deterministic
   pending→firing→resolved alert state machine over them;
-* :mod:`repro.obs.profile` — a sampling profiler attributing stacks to pools
-  and endpoints (``REPRO_PROFILE=1``; shared no-op constant when off);
 * :mod:`repro.obs.monitor` — the :class:`MonitoringHub` behind
   ``engine.monitor()`` and the ``health_report()`` renderer.
 
-Tracing (``REPRO_TRACE``) and profiling (``REPRO_PROFILE``) are opt-in;
-metrics always record.  What tracing costs is ``trace.overhead_share`` of a
-``benchmarks/e2e/run.py --trace 1`` run; a live monitoring hub is timed by
+Tracing (``REPRO_TRACE``) is opt-in; metrics always record.  What tracing
+costs is ``trace.overhead_share`` of a ``benchmarks/e2e/run.py --trace 1``
+run; a live monitoring hub is timed by
 ``benchmarks/bench_monitoring_overhead.py`` (a non-blocking reproduction).
 """
 
@@ -44,18 +42,6 @@ from .metrics import (
     use_registry,
 )
 from .monitor import HealthReport, MonitoringHub, build_health_report
-from .profile import (
-    NOOP_PROFILER,
-    SamplingProfiler,
-    active_profiler,
-    create_profiler,
-    disable_profiling,
-    enable_profiling,
-    merge_child_state,
-    profile_scope,
-    profiling_enabled,
-    set_active_profiler,
-)
 from .slo import SLO_KINDS, SLObjective, SLOEvaluator, SLOStatus
 from .timeseries import MONITOR_POOL, Scraper, Series, TimeSeriesStore
 from .trace import (
@@ -86,37 +72,27 @@ __all__ = [
     "MONITOR_POOL",
     "MetricsRegistry",
     "MonitoringHub",
-    "NOOP_PROFILER",
     "NOOP_SPAN",
     "PredicateAnalysis",
     "SLO_KINDS",
     "SLOEvaluator",
     "SLOStatus",
     "SLObjective",
-    "SamplingProfiler",
     "Scraper",
     "Series",
     "SlowQueryLog",
     "Span",
     "TimeSeriesStore",
     "activate",
-    "active_profiler",
     "bucket_quantile",
     "build_health_report",
     "capture_context",
-    "create_profiler",
     "current_registry",
     "current_span",
     "default_registry",
-    "disable_profiling",
     "disable_tracing",
-    "enable_profiling",
     "enable_tracing",
-    "merge_child_state",
     "metric_key",
-    "profile_scope",
-    "profiling_enabled",
-    "set_active_profiler",
     "span",
     "start_trace",
     "tracing_enabled",

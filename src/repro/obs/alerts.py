@@ -150,11 +150,6 @@ class AlertManager:
             self._states[rule.name] = _fresh_state()
         return rule
 
-    def remove_rule(self, name: str) -> None:
-        with self._lock:
-            self._rules.pop(name, None)
-            self._states.pop(name, None)
-
     def rules(self) -> List[AlertRule]:
         with self._lock:
             return [self._rules[name] for name in sorted(self._rules)]

@@ -1,4 +1,4 @@
-"""The MonitoringHub: scraper + SLOs + alerts + profiler behind one handle.
+"""The MonitoringHub: scraper + SLOs + alerts behind one handle.
 
 ``engine.monitor()`` answers a live :class:`MonitoringHub`: a background
 :class:`~repro.obs.timeseries.Scraper` on the runtime's ``monitor`` pool
@@ -7,18 +7,16 @@ each tick) into a :class:`~repro.obs.timeseries.TimeSeriesStore`; after each
 scrape the hub evaluates its :class:`~repro.obs.slo.SLOEvaluator` and steps
 the :class:`~repro.obs.alerts.AlertManager` at the same instant, so burn
 rates, alert transitions, and the series they derive from never disagree
-about "now".  With ``REPRO_PROFILE=1`` the hub also runs a
-:class:`~repro.obs.profile.SamplingProfiler` (the shared no-op constant
-otherwise).
+about "now".
 
 Tests (and the deterministic paths in :func:`build_health_report`) drive
 :meth:`MonitoringHub.tick` with an injected clock instead of starting the
 background loop — same code path, explicit ``now`` (RPR004).
 
-Snapshot discipline: a *running* hub refuses to snapshot (its loops are live
-pool tasks, exactly like a Runtime with in-flight work); ``engine.save``
+Snapshot discipline: a *running* hub refuses to snapshot (its loop is a live
+pool task, exactly like a Runtime with in-flight work); ``engine.save``
 therefore stops monitoring first.  Everything else — scraped history, SLO
-definitions, alert states, profiler counts — persists and resumes when
+definitions, alert states — persists and resumes when
 ``engine.monitor()`` is called again after restore.
 """
 
@@ -31,7 +29,6 @@ from typing import Any, Dict, List, Optional
 
 from .alerts import AlertManager, AlertRule, AlertStatus
 from .metrics import MetricsRegistry, default_registry
-from .profile import create_profiler
 from .slo import SLObjective, SLOEvaluator, SLOStatus
 from .timeseries import Scraper, TimeSeriesStore
 
@@ -48,14 +45,13 @@ class MonitoringHub:
         capacity: int = 1024,
         retention_seconds: Optional[float] = None,
         clock: Optional[Any] = None,
-        profile_interval: float = 0.005,
     ) -> None:
         if registry is None:
             telemetry_registry = getattr(telemetry, "metrics", None)
             registry = (
                 telemetry_registry if telemetry_registry is not None else default_registry()
             )
-        #: Where the background loops run (``runtime.pool("monitor")``).
+        #: Where the background loop runs (``runtime.pool("monitor")``).
         self.runtime = runtime
         self.telemetry = telemetry
         #: The scraped registry; SLO/alert gauges record back into it, so the
@@ -64,7 +60,6 @@ class MonitoringHub:
         self.store = TimeSeriesStore(capacity=capacity, retention_seconds=retention_seconds)
         self.slos = SLOEvaluator(self.store, registry=registry)
         self.alerts = AlertManager(self.store, evaluator=self.slos, registry=registry)
-        self.profiler = create_profiler(profile_interval)
         self.scraper = Scraper(self.store, interval=interval, clock=clock)
         self.scraper.add_source(registry)
         self.scraper.add_collector(self._collect_gauges)
@@ -101,24 +96,22 @@ class MonitoringHub:
         return self.scraper.scrape_once(now)
 
     def start(self) -> "MonitoringHub":
-        """Start the background loops on the runtime's monitor pool."""
+        """Start the background loop on the runtime's monitor pool."""
         if self.runtime is None:
             raise RuntimeError(
                 "MonitoringHub has no runtime to run on; construct it with "
                 "one (engine.monitor() wires the engine's)"
             )
-        self.profiler.start(self.runtime)
         self.scraper.start(self.runtime)
         return self
 
     def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop scraper and profiler; history and states stay queryable."""
+        """Stop the scraper; history and states stay queryable."""
         self.scraper.stop(timeout)
-        self.profiler.stop(timeout)
 
     @property
     def running(self) -> bool:
-        return self.scraper.running or bool(getattr(self.profiler, "running", False))
+        return self.scraper.running
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -132,7 +125,6 @@ class MonitoringHub:
             "slos": [status.to_dict() for status in self.last_slo_statuses],
             "alerts": [status.to_dict() for status in self.last_alert_statuses],
             "firing": self.alerts.firing(),
-            "profiler": self.profiler.to_dict(),
         }
 
     # ------------------------------------------------------------------ #

@@ -30,8 +30,8 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import MetricsRegistry, bucket_quantile
 
-#: Runtime pool name the background monitoring loops (scraper, profiler) run
-#: on.  Kept tiny: each loop occupies one worker for its lifetime.
+#: Runtime pool name the background monitoring loop (the scraper) runs on.
+#: Kept tiny: the loop occupies one worker for its lifetime.
 MONITOR_POOL = "monitor"
 
 #: Default ring capacity: at the default 1 s cadence, ~17 minutes of history.

@@ -1,7 +1,7 @@
 """Worker pools: the one thread-parallel execution primitive of the library.
 
-Every concurrent site in the stack — sharded fan-out, replica routing, the
-engine's pipelined ``execute_many`` — runs the tasks it dispatches on a
+Every concurrent site in the stack — sharded fan-out, the engine's pipelined
+``execute_many``, the monitoring scraper — runs the tasks it dispatches on a
 :class:`WorkerPool` acquired from a shared :class:`~repro.runtime.Runtime`
 instead of constructing a private executor.  A pool is *named* (so
 independent layers sharing one runtime reuse the same workers instead of
@@ -55,7 +55,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import default_registry, use_registry
-from ..obs.profile import merge_child_state
 from ..obs.trace import Span, activate, capture_context, span
 from .process import ERROR, OK, SHUTDOWN_SENTINEL, run_child_loop
 
@@ -321,9 +320,9 @@ class WorkerPool:
                 self._idle.wait(remaining)
 
     def register_stop_event(self, event: threading.Event) -> None:
-        """Long-lived loop tasks (scraper/profiler) pin a worker until their
-        stop event is set; registering the event lets :meth:`shutdown`
-        release them instead of joining forever."""
+        """A long-lived loop task (the scraper) pins a worker until its stop
+        event is set; registering the event lets :meth:`shutdown` release it
+        instead of joining forever."""
         with self._lock:
             self._stop_events.append(event)
 
@@ -446,10 +445,6 @@ class WorkerPool:
         child_span = extras.get("span")
         if child_span is not None and task_span is not None:
             task_span.adopt(child_span)
-        profile_state = extras.get("profile")
-        if profile_state:
-            # Dropped (by design) when no profiler is active parent-side.
-            merge_child_state(profile_state)
 
     def _worker_loop_inner(self, index: int) -> None:
         while True:

@@ -28,11 +28,9 @@ tolerant in both directions.
 from __future__ import annotations
 
 import pickle
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, use_registry
-from ..obs.profile import SamplingProfiler, profiling_enabled, set_active_profiler
 from ..obs.trace import Span, activate
 
 #: Pipe message asking the child to exit its loop.
@@ -41,36 +39,6 @@ SHUTDOWN_SENTINEL = b"__repro_shutdown__"
 #: Reply tags: (OK, value, extras) | (ERROR, exception, None)
 #: | (OPAQUE_ERROR, repr-string, None).
 OK, ERROR, OPAQUE_ERROR = 0, 1, 2
-
-#: This child's sampling profiler (one per worker process, started lazily).
-_child_profiler: Optional[SamplingProfiler] = None
-
-
-def _ensure_child_profiler() -> Optional[SamplingProfiler]:
-    """Start this child's sampler once, iff profiling was enabled at fork.
-
-    The sampler runs on a daemon thread the child owns (thread creation
-    stays inside the runtime — RPR001), roots every sample under the child's
-    pool via its process name, and becomes the child's active profiler so
-    ``profile_scope`` blocks inside tasks attribute normally.  Per-task
-    deltas ride back in ``extras["profile"]`` and merge parent-side exactly
-    like metrics states.
-    """
-    global _child_profiler
-    if _child_profiler is not None or not profiling_enabled():
-        return _child_profiler
-    profiler = SamplingProfiler()
-    profiler.adopt_child_identity()
-    set_active_profiler(profiler)
-    threading.Thread(
-        target=profiler.run,
-        args=(threading.Event(),),
-        name="repro-profile-sampler",
-        daemon=True,  # dies with the child; no stop handshake needed
-    ).start()
-    _child_profiler = profiler
-    return profiler
-
 
 def run_child_loop(conn: Any) -> None:
     """The child process main: recv task bytes, execute, send the reply.
@@ -86,7 +54,6 @@ def run_child_loop(conn: Any) -> None:
     value) degrade to :data:`OPAQUE_ERROR` + ``repr`` instead of wedging the
     parent thread waiting on the pipe.
     """
-    profiler = _ensure_child_profiler()
     try:
         while True:
             try:
@@ -112,16 +79,9 @@ def run_child_loop(conn: Any) -> None:
                     else:
                         value = fn(*args, **kwargs)
                 state = registry.export_state()
-                profile_state: Optional[Dict[str, Any]] = None
-                if profiler is not None:
-                    profile_state = profiler.export_state(reset=True)
-                    if not profile_state.get("total_samples"):
-                        profile_state = None
                 extras: Optional[Dict[str, Any]] = None
-                if state or root is not None or profile_state is not None:
+                if state or root is not None:
                     extras = {"metrics": state or None, "span": root}
-                    if profile_state is not None:
-                        extras["profile"] = profile_state
                 reply = (OK, value, extras)
             except BaseException as exc:  # noqa: BLE001 — delivered to the caller
                 reply = (ERROR, exc, None)

@@ -3,16 +3,16 @@
 A :class:`Runtime` owns every :class:`~repro.runtime.WorkerPool` a deployment
 runs on.  Layers acquire pools by name (``runtime.pool("shards", ...)``) —
 the first acquisition creates the pool with the requested configuration,
-later acquisitions reuse it — so a sharded selector, a replica set, and the
-engine's pipelined executor sharing one runtime share workers instead of each
-spawning a private executor.
+later acquisitions reuse it — so a sharded selector and the engine's
+pipelined executor sharing one runtime share workers instead of each spawning
+a private executor.
 
 Runtimes are snapshot-aware: pools are live threads and never serialize.
 ``__snapshot_state__`` drops them (a save while tasks are in flight raises —
-silently discarding queued work would strand callers exactly like unsaved
-pending estimates would); after restore the runtime holds no pools and every
-pool is rebuilt lazily on its next acquisition, preserving the shared-object
-identity between e.g. an engine and its sharded selectors.
+silently discarding queued work would strand callers); after restore the
+runtime holds no pools and every pool is rebuilt lazily on its next
+acquisition, preserving the shared-object identity between e.g. an engine and
+its sharded selectors.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class Runtime:
 
     def __del__(self) -> None:
         # Worker threads park on condition variables forever otherwise: an
-        # engine (or replica set) that goes out of scope must not pin its
-        # pools' threads for the process lifetime.  Threads reference the
+        # engine that goes out of scope must not pin its pools' threads for
+        # the process lifetime.  Threads reference the
         # POOL, not the runtime, so the runtime is collectable while workers
         # run — signalling shutdown here lets them exit and frees the pools.
         try:

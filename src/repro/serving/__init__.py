@@ -15,7 +15,7 @@ from .registry import (
     default_record_key,
     resolve_curve_grid,
 )
-from .service import EstimationService, PendingEstimate
+from .service import EstimationService
 from .telemetry import EndpointStats, ServingTelemetry, q_error
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_CURVE_RESOLUTION",
     "resolve_curve_grid",
     "EstimationService",
-    "PendingEstimate",
     "ServingTelemetry",
     "EndpointStats",
     "q_error",

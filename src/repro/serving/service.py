@@ -14,19 +14,13 @@ Because curves are monotone in the threshold, a cached curve answers every
 future threshold for that record for free; the cache key is the featurized
 record, so repeated records across thresholds and across time all hit.
 
-The deferred API (``submit``/``flush``) accumulates single-query requests and
-flushes them as micro-batches once ``max_batch_size`` requests are queued for
-one estimator — the synchronous analogue of a request-queue server loop.
-
 **Concurrency.**  The service is safe to drive from many threads at once —
-shard fan-out, replica routing, and the engine's pipelined executor all hit
-one service.  A single re-entrant lock protects the cache, the registry, and
-every resolution step (re-entrant because a merged shard endpoint's estimator
-calls back into the service for the per-shard curves); deferred requests
-coalesce through a :class:`~repro.runtime.BatchCoalescer`, which atomically
-hands a just-completed micro-batch to exactly one thread — no request is ever
-lost, dropped, or resolved twice, and telemetry counters (each metric
-lock-protected) sum exactly to the work submitted.
+shard fan-out and the engine's pipelined executor hit one service.  A single
+re-entrant lock protects the cache, the registry, and every resolution step
+(re-entrant because a merged shard endpoint's estimator calls back into the
+service for the per-shard curves); no request is ever lost, dropped, or
+resolved twice, and telemetry counters (each metric lock-protected) sum
+exactly to the work requested.
 """
 
 from __future__ import annotations
@@ -37,52 +31,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.profile import profile_scope
 from ..obs.trace import span
-from ..runtime.coalescer import BatchCoalescer
 from .cache import CurveCache
 from .registry import EstimatorRegistry, RegisteredEstimator
 from .telemetry import ServingTelemetry
-
-
-class PendingEstimate:
-    """Handle for a deferred single-query request; resolved at flush time.
-
-    A request whose micro-batch failed is *failed*, not retried: ``result()``
-    re-raises the original error.  Re-queueing would poison the service —
-    every later flush (including auto-flushes for unrelated endpoints) would
-    re-hit the same bad request forever.
-    """
-
-    __slots__ = ("estimator_name", "record", "theta", "_value", "_error")
-
-    def __init__(self, estimator_name: str, record: Any, theta: float) -> None:
-        self.estimator_name = estimator_name
-        self.record = record
-        self.theta = float(theta)
-        self._value: Optional[float] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None or self._error is not None
-
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    def _resolve(self, value: float) -> None:
-        self._value = float(value)
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-
-    def result(self) -> float:
-        if self._error is not None:
-            raise self._error
-        if self._value is None:
-            raise RuntimeError("pending estimate not flushed yet; call service.flush()")
-        return self._value
 
 
 class EstimationService:
@@ -92,18 +44,10 @@ class EstimationService:
         self,
         registry: Optional[EstimatorRegistry] = None,
         cache_capacity: int = 1024,
-        max_batch_size: int = 64,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
         self.registry = registry if registry is not None else EstimatorRegistry()
         self.cache = CurveCache(capacity=cache_capacity)
         self.telemetry = ServingTelemetry()
-        self.max_batch_size = int(max_batch_size)
-        #: Deferred requests, coalesced per endpoint so one endpoint filling
-        #: up never prematurely flushes another's half-built micro-batch —
-        #: and so submissions from many threads merge into one micro-batch.
-        self._coalescer = BatchCoalescer(max_batch_size=self.max_batch_size)
         #: Re-entrant: a merged shard endpoint's estimator re-enters the
         #: service for its per-shard curves while the lock is held.
         self._lock = threading.RLock()
@@ -165,6 +109,8 @@ class EstimationService:
             requested = np.asarray(thetas, dtype=np.float64)
             if len(requested) != len(records):
                 raise ValueError("records and thetas must have the same length")
+            if np.isnan(requested).any():
+                raise ValueError("thresholds must not be NaN")
             if not records:
                 return np.zeros(0)
             curves = self._curves_for(entry, records)
@@ -202,12 +148,12 @@ class EstimationService:
 
     def _request(self, name: str, records: Sequence[Any], answer: Callable[..., Any]) -> Any:
         """The one prologue of every public estimate call: the request is
-        timed, profile-scoped, traced as ``service.estimate``, resolved and
-        answered (``answer(entry, records)``) under the service lock, and its
-        latency recorded — zero-work requests included, so per-request
-        accounting stays consistent across batch sizes."""
+        timed, traced as ``service.estimate``, resolved and answered
+        (``answer(entry, records)``) under the service lock, and its latency
+        recorded — zero-work requests included, so per-request accounting
+        stays consistent across batch sizes."""
         start = time.perf_counter()
-        with profile_scope(name), span("service.estimate", endpoint=name) as request_span:
+        with span("service.estimate", endpoint=name) as request_span:
             with self._lock:
                 entry = self.registry.get(name)
                 records = list(records)
@@ -215,77 +161,6 @@ class EstimationService:
                 result = answer(entry, records)
                 self.telemetry.record_latency(name, time.perf_counter() - start)
                 return result
-
-    # ------------------------------------------------------------------ #
-    # Deferred micro-batching
-    # ------------------------------------------------------------------ #
-    def submit(self, name: str, record: Any, theta: float) -> PendingEstimate:
-        """Queue one request; auto-flush once an estimator's queue fills up.
-
-        Requests from any number of threads coalesce into one micro-batch per
-        endpoint; the thread whose submission completes a batch resolves it.
-        Auto-flush failures are NOT raised here — they may belong to a
-        different caller's requests, and every affected handle already
-        carries its error (``result()`` re-raises it) — but they are counted
-        per endpoint (``auto_flush_failures`` in the telemetry snapshot), so
-        the failures stay observable.  Explicit :meth:`flush` calls raise.
-        """
-        with self._lock:
-            self.registry.get(name)  # fail fast on unknown endpoints
-        pending = PendingEstimate(name, record, theta)
-        batch = self._coalescer.add(name, pending)
-        if batch is not None:
-            try:
-                self._resolve_batch(name, batch)
-            except Exception:
-                self.telemetry.record_auto_flush_failure(name)
-        return pending
-
-    def flush(self, name: Optional[str] = None) -> int:
-        """Resolve queued requests — all endpoints, or just ``name``'s —
-        one micro-batch per estimator.
-
-        A failing endpoint does not wedge the service: its requests fail
-        (each handle's ``result()`` re-raises the error), other endpoints
-        still resolve, the queue fully drains, and the first error is
-        re-raised afterwards.
-        """
-        drained = self._coalescer.drain(name)
-        resolved = 0
-        first_error: Optional[BaseException] = None
-        for endpoint_name, requests in drained.items():
-            if not requests:
-                continue
-            try:
-                resolved += self._resolve_batch(endpoint_name, requests)
-            except Exception as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return resolved
-
-    def _resolve_batch(self, name: str, requests: List[PendingEstimate]) -> int:
-        """Answer one popped micro-batch; on failure every handle carries the
-        error (and it re-raises).  ``requests`` was atomically removed from
-        the coalescer, so exactly one thread ever resolves each request."""
-        try:
-            answers = self.estimate_many(
-                name,
-                [request.record for request in requests],
-                [request.theta for request in requests],
-            )
-        except Exception as error:
-            for request in requests:
-                request._fail(error)
-            raise
-        for request, answer in zip(requests, answers):
-            request._resolve(answer)
-        return len(requests)
-
-    @property
-    def pending_count(self) -> int:
-        return self._coalescer.pending_count
 
     # ------------------------------------------------------------------ #
     # Cache maintenance
@@ -303,25 +178,13 @@ class EstimationService:
                 "cache": self.cache.stats(),
                 "endpoints": self.telemetry.snapshot(),
                 "registered": self.registry.names(),
-                "pending": self.pending_count,
             }
 
     # ------------------------------------------------------------------ #
     # Snapshot hooks (repro.store)
     # ------------------------------------------------------------------ #
     def __snapshot_state__(self) -> Dict[str, Any]:
-        """Everything but the deferred-request queue is persistable.
-
-        Pending handles are live client promises — they cannot survive a
-        process boundary, and silently dropping them would strand callers
-        waiting on ``result()``.  Flush (or fail) them before saving.  The
-        lock is live state and is rebuilt on restore.
-        """
-        if self.pending_count:
-            raise RuntimeError(
-                f"cannot snapshot an EstimationService with {self.pending_count} "
-                "pending deferred requests; call flush() first"
-            )
+        """The lock is live state and is rebuilt on restore."""
         state = dict(self.__dict__)
         state.pop("_lock", None)
         return state

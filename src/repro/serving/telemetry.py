@@ -1,9 +1,9 @@
 """Serving telemetry: one ledger, kept in a metrics registry.
 
 Every serving event — a request's curve-cache hits/misses, a micro-batch's
-size, a request's latency, an auto-flush failure, a worker-pool task, the
-feedback loop's estimated-vs-actual observations and drift crossings — is
-recorded once, in a labelled metric of ``telemetry.metrics`` (``_LEDGER``;
+size, a request's latency, a worker-pool task, the feedback loop's
+estimated-vs-actual observations and drift crossings — is recorded once, in a
+labelled metric of ``telemetry.metrics`` (``_LEDGER``;
 ``docs/metrics_catalog.md``).  That registry is the only state: snapshots persist
 it, the monitoring hub scrapes it, pools and their child processes record into it.
 
@@ -36,8 +36,6 @@ _LEDGER = {
     "repro_request_latency_seconds": (
         "endpoint", metrics.DEFAULT_LATENCY_BUCKETS,
         (None, "latency_seconds", "max_latency_seconds"), "recorded request latency per endpoint"),
-    "repro_auto_flush_failures_total": (
-        "endpoint", None, ("auto_flush_failures",), "micro-batches whose auto-flush raised"),
     "repro_q_error": (
         "endpoint", metrics.DEFAULT_Q_ERROR_BUCKETS,
         ("observations", "q_error_sum", "q_error_max"), "estimated-vs-actual q-error per endpoint"),
@@ -52,7 +50,7 @@ _LEDGER = {
 #: Attributes ``EndpointStats.snapshot()`` reports under their own names.
 _SNAPSHOT_KEYS = (
     "requests", "cache_hits", "cache_misses", "hit_rate", "batches", "mean_batch_size",
-    "max_batch_size", "latency_seconds", "max_latency_seconds", "auto_flush_failures",
+    "max_batch_size", "latency_seconds", "max_latency_seconds",
     "observations", "mean_q_error", "drift_events",
 )
 
@@ -78,8 +76,6 @@ class EndpointStats:
     latency_seconds: float = 0.0
     #: Largest single recorded duration — the straggler a sum cannot show.
     max_latency_seconds: float = 0.0
-    #: ``submit`` swallows an auto-flush error by design; this count keeps it observable.
-    auto_flush_failures: int = 0
     observations: int = 0
     q_error_sum: float = 0.0
     q_error_max: float = 0.0
@@ -158,10 +154,6 @@ class ServingTelemetry:
 
     def record_latency(self, name: str, seconds: float) -> None:
         self._metric("repro_request_latency_seconds", name).observe(seconds)
-
-    def record_auto_flush_failure(self, name: str) -> None:
-        """Count one deferred micro-batch whose auto-flush raised."""
-        self._metric("repro_auto_flush_failures_total", name).inc()
 
     def record_pool_task(self, pool_name: str, seconds: float) -> None:
         """One finished worker-pool task, read back as entry ``pool:<name>``."""

@@ -569,10 +569,6 @@ class ShardedSelector(SimilaritySelector):
             self._dirty_plane_shards.update(int(i) for i in shard_ids)
         self._plane_disabled = False
 
-    def _invalidate_planes(self, shard_ids: Optional[Sequence[int]] = None) -> None:
-        with self._lock:
-            self._invalidate_planes_locked(shard_ids)
-
     def _fan_out(
         self, op: str, payload: Tuple, task: Callable[[SimilaritySelector], Any]
     ) -> Tuple[List[Any], ShardAssignment]:

@@ -1,22 +1,21 @@
-"""Persistence layer: versioned engine snapshots, warm-start restore, replicas.
+"""Persistence layer: versioned engine snapshots and warm-start restore.
 
 Trained monotone estimators are cheap to serve but expensive to train; this
 subsystem makes the trained state durable.  A snapshot directory captures a
 full :class:`~repro.engine.SimilarityQueryEngine` — models (with optimizer
 moments), baseline estimators, selection indexes, shard assignments, the warm
 curve cache, endpoint/telemetry tables, and the feedback loop's drift windows
-— and restores it bit-identically, so a process restart (or a new read
-replica) resumes serving and incremental retraining instead of rebuilding.
+— and restores it bit-identically, so a process restart resumes serving and
+incremental retraining instead of rebuilding.
 
 * :mod:`repro.store.format` — the pinned on-disk format (explicit
   little-endian dtypes, SHA-256 checksums, loud
   :class:`SnapshotFormatError` on any mismatch);
 * :mod:`repro.store.codecs` — object-graph ↔ (manifest, array table) codecs
   with shared-reference/cycle preservation;
-* :mod:`repro.store.snapshot` — ``save_engine``/``load_engine`` and the
-  generic component facades;
-* :mod:`repro.store.replicas` — :class:`ReplicaSet`, N read replicas spawned
-  from one snapshot with deterministic routing;
+* :mod:`repro.store.snapshot` — ``save_engine``/``load_engine`` (with
+  ``mmap=True``: a zero-copy, read-only restore) and the generic component
+  facades;
 * :mod:`repro.store.plane` — :class:`SharedDataPlane`, the zero-copy bridge
   to the process-pool runtime backend: arrays published once to a
   content-named payload, attached worker-side as read-only mmap views.
@@ -33,13 +32,11 @@ from .format import (
     load_arrays,
 )
 from .plane import PlaneHandle, SharedDataPlane, attach_plane, cached_rebuild
-from .replicas import ReplicaSet
 from .snapshot import (
     SnapshotInfo,
     inspect_snapshot,
     load_component,
     load_engine,
-    load_engine_replicas,
     save_component,
     save_engine,
 )
@@ -53,11 +50,9 @@ __all__ = [
     "SnapshotInfo",
     "save_engine",
     "load_engine",
-    "load_engine_replicas",
     "save_component",
     "load_component",
     "inspect_snapshot",
-    "ReplicaSet",
     "LazyArrayReader",
     "MmapArrayReader",
     "load_arrays",

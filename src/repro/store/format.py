@@ -54,7 +54,12 @@ FORMAT_NAME = "repro-snapshot"
 #       micro-batch sizes and auto-flush failures live in registry metrics a
 #       version-4 registry does not hold, so a version-4 telemetry would
 #       restore with those readings lost.
-FORMAT_VERSION = 5
+#   6 — the deferred submit/flush queue and the sampling profiler are gone:
+#       a version-5 EstimationService holds a BatchCoalescer and a
+#       `max_batch_size`, a version-5 MonitoringHub a profiler object, and
+#       neither class exists to decode into (ReplicaSet went in the same
+#       change).
+FORMAT_VERSION = 6
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -7,7 +7,7 @@
 :class:`~repro.engine.SimilarityQueryEngine` — adding an inventory to the
 manifest and a type check on restore.
 
-A restored engine is a faithful replica of the saved one: same trained
+A restored engine is a faithful copy of the saved one: same trained
 parameters and optimizer moments, same selection indexes, same warm curve
 cache, same endpoint/telemetry/feedback-window state, same per-shard
 assignment — so it produces bit-identical estimates, plans, and results, and
@@ -24,14 +24,12 @@ from .codecs import GraphDecoder, GraphEncoder
 from .format import (
     FORMAT_VERSION,
     MANIFEST_FILENAME,
-    ArrayReader,
     LazyArrayReader,
     MmapArrayReader,
     PathLike,
     SnapshotFormatError,
     SnapshotManifest,
     read_manifest,
-    read_snapshot,
     write_snapshot,
 )
 
@@ -89,11 +87,6 @@ def save_component(
     )
 
 
-def _decode(manifest: SnapshotManifest, reader: Any) -> Any:
-    """One independent restore of a manifest + (any-flavour) array reader."""
-    return GraphDecoder(manifest.objects, reader).decode(manifest.root)
-
-
 def load_component(
     path: PathLike, expected_kind: Optional[str] = None, mmap: bool = False
 ) -> Any:
@@ -107,8 +100,8 @@ def load_component(
     payload is streaming-checksummed once at open, loading allocates
     O(metadata) rather than O(arrays), and concurrent loads of one snapshot
     share physical pages.  Mmap'd restores are for read-path serving
-    (replicas, process-pool workers); anything that mutates restored arrays
-    in place — retraining, optimizer steps — must use ``mmap=False``, and
+    (process-pool workers, a read-only engine); anything that mutates restored
+    arrays in place — retraining, optimizer steps — must use ``mmap=False``, and
     will fail loudly (not corrupt silently) if handed a view.
     """
     manifest = read_manifest(path)
@@ -123,7 +116,7 @@ def load_component(
         )
     else:
         reader = LazyArrayReader(payload_path, manifest.arrays)
-    return _decode(manifest, reader)
+    return GraphDecoder(manifest.objects, reader).decode(manifest.root)
 
 
 def save_engine(engine: Any, path: PathLike) -> SnapshotInfo:
@@ -145,68 +138,22 @@ def save_engine(engine: Any, path: PathLike) -> SnapshotInfo:
     return save_component(engine, path, kind=ENGINE_KIND, meta=meta)
 
 
-def _check_engine(engine: Any, path: PathLike) -> Any:
+def load_engine(path: PathLike, mmap: bool = False) -> Any:
+    """Restore an engine saved by :func:`save_engine` (warm-start restore).
+
+    ``mmap=True`` restores every persisted array as a read-only memmap view
+    (O(metadata) allocation; see :func:`load_component`) — the zero-copy
+    load for read-only serving.
+    """
     from ..engine.engine import SimilarityQueryEngine
 
+    engine = load_component(path, expected_kind=ENGINE_KIND, mmap=mmap)
     if not isinstance(engine, SimilarityQueryEngine):
         raise SnapshotFormatError(
             f"snapshot at {path} decoded to {type(engine).__name__}, "
             "not a SimilarityQueryEngine"
         )
     return engine
-
-
-def load_engine(path: PathLike, mmap: bool = False) -> Any:
-    """Restore an engine saved by :func:`save_engine` (warm-start restore).
-
-    ``mmap=True`` restores every persisted array as a read-only memmap view
-    (O(metadata) allocation; see :func:`load_component`) — the zero-copy
-    load for read-only serving replicas.
-    """
-    return _check_engine(
-        load_component(path, expected_kind=ENGINE_KIND, mmap=mmap), path
-    )
-
-
-def load_engine_replicas(path: PathLike, count: int, mmap: bool = False) -> list:
-    """Restore ``count`` fully independent engines from ONE snapshot read.
-
-    The payload is checksum-verified once; each replica then decodes through
-    its own reader/:class:`GraphDecoder`, so replicas share NO objects (down
-    to the arrays) and never contend.  With ``mmap=True`` each replica's
-    arrays are read-only views over the same mapped file — N replicas, one
-    physical copy of the payload pages, zero mutable sharing.
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if mmap:
-        manifest = read_manifest(path)
-        if manifest.kind != ENGINE_KIND:
-            raise SnapshotFormatError(
-                f"snapshot at {path} holds a {manifest.kind!r}, expected {ENGINE_KIND!r}"
-            )
-        payload_path = Path(path) / manifest.payload_file
-        readers = [
-            MmapArrayReader(
-                payload_path,
-                manifest.arrays,
-                payload_sha256=manifest.payload_sha256,
-                # The first reader streams the checksum; siblings over the
-                # same verified file skip the re-hash.
-                verified=index > 0,
-            )
-            for index in range(count)
-        ]
-        return [_check_engine(_decode(manifest, reader), path) for reader in readers]
-    manifest, payload = read_snapshot(path)
-    if manifest.kind != ENGINE_KIND:
-        raise SnapshotFormatError(
-            f"snapshot at {path} holds a {manifest.kind!r}, expected {ENGINE_KIND!r}"
-        )
-    return [
-        _check_engine(_decode(manifest, ArrayReader(payload, manifest.arrays)), path)
-        for _ in range(count)
-    ]
 
 
 def inspect_snapshot(path: PathLike) -> SnapshotInfo:

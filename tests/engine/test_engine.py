@@ -96,8 +96,9 @@ def query_thetas(dataset):
 # --------------------------------------------------------------------------- #
 class TestSpec:
     def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityPredicate("a", "abc", -1.0)
+        for theta in (-1.0, float("nan")):  # NaN orders against nothing: also refused
+            with pytest.raises(ValueError):
+                SimilarityPredicate("a", "abc", theta)
 
     def test_empty_conjunction_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""MonitoringHub: the one handle over scraper + SLOs + alerts + profiler.
+"""MonitoringHub: the one handle over scraper + SLOs + alerts.
 
 Deterministic throughout — hubs are driven by ``tick(now)`` with injected
 instants; the only live-loop test is start/stop plumbing on a real engine.

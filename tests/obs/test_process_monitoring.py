@@ -1,28 +1,17 @@
 """Monitoring across the process backend: series scraped from child-merged
-counters and child profiler samples riding home in task extras.
+counters.
 
 Mirrors :mod:`tests.obs.test_process_telemetry` — the same four distances,
-two forked shards each — but pins the *monitoring* surfaces: the parent
-scrape must see child work as counter growth, and a parent-side profiler
-must absorb the children's sample deltas with pool attribution intact.
+two forked shards each — but pins the *monitoring* surface: the parent
+scrape must see child work as counter growth.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.obs import (
-    SamplingProfiler,
-    TimeSeriesStore,
-    disable_profiling,
-    enable_profiling,
-    metric_key,
-    profiling_enabled,
-    set_active_profiler,
-)
+from repro.obs import TimeSeriesStore, metric_key
 from repro.runtime import Runtime, fork_available
 from repro.selection.edit_index import QGramEditSelector
 from repro.selection.euclidean_index import BallIndexEuclideanSelector
@@ -106,41 +95,3 @@ def test_child_work_lands_in_scraped_series(kind):
         assert store.get(latency_key).kind == "histogram"
         delta = store.get(latency_key).delta(120.0, now=60.0)
         assert delta["count"] == NUM_QUERIES
-
-
-@pytest.mark.parametrize("kind", sorted(WORKLOADS))
-def test_child_profiles_merge_into_parent_profiler(kind):
-    """Each forked worker runs its own sampler; per-task deltas ride home in
-    task extras and must merge into the parent's active profiler, attributed
-    to the shard pool."""
-    records, factory, threshold = WORKLOADS[kind]
-    was_enabled = profiling_enabled()
-    parent = SamplingProfiler()
-    enable_profiling()  # before the fork: children inherit the switch
-    set_active_profiler(parent)
-    selector = ShardedSelector(
-        records,
-        factory,
-        num_shards=NUM_SHARDS,
-        runtime=Runtime(telemetry=ServingTelemetry()),
-        backend="process",
-    )
-    try:
-        for round_idx in range(6):
-            for query in records[:NUM_QUERIES]:
-                selector.cardinality(query, threshold)
-            if parent.total_samples:
-                break
-            # Let the child samplers accumulate; the next task ships them.
-            time.sleep(0.05)
-    finally:
-        selector.runtime.shutdown()
-        set_active_profiler(None)
-        (enable_profiling if was_enabled else disable_profiling)()
-
-    assert parent.total_samples > 0
-    totals = parent.label_totals()
-    assert any(label == f"pool:{SHARD_PROCESS_POOL}" for label in totals), totals
-    # Child samples carry the pool fallback label — near-total attribution.
-    fraction = parent.attribution_fraction()
-    assert fraction is not None and fraction >= 0.9, totals

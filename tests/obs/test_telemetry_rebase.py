@@ -38,8 +38,7 @@ class TestEndpointStats:
         telemetry.record_observation("euclid", 10, 5)
         for entry in telemetry.snapshot().values():
             for key in ("requests", "cache_hits", "cache_misses", "batches",
-                        "max_batch_size", "auto_flush_failures", "observations",
-                        "drift_events"):
+                        "max_batch_size", "observations", "drift_events"):
                 assert type(entry[key]) is int, key
 
 
@@ -100,19 +99,16 @@ class TestRegistryFeeds:
         assert total["latency_p95"] == reference.quantile(0.95)
         assert total["latency_p99"] == reference.quantile(0.99)  # overflow: the max
 
-    def test_batches_and_auto_flush_failures_are_metrics_too(self):
+    def test_batches_are_metrics_too(self):
         telemetry = ServingTelemetry()
         telemetry.record_batch("euclid", 6)
         telemetry.record_batch("euclid", 2)
-        telemetry.record_auto_flush_failure("euclid")
         labels = {"endpoint": "euclid"}
         batches = telemetry.metrics.get("repro_micro_batch_records", labels)
         assert (batches.count, batches.sum, batches.max) == (2, 8.0, 6.0)
-        assert telemetry.metrics.get("repro_auto_flush_failures_total", labels).value == 1.0
         stats = telemetry.endpoint("euclid")
         assert (stats.batches, stats.batched_records, stats.max_batch_size) == (2, 8, 6)
         assert stats.mean_batch_size == 4.0
-        assert stats.auto_flush_failures == telemetry.total.auto_flush_failures == 1
 
     def test_pool_tasks_share_the_endpoint_helper_and_track_max(self):
         telemetry = ServingTelemetry()
@@ -187,7 +183,6 @@ class TestMonitoringSeesTheLedger:
             lambda: telemetry.record_requests("euclid", 1, 0, 1),
             lambda: telemetry.record_batch("euclid", 1),
             lambda: telemetry.record_latency("euclid", 0.01),
-            lambda: telemetry.record_auto_flush_failure("euclid"),
             lambda: telemetry.record_pool_task("shards", 0.01),
             lambda: telemetry.record_observation("euclid", 3.0, 4.0),
             lambda: telemetry.record_drift("euclid"),
@@ -247,7 +242,6 @@ class TestThreadSafety:
                     telemetry.record_observation(name, 2.0, 1.0)
                 telemetry.record_pool_task("fanout", 0.25)
                 telemetry.record_drift("shared")
-                telemetry.record_auto_flush_failure("shared")
 
         pool = WorkerPool("recorders", num_workers=threads, telemetry=telemetry)
         try:
@@ -262,7 +256,7 @@ class TestThreadSafety:
         assert (shared.batches, shared.batched_records) == (calls, 2 * calls)
         assert shared.latency_seconds == 0.5 * calls  # exact: 0.5 is a power of two
         assert (shared.observations, shared.q_error_sum) == (calls, 2.0 * calls)
-        assert shared.drift_events == shared.auto_flush_failures == calls
+        assert shared.drift_events == calls
         for index in range(threads):
             assert telemetry.endpoint(f"own{index}").requests == 3 * rounds
         fanout = telemetry.endpoint("pool:fanout")

@@ -1,15 +1,12 @@
 """Concurrent-correctness guarantees of the estimation service.
 
 The stress test hammers ONE service from N threads with a mix of every
-client-facing operation (``estimate_many`` / ``submit`` / ``flush`` /
-``estimate_curve_many``) and then asserts the invariants the runtime layer
-promises: no lost or duplicated resolutions, answers identical to a
-single-threaded reference, cached curves still frozen, and telemetry counts
-that sum exactly to the work submitted.
+client-facing operation (``estimate_many`` / ``estimate`` /
+``estimate_curve_many``) and then asserts the invariants shard fan-out relies
+on: answers identical to a single-threaded reference, cached curves still
+frozen, and telemetry counts that sum exactly to the work requested.
 
-Also pins the two deferred-path satellites: auto-flush failures are counted
-per endpoint instead of vanishing, and ``flush(name=...)`` targets only the
-requested endpoint after a partial drain.
+Also pins that a failing endpoint raises to its caller and wedges nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ import pytest
 
 from repro.baselines.db_specialized import HistogramHammingEstimator
 from repro.datasets import make_binary_dataset
+from repro.runtime import WorkerPool
 from repro.serving import EstimationService
 
 THETA_MAX = 12
@@ -35,8 +33,8 @@ def stress_dataset():
     )
 
 
-def _service(dataset, max_batch_size=16):
-    service = EstimationService(max_batch_size=max_batch_size)
+def _service(dataset):
+    service = EstimationService()
     grid = np.arange(THETA_MAX + 1, dtype=np.float64)
     for name, seed in (("a", 0), ("b", 1)):
         # Distinct estimators per endpoint (different group sizes) so a
@@ -86,8 +84,6 @@ class TestStress:
         ]
 
         errors = []
-        submitted_handles = []
-        handles_lock = threading.Lock()
         barrier = threading.Barrier(self.NUM_THREADS)
         # Exact request accounting per endpoint, to compare with telemetry.
         counts = {"a": 0, "b": 0}
@@ -96,7 +92,6 @@ class TestStress:
         def hammer(thread_id):
             try:
                 barrier.wait()
-                local_handles = []
                 for round_id, (picks, thetas) in enumerate(workloads[thread_id]):
                     name = "a" if (thread_id + round_id) % 2 == 0 else "b"
                     batch_records = [records[i] for i in picks]
@@ -106,25 +101,16 @@ class TestStress:
                     )
                     with counts_lock:
                         counts[name] += len(batch_records)
-                    # Deferred path: one submit per round, occasionally flushed
-                    # explicitly (otherwise auto-flush or the final flush).
-                    pending = service.submit(
-                        name, batch_records[0], float(thetas[0])
-                    )
-                    local_handles.append(
-                        (pending, name, float(expected[thread_id][round_id][0]))
-                    )
+                    # Single-query path: a one-element batch per round.
+                    single = service.estimate(name, batch_records[0], float(thetas[0]))
+                    assert single == expected[thread_id][round_id][0]
                     with counts_lock:
                         counts[name] += 1
-                    if round_id % 5 == 4:
-                        service.flush(name)
                     # Curve path: whole curves for a couple of records.
                     curves = service.estimate_curve_many(name, batch_records[:2])
                     assert curves.shape == (2, THETA_MAX + 1)
                     with counts_lock:
                         counts[name] += 2
-                with handles_lock:
-                    submitted_handles.extend(local_handles)
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 
@@ -137,24 +123,17 @@ class TestStress:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
 
-        service.flush()  # resolve whatever the explicit/auto flushes left
-        assert service.pending_count == 0
-
-        # 1. No lost or duplicated resolutions: every handle resolved, with
-        #    the value its (record, theta, endpoint) deserves.
-        assert len(submitted_handles) == self.NUM_THREADS * self.ROUNDS
-        for pending, name, expected_value in submitted_handles:
-            assert pending.done and not pending.failed
-            assert pending.result() == expected_value
-
+        # 1. Every answer matched the single-threaded reference (asserted in
+        #    the threads above).
         # 2. Cached curves stay frozen under concurrency.
         assert len(service.cache) > 0
         for curve in service.cache._entries.values():
             assert not curve.flags.writeable
 
-        # 3. Telemetry sums exactly to the submitted work, per endpoint and
+        # 3. Telemetry sums exactly to the requested work, per endpoint and
         #    in total — no increment was lost to a race.
         for name in ("a", "b"):
             stats = service.telemetry.endpoint(name)
@@ -162,41 +141,6 @@ class TestStress:
             assert stats.cache_hits + stats.cache_misses == stats.requests
         total = service.telemetry.total
         assert total.requests == counts["a"] + counts["b"]
-
-    def test_concurrent_submitters_coalesce_into_shared_batches(self, stress_dataset):
-        """Submissions from many threads merge into max_batch_size batches:
-        with 4 threads × 8 submits and batch size 16, auto-flush fires
-        exactly twice — across threads, not per thread."""
-        service = _service(stress_dataset, max_batch_size=16)
-        records = stress_dataset.records
-        barrier = threading.Barrier(4)
-        handles = []
-        lock = threading.Lock()
-
-        def submit_only(thread_id):
-            barrier.wait()
-            mine = [
-                service.submit("a", records[(thread_id * 8 + i) % len(records)], 3.0)
-                for i in range(8)
-            ]
-            with lock:
-                handles.extend(mine)
-
-        threads = [
-            # repro: ignore[RPR001] - stress harness: raw threads hammer the service under test
-            threading.Thread(target=submit_only, args=(t,), daemon=True)
-            for t in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-
-        assert service.pending_count == 0  # 32 submits = exactly 2 full batches
-        assert all(handle.done for handle in handles)
-        stats = service.telemetry.endpoint("a")
-        assert stats.requests == 32
-        assert stats.batches <= 2  # dedup may shrink the model batches further
 
 
 class _ExplodingEstimator:
@@ -213,56 +157,31 @@ class _ExplodingEstimator:
         return None
 
 
-class TestDeferredPathSatellites:
-    def test_auto_flush_failures_are_counted_per_endpoint(self, stress_dataset):
-        service = _service(stress_dataset, max_batch_size=3)
+class TestFailingEndpoint:
+    def test_failing_micro_batch_raises_to_its_caller_and_wedges_nothing(
+        self, stress_dataset
+    ):
+        service = _service(stress_dataset)
         service.register(
             "broken",
             _ExplodingEstimator(),
             curve_thetas=np.arange(THETA_MAX + 1, dtype=np.float64),
         )
-        handles = [
-            service.submit("broken", stress_dataset.records[i], 2.0) for i in range(3)
-        ]
-        # The third submit filled the batch; its auto-flush failed silently —
-        # but observably: the counter moved and every handle carries the error.
-        assert service.pending_count == 0
-        assert all(handle.failed for handle in handles)
-        with pytest.raises(RuntimeError, match="exploded"):
-            handles[0].result()
-        stats = service.telemetry.endpoint("broken")
-        assert stats.auto_flush_failures == 1
-        assert service.telemetry.total.auto_flush_failures == 1
-        # Healthy endpoints never moved the counter, and it is in snapshots.
-        snapshot = service.telemetry.snapshot()
-        assert snapshot["broken"]["auto_flush_failures"] == 1
-        assert service.telemetry.endpoint("a").auto_flush_failures == 0
-        # An explicit flush of a failing endpoint still raises.
-        service.submit("broken", stress_dataset.records[0], 2.0)
-        with pytest.raises(RuntimeError, match="exploded"):
-            service.flush("broken")
-        assert service.telemetry.endpoint("broken").auto_flush_failures == 1
-
-    def test_flush_by_name_targets_only_that_endpoint_after_partial_drain(
-        self, stress_dataset
-    ):
-        """Regression for the loop variable that used to shadow ``name``:
-        a named flush must never resolve another endpoint's queue."""
-        service = _service(stress_dataset)
         records = stress_dataset.records
-        on_a = [service.submit("a", records[i], 3.0) for i in range(3)]
-        on_b = [service.submit("b", records[i], 3.0) for i in range(3)]
+        with pytest.raises(RuntimeError, match="exploded"):
+            service.estimate_many("broken", records[:3], [2.0] * 3)
+        assert len(service.cache) == 0  # nothing half-cached
+        # The lock was released on the way out: another thread still serves,
+        # on the healthy endpoints and on the failing one alike.
+        def serve():
+            healthy = service.estimate("a", records[0], 3.0)
+            with pytest.raises(RuntimeError, match="exploded"):
+                service.estimate("broken", records[0], 2.0)
+            return healthy
 
-        assert service.flush("a") == 3  # partial drain: only endpoint a
-        assert all(handle.done for handle in on_a)
-        assert not any(handle.done for handle in on_b)
-
-        # After the partial drain, a named flush still targets only its
-        # endpoint — new requests on "a" stay queued while "b" resolves.
-        on_a_late = [service.submit("a", records[i + 3], 3.0) for i in range(2)]
-        assert service.flush("b") == 3
-        assert all(handle.done for handle in on_b)
-        assert not any(handle.done for handle in on_a_late)
-        assert service.pending_count == 2
-        assert service.flush() == 2  # the unnamed flush drains the rest
-        assert all(handle.done for handle in on_a_late)
+        pool = WorkerPool("other-client", num_workers=1)
+        try:
+            answer = pool.submit(serve).result(timeout=30)
+        finally:
+            pool.shutdown(wait=False)  # a wedged lock must fail the test, not hang it
+        assert answer == service.estimate("a", records[0], 3.0)

@@ -66,6 +66,27 @@ class TestDefaultGridClamps:
         assert np.all(np.diff(answers) >= -1e-9)
 
 
+    def test_nan_theta_is_refused_before_any_cache_or_model_work(
+        self, gridded_service, binary_dataset
+    ):
+        """NaN orders against no grid point: ``searchsorted`` would place it
+        past the grid and the clamp would serve the *largest* column.  ±inf do
+        order, and keep clamping."""
+        record = binary_dataset.records[0]
+        for thetas in ([float("nan")], [2.0, float("nan")]):
+            with pytest.raises(ValueError, match="NaN"):
+                gridded_service.estimate_many("us/hm", [record] * len(thetas), thetas)
+        with pytest.raises(ValueError, match="NaN"):
+            gridded_service.estimate("us/hm", record, float("nan"))
+        assert gridded_service.cache.hits + gridded_service.cache.misses == 0
+        assert gridded_service.telemetry.total.requests == 0
+        curve = gridded_service.estimate_curve("us/hm", record)
+        answers = gridded_service.estimate_many(
+            "us/hm", [record, record], [-np.inf, np.inf]
+        )
+        assert answers.tolist() == [curve[0], curve[-1]]
+
+
 class TestValidatingEstimatorRaises:
     def test_theta_above_theta_max_raises(self, trained_cardnet, binary_dataset):
         service = EstimationService()

@@ -25,7 +25,7 @@ from repro.serving import (
 
 @pytest.fixture
 def service(trained_cardnet):
-    service = EstimationService(cache_capacity=256, max_batch_size=8)
+    service = EstimationService(cache_capacity=256)
     service.register("cardnet/hm", trained_cardnet, distance_name="hamming")
     return service
 
@@ -259,7 +259,7 @@ class TestServiceCorrectness:
 
 
 # --------------------------------------------------------------------------- #
-# Service: micro-batching, telemetry, deferred API
+# Service: micro-batching, telemetry
 # --------------------------------------------------------------------------- #
 class TestMicroBatching:
     def test_distinct_records_form_one_micro_batch(self, service, binary_dataset):
@@ -281,48 +281,6 @@ class TestMicroBatching:
         service.estimate_many("cardnet/hm", [record] * 10, np.linspace(0, 10, 10))
         assert service.telemetry.endpoint("cardnet/hm").cache_hits == 10
 
-    def test_submit_flush_roundtrip(self, service, test_queries):
-        records, thetas = test_queries
-        direct = service.estimate_many("cardnet/hm", records[:4], thetas[:4])
-        service.invalidate()
-        pending = [
-            service.submit("cardnet/hm", record, theta)
-            for record, theta in zip(records[:4], thetas[:4])
-        ]
-        assert service.pending_count == 4
-        service.flush()
-        assert service.pending_count == 0
-        assert [p.result() for p in pending] == pytest.approx(direct, abs=0.0)
-
-    def test_submit_autoflushes_at_max_batch_size(self, trained_cardnet, binary_dataset):
-        service = EstimationService(max_batch_size=3)
-        service.register("m", trained_cardnet)
-        handles = [
-            service.submit("m", binary_dataset.records[i], 4.0) for i in range(3)
-        ]
-        assert all(handle.done for handle in handles)
-        assert service.pending_count == 0
-
-    def test_autoflush_leaves_other_endpoints_queued(self, trained_cardnet, binary_dataset):
-        """One endpoint filling its batch must not flush another's half-built one."""
-        service = EstimationService(max_batch_size=2)
-        service.register("a", trained_cardnet)
-        service.register("b", trained_cardnet)
-        slow = service.submit("b", binary_dataset.records[0], 3.0)
-        service.submit("a", binary_dataset.records[1], 3.0)
-        service.submit("a", binary_dataset.records[2], 3.0)  # fills a's batch
-        assert not slow.done                 # b's micro-batch keeps accumulating
-        assert service.pending_count == 1
-        service.flush()
-        assert slow.result() >= 0.0
-
-    def test_unflushed_result_raises(self, service, binary_dataset):
-        pending = service.submit("cardnet/hm", binary_dataset.records[0], 2.0)
-        with pytest.raises(RuntimeError):
-            pending.result()
-        service.flush()
-        assert pending.result() >= 0.0
-
     def test_unregister_drops_cached_curves(self, trained_cardnet, binary_dataset):
         """Re-registering a name must never serve the old estimator's curves."""
         service = EstimationService()
@@ -332,27 +290,6 @@ class TestMicroBatching:
         service.unregister("m")
         assert "m" not in service.registry
         assert service.stats()["cache"]["size"] == 0
-
-    def test_flush_failure_fails_only_failing_endpoint(
-        self, trained_cardnet, binary_dataset
-    ):
-        service = EstimationService()
-        service.register("good", trained_cardnet)
-        service.register("bad", trained_cardnet)
-        ok = service.submit("good", binary_dataset.records[0], 4.0)
-        # θ beyond theta_max makes the extractor raise inside estimate_many.
-        broken = service.submit("bad", binary_dataset.records[1], 10_000.0)
-        with pytest.raises(ValueError):
-            service.flush()
-        assert ok.done and ok.result() >= 0.0      # healthy endpoint resolved
-        assert broken.failed                       # bad request carries its error
-        with pytest.raises(ValueError):
-            broken.result()
-        assert service.pending_count == 0          # queue drained — no poisoning
-        # The service keeps working afterwards.
-        again = service.submit("good", binary_dataset.records[2], 3.0)
-        service.flush()
-        assert again.result() >= 0.0
 
     def test_telemetry_snapshot(self, service, test_queries):
         records, thetas = test_queries

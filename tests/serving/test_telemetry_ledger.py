@@ -35,7 +35,6 @@ events = st.lists(
         st.tuples(st.just("requests"), endpoint, count, count),
         st.tuples(st.just("batch"), endpoint, st.integers(1, 2000)),
         st.tuples(st.just("latency"), endpoint, seconds),
-        st.tuples(st.just("auto_flush_failure"), endpoint),
         st.tuples(st.just("pool_task"), st.sampled_from(POOLS), seconds),
         st.tuples(st.just("observation"), endpoint, cardinality, cardinality),
         st.tuples(st.just("drift"), endpoint),
@@ -55,7 +54,7 @@ class Tally:
         return self.entries.setdefault(name, {
             "requests": 0, "cache_hits": 0, "cache_misses": 0, "batches": 0,
             "batched_records": 0, "max_batch_size": 0, "latencies": [],
-            "auto_flush_failures": 0, "q_errors": [], "drift_events": 0,
+            "q_errors": [], "drift_events": 0,
         })
 
     def apply(self, telemetry: ServingTelemetry, event: tuple) -> None:
@@ -77,9 +76,6 @@ class Tally:
         elif kind == "latency":
             telemetry.record_latency(name, values[0])
             self._entry(name)["latencies"].append(values[0])
-        elif kind == "auto_flush_failure":
-            telemetry.record_auto_flush_failure(name)
-            self._entry(name)["auto_flush_failures"] += 1
         elif kind == "pool_task":
             telemetry.record_pool_task(name, values[0])
             entry = self._entry(f"pool:{name}")
@@ -137,7 +133,6 @@ def _report(entry: dict, percentiles: bool) -> dict:
         "latency_seconds": latency,
         "mean_latency_seconds": latency / entry["requests"] if entry["requests"] else 0.0,
         "max_latency_seconds": max(entry["latencies"], default=0.0),
-        "auto_flush_failures": entry["auto_flush_failures"],
         "observations": len(entry["q_errors"]),
         "mean_q_error": (
             sum(entry["q_errors"]) / len(entry["q_errors"]) if entry["q_errors"] else 0.0
@@ -158,7 +153,7 @@ def _report(entry: dict, percentiles: bool) -> dict:
 
 INT_KEYS = (
     "requests", "cache_hits", "cache_misses", "batches", "max_batch_size",
-    "auto_flush_failures", "observations", "drift_events",
+    "observations", "drift_events",
 )
 
 SAMPLE = re.compile(r'^(\w+)\{(?:endpoint|pool)="([^"]+)"\} (\S+)$', re.MULTILINE)
@@ -200,7 +195,6 @@ def assert_agrees(telemetry: ServingTelemetry, tally: Tally) -> None:
         assert samples["repro_cache_misses_total", name] == view["cache_misses"]
         assert samples["repro_micro_batch_records_count", name] == view["batches"]
         assert samples["repro_request_latency_seconds_count", name] == len(entry["latencies"])
-        assert samples["repro_auto_flush_failures_total", name] == view["auto_flush_failures"]
         assert samples["repro_q_error_count", name] == view["observations"]
         assert samples["repro_drift_events_total", name] == view["drift_events"]
 

@@ -19,7 +19,7 @@ from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.runtime import fork_available
-from repro.store import ReplicaSet, inspect_snapshot, load_engine, save_engine
+from repro.store import inspect_snapshot, load_engine, save_engine
 
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
@@ -169,6 +169,19 @@ class TestFourDistanceEquivalence:
             curve[0] = 1e9
 
 
+    def test_mmap_restore_answers_identically_over_read_only_views(self, datasets, tmp_path):
+        """``load_engine(mmap=True)``, the zero-copy restore: same answers on
+        all four distances, index arrays views of the payload file."""
+        engine = _build_engine(datasets)
+        queries = _queries(datasets)
+        save_engine(engine, tmp_path / "snap")
+        mapped = load_engine(tmp_path / "snap", mmap=True)
+        for original, loaded in zip(engine.execute_many(queries), mapped.execute_many(queries)):
+            assert_results_equal(original, loaded)
+        packed = np.asarray(mapped.catalog.get("hamming").selector._packed)
+        assert not packed.flags.writeable  # a view, not a copy
+
+
 class TestGPHAndSharded:
     def test_gph_attribute_round_trips(self, datasets, tmp_path):
         dataset = datasets["hamming"]
@@ -232,7 +245,7 @@ class TestGPHAndSharded:
 class TestRuntimeBackedTopology:
     """An engine whose concurrency runs on the shared runtime (pipelined
     executor + sharded fan-out) must snapshot WITHOUT serializing pools and
-    restore to a fully working parallel topology — including replicas."""
+    restore to a fully working parallel topology."""
 
     def _sharded_runtime_engine(self, dataset, backend="thread"):
         engine = SimilarityQueryEngine(execute_workers=4)
@@ -291,27 +304,6 @@ class TestRuntimeBackedTopology:
             engine.runtime.shutdown()
             if restored is not None:
                 restored.runtime.shutdown()
-
-    def test_replicas_of_a_runtime_backed_engine_route_on_their_own_pools(
-        self, datasets, tmp_path
-    ):
-        dataset = datasets["hamming"]
-        engine = self._sharded_runtime_engine(dataset)
-        queries = [
-            SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
-        ]
-        expected = engine.execute_many(queries)
-        save_engine(engine, tmp_path / "snap")
-
-        replicas = ReplicaSet.from_snapshot(tmp_path / "snap", 2)
-        answered = replicas.execute_many(queries)
-        for original, routed in zip(expected, answered):
-            assert_results_equal(original, routed)
-        assert sum(replicas.query_counts()) == len(queries)
-        # The batched fan-out ran on the replica set's runtime pool, and the
-        # pool reported into the same telemetry as the routing counters.
-        assert replicas.runtime.pool_names() == ["replicas"]
-        assert replicas.telemetry.snapshot()["pool:replicas"]["requests"] >= 2
 
     def test_in_flight_runtime_work_blocks_save(self, datasets, tmp_path):
         import threading
@@ -394,14 +386,6 @@ class TestManagerAndFeedbackResume:
         assert original_event.window_q_error == restored_event.window_q_error
         assert original_event.observations == restored_event.observations
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
-
-    def test_pending_deferred_requests_block_save(self, datasets, tmp_path):
-        engine = _build_engine(datasets)
-        engine.service.submit("hamming", datasets["hamming"].records[0], 3.0)
-        with pytest.raises(RuntimeError, match="pending deferred"):
-            save_engine(engine, tmp_path / "snap")
-        engine.service.flush()
-        save_engine(engine, tmp_path / "snap")  # flushes cleanly now
 
 
 class TestInventory:
