@@ -28,7 +28,7 @@ barely more than a single threshold.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,29 @@ from .common import counts_within_thresholds
 # --------------------------------------------------------------------------- #
 # Hamming: group histogram with convolution
 # --------------------------------------------------------------------------- #
+#: Widest 0/1 group counted in a dense ``np.bincount`` table of its codes.
+_DENSE_CODE_BITS = 16
+
+
+def _pattern_histogram(block: np.ndarray, binary: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``block`` and how often each occurs, in one array pass.
+
+    A 0/1 group of at most 16 bits (every group size the repo builds) is one
+    integer code per row, counted with ``np.bincount`` and decoded back into
+    patterns; anything else counts rows with ``np.unique(axis=0)``.  Patterns
+    come in sorted order, not first occurrence — the counts are integers, so
+    every sum over them is exact in any order.
+    """
+    width = block.shape[1]
+    if not binary or width > _DENSE_CODE_BITS:
+        return np.unique(block, axis=0, return_counts=True)
+    shifts = np.arange(width, dtype=np.int64)
+    codes = (block.astype(np.int64) << shifts).sum(axis=1)
+    counts = np.bincount(codes, minlength=1 << width)
+    distinct = np.flatnonzero(counts)
+    return ((distinct[:, None] >> shifts) & 1).astype(np.uint8), counts[distinct]
+
+
 class HistogramHammingEstimator(CardinalityEstimator):
     """Multidimensional histogram over dimension groups + convolution of distances."""
 
@@ -61,20 +84,13 @@ class HistogramHammingEstimator(CardinalityEstimator):
             start = stop
         # Pattern histogram per group, stored as (patterns matrix, counts vector)
         # so the batch kernel can compare every query against every pattern at once.
+        binary = matrix.max(initial=0) <= 1
         self._pattern_matrices: List[np.ndarray] = []
         self._pattern_counts: List[np.ndarray] = []
         for start, stop in self._groups:
-            histogram: Dict[bytes, int] = defaultdict(int)
-            for row in matrix:
-                histogram[row[start:stop].tobytes()] += 1
-            if histogram:
-                patterns = np.stack(
-                    [np.frombuffer(pattern, dtype=np.uint8) for pattern in histogram]
-                )
-            else:
-                patterns = np.zeros((0, stop - start), dtype=np.uint8)
+            patterns, counts = _pattern_histogram(matrix[:, start:stop], binary)
             self._pattern_matrices.append(patterns)
-            self._pattern_counts.append(np.asarray(list(histogram.values()), dtype=np.float64))
+            self._pattern_counts.append(counts.astype(np.float64))
 
     def _distance_distributions(self, queries: np.ndarray) -> np.ndarray:
         """Convolved distance distribution per query: (n, dimension + 1)."""

@@ -39,7 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 @dataclass
 class UpdateStepReport:
-    """Outcome of processing one update operation."""
+    """Outcome of processing one update operation (both MSLEs are NaN when
+    the operation changed no row: nothing was measured)."""
 
     operation_index: int
     dataset_size: int
@@ -205,10 +206,10 @@ class IncrementalUpdateManager:
     def _relabel_training_from_pending(self) -> List[QueryExample]:
         """Training labels after every delta parked since the last refresh.
 
-        Probing every pending delta stays exact (deltas are additive and
-        cancel when a row was inserted then removed); once the accumulated Δ
-        rivals the dataset itself, one full relabel is cheaper than two large
-        probes."""
+        Correcting by every pending delta stays exact (deltas are additive
+        and cancel when a row was inserted then removed); once the
+        accumulated Δ rivals the dataset itself, one full relabel through the
+        index is cheaper than a distance pass over every Δ row."""
         pending = len(self._pending_train_inserted) + len(self._pending_train_removed)
         if pending >= max(1, len(self.selector)):
             return relabel(self.train_examples, self.selector)
@@ -224,12 +225,19 @@ class IncrementalUpdateManager:
 
         The selector absorbs the operation as an in-place O(Δ) delta (append
         segments + tombstones — no index rebuild), validation labels are
-        corrected from probe selectors over only the Δ rows
-        (:func:`~repro.workloads.builder.relabel_delta`), and training labels
-        are only touched when a retrain actually triggers — replaying every
-        delta accumulated since the last refresh in one pass.
+        corrected by one distance pass between the query records and only the
+        Δ rows (:func:`~repro.workloads.builder.relabel_delta`), and training
+        labels are only touched when a retrain actually triggers — replaying
+        every delta accumulated since the last refresh in one pass.  An
+        operation that changes no row changes nothing: no cached curve is
+        invalidated and no error is measured (the report's MSLEs are NaN).
         """
         inserted, removed = self._apply_operation_delta(operation)
+        if not (inserted or removed):
+            unmeasured = float("nan")
+            return UpdateStepReport(
+                operation_index, len(self.selector), unmeasured, unmeasured, False, 0
+            )
         self._pending_train_inserted.extend(inserted)
         self._pending_train_removed.extend(removed)
         # The dataset changed, so every cached curve for this estimator is stale.

@@ -149,12 +149,17 @@ class EditDistance(DistanceFunction):
         return batch_levenshtein(str(x), [str(record) for record in dataset]).astype(np.float64)
 
     def cross_distances(self, queries: Sequence[str], dataset: Sequence[str]) -> np.ndarray:
-        """(n_queries, n_records) edit distances, one batched DP per query."""
-        dataset = [str(record) for record in dataset]
+        """(n_queries, n_records) edit distances: both sides encoded once, then
+        one batched DP per query."""
+        codes, lengths = string_codes([str(record) for record in dataset])
         if len(queries) == 0:
-            return np.zeros((0, len(dataset)))
+            return np.zeros((0, len(lengths)))
+        query_codes, query_lengths = string_codes([str(query) for query in queries])
         return np.stack(
-            [batch_levenshtein(str(query), dataset).astype(np.float64) for query in queries]
+            [
+                levenshtein_codes(row[:length], codes, lengths).astype(np.float64)
+                for row, length in zip(query_codes, query_lengths)
+            ]
         )
 
     def count_within(self, x: str, dataset: Sequence[str], threshold: float) -> int:

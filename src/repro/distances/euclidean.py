@@ -38,6 +38,13 @@ class EuclideanDistance(DistanceFunction):
     BLOCK_BYTES = 1 << 24
 
     def cross_distances(self, queries: Sequence, dataset: Sequence) -> np.ndarray:
+        """(n_queries, n_records) distances through the GEMM identity.
+
+        Fast, but it rounds differently from :meth:`distances_to`: a record
+        lying exactly on a threshold can fall on the other side of it.  A
+        caller that must decide a threshold as the selectors do (workload
+        labels) calls ``distances_to`` per query instead.
+        """
         if len(queries) == 0:
             return np.zeros((0, len(dataset)))
         data = np.asarray(dataset, dtype=np.float64)

@@ -725,10 +725,12 @@ class SimilarityQueryEngine:
         routed manager takes the paper-§8 path (relabel, monitor, retrain
         incrementally if degraded, invalidate served curves); any other unit
         drops its cached curves and absorbs the delta into its index.
-        Untouched units do no work at all.  Delete positions follow the
-        update stream's lenient semantics (out-of-range skipped, duplicates
-        collapsed).  Returns the manager's step report (or ``None``) for an
-        unsharded attribute, a :class:`ShardedUpdateReport` for a sharded one.
+        Untouched units do no work at all, and an operation that changes no
+        row touches none: no curve is invalidated and nothing is rebuilt.
+        Delete positions follow the update stream's lenient semantics
+        (out-of-range skipped, duplicates collapsed).  Returns the manager's
+        step report (or ``None``) for an unsharded attribute, a
+        :class:`ShardedUpdateReport` for a sharded one.
         """
         binding = self.catalog.get(name)
         if operation.kind == "delete":
@@ -737,6 +739,11 @@ class SimilarityQueryEngine:
             )
         link = self._links.get(name)
         managers = link.managers if link is not None and link.route_updates else {}
+        if len(operation.records) == 0:
+            if binding.sharded:
+                return ShardedUpdateReport(operation_index, [], len(binding))
+            manager = managers.get(0)
+            return None if manager is None else manager.process(operation, operation_index)
         routing = (
             binding.selector.route_operation(operation) if binding.sharded else None
         )

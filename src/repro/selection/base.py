@@ -14,6 +14,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import DistanceFunction
 from .delta import check_delete_positions, rebuild_in_place
 
 #: (named arrays, JSON-able metadata) describing a selector's dataset — the
@@ -24,6 +25,11 @@ PlaneExport = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
 
 class SimilaritySelector(ABC):
     """Answers similarity selection queries exactly over a fixed dataset."""
+
+    #: The distance the selector decides by: every concrete selector names
+    #: it, and :func:`~repro.workloads.builder.relabel_delta` measures Δ rows
+    #: with it.
+    distance: DistanceFunction
 
     def __init__(self, dataset: Sequence) -> None:
         self._dataset = list(dataset)

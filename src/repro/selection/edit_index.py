@@ -46,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.edit import levenshtein_codes, string_codes
+from ..distances.edit import EditDistance, levenshtein_codes, string_codes
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray, extend_postings
 
@@ -69,6 +69,7 @@ def qgram_signature(grams: Counter) -> int:
 class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
     """Length/signature mask + q-gram posting arrays + batched DP verification."""
 
+    distance = EditDistance()
     _SNAPSHOT_DROP = ("_lengths", "_codes", "_signatures", "_postings")
 
     def __init__(self, dataset: Sequence[str], q: int = 2) -> None:

@@ -29,12 +29,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.euclidean import EuclideanDistance
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray
 
 
 class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
     """Pivot/ball partition index with triangle-inequality pruning."""
+
+    distance = EuclideanDistance()
 
     def __init__(self, dataset: Sequence, num_pivots: int = 16, seed: int = 0) -> None:
         matrix = np.asarray(dataset, dtype=np.float64)

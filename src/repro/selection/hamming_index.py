@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..distances.hamming import (
+    HammingDistance,
     pack_bits,
     pack_bits_words,
     packed_hamming_distances_words,
@@ -40,6 +41,7 @@ from .delta import DeltaIndexMixin, GrowableArray
 class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
     """Vectorized exact scan over bit-packed binary vectors."""
 
+    distance = HammingDistance()
     _SNAPSHOT_DROP = ("_packed64",)
 
     def __init__(self, dataset: Sequence) -> None:
@@ -151,6 +153,7 @@ def enumerate_within_radius(bits: np.ndarray, radius: int) -> List[bytes]:
 class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
     """GPH-style exact selection: per-part inverted indexes + pigeonhole allocation."""
 
+    distance = HammingDistance()
     _SNAPSHOT_DROP = ("_packed64",)
 
     def __init__(self, dataset: Sequence, part_size: int = 16) -> None:

@@ -33,7 +33,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.jaccard import as_frozenset
+from ..distances.jaccard import JaccardDistance, as_frozenset
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray, extend_postings
 
@@ -41,6 +41,7 @@ from .delta import DeltaIndexMixin, GrowableArray, extend_postings
 class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
     """Token posting arrays + size filter; similarities from exact overlap counts."""
 
+    distance = JaccardDistance()
     _SNAPSHOT_DROP = ("_sizes", "_postings")
 
     def __init__(self, dataset: Sequence) -> None:

@@ -50,6 +50,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Se
 import numpy as np
 
 from ..datasets.updates import UpdateOperation
+from ..distances.base import DistanceFunction
 from ..obs.metrics import current_registry
 from ..obs.trace import span
 from ..runtime import POOL_BACKENDS, Runtime, default_runtime, usable_cores
@@ -398,6 +399,11 @@ class ShardedSelector(SimilaritySelector):
     @property
     def shards(self) -> List[SimilaritySelector]:
         return list(self._shards)
+
+    @property
+    def distance(self) -> DistanceFunction:
+        """The distance every shard decides by (one factory built them all)."""
+        return self._shards[0].distance
 
     def shard(self, shard_id: int) -> SimilaritySelector:
         return self._shards[shard_id]

@@ -18,10 +18,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..datasets.synthetic import Dataset
+from ..distances.base import DistanceFunction
+from ..distances.euclidean import EuclideanDistance
 from ..selection import SimilaritySelector, default_selector
 from .examples import QueryExample, Workload
 
 SAMPLING_POLICIES = ("single_uniform", "multi_uniform", "skewed")
+
+#: Cap on the (examples, Δ rows) cells :func:`relabel_delta` compares at once.
+_PANEL_CELLS = 1 << 20
 
 
 def sample_thresholds(
@@ -192,7 +197,7 @@ def relabel_delta(
     inserted: Sequence,
     removed: Sequence,
 ) -> List[QueryExample]:
-    """Relabel against only the Δ rows an update touched (O(Δ) per query).
+    """Relabel against only the Δ rows an update touched: one distance pass.
 
     Exact cardinalities are additive over disjoint record sets: after an
     update the live dataset is ``old ∪ inserted − removed`` (as multisets),
@@ -200,40 +205,48 @@ def relabel_delta(
 
         card_new = card_old + card(inserted) − card(removed)
 
-    ``card_old`` is already stored on each example; the two delta terms come
-    from *probe* selectors built over just the Δ rows — same selector type
-    and configuration (via ``selector.rebuild``), so the distance semantics
-    match the labels being corrected.  A record inserted and later removed
-    appears in both probes and cancels exactly, so deltas accumulated across
-    several operations (the manager's pending-train path) stay exact.
+    ``card_old`` is already stored on each example.  The correction builds no
+    index: the Δ rows are stacked once with a sign (+1 inserted, −1 removed),
+    each distinct query record gets one distance vector against them from
+    ``selector.distance``, and every example adds
+    ``(distance <= θ + 1e-12) @ sign`` — the comparison
+    :class:`~repro.selection.LinearScanSelector` makes, so the corrected label
+    is the one a full :func:`relabel` computes.  A record inserted and later
+    removed appears with both signs and cancels exactly, so deltas
+    accumulated across several operations (the manager's pending-train path)
+    stay exact.
     """
-    inserted = list(inserted)
-    removed = list(removed)
-    if not inserted and not removed:
-        return list(examples)
-    # Probe selectors over the delta rows only (O(Δ) build, not a dataset
-    # rebuild on the update path).
-    plus = selector.rebuild(inserted) if inserted else None  # repro: ignore[RPR010] - O(Δ) probe over delta rows, not a dataset rebuild
-    minus = selector.rebuild(removed) if removed else None  # repro: ignore[RPR010] - O(Δ) probe over delta rows, not a dataset rebuild
-    examples = list(examples)
-    relabelled: List[QueryExample] = []
-    index = 0
-    while index < len(examples):
-        record = examples[index].record
-        run_end = index
-        while run_end < len(examples) and examples[run_end].record is record:
-            run_end += 1
-        run = examples[index:run_end]
-        thetas = [example.theta for example in run]
-        old = np.asarray([example.cardinality for example in run], dtype=np.int64)
-        delta = np.zeros(len(run), dtype=np.int64)
-        if plus is not None:
-            delta += plus.cardinality_curve(record, thetas)
-        if minus is not None:
-            delta -= minus.cardinality_curve(record, thetas)
-        relabelled.extend(
-            QueryExample(record=record, theta=example.theta, cardinality=int(cardinality))
-            for example, cardinality in zip(run, old + delta)
-        )
-        index = run_end
-    return relabelled
+    inserted, removed, examples = list(inserted), list(removed), list(examples)
+    if not (inserted or removed) or not examples:
+        return examples
+    sign = np.repeat(np.asarray([1, -1], dtype=np.int64), [len(inserted), len(removed)])
+    # Distinct query records by identity, and each example's row among them.
+    records = list({id(example.record): example.record for example in examples}.values())
+    slot = {id(record): index for index, record in enumerate(records)}
+    which = np.asarray([slot[id(example.record)] for example in examples], dtype=np.int64)
+    thetas = np.asarray([example.theta for example in examples], dtype=np.float64)
+    labels = np.asarray([example.cardinality for example in examples], dtype=np.int64)
+    distances = _delta_distances(selector.distance, records, inserted + removed)
+    # Compare in blocks of examples: each example needs its record's distance
+    # row, and copying all of them at once would hold (examples, Δ) floats.
+    step = max(1, _PANEL_CELLS // len(sign))
+    for start in range(0, len(examples), step):
+        block = slice(start, start + step)
+        labels[block] += (distances[which[block]] <= thetas[block, None] + 1e-12) @ sign
+    return [
+        QueryExample(record=example.record, theta=example.theta, cardinality=int(cardinality))
+        for example, cardinality in zip(examples, labels)
+    ]
+
+
+def _delta_distances(distance: DistanceFunction, records: Sequence, rows: Sequence) -> np.ndarray:
+    """(records, rows) distances that compare exactly as ``distance.distances_to``.
+
+    ``cross_distances`` does for every distance but Euclidean (see
+    :meth:`EuclideanDistance.cross_distances`); Euclidean takes one
+    ``distances_to`` per record instead, against the rows stacked once.
+    """
+    if isinstance(distance, EuclideanDistance):
+        matrix = np.asarray(rows, dtype=np.float64)
+        return np.stack([distance.distances_to(record, matrix) for record in records])
+    return distance.cross_distances(records, rows)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.baselines import UniformSamplingEstimator
 from repro.core import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation, apply_operation
-from repro.engine import SimilarityQueryEngine
+from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.selection import PackedHammingSelector, default_selector
 from repro.sharding import ShardedSelector
 
@@ -106,6 +106,70 @@ def test_a_repeated_position_names_one_row(label):
     ``apply_operation`` and ``ShardedSelector.apply_operation``."""
     survivors = LENIENT[label](UpdateOperation("delete", [16, 16]))
     assert survivors == [i for i in range(ROWS) if i != 16]
+
+
+#: Updates that resolve to no row: every position out of range, nothing to insert.
+NO_OPS = [
+    UpdateOperation("delete", [10**6]),
+    UpdateOperation("insert", []),
+    UpdateOperation("delete", [-1, ROWS]),
+]
+
+
+@pytest.mark.parametrize("mode", ["gph", "gph, routed manager", "sharded"])
+def test_an_update_that_changes_no_row_changes_nothing(mode):
+    """At the parent, ``delete [10**6]`` then ``insert []`` on a GPH attribute
+    recorded three invalidations, rebuilt ``h::part0`` and turned the next
+    repeated query from a hit into three misses."""
+    engine = SimilarityQueryEngine()
+    if mode == "sharded":
+        binding = engine.register_sharded_attribute(
+            "h", RECORDS, "hamming", estimator, num_shards=4, theta_max=WIDTH
+        )
+    else:
+        binding = engine.register_attribute(
+            "h", RECORDS, "hamming", estimator(RECORDS), theta_max=WIDTH, gph_part_size=4
+        )
+    if mode == "gph, routed manager":
+        engine.attach_manager("h", manager_over(binding.selector))
+    registry, cache = engine.service.registry, engine.service.cache
+    families = binding.part_endpoints + binding.shard_endpoints + [binding.endpoint]
+    query = SimilarityPredicate("h", RECORDS[5], 2.0)
+    engine.execute(query)
+    served = [registry.get(endpoint).estimator for endpoint in families]
+    invalidations, misses, hits = cache.invalidations, cache.misses, cache.hits
+    for operation in NO_OPS:
+        report = engine.apply_update("h", operation)
+        if mode == "sharded":
+            assert report.touched_shards == [] and report.dataset_size == ROWS
+        elif mode == "gph":
+            assert report is None
+        else:
+            assert not report.retrained and np.isnan(report.validation_msle_before)
+    engine.execute(query)
+    assert (cache.invalidations, cache.misses) == (invalidations, misses)
+    assert cache.hits > hits
+    assert all(registry.get(e).estimator is s for e, s in zip(families, served))
+    assert ids(binding.records) == ids(binding.selector.dataset) == list(range(ROWS))
+    engine.runtime.shutdown()
+
+
+def test_manager_skips_an_update_that_changes_no_row(monkeypatch):
+    """No invalidation, no relabel and no validation pass; a report all the same."""
+    selector = default_selector("hamming", RECORDS)
+    manager = manager_over(selector)
+
+    def must_not_run(*_args):
+        raise AssertionError("an empty update reached the §8 loop")
+
+    for name in ("_invalidate_serving_cache", "_validation_msle", "_retrain_if_degraded"):
+        monkeypatch.setattr(manager, name, must_not_run)
+    for index, operation in enumerate(NO_OPS):
+        report = manager.process(operation, index)
+        assert (report.operation_index, report.dataset_size) == (index, ROWS)
+        assert not report.retrained and report.epochs_run == 0
+    assert manager._pending_train_inserted == manager._pending_train_removed == []
+    assert selector.mutation_count == 0
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
