@@ -72,11 +72,7 @@ def featurize_examples(
             grouped[key] = (example.record, [])
         grouped[key][1].append((tau, float(example.cardinality)))
 
-    records = [entry[0] for entry in grouped.values()]
-    if records:
-        features = extractor.transform_records(records)
-    else:
-        features = np.zeros((0, extractor.dimension))
+    features = extractor.transform_records([entry[0] for entry in grouped.values()])
 
     # (query_index, tau, cumulative, segment_low, segment_target) per row.
     rows: List[Tuple[int, int, float, int, float]] = []

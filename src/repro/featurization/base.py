@@ -26,8 +26,16 @@ class FeatureExtractor(ABC):
     theta_max: float
 
     @abstractmethod
+    def transform_records(self, records: Sequence[Any]) -> np.ndarray:
+        """(n, d) float64 matrix of binary representations x ∈ {0, 1}^d, one row per record.
+
+        The one record → vector definition of an extractor, one array pass per
+        batch; an empty batch is a (0, d) matrix.  The scalar form delegates here.
+        """
+
     def transform_record(self, record: Any) -> np.ndarray:
-        """Binary representation x ∈ {0, 1}^d of a record."""
+        """Scalar form of :meth:`transform_records` (a one-element batch)."""
+        return self.transform_records([record])[0]
 
     @abstractmethod
     def transform_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
@@ -43,9 +51,19 @@ class FeatureExtractor(ABC):
     # ------------------------------------------------------------------ #
     # Batch helpers
     # ------------------------------------------------------------------ #
-    def transform_records(self, records: Sequence[Any]) -> np.ndarray:
-        """Stack the binary representations of many records into an (n, d) matrix."""
-        return np.stack([self.transform_record(record) for record in records]).astype(np.float64)
+    @staticmethod
+    def _vector_rows(records: Sequence[Any], width: int) -> np.ndarray:
+        """Vector records as an (n, width) float64 matrix; any other width raises.
+
+        The single shape check of the extractors whose records are vectors.
+        """
+        matrix = np.asarray(records, dtype=np.float64)
+        if not len(records):
+            return matrix.reshape(0, width)
+        matrix = matrix.reshape(len(records), -1)
+        if matrix.shape[1] != width:
+            raise ValueError(f"expected {width}-dimensional vectors, got {matrix.shape[1]}")
+        return matrix
 
     def validate_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
         """Range check shared by every ``transform_thresholds``; returns the float array.

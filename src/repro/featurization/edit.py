@@ -7,6 +7,16 @@ bits in the group of its character, covering positions ``i - τ_max`` through
 featurization in the paper's taxonomy.  The Hamming distance grows roughly
 proportionally with the edit distance, so the same proportional/identity
 threshold transformation as for Hamming distance is used.
+
+A batch is encoded in one write.  Every in-alphabet character of a record's
+first ``l_max`` characters contributes the flat index of its window's first
+bit, ``row · d + group · W + position`` with group width ``W = l_max +
+2·window`` (positions are offset by ``window``, so position ``-window`` is bit
+0 of the group); the ``2·window + 1`` bits of every window are then set by one
+fancy-index assignment.  Characters outside Σ set nothing.  Invariant:
+``position < l_max``, so a window's last bit ``group · W + position + 2·window``
+is below ``(group + 1) · W`` and never spills into the next group — no clip is
+needed.
 """
 
 from __future__ import annotations
@@ -56,18 +66,20 @@ class EditFeatureExtractor(FeatureExtractor):
         self.group_width = self.max_length + 2 * self.window
         self.dimension = self.group_width * len(self.alphabet)
 
-    def transform_record(self, record: str) -> np.ndarray:
-        text = str(record)
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        for position, character in enumerate(text[: self.max_length]):
-            group = self._char_to_group.get(character)
-            if group is None:
-                continue
-            # Positions are offset by `window` so index -window maps to bit 0.
-            start = group * self.group_width + position
-            stop = min(start + 2 * self.window + 1, (group + 1) * self.group_width)
-            vector[start:stop] = 1.0
-        return vector
+    def transform_records(self, records) -> np.ndarray:
+        groups, width, row_width = self._char_to_group, self.group_width, self.dimension
+        starts = np.fromiter(
+            (
+                row * row_width + group * width + position
+                for row, record in enumerate(records)
+                for position, group in enumerate(map(groups.get, str(record)[: self.max_length]))
+                if group is not None
+            ),
+            dtype=np.int64,
+        )
+        matrix = np.zeros((len(records), row_width), dtype=np.float64)
+        matrix.ravel()[np.add.outer(starts, np.arange(2 * self.window + 1))] = 1.0
+        return matrix
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)

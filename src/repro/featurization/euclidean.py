@@ -74,16 +74,9 @@ class PStableEuclideanFeatureExtractor(FeatureExtractor):
 
     def hash_values(self, records) -> np.ndarray:
         """(n, num_hashes) integer hash values, clipped to [0, max_hash_value]."""
-        matrix = np.asarray(records, dtype=np.float64).reshape(len(records), -1)
-        if matrix.shape[1] != self.input_dimension:
-            raise ValueError(
-                f"expected {self.input_dimension}-dimensional vectors, got {matrix.shape[1]}"
-            )
+        matrix = self._vector_rows(records, self.input_dimension)
         raw = np.floor((matrix @ self._projections.T + self._offsets) / self.bucket_width)
         return np.clip(raw, 0, self.max_hash_value).astype(np.int64)
-
-    def transform_record(self, record) -> np.ndarray:
-        return self.transform_records([record])[0]
 
     def transform_records(self, records) -> np.ndarray:
         values = self.hash_values(records)

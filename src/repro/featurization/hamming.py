@@ -23,16 +23,8 @@ class HammingFeatureExtractor(FeatureExtractor):
             tau_max = int(theta_max)
         self.tau_max = int(tau_max)
 
-    def transform_record(self, record) -> np.ndarray:
-        return self.transform_records([record])[0]
-
     def transform_records(self, records) -> np.ndarray:
-        matrix = np.asarray(records, dtype=np.float64).reshape(len(records), -1)
-        if matrix.shape[1] != self.dimension:
-            raise ValueError(
-                f"expected {self.dimension}-dimensional binary vectors, got {matrix.shape[1]}"
-            )
-        return (matrix > 0.5).astype(np.float64)
+        return (self._vector_rows(records, self.dimension) > 0.5).astype(np.float64)
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)

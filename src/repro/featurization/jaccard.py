@@ -6,11 +6,21 @@ minimum element under the permutation; each such value is one-hot encoded over
 ``1 - f(x, y)`` (their Jaccard similarity), so the *expected* Hamming distance
 between encodings is ``f(x, y) · d`` with ``d = k · 2^b`` — an LSH
 featurization whose threshold transform is the proportional map.
+
+A batch is hashed in one array pass: every record's distinct tokens are
+concatenated into one int64 vector and reduced ``% universe_size`` (floor
+modulo, as Python's ``int % n``, so negative tokens wrap the same way); one
+gather reads their ranks under all ``k`` permutations, one
+``np.minimum.reduceat`` over the record offsets takes each record's minimum
+rank per permutation, and one scatter writes the one-hot blocks.  The minimum
+is over ranks, so token order cannot matter.  An empty set keeps block value 0
+under every permutation.  A token outside the int64 range raises
+``OverflowError``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -45,28 +55,23 @@ class MinHashJaccardFeatureExtractor(FeatureExtractor):
             [rng.permutation(self.universe_size) for _ in range(self.num_permutations)]
         )
 
-    def _min_hash_values(self, record: Iterable[int]) -> np.ndarray:
-        elements = np.fromiter(
-            (int(e) % self.universe_size for e in as_frozenset(record)), dtype=np.int64
-        )
-        if elements.size == 0:
-            # Empty sets hash to a fixed sentinel bucket (block value 0).
-            return np.zeros(self.num_permutations, dtype=np.int64)
-        # permuted rank of each element under every permutation: (k, |x|)
-        ranks = self._permutations[:, elements]
-        min_positions = ranks.argmin(axis=1)
-        min_elements = elements[min_positions]
+    def transform_records(self, records) -> np.ndarray:
+        sets = [as_frozenset(record) for record in records]
+        sizes = [len(tokens) for tokens in sets]
+        elements = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(sizes))
+        offsets = list(accumulate(sizes, initial=0))
+        rows = [row for row, size in enumerate(sizes) if size]
+        # permuted rank of every token under every permutation: (k, Σ|x|)
+        ranks = self._permutations[:, elements % self.universe_size]
+        minima = np.minimum.reduceat(ranks, [offsets[row] for row in rows], axis=1)
         # b-bit minwise hashing keeps only the low b bits of the *rank* of the
         # minimum element (its position in the permuted order).
-        min_ranks = ranks[np.arange(self.num_permutations), min_positions]
-        return min_ranks & (self.block_size - 1)
-
-    def transform_record(self, record) -> np.ndarray:
-        values = self._min_hash_values(record)
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        offsets = np.arange(self.num_permutations) * self.block_size + values
-        vector[offsets] = 1.0
-        return vector
+        values = np.zeros((len(sets), self.num_permutations), dtype=np.int64)
+        values[rows] = minima.T & (self.block_size - 1)
+        matrix = np.zeros((len(sets), self.dimension), dtype=np.float64)
+        columns = np.arange(self.num_permutations) * self.block_size + values
+        matrix[np.arange(len(sets))[:, None], columns] = 1.0
+        return matrix
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from repro.distances.jaccard import as_frozenset
 from repro.featurization import (
     EditFeatureExtractor,
     HammingFeatureExtractor,
@@ -147,6 +148,95 @@ def test_hamming_batch_records_equal_the_per_record_stack(records):
         assert batch.dtype == np.float64
         assert np.array_equal(batch, np.stack([extractor.transform_record(r) for r in typed]))
         assert np.array_equal(batch, np.asarray(records, dtype=np.float64))
+
+
+def per_record_jaccard(extractor: MinHashJaccardFeatureExtractor, record) -> np.ndarray:
+    """The per-record b-bit minwise hash the batch kernel replaced."""
+    elements = np.fromiter(
+        (int(e) % extractor.universe_size for e in as_frozenset(record)), dtype=np.int64
+    )
+    vector = np.zeros(extractor.dimension, dtype=np.float64)
+    if elements.size == 0:
+        values = np.zeros(extractor.num_permutations, dtype=np.int64)
+    else:
+        ranks = extractor._permutations[:, elements]
+        min_positions = ranks.argmin(axis=1)
+        min_ranks = ranks[np.arange(extractor.num_permutations), min_positions]
+        values = min_ranks & (extractor.block_size - 1)
+    vector[np.arange(extractor.num_permutations) * extractor.block_size + values] = 1.0
+    return vector
+
+
+def per_record_edit(extractor: EditFeatureExtractor, record) -> np.ndarray:
+    """The per-character window writes the batch kernel replaced."""
+    vector = np.zeros(extractor.dimension, dtype=np.float64)
+    for position, character in enumerate(str(record)[: extractor.max_length]):
+        group = extractor._char_to_group.get(character)
+        if group is None:
+            continue
+        start = group * extractor.group_width + position
+        stop = min(start + 2 * extractor.window + 1, (group + 1) * extractor.group_width)
+        vector[start:stop] = 1.0
+    return vector
+
+
+tokens = st.one_of(st.integers(-120, 120), st.integers(-(2**63), 2**63 - 1))
+token_lists = st.lists(tokens, max_size=12)
+set_records = st.one_of(
+    token_lists,
+    token_lists.map(tuple),
+    token_lists.map(set),
+    token_lists.map(frozenset),
+    token_lists.map(lambda values: [np.int64(v) for v in values]),
+    token_lists.map(lambda values: np.asarray(values, dtype=np.int64)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(set_records, min_size=1, max_size=64))
+@example([[], [3, 3, 53, -47], (120, 7, 7), {-1}, [np.int64(49)], frozenset()])
+def test_jaccard_batch_records_equal_the_per_record_map(records):
+    """Empty sets, duplicate tokens, tokens ≥ universe_size and negative ones."""
+    extractor = EXTRACTORS["jaccard"]
+    batch = extractor.transform_records(records)
+    assert batch.dtype == np.float64
+    assert np.array_equal(batch, np.stack([per_record_jaccard(extractor, r) for r in records]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="abcxz\U0001F600", max_size=14), min_size=1, max_size=64))
+@example(["", "abcabcabca", "ccccccccccc", "x\U0001F600a", "zzz"])
+def test_edit_batch_records_equal_the_per_record_map(records):
+    """Characters outside Σ, a non-BMP character, strings past l_max = 10 and one
+    of exactly l_max whose last window ends at its group's edge."""
+    extractor = EXTRACTORS["edit"]
+    batch = extractor.transform_records(records)
+    assert batch.dtype == np.float64
+    assert np.array_equal(batch, np.stack([per_record_edit(extractor, r) for r in records]))
+
+
+RECORDS = {
+    "hamming-identity": np.arange(16) % 2,
+    "hamming-proportional": np.arange(16) % 3 == 0,
+    "edit": "abcab",
+    "jaccard": [4, 8, 15, 16, 23, 42],
+    "euclidean": np.linspace(-1.0, 1.0, 8),
+}
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_scalar_record_is_a_one_element_batch(name):
+    extractor, record = EXTRACTORS[name], RECORDS[name]
+    vector = extractor.transform_record(record)
+    assert vector.shape == (extractor.dimension,)
+    assert np.array_equal(vector, extractor.transform_records([record])[0])
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_empty_batch_is_an_empty_matrix(name):
+    features = EXTRACTORS[name].transform_records([])
+    assert features.dtype == np.float64
+    assert features.shape == (0, EXTRACTORS[name].dimension)
 
 
 @pytest.mark.parametrize("name", ["hamming-identity", "euclidean"])

@@ -59,15 +59,31 @@ def datasets():
     }
 
 
-def _build_engine(datasets):
+@pytest.fixture(scope="module")
+def cardnets(datasets):
+    """CardNet-A on the edit and Jaccard columns, whose extractors the
+    snapshot restores without running ``__init__``."""
+    from repro.workloads import build_workload
+
+    estimators = {}
+    for name in ("edit", "jaccard"):
+        workload = build_workload(datasets[name], query_fraction=0.1, num_thresholds=4, seed=11)
+        estimators[name] = CardNetEstimator.for_dataset(
+            datasets[name], accelerated=True, epochs=1, vae_pretrain_epochs=1, seed=0
+        ).fit(workload.train, workload.validation)
+    return estimators
+
+
+def _build_engine(datasets, estimators=None):
     engine = SimilarityQueryEngine()
     for distance_name in DISTANCES:
         dataset = datasets[distance_name]
+        estimator = (estimators or {}).get(distance_name)
         engine.register_attribute(
             distance_name,
             dataset.records,
             distance_name,
-            _sampling(dataset.records, distance_name),
+            estimator or _sampling(dataset.records, distance_name),
             theta_max=dataset.theta_max,
         )
     return engine
@@ -114,8 +130,8 @@ def assert_results_equal(result_a, result_b):
 
 class TestFourDistanceEquivalence:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
-    def test_estimates_plans_results_bit_identical(self, datasets, tmp_path, warm):
-        engine = _build_engine(datasets)
+    def test_estimates_plans_results_bit_identical(self, datasets, cardnets, tmp_path, warm):
+        engine = _build_engine(datasets, cardnets)
         queries = _queries(datasets)
         if warm:
             engine.execute_many(queries)  # populate curves, windows, telemetry
@@ -124,6 +140,8 @@ class TestFourDistanceEquivalence:
         restored = load_engine(tmp_path / "snap")
 
         assert len(restored.service.cache) == len(engine.service.cache)
+        for name in cardnets:
+            assert isinstance(restored.service.registry.get(name).estimator, CardNetEstimator)
 
         for name in DISTANCES:
             records = [datasets[name].records[i] for i in range(0, 40, 3)]
