@@ -70,9 +70,8 @@ def main() -> None:
           f"shard sizes {selector.stats()['shard_sizes']}, answers exact")
 
     # --- plan a rebalance ------------------------------------------------- #
-    # With a monitoring hub running, suggest_plan also weighs each shard's
-    # scraped query-latency p99; here sizes alone drive the demonstration.
-    plan = suggest_plan(selector._assignment)
+    # suggest_plan splits oversized shards and merges undersized ones.
+    plan = suggest_plan(selector.assignment)
     if plan is None:
         plan = RebalancePlan([SplitShard(0, parts=2), MergeShards((2, 3))])
     print(f"plan: {plan.describe()}")

@@ -15,7 +15,7 @@ Public API highlights
   and per-shard serving endpoints merged by curve summation.
 * :mod:`repro.store` — versioned engine snapshots and warm-start restore.
 * :mod:`repro.runtime` — the shared concurrent execution layer: named worker
-  pools, one runtime under sharding, monitoring, and the engine.
+  pools, one runtime under sharding, rebalancing, and the engine.
 * :mod:`repro.obs` — observability: span traces across threads and forked
   workers, mergeable histogram metrics with Prometheus/JSON exposition, and
   ``Engine.explain_analyze``.

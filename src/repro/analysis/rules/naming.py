@@ -2,11 +2,11 @@
 
 Every metric in the repo is a valid Prometheus identifier
 (``[a-z_][a-z0-9_]*``) and every *counter* name ends in ``_total`` —
-the exposition format's convention and what recording rules, dashboards,
-and the monitoring layer's series keys all assume.  A camelCase gauge or a
-``_total``-less counter slips through at runtime (the registry takes any
-string) and only breaks later, when a dashboard query or an SLO's series
-key silently matches nothing.
+the exposition format's convention, and what ``to_prometheus()`` and
+``docs/metrics_catalog.md`` key on.  A camelCase gauge or a ``_total``-less
+counter slips through at runtime (the registry takes any string) and only
+breaks later, when a scrape query or a catalog row silently matches
+nothing.
 
 The rule checks every statically-knowable creation site: registry factory
 calls (``registry.counter("...")`` / ``.gauge`` / ``.histogram``) and direct
@@ -39,7 +39,7 @@ class MetricNamingRule(ContextVisitor):
     name = "metric-naming"
     summary = "metric name breaks the Prometheus naming conventions"
     rationale = (
-        "series keys, dashboards, and SLO definitions key on metric names; "
+        "the Prometheus exposition and the metrics catalog key on metric names; "
         "a non-identifier name or a _total-less counter silently matches "
         "nothing downstream instead of failing at creation."
     )
@@ -91,5 +91,5 @@ class MetricNamingRule(ContextVisitor):
             self.report(
                 node,
                 f"counter {metric_name!r} must end in '_total' (the "
-                "Prometheus counter convention the monitoring layer keys on)",
+                "Prometheus counter convention the exposition keys on)",
             )

@@ -40,8 +40,13 @@ from ..core.incremental import (
 )
 from ..core.interface import CardinalityEstimator
 from ..datasets.updates import UpdateOperation
-from ..obs.explain import ExplainAnalyzeReport, PredicateAnalysis, SlowQueryLog
-from ..obs.monitor import HealthReport, MonitoringHub, build_health_report
+from ..obs.explain import (
+    ExplainAnalyzeReport,
+    HealthReport,
+    PredicateAnalysis,
+    SlowQueryLog,
+    build_health_report,
+)
 from ..obs.trace import current_span, span, start_trace
 from ..runtime import Runtime
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
@@ -180,8 +185,6 @@ class SimilarityQueryEngine:
         self.slow_queries = SlowQueryLog(
             threshold_seconds=slow_query_seconds, capacity=slow_query_capacity
         )
-        #: Continuous-monitoring hub; created lazily by :meth:`monitor`.
-        self.monitoring: Optional[MonitoringHub] = None
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -402,8 +405,7 @@ class SimilarityQueryEngine:
         """Reshape a sharded attribute's layout while it keeps serving.
 
         Without an explicit ``plan``, one is derived from the current shard
-        sizes plus the per-shard query-latency series the monitoring hub has
-        scraped (:func:`~repro.sharding.suggest_plan`); a balanced layout
+        sizes (:func:`~repro.sharding.suggest_plan`); a balanced layout
         returns ``None`` without doing anything.  The new shards and then
         their serving estimators (the registered factory, over each new
         shard's rows) are built while the old layout serves and journals
@@ -426,11 +428,7 @@ class SimilarityQueryEngine:
             )
         selector: ShardedSelector = binding.selector
         if plan is None:
-            store = self.monitoring.store if self.monitoring is not None else None
-            # The hub's scraper stamps samples with time.monotonic(); the
-            # latency window must be read on the same clock.
-            now = time.monotonic() if store is not None else None
-            plan = suggest_plan(selector._assignment, store=store, now=now)
+            plan = suggest_plan(selector.assignment)
             if plan is None:
                 return None
         rebalancer = Rebalancer(runtime=self.runtime)
@@ -779,43 +777,13 @@ class SimilarityQueryEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Continuous monitoring
+    # Health
     # ------------------------------------------------------------------ #
-    def monitor(
-        self,
-        interval: float = 1.0,
-        capacity: int = 1024,
-        retention_seconds: Optional[float] = None,
-        start: bool = True,
-    ) -> MonitoringHub:
-        """The engine's live :class:`~repro.obs.monitor.MonitoringHub`.
-
-        First call builds the hub over the engine's runtime and telemetry
-        registry (and, with ``start``, launches its scraper loop on the
-        runtime's monitor pool); later calls return the same hub,
-        restarting it if stopped.  ``start=False`` answers an idle hub for
-        deterministic ``tick(now)``-driven use.
-        """
-        if self.monitoring is None:
-            self.monitoring = MonitoringHub(
-                runtime=self.runtime,
-                telemetry=self.service.telemetry,
-                interval=interval,
-                capacity=capacity,
-                retention_seconds=retention_seconds,
-            )
-        elif self.monitoring.runtime is None:
-            # Restored from a snapshot: re-wire the live runtime.
-            self.monitoring.runtime = self.runtime
-        if start and not self.monitoring.running:
-            self.monitoring.start()
-        return self.monitoring
-
-    def health_report(self, now: Optional[float] = None) -> HealthReport:
-        """Engine-wide status — attributes, pools, service, SLO budgets,
-        alerts, slow queries — as one :class:`~repro.obs.monitor.HealthReport`
+    def health_report(self) -> HealthReport:
+        """Engine-wide status — attributes, pools, service cache, slow
+        queries, feedback — as one :class:`~repro.obs.explain.HealthReport`
         (render with ``describe()`` or ``to_json()``)."""
-        return build_health_report(self, now=now)
+        return build_health_report(self)
 
     # ------------------------------------------------------------------ #
     # Persistence (repro.store)
@@ -823,15 +791,9 @@ class SimilarityQueryEngine:
     def save(self, path) -> "Any":
         """Snapshot the full engine — models, indexes, warm caches, shard
         assignments, feedback state — to directory ``path``.  Returns the
-        :class:`~repro.store.SnapshotInfo`; restore with :meth:`load`.
-
-        A running monitoring hub is stopped first (its loop is a live pool
-        task); the scraped history, SLO definitions, and alert states are
-        captured and resume when ``monitor()`` is called after restore."""
+        :class:`~repro.store.SnapshotInfo`; restore with :meth:`load`."""
         from ..store import save_engine
 
-        if self.monitoring is not None and self.monitoring.running:
-            self.monitoring.stop()
         return save_engine(self, path)
 
     @classmethod
@@ -865,5 +827,4 @@ class SimilarityQueryEngine:
             "service": self.service.stats(),
             "feedback": self.feedback.snapshot(),
             "runtime": self.runtime.stats(),
-            "monitoring": None if self.monitoring is None else self.monitoring.status(),
         }

@@ -1,4 +1,4 @@
-"""repro.obs — tracing, metrics, monitoring, and EXPLAIN ANALYZE.
+"""repro.obs — tracing, metrics, EXPLAIN ANALYZE and the health report.
 
 Observability substrate for the whole stack:
 
@@ -9,25 +9,22 @@ Observability substrate for the whole stack:
   histograms with Prometheus/JSON exposition; ``ServingTelemetry`` keeps its
   one ledger in a registry and serves its flat counters as views of it;
 * :mod:`repro.obs.explain` — ``Engine.explain_analyze`` report structures
-  pairing estimated vs actual cardinality per predicate, plus a bounded
-  slow-query ring buffer;
-* :mod:`repro.obs.timeseries` — ring-buffer series scraped from registries by
-  a background :class:`Scraper`, with windowed rollups (rate, increase,
-  windowed percentiles from histogram-bucket deltas);
-* :mod:`repro.obs.slo` / :mod:`repro.obs.alerts` — declarative objectives
-  evaluated as multi-window burn rates, and a deterministic
-  pending→firing→resolved alert state machine over them;
-* :mod:`repro.obs.monitor` — the :class:`MonitoringHub` behind
-  ``engine.monitor()`` and the ``health_report()`` renderer.
+  pairing estimated vs actual cardinality per predicate, a bounded
+  slow-query ring buffer, and the :class:`HealthReport` behind
+  ``engine.health_report()``.
 
 Tracing (``REPRO_TRACE``) is opt-in; metrics always record.  What tracing
 costs is ``trace.overhead_share`` of a ``benchmarks/e2e/run.py --trace 1``
-run; a live monitoring hub is timed by
-``benchmarks/bench_monitoring_overhead.py`` (a non-blocking reproduction).
+run.
 """
 
-from .alerts import ALERT_KINDS, AlertManager, AlertRule, AlertStatus
-from .explain import ExplainAnalyzeReport, PredicateAnalysis, SlowQueryLog
+from .explain import (
+    ExplainAnalyzeReport,
+    HealthReport,
+    PredicateAnalysis,
+    SlowQueryLog,
+    build_health_report,
+)
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_Q_ERROR_BUCKETS,
@@ -41,9 +38,6 @@ from .metrics import (
     metric_key,
     use_registry,
 )
-from .monitor import HealthReport, MonitoringHub, build_health_report
-from .slo import SLO_KINDS, SLObjective, SLOEvaluator, SLOStatus
-from .timeseries import MONITOR_POOL, Scraper, Series, TimeSeriesStore
 from .trace import (
     NOOP_SPAN,
     Span,
@@ -58,10 +52,6 @@ from .trace import (
 )
 
 __all__ = [
-    "ALERT_KINDS",
-    "AlertManager",
-    "AlertRule",
-    "AlertStatus",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_Q_ERROR_BUCKETS",
@@ -69,20 +59,11 @@ __all__ = [
     "Gauge",
     "HealthReport",
     "Histogram",
-    "MONITOR_POOL",
     "MetricsRegistry",
-    "MonitoringHub",
     "NOOP_SPAN",
     "PredicateAnalysis",
-    "SLO_KINDS",
-    "SLOEvaluator",
-    "SLOStatus",
-    "SLObjective",
-    "Scraper",
-    "Series",
     "SlowQueryLog",
     "Span",
-    "TimeSeriesStore",
     "activate",
     "bucket_quantile",
     "build_health_report",

@@ -11,6 +11,10 @@ straggler" are both one report away.
 the most recent queries whose wall-time crossed a threshold, kept as plain
 dicts (JSON- and snapshot-friendly) so a long-lived engine can answer "what
 was slow lately?" without tracing ever having been enabled.
+
+:class:`HealthReport` is the engine-wide view behind ``health_report()``:
+attributes and shard topology, pools, the service cache, the slow-query ring
+and the feedback loop, each read from the live object that already holds it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 from .trace import Span
@@ -183,3 +187,91 @@ class SlowQueryLog:
             state.get("entries", ()), maxlen=int(state.get("capacity", 64) or 64)
         )
         self._lock = threading.Lock()
+
+
+@dataclass
+class HealthReport:
+    """Engine-wide status: attributes, pools, service, slow queries, feedback.
+
+    A plain-data pairing of everything ``health_report()`` gathered, with a
+    JSON rendering (:meth:`to_dict`/:meth:`to_json`) for machines and a text
+    rendering (:meth:`describe`) for terminals.
+    """
+
+    attributes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    pools: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    service: Dict[str, Any] = field(default_factory=dict)
+    slow_queries: List[Dict[str, Any]] = field(default_factory=list)
+    slow_query_threshold_seconds: float = 0.0
+    feedback: Dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
+
+    def describe(self) -> str:
+        """Terminal rendering: one section per subsystem."""
+        lines = ["ENGINE HEALTH"]
+        if self.attributes:
+            lines.append("  attributes:")
+            for name, info in sorted(self.attributes.items()):
+                shard_note = (
+                    f" shards={info['shards']} fan_out={info.get('fan_out')}"
+                    if info.get("shards")
+                    else ""
+                )
+                lines.append(
+                    f"    {name:<20} {info['distance']:<10} "
+                    f"records={info['records']}{shard_note}"
+                )
+        if self.pools:
+            lines.append("  pools:")
+            for name, stats in sorted(self.pools.items()):
+                lines.append(
+                    f"    {name:<20} backend={stats['backend']} "
+                    f"workers={stats['num_workers']} queue={stats['queue_depth']} "
+                    f"active={stats['active']} completed={stats['completed']} "
+                    f"failed={stats['failed']}"
+                )
+        cache = self.service.get("cache") or {}
+        if cache:
+            lines.append(
+                f"  cache: size={cache.get('size')}/{cache.get('capacity')} "
+                f"hit_rate={cache.get('hit_rate', 0.0):.3f} "
+                f"evictions={cache.get('evictions')}"
+            )
+        retained = len(self.slow_queries)
+        lines.append(
+            f"  slow queries: {retained} retained "
+            f"(threshold {self.slow_query_threshold_seconds * 1e3:.0f} ms)"
+        )
+        return "\n".join(lines)
+
+
+def build_health_report(engine: Any) -> HealthReport:
+    """Gather a :class:`HealthReport` from a live engine (read-only)."""
+    report = HealthReport()
+    for name in engine.catalog.names():
+        binding = engine.catalog.get(name)
+        info: Dict[str, Any] = {
+            "records": len(binding.records),
+            "distance": binding.distance.name,
+            "sharded": bool(binding.sharded),
+            "shards": None,
+        }
+        if binding.sharded:
+            shard_stats = binding.selector.stats()
+            info["shards"] = shard_stats["num_shards"]
+            info["shard_sizes"] = shard_stats["shard_sizes"]
+            info["backend"] = shard_stats["backend"]
+            info["fan_out"] = shard_stats["last_fan_out"]
+            info["mean_task_seconds"] = shard_stats["mean_task_seconds"]
+        report.attributes[name] = info
+    report.pools = engine.runtime.stats()
+    report.service = engine.service.stats()
+    report.slow_queries = engine.slow_queries.entries()
+    report.slow_query_threshold_seconds = engine.slow_queries.threshold_seconds
+    report.feedback = engine.feedback.snapshot()
+    return report

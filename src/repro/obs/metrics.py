@@ -56,8 +56,8 @@ def bucket_quantile(
     ``counts`` are non-cumulative per-bucket observation counts (one extra
     trailing overflow bucket).  Within the located bucket the distribution is
     assumed uniform; a rank landing in the overflow bucket answers
-    ``overflow`` (the observed max for a live histogram, the highest finite
-    boundary for windowed deltas where the true max is unknowable).  Zero
+    ``overflow`` (a histogram passes its observed max; the default is the
+    highest finite boundary).  Zero
     observations answer ``nan`` — loudly no data, never a fabricated 0.0.
     """
     if not 0.0 <= q <= 1.0:

@@ -1,7 +1,7 @@
 """Worker pools: the one thread-parallel execution primitive of the library.
 
 Every concurrent site in the stack — sharded fan-out, the engine's pipelined
-``execute_many``, the monitoring scraper — runs the tasks it dispatches on a
+``execute_many``, rebalance builds — runs the tasks it dispatches on a
 :class:`WorkerPool` acquired from a shared :class:`~repro.runtime.Runtime`
 instead of constructing a private executor.  A pool is *named* (so
 independent layers sharing one runtime reuse the same workers instead of
@@ -194,9 +194,6 @@ class WorkerPool:
         self._children: List[Optional[_ChildWorker]] = []
         self._active = 0
         self._shutdown = False
-        #: Stop events of long-lived loop tasks parked on this pool; set at
-        #: shutdown so those workers become joinable (see register_stop_event).
-        self._stop_events: List[threading.Event] = []
         # Lifetime counters (reported via stats(); O(1) memory).
         self.submitted = 0
         self.completed = 0
@@ -319,27 +316,12 @@ class WorkerPool:
                     )
                 self._idle.wait(remaining)
 
-    def register_stop_event(self, event: threading.Event) -> None:
-        """A long-lived loop task (the scraper) pins a worker until its stop
-        event is set; registering the event lets :meth:`shutdown` release it
-        instead of joining forever."""
-        with self._lock:
-            self._stop_events.append(event)
-
-    def unregister_stop_event(self, event: threading.Event) -> None:
-        with self._lock:
-            if event in self._stop_events:
-                self._stop_events.remove(event)
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work; workers finish the queued tasks, then exit."""
         with self._lock:
             self._shutdown = True
             self._not_empty.notify_all()
             threads = list(self._threads)
-            stop_events = list(self._stop_events)
-        for event in stop_events:
-            event.set()
         if wait:
             for thread in threads:
                 thread.join()
@@ -519,33 +501,6 @@ class WorkerPool:
                 for child in self._children
                 if child is not None and child.alive
             ]
-
-    def record_gauges(self, registry: Any) -> None:
-        """Export this pool's instantaneous load as gauges into ``registry``.
-
-        Called by the monitoring scraper each tick (via
-        :meth:`repro.runtime.Runtime.record_gauges`), so queue depth and
-        utilization become time series rather than point-in-time stats.
-        """
-        with self._lock:
-            depth = len(self._tasks)
-            active = self._active
-            workers = self.num_workers
-        labels = {"pool": self.name}
-        registry.gauge(
-            "repro_pool_queue_depth", labels, description="tasks waiting in the pool queue"
-        ).set(depth)
-        registry.gauge(
-            "repro_pool_active_tasks", labels, description="tasks executing right now"
-        ).set(active)
-        registry.gauge(
-            "repro_pool_workers", labels, description="configured pool width"
-        ).set(workers)
-        registry.gauge(
-            "repro_pool_utilization",
-            labels,
-            description="active tasks over pool width (1.0 = saturated)",
-        ).set(active / workers if workers else 0.0)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -146,14 +146,6 @@ class Runtime:
             pools = dict(self._pools)
         return {name: pool.stats() for name, pool in sorted(pools.items())}
 
-    def record_gauges(self, registry: Any) -> None:
-        """Export every pool's instantaneous load gauges into ``registry``
-        (the monitoring scraper's per-tick collector)."""
-        with self._lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            pool.record_gauges(registry)
-
     # ------------------------------------------------------------------ #
     # Snapshot hooks (repro.store)
     # ------------------------------------------------------------------ #

@@ -5,7 +5,7 @@ size, a request's latency, a worker-pool task, the feedback loop's
 estimated-vs-actual observations and drift crossings — is recorded once, in a
 labelled metric of ``telemetry.metrics`` (``_LEDGER``;
 ``docs/metrics_catalog.md``).  That registry is the only state: snapshots persist
-it, the monitoring hub scrapes it, pools and their child processes record into it.
+it, ``to_prometheus()`` exposes it, pools and their child processes record into it.
 
 ``endpoint(name)``, ``total``, ``snapshot()`` and ``to_prometheus()`` are views
 computed from it when called: :class:`EndpointStats` values, not live objects.
@@ -123,7 +123,7 @@ class ServingTelemetry:
     """Recorder into ``self.metrics`` and reader of the flat view (module docstring)."""
 
     def __init__(self) -> None:
-        #: The ledger; pools, the monitoring hub and its scraper hold this very object.
+        #: The ledger; pools and the runtime hold this very object.
         self.metrics = metrics.MetricsRegistry()
         #: (metric name, endpoint or pool) -> the resolved metric: get-or-create
         #: costs a key format and a registry lock, recording is per request.

@@ -4,9 +4,7 @@ A :class:`RebalancePlan` describes layout surgery against a base
 :class:`~repro.sharding.partitioner.ShardAssignment` — split a hot shard,
 merge cold shards, migrate a global-id range — and resolves to a concrete new
 assignment plus, per new shard, the base shard it is an exact copy of (if
-any).  :func:`suggest_plan` derives a plan from the signals the monitoring
-stack already scrapes: per-shard sizes and the p99 of
-``repro_shard_task_seconds{op="query",shard=...}``.
+any).  :func:`suggest_plan` derives a plan from the per-shard sizes.
 
 The :class:`Rebalancer` executes a plan against a live
 :class:`~repro.sharding.ShardedSelector` without stopping the world:
@@ -32,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.metrics import current_registry, metric_key
+from ..obs.metrics import current_registry
 from ..runtime import Runtime, default_runtime
 from ..selection.base import SimilaritySelector
 from .partitioner import Partitioner, ShardAssignment
@@ -263,18 +261,13 @@ class RebalancePlan:
 
 def suggest_plan(
     assignment: ShardAssignment,
-    store: Optional[Any] = None,
-    now: Optional[float] = None,
-    window: float = 300.0,
     hot_factor: float = 2.0,
     cold_factor: float = 0.25,
 ) -> Optional[RebalancePlan]:
-    """Derive a plan from per-shard sizes + scraped query-latency series.
+    """Derive a plan from per-shard sizes.
 
     A shard is *hot* when its size exceeds ``hot_factor ×`` the mean shard
-    size, or when its scraped ``repro_shard_task_seconds{op="query"}`` p99
-    exceeds ``hot_factor ×`` the across-shard median (``store`` is a
-    :class:`~repro.obs.TimeSeriesStore`, typically ``MonitoringHub.store``).
+    size (and it holds at least two rows); hot shards are split in two.
     Shards smaller than ``cold_factor ×`` the mean are merged.  Returns
     ``None`` when the layout is already balanced.
     """
@@ -282,30 +275,8 @@ def suggest_plan(
     if sizes.size < 1 or sizes.sum() == 0:
         return None
     mean = float(sizes.mean())
-    p99s: List[Optional[float]] = [None] * len(sizes)
-    if store is not None and now is not None:
-        for shard_id in range(len(sizes)):
-            key = metric_key(
-                "repro_shard_task_seconds", {"op": "query", "shard": shard_id}
-            )
-            p99s[shard_id] = store.windowed_quantile(key, 0.99, window, now)
-    observed = [p for p in p99s if p is not None]
-    latency_median = float(np.median(observed)) if observed else None
-
-    def is_hot(shard_id: int) -> bool:
-        if sizes[shard_id] > hot_factor * mean and sizes[shard_id] >= 2:
-            return True
-        p99 = p99s[shard_id]
-        return (
-            p99 is not None
-            and latency_median is not None
-            and latency_median > 0
-            and p99 > hot_factor * latency_median
-            and sizes[shard_id] >= 2
-        )
-
     actions: List[RebalanceAction] = []
-    hot = [s for s in range(len(sizes)) if is_hot(s)]
+    hot = [s for s in range(len(sizes)) if sizes[s] > hot_factor * mean and sizes[s] >= 2]
     for shard_id in hot:
         actions.append(SplitShard(shard_id, parts=2))
     cold = [

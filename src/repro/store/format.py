@@ -59,7 +59,11 @@ FORMAT_NAME = "repro-snapshot"
 #       `max_batch_size`, a version-5 MonitoringHub a profiler object, and
 #       neither class exists to decode into (ReplicaSet went in the same
 #       change).
-FORMAT_VERSION = 6
+#   7 — the continuous-monitoring plane is gone: a version-6 engine carries a
+#       `monitoring` attribute that may hold a MonitoringHub (with its
+#       TimeSeriesStore, SLOEvaluator and AlertManager), and none of those
+#       classes exists to decode into.
+FORMAT_VERSION = 7
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -4,6 +4,7 @@ the tracing-never-changes-results guarantee."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -312,3 +313,35 @@ class TestSlowQueryLog:
         assert restored.entries() == log.entries()
         restored.record({"duration_seconds": 2.0})  # lock rebuilt
         assert len(restored) == 2
+
+
+class TestHealthReport:
+    def test_health_report_renders_every_section(self):
+        """Sharded 'vec' and unsharded 'aux' in one engine: attributes (with
+        shard topology), pools, the service cache, slow queries and feedback
+        reach both renderings."""
+        engine, vec, aux = _build_engine(slow_query_seconds=0.0)
+        try:
+            engine.execute(_two_predicate_query(vec, aux))
+            # A tiny query fans out inline; run one task so a pool exists.
+            engine.runtime.pool("health", num_workers=1).submit(int).result()
+            report = engine.health_report()
+            assert report.attributes["vec"]["shards"] == 3
+            assert report.attributes["aux"]["shards"] is None
+            assert report.pools["health"]["completed"] == 1
+            assert report.service["cache"]
+            assert len(report.slow_queries) == 1
+            text = report.describe()
+            assert text.splitlines()[0] == "ENGINE HEALTH"
+            assert "shards=3" in text and "aux" in text
+            assert "health" in text and "completed=1" in text and "cache: size=" in text
+            assert "slow queries: 1 retained" in text
+            payload = json.loads(report.to_json())
+            assert set(payload) == {
+                "attributes", "pools", "service", "slow_queries",
+                "slow_query_threshold_seconds", "feedback",
+            }
+            assert sum(payload["attributes"]["vec"]["shard_sizes"]) == NUM_ROWS
+            assert payload["feedback"] == engine.feedback.snapshot()
+        finally:
+            engine.runtime.shutdown()

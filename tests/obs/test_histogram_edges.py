@@ -1,4 +1,4 @@
-"""Quantile edge cases: empty, single-bucket, all-overflow, empty windows.
+"""Quantile edge cases: empty, single-bucket, all-overflow.
 
 The contract under test: degenerate inputs answer loudly (``nan``/``None``),
 never a fabricated 0.0 a dashboard would happily plot as "all good".
@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.obs import Histogram, Series, bucket_quantile
+from repro.obs import Histogram, bucket_quantile
 
 
 class TestEmptyHistogram:
@@ -64,35 +64,3 @@ class TestOverflowBucket:
         # cannot interpolate, so the observed max is the honest upper bound.
         assert hist.quantile(0.5) == 42.0
         assert hist.quantile(0.99) == 42.0
-
-    def test_windowed_overflow_answers_highest_finite_boundary(self):
-        # From cumulative snapshots the window's true max is unknowable, so
-        # windowed quantiles cap at the highest finite boundary instead.
-        series = Series("k", "histogram", buckets=(0.1, 1.0))
-        base = {"counts": [0, 0, 0], "sum": 0.0, "count": 0, "max": 0.0}
-        series.append(0.0, dict(base))
-        series.append(10.0, {"counts": [0, 0, 8], "sum": 40.0, "count": 8, "max": 9.0})
-        assert series.windowed_quantile(0.5, 60.0, now=10.0) == 1.0
-
-
-class TestEmptyWindows:
-    def test_windowed_quantile_over_empty_window_is_none(self):
-        series = Series("k", "histogram", buckets=(0.1, 1.0))
-        sample = {"counts": [3, 2, 0], "sum": 1.0, "count": 5, "max": 0.9}
-        series.append(0.0, dict(sample))
-        series.append(10.0, dict(sample))  # no growth between ticks
-        assert series.windowed_quantile(0.5, 60.0, now=10.0) is None
-        percentiles = series.windowed_percentiles(60.0, now=10.0)
-        assert percentiles == {"p50": None, "p95": None, "p99": None}
-
-    def test_window_with_one_sample_is_none(self):
-        series = Series("k", "histogram", buckets=(0.1, 1.0))
-        series.append(0.0, {"counts": [1, 0, 0], "sum": 0.05, "count": 1, "max": 0.05})
-        assert series.windowed_quantile(0.5, 60.0, now=0.0) is None
-
-    def test_window_entirely_in_the_past_is_none(self):
-        series = Series("k", "histogram", buckets=(0.1, 1.0))
-        series.append(0.0, {"counts": [1, 0, 0], "sum": 0.05, "count": 1, "max": 0.05})
-        series.append(1.0, {"counts": [2, 0, 0], "sum": 0.10, "count": 2, "max": 0.05})
-        # now=100, window=10 → [90, 100]: both samples predate it.
-        assert series.windowed_quantile(0.5, 10.0, now=100.0) is None

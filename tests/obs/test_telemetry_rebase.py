@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, MonitoringHub, metric_key
+from repro.obs import Histogram, MetricsRegistry
 from repro.runtime import WorkerPool
 from repro.serving.telemetry import EndpointStats, ServingTelemetry
 from repro.store import load_component, save_component
@@ -169,16 +169,13 @@ class TestRegistryFeeds:
         assert telemetry.endpoint("pool:shards-proc").requests == 2
 
 
-class TestMonitoringSeesTheLedger:
-    def test_hub_over_a_telemetry_sees_traffic_after_every_public_call(self):
+class TestLedgerIdentity:
+    def test_registry_sees_traffic_after_every_public_call(self):
         """Regression: ``reset()`` used to swap in a new registry, orphaning
-        every hub, SLO evaluator, alert manager and scraper built over the
-        old one.  The registry's identity is now fixed for the telemetry's
-        lifetime, whichever public method runs."""
+        every reader holding the old one.  The registry's identity is now
+        fixed for the telemetry's lifetime, whichever public method runs."""
         telemetry = ServingTelemetry()
         registry = telemetry.metrics
-        hub = MonitoringHub(telemetry=telemetry, clock=lambda: 0.0)
-        series = metric_key("repro_requests_total", {"endpoint": "euclid"})
         calls = [
             lambda: telemetry.record_requests("euclid", 1, 0, 1),
             lambda: telemetry.record_batch("euclid", 1),
@@ -196,10 +193,9 @@ class TestMonitoringSeesTheLedger:
         for tick, call in enumerate(calls, start=1):
             call()
             assert telemetry.metrics is registry
-            assert hub.registry is telemetry.metrics
             telemetry.record_requests("euclid", 1, 0, 1)
-            hub.tick(now=float(tick))
-            assert hub.store.latest(series) == (float(tick), float(tick + 1))
+            requests = registry.get("repro_requests_total", {"endpoint": "euclid"})
+            assert requests.value == float(tick + 1)
 
 
 class TestSnapshotHooks:

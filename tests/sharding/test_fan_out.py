@@ -10,7 +10,6 @@ in kind, in count and in *registry* wherever the tasks ran.
 from __future__ import annotations
 
 import contextlib
-import time
 from unittest import mock
 
 import numpy as np
@@ -19,15 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sampling import UniformSamplingEstimator
-from repro.distances import get_distance
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.obs import default_registry
 from repro.runtime import Runtime, fork_available
-from repro.selection import LinearScanSelector
 from repro.selection.euclidean_index import BallIndexEuclideanSelector
 from repro.selection.hamming_index import PackedHammingSelector
 from repro.serving.telemetry import ServingTelemetry
-from repro.sharding import ShardedSelector, suggest_plan
+from repro.sharding import ShardedSelector
 from repro.sharding import selector as selector_module
 from repro.sharding.selector import (
     SHARD_POOL,
@@ -252,25 +249,7 @@ def test_inline_thread_and_process_fan_outs_agree(kind, num_shards, op, num_reco
 # --------------------------------------------------------------------------- #
 # One registry (the bug: inline tasks used to report to the default registry)
 # --------------------------------------------------------------------------- #
-class _SlowOnMarker(LinearScanSelector):
-    """A linear scan that takes 3 ms when its slice holds the marker row —
-    one deterministic hot shard for ``suggest_plan``'s latency rule."""
-
-    MARKER = 7
-
-    def __init__(self, dataset):
-        super().__init__(dataset, distance=get_distance("hamming"))
-
-    def query(self, record, threshold):
-        if any(int(row[0]) == self.MARKER for row in self.dataset):
-            time.sleep(0.003)
-        return super().query(record, threshold)
-
-    def rebuild(self, dataset):
-        return type(self)(dataset)
-
-
-def _monitored_engine(records, **shard_options):
+def _sharded_engine(records, **shard_options):
     engine = SimilarityQueryEngine()
     engine.register_sharded_attribute(
         "vec",
@@ -281,7 +260,6 @@ def _monitored_engine(records, **shard_options):
         ),
         num_shards=4,
         partitioner="round_robin",
-        selector_factory=_SlowOnMarker,
         theta_max=8.0,
         **shard_options,
     )
@@ -292,47 +270,37 @@ class TestOneRegistry:
     @pytest.fixture(scope="class")
     def records(self):
         rng = np.random.default_rng(17)
-        rows = rng.integers(0, 2, size=(48, 16)).astype(np.uint8)
-        rows[6, 0] = _SlowOnMarker.MARKER  # row 6 → shard 2 of 4, round robin
-        return [row for row in rows]
+        return [row for row in rng.integers(0, 2, size=(48, 16)).astype(np.uint8)]
 
     def _serve(self, engine, records, thread=False):
-        """Warm-up, scrape, ten driver queries, scrape; returns what the
-        registries and ``suggest_plan`` then say."""
-        hub = engine.monitor(start=False)
+        """Warm-up and ten driver queries; returns the ids, what the engine
+        registry then counts, and the fan-out mode the selector last took."""
         queries = [SimilarityPredicate("vec", records[i], 5.0) for i in range(10)]
         with thread_dispatch() if thread else contextlib.nullcontext():
             engine.execute(queries[0])
-            hub.tick(100.0)
             results = engine.execute_many(queries)
-            hub.tick(105.0)
         selector = engine.catalog.get("vec").selector
-        plan = suggest_plan(selector.assignment, store=hub.store, now=106.0, window=60.0)
         counts = _shard_metric_counts(engine.service.telemetry.metrics)
-        return [r.record_ids for r in results], counts, plan, selector.stats()["last_fan_out"]
+        return [r.record_ids for r in results], counts, selector.stats()["last_fan_out"]
 
     def test_every_mode_reports_to_the_engine_registry(self, records):
         before = _default_registry_shard_series()
         served = {
-            "inline": self._serve(_monitored_engine(records), records),
-            "thread": self._serve(_monitored_engine(records), records, thread=True),
-            "never": self._serve(_monitored_engine(records, parallel=False), records),
+            "inline": self._serve(_sharded_engine(records), records),
+            "thread": self._serve(_sharded_engine(records), records, thread=True),
+            "never": self._serve(_sharded_engine(records, parallel=False), records),
         }
-        assert served["inline"][3] == "inline"
-        assert served["thread"][3] == "thread"
-        assert served["never"][3] == "inline"
+        assert served["inline"][2] == "inline"
+        assert served["thread"][2] == "thread"
+        assert served["never"][2] == "inline"
         expected_counts = {
             (name, "query", shard): 11
             for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
             for shard in range(4)
         }
-        for mode, (ids, counts, plan, _) in served.items():
+        for mode, (ids, counts, _) in served.items():
             assert ids == served["inline"][0], mode
             assert counts == expected_counts, mode
-            # The monitoring hub saw the tasks, so the latency rule names the
-            # slow shard — from an inline fan-out exactly as from threads.
-            assert plan is not None, mode
-            assert [action.shard_id for action in plan.actions] == [2], mode
         assert _default_registry_shard_series() == before
 
     @needs_fork

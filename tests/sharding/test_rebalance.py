@@ -5,8 +5,6 @@ import pytest
 
 from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
-from repro.obs.metrics import metric_key
-from repro.obs.timeseries import TimeSeriesStore
 from repro.selection import LinearScanSelector, PackedHammingSelector
 from repro.sharding import (
     HashPartitioner,
@@ -303,41 +301,3 @@ class TestSuggestPlan:
         assert plan is not None
         merges = [a for a in plan.actions if isinstance(a, MergeShards)]
         assert merges and set(merges[0].shard_ids) == {2, 3}
-
-    def test_latency_hot_shard_is_split_from_scraped_series(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        shard_of = np.array([0] * 10 + [1] * 10 + [2] * 10)
-        assignment = ShardAssignment.from_shard_of(shard_of, num_shards=3)
-        registry = MetricsRegistry()
-        store = TimeSeriesStore()
-        # Two scrapes bracketing the observations: windowed quantiles are
-        # computed from cumulative-histogram growth, exactly like the hub's.
-        for shard in range(3):
-            registry.histogram(
-                "repro_shard_task_seconds", {"op": "query", "shard": shard}
-            )
-        store.sample_registry(registry, 100.0)
-        for shard, latency in ((0, 0.001), (1, 0.5), (2, 0.001)):
-            histogram = registry.histogram(
-                "repro_shard_task_seconds", {"op": "query", "shard": shard}
-            )
-            for _ in range(8):
-                histogram.observe(latency)
-        store.sample_registry(registry, 105.0)
-        assert (
-            store.windowed_quantile(
-                metric_key(
-                    "repro_shard_task_seconds", {"op": "query", "shard": 1}
-                ),
-                0.99,
-                60.0,
-                106.0,
-            )
-            is not None
-        )
-        plan = suggest_plan(assignment, store=store, now=106.0, window=60.0)
-        assert plan is not None
-        assert any(
-            isinstance(a, SplitShard) and a.shard_id == 1 for a in plan.actions
-        )

@@ -201,10 +201,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 6  # no deferred queue, no profiler (5 = one telemetry ledger)
-        data["version"] = 5
+        assert FORMAT_VERSION == 7  # no monitoring hub (6 = no deferred queue, no profiler)
+        data["version"] = 6
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 5\b.*version 6\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 6\b.*version 7\b"):
             read_snapshot(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):
