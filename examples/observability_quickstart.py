@@ -1,14 +1,11 @@
 """Observability quickstart: traces, metrics, and EXPLAIN ANALYZE.
 
-Builds a two-attribute engine — a sharded Euclidean embedding (process
-backend where ``fork`` is available, so the trace crosses process
-boundaries) plus an unsharded auxiliary attribute — then walks the three
-observability pieces:
+Builds a two-attribute engine — a Euclidean embedding on three shards plus an
+unsharded auxiliary attribute — then walks the three observability pieces:
 
 1. EXPLAIN ANALYZE — execute one conjunctive query and print the report:
    estimated vs actual cardinality per predicate, q-errors, stage
-   wall-times, and the span tree covering every shard task (child-process
-   subtrees ride back with the results and re-parent in the query's trace);
+   wall-times, and the span tree covering every shard task;
 2. metrics — the serving telemetry's registry, as a snapshot with
    latency percentiles and in Prometheus text exposition format;
 3. slow-query ring — the engine keeps the last N queries over a wall-time
@@ -28,7 +25,6 @@ import numpy as np
 from repro.baselines import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.obs import disable_tracing, enable_tracing
-from repro.runtime import fork_available
 
 
 def sampling_factory(distance_name, **options):
@@ -41,8 +37,7 @@ def sampling_factory(distance_name, **options):
 
 
 def main() -> None:
-    backend = "process" if fork_available() else "thread"
-    print(f"Building a two-attribute engine (sharded backend: {backend}) ...")
+    print("Building a two-attribute engine (one attribute on three shards) ...")
 
     rng = np.random.default_rng(42)
     embeddings = [row for row in rng.normal(size=(600, 16))]
@@ -58,7 +53,6 @@ def main() -> None:
         sampling_factory("euclidean", sample_ratio=0.2),
         num_shards=3,
         theta_max=8.0,
-        backend=backend,
     )
     engine.register_attribute(
         "aux",
@@ -74,8 +68,8 @@ def main() -> None:
             SimilarityPredicate("aux", aux[7], 3.0),
         ]
     )
-    # Warm the curve caches (and, on the process backend, publish the shard
-    # data planes) so the analyzed query reflects steady-state behaviour.
+    # Warm the curve caches so the analyzed query reflects steady-state
+    # behaviour.
     engine.execute(query)
 
     print("\n=== EXPLAIN ANALYZE ===")
@@ -85,12 +79,6 @@ def main() -> None:
     finally:
         disable_tracing()
     print(report.describe())
-
-    process_spans = report.process_spans()
-    if process_spans:
-        pids = sorted({span.pid for span in process_spans})
-        print(f"Shard spans recorded inside forked children (pids {pids}) were")
-        print("merged back into the parent's trace above.")
 
     print("\n=== Telemetry snapshot (per-endpoint, with percentiles) ===")
     snapshot = engine.service.telemetry.snapshot()

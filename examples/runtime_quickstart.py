@@ -1,9 +1,9 @@
 """Runtime quickstart: one execution layer under everything concurrent.
 
-Builds an engine whose sharded fan-out and multi-query execution share ONE
-runtime, shows where each of the two ran (a pool is used only when it pays:
-at this size both stay on the calling thread, and say so), and drives the
-estimation service from many threads at once.
+Builds an engine whose sharded fan-out runs on ONE runtime, shows where it
+ran (a pool is used only when it pays: at this size the shard probes stay on
+the calling thread, and say so), and drives the estimation service from many
+threads at once.
 
 Run with:  python examples/runtime_quickstart.py
 """
@@ -27,7 +27,7 @@ def main() -> None:
     )
 
     # --- One runtime under the whole engine ------------------------------- #
-    engine = SimilarityQueryEngine(execute_workers=4)
+    engine = SimilarityQueryEngine()
     engine.register_sharded_attribute(
         "fingerprints",
         dataset.records,
@@ -62,16 +62,14 @@ def main() -> None:
           f"execute_many(): {batched_seconds * 1000:.1f} ms "
           "(bit-identical results)")
 
-    # Both foreground sites decide per batch where to run.  Shard probes over
-    # 750-row shards cost far less CPU than the measured break-even, and
-    # nothing here waits on a worker process, so neither dispatched:
+    # The shard fan-out decides per batch where to run.  Shard probes over
+    # 750-row shards cost far less CPU than the measured break-even, so it
+    # did not dispatch:
     shard_stats = engine.catalog.get("fingerprints").selector.stats()
     mean_task_us = shard_stats["mean_task_seconds"]["query"] * 1e6
     print(f"shard fan-out ran {shard_stats['last_fan_out']} "
           f"(mean shard task {mean_task_us:.0f} us of CPU); "
           f"pools created: {engine.runtime.pool_names() or 'none'}")
-    # (backend="process" shards — examples/multicore_quickstart.py — fan out
-    # to worker processes, and execute_many then pipelines on "engine-execute".)
 
     # --- Thread-safe serving: many threads, one service ------------------- #
     service = engine.service

@@ -16,8 +16,8 @@ Public API highlights
 * :mod:`repro.store` — versioned engine snapshots and warm-start restore.
 * :mod:`repro.runtime` — the shared concurrent execution layer: named worker
   pools, one runtime under sharding, rebalancing, and the engine.
-* :mod:`repro.obs` — observability: span traces across threads and forked
-  workers, mergeable histogram metrics with Prometheus/JSON exposition, and
+* :mod:`repro.obs` — observability: span traces across threads, mergeable
+  histogram metrics with Prometheus/JSON exposition, and
   ``Engine.explain_analyze``.
 * :mod:`repro.analysis` — AST contract linter enforcing the repo's
   concurrency, snapshot, and determinism invariants

@@ -2,10 +2,9 @@
 
 Seven PRs in, the codebase's correctness rests on contracts no type checker
 sees: all concurrency lives in ``repro.runtime``, everything reachable from an
-engine must snapshot-roundtrip, process-backend tasks must be picklable,
-timings must be monotonic, swallowed exceptions must be counted, lock-guarded
-state must stay guarded, cached arrays must be frozen, and results must be
-bit-identical (seeded RNG only).  Each rule here encodes one of those
+engine must snapshot-roundtrip, timings must be monotonic, swallowed
+exceptions must be counted, lock-guarded state must stay guarded, cached
+arrays must be frozen, and results must be bit-identical (seeded RNG only).  Each rule here encodes one of those
 contracts — most were violated at least once before being fixed by hand.
 
 Usage::

@@ -6,7 +6,7 @@ Each rule class carries its ``code``, a one-line ``summary``, and a
 render straight from these attributes.
 """
 
-from .concurrency import AdHocThreadRule, UnpicklableSubmitRule
+from .concurrency import AdHocThreadRule
 from .snapshots import SnapshotHookPairRule
 from .timing import MonotonicTimeRule
 from .exceptions import SilentExceptionRule
@@ -20,7 +20,6 @@ from .updates import UpdatePathRebuildRule
 ALL_RULES = [
     AdHocThreadRule,
     SnapshotHookPairRule,
-    UnpicklableSubmitRule,
     MonotonicTimeRule,
     SilentExceptionRule,
     LockDisciplineRule,
@@ -37,7 +36,6 @@ __all__ = [
     "RULES_BY_CODE",
     "AdHocThreadRule",
     "SnapshotHookPairRule",
-    "UnpicklableSubmitRule",
     "MonotonicTimeRule",
     "SilentExceptionRule",
     "LockDisciplineRule",

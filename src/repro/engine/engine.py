@@ -93,23 +93,6 @@ class ShardedRevalidationReport:
         return int(sum(report.epochs_run for report in self.reports.values()))
 
 
-def pipelines_execution(
-    parallel: bool, execute_workers: int, num_queries: int, waits_outside: bool
-) -> bool:
-    """Whether ``execute_many`` hands plans to the ``engine-execute`` pool —
-    the pipelining site's one decision.
-
-    Plan execution is interpreter-bound (index probes, candidate filtering,
-    merging), so pool workers would only take turns on one interpreter lock:
-    measured, pipelining made every in-process batch slower (README, *Runtime
-    & concurrency*).  It pays in one case, which is therefore the only one
-    dispatched: execution *waits* outside the interpreter, on the worker
-    processes of a ``backend="process"`` attribute (``waits_outside``), and
-    there is a batch and a pool to overlap those waits with.
-    """
-    return parallel and execute_workers > 1 and num_queries > 1 and waits_outside
-
-
 @dataclass
 class _ManagerLink:
     """The §8 managers of one attribute, keyed by maintenance unit — the
@@ -137,10 +120,6 @@ class _ManagerLink:
 class SimilarityQueryEngine:
     """End-to-end engine over one table of similarity-queryable attributes."""
 
-    #: Runtime pool ``execute_many`` pipelines on when execution waits on
-    #: worker processes (:func:`pipelines_execution`).
-    EXECUTE_POOL = "engine-execute"
-
     def __init__(
         self,
         service: Optional[EstimationService] = None,
@@ -148,21 +127,17 @@ class SimilarityQueryEngine:
         feedback_window: int = 32,
         min_feedback_observations: int = 8,
         runtime: Optional[Runtime] = None,
-        execute_workers: int = 4,
         slow_query_seconds: float = 0.1,
         slow_query_capacity: int = 64,
     ) -> None:
         self.service = service if service is not None else EstimationService()
-        #: One runtime under the whole engine: shard fan-out, pipelined
-        #: execution, and anything else that needs workers share its pools
+        #: One runtime under the whole engine: shard fan-out, rebalance
+        #: builds, and anything else that needs workers share its pools
         #: (created on first use, so an engine whose work stays on the caller
         #: has none), and every pool reports into the service's telemetry.
         self.runtime = (
             runtime if runtime is not None else Runtime(self.service.telemetry)
         )
-        if execute_workers <= 0:
-            raise ValueError("execute_workers must be positive")
-        self.execute_workers = int(execute_workers)
         self.catalog = AttributeCatalog()
         self.planner = QueryPlanner(self.catalog, self.service)
         self.executor = QueryExecutor(self.catalog)
@@ -331,6 +306,7 @@ class SimilarityQueryEngine:
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
         parallel: bool = True,
+        # The e2e fixture still passes backend="thread"; any other value raises.
         backend: str = "thread",
     ) -> AttributeBinding:
         """Register one attribute partitioned across ``num_shards`` shards.
@@ -348,10 +324,14 @@ class SimilarityQueryEngine:
         indexes and merges exactly.  The fan-out is a loop on the caller's
         thread until shard tasks are large enough for the thread pool to pay
         (:func:`repro.sharding.selector.fan_out_mode`; ``parallel=False``
-        never dispatches).  ``backend="process"`` runs it on forked worker
-        processes (shard arrays published once via a shared data plane);
-        results stay bit-identical either way.
+        never dispatches); results stay bit-identical either way.
+        ``backend`` must be ``"thread"``.
         """
+        if backend != "thread":
+            raise ValueError(
+                f"unknown backend {backend!r}: shards fan out on the caller's "
+                "thread or the runtime's thread pool only"
+            )
         self.catalog.validate(name, records)
         if selector_factory is None:
             selector_factory = lambda shard_records: default_selector(  # noqa: E731
@@ -364,7 +344,6 @@ class SimilarityQueryEngine:
             partitioner=partitioner,
             parallel=parallel,
             runtime=self.runtime,  # shard fan-out shares the engine's workers
-            backend=backend,
         )
         estimators = [
             estimator_factory(list(shard.dataset), shard_index)
@@ -555,63 +534,21 @@ class SimilarityQueryEngine:
         return self.execute_many([query])[0]
 
     def execute_many(
-        self,
-        queries: Sequence["ConjunctiveQuery | SimilarityPredicate"],
-        parallel: bool = True,
+        self, queries: Sequence["ConjunctiveQuery | SimilarityPredicate"]
     ) -> List[QueryResult]:
         """The bulk path: one batched planning pass for the whole workload,
-        then per-query execution and feedback.
+        then per-query execution and feedback, on this thread, in order.
 
-        Plans execute on this thread, in order, unless
-        :func:`pipelines_execution` says the batch waits outside the
-        interpreter (an attribute it names fans out to worker processes, and
-        ``parallel`` allows dispatch).  Then execution is *pipelined*: each
-        plan is handed to the runtime's ``engine-execute`` pool the moment
-        the planner assembles it, so the wait on one query's shard processes
-        overlaps plan assembly and execution of the others.  Execution only
-        reads the catalog's indexes and distance kernels, and feedback is
-        applied on this thread in query order after each result lands — so
-        results AND the drift/repair sequence are bit-identical either way.
+        Plan execution is interpreter-bound (index probes, candidate
+        filtering, merging), so handing plans to pool workers would only make
+        them take turns on one interpreter lock; the parallelism lives in the
+        shard fan-out below (:func:`repro.sharding.selector.fan_out_mode`).
         """
-        normalized = as_queries(queries)
-        if not pipelines_execution(
-            parallel,
-            self.execute_workers,
-            len(normalized),
-            self._waits_on_processes(normalized),
-        ):
-            results = []
-            for plan in self.planner.plan_many(normalized):
-                results.append(self.executor.execute(plan))
-                self._observe(plan, results[-1])
-            return results
-        pool = self.runtime.pool(
-            self.EXECUTE_POOL, num_workers=self.execute_workers
-        )
-        handles = [
-            (plan, pool.submit(self.executor.execute, plan))
-            for plan in self.planner.iter_plans(normalized)
-        ]
         results = []
-        for plan, handle in handles:
-            result = handle.result()
-            self._observe(plan, result)
-            results.append(result)
+        for plan in self.planner.plan_many(as_queries(queries)):
+            results.append(self.executor.execute(plan))
+            self._observe(plan, results[-1])
         return results
-
-    def _waits_on_processes(self, queries: Sequence[ConjunctiveQuery]) -> bool:
-        """Whether executing ``queries`` can wait on worker processes: some
-        attribute they name is sharded and currently fans out to processes."""
-        outside = {
-            binding.name
-            for binding in self.catalog
-            if binding.sharded and binding.selector.dispatches_to_processes
-        }
-        return bool(outside) and any(
-            predicate.attribute in outside
-            for query in queries
-            for predicate in query.predicates
-        )
 
     def explain_analyze(
         self,
@@ -621,9 +558,8 @@ class SimilarityQueryEngine:
         """Plan, execute, and report estimated-vs-actual per predicate.
 
         Runs ONE traced query regardless of the global tracing switch: the
-        forced trace propagates through the shard fan-out pools (thread or
-        process backend — child-process spans ride back and re-parent), so
-        the report's span tree covers plan → estimate → driver scan →
+        forced trace propagates through the shard fan-out pool, so the
+        report's span tree covers plan → estimate → driver scan →
         per-predicate residual verify → per-shard tasks.  The result is the
         same exact answer ``execute`` returns; ``feedback=False`` skips the
         drift observation for purely diagnostic runs.

@@ -200,11 +200,10 @@ class QueryPlanner:
         """Plan a workload incrementally: one batched estimation pass up
         front, then one plan yielded per query as it is assembled.
 
-        This is the pipelining hook the engine's ``execute_many`` builds on —
-        a yielded plan can start executing on a worker pool while later
-        queries are still being assembled (GPH allocation in particular can
-        dominate assembly time).  Consuming the whole generator produces
-        exactly :meth:`plan_many`'s output.
+        A caller can act on a yielded plan while later queries are still
+        being assembled (GPH allocation in particular can dominate assembly
+        time).  Consuming the whole generator produces exactly
+        :meth:`plan_many`'s output.
         """
         queries = list(queries)
         if not queries:

@@ -3,8 +3,7 @@
 Observability substrate for the whole stack:
 
 * :mod:`repro.obs.trace` — per-request span trees that follow a query through
-  worker threads and forked process-backend children (child subtrees ride
-  back with task results and re-parent in the submitter's tree);
+  worker threads;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket mergeable
   histograms with Prometheus/JSON exposition; ``ServingTelemetry`` keeps its
   one ledger in a registry and serves its flat counters as views of it;

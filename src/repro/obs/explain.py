@@ -86,10 +86,6 @@ class ExplainAnalyzeReport:
         """Per-shard task spans, in depth-first (fan-out) order."""
         return [] if self.trace is None else self.trace.find("shard.task")
 
-    def process_spans(self) -> List[Span]:
-        """Spans recorded inside forked children and adopted back."""
-        return [] if self.trace is None else self.trace.find("process.task")
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "predicates": [predicate.to_dict() for predicate in self.predicates],
@@ -230,7 +226,7 @@ class HealthReport:
             lines.append("  pools:")
             for name, stats in sorted(self.pools.items()):
                 lines.append(
-                    f"    {name:<20} backend={stats['backend']} "
+                    f"    {name:<20} "
                     f"workers={stats['num_workers']} queue={stats['queue_depth']} "
                     f"active={stats['active']} completed={stats['completed']} "
                     f"failed={stats['failed']}"
@@ -265,7 +261,6 @@ def build_health_report(engine: Any) -> HealthReport:
             shard_stats = binding.selector.stats()
             info["shards"] = shard_stats["num_shards"]
             info["shard_sizes"] = shard_stats["shard_sizes"]
-            info["backend"] = shard_stats["backend"]
             info["fan_out"] = shard_stats["last_fan_out"]
             info["mean_task_seconds"] = shard_stats["mean_task_seconds"]
         report.attributes[name] = info

@@ -3,10 +3,8 @@
 A :class:`Histogram` keeps one count per fixed bucket boundary plus
 a running sum/count/max — O(1) memory however many observations arrive, p50 /
 p95 / p99 derivable by bucket interpolation, and two histograms with the same
-buckets merge by adding counts.  That mergeability is what carries metrics
-across process boundaries: a forked worker records into its own registry,
-ships :meth:`MetricsRegistry.export_state` (plain dicts) back with the task
-result, and the parent folds it in with :meth:`MetricsRegistry.merge_state`.
+buckets merge by adding counts (the serving telemetry folds per-endpoint
+latency histograms into its totals that way).
 
 Exposition comes in two shapes: :meth:`MetricsRegistry.to_prometheus` (text
 format 0.0.4 — counters, gauges, and cumulative ``_bucket``/``_sum``/
@@ -15,8 +13,8 @@ derived quantiles), so the same registry feeds a scrape endpoint and the
 benchmark artifacts.
 
 Metric identity is ``name`` + sorted label pairs.  Every mutator takes the
-metric's own lock, so worker threads, the serving path, and merge-on-result
-can all record into one registry; the locks are dropped and rebuilt across
+metric's own lock, so worker threads and the serving path can all record
+into one registry; the locks are dropped and rebuilt across
 snapshots (``repro.store``).
 
 The library's instrumentation always records; the serving telemetry
@@ -266,11 +264,8 @@ class Histogram(_Metric):
             self.max = max(self.max, float(state["max"]))
 
 
-_METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Get-or-create home for metrics, with export, merge, and exposition."""
+    """Get-or-create home for metrics, with exposition."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
@@ -321,37 +316,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
-
-    # ------------------------------------------------------------------ #
-    # Cross-process merge
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> Dict[str, Dict[str, Any]]:
-        """Plain-dict dump of every metric — picklable, pipe-friendly."""
-        return {metric.key: metric.export() for metric in self.collect()}
-
-    def merge_state(self, state: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold an exported state in: counters/histograms add, gauges adopt.
-
-        Metrics absent here are created with the exported identity, so a
-        parent registry picks up whatever a worker measured without
-        pre-declaring it.
-        """
-        for exported in state.values():
-            kind = exported["type"]
-            cls = _METRIC_TYPES.get(kind)
-            if cls is None:
-                raise ValueError(f"unknown metric type {kind!r} in merged state")
-            kwargs = {}
-            if kind == "histogram":
-                kwargs["buckets"] = exported["buckets"]
-            metric = self._get_or_create(
-                cls, exported["name"], exported.get("labels") or None,
-                exported.get("description", ""), **kwargs
-            )
-            metric.merge_export(exported)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_state(other.export_state())
 
     # ------------------------------------------------------------------ #
     # Exposition
@@ -445,9 +409,8 @@ def current_registry() -> MetricsRegistry:
     """The thread's active registry (worker-pool sink, or the default).
 
     Instrumentation that cannot be handed a registry explicitly — a shard
-    task running inside a forked worker, a closure on a pool thread —
-    records here; the runtime layer points it at the right sink (the pool's
-    telemetry registry parent-side, a per-task scratch registry child-side).
+    task, a closure on a pool thread — records here; the runtime layer points
+    it at the right sink (the runtime's telemetry registry).
     """
     override = _CURRENT.registry
     return override if override is not None else _default_registry

@@ -1,29 +1,21 @@
-"""End-to-end tracing: span trees across threads and forked workers.
+"""End-to-end tracing: span trees across threads.
 
 A *span* is one timed stage of one request — planning, a driver index scan,
 one shard's slice of a fan-out — with a name, monotonic start/duration, free
 -form attributes, and child spans.  Spans form per-request trees: the active
 span lives in thread-local state, so nested ``with span(...)`` blocks build
 the tree without any explicit plumbing, and the runtime layer carries the
-active span across execution boundaries:
-
-* **threads** — :class:`~repro.runtime.WorkerPool` captures the submitter's
-  active span at ``submit`` time and re-activates it around the task on the
-  worker thread (:func:`activate`), so a sharded fan-out's per-shard spans
-  attach to the query that caused them, not to the worker's own timeline;
-* **processes** — the process backend ships ``(trace_id, parent span id)``
-  inside the pickled task envelope; the forked child builds its own span
-  subtree, which rides back with the result and is re-parented into the
-  parent's tree (:meth:`Span.adopt`).  Child spans carry the worker ``pid``
-  so cross-process stages stay distinguishable.
+active span across threads: :class:`~repro.runtime.WorkerPool` captures the
+submitter's active span at ``submit`` time and re-activates it around the task
+on the worker thread (:func:`activate`), so a sharded fan-out's per-shard
+spans attach to the query that caused them, not to the worker's own timeline.
 
 **Zero cost when off.**  Tracing is globally disabled unless ``REPRO_TRACE``
 is set (or :func:`enable_tracing` is called).  A disabled ``span(...)`` block
 does one thread-local read plus one bool check and yields a shared no-op
 object — no allocation, no timestamps, no tree.  Span timings use
 ``time.perf_counter()`` and are therefore only comparable *within* one
-process; cross-process spans contribute durations and structure, not aligned
-absolute offsets.
+process.
 
 Tracing never changes what is computed: with spans on, query results are
 bit-identical to spans off (pinned by tests and a CI variant running the
@@ -53,8 +45,7 @@ _ids = itertools.count(1)
 
 
 def _next_id() -> str:
-    """Process-unique span id.  The pid prefix is evaluated per call, so ids
-    stay distinct across forked children that inherited the same counter."""
+    """Process-unique span id: the pid, then a per-process counter."""
     return f"{os.getpid():x}-{next(_ids):x}"
 
 
@@ -85,8 +76,7 @@ def current_span() -> "Optional[Span]":
 
     This is also the *trace context* the runtime captures at task submission:
     a non-``None`` value means "this thread is inside a trace", and spans
-    started on other threads (or in forked children) under this context
-    attach to it.
+    started on other threads under this context attach to it.
     """
     return _ACTIVE.span
 
@@ -94,8 +84,7 @@ def current_span() -> "Optional[Span]":
 class Span:
     """One timed, named, attributed node of a trace tree.
 
-    Plain data + ``__slots__``: spans pickle (the process backend ships child
-    subtrees through a pipe) and never hold locks — concurrent children
+    Plain data + ``__slots__``: spans never hold locks — concurrent children
     append under the GIL, which is safe for ``list.append``.
     """
 
@@ -128,14 +117,6 @@ class Span:
         self.attributes: Dict[str, Any] = dict(attributes)
         self.children: List[Span] = []
 
-    # -- pickling (slots classes need explicit state) -------------------- #
-    def __getstate__(self) -> Dict[str, Any]:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     # -- recording ------------------------------------------------------- #
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes; chainable inside a ``with span(...)`` block."""
@@ -152,13 +133,6 @@ class Span:
         node = Span(name, trace_id=self.trace_id, parent_id=self.span_id, **attributes)
         self.children.append(node)
         return node
-
-    def adopt(self, subtree: "Span") -> "Span":
-        """Re-parent a subtree built elsewhere (a forked worker) under self."""
-        subtree.parent_id = self.span_id
-        subtree.trace_id = self.trace_id
-        self.children.append(subtree)
-        return subtree
 
     # -- introspection --------------------------------------------------- #
     def iter_spans(self) -> Iterator["Span"]:
@@ -208,9 +182,6 @@ class _NoopSpan:
 
     def child(self, name: str, **attributes: Any) -> "_NoopSpan":
         return self
-
-    def adopt(self, subtree: Any) -> Any:
-        return subtree
 
     def finish(self) -> "_NoopSpan":
         return self
@@ -277,7 +248,7 @@ def start_trace(name: str, **attributes: Any) -> span:
 
     The per-request opt-in: ``explain_analyze`` runs exactly one traced query
     in an otherwise untraced process.  Worker pools propagate the context, so
-    the forced trace still covers thread and process fan-out.
+    the forced trace still covers a thread fan-out.
     """
     return span(name, _force=True, **attributes)
 

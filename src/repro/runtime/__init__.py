@@ -5,11 +5,8 @@ Every pool in the library is created here:
 * :class:`WorkerPool` — named, sized, lazily-started pools over one FIFO
   queue, Future-style :class:`TaskHandle`\\ s, graceful
   drain/shutdown, and per-pool telemetry through
-  :class:`~repro.serving.ServingTelemetry`.  Two backends share that one
-  API: ``backend="thread"`` (the default) and ``backend="process"`` — forked
-  worker processes for true multicore execution, fed picklable tasks whose
-  dataset arrays arrive zero-copy via :class:`~repro.store.SharedDataPlane`
-  mmaps rather than per-task pickling;
+  :class:`~repro.serving.ServingTelemetry`.  Tasks run on worker threads of
+  this one interpreter;
 * :class:`Runtime` — the named-pool registry layers share (engine and sharding
   on one runtime = one set of workers), snapshot-aware: pools are
   dropped at save and rebuilt lazily after restore.  A pool is used only when
@@ -18,20 +15,13 @@ Every pool in the library is created here:
   dispatch decision may rely on.
 """
 
-from .pool import (
-    POOL_BACKENDS,
-    TaskHandle,
-    WorkerPool,
-    fork_available,
-)
+from .pool import TaskHandle, WorkerPool
 from .runtime import Runtime, default_runtime, usable_cores
 
 __all__ = [
-    "POOL_BACKENDS",
     "Runtime",
     "TaskHandle",
     "WorkerPool",
     "default_runtime",
-    "fork_available",
     "usable_cores",
 ]

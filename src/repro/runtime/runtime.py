@@ -3,9 +3,9 @@
 A :class:`Runtime` owns every :class:`~repro.runtime.WorkerPool` a deployment
 runs on.  Layers acquire pools by name (``runtime.pool("shards", ...)``) —
 the first acquisition creates the pool with the requested configuration,
-later acquisitions reuse it — so a sharded selector and the engine's
-pipelined executor sharing one runtime share workers instead of each spawning
-a private executor.
+later acquisitions reuse it — so sharded selectors and rebalance builds
+sharing one runtime share workers instead of each spawning a private
+executor.
 
 Runtimes are snapshot-aware: pools are live threads and never serialize.
 ``__snapshot_state__`` drops them (a save while tasks are in flight raises —
@@ -49,34 +49,19 @@ class Runtime:
     # ------------------------------------------------------------------ #
     # Pool acquisition
     # ------------------------------------------------------------------ #
-    def pool(
-        self,
-        name: str,
-        num_workers: int = 4,
-        backend: str = "thread",
-    ) -> WorkerPool:
+    def pool(self, name: str, num_workers: int = 4) -> WorkerPool:
         """The pool registered under ``name``, created on first acquisition.
 
-        The backend applies only when this call creates the pool (the first
-        acquisition wins; components that need true
-        multicore acquire a distinctly-named ``backend="process"`` pool, e.g.
-        ``"shards-proc"``, so they never silently land on a thread pool an
-        earlier layer created), but the worker count is a *floor*: an
-        existing pool grows to ``num_workers`` if it is narrower, so a wide
-        fan-out joining a shared pool never silently runs at a narrower
-        width.
+        The worker count is a *floor*: an existing pool grows to
+        ``num_workers`` if it is narrower, so a wide fan-out joining a shared
+        pool never silently runs at a narrower width.
         """
         with self._lock:
             existing = self._pools.get(name)
             if existing is not None:
                 existing.ensure_workers(num_workers)
                 return existing
-            created = WorkerPool(
-                name,
-                num_workers=num_workers,
-                telemetry=self.telemetry,
-                backend=backend,
-            )
+            created = WorkerPool(name, num_workers=num_workers, telemetry=self.telemetry)
             self._pools[name] = created
             return created
 

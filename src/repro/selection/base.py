@@ -10,17 +10,12 @@ Exact selection serves three purposes in the reproduction, mirroring the paper:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence
 
 import numpy as np
 
 from ..distances.base import DistanceFunction
 from .delta import check_delete_positions, rebuild_in_place
-
-#: (named arrays, JSON-able metadata) describing a selector's dataset — the
-#: payload a :class:`~repro.store.SharedDataPlane` publishes so process-pool
-#: workers can rebuild the selector from mmap'd bytes instead of a pickle.
-PlaneExport = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
 
 
 class SimilaritySelector(ABC):
@@ -131,32 +126,3 @@ class SimilaritySelector(ABC):
     def rebuild(self, dataset: Sequence) -> "SimilaritySelector":
         """Return a new selector over an updated dataset (same configuration)."""
         return type(self)(dataset)
-
-    # ------------------------------------------------------------------ #
-    # Shared-data-plane protocol (process-pool shard fan-out)
-    # ------------------------------------------------------------------ #
-    def export_arrays(self) -> Optional[PlaneExport]:
-        """The selector's dataset as (named arrays, metadata), or ``None``.
-
-        A selector that supports zero-copy shard fan-out returns arrays a
-        :class:`~repro.store.SharedDataPlane` can publish (every worker
-        process attaches them via mmap) plus the JSON-able constructor
-        metadata :meth:`from_arrays` needs.  ``None`` (the default) means
-        "no process-backend support": a sharded selector falls back to the
-        thread backend for this shard type.
-        """
-        return None
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-    ) -> "SimilaritySelector":
-        """Rebuild a selector from a plane published by :meth:`export_arrays`.
-
-        Runs once per worker process (the result is cached by plane
-        fingerprint); it must produce a selector that answers every query
-        bit-identically to the exporting instance.
-        """
-        raise NotImplementedError(
-            f"{cls.__name__} does not support shared-data-plane rebuilds"
-        )

@@ -163,27 +163,3 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
         self._signatures = GrowableArray(np.zeros(0, dtype=np.uint64))
         self._postings: Dict[str, GrowableArray] = {}
         self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
-
-    # ------------------------------------------------------------------ #
-    # Shared-data-plane protocol
-    # ------------------------------------------------------------------ #
-    def export_arrays(self):
-        """Strings as one UTF-8 byte blob + offsets; workers rebuild the index."""
-        encoded = [record.encode("utf-8") for record in self.dataset]
-        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-        np.cumsum([len(blob) for blob in encoded], out=offsets[1:])
-        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8) if encoded else np.zeros(
-            0, dtype=np.uint8
-        )
-        return {"blob": blob, "offsets": offsets}, {"q": self.q}
-
-    @classmethod
-    def from_arrays(cls, arrays, meta) -> "QGramEditSelector":
-        blob = np.asarray(arrays["blob"], dtype=np.uint8)
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        raw = blob.tobytes()
-        records = [
-            raw[offsets[i] : offsets[i + 1]].decode("utf-8")
-            for i in range(offsets.size - 1)
-        ]
-        return cls(records, q=int(meta["q"]))

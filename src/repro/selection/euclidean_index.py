@@ -122,18 +122,3 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
             self._radii[int(pivot_id)] = max(
                 self._radii[int(pivot_id)], float(distances[in_ball, pivot_id].max())
             )
-
-    def export_arrays(self):
-        """Publish the float64 matrix (live rows); workers rebuild the ball partition.
-
-        Pivot choice is seeded in the worker rebuild, but any pivot set gives
-        exact (hence identical) query answers — pruning is a necessary
-        condition, never the final filter.
-        """
-        return {"matrix": self._live_rows(self._matrix.view())}, {
-            "num_pivots": len(self._pivots) or 16
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays, meta) -> "BallIndexEuclideanSelector":
-        return cls(np.asarray(arrays["matrix"]), num_pivots=int(meta["num_pivots"]))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from ..distances.hamming import (
     pack_bits,
     pack_bits_words,
     packed_hamming_distances_words,
-    unpack_bits,
 )
-from .base import PlaneExport, SimilaritySelector
+from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray
 
 
@@ -91,21 +90,6 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
 
     def _restore_derived(self) -> None:
         self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))
-
-    def export_arrays(self) -> PlaneExport:
-        """Publish the packed matrix (live rows); workers rebuild from unpacked rows."""
-        return {"packed": self._live_rows(self._packed.view())}, {
-            "dimension": int(self._dimension),
-            "count": len(self),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-    ) -> "PackedHammingSelector":
-        if not int(meta["count"]):
-            return cls([])
-        return cls(unpack_bits(np.asarray(arrays["packed"]), int(meta["dimension"])))
 
     def cardinality_curve(self, record, thresholds) -> np.ndarray:
         """One packed XOR+popcount scan answers every threshold."""
@@ -310,17 +294,3 @@ class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
 
     def _restore_derived(self) -> None:
         self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))
-
-    def export_arrays(self) -> PlaneExport:
-        """Publish the raw 0/1 matrix (live rows); workers rebuild the part indexes."""
-        return {"matrix": self._live_rows(self._matrix.view())}, {
-            "part_size": self.parts[0][1] - self.parts[0][0] if self.parts else 16,
-            "count": len(self),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-    ) -> "PigeonholeHammingSelector":
-        records = list(np.asarray(arrays["matrix"])) if int(meta["count"]) else []
-        return cls(records, part_size=int(meta["part_size"]))

@@ -107,35 +107,3 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
         self._sizes = GrowableArray(np.zeros(0, dtype=np.int64))
         self._postings: Dict[Hashable, GrowableArray] = {}
         self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
-
-    def export_arrays(self):
-        """Sets as one sorted-token int64 column + offsets; workers rebuild.
-
-        Token order inside a record does not matter (records are sets), so
-        the rebuild is bit-identical by construction.
-        """
-        records = self.dataset
-        if not all(
-            all(isinstance(token, (int, np.integer)) for token in record)
-            for record in records
-        ):
-            return None  # non-integer tokens: no array form, thread fallback
-        sorted_records = [sorted(record) for record in records]
-        offsets = np.zeros(len(sorted_records) + 1, dtype=np.int64)
-        np.cumsum([len(tokens) for tokens in sorted_records], out=offsets[1:])
-        tokens = (
-            np.concatenate([np.asarray(t, dtype=np.int64) for t in sorted_records if t])
-            if any(sorted_records)
-            else np.zeros(0, dtype=np.int64)
-        )
-        return {"tokens": tokens, "offsets": offsets}, {}
-
-    @classmethod
-    def from_arrays(cls, arrays, meta) -> "PrefixFilterJaccardSelector":
-        tokens = np.asarray(arrays["tokens"], dtype=np.int64)
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        records = [
-            frozenset(int(t) for t in tokens[offsets[i] : offsets[i + 1]])
-            for i in range(offsets.size - 1)
-        ]
-        return cls(records)

@@ -15,7 +15,7 @@ future threshold for that record for free; the cache key is the featurized
 record, so repeated records across thresholds and across time all hit.
 
 **Concurrency.**  The service is safe to drive from many threads at once —
-shard fan-out and the engine's pipelined executor hit one service.  A single
+shard fan-out threads and every caller of the engine hit one service.  A single
 re-entrant lock protects the cache, the registry, and every resolution step
 (re-entrant because a merged shard endpoint's estimator calls back into the
 service for the per-shard curves); no request is ever lost, dropped, or

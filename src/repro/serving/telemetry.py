@@ -5,7 +5,7 @@ size, a request's latency, a worker-pool task, the feedback loop's
 estimated-vs-actual observations and drift crossings — is recorded once, in a
 labelled metric of ``telemetry.metrics`` (``_LEDGER``;
 ``docs/metrics_catalog.md``).  That registry is the only state: snapshots persist
-it, ``to_prometheus()`` exposes it, pools and their child processes record into it.
+it, ``to_prometheus()`` exposes it, pool worker threads record into it.
 
 ``endpoint(name)``, ``total``, ``snapshot()`` and ``to_prometheus()`` are views
 computed from it when called: :class:`EndpointStats` values, not live objects.

@@ -39,8 +39,8 @@ from .selector import ShardedSelector, ShardLayoutSnapshot
 #: Pool the rebalance driver runs on (distinct from the build pool so a
 #: background `start()` never deadlocks waiting for its own builds).
 REBALANCE_POOL = "rebalance"
-#: Pool target-shard builds fan out on (thread backend: index construction is
-#: numpy-heavy and releases the GIL), and the most workers it is created with.
+#: Pool target-shard builds fan out on (index construction is numpy-heavy and
+#: releases the GIL), and the most workers it is created with.
 REBALANCE_BUILD_POOL = "rebalance-build"
 BUILD_WORKERS = 4
 

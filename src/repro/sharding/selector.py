@@ -14,24 +14,12 @@ core is usable and one task of that op has been costing at least
 :data:`THREAD_DISPATCH_FLOOR_SECONDS` of CPU — the measured size from which
 handing tasks to the runtime's thread pool beats looping over them.
 
-With ``backend="process"`` the fan-out escapes the GIL entirely: each shard's
-index arrays are published once through a
-:class:`~repro.store.SharedDataPlane` and every query ships only the op +
-arguments to forked worker processes, which attach the shard's arrays as
-read-only mmap views and rebuild the selector exactly once per (shard,
-process).  Results stay bit-identical to the thread backend — same selector
-classes, same kernels, only the address space differs.  Shards whose selector
-cannot export a plane (``export_arrays() is None``) silently keep the
-in-process fan-out; on platforms without ``fork`` the process pool itself
-runs on threads.
-
 Updates route the same way (§8 per shard, not globally): an insert/delete
 expressed against *global* record ids is translated into one local operation
 per touched shard (:meth:`ShardedSelector.route_operation`) and committed as
 an O(Δ) in-place delta (:meth:`~repro.selection.SimilaritySelector.insert_many`
 / :meth:`~repro.selection.SimilaritySelector.delete_many`) on exactly those
-shards — untouched shards keep their index, labels, model, served curves,
-*and published data plane*.  Only the touched shards' planes are re-exported.
+shards — untouched shards keep their index, labels, model and served curves.
 
 Live rebalancing rides the same machinery: :meth:`begin_rebalance` captures a
 consistent base layout and starts journaling updates, the new layout is built
@@ -45,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,10 +41,9 @@ from ..datasets.updates import UpdateOperation
 from ..distances.base import DistanceFunction
 from ..obs.metrics import current_registry
 from ..obs.trace import span
-from ..runtime import POOL_BACKENDS, Runtime, default_runtime, usable_cores
+from ..runtime import Runtime, default_runtime, usable_cores
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
-from ..store.plane import PlaneHandle, SharedDataPlane, cached_rebuild
 from .partitioner import Partitioner, ShardAssignment, get_partitioner
 
 #: Builds the exact selector for one shard's records.
@@ -65,11 +52,6 @@ SelectorFactory = Callable[[Sequence], SimilaritySelector]
 #: Runtime pool name every sharded selector fans out on — selectors sharing a
 #: runtime share these workers instead of spawning one executor each.
 SHARD_POOL = "shards"
-
-#: Distinct pool name for the process-backend fan-out.  Pool configuration is
-#: first-acquisition-wins, so the process path must never race a component
-#: that already created ``"shards"`` as a thread pool.
-SHARD_PROCESS_POOL = "shards-proc"
 
 #: Mean CPU seconds of one shard task from which a thread fan-out pays — the
 #: measured break-even, read in :func:`fan_out_mode` and nowhere else.
@@ -113,22 +95,17 @@ THREAD_DISPATCH_FLOOR_SECONDS = 0.003
 def fan_out_mode(
     parallel: bool,
     num_tasks: int,
-    planes: bool,
     cores: int,
     mean_task_seconds: float,
 ) -> str:
     """Where one batch of shard tasks runs — the shard fan-out's one decision.
 
-    Published process planes mean worker processes (the selector was asked
-    for them and every shard could export).  Otherwise the tasks are a loop
-    on the calling thread unless dispatch is allowed (``parallel``), there is
-    something to overlap (more than one task, more than one usable core) and
-    one task has been costing at least :data:`THREAD_DISPATCH_FLOOR_SECONDS`
-    of CPU.  No measurement yet reads as ``0.0`` and so as inline: the first
-    fan-out of an op is the measurement.
+    The tasks are a loop on the calling thread unless dispatch is allowed
+    (``parallel``), there is something to overlap (more than one task, more
+    than one usable core) and one task has been costing at least
+    :data:`THREAD_DISPATCH_FLOOR_SECONDS` of CPU.  No measurement yet reads as
+    ``0.0`` and so as inline: the first fan-out of an op is the measurement.
     """
-    if planes:
-        return "process"
     if (
         parallel
         and num_tasks > 1
@@ -186,10 +163,8 @@ class _FanOutMeter:
 def _record_shard_op(op: str, shard_id: int, seconds: float) -> None:
     """Count one shard task into the ambient registry (op + shard labelled).
 
-    ``current_registry()`` is the routing trick that makes both backends
-    land in the same place: on worker threads the pool pushes its telemetry
-    registry, in forked children it is the per-task scratch registry whose
-    state merges back with the result.
+    ``current_registry()`` is the registry the runtime pushed around the
+    task — the same one whether it ran inline or on a pool worker thread.
     """
     labels = {"op": op, "shard": shard_id}
     registry = current_registry()
@@ -201,53 +176,6 @@ def _record_shard_op(op: str, shard_id: int, seconds: float) -> None:
         "repro_shard_task_seconds", labels,
         description="shard fan-out task wall-time per op and shard",
     ).observe(seconds)
-
-
-def _run_shard_op(selector: SimilaritySelector, op: str, payload: Tuple) -> Any:
-    """Dispatch one shard op against one shard's selector."""
-    if op == "query":
-        record, threshold = payload
-        return selector.query(record, threshold)
-    if op == "query_many":
-        records, thresholds = payload
-        return [
-            selector.query(record, float(threshold))
-            for record, threshold in zip(records, thresholds)
-        ]
-    if op == "cardinality":
-        record, threshold = payload
-        return selector.cardinality(record, threshold)
-    if op == "cardinality_curve":
-        record, thresholds = payload
-        return selector.cardinality_curve(
-            record, np.asarray(thresholds, dtype=np.float64)
-        )
-    raise ValueError(f"unknown shard op {op!r}")
-
-
-def _plane_shard_task(
-    handle: PlaneHandle, selector_cls: type, op: str, shard_id: int, payload: Tuple
-) -> Any:
-    """One shard's work inside a worker process.
-
-    Module-level (picklable) by construction.  The selector is rebuilt from
-    the plane's mmap'd arrays at most once per (shard, process) via
-    :func:`~repro.store.cached_rebuild`; after that warm-up every task is
-    pure compute over shared pages.  The ``shard.task`` span lands under the
-    child's ``process.task`` root when the query is traced, and the shard-op
-    metrics land in the child's per-task registry — both ride back to the
-    parent with the result.
-    """
-    selector = cached_rebuild(
-        handle,
-        selector_cls.__qualname__,
-        lambda arrays, meta: selector_cls.from_arrays(arrays, meta),
-    )
-    started = time.perf_counter()
-    with span("shard.task", op=op, shard=shard_id):
-        result = _run_shard_op(selector, op, payload)
-    _record_shard_op(op, shard_id, time.perf_counter() - started)
-    return result
 
 
 @dataclass
@@ -316,13 +244,8 @@ class ShardedSelector(SimilaritySelector):
         partitioner: Union[str, Partitioner, None] = None,
         parallel: bool = True,
         runtime: Optional[Runtime] = None,
-        backend: str = "thread",
     ) -> None:
         super().__init__(dataset)
-        if backend not in POOL_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {POOL_BACKENDS}"
-            )
         self.selector_factory = selector_factory
         if isinstance(partitioner, Partitioner):
             if num_shards is not None and int(num_shards) != partitioner.num_shards:
@@ -346,22 +269,15 @@ class ShardedSelector(SimilaritySelector):
             for ids in self._assignment.global_ids
         ]
         #: ``None`` means "the process-wide default runtime, resolved at use"
-        #: — an engine injects its own so serving, sharding, and pipelined
-        #: execution share one set of workers.
+        #: — an engine injects its own so serving and sharding share one set
+        #: of workers.
         self.runtime = runtime
-        #: Requested fan-out backend; the effective one degrades to threads
-        #: per query when a shard cannot publish a plane (see _shard_planes).
-        self.backend = backend
-        #: Serializes layout changes (shards/assignment/planes/journal)
+        #: Serializes layout changes (shards/assignment/journal)
         #: against query capture and compaction.  Shard *compute*
         #: runs outside the lock, so queries never block behind an update for
         #: longer than the O(Δ) commit itself.
         self._lock = threading.RLock()
         self._dataset_stale = False
-        self._plane: Optional[SharedDataPlane] = None
-        self._shard_planes: Optional[List[Tuple[PlaneHandle, type]]] = None
-        self._plane_disabled = False
-        self._dirty_plane_shards: Set[int] = set()
         #: ``None`` = no rebalance in flight; a list = journal of updates
         #: applied since :meth:`begin_rebalance`, replayed at commit.
         self._journal: Optional[List[UpdateOperation]] = None
@@ -413,26 +329,18 @@ class ShardedSelector(SimilaritySelector):
 
     def stats(self) -> Dict[str, Any]:
         """Shard-topology summary (the health report's per-attribute view),
-        with where the last fan-out ran (``inline`` / ``thread`` /
-        ``process``; ``None`` before the first) and the per-op mean CPU
+        with where the last fan-out ran (``inline`` / ``thread``; ``None``
+        before the first) and the per-op mean CPU
         seconds of one shard task that choice was made on."""
         return {
             "num_shards": self.num_shards,
             "shard_sizes": self.shard_sizes(),
             "parallel": self.parallel,
-            "backend": self.backend,
             "records": len(self),
             "rebalance_in_flight": self._journal is not None,
             "journal_depth": len(self._journal) if self._journal is not None else 0,
             **self._meter.snapshot(),
         }
-
-    @property
-    def dispatches_to_processes(self) -> bool:
-        """Whether fan-outs currently go to worker processes: asked for,
-        allowed, and no shard has refused to export a plane.  The one case
-        in which a caller of this selector waits outside the interpreter."""
-        return self.backend == "process" and self.parallel and not self._plane_disabled
 
     # ------------------------------------------------------------------ #
     # Parallel fan-out
@@ -469,8 +377,7 @@ class ShardedSelector(SimilaritySelector):
         shards: List[SimilaritySelector],
         mode: str,
     ) -> List[Any]:
-        """Run ``task`` on every shard selector in this process: as a loop on
-        the calling thread (``mode="inline"``) or as one task per shard on
+        """Run ``task`` on every shard selector: as a loop on the calling thread (``mode="inline"``) or as one task per shard on
         the runtime's shared :data:`SHARD_POOL` (``mode="thread"``).
 
         The same :meth:`_shard_call` runs either way — same span, same
@@ -501,117 +408,26 @@ class ShardedSelector(SimilaritySelector):
                 raise error
         return [handle.result() for handle in handles]
 
-    def _ensure_planes(self) -> Optional[List[Tuple[PlaneHandle, type]]]:
-        """Publish shard arrays (incrementally); ``None`` = thread fallback.
-
-        Publication is all-or-nothing: one shard that cannot export arrays
-        (e.g. a Jaccard selector over non-integer tokens) disables the
-        process path for the whole selector — half-process/half-thread
-        fan-out would serialize on the slower half anyway.
-
-        After an update only the *dirty* shards (the ones the update touched)
-        re-export and republish; every other shard keeps its published plane,
-        so worker processes keep their warm mmap views and rebuild caches.
-        A layout change (rebalance, shard-count change) resets everything.
-        """
-        # Unlike the thread path there is no single-shard shortcut: one shard
-        # in one worker process still moves the scan off the caller's core
-        # (and keeps 1-worker measurements honest about pipe overhead).
-        if not self.dispatches_to_processes:
-            return None
-        with self._lock:
-            if self._plane_disabled:
-                return None
-            if self._shard_planes is not None and not self._dirty_plane_shards:
-                return self._shard_planes
-            if (
-                self._shard_planes is not None
-                and len(self._shard_planes) == self.num_shards
-            ):
-                # Incremental path: re-export only the dirty shards.
-                planes = list(self._shard_planes)
-                dirty = sorted(self._dirty_plane_shards)
-                refresh = dirty
-            else:
-                planes = [None] * self.num_shards
-                refresh = list(range(self.num_shards))
-            exports = []
-            for shard_id in refresh:
-                shard = self._shards[shard_id]
-                exported = shard.export_arrays()
-                if exported is None:
-                    self._plane_disabled = True
-                    self._shard_planes = None
-                    self._dirty_plane_shards = set()
-                    return None
-                exports.append((shard_id, type(shard), exported))
-            if self._plane is None:
-                self._plane = SharedDataPlane()
-            for shard_id, selector_cls, (arrays, meta) in exports:
-                planes[shard_id] = (self._plane.publish(arrays, meta), selector_cls)
-            self._shard_planes = planes
-            self._dirty_plane_shards = set()
-            return self._shard_planes
-
-    def _invalidate_planes_locked(
-        self, shard_ids: Optional[Sequence[int]] = None
-    ) -> None:
-        """Mark shard planes stale; caller holds the layout lock.
-
-        With ``shard_ids`` only those shards are marked dirty — unchanged
-        shards keep their published plane (payload files stay on disk and
-        worker processes keep their mmap views).  Without, the whole layout
-        changed: every plane is dropped and the disabled flag is reset so the
-        next process fan-out re-probes exportability from scratch.
-        """
-        if (
-            shard_ids is None
-            or self._shard_planes is None
-            or len(self._shard_planes) != self.num_shards
-        ):
-            self._shard_planes = None
-            self._dirty_plane_shards = set()
-        else:
-            self._dirty_plane_shards.update(int(i) for i in shard_ids)
-        self._plane_disabled = False
-
     def _fan_out(
-        self, op: str, payload: Tuple, task: Callable[[SimilaritySelector], Any]
+        self, op: str, task: Callable[[SimilaritySelector], Any]
     ) -> Tuple[List[Any], ShardAssignment]:
-        """Run one op on every shard, where :func:`fan_out_mode` says: on
-        worker processes over published planes, on the thread pool, or as a
-        loop on this thread.  All three execute the same selector code, so
-        their results are interchangeable bit for bit.
+        """Run one op on every shard, where :func:`fan_out_mode` says: on the
+        thread pool or as a loop on this thread.  Both execute the same
+        selector code, so their results are interchangeable bit for bit.
 
-        The (shards, assignment, planes) triple is captured under the layout
-        lock so a concurrent rebalance commit cannot tear it; the shard
-        compute itself runs outside the lock.  Returns the captured
-        assignment so the caller merges local ids against the layout that
-        actually answered.
+        The (shards, assignment) pair is captured under the layout lock so a
+        concurrent rebalance commit cannot tear it; the shard compute itself
+        runs outside the lock.  Returns the captured assignment so the caller
+        merges local ids against the layout that actually answered.
         """
         with self._lock:
             shards = list(self._shards)
             assignment = self._assignment
-            planes = self._ensure_planes()
         mode = fan_out_mode(
-            self.parallel,
-            len(shards),
-            planes is not None,
-            usable_cores(),
-            self._meter.mean(op),
+            self.parallel, len(shards), usable_cores(), self._meter.mean(op)
         )
         self._meter.ran(mode)
-        if mode != "process":
-            return self._map_shards(op, task, shards, mode), assignment
-        runtime = self.runtime if self.runtime is not None else default_runtime()
-        pool = runtime.pool(
-            SHARD_PROCESS_POOL, num_workers=len(planes), backend="process"
-        )
-        handles = [
-            pool.submit(_plane_shard_task, handle, selector_cls, op, shard_id, payload)
-            for shard_id, (handle, selector_cls) in enumerate(planes)
-        ]
-        return [handle.result() for handle in handles], assignment
+        return self._map_shards(op, task, shards, mode), assignment
 
     @staticmethod
     def _merge(
@@ -641,7 +457,7 @@ class ShardedSelector(SimilaritySelector):
     ) -> Tuple[List[int], List[int]]:
         """Global match ids plus the per-shard match counts (executor telemetry)."""
         local_matches, assignment = self._fan_out(
-            "query", (record, threshold), lambda shard: shard.query(record, threshold)
+            "query", lambda shard: shard.query(record, threshold)
         )
         return (
             _MergedIds(self._merge(local_matches, assignment)),
@@ -657,7 +473,6 @@ class ShardedSelector(SimilaritySelector):
             raise ValueError("records and thresholds must have the same length")
         per_shard, assignment = self._fan_out(
             "query_many",
-            (list(records), list(thresholds)),
             lambda shard: [
                 shard.query(record, float(threshold))
                 for record, threshold in zip(records, thresholds)
@@ -670,9 +485,7 @@ class ShardedSelector(SimilaritySelector):
 
     def cardinality(self, record: Any, threshold: float) -> int:
         counts, _ = self._fan_out(
-            "cardinality",
-            (record, threshold),
-            lambda shard: shard.cardinality(record, threshold),
+            "cardinality", lambda shard: shard.cardinality(record, threshold)
         )
         return int(sum(counts))
 
@@ -684,7 +497,6 @@ class ShardedSelector(SimilaritySelector):
             return np.zeros(0, dtype=np.int64)
         curves, _ = self._fan_out(
             "cardinality_curve",
-            (record, thresholds),
             lambda shard: shard.cardinality_curve(record, thresholds),
         )
         return np.sum(curves, axis=0).astype(np.int64)
@@ -696,7 +508,6 @@ class ShardedSelector(SimilaritySelector):
             partitioner=self.partitioner,
             parallel=self.parallel,
             runtime=self.runtime,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -717,21 +528,16 @@ class ShardedSelector(SimilaritySelector):
         The ``runtime`` reference persists as an object (its own hooks drop
         the live pools), preserving runtime-sharing identity across restore:
         an engine and its sharded selectors restore onto ONE runtime, and the
-        shard pool is rebuilt lazily on the first parallel fan-out.  Plane
-        state (temp files + handles into them), the layout lock, the fan-out
-        meter (advisory; re-learned by the first fan-out), and an in-flight
-        rebalance journal are likewise dropped — a restored selector serves
-        the committed layout.
+        shard pool is rebuilt lazily on the first parallel fan-out.  The
+        layout lock, the fan-out meter (advisory; re-learned by the first
+        fan-out), and an in-flight rebalance journal are likewise dropped — a
+        restored selector serves the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale
         state["_dataset_stale"] = False
         state.pop("selector_factory", None)
         state.pop("_lock", None)
-        state["_plane"] = None
-        state["_shard_planes"] = None
-        state["_plane_disabled"] = False
-        state["_dirty_plane_shards"] = set()
         state["_journal"] = None
         state.pop("_meter", None)
         return state
@@ -798,8 +604,7 @@ class ShardedSelector(SimilaritySelector):
         Each touched shard absorbs its local operation through
         ``insert_many``/``delete_many`` — append segments + tombstones on
         delta-maintained selectors, an in-place rebuild on selectors without
-        delta support.  Untouched shards are not even looked at, and only the
-        touched shards' published planes are invalidated.
+        delta support.  Untouched shards are not even looked at.
 
         ``applied_shards`` names the touched shards whose local operation was
         already applied in place (by the per-shard
@@ -837,7 +642,6 @@ class ShardedSelector(SimilaritySelector):
             else:
                 self._dataset_stale = True
             self._mutations += 1
-            self._invalidate_planes_locked(routing.touched_shards)
             if self._journal is not None:
                 self._journal.append(routing.operation)
 
@@ -867,24 +671,12 @@ class ShardedSelector(SimilaritySelector):
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
-    def _compact_shard(self, shard_id: int) -> int:
-        """Compact one shard and refresh its plane."""
-        with self._lock:
-            shard = self._shards[shard_id]
-            reclaimed = shard.compact()
-            if reclaimed:
-                self._invalidate_planes_locked([shard_id])
-            return reclaimed
-
     def compact(self) -> int:
         """Synchronously compact every shard; returns total rows reclaimed.
         Between calls each shard's forced-compaction bound (synchronous,
         amortized O(Δ)) keeps its tombstones bounded."""
-        reclaimed = 0
         with self._lock:
-            for shard_id in range(self.num_shards):
-                reclaimed += self._compact_shard(shard_id)
-        return reclaimed
+            return sum(shard.compact() for shard in self._shards)
 
     def needs_compaction(self) -> bool:
         return any(shard.needs_compaction() for shard in self._shards)
@@ -1004,7 +796,6 @@ class ShardedSelector(SimilaritySelector):
             self._dataset = list(base.records)
             self._dataset_stale = False
             self._mutations += 1
-            self._invalidate_planes_locked()
             journal, self._journal = self._journal, None
             for operation in journal:
                 self.apply_operation(operation)

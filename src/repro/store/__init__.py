@@ -15,10 +15,7 @@ incremental retraining instead of rebuilding.
   with shared-reference/cycle preservation;
 * :mod:`repro.store.snapshot` — ``save_engine``/``load_engine`` (with
   ``mmap=True``: a zero-copy, read-only restore) and the generic component
-  facades;
-* :mod:`repro.store.plane` — :class:`SharedDataPlane`, the zero-copy bridge
-  to the process-pool runtime backend: arrays published once to a
-  content-named payload, attached worker-side as read-only mmap views.
+  facades.
 """
 
 from .format import (
@@ -31,7 +28,6 @@ from .format import (
     SnapshotManifest,
     load_arrays,
 )
-from .plane import PlaneHandle, SharedDataPlane, attach_plane, cached_rebuild
 from .snapshot import (
     SnapshotInfo,
     inspect_snapshot,
@@ -56,8 +52,4 @@ __all__ = [
     "LazyArrayReader",
     "MmapArrayReader",
     "load_arrays",
-    "PlaneHandle",
-    "SharedDataPlane",
-    "attach_plane",
-    "cached_rebuild",
 ]

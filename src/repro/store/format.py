@@ -63,7 +63,10 @@ FORMAT_NAME = "repro-snapshot"
 #       `monitoring` attribute that may hold a MonitoringHub (with its
 #       TimeSeriesStore, SLOEvaluator and AlertManager), and none of those
 #       classes exists to decode into.
-FORMAT_VERSION = 7
+#   8 — the process backend is gone: a version-7 ShardedSelector carries a
+#       `backend` and four shared-data-plane fields, and a version-7 engine
+#       the width of its pipelined-execution pool; nothing reads them now.
+FORMAT_VERSION = 8
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"
@@ -295,27 +298,20 @@ class MmapArrayReader:
     and N readers over the same file share one physical copy of the pages.
     Views keep the pinned little-endian dtype (native on little-endian
     machines; numpy transparently handles the swapped order elsewhere).
-    Pass ``verified=True`` when the payload hash was already checked — e.g.
-    spawning many readers over one file — to skip re-hashing.
     """
 
     def __init__(
         self,
         payload_path: PathLike,
         entries: Sequence[ArrayEntry],
-        payload_sha256: Optional[str] = None,
-        verified: bool = False,
+        payload_sha256: str,
     ) -> None:
         self._path = Path(payload_path)
         self._entries = list(entries)
-        if not verified:
-            if payload_sha256 is None:
-                raise ValueError("payload_sha256 is required unless verified=True")
-            actual = _sha256_file(self._path)
-            if actual != payload_sha256:
-                raise SnapshotFormatError(
-                    f"payload {self._path.name} failed its SHA-256 checksum"
-                )
+        if _sha256_file(self._path) != payload_sha256:
+            raise SnapshotFormatError(
+                f"payload {self._path.name} failed its SHA-256 checksum"
+            )
         self._mmap = np.memmap(self._path, dtype=np.uint8, mode="r")
         self._memo: Dict[int, np.ndarray] = {}
 

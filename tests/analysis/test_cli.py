@@ -100,5 +100,5 @@ class TestModuleEntryPoint:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert result.returncode == 0
-        for code in [f"RPR00{n}" for n in range(1, 9)] + ["RPR900"]:
+        for code in [f"RPR00{n}" for n in (1, 2, 4, 5, 6, 7, 8)] + ["RPR900"]:
             assert code in result.stdout

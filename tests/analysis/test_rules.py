@@ -99,48 +99,6 @@ class TestSnapshotHookPairs:
 
 
 # --------------------------------------------------------------------- #
-# RPR003 — picklable submit (library code only)
-# --------------------------------------------------------------------- #
-class TestPicklableSubmit:
-    def test_fires_on_lambda(self):
-        source = """
-            def fan_out(pool, items):
-                return [pool.submit(lambda item=item: item) for item in items]
-        """
-        assert codes(source) == ["RPR003"]
-
-    def test_fires_on_nested_function_and_partial_lambda(self):
-        source = """
-            import functools
-
-            def fan_out(pool, item):
-                def task():
-                    return item
-                a = pool.submit(task)
-                b = pool.submit(functools.partial(lambda x: x, item))
-                return a, b
-        """
-        assert codes(source) == ["RPR003", "RPR003"]
-
-    def test_passes_on_module_level_callable(self):
-        source = """
-            def task(item):
-                return item
-
-            def fan_out(pool, items):
-                return [pool.submit(task, item) for item in items]
-        """
-        assert codes(source) == []
-
-    def test_tests_pinning_thread_backend_are_exempt(self):
-        source = """
-            def test_pool(pool):
-                assert pool.submit(lambda: 1).result() == 1
-        """
-        assert codes(source, path="tests/runtime/test_pool.py") == []
-
-
-# --------------------------------------------------------------------- #
 # RPR004 — monotonic clocks for durations
 # --------------------------------------------------------------------- #
 class TestMonotonicTime:

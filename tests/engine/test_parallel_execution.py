@@ -1,12 +1,11 @@
-"""Pipelined ``execute_many`` equivalence: pooled execution changes the
-wall-clock, never the answers.
+"""``execute_many`` equivalence: the bulk path changes the wall-clock, never
+the answers.
 
-The engine's parallel path must be bit-identical to sequential execution on
-all four distances — results, plans, feedback windows, and drift telemetry —
-including when the driving attribute fans out across shards on the same
-runtime's pools.  A pool is used only when it pays, so the tests that are
-about the pooled paths reach them through the decisions' inputs: a
-``backend="process"`` attribute makes ``execute_many`` pipeline, the
+One batched ``execute_many`` must be bit-identical to a loop of ``execute``
+on all four distances — results, plans, feedback windows, and drift
+telemetry — including when the driving attribute fans out across shards on
+the engine runtime's thread pool.  A pool is used only when it pays, so the
+tests about the pooled path reach it through the decision's input: the
 ``thread_fan_out`` fixture makes shard fan-outs dispatch to threads.
 """
 
@@ -17,12 +16,7 @@ import pytest
 
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.engine.engine import pipelines_execution
-from repro.runtime import Runtime, fork_available
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+from repro.runtime import Runtime
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
 THETAS = {"hamming": 5.0, "edit": 3.0, "jaccard": 0.4, "euclidean": 1.5}
@@ -58,14 +52,13 @@ def datasets():
     }
 
 
-def _build_engine(datasets, execute_workers=4, process_sharded=()):
-    """Four attributes, one per distance; those named in ``process_sharded``
-    live on two ``backend="process"`` shards — the input that makes
-    ``execute_many`` pipeline."""
-    engine = SimilarityQueryEngine(execute_workers=execute_workers)
+def _build_engine(datasets, sharded=()):
+    """Four attributes, one per distance; those named in ``sharded`` live on
+    two shards."""
+    engine = SimilarityQueryEngine()
     for name in DISTANCES:
         dataset = datasets[name]
-        if name in process_sharded:
+        if name in sharded:
             engine.register_sharded_attribute(
                 name,
                 dataset.records,
@@ -75,7 +68,6 @@ def _build_engine(datasets, execute_workers=4, process_sharded=()):
                 ),
                 num_shards=2,
                 theta_max=dataset.theta_max,
-                backend="process",
             )
             continue
         engine.register_attribute(
@@ -122,38 +114,14 @@ def assert_result_lists_equal(results_a, results_b):
         ]
 
 
-class TestPipeliningDecision:
-    @pytest.mark.parametrize(
-        "parallel, execute_workers, num_queries, waits_outside, expected",
-        [
-            # Only a batch that waits on worker processes is pipelined ...
-            (True, 4, 32, True, True),
-            (True, 2, 2, True, True),
-            # ... in-interpreter execution never is, whatever the batch,
-            (True, 4, 32, False, False),
-            (True, 4, 2, False, False),
-            # ... nor a batch of one, a one-worker engine, or parallel=False.
-            (True, 4, 1, True, False),
-            (True, 4, 0, True, False),
-            (True, 1, 32, True, False),
-            (False, 4, 32, True, False),
-            (False, 4, 32, False, False),
-        ],
-    )
-    def test_pipelines_execution(
-        self, parallel, execute_workers, num_queries, waits_outside, expected
-    ):
-        assert (
-            pipelines_execution(parallel, execute_workers, num_queries, waits_outside)
-            is expected
-        )
-
+class TestNoDispatchBelowTheFloor:
     @pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
     def test_in_process_batch_of_32_touches_no_pool(self, datasets, sharded):
-        """At this size neither site pays, so neither dispatches: 32 queries
-        through ``execute_many`` submit nothing and create no pool."""
+        """At this size shard fan-out does not pay, so it does not dispatch:
+        32 queries through ``execute_many`` submit nothing and create no
+        pool."""
         dataset = datasets["hamming"]
-        engine = SimilarityQueryEngine(execute_workers=4)
+        engine = SimilarityQueryEngine()
         if sharded:
             engine.register_sharded_attribute(
                 "vec",
@@ -194,18 +162,17 @@ class TestPipeliningDecision:
 
 
 class TestBitIdenticalToSequential:
-    @needs_fork
-    def test_four_distance_workload(self, datasets):
-        sequential_engine = _build_engine(datasets, process_sharded=("hamming",))
-        parallel_engine = _build_engine(datasets, process_sharded=("hamming",))
+    def test_four_distance_workload(self, datasets, thread_fan_out):
+        sequential_engine = _build_engine(datasets, sharded=("hamming",))
+        parallel_engine = _build_engine(datasets, sharded=("hamming",))
         queries = _queries(datasets)
         try:
-            sequential = sequential_engine.execute_many(queries, parallel=False)
+            sequential = [sequential_engine.execute(query) for query in queries]
             parallel = parallel_engine.execute_many(queries)
-            # The parallel engine actually used its pool.
-            pool_stats = parallel_engine.runtime.stats()["engine-execute"]
-            assert pool_stats["completed"] == len(queries)
-            assert "engine-execute" not in sequential_engine.runtime.pool_names()
+            # The sharded attribute actually fanned out on the thread pool.
+            pool_stats = parallel_engine.runtime.stats()["shards"]
+            assert pool_stats["completed"] > 0
+            assert parallel_engine.runtime.pool_names() == ["shards"]
         finally:
             sequential_engine.runtime.shutdown()
             parallel_engine.runtime.shutdown()
@@ -239,18 +206,13 @@ class TestBitIdenticalToSequential:
         query = SimilarityPredicate("hamming", datasets["hamming"].records[2], 5.0)
         result = engine.execute(query)
         assert result.record_ids  # the record itself at least
-        assert "engine-execute" not in engine.runtime.pool_names()
-
-    def test_workers_equal_one_disables_the_pool(self, datasets):
-        engine = _build_engine(datasets, execute_workers=1)
-        engine.execute_many(_queries(datasets))
         assert engine.runtime.pool_names() == []
 
 
 class TestShardedDriverOnSharedRuntime:
     @staticmethod
-    def _build(dataset, backend="thread"):
-        engine = SimilarityQueryEngine(execute_workers=4)
+    def _build(dataset):
+        engine = SimilarityQueryEngine()
         engine.register_sharded_attribute(
             "vec",
             dataset.records,
@@ -260,7 +222,6 @@ class TestShardedDriverOnSharedRuntime:
             ),
             num_shards=3,
             theta_max=dataset.theta_max,
-            backend=backend,
         )
         return engine
 
@@ -270,34 +231,6 @@ class TestShardedDriverOnSharedRuntime:
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
         ]
 
-    @needs_fork
-    def test_sharded_fanout_and_pipelined_execution_share_one_runtime(self, datasets):
-        dataset = datasets["hamming"]
-        queries = self._shard_queries(dataset)
-        sequential = self._build(dataset).execute_many(queries, parallel=False)
-        parallel_engine = self._build(dataset, backend="process")
-        try:
-            parallel = parallel_engine.execute_many(queries)
-            assert_result_lists_equal(sequential, parallel)
-            for result in parallel:
-                assert result.shard_counts is not None
-                assert sum(result.shard_counts) == result.driver_actual
-
-            # Both concurrency sites live on the engine's ONE runtime, and the
-            # pools report through the service's telemetry.
-            assert set(parallel_engine.runtime.pool_names()) == {
-                "engine-execute",
-                "shards-proc",
-            }
-            snapshot = parallel_engine.service.telemetry.snapshot()
-            assert snapshot["pool:engine-execute"]["requests"] == len(queries)
-            assert snapshot["pool:shards-proc"]["requests"] >= 3 * len(queries)
-            assert parallel_engine.catalog.get("vec").selector.stats()[
-                "last_fan_out"
-            ] == "process"
-        finally:
-            parallel_engine.runtime.shutdown()
-
     def test_thread_fanout_runs_on_the_engine_runtime_without_pipelining(
         self, datasets, thread_fan_out
     ):
@@ -305,7 +238,8 @@ class TestShardedDriverOnSharedRuntime:
         engine runtime's ``shards`` pool, and nothing is pipelined."""
         dataset = datasets["hamming"]
         queries = self._shard_queries(dataset)
-        sequential = self._build(dataset).execute_many(queries, parallel=False)
+        sequential_engine = self._build(dataset)
+        sequential = [sequential_engine.execute(query) for query in queries]
         engine = self._build(dataset)
         assert_result_lists_equal(sequential, engine.execute_many(queries))
         assert engine.runtime.pool_names() == ["shards"]

@@ -252,6 +252,19 @@ def test_factory_is_called_once_per_shard_in_order_with_lists(engine, dataset):
         assert size == len(shard)
 
 
+def test_a_backend_other_than_thread_is_refused_before_anything_is_built(engine, dataset):
+    """Shards fan out on the caller's thread or the runtime's threads; there
+    are no worker processes to ask for."""
+    exploding = ExplodingFactory(fail_on=10**6)
+    before = state(engine)
+    with pytest.raises(ValueError, match="backend"):
+        sharded(engine, dataset.records, estimator_factory=exploding, backend="process")
+    assert state(engine) == before
+    assert exploding.calls == []
+    assert sharded(engine, dataset.records, backend="thread").sharded
+    assert_exact(engine)
+
+
 # --------------------------------------------------------------------------- #
 # Swaps: part endpoints after an update, shard endpoints after a rebalance
 # --------------------------------------------------------------------------- #

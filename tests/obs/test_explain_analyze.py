@@ -1,11 +1,10 @@
 """Engine.explain_analyze: per-predicate estimated-vs-actual reports, span
-trees covering the shard fan-out (both backends), the slow-query ring, and
+trees covering the shard fan-out, the slow-query ring, and
 the tracing-never-changes-results guarantee."""
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from repro.baselines import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.obs import SlowQueryLog, disable_tracing, enable_tracing
-from repro.runtime import fork_available
 
 RNG = np.random.default_rng(31)
 
@@ -29,9 +27,9 @@ def sampling_factory(distance_name, **options):
     return factory
 
 
-def _build_engine(backend="thread", **engine_kwargs):
-    """Two euclidean attributes over one relation: 'vec' sharded 3 ways on
-    the requested backend, 'aux' unsharded."""
+def _build_engine(**engine_kwargs):
+    """Two euclidean attributes over one relation: 'vec' sharded 3 ways,
+    'aux' unsharded."""
     vec = [row for row in RNG.normal(size=(NUM_ROWS, 8))]
     aux = [row for row in RNG.normal(size=(NUM_ROWS, 4))]
     engine = SimilarityQueryEngine(**engine_kwargs)
@@ -42,7 +40,6 @@ def _build_engine(backend="thread", **engine_kwargs):
         sampling_factory("euclidean", sample_ratio=0.3),
         num_shards=3,
         theta_max=6.0,
-        backend=backend,
     )
     engine.register_attribute(
         "aux",
@@ -203,30 +200,6 @@ class TestServiceSpans:
             ]
             nested = {s.attributes["endpoint"] for s in merged.find("service.estimate")}
             assert {f"vec#shard{shard}" for shard in range(3)} <= nested
-        finally:
-            engine.runtime.shutdown()
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-class TestProcessBackendReport:
-    def test_shard_spans_come_from_forked_children(self):
-        engine, vec, aux = _build_engine(backend="process")
-        try:
-            # Warm once so the report's fan-out runs on an already-published
-            # plane; then the traced query.
-            engine.execute(_two_predicate_query(vec, aux, index=1))
-            report = engine.explain_analyze(_two_predicate_query(vec, aux))
-            assert {p.role for p in report.predicates} == {"driver", "residual"}
-            process_spans = report.process_spans()
-            assert process_spans, "no child spans rode back"
-            assert all(s.pid != os.getpid() for s in process_spans)
-            shard_spans = report.shard_spans()
-            assert {s.attributes["shard"] for s in shard_spans} == {0, 1, 2}
-            # Every shard span sits inside some child process span.
-            child_shards = [
-                node for proc in process_spans for node in proc.find("shard.task")
-            ]
-            assert len(child_shards) == len(shard_spans)
         finally:
             engine.runtime.shutdown()
 

@@ -1,10 +1,9 @@
-"""Metrics registry: counters/gauges/histograms, cross-process merge state,
+"""Metrics registry: counters/gauges/histograms, per-metric merges,
 quantile derivation, exposition formats, and the ambient-registry plumbing."""
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
@@ -152,27 +151,6 @@ class TestRegistry:
         counter = registry.counter("hits_total", {"endpoint": "x"})
         assert registry.get("hits_total", {"endpoint": "x"}) is counter
         assert registry.get("hits_total") is None
-
-    def test_export_and_merge_state_roundtrip(self):
-        source = MetricsRegistry()
-        source.counter("tasks_total", {"pool": "p"}).inc(3)
-        source.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-        source.gauge("depth").set(4)
-
-        state = pickle.loads(pickle.dumps(source.export_state()))
-        target = MetricsRegistry()
-        target.counter("tasks_total", {"pool": "p"}).inc(1)
-        target.merge_state(state)
-        target.merge_state(state)  # merges accumulate
-
-        assert target.counter("tasks_total", {"pool": "p"}).value == 7.0
-        assert target.histogram("lat", buckets=(1.0, 2.0)).count == 2
-        assert target.gauge("depth").value == 4.0
-
-    def test_merge_state_rejects_unknown_type(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.merge_state({"x": {"type": "summary", "name": "x"}})
 
     def test_to_dict_includes_derived_quantiles(self):
         registry = MetricsRegistry()

@@ -151,23 +151,6 @@ class TestRegistryFeeds:
         text = telemetry.to_prometheus()
         assert 'repro_requests_total{endpoint="euclid"} 1' in text
 
-    def test_counts_merged_from_another_registry_show_in_the_flat_view(self):
-        """What a process-backend child ships back lands in the one ledger,
-        so the flat view counts it — even for entries never recorded here."""
-        child = ServingTelemetry()
-        child.record_requests("euclid", 4, 1, 3)
-        child.record_pool_task("shards-proc", 0.02)
-        telemetry = ServingTelemetry()
-        telemetry.record_requests("euclid", 1, 1, 0)
-        telemetry.metrics.merge_state(child.metrics.export_state())
-        assert telemetry.endpoint("euclid").requests == 5
-        assert telemetry.endpoint("euclid").cache_misses == 3
-        assert telemetry.endpoint("pool:shards-proc").requests == 1
-        assert telemetry.total.requests == 5
-        # ... and recording keeps working on the merged entries.
-        telemetry.record_pool_task("shards-proc", 0.01)
-        assert telemetry.endpoint("pool:shards-proc").requests == 2
-
 
 class TestLedgerIdentity:
     def test_registry_sees_traffic_after_every_public_call(self):

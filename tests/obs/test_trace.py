@@ -1,5 +1,5 @@
 """Trace layer: span trees, the off-by-default no-op path, and propagation
-through worker pools — threads and forked children alike."""
+through worker-pool threads."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from repro.obs import (
     start_trace,
     tracing_enabled,
 )
-from repro.runtime import WorkerPool, fork_available
+from repro.runtime import WorkerPool
 
 
 @pytest.fixture(autouse=True)
@@ -86,17 +86,6 @@ class TestSpanTree:
         assert clone.name == "root"
         assert clone.children[0].name == "inner"
         assert clone.span_id == root.span_id
-
-    def test_adopt_reparents_a_subtree(self):
-        foreign = Span("process.task")
-        foreign.child("shard.task").finish()
-        foreign.finish()
-        with start_trace("root") as root:
-            with span("pool.task") as task:
-                task.adopt(foreign)
-        assert foreign.parent_id == task.span_id
-        assert foreign.trace_id == root.trace_id
-        assert root.find("shard.task")
 
 
 class TestDisabledPath:
@@ -192,32 +181,3 @@ class TestPoolPropagation:
             pool.shutdown()
         assert current_span() is None
 
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-class TestProcessPropagation:
-    def test_child_spans_ride_back_and_reparent(self):
-        pool = WorkerPool("trace-procs", 2, backend="process")
-        try:
-            with start_trace("root") as root:
-                handles = [pool.submit(os.getpid) for _ in range(3)]
-                child_pids = {h.result() for h in handles}
-            assert os.getpid() not in child_pids
-            proc_spans = root.find("process.task")
-            assert len(proc_spans) == 3
-            assert {s.pid for s in proc_spans} <= child_pids
-            for node in proc_spans:
-                assert node.trace_id == root.trace_id
-                assert node.duration is not None
-            # Each rode back under its parent-side pool.task span.
-            for task in root.find("pool.task"):
-                assert [c.name for c in task.children] == ["process.task"]
-        finally:
-            pool.shutdown()
-
-    def test_untraced_process_tasks_stay_spanless(self):
-        pool = WorkerPool("trace-procs-off", 1, backend="process")
-        try:
-            assert pool.submit(os.getpid).result() != os.getpid()
-        finally:
-            pool.shutdown()
-        assert current_span() is None

@@ -14,10 +14,9 @@ class TestPoolRegistry:
     def test_same_name_returns_the_same_pool(self):
         runtime = Runtime()
         first = runtime.pool("workers", num_workers=3)
-        again = runtime.pool("workers", num_workers=2, backend="process")
+        again = runtime.pool("workers", num_workers=2)
         assert again is first
         assert first.num_workers == 3  # worker floor: never shrinks
-        assert first.backend == "thread"  # backend: first wins
         assert runtime.pool_names() == ["workers"]
         assert "workers" in runtime
 

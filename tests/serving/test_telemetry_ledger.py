@@ -3,8 +3,7 @@
 For any sequence of recorded events the flat view (``snapshot()``, ``total``),
 the Prometheus text and the registry say the same thing as a tally the test
 keeps on the side with the flat-counter arithmetic the telemetry used to do
-itself — and still do after a snapshot round trip and after another
-registry's state is merged in (what a process-backend child ships back).
+itself — and still do after a snapshot round trip.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.obs import DEFAULT_LATENCY_BUCKETS, bucket_quantile
 from repro.serving.telemetry import ServingTelemetry, q_error
 
 ENDPOINTS = ["hm", "ed", "hm::part0", "vec#shard1"]
-POOLS = ["shards", "engine-execute"]
+POOLS = ["shards", "rebalance-build"]
 
 endpoint = st.sampled_from(ENDPOINTS)
 seconds = st.floats(0.0, 20.0, allow_nan=False)
@@ -97,10 +96,6 @@ class Tally:
                 mine[key] = max(mine[key], value)
             else:
                 mine[key] = mine[key] + value  # ints add, lists concatenate
-
-    def merge(self, other: "Tally") -> None:
-        for name, theirs in other.entries.items():
-            self.add(name, theirs)
 
     def total(self) -> dict:
         """Sum over the client endpoints: pool entries stay out."""
@@ -225,23 +220,6 @@ def test_still_equal_after_a_snapshot_round_trip(before, after):
     for event in after:  # ... and it keeps counting where it left off
         tally.apply(restored, event)
     assert_agrees(restored, tally)
-
-
-@settings(max_examples=40, deadline=None)
-@given(events, events, events)
-def test_still_equal_after_merging_a_second_registry(mine, theirs, after):
-    telemetry, tally = ServingTelemetry(), Tally()
-    for event in mine:
-        tally.apply(telemetry, event)
-    child, child_tally = ServingTelemetry(), Tally()
-    for event in theirs:
-        child_tally.apply(child, event)
-    telemetry.metrics.merge_state(child.metrics.export_state())
-    tally.merge(child_tally)
-    assert_agrees(telemetry, tally)
-    for event in after:  # merged-in entries resolve to the merged metrics
-        tally.apply(telemetry, event)
-    assert_agrees(telemetry, tally)
 
 
 def test_online_mean_q_error_adds_the_same_terms_in_the_same_order():

@@ -1,7 +1,7 @@
 """Where a shard fan-out runs: the decision, and what must not depend on it.
 
-``fan_out_mode`` chooses between the calling thread, the runtime's thread
-pool and worker processes from inputs the selector observes.  The first class
+``fan_out_mode`` chooses between the calling thread and the runtime's thread
+pool from inputs the selector observes.  The first class
 pins the decision table with injected inputs (no timing); the rest pins that
 the choice moves wall-clock only — results and per-shard metrics are the same
 in kind, in count and in *registry* wherever the tasks ran.
@@ -20,22 +20,13 @@ from hypothesis import strategies as st
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.obs import default_registry
-from repro.runtime import Runtime, fork_available
+from repro.runtime import Runtime
 from repro.selection.euclidean_index import BallIndexEuclideanSelector
 from repro.selection.hamming_index import PackedHammingSelector
 from repro.serving.telemetry import ServingTelemetry
 from repro.sharding import ShardedSelector
 from repro.sharding import selector as selector_module
-from repro.sharding.selector import (
-    SHARD_POOL,
-    SHARD_PROCESS_POOL,
-    THREAD_DISPATCH_FLOOR_SECONDS,
-    fan_out_mode,
-)
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+from repro.sharding.selector import SHARD_POOL, THREAD_DISPATCH_FLOOR_SECONDS, fan_out_mode
 
 FLOOR = THREAD_DISPATCH_FLOOR_SECONDS
 BELOW, ABOVE = FLOOR / 2, FLOOR * 2
@@ -50,32 +41,28 @@ def thread_dispatch():
 
 class TestDecisionTable:
     @pytest.mark.parametrize(
-        "parallel, num_tasks, planes, cores, mean, expected",
+        "parallel, num_tasks, cores, mean, expected",
         [
-            # Planes published: worker processes, whatever else holds.
-            (True, 4, True, 1, 0.0, "process"),
-            (True, 4, True, 2, ABOVE, "process"),
-            (True, 1, True, 2, 0.0, "process"),
             # No measurement yet reads 0.0: inline.
-            (True, 4, False, 2, 0.0, "inline"),
+            (True, 4, 2, 0.0, "inline"),
             # Two cores: the floor decides; reaching it is enough.
-            (True, 4, False, 2, BELOW, "inline"),
-            (True, 4, False, 2, FLOOR, "thread"),
-            (True, 4, False, 2, ABOVE, "thread"),
-            (True, 4, False, 8, ABOVE, "thread"),
+            (True, 4, 2, BELOW, "inline"),
+            (True, 4, 2, FLOOR, "thread"),
+            (True, 4, 2, ABOVE, "thread"),
+            (True, 4, 8, ABOVE, "thread"),
             # One usable core: nothing to overlap, however large the tasks.
-            (True, 4, False, 1, BELOW, "inline"),
-            (True, 4, False, 1, FLOOR, "inline"),
-            (True, 4, False, 1, ABOVE, "inline"),
+            (True, 4, 1, BELOW, "inline"),
+            (True, 4, 1, FLOOR, "inline"),
+            (True, 4, 1, ABOVE, "inline"),
             # One task: nothing to overlap either.
-            (True, 1, False, 2, ABOVE, "inline"),
+            (True, 1, 2, ABOVE, "inline"),
             # parallel=False never dispatches.
-            (False, 4, False, 2, ABOVE, "inline"),
-            (False, 4, False, 1, 0.0, "inline"),
+            (False, 4, 2, ABOVE, "inline"),
+            (False, 4, 1, 0.0, "inline"),
         ],
     )
-    def test_fan_out_mode(self, parallel, num_tasks, planes, cores, mean, expected):
-        assert fan_out_mode(parallel, num_tasks, planes, cores, mean) == expected
+    def test_fan_out_mode(self, parallel, num_tasks, cores, mean, expected):
+        assert fan_out_mode(parallel, num_tasks, cores, mean) == expected
 
     def test_the_floor_is_positive_so_an_unmeasured_op_runs_inline(self):
         assert FLOOR > 0.0
@@ -142,7 +129,7 @@ class TestDecisionTable:
 
 
 # --------------------------------------------------------------------------- #
-# Three modes, one answer, one set of metrics
+# Two modes, one answer, one set of metrics
 # --------------------------------------------------------------------------- #
 KINDS = {
     "hamming": (
@@ -186,7 +173,6 @@ def _default_registry_shard_series():
     return _shard_metric_counts(default_registry())
 
 
-@needs_fork
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(sorted(KINDS)),
@@ -195,12 +181,12 @@ def _default_registry_shard_series():
     num_records=st.integers(min_value=12, max_value=48),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_inline_thread_and_process_fan_outs_agree(kind, num_shards, op, num_records, seed):
+def test_inline_and_thread_fan_outs_agree(kind, num_shards, op, num_records, seed):
     make_records, selector_cls, thetas = KINDS[kind]
     records = make_records(np.random.default_rng(seed), num_records)
     before = _default_registry_shard_series()
     outcomes = {}
-    for mode in ("inline", "thread", "process"):
+    for mode in ("inline", "thread"):
         telemetry = ServingTelemetry()
         runtime = Runtime(telemetry=telemetry)
         selector = ShardedSelector(
@@ -209,7 +195,6 @@ def test_inline_thread_and_process_fan_outs_agree(kind, num_shards, op, num_reco
             num_shards=num_shards,
             partitioner="round_robin",
             runtime=runtime,
-            backend="process" if mode == "process" else "thread",
         )
         try:
             if mode == "thread":
@@ -220,12 +205,10 @@ def test_inline_thread_and_process_fan_outs_agree(kind, num_shards, op, num_reco
             pools = runtime.pool_names()
         finally:
             runtime.shutdown()
-        # One shard has nothing to overlap: the in-process modes both loop.
+        # One shard has nothing to overlap: both modes loop.
         ran = "inline" if mode == "thread" and num_shards == 1 else mode
         assert selector.stats()["last_fan_out"] == ran
-        assert pools == {
-            "inline": [], "thread": [SHARD_POOL], "process": [SHARD_PROCESS_POOL]
-        }[ran]
+        assert pools == {"inline": [], "thread": [SHARD_POOL]}[ran]
         outcomes[mode] = (answer, _shard_metric_counts(telemetry.metrics))
 
     unsharded = selector_cls(records)
@@ -301,40 +284,4 @@ class TestOneRegistry:
         for mode, (ids, counts, _) in served.items():
             assert ids == served["inline"][0], mode
             assert counts == expected_counts, mode
-        assert _default_registry_shard_series() == before
-
-    @needs_fork
-    def test_process_shards_report_the_same_counts(self):
-        rng = np.random.default_rng(18)
-        records = [row for row in rng.integers(0, 2, size=(48, 16)).astype(np.uint8)]
-        queries = [SimilarityPredicate("vec", records[i], 5.0) for i in range(6)]
-        before = _default_registry_shard_series()
-        counts = {}
-        for mode, options in (
-            ("inline", {}),
-            ("never", {"parallel": False}),
-            ("process", {"backend": "process"}),
-        ):
-            engine = SimilarityQueryEngine()
-            engine.register_sharded_attribute(
-                "vec",
-                records,
-                "hamming",
-                lambda shard_records, shard: UniformSamplingEstimator(
-                    shard_records, "hamming", sample_ratio=0.5, seed=shard
-                ),
-                num_shards=4,
-                theta_max=8.0,
-                **options,
-            )
-            try:
-                engine.execute_many(queries)
-                assert engine.catalog.get("vec").selector.stats()["last_fan_out"] == (
-                    "process" if mode == "process" else "inline"
-                )
-            finally:
-                engine.runtime.shutdown()
-            counts[mode] = _shard_metric_counts(engine.service.telemetry.metrics)
-        assert counts["inline"] == counts["never"] == counts["process"]
-        assert set(counts["inline"].values()) == {len(queries)}
         assert _default_registry_shard_series() == before

@@ -250,14 +250,6 @@ class TestExecution:
         assert report.num_shards_after == 3
         assert sorted(sharded.query(query, 14)) == expected
 
-    def test_process_backend_rebalance_stays_identical(self):
-        records = make_records(150)
-        sharded = make_sharded(records, num_shards=3, backend="process")
-        query = records[7]
-        expected = sorted(sharded.query(query, 14))
-        Rebalancer().execute(sharded, RebalancePlan([SplitShard(1, parts=2)]))
-        assert sorted(sharded.query(query, 14)) == expected
-
     def test_emptied_shard_still_queries_merges_and_snapshots(self, tmp_path):
         from repro.store import load_component, save_component
 

@@ -18,7 +18,6 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.runtime import fork_available
 from repro.store import inspect_snapshot, load_engine, save_engine
 
 
@@ -261,12 +260,12 @@ class TestGPHAndSharded:
 
 
 class TestRuntimeBackedTopology:
-    """An engine whose concurrency runs on the shared runtime (pipelined
-    executor + sharded fan-out) must snapshot WITHOUT serializing pools and
-    restore to a fully working parallel topology."""
+    """An engine whose shard fan-out runs on the shared runtime's thread pool
+    must snapshot WITHOUT serializing pools and restore to a fully working
+    parallel topology."""
 
-    def _sharded_runtime_engine(self, dataset, backend="thread"):
-        engine = SimilarityQueryEngine(execute_workers=4)
+    def _sharded_runtime_engine(self, dataset):
+        engine = SimilarityQueryEngine()
         engine.register_sharded_attribute(
             "vec",
             dataset.records,
@@ -276,27 +275,21 @@ class TestRuntimeBackedTopology:
             ),
             num_shards=3,
             theta_max=dataset.theta_max,
-            backend=backend,
         )
         return engine
 
-    @pytest.mark.skipif(
-        not fork_available(), reason="process backend needs the fork start method"
-    )
     def test_runtime_pools_never_serialize_and_rebuild_after_restore(
-        self, datasets, tmp_path
+        self, datasets, tmp_path, thread_fan_out
     ):
         dataset = datasets["hamming"]
-        # Process shards: the one topology in which BOTH foreground sites
-        # (pipelined execution, shard fan-out) run on pools.
-        engine = self._sharded_runtime_engine(dataset, backend="process")
+        engine = self._sharded_runtime_engine(dataset)
         queries = [
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
         ]
         restored = None
         try:
-            engine.execute_many(queries)  # spin up both pools before saving
-            assert set(engine.runtime.pool_names()) == {"engine-execute", "shards-proc"}
+            engine.execute_many(queries)  # spin up the shard pool before saving
+            assert engine.runtime.pool_names() == ["shards"]
 
             save_engine(engine, tmp_path / "snap")
             manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
@@ -315,9 +308,9 @@ class TestRuntimeBackedTopology:
                 engine.execute_many(queries), restored.execute_many(queries)
             ):
                 assert_results_equal(original, loaded)
-            assert set(restored.runtime.pool_names()) == {"engine-execute", "shards-proc"}
-            pool_report = restored.service.telemetry.snapshot()["pool:engine-execute"]
-            assert pool_report["requests"] >= len(queries)
+            assert restored.runtime.pool_names() == ["shards"]
+            pool_report = restored.service.telemetry.snapshot()["pool:shards"]
+            assert pool_report["requests"] >= 3 * len(queries)
         finally:
             engine.runtime.shutdown()
             if restored is not None:
