@@ -14,6 +14,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..datasets.synthetic import Dataset
+from ..distances.base import THETA_SLACK
 from ..featurization import build_feature_extractor
 from ..featurization.base import FeatureExtractor
 from ..workloads.examples import QueryExample
@@ -34,13 +35,13 @@ def counts_within_thresholds(distance_matrix: np.ndarray, thetas: np.ndarray) ->
     Sorts each row once and answers the whole grid by binary search, so no
     (rows × grid × columns) boolean temporary is materialized — the shared
     curve kernel for distance-matrix estimators (sampling, sketches).
-    Equivalent to ``count_nonzero(distances <= theta + 1e-12)`` per cell.
+    Equivalent to ``count_nonzero(within(distances, theta))`` per cell.
     """
     sorted_rows = np.sort(distance_matrix, axis=1)
     thetas = np.asarray(thetas, dtype=np.float64)
     curves = np.empty((sorted_rows.shape[0], len(thetas)))
     for row, distances in enumerate(sorted_rows):
-        curves[row] = np.searchsorted(distances, thetas + 1e-12, side="right")
+        curves[row] = np.searchsorted(distances, thetas + THETA_SLACK, side="right")
     return curves
 
 

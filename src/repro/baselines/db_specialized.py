@@ -33,6 +33,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.interface import CardinalityEstimator
+from ..distances.base import integer_radius, within
+from ..distances.euclidean import EuclideanDistance
 from ..selection.edit_index import qgrams
 from .common import counts_within_thresholds
 
@@ -123,7 +125,7 @@ class HistogramHammingEstimator(CardinalityEstimator):
             return np.zeros(0)
         queries = np.stack([np.asarray(r, dtype=np.uint8).reshape(-1) for r in records])
         cumulative = np.cumsum(self._distance_distributions(queries), axis=1)
-        thresholds = np.asarray(thetas, dtype=np.float64).astype(np.int64)
+        thresholds = integer_radius(np.asarray(thetas, dtype=np.float64))
         columns = np.clip(thresholds, 0, cumulative.shape[1] - 1)
         return cumulative[np.arange(len(records)), columns] * self._num_records
 
@@ -137,7 +139,7 @@ class HistogramHammingEstimator(CardinalityEstimator):
             return np.zeros((0, len(thetas)))
         queries = np.stack([np.asarray(r, dtype=np.uint8).reshape(-1) for r in records])
         cumulative = np.cumsum(self._distance_distributions(queries), axis=1)
-        columns = np.clip(thetas.astype(np.int64), 0, cumulative.shape[1] - 1)
+        columns = np.clip(integer_radius(thetas), 0, cumulative.shape[1] - 1)
         return cumulative[:, columns] * self._num_records
 
     def curve_thetas(self) -> np.ndarray:
@@ -218,7 +220,7 @@ class QGramInvertedIndexEstimator(CardinalityEstimator):
         records = list(records)
         if not records:
             return np.zeros(0)
-        thresholds = np.asarray(thetas, dtype=np.float64).astype(np.int64)
+        thresholds = integer_radius(np.asarray(thetas, dtype=np.float64))
         output = np.zeros(len(records))
         for index, record in enumerate(records):
             query_length, record_ids, overlaps = self._query_state(record)
@@ -236,7 +238,7 @@ class QGramInvertedIndexEstimator(CardinalityEstimator):
         records = list(records)
         if not records:
             return np.zeros((0, len(thetas)))
-        thresholds = thetas.astype(np.int64)
+        thresholds = integer_radius(thetas)
         curves = np.zeros((len(records), len(thresholds)))
         for index, record in enumerate(records):
             query_length, record_ids, overlaps = self._query_state(record)
@@ -298,9 +300,7 @@ class SketchJaccardEstimator(CardinalityEstimator):
             return np.zeros(0)
         distances = self._sketch_distances(records)
         thetas = np.asarray(thetas, dtype=np.float64)
-        return np.count_nonzero(
-            distances <= thetas[:, None] + 1e-12, axis=1
-        ).astype(np.float64)
+        return np.count_nonzero(within(distances, thetas[:, None]), axis=1).astype(np.float64)
 
     def estimate_curve_many(
         self, records: Sequence[Any], thetas: Optional[Sequence[float]] = None
@@ -369,18 +369,13 @@ class LSHSamplingEuclideanEstimator(CardinalityEstimator):
         """
         query = np.asarray(record, dtype=np.float64).reshape(-1)
         candidates = self._candidates(query)
-        if candidates.size:
-            deltas = self._matrix[candidates] - query[None, :]
-            candidate_distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        else:
-            candidate_distances = np.zeros(0)
         background = np.setdiff1d(self._background_ids, candidates, assume_unique=False)
-        if background.size:
-            deltas = self._matrix[background] - query[None, :]
-            background_distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        else:
-            background_distances = np.zeros(0)
-        return candidate_distances, background_distances, int(candidates.size)
+        distance = EuclideanDistance()
+        return (
+            distance.distances_to(query, self._matrix[candidates]),
+            distance.distances_to(query, self._matrix[background]),
+            int(candidates.size),
+        )
 
     def _counts_for_thresholds(
         self,
@@ -390,12 +385,12 @@ class LSHSamplingEuclideanEstimator(CardinalityEstimator):
         thresholds: np.ndarray,
     ) -> np.ndarray:
         counts = np.count_nonzero(
-            candidate_distances[None, :] <= thresholds[:, None] + 1e-12, axis=1
+            within(candidate_distances[None, :], thresholds[:, None]), axis=1
         ).astype(np.float64)
         if background_distances.size:
             fractions = (
                 np.count_nonzero(
-                    background_distances[None, :] <= thresholds[:, None] + 1e-12, axis=1
+                    within(background_distances[None, :], thresholds[:, None]), axis=1
                 )
                 / background_distances.size
             )

@@ -13,7 +13,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from ..core.interface import CardinalityEstimator
-from ..distances import get_distance
+from ..distances import get_distance, within
 from .common import counts_within_thresholds
 
 
@@ -48,7 +48,7 @@ class UniformSamplingEstimator(CardinalityEstimator):
             return np.zeros(0)
         distances = self.distance.cross_distances(records, self._sample)
         thetas = np.asarray(thetas, dtype=np.float64)
-        counts = np.count_nonzero(distances <= thetas[:, None] + 1e-12, axis=1)
+        counts = np.count_nonzero(within(distances, thetas[:, None]), axis=1)
         return counts.astype(np.float64) * self._scale
 
     def estimate_curve_many(

@@ -32,6 +32,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ..distances.base import THETA_SLACK
 from ..workloads.examples import QueryExample
 
 
@@ -120,7 +121,9 @@ class CardinalityEstimator(ABC):
         answers match direct estimation exactly.
         """
         grid = np.asarray(grid, dtype=np.float64)
-        indices = np.searchsorted(grid, np.asarray(thetas, dtype=np.float64) + 1e-12, side="right") - 1
+        indices = np.searchsorted(
+            grid, np.asarray(thetas, dtype=np.float64) + THETA_SLACK, side="right"
+        ) - 1
         return np.clip(indices, 0, len(grid) - 1).astype(np.int64)
 
     def curve_index(self, theta: float, thetas: np.ndarray) -> int:

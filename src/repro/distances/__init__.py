@@ -1,7 +1,7 @@
 """Distance functions used by the paper: Hamming, edit, Jaccard, Euclidean."""
 
-from .base import DistanceFunction
-from .edit import EditDistance, batch_levenshtein, levenshtein, levenshtein_within
+from .base import THETA_SLACK, DistanceFunction, integer_radius, within
+from .edit import EditDistance, batch_levenshtein, levenshtein
 from .euclidean import EuclideanDistance, normalize_rows
 from .hamming import (
     HammingDistance,
@@ -13,6 +13,9 @@ from .jaccard import JaccardDistance, as_frozenset, jaccard_similarity
 
 __all__ = [
     "DistanceFunction",
+    "THETA_SLACK",
+    "within",
+    "integer_radius",
     "HammingDistance",
     "EditDistance",
     "JaccardDistance",
@@ -21,7 +24,6 @@ __all__ = [
     "unpack_bits",
     "packed_hamming_distances",
     "levenshtein",
-    "levenshtein_within",
     "batch_levenshtein",
     "jaccard_similarity",
     "as_frozenset",

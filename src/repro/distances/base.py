@@ -4,6 +4,11 @@ The paper's framework is generic over a distance function ``f: O × O → R``
 (§2.1).  Concrete distances (Hamming, edit, Jaccard, Euclidean) implement this
 interface; exact selection algorithms, feature extraction, and workload label
 generation all go through it.
+
+Whether a distance lies within a threshold is decided here and nowhere else:
+:func:`within` for a distance, :func:`integer_radius` for an index that
+searches an integer radius.  Both add the one tolerance :data:`THETA_SLACK`,
+so every index, the executor and the labels answer ``f(q, o) <= θ`` alike.
 """
 
 from __future__ import annotations
@@ -12,6 +17,24 @@ from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
 import numpy as np
+
+#: Tolerance added to every threshold: ``d <= θ`` is decided as ``d <= θ + THETA_SLACK``.
+THETA_SLACK = 1e-12
+
+
+def within(distances, thetas):
+    """``distances <= thetas + THETA_SLACK``, broadcast as the caller shapes them."""
+    return distances <= np.add(thetas, THETA_SLACK)
+
+
+def integer_radius(thetas):
+    """The largest integer distance :func:`within` admits: ``floor(θ + THETA_SLACK)``.
+
+    An ``int`` for a scalar (a non-finite θ raises, as ``int()`` does), an
+    ``int64`` array for an array.
+    """
+    radius = np.floor(np.add(thetas, THETA_SLACK))
+    return int(radius) if radius.ndim == 0 else radius.astype(np.int64)
 
 
 class DistanceFunction(ABC):
@@ -35,16 +58,13 @@ class DistanceFunction(ABC):
         """
         return np.array([self.distance(x, y) for y in dataset], dtype=np.float64)
 
-    def count_within(self, x: Any, dataset: Sequence[Any], threshold: float) -> int:
-        """Exact cardinality ``|{y in dataset : f(x, y) <= threshold}|``."""
-        return int(np.count_nonzero(self.distances_to(x, dataset) <= threshold + 1e-12))
-
     def cross_distances(self, queries: Sequence[Any], dataset: Sequence[Any]) -> np.ndarray:
         """(n_queries, n_records) matrix of distances.
 
-        The batch-first estimators (sampling, KDE) are built on this kernel.
-        Subclasses with a vectorized pairwise form override it; the default
-        runs the per-query kernel row by row.
+        Row ``i`` equals ``distances_to(queries[i], dataset)`` exactly, for
+        every distance, so a threshold decided on either agrees.  Subclasses
+        override it only to share per-batch work (encoding the rows once);
+        the default runs the per-query kernel row by row.
         """
         return np.stack([self.distances_to(query, dataset) for query in queries]) \
             if len(queries) else np.zeros((0, len(dataset)))

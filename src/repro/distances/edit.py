@@ -1,4 +1,4 @@
-"""Levenshtein edit distance on strings, with banded and batched variants."""
+"""Levenshtein edit distance on strings, with a batched variant."""
 
 from __future__ import annotations
 
@@ -30,46 +30,6 @@ def levenshtein(x: str, y: str) -> int:
             )
         previous, current = current, previous
     return previous[len(y)]
-
-
-def levenshtein_within(x: str, y: str, threshold: int) -> Optional[int]:
-    """Banded edit distance: return the distance if it is <= threshold, else None.
-
-    Only cells within ``threshold`` of the diagonal are filled in, which makes
-    label generation on long strings with small thresholds far cheaper than the
-    full DP — the same trick exact similarity-selection algorithms use.
-    """
-    if threshold < 0:
-        return None
-    len_x, len_y = len(x), len(y)
-    if abs(len_x - len_y) > threshold:
-        return None
-    if x == y:
-        return 0
-    if threshold == 0:
-        return None
-    big = threshold + 1
-    previous = np.arange(len_y + 1, dtype=np.int64)
-    current = np.empty(len_y + 1, dtype=np.int64)
-    for i in range(1, len_x + 1):
-        current[:] = big
-        current[0] = i
-        low = max(1, i - threshold)
-        high = min(len_y, i + threshold)
-        char_x = x[i - 1]
-        for j in range(low, high + 1):
-            cost = 0 if char_x == y[j - 1] else 1
-            best = previous[j - 1] + cost
-            if previous[j] + 1 < best:
-                best = previous[j] + 1
-            if current[j - 1] + 1 < best:
-                best = current[j - 1] + 1
-            current[j] = best
-        if current[low:high + 1].min() > threshold:
-            return None
-        previous, current = current.copy(), previous
-    result = int(previous[len_y])
-    return result if result <= threshold else None
 
 
 def string_codes(strings: Sequence[str], width: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,11 +121,3 @@ class EditDistance(DistanceFunction):
                 for row, length in zip(query_codes, query_lengths)
             ]
         )
-
-    def count_within(self, x: str, dataset: Sequence[str], threshold: float) -> int:
-        threshold_int = int(threshold)
-        count = 0
-        for record in dataset:
-            if levenshtein_within(x, record, threshold_int) is not None:
-                count += 1
-        return count

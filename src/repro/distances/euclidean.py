@@ -32,47 +32,14 @@ class EuclideanDistance(DistanceFunction):
         deltas = data - query[None, :]
         return np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
 
-    #: Upper bound (bytes) on the per-block GEMM output of cross_distances.
-    #: Bounds peak transient memory: the blocked loop writes each block's
-    #: result in place, so the largest temp is one (block, n) float64 panel.
-    BLOCK_BYTES = 1 << 24
-
     def cross_distances(self, queries: Sequence, dataset: Sequence) -> np.ndarray:
-        """(n_queries, n_records) distances through the GEMM identity.
-
-        Fast, but it rounds differently from :meth:`distances_to`: a record
-        lying exactly on a threshold can fall on the other side of it.  A
-        caller that must decide a threshold as the selectors do (workload
-        labels) calls ``distances_to`` per query instead.
-        """
-        if len(queries) == 0:
-            return np.zeros((0, len(dataset)))
+        """(n_queries, n_records) distances: the rows converted once, then one
+        :meth:`distances_to` row per query — the same arithmetic, so the same
+        floats, as a per-query call."""
         data = np.asarray(dataset, dtype=np.float64)
-        if data.ndim != 2:
-            data = np.stack([np.asarray(record, dtype=np.float64) for record in dataset])
-        query_matrix = np.asarray(queries, dtype=np.float64)
-        if query_matrix.ndim != 2:
-            query_matrix = np.stack([np.asarray(record, dtype=np.float64) for record in queries])
-        # ||q - d||^2 = ||q||^2 - 2 q·d + ||d||^2, clipped against fp
-        # cancellation.  Computed in query blocks so the transient GEMM panel
-        # stays cache-resident and peak memory is bounded by BLOCK_BYTES on
-        # top of the (q, n) result, however large the inputs.
-        num_queries, num_records = query_matrix.shape[0], data.shape[0]
-        data_t = np.ascontiguousarray(data.T)
-        data_norms = np.einsum("ij,ij->i", data, data)[None, :]
-        out = np.empty((num_queries, num_records), dtype=np.float64)
-        block = max(1, self.BLOCK_BYTES // max(1, num_records * 8))
-        for start in range(0, num_queries, block):
-            stop = min(start + block, num_queries)
-            panel = out[start:stop]
-            np.matmul(query_matrix[start:stop], data_t, out=panel)
-            panel *= -2.0
-            panel += np.einsum(
-                "ij,ij->i", query_matrix[start:stop], query_matrix[start:stop]
-            )[:, None]
-            panel += data_norms
-            np.maximum(panel, 0.0, out=panel)
-            np.sqrt(panel, out=panel)
+        out = np.empty((len(queries), len(data)))
+        for row, query in enumerate(queries):
+            out[row] = self.distances_to(query, data)
         return out
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Sequence, Set, Union
+from typing import FrozenSet, Sequence, Set, Union
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class JaccardDistance(DistanceFunction):
 
     def distance(self, x: SetLike, y: SetLike) -> float:
         return 1.0 - jaccard_similarity(x, y)
-
-    def count_within(self, x: SetLike, dataset: Iterable[SetLike], threshold: float) -> int:
-        set_x = as_frozenset(x)
-        count = 0
-        for record in dataset:
-            if 1.0 - jaccard_similarity(set_x, record) <= threshold + 1e-12:
-                count += 1
-        return count
 
     def cross_distances(self, queries: Sequence[SetLike], dataset: Sequence[SetLike]) -> np.ndarray:
         """Pairwise Jaccard distances via a token-membership matrix product."""

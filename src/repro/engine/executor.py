@@ -3,10 +3,10 @@
 The executor is estimator-free: given a :class:`~repro.engine.planner.QueryPlan`
 it answers the driving predicate with the attribute's exact index (using the
 plan's GPH allocation when present) and verifies residual predicates over the
-shrinking candidate set with the distances' vectorized ``cross_distances``
-kernels — one batched kernel call per residual, never a per-record Python
-loop.  Results are therefore exact whatever the plan quality; planning only
-moves the cost.
+shrinking candidate set — one ``cross_distances`` call per residual, whose
+distances equal ``distances_to``'s, decided by
+:func:`~repro.distances.base.within` as the linear scan decides them.  Results
+are therefore exact whatever the plan quality; planning only moves the cost.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..distances.base import within
 from ..obs.trace import span
 from ..selection import PigeonholeHammingSelector
 from ..sharding import ShardedSelector
@@ -117,7 +118,7 @@ class QueryExecutor:
                     distances = binding.distance.cross_distances(
                         [planned.predicate.record], values
                     )[0]
-                    surviving = surviving[distances <= planned.theta + 1e-12]
+                    surviving = surviving[within(distances, planned.theta)]
                     verify_span.set(
                         candidates_in=candidates_in, survivors=int(surviving.size)
                     )

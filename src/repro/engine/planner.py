@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import integer_radius
 from ..obs.trace import span
 from ..optimizer.gph import GPHQueryProcessor, PartCardinalityEstimator
 from ..serving import EstimationService
@@ -183,7 +184,7 @@ class QueryPlanner:
                     binding.records, selector=binding.selector
                 ).plan(
                     driver.predicate.record,
-                    int(driver.theta),
+                    integer_radius(driver.theta),
                     ServicePartCurves(self.service, binding.part_endpoints),
                 )
                 gph_span.set(allocation=gph_plan.allocation)

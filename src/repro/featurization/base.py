@@ -14,6 +14,8 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
+from ..distances.base import integer_radius
+
 
 class FeatureExtractor(ABC):
     """Maps records and thresholds into the Hamming-space interface of CardNet."""
@@ -88,7 +90,7 @@ def proportional_threshold_map(
 ) -> np.ndarray:
     """τ = floor(τ_max · θ / θ_max), the transformation used for HM/ED/JC (§4).
 
-    Array-valued (a scalar θ gives a 0-d result).  For integer-valued
+    Array-valued (a scalar θ gives a scalar).  For integer-valued
     distances with θ_max <= τ_max :func:`integer_threshold_map` uses the
     identity instead.
     """
@@ -96,13 +98,13 @@ def proportional_threshold_map(
     if theta_max <= 0:
         return np.zeros(thetas.shape, dtype=np.int64)
     ratios = np.clip(thetas / theta_max, 0.0, 1.0)
-    return np.floor(tau_max * ratios + 1e-12).astype(np.int64)
+    return integer_radius(tau_max * ratios)
 
 
 def integer_threshold_map(thetas: np.ndarray, theta_max: float, tau_max: int) -> np.ndarray:
     """θ → τ for integer-valued distances (HM/ED), on range-checked ``thetas``:
-    the identity when θ_max fits in τ_max — each original threshold keeps its
-    own decoder — and the proportional map otherwise."""
+    the radius the exact indexes answer θ with when θ_max fits in τ_max — each
+    original threshold keeps its own decoder — and the proportional map otherwise."""
     if theta_max <= tau_max:
-        return np.floor(thetas + 1e-12).astype(np.int64)
+        return integer_radius(thetas)
     return proportional_threshold_map(thetas, theta_max, tau_max)

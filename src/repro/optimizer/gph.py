@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..distances.base import integer_radius
 from ..selection.hamming_index import PigeonholeHammingSelector
 
 
@@ -87,7 +88,7 @@ class GPHQueryProcessor:
     # ------------------------------------------------------------------ #
     def allocation_budget(self, threshold: int) -> int:
         """Minimum total per-part threshold required by the pigeonhole principle."""
-        return max(0, int(threshold) - self.num_parts + 1)
+        return max(0, integer_radius(threshold) - self.num_parts + 1)
 
     def plan(
         self,
@@ -149,7 +150,7 @@ class GPHQueryProcessor:
             remaining += t
         estimated = float(cost[num_parts, final_remaining])
         return GPHPlan(
-            threshold=int(threshold),
+            threshold=integer_radius(threshold),
             allocation=allocation,
             estimated_candidates=estimated if np.isfinite(estimated) else 0.0,
             allocation_seconds=time.perf_counter() - allocation_start,

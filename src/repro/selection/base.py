@@ -14,7 +14,7 @@ from typing import Any, Iterable, List, Sequence
 
 import numpy as np
 
-from ..distances.base import DistanceFunction
+from ..distances.base import DistanceFunction, within
 from .delta import check_delete_positions, rebuild_in_place
 
 
@@ -114,7 +114,7 @@ class SimilaritySelector(ABC):
                 dtype=np.int64,
             )
         return np.count_nonzero(
-            match_distances[None, :] <= thresholds[:, None] + 1e-12, axis=1
+            within(match_distances[None, :], thresholds[:, None]), axis=1
         ).astype(np.int64)
 
     def _match_distances(self, record: Any, threshold: float) -> "np.ndarray | None":

@@ -46,6 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import integer_radius
 from ..distances.edit import EditDistance, levenshtein_codes, string_codes
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray, extend_postings
@@ -91,8 +92,8 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
         return candidates[missing <= self.q * threshold]
 
     def _probe(self, record: str, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(ascending logical ids, their exact distances) within ``int(threshold)``."""
-        threshold_int = int(threshold)
+        """(ascending logical ids, their exact distances) within ``threshold``."""
+        threshold_int = integer_radius(threshold)
         record = str(record)
         query_grams = qgrams(record, self.q)
         lengths = self._lengths.view()

@@ -29,6 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import within
 from ..distances.euclidean import EuclideanDistance
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray
@@ -78,7 +79,7 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
         # Every member is within radii[pivot] of its pivot, so the closest any
         # member can be to the query is pivot_distance - radius.
         pivot_distances = np.linalg.norm(self._pivots - query[None, :], axis=1)
-        balls = np.flatnonzero(pivot_distances - self._radii <= threshold + 1e-12)
+        balls = np.flatnonzero(within(pivot_distances - self._radii, threshold))
         if balls.size == 0:
             return empty
         rows = np.concatenate([self._members[ball].view() for ball in balls])
@@ -87,7 +88,7 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
         deltas = np.take(self._matrix.view(), rows, axis=0)
         deltas -= query
         distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        keep = np.flatnonzero(distances <= threshold + 1e-12)
+        keep = np.flatnonzero(within(distances, threshold))
         keep = keep[np.argsort(rows[keep])]
         return self._view.to_logical(rows[keep]), distances[keep]
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import integer_radius
 from ..distances.hamming import (
     HammingDistance,
     pack_bits,
@@ -58,13 +59,13 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
         if len(self) == 0:
             return []
         distances = self.distances(record)
-        return [int(i) for i in np.nonzero(distances <= int(threshold))[0]]
+        return [int(i) for i in np.nonzero(distances <= integer_radius(threshold))[0]]
 
     def cardinality(self, record, threshold: float) -> int:
         if len(self) == 0:
             return 0
         distances = self.distances(record)
-        return int(np.count_nonzero(distances <= int(threshold)))
+        return int(np.count_nonzero(distances <= integer_radius(threshold)))
 
     def distances(self, record) -> np.ndarray:
         """All Hamming distances from ``record`` to the dataset (used by workloads)."""
@@ -98,7 +99,7 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
             return np.zeros(thresholds.size, dtype=np.int64)
         distances = self.distances(record)
         return np.count_nonzero(
-            distances[None, :] <= thresholds.astype(np.int64)[:, None], axis=1
+            distances[None, :] <= integer_radius(thresholds)[:, None], axis=1
         ).astype(np.int64)
 
 
@@ -229,7 +230,7 @@ class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
         is judged by, so executors that report cost use this entry point
         instead of :meth:`query` to avoid enumerating candidates twice.
         """
-        threshold_int = int(threshold)
+        threshold_int = integer_radius(threshold)
         if len(self) == 0:
             return [], 0
         if allocation is None:
@@ -260,7 +261,7 @@ class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
             packed_hamming_distances_words(query_words, self._packed64.view())
         )
         return np.count_nonzero(
-            distances[None, :] <= thresholds.astype(np.int64)[:, None], axis=1
+            distances[None, :] <= integer_radius(thresholds)[:, None], axis=1
         ).astype(np.int64)
 
     def candidate_count(self, record, allocation: Sequence[int]) -> int:

@@ -15,11 +15,12 @@ empty rows — two empty sets are identical by convention):
 
 * the tombstone mask;
 * size filter: ``s · |x| <= |y| <= |x| / s``;
-* the exact predicate ``similarity >= s``.
+* the exact predicate, :func:`~repro.distances.base.within` on
+  ``1 - similarity`` — the float :class:`JaccardDistance` yields.
 
 The class keeps its historical name, but with exact overlaps in hand a prefix
 restriction has nothing left to save: there is no global token order and no
-prefix computation.  ``s <= 0`` matches every live row.
+prefix computation.  When a distance of 1 is within θ every live row matches.
 
 Updates are O(Δ): an insert appends the new rows' sizes and one block of row
 ids per distinct token of the batch; deletes tombstone rows (see
@@ -33,6 +34,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..distances.base import within
 from ..distances.jaccard import JaccardDistance, as_frozenset
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray, extend_postings
@@ -61,20 +63,21 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
             if posting is not None:
                 overlap[posting.view()] += 1
 
-        if similarity_threshold <= 0.0:
+        if within(1.0, threshold):
             rows = np.arange(sizes.size)
         else:
             rows = np.flatnonzero(overlap if query_size else sizes == 0)
         size, shared = sizes[rows], overlap[rows]
         union = query_size + size - shared
         similarity = np.divide(shared, union, out=np.ones(rows.size), where=union > 0)
-        keep = similarity >= similarity_threshold - 1e-12
+        distances = 1.0 - similarity
+        keep = within(distances, threshold)
         if similarity_threshold > 0.0:
             keep &= size >= similarity_threshold * query_size - 1e-9
             keep &= size <= query_size / similarity_threshold + 1e-9
         if not self._view.is_compact:
             keep &= self._view.alive_rows[rows]
-        return self._view.to_logical(rows[keep]), 1.0 - similarity[keep]
+        return self._view.to_logical(rows[keep]), distances[keep]
 
     def query(self, record, threshold: float) -> List[int]:
         return self._probe(record, threshold)[0].tolist()

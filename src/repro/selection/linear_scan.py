@@ -6,7 +6,7 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
-from ..distances.base import DistanceFunction
+from ..distances.base import DistanceFunction, within
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin
 
@@ -26,12 +26,12 @@ class LinearScanSelector(DeltaIndexMixin, SimilaritySelector):
 
     def query(self, record: Any, threshold: float) -> List[int]:
         distances = self.distance.distances_to(record, self.dataset)
-        matches = np.nonzero(distances <= threshold + 1e-12)[0]
+        matches = np.nonzero(within(distances, threshold))[0]
         return [int(i) for i in matches]
 
     def cardinality(self, record: Any, threshold: float) -> int:
         distances = self.distance.distances_to(record, self.dataset)
-        return int(np.count_nonzero(distances <= threshold + 1e-12))
+        return int(np.count_nonzero(within(distances, threshold)))
 
     def cardinality_curve(self, record: Any, thresholds) -> np.ndarray:
         """One distance vector answers every threshold."""
@@ -40,7 +40,7 @@ class LinearScanSelector(DeltaIndexMixin, SimilaritySelector):
             return np.zeros(0, dtype=np.int64)
         distances = self.distance.distances_to(record, self.dataset)
         return np.count_nonzero(
-            distances[None, :] <= thresholds[:, None] + 1e-12, axis=1
+            within(distances[None, :], thresholds[:, None]), axis=1
         ).astype(np.int64)
 
     def rebuild(self, dataset: Sequence) -> "LinearScanSelector":

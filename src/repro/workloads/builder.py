@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..datasets.synthetic import Dataset
-from ..distances.base import DistanceFunction
-from ..distances.euclidean import EuclideanDistance
+from ..distances.base import within
 from ..selection import SimilaritySelector, default_selector
 from .examples import QueryExample, Workload
 
@@ -209,8 +208,9 @@ def relabel_delta(
     index: the Δ rows are stacked once with a sign (+1 inserted, −1 removed),
     each distinct query record gets one distance vector against them from
     ``selector.distance``, and every example adds
-    ``(distance <= θ + 1e-12) @ sign`` — the comparison
-    :class:`~repro.selection.LinearScanSelector` makes, so the corrected label
+    ``within(distance, θ) @ sign`` — the comparison
+    :class:`~repro.selection.LinearScanSelector` makes on the distances
+    ``cross_distances`` shares with ``distances_to``, so the corrected label
     is the one a full :func:`relabel` computes.  A record inserted and later
     removed appears with both signs and cancels exactly, so deltas
     accumulated across several operations (the manager's pending-train path)
@@ -226,27 +226,15 @@ def relabel_delta(
     which = np.asarray([slot[id(example.record)] for example in examples], dtype=np.int64)
     thetas = np.asarray([example.theta for example in examples], dtype=np.float64)
     labels = np.asarray([example.cardinality for example in examples], dtype=np.int64)
-    distances = _delta_distances(selector.distance, records, inserted + removed)
+    distances = selector.distance.cross_distances(records, inserted + removed)
     # Compare in blocks of examples: each example needs its record's distance
     # row, and copying all of them at once would hold (examples, Δ) floats.
     step = max(1, _PANEL_CELLS // len(sign))
     for start in range(0, len(examples), step):
         block = slice(start, start + step)
-        labels[block] += (distances[which[block]] <= thetas[block, None] + 1e-12) @ sign
+        labels[block] += within(distances[which[block]], thetas[block, None]) @ sign
     return [
         QueryExample(record=example.record, theta=example.theta, cardinality=int(cardinality))
         for example, cardinality in zip(examples, labels)
     ]
 
-
-def _delta_distances(distance: DistanceFunction, records: Sequence, rows: Sequence) -> np.ndarray:
-    """(records, rows) distances that compare exactly as ``distance.distances_to``.
-
-    ``cross_distances`` does for every distance but Euclidean (see
-    :meth:`EuclideanDistance.cross_distances`); Euclidean takes one
-    ``distances_to`` per record instead, against the rows stacked once.
-    """
-    if isinstance(distance, EuclideanDistance):
-        matrix = np.asarray(rows, dtype=np.float64)
-        return np.stack([distance.distances_to(record, matrix) for record in records])
-    return distance.cross_distances(records, rows)

@@ -11,12 +11,12 @@ from repro.distances import (
     get_distance,
     jaccard_similarity,
     levenshtein,
-    levenshtein_within,
     normalize_rows,
     pack_bits,
     packed_hamming_distances,
     unpack_bits,
 )
+from repro.selection import LinearScanSelector
 
 
 class TestHamming:
@@ -41,7 +41,7 @@ class TestHamming:
 
     def test_count_within(self):
         data = [[0, 0], [0, 1], [1, 1]]
-        assert HammingDistance().count_within([0, 0], data, 1) == 2
+        assert LinearScanSelector(data, HammingDistance()).cardinality([0, 0], 1) == 2
 
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -80,24 +80,9 @@ class TestEdit:
     def test_symmetry(self):
         assert levenshtein("abcde", "badec") == levenshtein("badec", "abcde")
 
-    def test_banded_matches_full_within_threshold(self):
-        pairs = [("kitten", "sitting"), ("hello", "hallo"), ("same", "same")]
-        for x, y in pairs:
-            full = levenshtein(x, y)
-            assert levenshtein_within(x, y, full) == full
-
-    def test_banded_returns_none_above_threshold(self):
-        assert levenshtein_within("kitten", "sitting", 2) is None
-
-    def test_banded_negative_threshold(self):
-        assert levenshtein_within("a", "a", -1) is None
-
-    def test_banded_length_filter(self):
-        assert levenshtein_within("a", "abcdef", 2) is None
-
     def test_count_within(self):
         data = ["cat", "car", "dog", "cart"]
-        assert EditDistance().count_within("cat", data, 1) == 3
+        assert LinearScanSelector(data, EditDistance()).cardinality("cat", 1) == 3
 
 
 class TestJaccard:
@@ -122,7 +107,7 @@ class TestJaccard:
 
     def test_count_within(self):
         data = [frozenset({1, 2}), frozenset({1, 2, 3}), frozenset({9})]
-        assert JaccardDistance().count_within({1, 2}, data, 0.5) == 2
+        assert LinearScanSelector(data, JaccardDistance()).cardinality({1, 2}, 0.5) == 2
 
 
 class TestEuclidean:

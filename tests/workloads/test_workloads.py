@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distances import get_distance
-from repro.selection import default_selector
+from repro.selection import LinearScanSelector, default_selector
 from repro.workloads import (
     QueryExample,
     Workload,
@@ -61,13 +61,12 @@ class TestQuerySampling:
 class TestLabeling:
     def test_labels_match_exact_counts(self, binary_dataset):
         selector = default_selector("hamming", binary_dataset.records)
-        distance = get_distance("hamming")
+        scan = LinearScanSelector(binary_dataset.records, get_distance("hamming"))
         queries = [binary_dataset.records[0], binary_dataset.records[5]]
         examples = label_queries(queries, [0, 4, 8], selector)
         assert len(examples) == 6
         for example in examples:
-            expected = distance.count_within(example.record, list(binary_dataset.records), example.theta)
-            assert example.cardinality == expected
+            assert example.cardinality == scan.cardinality(example.record, example.theta)
 
     def test_relabel_after_shrinking_dataset(self, binary_dataset):
         selector = default_selector("hamming", binary_dataset.records)
