@@ -15,12 +15,35 @@ import pytest
 
 from repro.selection import default_selector
 
+#: Timed passes per estimator; each reading is the fastest of its passes.
+TIMED_PASSES = 9
 
-def _mean_estimation_seconds(estimator, examples) -> float:
-    start = time.perf_counter()
-    for example in examples:
-        estimator.estimate(example.record, example.theta)
-    return (time.perf_counter() - start) / len(examples)
+
+def _mean_estimation_seconds(estimators, examples) -> dict:
+    """Mean seconds per scalar estimate, by estimator name.
+
+    Each estimator makes one untimed warm-up pass over ``examples``, then
+    :data:`TIMED_PASSES` timed passes, interleaved one pass per estimator in
+    turn.  The reading is the fastest pass: on a shared 2-core machine one
+    CardNet-A pass can take ~0.065 or ~0.09 ms per estimate, switching
+    mid-run, and that jump is larger than the CardNet-A / CardNet gap.  A
+    slow pass measures the machine; interleaving gives every estimator the
+    same chance of a fast one.
+    """
+
+    def one_pass(estimator) -> float:
+        start = time.perf_counter()
+        for example in examples:
+            estimator.estimate(example.record, example.theta)
+        return (time.perf_counter() - start) / len(examples)
+
+    for estimator in estimators.values():
+        one_pass(estimator)
+    passes = {name: [] for name in estimators}
+    for _ in range(TIMED_PASSES):
+        for name, estimator in estimators.items():
+            passes[name].append(one_pass(estimator))
+    return {name: min(seconds) for name, seconds in passes.items()}
 
 
 def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_table, benchmark):
@@ -35,8 +58,7 @@ def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_ta
         selector.cardinality(example.record, example.theta)
     timings["SimSelect"] = (time.perf_counter() - start) / len(examples)
 
-    for name, estimator in hm_estimators.items():
-        timings[name] = _mean_estimation_seconds(estimator, examples)
+    timings.update(_mean_estimation_seconds(hm_estimators, examples))
 
     for name, seconds in timings.items():
         rows.append([name, f"{seconds * 1e3:.3f}"])

@@ -3,7 +3,7 @@
 Partitions a binary dataset across 4 shards, builds one exact index and one
 estimator per shard, and registers the whole deployment as ONE engine
 attribute: the planner reads the merged monotone curve (the elementwise sum
-of the per-shard cached curves), the executor fans the query out across the
+of the shard estimators' curves), the executor fans the query out across the
 shard indexes (a loop on the caller at this size; a pool once shards are large
 enough for one to pay) and merges bit-exactly, and a dataset update is
 routed to — and relabels — only the shard it touches.

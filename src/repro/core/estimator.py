@@ -9,7 +9,7 @@ strategy (§6).  After fitting, :meth:`estimate` answers queries in original
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class CardNetEstimator(CardinalityEstimator):
         self.last_training_result: Optional[TrainingResult] = None
         self._canonical_grid: Optional[np.ndarray] = None
         self._canonical_grid_computed = False
+        self._grid_taus: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -133,8 +134,7 @@ class CardNetEstimator(CardinalityEstimator):
             # even for extractors whose θ → τ map is not grid-position == τ
             # (e.g. identity maps configured with tau_max > theta_max).
             return curves
-        taus = self.extractor.transform_thresholds(thetas)
-        return curves[:, taus]
+        return curves[:, self._grid_columns(thetas)]
 
     def estimate_curve(self, record: Any) -> np.ndarray:
         """Monotone estimates for every τ = 0..τ_max (one call, used by GPH)."""
@@ -167,6 +167,16 @@ class CardNetEstimator(CardinalityEstimator):
         if not np.array_equal(taus, np.arange(tau_max + 1)):
             return None
         return grid
+
+    def _grid_columns(self, thetas) -> np.ndarray:
+        """The θ → τ columns of an explicit grid, mapped once and reused while
+        the same grid is served (a served endpoint asks on one grid)."""
+        grid = np.asarray(thetas, dtype=np.float64)
+        # Absent from snapshots written before the memo existed.
+        memo = getattr(self, "_grid_taus", None)
+        if memo is None or not np.array_equal(memo[0], grid):
+            memo = self._grid_taus = (grid.copy(), self.extractor.transform_thresholds(grid))
+        return memo[1]
 
     def _is_canonical_grid(self, thetas) -> bool:
         canonical = self.curve_thetas()

@@ -35,7 +35,7 @@ class AttributeBinding:
     part_endpoints: List[str] = field(default_factory=list)
     #: Per-shard serving endpoints (``name#shardK``), present only for
     #: horizontally sharded attributes; ``endpoint`` is then the merged
-    #: endpoint whose curves sum the per-shard cached curves.
+    #: endpoint whose curves sum the shard estimators' curves.
     shard_endpoints: List[str] = field(default_factory=list)
 
     def __len__(self) -> int:

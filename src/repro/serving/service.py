@@ -17,9 +17,9 @@ record, so repeated records across thresholds and across time all hit.
 **Concurrency.**  The service is safe to drive from many threads at once —
 shard fan-out threads and every caller of the engine hit one service.  A single
 re-entrant lock protects the cache, the registry, and every resolution step
-(re-entrant because a merged shard endpoint's estimator calls back into the
-service for the per-shard curves); no request is ever lost, dropped, or
-resolved twice, and telemetry counters (each metric lock-protected) sum
+(re-entrant, so an estimator that calls back into the service while a
+request holds the lock cannot deadlock it); no request is ever lost, dropped,
+or resolved twice, and telemetry counters (each metric lock-protected) sum
 exactly to the work requested.
 """
 
@@ -48,8 +48,8 @@ class EstimationService:
         self.registry = registry if registry is not None else EstimatorRegistry()
         self.cache = CurveCache(capacity=cache_capacity)
         self.telemetry = ServingTelemetry()
-        #: Re-entrant: a merged shard endpoint's estimator re-enters the
-        #: service for its per-shard curves while the lock is held.
+        #: Re-entrant: an estimator called while the lock is held may call
+        #: back into the service without deadlocking it.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -136,8 +136,7 @@ class EstimationService:
         """One cached curve per record, stacked into a fresh ``(n, t)`` matrix.
 
         The batched analogue of :meth:`estimate_curve` — misses are computed
-        in one micro-batch, hits come straight from the cache.  The sharded
-        serving layer sums these matrices across shard endpoints.
+        in one micro-batch, hits come straight from the cache.
         """
         def answer(entry: RegisteredEstimator, records: List[Any]) -> np.ndarray:
             if not records:

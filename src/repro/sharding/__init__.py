@@ -8,7 +8,7 @@ shard cleanly:
   merge over per-shard indexes, bit-identical to the unsharded selector;
 * :class:`ShardedEstimatorGroup` serves one endpoint per shard
   (``name#shardK``) plus a merged endpoint whose curves are the sums of the
-  per-shard cached curves;
+  shard estimators' curves, computed in one service request;
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
 * :class:`Rebalancer` executes :class:`RebalancePlan` s (split hot shards,

@@ -10,14 +10,14 @@ that argument in the serving layer:
   its own micro-batching and curve cache, so a shard-local update invalidates
   and recomputes only that shard's curves;
 * a *merged* endpoint under the bare ``name`` is registered alongside, backed
-  by :class:`MergedShardEstimator` — its curves are the sums of the per-shard
-  *cached* curves, fetched through the same service, so planners address one
-  endpoint and still benefit from per-shard cache locality.
+  by :class:`MergedShardEstimator` — its curves are the sums, in shard order,
+  of the shard estimators' curves on the shared grid, computed in the merged
+  request's one micro-batch, so a planner's request is one service request
+  and one cached curve per record.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -27,31 +27,23 @@ from ..serving import EstimationService, resolve_curve_grid
 
 
 class MergedShardEstimator(CardinalityEstimator):
-    """Full-dataset estimates as the sum of per-shard *served* curves.
+    """Full-dataset estimates as the sum of per-shard estimates.
 
     Registered as the merged endpoint of a :class:`ShardedEstimatorGroup`;
-    when the service asks it for curves it turns around and fetches each
-    shard endpoint's cached curves through the same service, then sums.
-    Monotonicity survives by construction: a sum of monotone non-decreasing
-    curves is monotone non-decreasing.
-
-    The service is held *weakly*: it owns this estimator through its registry,
-    and a strong reference back would make every sharded engine cyclic garbage
-    that only a generation-2 collection frees.  Snapshots store the service
-    itself, under the same ``_service`` key as before.
+    when the service asks it for curves it asks every shard estimator for
+    its curves on the group's grid and sums them in shard order — the same
+    curves, in the same order, that the shard endpoints serve.  Monotonicity
+    survives by construction: a sum of monotone non-decreasing curves is
+    monotone non-decreasing.
     """
 
     name = "ShardSum"
 
     def __init__(
         self,
-        service: EstimationService,
-        shard_endpoints: Sequence[str],
         shard_estimators: Sequence[CardinalityEstimator],
         grid: np.ndarray,
     ) -> None:
-        self._service = weakref.ref(service)
-        self._shard_endpoints = list(shard_endpoints)
         self._shard_estimators = list(shard_estimators)
         self._grid = np.asarray(grid, dtype=np.float64)
         self.monotonic = all(estimator.monotonic for estimator in shard_estimators)
@@ -83,19 +75,19 @@ class MergedShardEstimator(CardinalityEstimator):
         if not records:
             return np.zeros((0, len(self._grid)))
         total = np.zeros((len(records), len(self._grid)), dtype=np.float64)
-        service = self._service()
-        if service is None:
-            raise RuntimeError("the service this merged endpoint was registered on is gone")
-        for endpoint in self._shard_endpoints:
-            total += service.estimate_curve_many(endpoint, records)
+        for estimator in self._shard_estimators:
+            total += estimator.estimate_curve_many(records, self._grid)
         return total
 
     def __snapshot_state__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "_service": self._service()}
+        return dict(self.__dict__)
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
+        # Older format-8 snapshots also hold the service and shard endpoint
+        # names; a service reference here would make the engine cyclic garbage.
+        state.pop("_service", None)
+        state.pop("_shard_endpoints", None)
         self.__dict__.update(state)
-        self._service = weakref.ref(state["_service"])
 
     def curve_thetas(self) -> Optional[np.ndarray]:
         return self._grid.copy()
@@ -133,9 +125,7 @@ class ShardedEstimatorGroup:
             estimators, curve_thetas, theta_max, distance_name
         )
         self.shard_endpoints: List[str] = self.endpoints_for(name, len(estimators))[:-1]
-        self.merged = MergedShardEstimator(
-            service, self.shard_endpoints, estimators, self.curve_thetas
-        )
+        self.merged = MergedShardEstimator(estimators, self.curve_thetas)
         endpoints = [
             (
                 endpoint,

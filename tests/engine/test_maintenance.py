@@ -13,7 +13,10 @@ re-evaluation from scratch):
   is that index's length — managers adopt, never own, an index;
 * validation labels maintained by ``relabel_delta`` equal a full ``relabel``;
 * every served curve — per unit, merged, and refetched after an
-  invalidation — is non-decreasing in θ.
+  invalidation — is non-decreasing in θ, and the one cached since the last
+  check is close to the refetched one;
+* a sharded attribute's merged curve, as cached since the last check, equals
+  its shard endpoints' freshly served curves summed in shard order.
 """
 
 import copy
@@ -179,7 +182,7 @@ class Harness:
 
     # ------------------------------------------------------------------ #
     def check(self, labels_current):
-        """The four invariants; ``labels_current`` says whether every
+        """The five invariants; ``labels_current`` says whether every
         manager's labels must be exact now (always for routed managers; for
         feedback-only ones only right after a repair)."""
         binding, mirror = self.binding, self.mirror
@@ -215,9 +218,9 @@ class Harness:
                 assert _cardinalities(manager.validation_examples) == _cardinalities(
                     relabel(manager.validation_examples, manager.selector)
                 )
-        # 4. Every served curve is monotone in θ — cached or refetched.
         service = self.engine.service
-        for endpoint in [binding.endpoint] + [endpoint for _, endpoint in units]:
+
+        def cached_and_refetched(endpoint):
             curve = service.estimate_curve(endpoint, self.probes[0])
             assert np.all(np.diff(curve) >= 0), endpoint
             service.invalidate(endpoint)
@@ -225,6 +228,23 @@ class Harness:
             assert np.all(np.diff(refetched) >= 0), endpoint
             # Same model, same data; batch shape may move the last bits.
             assert np.allclose(curve, refetched)
+
+        # 4. Every served curve is monotone in θ — cached since the last check
+        #    or refetched — and a stale cache shows as a moved curve.  Shards
+        #    first: their caches are dropped here, the merged one is kept for 5.
+        for _, endpoint in units:
+            if endpoint != binding.endpoint:
+                cached_and_refetched(endpoint)
+        # 5. The merged curve cached since the last check is the sum of fresh
+        #    shard curves: a shard that moved while it stayed cached shows here.
+        if self.sharded:
+            for probe in (self.probes[0], mirror[-1]):
+                merged = service.estimate_curve(binding.endpoint, probe)
+                summed = np.zeros_like(merged)
+                for _, endpoint in units:
+                    summed += service.estimate_curve(endpoint, probe)
+                assert np.array_equal(merged, summed)
+        cached_and_refetched(binding.endpoint)
 
     def close(self):
         self.engine.runtime.shutdown()

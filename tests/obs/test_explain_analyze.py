@@ -185,21 +185,22 @@ class TestServiceSpans:
         finally:
             engine.runtime.shutdown()
 
-    def test_sharded_attribute_shows_a_service_span_per_shard_endpoint(self):
+    def test_sharded_estimate_is_one_service_request(self):
         engine, vec, aux = _build_engine()
         try:
             report = engine.explain_analyze(_two_predicate_query(vec, aux, index=5))
             endpoints = self._service_endpoints(report)
             assert {"vec", "aux"} <= set(endpoints)
-            for shard in range(3):
-                assert f"vec#shard{shard}" in endpoints
-            # The per-shard fetches nest under the merged endpoint's request.
+            # The merged endpoint sums its shard estimators inside its own
+            # request: no shard endpoint is asked, at top level or nested.
+            assert not any("#shard" in endpoint for endpoint in endpoints)
             (merged,) = [
                 s for s in report.trace.find("service.estimate")
                 if s.attributes["endpoint"] == "vec"
             ]
-            nested = {s.attributes["endpoint"] for s in merged.find("service.estimate")}
-            assert {f"vec#shard{shard}" for shard in range(3)} <= nested
+            assert merged.find("service.estimate") == [merged]
+            # Execution still fans out to every shard.
+            assert {s.attributes["shard"] for s in report.shard_spans()} == {0, 1, 2}
         finally:
             engine.runtime.shutdown()
 

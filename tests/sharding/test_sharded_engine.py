@@ -454,7 +454,7 @@ class TestEngineRebalance:
 
 class TestShardedEngineLifetime:
     """A dropped sharded engine is freed by reference counting, not by the
-    cycle collector: the merged estimator holds its service weakly."""
+    cycle collector: the merged estimator keeps no service reference."""
 
     def test_service_registry_and_estimators_die_with_the_engine(self, binary_dataset):
         import gc
@@ -492,28 +492,44 @@ class TestShardedEngineLifetime:
         before = sharded_engine.service.estimate_curve_many("hm", records)
         save_engine(sharded_engine, tmp_path / "snap")
         restored = load_engine(tmp_path / "snap")
-        merged = restored.shard_group("hm").merged
-        assert merged._service() is restored.service
         assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
-        # A cold request (nothing cached) sums the restored shard endpoints.
+        # A cold request (nothing cached) sums the restored shard estimators.
         restored.service.invalidate("hm")
         for endpoint in restored.catalog.get("hm").shard_endpoints:
             restored.service.invalidate(endpoint)
         assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
         restored.runtime.shutdown()
 
-    def test_merged_estimator_without_its_service_fails_loudly(self, binary_dataset):
-        engine = SimilarityQueryEngine()
-        engine.register_sharded_attribute(
-            "hm", binary_dataset.records, "hamming",
-            sampling_factory("hamming", sample_ratio=0.3),
-            num_shards=2, theta_max=binary_dataset.theta_max,
-        )
-        merged = engine.shard_group("hm").merged
-        engine.runtime.shutdown()
-        del engine
+    def test_snapshot_holding_the_service_restores_without_a_cycle(
+        self, sharded_engine, binary_dataset, tmp_path
+    ):
         import gc
+        import weakref
 
+        from repro.store import load_engine, save_engine
+
+        records = list(binary_dataset.records[:6])
+        before = sharded_engine.service.estimate_curve_many("hm", records)
+        # Older format-8 snapshots store the merged estimator with the service
+        # itself and its shard endpoint names.
+        merged = sharded_engine.shard_group("hm").merged
+        merged._service = sharded_engine.service
+        merged._shard_endpoints = list(sharded_engine.catalog.get("hm").shard_endpoints)
+        save_engine(sharded_engine, tmp_path / "snap")
+        del merged._service
         gc.collect()
-        with pytest.raises(RuntimeError, match="service"):
-            merged.estimate_curve_many([binary_dataset.records[0]])
+        gc.disable()
+        try:
+            restored = load_engine(tmp_path / "snap")
+            merged = restored.shard_group("hm").merged
+            assert not hasattr(merged, "_service")
+            assert not hasattr(merged, "_shard_endpoints")
+            restored.service.invalidate("hm")
+            assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
+            watched = [weakref.ref(restored.service), weakref.ref(merged)]
+            del merged
+            restored.runtime.shutdown()
+            del restored
+            assert [ref() for ref in watched] == [None] * len(watched)
+        finally:
+            gc.enable()

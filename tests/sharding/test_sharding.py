@@ -5,7 +5,7 @@ The load-bearing guarantees:
 * sharded exact selection is bit-identical to the unsharded selector for any
   partitioning, any shard count, and all four distances;
 * the merged serving endpoint's curve equals the elementwise sum of the
-  per-shard cached curves and stays monotone (the paper's monotonicity
+  shard estimators' curves, in shard order, and stays monotone (the paper's monotonicity
   composes under partitioning);
 * a global update routes into per-shard local operations whose application
   matches applying the update globally — and only the touched shards do work.
@@ -275,7 +275,7 @@ class TestUpdateRouting:
 
 
 # --------------------------------------------------------------------------- #
-# Sharded serving: merged endpoint = sum of per-shard cached curves
+# Sharded serving: merged endpoint = sum of the shard estimators' curves
 # --------------------------------------------------------------------------- #
 class TestShardedEstimatorGroup:
     @pytest.fixture
@@ -310,7 +310,12 @@ class TestShardedEstimatorGroup:
         ]
         thetas = [float(rng.integers(1, int(binary_dataset.theta_max))) for _ in records]
         merged = group.estimate_many(records, thetas)
-        assert merged == pytest.approx(group.shard_estimates(records, thetas).sum(axis=0))
+        # Exactly the shard estimators' curves, summed in shard order.
+        summed = np.zeros((len(records), len(group.curve_thetas)))
+        for estimator in group.estimators:
+            summed += estimator.estimate_curve_many(records, group.curve_thetas)
+        assert np.array_equal(group.estimate_curve_many(records), summed)
+        assert np.array_equal(merged, group.shard_estimates(records, thetas).sum(axis=0))
         # Exact per-shard oracles: the sum IS the unsharded exact count.
         reference = LinearScanSelector(binary_dataset.records, get_distance("hamming"))
         assert merged == pytest.approx(
@@ -352,8 +357,13 @@ class TestShardedEstimatorGroup:
 
     def test_shard_invalidation_also_drops_merged_curves(self, setup, binary_dataset):
         _, service, group = setup
-        group.estimate_many([binary_dataset.records[0]], [4.0])
-        # One record through the merged endpoint: 3 shard curves + 1 merged.
+        record = binary_dataset.records[0]
+        group.estimate_many([record], [4.0])
+        # One record through the merged endpoint: one merged curve, and the
+        # shard endpoints' caches are not touched.
+        assert len(service.cache) == 1
+        assert all(service.telemetry.endpoint(e).requests == 0 for e in group.shard_endpoints)
+        group.shard_estimates([record], [4.0])
         assert len(service.cache) == 4
         dropped = group.invalidate_shard(1)
         # The merged curve sums every shard, so it went stale with shard 1 —
