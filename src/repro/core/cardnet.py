@@ -19,6 +19,7 @@ one pass for the whole curve, and ``forward`` is what the tests check it against
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -94,6 +95,28 @@ class CardNet(nn.Module):
             tau_max=cfg.tau_max, embedding_dimension=cfg.embedding_dimension, seed=cfg.seed + 3
         )
 
+    @classmethod
+    def stacked(cls, models: Sequence["CardNet"]) -> "CardNet":
+        """One CardNet over S models of one configuration, for inference only.
+
+        Each parameter holds the S models' values along a leading shard axis
+        (a vector parameter as ``(S, 1, n)``, so it broadcasts over batch
+        rows).  ``estimate_curve`` then runs the one inference kernel over
+        all S models and returns ``(S, batch, τ_max+1)``; row ``s`` is
+        ``models[s].estimate_curve`` of the same features.
+        """
+        # Copy the first model's modules but not its parameters, so no second
+        # set of weights is initialised: the memo maps each parameter to a
+        # new Tensor over the stacked values.
+        memo = {
+            id(params[0]): Tensor(
+                np.stack([p.data.reshape(1, -1) if p.ndim == 1 else p.data for p in params]),
+                requires_grad=True,
+            )
+            for params in zip(*(model.parameters() for model in models))
+        }
+        return copy.deepcopy(models[0], memo)
+
     # ------------------------------------------------------------------ #
     # Properties
     # ------------------------------------------------------------------ #
@@ -150,6 +173,7 @@ class CardNet(nn.Module):
         arrays: no :class:`Tensor` is built and nothing is cached — every
         parameter's live ``.data`` is read on each call, so optimizer steps,
         ``load_state_dict`` and snapshot restore are visible immediately.
+        Over :meth:`stacked` parameters every array gains a leading shard axis.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         representation = self.vae.infer_representation(features)
@@ -161,7 +185,7 @@ class CardNet(nn.Module):
                 representation, self.distance_embedding.infer_all_embeddings()
             )
         # Decoder bank g_i, then the incremental sum.
-        return np.cumsum(self.decoders.infer_all(embeddings), axis=1)
+        return np.cumsum(self.decoders.infer_all(embeddings), axis=-1)
 
     def estimate(self, features: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Deterministic estimates for pre-featurized queries: ``estimate_curve(x)[τ]``."""

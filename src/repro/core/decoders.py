@@ -46,8 +46,9 @@ class PerDistanceDecoders(nn.Module):
         return nn.linear_bank(embeddings, self.weights, self.biases, "relu")
 
     def infer_all(self, embeddings: np.ndarray) -> np.ndarray:
-        """(batch, τ_max+1) per-distance estimates from Z of shape (batch, τ_max+1, z_dim)."""
-        per_distance = np.einsum("ntz,tz->nt", embeddings, self.weights.data)
+        """(..., batch, τ_max+1) per-distance estimates from Z of shape
+        (..., batch, τ_max+1, z_dim); leading axes follow stacked parameters."""
+        per_distance = np.einsum("...ntz,...tz->...nt", embeddings, self.weights.data)
         per_distance += self.biases.data
         return np.maximum(per_distance, 0.0, out=per_distance)
 

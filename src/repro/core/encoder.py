@@ -81,16 +81,21 @@ class SharedEncoder(nn.Module):
     def infer_embeddings(
         self, representation: np.ndarray, distance_embeddings: np.ndarray
     ) -> np.ndarray:
-        """Z of shape (batch, τ_max+1, z_dim): Φ once over the stacked [(x' ; e_i)] rows."""
-        batch, num_distances = representation.shape[0], distance_embeddings.shape[0]
+        """Z of shape (..., batch, τ_max+1, z_dim): Φ once over the stacked [(x' ; e_i)] rows.
+
+        Leading axes (a shard axis over stacked parameters) pass through.
+        """
+        batch, num_distances = representation.shape[-2], distance_embeddings.shape[-2]
         stacked = np.concatenate(
             [
-                np.repeat(representation, num_distances, axis=0),
+                np.repeat(representation, num_distances, axis=-2),
                 np.tile(distance_embeddings, (batch, 1)),
             ],
-            axis=1,
+            axis=-1,
         )
-        return self.network.infer(stacked).reshape(batch, num_distances, -1)
+        return self.network.infer(stacked).reshape(
+            representation.shape[:-1] + (num_distances, self.embedding_dimension)
+        )
 
 
 class AcceleratedEncoder(nn.Module):
@@ -150,11 +155,15 @@ class AcceleratedEncoder(nn.Module):
         return nn.concatenate(regions, axis=2)
 
     def infer_embeddings(self, representation: np.ndarray) -> np.ndarray:
-        """``forward`` on plain arrays: Z of shape (batch, τ_max+1, z_dim)."""
-        batch = representation.shape[0]
+        """``forward`` on plain arrays: Z of shape (..., batch, τ_max+1, z_dim).
+
+        Leading axes (a shard axis over stacked parameters) pass through.
+        """
         regions: List[np.ndarray] = []
         hidden = representation
         for trunk, head, width in zip(self._trunk_layers, self._heads, self.region_widths):
             hidden = np.maximum(trunk.infer(hidden), 0.0)
-            regions.append(head.infer(hidden).reshape(batch, self.tau_max + 1, width))
-        return np.concatenate(regions, axis=2)
+            regions.append(
+                head.infer(hidden).reshape(hidden.shape[:-1] + (self.tau_max + 1, width))
+            )
+        return np.concatenate(regions, axis=-1)

@@ -122,7 +122,8 @@ class CardNetEstimator(CardinalityEstimator):
 
         With the default grid the columns are the model's native τ = 0..τ_max
         curve; an explicit ``thetas`` grid is answered by indexing that curve
-        through the monotone θ → τ map (no extra forward passes).
+        through the monotone θ → τ map (no extra forward passes).  Over a
+        :meth:`CardNet.stacked` model the curves gain a leading shard axis.
         """
         records = list(records)
         if not records:
@@ -134,7 +135,7 @@ class CardNetEstimator(CardinalityEstimator):
             # even for extractors whose θ → τ map is not grid-position == τ
             # (e.g. identity maps configured with tau_max > theta_max).
             return curves
-        return curves[:, self._grid_columns(thetas)]
+        return curves[..., self._grid_columns(thetas)]
 
     def estimate_curve(self, record: Any) -> np.ndarray:
         """Monotone estimates for every τ = 0..τ_max (one call, used by GPH)."""

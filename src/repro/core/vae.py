@@ -106,9 +106,18 @@ class VariationalAutoEncoder(nn.Module):
         return nn.concatenate([x, self.latent(x, deterministic)], axis=-1)
 
     def infer_representation(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic Γ(x) = [x ; μ] on plain arrays."""
+        """Deterministic Γ(x) = [x ; μ] on plain arrays.
+
+        Over stacked parameters μ has a leading shard axis; ``x`` is shared
+        and broadcast to it.
+        """
         mean = self.mean_head.infer(self.encoder_trunk.infer(x))
-        return np.concatenate([x, mean], axis=1)
+        if mean.ndim > x.ndim:
+            # A C-ordered copy: a concatenate of the broadcast view is not
+            # C-ordered, and matmul then sums its rows in another order than
+            # one model's own Γ(x) gets.
+            x = np.ascontiguousarray(np.broadcast_to(x, mean.shape[:-1] + x.shape[-1:]))
+        return np.concatenate([x, mean], axis=-1)
 
     @property
     def representation_dimension(self) -> int:

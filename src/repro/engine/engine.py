@@ -319,7 +319,8 @@ class SimilarityQueryEngine:
         estimator per shard (called once per shard, in shard order, with a
         list of that shard's rows — here and at a rebalance).  Serving endpoints:
         ``name#shardK`` per shard plus a merged ``name`` endpoint whose curves
-        sum the shard estimators' curves in shard order, in one request — the
+        sum the shard estimators' curves in shard order, in one request and,
+        for shard CardNets of one configuration, one stacked model pass — the
         planner addresses only the merged endpoint, the executor fans out
         across the shard indexes and merges exactly.  The fan-out is a loop on the caller's
         thread until shard tasks are large enough for the thread pool to pay

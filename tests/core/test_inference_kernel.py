@@ -5,6 +5,7 @@ keeps the :class:`Tensor` graph for training and is the reference here.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,37 @@ def test_estimate_is_the_curve_indexed(config, batch, data_seed):
     model = CardNet(INPUT_DIMENSION, config)
     direct = model.estimate(features, taus)
     assert np.array_equal(direct, model.estimate_curve(features)[np.arange(batch), taus])
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(
+    configs,
+    st.integers(1, 5),
+    st.sampled_from([0, 1, 17, 64]),
+    st.integers(1, 80),
+    st.integers(0, 2**16),
+)
+def test_stacked_rows_are_each_models_own_curve(
+    accelerated, config, num_models, batch, dimension, data_seed
+):
+    """``CardNet.stacked`` runs S models as one pass of the same kernel: row s
+    is bit-for-bit model s's own ``estimate_curve`` at every batch size.
+
+    Wide inputs matter: a matmul over a non-C-ordered stacked operand takes a
+    different summation path, which only shows once rows are long enough."""
+    config = replace(config, accelerated=accelerated)
+    features = (
+        np.random.default_rng(data_seed).integers(0, 2, size=(batch, dimension)).astype(float)
+    )
+    models = [
+        CardNet(dimension, replace(config, seed=config.seed + index))
+        for index in range(num_models)
+    ]
+    curves = CardNet.stacked(models).estimate_curve(features)
+    assert curves.shape == (num_models, batch, config.tau_max + 1)
+    for row, model in enumerate(models):
+        assert np.array_equal(curves[row], model.estimate_curve(features)), row
 
 
 @pytest.mark.parametrize("accelerated", [False, True])

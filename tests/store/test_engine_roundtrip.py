@@ -10,6 +10,9 @@ exactly where the original left off.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.store import inspect_snapshot, load_engine, save_engine
+from repro.store import FORMAT_VERSION, inspect_snapshot, load_engine, save_engine
 
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
@@ -397,6 +400,54 @@ class TestManagerAndFeedbackResume:
         assert original_event.window_q_error == restored_event.window_q_error
         assert original_event.observations == restored_event.observations
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
+
+
+#: A format-8 engine with two 3-shard CardNet attributes (``hm_a``
+#: accelerated, ``hm`` not), written before shard CardNets were stacked into
+#: one pass, and the merged curves it served then.  ``make_format8_sharded.py``
+#: in the same directory wrote it.
+FORMAT8_SHARDED = Path(__file__).parent / "data" / "format8_sharded"
+
+
+class TestStackedShardSnapshots:
+    """The merged endpoint's parameter stack is runtime state: a snapshot does
+    not hold it, and one written before it existed serves the same curves."""
+
+    def test_format_version_is_unchanged(self):
+        assert FORMAT_VERSION == 8
+        assert inspect_snapshot(FORMAT8_SHARDED).format_version == FORMAT_VERSION
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["load", "mmap"])
+    def test_snapshot_from_before_stacking_serves_its_merged_curves(self, mmap):
+        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT8_SHARDED, mmap=mmap)
+        try:
+            for name, curves in expected.items():
+                records = list(restored.catalog.get(name).records[: len(curves)])
+                served = restored.service.estimate_curve_many(name, records)
+                assert np.array_equal(served, np.asarray(curves)), name
+                group = restored.shard_group(name)
+                assert group.merged._stack.members == group.estimators
+        finally:
+            restored.runtime.shutdown()
+
+    def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
+        engine = load_engine(FORMAT8_SHARDED)
+        groups = [engine.shard_group(name) for name in ("hm", "hm_a")]
+        records = list(engine.catalog.get("hm").records[:5])
+        for group in groups:  # every shard's own memos, as a per-shard pass leaves them
+            for estimator in group.estimators:
+                estimator.estimate_curve_many(records, group.curve_thetas)
+        before = save_engine(engine, tmp_path / "before")
+        for group in groups:  # bypasses the service: no cache entry, no telemetry
+            group.merged.estimate_curve_many(records, group.curve_thetas)
+            assert group.merged._stack.estimator is not None
+        after = save_engine(engine, tmp_path / "after")
+        assert after.total_bytes == before.total_bytes
+        files = [{path.name: path.read_bytes() for path in info.path.iterdir()}
+                 for info in (before, after)]
+        assert files[0] == files[1]
+        engine.runtime.shutdown()
 
 
 class TestInventory:
