@@ -67,16 +67,6 @@ def print_table():
     return _print_table
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-break-even",
-        action="store_true",
-        default=False,
-        help="run bench_fan_out_break_even.py's table "
-        "(~1 min, ~0.5 GB at its largest cell)",
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Datasets (one per distance function, mirroring the paper's default datasets)
 # --------------------------------------------------------------------------- #

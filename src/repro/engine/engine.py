@@ -131,10 +131,11 @@ class SimilarityQueryEngine:
         slow_query_capacity: int = 64,
     ) -> None:
         self.service = service if service is not None else EstimationService()
-        #: One runtime under the whole engine: shard fan-out, rebalance
-        #: builds, and anything else that needs workers share its pools
-        #: (created on first use, so an engine whose work stays on the caller
-        #: has none), and every pool reports into the service's telemetry.
+        #: One runtime under the whole engine: rebalance builds and anything
+        #: else that needs workers share its pools (created on first use, so
+        #: an engine whose work stays on the caller has none), every pool
+        #: reports into the service's telemetry, and the shard fan-out runs
+        #: under its metrics sink.
         self.runtime = (
             runtime if runtime is not None else Runtime(self.service.telemetry)
         )
@@ -305,8 +306,8 @@ class SimilarityQueryEngine:
         selector_factory: Optional[Callable[[Sequence], SimilaritySelector]] = None,
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
-        parallel: bool = True,
-        # The e2e fixture still passes backend="thread"; any other value raises.
+        # Kept only because the e2e fixture passes backend="thread"; it goes
+        # with ROADMAP's benchmark-only item (e).  Any other value raises.
         backend: str = "thread",
     ) -> AttributeBinding:
         """Register one attribute partitioned across ``num_shards`` shards.
@@ -322,16 +323,13 @@ class SimilarityQueryEngine:
         sum the shard estimators' curves in shard order, in one request and,
         for shard CardNets of one configuration, one stacked model pass — the
         planner addresses only the merged endpoint, the executor fans out
-        across the shard indexes and merges exactly.  The fan-out is a loop on the caller's
-        thread until shard tasks are large enough for the thread pool to pay
-        (:func:`repro.sharding.selector.fan_out_mode`; ``parallel=False``
-        never dispatches); results stay bit-identical either way.
-        ``backend`` must be ``"thread"``.
+        across the shard indexes (a loop on the caller's thread) and merges
+        exactly.  ``backend`` must be ``"thread"``.
         """
         if backend != "thread":
             raise ValueError(
-                f"unknown backend {backend!r}: shards fan out on the caller's "
-                "thread or the runtime's thread pool only"
+                f"unknown backend {backend!r}: shards fan out as a loop on "
+                "the caller's thread; there is no pool to choose"
             )
         self.catalog.validate(name, records)
         if selector_factory is None:
@@ -343,8 +341,7 @@ class SimilarityQueryEngine:
             selector_factory,
             num_shards=num_shards,
             partitioner=partitioner,
-            parallel=parallel,
-            runtime=self.runtime,  # shard fan-out shares the engine's workers
+            runtime=self.runtime,  # shard metrics land in the engine's registry
         )
         estimators = [
             estimator_factory(list(shard.dataset), shard_index)
@@ -542,8 +539,7 @@ class SimilarityQueryEngine:
 
         Plan execution is interpreter-bound (index probes, candidate
         filtering, merging), so handing plans to pool workers would only make
-        them take turns on one interpreter lock; the parallelism lives in the
-        shard fan-out below (:func:`repro.sharding.selector.fan_out_mode`).
+        them take turns on one interpreter lock.
         """
         results = []
         for plan in self.planner.plan_many(as_queries(queries)):
@@ -558,8 +554,7 @@ class SimilarityQueryEngine:
     ) -> ExplainAnalyzeReport:
         """Plan, execute, and report estimated-vs-actual per predicate.
 
-        Runs ONE traced query regardless of the global tracing switch: the
-        forced trace propagates through the shard fan-out pool, so the
+        Runs ONE traced query regardless of the global tracing switch, so the
         report's span tree covers plan → estimate → driver scan →
         per-predicate residual verify → per-shard tasks.  The result is the
         same exact answer ``execute`` returns; ``feedback=False`` skips the

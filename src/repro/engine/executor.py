@@ -79,7 +79,7 @@ class QueryExecutor:
                         )
                     )
                 elif isinstance(driver_binding.selector, ShardedSelector):
-                    # Parallel fan-out across shard indexes; per-shard counts
+                    # Fan-out across shard indexes; per-shard counts
                     # are the observations a per-shard feedback loop would
                     # consume.
                     matches, shard_counts = (

@@ -213,11 +213,7 @@ class HealthReport:
         if self.attributes:
             lines.append("  attributes:")
             for name, info in sorted(self.attributes.items()):
-                shard_note = (
-                    f" shards={info['shards']} fan_out={info.get('fan_out')}"
-                    if info.get("shards")
-                    else ""
-                )
+                shard_note = f" shards={info['shards']}" if info.get("shards") else ""
                 lines.append(
                     f"    {name:<20} {info['distance']:<10} "
                     f"records={info['records']}{shard_note}"
@@ -261,8 +257,6 @@ def build_health_report(engine: Any) -> HealthReport:
             shard_stats = binding.selector.stats()
             info["shards"] = shard_stats["num_shards"]
             info["shard_sizes"] = shard_stats["shard_sizes"]
-            info["fan_out"] = shard_stats["last_fan_out"]
-            info["mean_task_seconds"] = shard_stats["mean_task_seconds"]
         report.attributes[name] = info
     report.pools = engine.runtime.stats()
     report.service = engine.service.stats()

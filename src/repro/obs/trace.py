@@ -7,8 +7,9 @@ span lives in thread-local state, so nested ``with span(...)`` blocks build
 the tree without any explicit plumbing, and the runtime layer carries the
 active span across threads: :class:`~repro.runtime.WorkerPool` captures the
 submitter's active span at ``submit`` time and re-activates it around the task
-on the worker thread (:func:`activate`), so a sharded fan-out's per-shard
-spans attach to the query that caused them, not to the worker's own timeline.
+on the worker thread (:func:`activate`), so a pooled task's spans (a
+rebalance build) attach to the request that caused them, not to the worker's
+own timeline.
 
 **Zero cost when off.**  Tracing is globally disabled unless ``REPRO_TRACE``
 is set (or :func:`enable_tracing` is called).  A disabled ``span(...)`` block
@@ -248,7 +249,7 @@ def start_trace(name: str, **attributes: Any) -> span:
 
     The per-request opt-in: ``explain_analyze`` runs exactly one traced query
     in an otherwise untraced process.  Worker pools propagate the context, so
-    the forced trace still covers a thread fan-out.
+    the forced trace still covers pooled work.
     """
     return span(name, _force=True, **attributes)
 

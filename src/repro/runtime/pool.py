@@ -1,7 +1,7 @@
 """Worker pools: the one thread-parallel execution primitive of the library.
 
-Every concurrent site in the stack — sharded fan-out, rebalance builds — runs
-the tasks it dispatches on a
+Every concurrent site in the stack — a rebalance's driver and its builds —
+runs the tasks it dispatches on a
 :class:`WorkerPool` acquired from a shared :class:`~repro.runtime.Runtime`
 instead of constructing a private executor.  A pool is *named* (so
 independent layers sharing one runtime reuse the same workers instead of
@@ -10,7 +10,7 @@ thread exists until the first submission, which is what lets snapshots simply
 drop pools at save and rebuild them on demand after restore.
 
 Submission appends to an unbounded FIFO queue: ``submit`` never waits and
-never refuses (no site in the library ever bounded one; a fan-out waits on the
+never refuses (no site in the library ever bounded one; a caller waits on the
 handles it submitted).  ``stats()["max_queue_seen"]`` records how deep the
 queue ever got.
 
@@ -22,13 +22,12 @@ uses, under the endpoint name ``pool:<name>`` — pool load is inspectable
 exactly like endpoint traffic.
 
 Tasks run on the worker threads, with no serialization.  Threads take turns
-on one interpreter lock, so a fan-out gains only the time its tasks spend
+on one interpreter lock, so a pool gains only the time its tasks spend
 outside it (waiting on a file, or inside a numpy kernel long enough to release
-it).  Measured on 2 cores with 4 shard probes per fan-out: below 1 ms of CPU
-per task the pool never beat a plain loop, from 3 ms it never lost to one (by
-up to ~1.5x), and in between the two trade places (table at
-``repro.sharding.selector.THREAD_DISPATCH_FLOOR_SECONDS``).  Foreground callers
-therefore ask first and run small batches on their own thread
+it).  Measured on 2 cores with 4 shard probes per fan-out, below 1 ms of CPU
+per task a pool never beat a plain loop
+(``docs/perf/pr-18/fan_out_break_even.json``), and every workload's shard
+probes sit far below that: the shard fan-out is a loop on the caller
 (:meth:`~repro.runtime.Runtime.run_inline`).
 """
 
@@ -151,10 +150,10 @@ class WorkerPool:
     def ensure_workers(self, num_workers: int) -> None:
         """Grow the pool to at least ``num_workers`` (never shrinks).
 
-        Lets later acquirers with bigger fan-out widen a shared pool — e.g.
-        an 8-shard selector joining a runtime whose ``shards`` pool was first
-        created by a 2-shard one — instead of silently running on the
-        narrower width the first acquirer picked.
+        Lets later acquirers with more tasks widen a shared pool — e.g. a
+        rebalance building 4 targets on a runtime whose build pool was first
+        created for 2 — instead of silently running on the narrower width the
+        first acquirer picked.
         """
         with self._lock:
             if num_workers <= self.num_workers or self._shutdown:

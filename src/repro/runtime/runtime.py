@@ -1,11 +1,10 @@
 """The shared runtime: named worker pools behind one acquisition point.
 
 A :class:`Runtime` owns every :class:`~repro.runtime.WorkerPool` a deployment
-runs on.  Layers acquire pools by name (``runtime.pool("shards", ...)``) —
+runs on.  Layers acquire pools by name (``runtime.pool("rebalance", ...)``) —
 the first acquisition creates the pool with the requested configuration,
-later acquisitions reuse it — so sharded selectors and rebalance builds
-sharing one runtime share workers instead of each spawning a private
-executor.
+later acquisitions reuse it — so rebalance drivers and builds sharing one
+runtime share workers instead of each spawning a private executor.
 
 Runtimes are snapshot-aware: pools are live threads and never serialize.
 ``__snapshot_state__`` drops them (a save while tasks are in flight raises —
@@ -17,23 +16,12 @@ its sharded selectors.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.metrics import use_registry
 from .pool import WorkerPool, metrics_sink
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: its scheduler affinity where the
-    platform reports one (a container or ``taskset`` shrinks it below the
-    machine's count), else ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS / Windows have no affinity call
-        return os.cpu_count() or 1
 
 
 class Runtime:
@@ -53,7 +41,7 @@ class Runtime:
         """The pool registered under ``name``, created on first acquisition.
 
         The worker count is a *floor*: an existing pool grows to
-        ``num_workers`` if it is narrower, so a wide fan-out joining a shared
+        ``num_workers`` if it is narrower, so a wide batch joining a shared
         pool never silently runs at a narrower width.
         """
         with self._lock:
@@ -69,11 +57,11 @@ class Runtime:
         """Run ``fn`` on the calling thread, under the metrics sink a pool of
         this runtime would push around it.
 
-        The one inline counterpart of :meth:`WorkerPool.submit` — a site that
-        decides a batch is too small to dispatch runs it here, so ambient
-        instrumentation inside the task (shard-op counters, service
-        histograms) lands in the same registry wherever the task ran.  It is
-        not a pool task: nothing is queued, and no ``pool:<name>`` count moves.
+        The one inline counterpart of :meth:`WorkerPool.submit` — the shard
+        fan-out runs its loop here, so ambient instrumentation inside the task
+        (shard-op counters, service histograms) lands in the registry a pool
+        task's would.  It is not a pool task: nothing is queued, and no
+        ``pool:<name>`` count moves.
         """
         with use_registry(metrics_sink(self.telemetry)):
             return fn(*args, **kwargs)

@@ -4,8 +4,9 @@ The monotone-curve guarantee composes under partitioning — a sum of per-shard
 monotone cardinality curves is itself monotone — so both halves of the stack
 shard cleanly:
 
-* :class:`ShardedSelector` answers exact selections by thread-pool fan-out +
-  merge over per-shard indexes, bit-identical to the unsharded selector;
+* :class:`ShardedSelector` answers exact selections by fan-out (a loop on
+  the caller) + merge over per-shard indexes, bit-identical to the unsharded
+  selector;
 * :class:`ShardedEstimatorGroup` serves one endpoint per shard
   (``name#shardK``) plus a merged endpoint whose curves are the sums of the
   shard estimators' curves, computed in one service request;

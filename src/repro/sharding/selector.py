@@ -8,11 +8,10 @@ merged in ascending order.  Because every shard is exact and the merge loses
 nothing, results are bit-identical to running the unsharded selector over the
 full dataset, for any partitioning.
 
-Where the shard tasks run is decided per fan-out from what the selector can
-observe (:func:`fan_out_mode`): on the calling thread, unless more than one
-core is usable and one task of that op has been costing at least
-:data:`THREAD_DISPATCH_FLOOR_SECONDS` of CPU — the measured size from which
-handing tasks to the runtime's thread pool beats looping over them.
+The shard tasks run as a loop on the calling thread.  Python threads take
+turns on one interpreter lock, and the shard probes the workloads send cost
+far less CPU than a thread hand-off could win back (the measured break-even
+is ``docs/perf/pr-18/fan_out_break_even.json``), so there is no pool to pick.
 
 Updates route the same way (§8 per shard, not globally): an insert/delete
 expressed against *global* record ids is translated into one local operation
@@ -41,7 +40,7 @@ from ..datasets.updates import UpdateOperation
 from ..distances.base import DistanceFunction
 from ..obs.metrics import current_registry
 from ..obs.trace import span
-from ..runtime import Runtime, default_runtime, usable_cores
+from ..runtime import Runtime, default_runtime
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
 from .partitioner import Partitioner, ShardAssignment, get_partitioner
@@ -49,122 +48,12 @@ from .partitioner import Partitioner, ShardAssignment, get_partitioner
 #: Builds the exact selector for one shard's records.
 SelectorFactory = Callable[[Sequence], SimilaritySelector]
 
-#: Runtime pool name every sharded selector fans out on — selectors sharing a
-#: runtime share these workers instead of spawning one executor each.
-SHARD_POOL = "shards"
-
-#: Mean CPU seconds of one shard task from which a thread fan-out pays — the
-#: measured break-even, read in :func:`fan_out_mode` and nowhere else.
-#:
-#: Standalone 4-shard selector, thread fan-out vs the inline loop over the same
-#: 24 probes, 4 interleaved passes, median ms per query per pass (ranges: this
-#: box wanders), beside the CPU ms per shard task the selector's own meter
-#: read.  2 usable cores (Linux 6.18 Firecracker guest, Python 3.11.7, numpy
-#: 2.4.6, BLAS on one thread); committed with its machine block as
-#: ``docs/perf/pr-18/fan_out_break_even.json``, reproduced by
-#: ``pytest benchmarks/bench_fan_out_break_even.py -s --run-break-even``:
-#:
-#: ========= ======= =========== =========== ======== ======= =========
-#: distance  rows    pool ms     inline ms   task CPU faster  rule runs
-#: ========= ======= =========== =========== ======== ======= =========
-#: hamming   5,000   0.19–0.23   0.10–0.12   0.018    inline  inline
-#: hamming   40,000  0.28–0.43   0.17–0.21   0.035    inline  inline
-#: hamming   200,000 0.79–1.11   0.66–0.80   0.144    overlap inline
-#: hamming   400,000 1.85–2.31   1.68–2.00   0.403    overlap inline
-#: hamming   800,000 3.82–7.02   3.60–4.07   0.854    overlap inline
-#: euclidean 5,000   0.42–0.55   0.35–0.37   0.071    inline  inline
-#: euclidean 40,000  2.45–3.23   2.23–2.89   0.529    overlap inline
-#: euclidean 200,000 7.35–13.41  11.13–11.63 2.733    overlap inline
-#: euclidean 400,000 12.86–14.17 17.94–24.84 5.910    pool    pool
-#: euclidean 800,000 33.99–38.60 51.00–53.36 12.955   pool    pool
-#: ========= ======= =========== =========== ======== ======= =========
-#:
-#: Over every cell measured while the floor was chosen (61, five runs of this
-#: table or parts of it in separate processes; all listed in CHANGES.md):
-#: below 1 ms of CPU per task the pool was never the faster side (27 cells:
-#: inline ahead in 18, ranges overlapping in 9); from 2.95 ms it was never the
-#: slower one (24 cells: pool ahead in 20, overlapping in 4, by up to ~1.5x);
-#: between, the sides trade places from process to process (10 cells: inline
-#: 2, pool 3, overlap 5).  The floor sits at the top of that band: a pool is
-#: used only where it was never seen to lose.  Scaling on >= 4 cores is
-#: unmeasured (this box has two); on two, the thread path does not scale yet
-#: beyond that ~1.5x.
-THREAD_DISPATCH_FLOOR_SECONDS = 0.003
-
-
-def fan_out_mode(
-    parallel: bool,
-    num_tasks: int,
-    cores: int,
-    mean_task_seconds: float,
-) -> str:
-    """Where one batch of shard tasks runs — the shard fan-out's one decision.
-
-    The tasks are a loop on the calling thread unless dispatch is allowed
-    (``parallel``), there is something to overlap (more than one task, more
-    than one usable core) and one task has been costing at least
-    :data:`THREAD_DISPATCH_FLOOR_SECONDS` of CPU.  No measurement yet reads as
-    ``0.0`` and so as inline: the first fan-out of an op is the measurement.
-    """
-    if (
-        parallel
-        and num_tasks > 1
-        and cores > 1
-        and mean_task_seconds >= THREAD_DISPATCH_FLOOR_SECONDS
-    ):
-        return "thread"
-    return "inline"
-
-
-class _FanOutMeter:
-    """What a selector has observed about its own fan-outs: per op, the
-    running mean of one shard task's CPU seconds, and where the last fan-out
-    ran.
-
-    CPU time (``time.thread_time``) is the same number on the caller and on
-    a pool worker and does not count waiting for the interpreter lock, so
-    the mode chosen from it does not feed back into it.  The mean is plain
-    over the first :attr:`WINDOW` tasks and exponentially weighted after, so
-    it follows shards that grow.  Advisory state: it is dropped from
-    snapshots, and losing it costs at most one inline fan-out per op.
-    """
-
-    WINDOW = 32
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._means: Dict[str, Tuple[int, float]] = {}
-        self._last_mode: Optional[str] = None
-
-    def observe(self, op: str, cpu_seconds: float) -> None:
-        with self._lock:
-            count, mean = self._means.get(op, (0, 0.0))
-            count = min(count + 1, self.WINDOW)
-            self._means[op] = (count, mean + (cpu_seconds - mean) / count)
-
-    def ran(self, mode: str) -> None:
-        with self._lock:
-            self._last_mode = mode
-
-    def mean(self, op: str) -> float:
-        with self._lock:
-            return self._means.get(op, (0, 0.0))[1]
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "last_fan_out": self._last_mode,
-                "mean_task_seconds": {
-                    op: mean for op, (_, mean) in sorted(self._means.items())
-                },
-            }
-
 
 def _record_shard_op(op: str, shard_id: int, seconds: float) -> None:
     """Count one shard task into the ambient registry (op + shard labelled).
 
-    ``current_registry()`` is the registry the runtime pushed around the
-    task — the same one whether it ran inline or on a pool worker thread.
+    ``current_registry()`` is the registry :meth:`~repro.runtime.Runtime.run_inline`
+    pushed around the fan-out — the engine's, when an engine owns the runtime.
     """
     labels = {"op": op, "shard": shard_id}
     registry = current_registry()
@@ -242,7 +131,6 @@ class ShardedSelector(SimilaritySelector):
         selector_factory: SelectorFactory,
         num_shards: Optional[int] = None,
         partitioner: Union[str, Partitioner, None] = None,
-        parallel: bool = True,
         runtime: Optional[Runtime] = None,
     ) -> None:
         super().__init__(dataset)
@@ -262,15 +150,13 @@ class ShardedSelector(SimilaritySelector):
                 self.DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards),
             )
         self.num_shards = self.partitioner.num_shards
-        self.parallel = bool(parallel)
         self._assignment = self.partitioner.partition(self._dataset)
         self._shards: List[SimilaritySelector] = [
             selector_factory([self._dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
         ]
         #: ``None`` means "the process-wide default runtime, resolved at use"
-        #: — an engine injects its own so serving and sharding share one set
-        #: of workers.
+        #: — an engine injects its own, so shard metrics land in its registry.
         self.runtime = runtime
         #: Serializes layout changes (shards/assignment/journal)
         #: against query capture and compaction.  Shard *compute*
@@ -281,7 +167,6 @@ class ShardedSelector(SimilaritySelector):
         #: ``None`` = no rebalance in flight; a list = journal of updates
         #: applied since :meth:`begin_rebalance`, replayed at commit.
         self._journal: Optional[List[UpdateOperation]] = None
-        self._meter = _FanOutMeter()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -328,106 +213,46 @@ class ShardedSelector(SimilaritySelector):
         return self._assignment.shard_sizes()
 
     def stats(self) -> Dict[str, Any]:
-        """Shard-topology summary (the health report's per-attribute view),
-        with where the last fan-out ran (``inline`` / ``thread``; ``None``
-        before the first) and the per-op mean CPU
-        seconds of one shard task that choice was made on."""
+        """Shard-topology summary (the health report's per-attribute view)."""
         return {
             "num_shards": self.num_shards,
             "shard_sizes": self.shard_sizes(),
-            "parallel": self.parallel,
             "records": len(self),
             "rebalance_in_flight": self._journal is not None,
             "journal_depth": len(self._journal) if self._journal is not None else 0,
-            **self._meter.snapshot(),
         }
 
     # ------------------------------------------------------------------ #
-    # Parallel fan-out
+    # Fan-out
     # ------------------------------------------------------------------ #
-    def _shard_call(
-        self, op: str, shard_id: int, shard: SimilaritySelector,
-        task: Callable[[SimilaritySelector], Any],
-    ) -> Any:
-        """Run one shard's task under a ``shard.task`` span + op metrics,
-        metering the CPU seconds of the task body for :func:`fan_out_mode`."""
-        started = time.perf_counter()
-        with span("shard.task", op=op, shard=shard_id):
-            cpu_started = time.thread_time()
-            result = task(shard)
-            self._meter.observe(op, time.thread_time() - cpu_started)
-        _record_shard_op(op, shard_id, time.perf_counter() - started)
-        return result
-
-    def _shard_loop(
-        self,
-        op: str,
-        task: Callable[[SimilaritySelector], Any],
-        shards: List[SimilaritySelector],
-    ) -> List[Any]:
-        return [
-            self._shard_call(op, shard_id, shard, task)
-            for shard_id, shard in enumerate(shards)
-        ]
-
-    def _map_shards(
-        self,
-        op: str,
-        task: Callable[[SimilaritySelector], Any],
-        shards: List[SimilaritySelector],
-        mode: str,
-    ) -> List[Any]:
-        """Run ``task`` on every shard selector: as a loop on the calling thread (``mode="inline"``) or as one task per shard on
-        the runtime's shared :data:`SHARD_POOL` (``mode="thread"``).
-
-        The same :meth:`_shard_call` runs either way — same span, same
-        metrics, same registry (:meth:`~repro.runtime.Runtime.run_inline`
-        pushes the sink a pool worker would).  Worker threads share one
-        interpreter lock, so the pool gains only what the shard kernels spend
-        outside it; :func:`fan_out_mode` picks it from the measured
-        break-even (:data:`THREAD_DISPATCH_FLOOR_SECONDS`), not on faith.
-        The pool is acquired lazily, so a freshly restored selector (whose
-        runtime dropped its pools at save) rebuilds it on its first thread
-        fan-out.
-
-        Submission is shard-id-aware (each task knows which shard it covers,
-        for spans and metrics) but keeps ``pool.map``'s error contract: every
-        handle resolves before the first failure re-raises.
-        """
-        runtime = self.runtime if self.runtime is not None else default_runtime()
-        if mode == "inline":
-            return runtime.run_inline(self._shard_loop, op, task, shards)
-        pool = runtime.pool(SHARD_POOL, num_workers=len(shards))
-        handles = [
-            pool.submit(self._shard_call, op, shard_id, shard, task)
-            for shard_id, shard in enumerate(shards)
-        ]
-        errors = [handle.exception() for handle in handles]
-        for error in errors:
-            if error is not None:
-                raise error
-        return [handle.result() for handle in handles]
-
     def _fan_out(
         self, op: str, task: Callable[[SimilaritySelector], Any]
     ) -> Tuple[List[Any], ShardAssignment]:
-        """Run one op on every shard, where :func:`fan_out_mode` says: on the
-        thread pool or as a loop on this thread.  Both execute the same
-        selector code, so their results are interchangeable bit for bit.
+        """Run ``task`` on every shard, in shard order, on the calling thread.
 
-        The (shards, assignment) pair is captured under the layout lock so a
-        concurrent rebalance commit cannot tear it; the shard compute itself
-        runs outside the lock.  Returns the captured assignment so the caller
+        The loop runs under :meth:`~repro.runtime.Runtime.run_inline`, which
+        pushes the runtime's metrics sink, so each shard's ``shard.task`` span
+        and op metrics land in the engine's registry.  The (shards,
+        assignment) pair is captured under the layout lock so a concurrent
+        rebalance commit cannot tear it; the shard compute itself runs
+        outside the lock.  Returns the captured assignment so the caller
         merges local ids against the layout that actually answered.
         """
         with self._lock:
             shards = list(self._shards)
             assignment = self._assignment
-        mode = fan_out_mode(
-            self.parallel, len(shards), usable_cores(), self._meter.mean(op)
-        )
-        self._meter.ran(mode)
-        return self._map_shards(op, task, shards, mode), assignment
+
+        def loop() -> List[Any]:
+            results = []
+            for shard_id, shard in enumerate(shards):
+                started = time.perf_counter()
+                with span("shard.task", op=op, shard=shard_id):
+                    results.append(task(shard))
+                _record_shard_op(op, shard_id, time.perf_counter() - started)
+            return results
+
+        runtime = self.runtime if self.runtime is not None else default_runtime()
+        return runtime.run_inline(loop), assignment
 
     @staticmethod
     def _merge(
@@ -506,7 +331,6 @@ class ShardedSelector(SimilaritySelector):
             dataset,
             self.selector_factory,
             partitioner=self.partitioner,
-            parallel=self.parallel,
             runtime=self.runtime,
         )
 
@@ -527,11 +351,9 @@ class ShardedSelector(SimilaritySelector):
         same-configuration selector, so post-restore updates keep working.
         The ``runtime`` reference persists as an object (its own hooks drop
         the live pools), preserving runtime-sharing identity across restore:
-        an engine and its sharded selectors restore onto ONE runtime, and the
-        shard pool is rebuilt lazily on the first parallel fan-out.  The
-        layout lock, the fan-out meter (advisory; re-learned by the first
-        fan-out), and an in-flight rebalance journal are likewise dropped — a
-        restored selector serves the committed layout.
+        an engine and its sharded selectors restore onto ONE runtime.  The
+        layout lock and an in-flight rebalance journal are likewise dropped —
+        a restored selector serves the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale
@@ -539,14 +361,15 @@ class ShardedSelector(SimilaritySelector):
         state.pop("selector_factory", None)
         state.pop("_lock", None)
         state["_journal"] = None
-        state.pop("_meter", None)
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
+        # Format-8 snapshots written before the fan-out became one loop
+        # persist its dispatch switch; it no longer exists.
+        state.pop("parallel", None)
         self.__dict__.update(state)
         self.selector_factory = self._rebuild_shard
         self._lock = threading.RLock()
-        self._meter = _FanOutMeter()
 
     # ------------------------------------------------------------------ #
     # Update routing (the per-shard §8 path)

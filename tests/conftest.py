@@ -118,16 +118,5 @@ def trained_cardnet_accelerated(binary_dataset, binary_workload):
 
 
 @pytest.fixture
-def thread_fan_out(monkeypatch):
-    """Send every shard fan-out to the thread pool through the decision's own
-    inputs (``repro.sharding.selector.fan_out_mode``): two usable cores and a
-    break-even floor of zero CPU seconds per task."""
-    from repro.sharding import selector
-
-    monkeypatch.setattr(selector, "THREAD_DISPATCH_FLOOR_SECONDS", 0.0)
-    monkeypatch.setattr(selector, "usable_cores", lambda: 2)
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

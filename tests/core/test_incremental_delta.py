@@ -196,7 +196,7 @@ def test_relabel_delta_equals_relabel_on_engine_selectors(distance_name, sharded
             mirror = [row for i, row in enumerate(mirror) if i not in set(positions)]
 
     selector = (
-        ShardedSelector(rows, build, num_shards=4, parallel=False) if sharded else build(rows)
+        ShardedSelector(rows, build, num_shards=4) if sharded else build(rows)
     )
     probes = [rows[0], rows[7], near(rows[11], 4)]
     touched = [row for _, _, delta in plan for row in delta]

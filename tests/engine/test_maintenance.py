@@ -106,7 +106,7 @@ class Harness:
             self.binding = self.engine.register_sharded_attribute(
                 "a", dataset.records, self.distance_name,
                 lambda rows, shard_index: copy.deepcopy(estimator),
-                num_shards=NUM_SHARDS, theta_max=dataset.theta_max, parallel=False,
+                num_shards=NUM_SHARDS, theta_max=dataset.theta_max,
             )
         else:
             self.binding = self.engine.register_attribute(

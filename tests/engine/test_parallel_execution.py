@@ -3,10 +3,9 @@ the answers.
 
 One batched ``execute_many`` must be bit-identical to a loop of ``execute``
 on all four distances — results, plans, feedback windows, and drift
-telemetry — including when the driving attribute fans out across shards on
-the engine runtime's thread pool.  A pool is used only when it pays, so the
-tests about the pooled path reach it through the decision's input: the
-``thread_fan_out`` fixture makes shard fan-outs dispatch to threads.
+telemetry — including when the driving attribute fans out across shards.
+Neither path hands work to a pool: plans run on the caller, in order, and
+the shard fan-out is a loop on the caller too.
 """
 
 from __future__ import annotations
@@ -117,9 +116,8 @@ def assert_result_lists_equal(results_a, results_b):
 class TestNoDispatchBelowTheFloor:
     @pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
     def test_in_process_batch_of_32_touches_no_pool(self, datasets, sharded):
-        """At this size shard fan-out does not pay, so it does not dispatch:
-        32 queries through ``execute_many`` submit nothing and create no
-        pool."""
+        """32 queries through ``execute_many`` submit nothing and create no
+        pool: plans and shard fan-outs both run on the caller."""
         dataset = datasets["hamming"]
         engine = SimilarityQueryEngine()
         if sharded:
@@ -154,28 +152,23 @@ class TestNoDispatchBelowTheFloor:
             name for name in engine.service.telemetry.snapshot() if name.startswith("pool:")
         ]
         if sharded:
-            stats = engine.catalog.get("vec").selector.stats()
-            assert stats["last_fan_out"] == "inline"
             report = engine.health_report()
-            assert report.attributes["vec"]["fan_out"] == "inline"
-            assert "fan_out=inline" in report.describe()
+            assert report.attributes["vec"]["shards"] == 4
+            assert "shards=4" in report.describe()
+            assert "fan_out" not in report.describe()
+            assert report.pools == {}
 
 
 class TestBitIdenticalToSequential:
-    def test_four_distance_workload(self, datasets, thread_fan_out):
+    def test_four_distance_workload(self, datasets):
         sequential_engine = _build_engine(datasets, sharded=("hamming",))
         parallel_engine = _build_engine(datasets, sharded=("hamming",))
         queries = _queries(datasets)
-        try:
-            sequential = [sequential_engine.execute(query) for query in queries]
-            parallel = parallel_engine.execute_many(queries)
-            # The sharded attribute actually fanned out on the thread pool.
-            pool_stats = parallel_engine.runtime.stats()["shards"]
-            assert pool_stats["completed"] > 0
-            assert parallel_engine.runtime.pool_names() == ["shards"]
-        finally:
-            sequential_engine.runtime.shutdown()
-            parallel_engine.runtime.shutdown()
+        sequential = [sequential_engine.execute(query) for query in queries]
+        parallel = parallel_engine.execute_many(queries)
+        # The sharded attribute fanned out on the caller: no pool exists.
+        assert sequential_engine.runtime.pool_names() == []
+        assert parallel_engine.runtime.pool_names() == []
         assert_result_lists_equal(sequential, parallel)
 
         # Feedback state is identical too: same windows, same observations.
@@ -231,21 +224,25 @@ class TestShardedDriverOnSharedRuntime:
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
         ]
 
-    def test_thread_fanout_runs_on_the_engine_runtime_without_pipelining(
-        self, datasets, thread_fan_out
+    def test_sharded_fanout_reports_to_the_engine_runtime_without_pipelining(
+        self, datasets
     ):
-        """Thread shard fan-out stays in the interpreter: its tasks run on the
-        engine runtime's ``shards`` pool, and nothing is pipelined."""
+        """The shard fan-out runs on the caller under the engine runtime's
+        metrics sink: one task per shard and query counted in the engine's
+        registry, no pool created, nothing pipelined."""
         dataset = datasets["hamming"]
         queries = self._shard_queries(dataset)
         sequential_engine = self._build(dataset)
         sequential = [sequential_engine.execute(query) for query in queries]
         engine = self._build(dataset)
         assert_result_lists_equal(sequential, engine.execute_many(queries))
-        assert engine.runtime.pool_names() == ["shards"]
-        snapshot = engine.service.telemetry.snapshot()
-        assert snapshot["pool:shards"]["requests"] == 3 * len(queries)
-        assert engine.catalog.get("vec").selector.stats()["last_fan_out"] == "thread"
+        assert engine.runtime.pool_names() == []
+        tasks = sum(
+            metric.value
+            for metric in engine.service.telemetry.metrics.collect()
+            if metric.name == "repro_shard_tasks_total"
+        )
+        assert tasks == 3 * len(queries)
 
     def test_injected_runtime_is_shared_not_owned(self, datasets):
         runtime = Runtime()

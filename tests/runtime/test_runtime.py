@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import current_registry, default_registry
-from repro.runtime import Runtime, WorkerPool, default_runtime, usable_cores
+from repro.runtime import Runtime, WorkerPool, default_runtime
 from repro.serving import ServingTelemetry
 from repro.store import load_component, save_component
 
@@ -152,18 +152,6 @@ class TestRunInline:
             runtime.run_inline(lambda: 1 / 0)
         assert current_registry() is default_registry()
         assert runtime.pool_names() == []
-
-    def test_usable_cores_is_the_affinity_when_the_platform_has_one(self, monkeypatch):
-        import os
-
-        assert usable_cores() >= 1
-        if hasattr(os, "sched_getaffinity"):
-            assert usable_cores() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert usable_cores() == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert usable_cores() == 1
 
 
 class TestSnapshotHooks:

@@ -213,7 +213,7 @@ def test_eight_threads_probe_one_selector(name, string_dataset, set_dataset, vec
 
     expected = run(None)
     interval = sys.getswitchinterval()
-    pool = WorkerPool("probes", num_workers=8)  # the fan-out pools' own thread backend
+    pool = WorkerPool("probes", num_workers=8)  # the runtime's own thread pool
     sys.setswitchinterval(1e-5)
     try:
         handles = [pool.submit(run, worker) for worker in range(8)]

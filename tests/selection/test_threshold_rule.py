@@ -84,7 +84,7 @@ PLACEMENTS = ("on", "below", "above", "negative")
 def _selectors(name, sharded):
     distance_name, rows, build = CASES[name]
     selector = (
-        ShardedSelector(rows, build, num_shards=4, parallel=False) if sharded else build(rows)
+        ShardedSelector(rows, build, num_shards=4) if sharded else build(rows)
     )
     return selector, LinearScanSelector(rows, get_distance(distance_name))
 

@@ -2,8 +2,8 @@
 
 The stress test hammers ONE service from N threads with a mix of every
 client-facing operation (``estimate_many`` / ``estimate`` /
-``estimate_curve_many``) and then asserts the invariants shard fan-out relies
-on: answers identical to a single-threaded reference, cached curves still
+``estimate_curve_many``) and then asserts the invariants concurrent callers
+rely on: answers identical to a single-threaded reference, cached curves still
 frozen, and telemetry counts that sum exactly to the work requested.
 
 Also pins that a failing endpoint raises to its caller and wedges nothing.
@@ -114,16 +114,14 @@ class TestStress:
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 
-        threads = [
-            # repro: ignore[RPR001] - stress harness: raw threads hammer the service under test
-            threading.Thread(target=hammer, args=(t,), daemon=True)
-            for t in range(self.NUM_THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
+        # One worker per hammer, so all of them pass the barrier together.
+        pool = WorkerPool("hammer", num_workers=self.NUM_THREADS)
+        try:
+            handles = [pool.submit(hammer, t) for t in range(self.NUM_THREADS)]
+            for handle in handles:
+                handle.result(timeout=60)
+        finally:
+            pool.shutdown()
         assert not errors, errors
 
         # 1. Every answer matched the single-threaded reference (asserted in

@@ -1,19 +1,14 @@
-"""Where a shard fan-out runs: the decision, and what must not depend on it.
+"""The shard fan-out: one loop over the shards on the calling thread.
 
-``fan_out_mode`` chooses between the calling thread and the runtime's thread
-pool from inputs the selector observes.  The first class
-pins the decision table with injected inputs (no timing); the rest pins that
-the choice moves wall-clock only — results and per-shard metrics are the same
-in kind, in count and in *registry* wherever the tasks ran.
+It answers exactly like the unsharded selector, counts every shard task once
+per op and shard, and reports those counts to the registry its runtime's
+telemetry owns — the engine's — and nothing to the process default registry.
+No pool is created for it.
 """
 
 from __future__ import annotations
 
-import contextlib
-from unittest import mock
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,111 +20,10 @@ from repro.selection.euclidean_index import BallIndexEuclideanSelector
 from repro.selection.hamming_index import PackedHammingSelector
 from repro.serving.telemetry import ServingTelemetry
 from repro.sharding import ShardedSelector
-from repro.sharding import selector as selector_module
-from repro.sharding.selector import SHARD_POOL, THREAD_DISPATCH_FLOOR_SECONDS, fan_out_mode
-
-FLOOR = THREAD_DISPATCH_FLOOR_SECONDS
-BELOW, ABOVE = FLOOR / 2, FLOOR * 2
-
-
-def thread_dispatch():
-    """The thread path through the decision's inputs: floor 0, two cores."""
-    return mock.patch.multiple(
-        selector_module, THREAD_DISPATCH_FLOOR_SECONDS=0.0, usable_cores=lambda: 2
-    )
-
-
-class TestDecisionTable:
-    @pytest.mark.parametrize(
-        "parallel, num_tasks, cores, mean, expected",
-        [
-            # No measurement yet reads 0.0: inline.
-            (True, 4, 2, 0.0, "inline"),
-            # Two cores: the floor decides; reaching it is enough.
-            (True, 4, 2, BELOW, "inline"),
-            (True, 4, 2, FLOOR, "thread"),
-            (True, 4, 2, ABOVE, "thread"),
-            (True, 4, 8, ABOVE, "thread"),
-            # One usable core: nothing to overlap, however large the tasks.
-            (True, 4, 1, BELOW, "inline"),
-            (True, 4, 1, FLOOR, "inline"),
-            (True, 4, 1, ABOVE, "inline"),
-            # One task: nothing to overlap either.
-            (True, 1, 2, ABOVE, "inline"),
-            # parallel=False never dispatches.
-            (False, 4, 2, ABOVE, "inline"),
-            (False, 4, 1, 0.0, "inline"),
-        ],
-    )
-    def test_fan_out_mode(self, parallel, num_tasks, cores, mean, expected):
-        assert fan_out_mode(parallel, num_tasks, cores, mean) == expected
-
-    def test_the_floor_is_positive_so_an_unmeasured_op_runs_inline(self):
-        assert FLOOR > 0.0
-
-    def test_selector_feeds_the_decision_what_it_observed(self):
-        """The inputs are read where the table says: the meter's mean for the
-        op, the usable cores, the floor — and the choice shows in stats()."""
-        rng = np.random.default_rng(5)
-        records = [row for row in rng.integers(0, 2, size=(64, 32)).astype(np.uint8)]
-        runtime = Runtime()
-        selector = ShardedSelector(
-            records, PackedHammingSelector, num_shards=4, runtime=runtime
-        )
-        try:
-            assert selector.stats()["last_fan_out"] is None
-            assert selector.stats()["mean_task_seconds"] == {}
-            selector.query(records[0], 6.0)
-            stats = selector.stats()
-            assert stats["last_fan_out"] == "inline"
-            assert 0.0 < stats["mean_task_seconds"]["query"] < FLOOR
-            assert runtime.pool_names() == []
-
-            with thread_dispatch():
-                selector.query(records[0], 6.0)
-                assert selector.stats()["last_fan_out"] == "thread"
-                # Another op is metered on its own; one core keeps it inline
-                # whatever the floor.
-                with mock.patch.object(selector_module, "usable_cores", lambda: 1):
-                    selector.cardinality(records[0], 6.0)
-                    assert selector.stats()["last_fan_out"] == "inline"
-            assert runtime.pool_names() == [SHARD_POOL]
-            assert runtime.stats()[SHARD_POOL]["submitted"] == 4
-            assert set(selector.stats()["mean_task_seconds"]) == {"cardinality", "query"}
-
-            selector.parallel = False
-            with thread_dispatch():
-                selector.query(records[0], 6.0)
-            assert selector.stats()["last_fan_out"] == "inline"
-            assert runtime.stats()[SHARD_POOL]["submitted"] == 4
-        finally:
-            runtime.shutdown()
-
-    def test_meter_follows_the_tasks_and_is_dropped_by_snapshots(self, tmp_path):
-        from repro.store import load_component, save_component
-
-        rng = np.random.default_rng(6)
-        records = [row for row in rng.integers(0, 2, size=(40, 32)).astype(np.uint8)]
-        selector = ShardedSelector(
-            records, PackedHammingSelector, num_shards=2, runtime=Runtime()
-        )
-        meter = selector._meter
-        for _ in range(meter.WINDOW):
-            meter.observe("query", 1.0)
-        assert meter.mean("query") == pytest.approx(1.0)
-        for _ in range(8 * meter.WINDOW):
-            meter.observe("query", 3.0)  # shards grew: the mean follows
-        assert meter.mean("query") == pytest.approx(3.0, rel=1e-3)
-
-        save_component(selector, tmp_path / "snap")
-        restored = load_component(tmp_path / "snap")
-        assert restored.stats()["last_fan_out"] is None
-        assert restored.stats()["mean_task_seconds"] == {}
-        assert restored.query(records[0], 6.0) == selector.query(records[0], 6.0)
 
 
 # --------------------------------------------------------------------------- #
-# Two modes, one answer, one set of metrics
+# One answer, one set of metrics
 # --------------------------------------------------------------------------- #
 KINDS = {
     "hamming": (
@@ -181,35 +75,23 @@ def _default_registry_shard_series():
     num_records=st.integers(min_value=12, max_value=48),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_inline_and_thread_fan_outs_agree(kind, num_shards, op, num_records, seed):
+def test_fan_out_equals_unsharded_with_exact_shard_metrics(
+    kind, num_shards, op, num_records, seed
+):
     make_records, selector_cls, thetas = KINDS[kind]
     records = make_records(np.random.default_rng(seed), num_records)
     before = _default_registry_shard_series()
-    outcomes = {}
-    for mode in ("inline", "thread"):
-        telemetry = ServingTelemetry()
-        runtime = Runtime(telemetry=telemetry)
-        selector = ShardedSelector(
-            records,
-            selector_cls,
-            num_shards=num_shards,
-            partitioner="round_robin",
-            runtime=runtime,
-        )
-        try:
-            if mode == "thread":
-                with thread_dispatch():
-                    answer = _run_op(selector, op, records, thetas)
-            else:
-                answer = _run_op(selector, op, records, thetas)
-            pools = runtime.pool_names()
-        finally:
-            runtime.shutdown()
-        # One shard has nothing to overlap: both modes loop.
-        ran = "inline" if mode == "thread" and num_shards == 1 else mode
-        assert selector.stats()["last_fan_out"] == ran
-        assert pools == {"inline": [], "thread": [SHARD_POOL]}[ran]
-        outcomes[mode] = (answer, _shard_metric_counts(telemetry.metrics))
+    telemetry = ServingTelemetry()
+    runtime = Runtime(telemetry=telemetry)
+    selector = ShardedSelector(
+        records,
+        selector_cls,
+        num_shards=num_shards,
+        partitioner="round_robin",
+        runtime=runtime,
+    )
+    answer = _run_op(selector, op, records, thetas)
+    assert runtime.pool_names() == []
 
     unsharded = selector_cls(records)
     if op == "query_many":
@@ -217,71 +99,49 @@ def test_inline_and_thread_fan_outs_agree(kind, num_shards, op, num_records, see
     else:
         expected = _run_op(unsharded, op, records, thetas)
     calls = 1 if op == "query_many" else 3
-    for mode, (answer, counts) in outcomes.items():
-        assert answer == expected, mode
-        assert counts == {
-            (name, op, shard): calls
-            for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
-            for shard in range(num_shards)
-        }, mode
+    assert answer == expected
+    assert _shard_metric_counts(telemetry.metrics) == {
+        (name, op, shard): calls
+        for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
+        for shard in range(num_shards)
+    }
     # An engine-less selector WITH a telemetry'd runtime leaks nothing into
-    # the process default registry, whichever way its tasks ran.
+    # the process default registry.
     assert _default_registry_shard_series() == before
 
 
 # --------------------------------------------------------------------------- #
 # One registry (the bug: inline tasks used to report to the default registry)
 # --------------------------------------------------------------------------- #
-def _sharded_engine(records, **shard_options):
-    engine = SimilarityQueryEngine()
-    engine.register_sharded_attribute(
-        "vec",
-        records,
-        "hamming",
-        lambda shard_records, shard: UniformSamplingEstimator(
-            shard_records, "hamming", sample_ratio=0.5, seed=shard
-        ),
-        num_shards=4,
-        partitioner="round_robin",
-        theta_max=8.0,
-        **shard_options,
-    )
-    return engine
-
-
 class TestOneRegistry:
-    @pytest.fixture(scope="class")
-    def records(self):
+    def test_fan_out_reports_to_the_engine_registry_only(self):
         rng = np.random.default_rng(17)
-        return [row for row in rng.integers(0, 2, size=(48, 16)).astype(np.uint8)]
-
-    def _serve(self, engine, records, thread=False):
-        """Warm-up and ten driver queries; returns the ids, what the engine
-        registry then counts, and the fan-out mode the selector last took."""
-        queries = [SimilarityPredicate("vec", records[i], 5.0) for i in range(10)]
-        with thread_dispatch() if thread else contextlib.nullcontext():
-            engine.execute(queries[0])
-            results = engine.execute_many(queries)
-        selector = engine.catalog.get("vec").selector
-        counts = _shard_metric_counts(engine.service.telemetry.metrics)
-        return [r.record_ids for r in results], counts, selector.stats()["last_fan_out"]
-
-    def test_every_mode_reports_to_the_engine_registry(self, records):
+        records = [row for row in rng.integers(0, 2, size=(48, 16)).astype(np.uint8)]
         before = _default_registry_shard_series()
-        served = {
-            "inline": self._serve(_sharded_engine(records), records),
-            "thread": self._serve(_sharded_engine(records), records, thread=True),
-            "never": self._serve(_sharded_engine(records, parallel=False), records),
-        }
-        assert served["inline"][2] == "inline"
-        assert served["thread"][2] == "thread"
-        assert served["never"][2] == "inline"
-        expected_counts = {
+        engine = SimilarityQueryEngine()
+        engine.register_sharded_attribute(
+            "vec",
+            records,
+            "hamming",
+            lambda shard_records, shard: UniformSamplingEstimator(
+                shard_records, "hamming", sample_ratio=0.5, seed=shard
+            ),
+            num_shards=4,
+            partitioner="round_robin",
+            theta_max=8.0,
+        )
+        queries = [SimilarityPredicate("vec", records[i], 5.0) for i in range(10)]
+        engine.execute(queries[0])
+        results = engine.execute_many(queries)
+
+        unsharded = PackedHammingSelector(records)
+        assert [result.record_ids for result in results] == [
+            unsharded.query(query.record, 5.0) for query in queries
+        ]
+        assert _shard_metric_counts(engine.service.telemetry.metrics) == {
             (name, "query", shard): 11
             for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
             for shard in range(4)
         }
-        for mode, (ids, counts, _) in served.items():
-            assert ids == served["inline"][0], mode
-            assert counts == expected_counts, mode
         assert _default_registry_shard_series() == before
+        assert engine.runtime.pool_names() == []

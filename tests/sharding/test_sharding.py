@@ -57,13 +57,12 @@ class ExactCountEstimator(CardinalityEstimator):
         )
 
 
-def sharded_for(dataset, num_shards, partitioner="hash", parallel=True):
+def sharded_for(dataset, num_shards, partitioner="hash"):
     return ShardedSelector(
         dataset.records,
         lambda shard_records: default_selector(dataset.distance_name, shard_records),
         num_shards=num_shards,
         partitioner=partitioner,
-        parallel=parallel,
     )
 
 
@@ -190,12 +189,6 @@ class TestShardedSelectorExact:
         matches, counts = sharded.query_with_counts(record, 6.0)
         assert len(counts) == 4
         assert sum(counts) == len(matches)
-
-    def test_sequential_matches_parallel(self, vector_dataset):
-        parallel = sharded_for(vector_dataset, 4, parallel=True)
-        sequential = sharded_for(vector_dataset, 4, parallel=False)
-        record = vector_dataset.records[7]
-        assert parallel.query(record, 0.5) == sequential.query(record, 0.5)
 
     def test_rebuild_preserves_configuration(self, binary_dataset):
         sharded = sharded_for(binary_dataset, 3, partitioner="round_robin")

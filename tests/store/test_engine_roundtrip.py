@@ -21,6 +21,8 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
+from repro.sharding import RebalancePlan, SplitShard
+from repro.sharding.rebalance import REBALANCE_BUILD_POOL
 from repro.store import FORMAT_VERSION, inspect_snapshot, load_engine, save_engine
 
 
@@ -263,9 +265,13 @@ class TestGPHAndSharded:
 
 
 class TestRuntimeBackedTopology:
-    """An engine whose shard fan-out runs on the shared runtime's thread pool
-    must snapshot WITHOUT serializing pools and restore to a fully working
-    parallel topology."""
+    """An engine whose runtime has built pools (a rebalance builds its target
+    shards on one) must snapshot WITHOUT serializing pools and restore to a
+    fully working topology that rebuilds them on demand."""
+
+    @staticmethod
+    def _estimator_factory(records, shard):
+        return UniformSamplingEstimator(records, "hamming", sample_ratio=0.5, seed=shard)
 
     def _sharded_runtime_engine(self, dataset):
         engine = SimilarityQueryEngine()
@@ -273,16 +279,14 @@ class TestRuntimeBackedTopology:
             "vec",
             dataset.records,
             "hamming",
-            lambda records, shard: UniformSamplingEstimator(
-                records, "hamming", sample_ratio=0.5, seed=shard
-            ),
+            self._estimator_factory,
             num_shards=3,
             theta_max=dataset.theta_max,
         )
         return engine
 
     def test_runtime_pools_never_serialize_and_rebuild_after_restore(
-        self, datasets, tmp_path, thread_fan_out
+        self, datasets, tmp_path
     ):
         dataset = datasets["hamming"]
         engine = self._sharded_runtime_engine(dataset)
@@ -291,8 +295,9 @@ class TestRuntimeBackedTopology:
         ]
         restored = None
         try:
-            engine.execute_many(queries)  # spin up the shard pool before saving
-            assert engine.runtime.pool_names() == ["shards"]
+            # Spin up the rebalance build pool before saving.
+            engine.rebalance_attribute("vec", RebalancePlan([SplitShard(0)]))
+            assert engine.runtime.pool_names() == [REBALANCE_BUILD_POOL]
 
             save_engine(engine, tmp_path / "snap")
             manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
@@ -301,19 +306,29 @@ class TestRuntimeBackedTopology:
 
             restored = load_engine(tmp_path / "snap")
             # The restored runtime starts empty; identity survives — the restored
-            # sharded selector fans out on the restored ENGINE's runtime.
+            # sharded selector reports to the restored ENGINE's runtime.
             assert restored.runtime.pool_names() == []
             assert restored.catalog.get("vec").selector.runtime is restored.runtime
-
-            # Parallel execution works again (pools rebuilt lazily) and matches
-            # the original engine query for query, shard counts included.
             for original, loaded in zip(
                 engine.execute_many(queries), restored.execute_many(queries)
             ):
                 assert_results_equal(original, loaded)
-            assert restored.runtime.pool_names() == ["shards"]
-            pool_report = restored.service.telemetry.snapshot()["pool:shards"]
-            assert pool_report["requests"] >= 3 * len(queries)
+
+            # The next rebalance rebuilds the pool lazily, and both engines
+            # still answer query for query, shard counts included.
+            def builds(live):
+                return live.service.telemetry.endpoint(f"pool:{REBALANCE_BUILD_POOL}").requests
+
+            saved_builds = builds(restored)  # telemetry survives the round trip
+            restored.set_estimator_factory("vec", self._estimator_factory)
+            for live in (engine, restored):
+                live.rebalance_attribute("vec", RebalancePlan([SplitShard(1)]))
+            assert restored.runtime.pool_names() == [REBALANCE_BUILD_POOL]
+            assert builds(restored) == saved_builds + 2 == builds(engine)
+            for original, loaded in zip(
+                engine.execute_many(queries), restored.execute_many(queries)
+            ):
+                assert_results_equal(original, loaded)
         finally:
             engine.runtime.shutdown()
             if restored is not None:
@@ -428,6 +443,25 @@ class TestStackedShardSnapshots:
                 assert np.array_equal(served, np.asarray(curves)), name
                 group = restored.shard_group(name)
                 assert group.merged._stack.members == group.estimators
+        finally:
+            restored.runtime.shutdown()
+
+    def test_snapshot_holding_the_dispatch_switch_restores_without_it(self, tmp_path):
+        """The snapshot was written while ``ShardedSelector`` still had a
+        ``parallel`` switch; the restore drops it, and a re-save omits it."""
+        assert '["parallel", true]' in (FORMAT8_SHARDED / "manifest.json").read_text()
+        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT8_SHARDED)
+        try:
+            for name, curves in expected.items():
+                selector = restored.catalog.get(name).selector
+                assert not hasattr(selector, "parallel")
+                assert "parallel" not in selector.stats()
+                records = list(restored.catalog.get(name).records[: len(curves)])
+                served = restored.service.estimate_curve_many(name, records)
+                assert np.array_equal(served, np.asarray(curves)), name
+            save_engine(restored, tmp_path / "resaved")
+            assert '"parallel"' not in (tmp_path / "resaved" / "manifest.json").read_text()
         finally:
             restored.runtime.shutdown()
 
