@@ -161,7 +161,7 @@ def test_rebalance_serves_bounded_latency_and_swaps_bit_identically(print_table)
     journal_depth = selector.stats()["journal_depth"]
     selector.abort_rebalance()  # hand the staging to the real executor below
 
-    # Execute the same plan for real (begin → build on the pool → commit with
+    # Execute the same plan for real (begin → build on the caller → commit with
     # journal replay), injecting the same mid-flight updates between the halves.
     rebalancer = Rebalancer()
     staged = rebalancer.begin(selector, plan)

@@ -104,7 +104,6 @@ def main() -> None:
             f"[{predicates}] -> {entry['result_count']} rows"
         )
 
-    engine.runtime.shutdown()
     print("\nOne trace covered planning, the sharded driver fan-out, and")
     print("residual verification; the same registry served percentiles and")
     print("Prometheus text; the ring kept the slowest queries for post-mortems.")

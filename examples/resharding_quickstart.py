@@ -4,7 +4,7 @@ Builds a sharded Hamming deployment, streams mixed updates through it (every
 insert/delete lands as an O(Δ) index delta — append segments + tombstones,
 no rebuild), then rebalances the layout while it keeps serving: a hot shard
 is split and two cold shards merged, staged shards build from the base
-rows on a background pool, mid-rebalance updates are journaled, and the
+rows on the caller, mid-rebalance updates are journaled, and the
 commit replays the journal before atomically swapping assignment, shards,
 and serving endpoints.  Every step is checked bit-identical against a
 linear scan.

@@ -1,8 +1,8 @@
-"""Runtime quickstart: one execution layer under everything concurrent.
+"""Runtime quickstart: the library owns no threads; its callers may.
 
 Builds an engine on ONE runtime, shows that its sharded fan-out ran on the
-calling thread (it is a loop over the shards: no pool is created), and drives
-the estimation service from many threads at once.
+calling thread (it is a loop over the shards: no thread is started), and
+drives the estimation service from many threads of the caller's own.
 
 Run with:  python examples/runtime_quickstart.py
 """
@@ -48,6 +48,7 @@ def main() -> None:
         for i in rng.integers(0, len(dataset.records), size=60)
     ]
 
+    threads_before = threading.active_count()
     start = time.perf_counter()
     looped = [engine.execute(query) for query in queries]
     looped_seconds = time.perf_counter() - start
@@ -62,16 +63,16 @@ def main() -> None:
           "(bit-identical results)")
 
     # The shard fan-out is a loop on this thread; its per-shard task counts
-    # land in the engine's registry, and no pool was created for it:
+    # land in the engine's registry, and no thread was started for it:
     shard_tasks = sum(
         metric.value
         for metric in engine.service.telemetry.metrics.collect()
         if metric.name == "repro_shard_tasks_total"
     )
     print(f"shard fan-out ran {shard_tasks:.0f} shard tasks on the caller; "
-          f"pools created: {engine.runtime.pool_names() or 'none'}")
+          f"threads started: {threading.active_count() - threads_before}")
 
-    # --- Thread-safe serving: many threads, one service ------------------- #
+    # --- Thread-safe serving: the caller's threads, one service ----------- #
     service = engine.service
     def estimate_burst(thread_id: int) -> None:
         picks = [(thread_id * 8 + i) % len(dataset.records) for i in range(8)]

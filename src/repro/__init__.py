@@ -36,7 +36,7 @@ from .obs import (
     start_trace,
     tracing_enabled,
 )
-from .runtime import Runtime, WorkerPool, default_runtime
+from .runtime import Runtime
 from .serving import CurveCache, EstimationService, EstimatorRegistry
 from .sharding import ShardedEstimatorGroup, ShardedSelector
 from .store import load_engine, save_engine
@@ -58,8 +58,6 @@ __all__ = [
     "ShardedSelector",
     "ShardedEstimatorGroup",
     "Runtime",
-    "WorkerPool",
-    "default_runtime",
     "save_engine",
     "load_engine",
     "load_dataset",

@@ -1,7 +1,7 @@
 """repro.analysis — AST contract linter for the repo's cross-cutting invariants.
 
 Seven PRs in, the codebase's correctness rests on contracts no type checker
-sees: all concurrency lives in ``repro.runtime``, everything reachable from an
+sees: the library constructs no thread, everything reachable from an
 engine must snapshot-roundtrip, timings must be monotonic, swallowed
 exceptions must be counted, lock-guarded state must stay guarded, cached
 arrays must be frozen, and results must be bit-identical (seeded RNG only).  Each rule here encodes one of those
@@ -15,7 +15,7 @@ Usage::
 
 Per-line suppression (same line or the line directly above)::
 
-    thread = threading.Thread(...)  # repro: ignore[RPR001] - stress fixture
+    stamp = time.time()  # repro: ignore[RPR004] - wall-clock label, not a duration
 
 Suppressions that match no finding are themselves reported (RPR900), so a
 stale ``ignore`` cannot silently outlive the violation it excused.

@@ -21,8 +21,8 @@ from .findings import Finding
 def _build_alias_map(tree: ast.AST) -> Dict[str, str]:
     """Map local names to the fully-qualified names imports bound them to.
 
-    ``import numpy as np`` → ``{"np": "numpy"}``; ``from threading import
-    Thread as T`` → ``{"T": "threading.Thread"}``.  Relative imports keep a
+    ``import numpy as np`` → ``{"np": "numpy"}``; ``from time import time
+    as now`` → ``{"now": "time.time"}``.  Relative imports keep a
     leading ``.`` so they never collide with stdlib module names.
     """
     aliases: Dict[str, str] = {}
@@ -70,21 +70,11 @@ class ModuleContext:
         """Library code (the ``src/`` tree) — where the strictest rules apply."""
         return "src" in self.parts
 
-    @property
-    def in_runtime(self) -> bool:
-        """Inside ``repro/runtime`` — the one home allowed to spawn workers."""
-        parts = self.parts
-        for index, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[index + 1] == "runtime":
-                return True
-        return False
-
     def resolve_name(self, node: ast.AST) -> Optional[str]:
         """Dotted name of ``node`` with the root resolved through imports.
 
         Returns e.g. ``"numpy.random.shuffle"`` for ``np.random.shuffle`` or
-        ``"threading.Thread"`` for a bare ``Thread`` imported from
-        ``threading``.  ``None`` when the expression is not a plain dotted
+        ``"time.time"`` for a bare ``time`` imported from ``time``.  ``None`` when the expression is not a plain dotted
         name (a call result, a subscript, ...).
         """
         chain: List[str] = []

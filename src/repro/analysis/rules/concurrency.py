@@ -1,9 +1,10 @@
-"""RPR001 — all concurrency lives in ``repro.runtime``.
+"""RPR001 — the library constructs no thread.
 
-PR 5 consolidated three ad-hoc ``ThreadPoolExecutor`` sites (sharding fan-out
-and two paths since deleted, a replica router and the service's deferred
-queue) into one runtime layer with named pools, drain/shutdown, and pool
-telemetry.  RPR001 keeps it that way.
+Three ad-hoc executor sites (the sharding fan-out, a replica router and the
+service's deferred queue) once became one runtime layer of named worker
+pools.  Later the shard fan-out became a loop on the caller and a rebalance
+builds its shards in a comprehension, and the pools went.  RPR001 keeps the
+library thread-free: every step runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import ast
 
 from ..context import ContextVisitor
 
-#: Constructors that spawn execution vehicles outside the runtime's control.
+#: Constructors that spawn execution vehicles.
 _FORBIDDEN_CONSTRUCTORS = {
     "concurrent.futures.ThreadPoolExecutor",
     "concurrent.futures.thread.ThreadPoolExecutor",
@@ -25,28 +26,23 @@ _FORBIDDEN_CONSTRUCTORS = {
 
 
 class AdHocThreadRule(ContextVisitor):
-    """No thread/process construction outside ``repro/runtime/``."""
+    """No thread/process construction anywhere."""
 
     code = "RPR001"
     name = "no-adhoc-threads"
-    summary = (
-        "ThreadPoolExecutor / threading.Thread / multiprocessing constructed "
-        "outside repro/runtime/"
-    )
+    summary = "a thread, executor or process constructed"
     rationale = (
-        "PR 5 removed three private ThreadPoolExecutors (ShardedSelector's "
-        "and two in paths since deleted); ad-hoc threads bypass WorkerPool "
-        "drain/shutdown, pool telemetry, and snapshot drop/rebuild hooks."
+        "The library constructs no thread: the shard fan-out is a loop and a "
+        "rebalance builds its shards on the caller.  No workload ever reached "
+        "a pool, and a thread the library owns cannot be driven "
+        "deterministically by a test."
     )
 
     def check_call(self, node: ast.Call) -> None:
-        if self.ctx.in_runtime:
-            return
         resolved = self.ctx.resolve_name(node.func)
         if resolved in _FORBIDDEN_CONSTRUCTORS:
             self.report(
                 node,
-                f"{resolved} constructed outside repro/runtime/ — use "
-                "Runtime.pool()/WorkerPool so drain/shutdown, telemetry, and "
-                "snapshot hooks apply",
+                f"{resolved} constructed — the library constructs no thread; "
+                "run the work on the caller",
             )

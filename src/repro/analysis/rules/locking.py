@@ -1,6 +1,6 @@
 """RPR006 — state guarded once is guarded everywhere.
 
-The lock-owning classes (``WorkerPool``, ``EstimationService``,
+The lock-owning classes (``ShardedSelector``, ``EstimationService``,
 ``MetricsRegistry``, ...) follow one discipline: any
 attribute ever written under ``with self._lock`` is part of the class's
 shared mutable state and every later write must also hold the lock.  A
@@ -12,10 +12,10 @@ construction and neither establish nor violate guarding):
 
 * ``__init__`` / ``__del__`` — construction and teardown;
 * ``__snapshot_restore__`` / ``__snapshot_state__`` — snapshot hooks run
-  single-threaded (save refuses in-flight work, restore precedes sharing);
+  single-threaded (restore precedes sharing);
 * methods whose name ends in ``_locked`` — the repo's documented "caller
-  holds the lock" suffix (``_spawn_locked``), except
-  that their writes DO mark the attribute as guarded.
+  holds the lock" suffix, except that their writes DO mark the attribute as
+  guarded.
 """
 
 from __future__ import annotations

@@ -126,19 +126,13 @@ class SimilarityQueryEngine:
         drift_threshold: float = 4.0,
         feedback_window: int = 32,
         min_feedback_observations: int = 8,
-        runtime: Optional[Runtime] = None,
         slow_query_seconds: float = 0.1,
         slow_query_capacity: int = 64,
     ) -> None:
         self.service = service if service is not None else EstimationService()
-        #: One runtime under the whole engine: rebalance builds and anything
-        #: else that needs workers share its pools (created on first use, so
-        #: an engine whose work stays on the caller has none), every pool
-        #: reports into the service's telemetry, and the shard fan-out runs
-        #: under its metrics sink.
-        self.runtime = (
-            runtime if runtime is not None else Runtime(self.service.telemetry)
-        )
+        #: One runtime under the whole engine: the shard fan-out runs under
+        #: its metrics sink, the service's telemetry registry.
+        self.runtime = Runtime(self.service.telemetry)
         self.catalog = AttributeCatalog()
         self.planner = QueryPlanner(self.catalog, self.service)
         self.executor = QueryExecutor(self.catalog)
@@ -408,7 +402,7 @@ class SimilarityQueryEngine:
             plan = suggest_plan(selector.assignment)
             if plan is None:
                 return None
-        rebalancer = Rebalancer(runtime=self.runtime)
+        rebalancer = Rebalancer()
         with span("engine.rebalance", attribute=name, actions=len(plan)):
             staged = rebalancer.begin(selector, plan, partitioner)
             try:
@@ -739,8 +733,8 @@ class SimilarityQueryEngine:
 
     def __snapshot_state__(self) -> Dict[str, Any]:
         """Explicit full-``__dict__`` capture (matched pair of the restore
-        hook below — RPR002).  The runtime/service attributes carry their
-        own hooks that drop live pools and locks; the per-attribute estimator
+        hook below — RPR002).  The service attributes carry their own
+        hooks that drop live locks; the per-attribute estimator
         factories are caller closures (unserializable) and are dropped — a
         restored engine re-arms them with :meth:`set_estimator_factory`."""
         state = dict(self.__dict__)
@@ -758,5 +752,4 @@ class SimilarityQueryEngine:
             "attributes": self.catalog.names(),
             "service": self.service.stats(),
             "feedback": self.feedback.snapshot(),
-            "runtime": self.runtime.stats(),
         }

@@ -2,8 +2,7 @@
 
 Observability substrate for the whole stack:
 
-* :mod:`repro.obs.trace` — per-request span trees that follow a query through
-  worker threads;
+* :mod:`repro.obs.trace` — per-request span trees;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket mergeable
   histograms with Prometheus/JSON exposition; ``ServingTelemetry`` keeps its
   one ledger in a registry and serves its flat counters as views of it;
@@ -40,8 +39,6 @@ from .metrics import (
 from .trace import (
     NOOP_SPAN,
     Span,
-    activate,
-    capture_context,
     current_span,
     disable_tracing,
     enable_tracing,
@@ -63,10 +60,8 @@ __all__ = [
     "PredicateAnalysis",
     "SlowQueryLog",
     "Span",
-    "activate",
     "bucket_quantile",
     "build_health_report",
-    "capture_context",
     "current_registry",
     "current_span",
     "default_registry",

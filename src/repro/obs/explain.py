@@ -13,7 +13,7 @@ dicts (JSON- and snapshot-friendly) so a long-lived engine can answer "what
 was slow lately?" without tracing ever having been enabled.
 
 :class:`HealthReport` is the engine-wide view behind ``health_report()``:
-attributes and shard topology, pools, the service cache, the slow-query ring
+attributes and shard topology, the service cache, the slow-query ring
 and the feedback loop, each read from the live object that already holds it.
 """
 
@@ -187,7 +187,7 @@ class SlowQueryLog:
 
 @dataclass
 class HealthReport:
-    """Engine-wide status: attributes, pools, service, slow queries, feedback.
+    """Engine-wide status: attributes, service, slow queries, feedback.
 
     A plain-data pairing of everything ``health_report()`` gathered, with a
     JSON rendering (:meth:`to_dict`/:meth:`to_json`) for machines and a text
@@ -195,7 +195,6 @@ class HealthReport:
     """
 
     attributes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    pools: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     service: Dict[str, Any] = field(default_factory=dict)
     slow_queries: List[Dict[str, Any]] = field(default_factory=list)
     slow_query_threshold_seconds: float = 0.0
@@ -217,15 +216,6 @@ class HealthReport:
                 lines.append(
                     f"    {name:<20} {info['distance']:<10} "
                     f"records={info['records']}{shard_note}"
-                )
-        if self.pools:
-            lines.append("  pools:")
-            for name, stats in sorted(self.pools.items()):
-                lines.append(
-                    f"    {name:<20} "
-                    f"workers={stats['num_workers']} queue={stats['queue_depth']} "
-                    f"active={stats['active']} completed={stats['completed']} "
-                    f"failed={stats['failed']}"
                 )
         cache = self.service.get("cache") or {}
         if cache:
@@ -258,7 +248,6 @@ def build_health_report(engine: Any) -> HealthReport:
             info["shards"] = shard_stats["num_shards"]
             info["shard_sizes"] = shard_stats["shard_sizes"]
         report.attributes[name] = info
-    report.pools = engine.runtime.stats()
     report.service = engine.service.stats()
     report.slow_queries = engine.slow_queries.entries()
     report.slow_query_threshold_seconds = engine.slow_queries.threshold_seconds

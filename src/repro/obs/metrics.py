@@ -13,7 +13,7 @@ derived quantiles), so the same registry feeds a scrape endpoint and the
 benchmark artifacts.
 
 Metric identity is ``name`` + sorted label pairs.  Every mutator takes the
-metric's own lock, so worker threads and the serving path can all record
+metric's own lock, so client threads and the serving path can all record
 into one registry; the locks are dropped and rebuilt across
 snapshots (``repro.store``).
 
@@ -406,11 +406,11 @@ _CURRENT = _RegistryState()
 
 
 def current_registry() -> MetricsRegistry:
-    """The thread's active registry (worker-pool sink, or the default).
+    """The thread's active registry (a pushed sink, or the default).
 
     Instrumentation that cannot be handed a registry explicitly — a shard
-    task, a closure on a pool thread — records here; the runtime layer points
-    it at the right sink (the runtime's telemetry registry).
+    task inside the fan-out loop — records here; the runtime layer points it
+    at the right sink (the runtime's telemetry registry).
     """
     override = _CURRENT.registry
     return override if override is not None else _default_registry

@@ -1,15 +1,12 @@
-"""End-to-end tracing: span trees across threads.
+"""End-to-end tracing: per-request span trees.
 
 A *span* is one timed stage of one request — planning, a driver index scan,
 one shard's slice of a fan-out — with a name, monotonic start/duration, free
 -form attributes, and child spans.  Spans form per-request trees: the active
 span lives in thread-local state, so nested ``with span(...)`` blocks build
-the tree without any explicit plumbing, and the runtime layer carries the
-active span across threads: :class:`~repro.runtime.WorkerPool` captures the
-submitter's active span at ``submit`` time and re-activates it around the task
-on the worker thread (:func:`activate`), so a pooled task's spans (a
-rebalance build) attach to the request that caused them, not to the worker's
-own timeline.
+the tree without any explicit plumbing.  The library runs every stage on the
+caller's thread, so one request's tree lives on the thread that issued it;
+requests issued from different client threads build separate trees.
 
 **Zero cost when off.**  Tracing is globally disabled unless ``REPRO_TRACE``
 is set (or :func:`enable_tracing` is called).  A disabled ``span(...)`` block
@@ -248,37 +245,6 @@ def start_trace(name: str, **attributes: Any) -> span:
     """A root span recorded even when tracing is globally disabled.
 
     The per-request opt-in: ``explain_analyze`` runs exactly one traced query
-    in an otherwise untraced process.  Worker pools propagate the context, so
-    the forced trace still covers pooled work.
+    in an otherwise untraced process.
     """
     return span(name, _force=True, **attributes)
-
-
-class activate:
-    """Re-activate a captured span on another thread (worker-loop plumbing).
-
-    ``with activate(captured): ...`` makes ``captured`` the thread's active
-    span for the block, so spans started inside attach to the submitter's
-    tree.  ``activate(None)`` is a recorded no-op that *clears* the active
-    span — never needed by the pool (it skips activation entirely for
-    untraced tasks) but correct if used directly.
-    """
-
-    __slots__ = ("_target", "_previous")
-
-    def __init__(self, target: Optional[Span]) -> None:
-        self._target = target
-
-    def __enter__(self) -> Optional[Span]:
-        self._previous = _ACTIVE.span
-        _ACTIVE.span = self._target
-        return self._target
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _ACTIVE.span = self._previous
-        return False
-
-
-def capture_context() -> Optional[Span]:
-    """Alias of :func:`current_span`, named for the submission-side use."""
-    return _ACTIVE.span

@@ -20,8 +20,8 @@ Two deliberately-not-O(Δ) pieces, called out for honesty:
   the live records.  A :class:`CompactionPolicy` bounds tombstone debt: past
   ``force_ratio`` the next update compacts synchronously, so the amortized
   per-row update cost stays O(Δ); past ``tombstone_ratio`` the selector merely
-  *advertises* ``needs_compaction()`` so an owner (e.g. a sharded selector
-  with a runtime) can schedule the rebuild on a background pool.
+  *advertises* ``needs_compaction()`` so an owner can schedule the rebuild
+  when it suits it.
 
 Bit-identity with ``rebuild``: every selector here answers by exact
 verification — filters (prefixes, signatures, pivots, pigeonhole buckets) are

@@ -1,17 +1,16 @@
 """Serving telemetry: one ledger, kept in a metrics registry.
 
 Every serving event — a request's curve-cache hits/misses, a micro-batch's
-size, a request's latency, a worker-pool task, the feedback loop's
-estimated-vs-actual observations and drift crossings — is recorded once, in a
-labelled metric of ``telemetry.metrics`` (``_LEDGER``;
-``docs/metrics_catalog.md``).  That registry is the only state: snapshots persist
-it, ``to_prometheus()`` exposes it, pool worker threads record into it.
+size, a request's latency, the feedback loop's estimated-vs-actual
+observations and drift crossings — is recorded once, in an
+``endpoint``-labelled metric of ``telemetry.metrics`` (``_LEDGER``;
+``docs/metrics_catalog.md``).  That registry is the only state: snapshots
+persist it, ``to_prometheus()`` exposes it.
 
 ``endpoint(name)``, ``total``, ``snapshot()`` and ``to_prometheus()`` are views
 computed from it when called: :class:`EndpointStats` values, not live objects.
-``total`` sums the ``endpoint``-labelled metrics; ``pool``-labelled tasks (the
-fan-out of requests already counted) stay out.  Every metric takes its own
-lock, so pool threads, clients and the feedback loop lose no increment.
+``total`` sums every endpoint.  Every metric takes its own lock, so client
+threads and the feedback loop lose no increment.
 """
 
 from __future__ import annotations
@@ -22,29 +21,24 @@ from typing import Any, Dict, Optional
 
 from ..obs import metrics
 
-#: The ledger: metric name -> (scoping label, histogram buckets or ``None`` for a
-#: counter, the :class:`EndpointStats` fields its value — or a histogram's count,
-#: sum, max — is read back into (``None``: not reported), HELP text).
+#: The ledger: metric name -> (histogram buckets or ``None`` for a counter, the
+#: :class:`EndpointStats` fields its value — or a histogram's count, sum, max —
+#: is read back into (``None``: not reported), HELP text).  Every row is
+#: labelled by ``endpoint``.
 _LEDGER = {
-    "repro_requests_total": ("endpoint", None, ("requests",), "estimation requests per endpoint"),
-    "repro_cache_hits_total": ("endpoint", None, ("cache_hits",), "curve-cache hits per endpoint"),
-    "repro_cache_misses_total": (
-        "endpoint", None, ("cache_misses",), "curve-cache misses per endpoint"),
+    "repro_requests_total": (None, ("requests",), "estimation requests per endpoint"),
+    "repro_cache_hits_total": (None, ("cache_hits",), "curve-cache hits per endpoint"),
+    "repro_cache_misses_total": (None, ("cache_misses",), "curve-cache misses per endpoint"),
     "repro_micro_batch_records": (
-        "endpoint", metrics.DEFAULT_BATCH_SIZE_BUCKETS,
+        metrics.DEFAULT_BATCH_SIZE_BUCKETS,
         ("batches", "batched_records", "max_batch_size"), "records per model micro-batch"),
     "repro_request_latency_seconds": (
-        "endpoint", metrics.DEFAULT_LATENCY_BUCKETS,
+        metrics.DEFAULT_LATENCY_BUCKETS,
         (None, "latency_seconds", "max_latency_seconds"), "recorded request latency per endpoint"),
     "repro_q_error": (
-        "endpoint", metrics.DEFAULT_Q_ERROR_BUCKETS,
+        metrics.DEFAULT_Q_ERROR_BUCKETS,
         ("observations", "q_error_sum", "q_error_max"), "estimated-vs-actual q-error per endpoint"),
-    "repro_drift_events_total": (
-        "endpoint", None, ("drift_events",), "drift-threshold crossings per endpoint"),
-    "repro_pool_tasks_total": ("pool", None, ("requests",), "completed worker-pool tasks per pool"),
-    "repro_pool_task_seconds": (
-        "pool", metrics.DEFAULT_LATENCY_BUCKETS,
-        (None, "latency_seconds", "max_latency_seconds"), "worker-pool task wall-time per pool"),
+    "repro_drift_events_total": (None, ("drift_events",), "drift-threshold crossings per endpoint"),
 }
 
 #: Attributes ``EndpointStats.snapshot()`` reports under their own names.
@@ -107,7 +101,7 @@ class EndpointStats:
 
 def _fold(into: Dict[str, Any], state: Dict[str, Any]) -> None:
     """Add one exported ledger metric to a field dict (sums add, maxima take the larger)."""
-    fields = _LEDGER[state["name"]][2]
+    fields = _LEDGER[state["name"]][1]
     readings = ("count", "sum", "max") if len(fields) == 3 else ("value",)
     for field, reading, combine in zip(fields, readings, (add, add, max)):
         if field is not None:
@@ -123,23 +117,24 @@ class ServingTelemetry:
     """Recorder into ``self.metrics`` and reader of the flat view (module docstring)."""
 
     def __init__(self) -> None:
-        #: The ledger; pools and the runtime hold this very object.
+        #: The ledger; the engine's runtime holds this very object.
         self.metrics = metrics.MetricsRegistry()
-        #: (metric name, endpoint or pool) -> the resolved metric: get-or-create
-        #: costs a key format and a registry lock, recording is per request.
+        #: (metric name, endpoint) -> the resolved metric: get-or-create costs
+        #: a key format and a registry lock, recording is per request.
         self._handles: Dict[Any, Any] = {}
 
-    def _metric(self, name: str, scope: str) -> Any:
-        """Metric ``name`` of endpoint (or pool) ``scope``, created on first use."""
-        metric = self._handles.get((name, scope))
+    def _metric(self, name: str, endpoint: str) -> Any:
+        """Metric ``name`` of ``endpoint``, created on first use."""
+        metric = self._handles.get((name, endpoint))
         if metric is None:
-            label, buckets, _, description = _LEDGER[name]
+            buckets, _, description = _LEDGER[name]
+            labels = {"endpoint": endpoint}
             if buckets is None:
-                metric = self.metrics.counter(name, {label: scope}, description)
+                metric = self.metrics.counter(name, labels, description)
             else:
-                metric = self.metrics.histogram(name, {label: scope}, description, buckets)
+                metric = self.metrics.histogram(name, labels, description, buckets)
             # Benign race: both writers cache the same registry-owned metric.
-            self._handles[(name, scope)] = metric
+            self._handles[(name, endpoint)] = metric
         return metric
 
     def record_requests(self, name: str, count: int, hits: int, misses: int) -> None:
@@ -155,11 +150,6 @@ class ServingTelemetry:
     def record_latency(self, name: str, seconds: float) -> None:
         self._metric("repro_request_latency_seconds", name).observe(seconds)
 
-    def record_pool_task(self, pool_name: str, seconds: float) -> None:
-        """One finished worker-pool task, read back as entry ``pool:<name>``."""
-        self._metric("repro_pool_tasks_total", pool_name).inc()
-        self._metric("repro_pool_task_seconds", pool_name).observe(seconds)
-
     def record_observation(self, name: str, estimated: float, actual: float) -> float:
         """Feed one estimated-vs-actual pair into the drift stats; returns its
         q-error so feedback monitors need not recompute it for their windows."""
@@ -172,14 +162,12 @@ class ServingTelemetry:
         self._metric("repro_drift_events_total", name).inc()
 
     def _stats(self) -> Dict[str, EndpointStats]:
-        """The views, computed now: ``total``, then each endpoint and ``pool:<name>``."""
+        """The views, computed now: ``total``, then each endpoint."""
         entries: Dict[str, Dict[str, Any]] = {"total": {}}
         for metric in self.metrics.collect():
-            label = _LEDGER.get(metric.name, (None,))[0]
-            if label in metric.labels:
+            if metric.name in _LEDGER and "endpoint" in metric.labels:
                 state = metric.export()  # one consistent read, under the metric's lock
-                scope = metric.labels[label]
-                for name in (scope, "total") if label == "endpoint" else (f"pool:{scope}",):
+                for name in (metric.labels["endpoint"], "total"):
                     _fold(entries.setdefault(name, {}), state)
         stats = {}
         for name, fields in [("total", entries.pop("total")), *sorted(entries.items())]:
@@ -193,7 +181,7 @@ class ServingTelemetry:
 
     @property
     def total(self) -> EndpointStats:
-        """Sum over every client endpoint (pool entries excluded)."""
+        """Sum over every endpoint."""
         return self._stats()["total"]
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:

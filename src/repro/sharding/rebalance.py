@@ -13,8 +13,8 @@ The :class:`Rebalancer` executes a plan against a live
    layout and starts journaling updates; the old layout keeps serving
    queries *and updates* throughout.
 2. Only the *changed* targets are built, each from the base rows it holds,
-   on a background pool; unchanged shards are aliased — zero build cost,
-   zero extra memory.
+   one after another on the caller's thread; unchanged shards are aliased —
+   zero build cost, zero extra memory.
 3. :meth:`~repro.sharding.ShardedSelector.commit_rebalance` swaps the staged
    layout in atomically, replaying every journaled update first, so the new
    layout answers bit-identically to the old one.
@@ -26,23 +26,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs.metrics import current_registry
-from ..runtime import Runtime, default_runtime
 from ..selection.base import SimilaritySelector
 from .partitioner import Partitioner, ShardAssignment
 from .selector import ShardedSelector, ShardLayoutSnapshot
-
-#: Pool the rebalance driver runs on (distinct from the build pool so a
-#: background `start()` never deadlocks waiting for its own builds).
-REBALANCE_POOL = "rebalance"
-#: Pool target-shard builds fan out on (index construction is numpy-heavy and
-#: releases the GIL), and the most workers it is created with.
-REBALANCE_BUILD_POOL = "rebalance-build"
-BUILD_WORKERS = 4
 
 
 def _record_rebalance(outcome: str, seconds: float) -> None:
@@ -324,12 +315,6 @@ class StagedRebalance:
 class Rebalancer:
     """Executes :class:`RebalancePlan` s against live sharded selectors."""
 
-    def __init__(self, runtime: Optional[Runtime] = None) -> None:
-        self.runtime = runtime
-
-    def _runtime(self) -> Runtime:
-        return self.runtime if self.runtime is not None else default_runtime()
-
     def execute(
         self,
         selector: ShardedSelector,
@@ -404,33 +389,18 @@ class Rebalancer:
         staged.selector.abort_rebalance()
         _record_rebalance("aborted", time.perf_counter() - staged.started)
 
-    def start(self, selector: ShardedSelector, plan: RebalancePlan, **kwargs) -> Any:
-        """Run :meth:`execute` on a background pool; returns its task handle.
-
-        The driver and the per-target builds use distinct pools, so a single
-        driver worker can never starve its own builds.
-        """
-        pool = self._runtime().pool(REBALANCE_POOL, num_workers=1)
-        return pool.submit(self.execute, selector, plan, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _build_targets(self, staged: StagedRebalance) -> Dict[int, SimilaritySelector]:
-        """Build the changed targets' selectors in parallel, each from the
-        base rows it holds — aliased shards cost nothing.  Thread build pool:
-        index construction is mostly numpy packing/sorting, off the GIL."""
-        targets = staged.resolved.build_targets
-        if not targets:
-            return {}
-        pool = self._runtime().pool(
-            REBALANCE_BUILD_POOL, num_workers=min(BUILD_WORKERS, len(targets))
-        )
-        built = pool.map(
-            staged.selector.selector_factory,
-            [staged.shard_records(target) for target in targets],
-        )
-        return dict(zip(targets, built))
+    @staticmethod
+    def _build_targets(staged: StagedRebalance) -> Dict[int, SimilaritySelector]:
+        """Build the changed targets' selectors, each from the base rows it
+        holds — aliased shards cost nothing."""
+        factory = staged.selector.selector_factory
+        return {
+            target: factory(staged.shard_records(target))
+            for target in staged.resolved.build_targets
+        }
 
     @staticmethod
     def _derive_partitioner(selector: ShardedSelector, num_shards: int) -> Partitioner:

@@ -38,9 +38,9 @@ import numpy as np
 
 from ..datasets.updates import UpdateOperation
 from ..distances.base import DistanceFunction
-from ..obs.metrics import current_registry
+from ..obs.metrics import current_registry, default_registry, use_registry
 from ..obs.trace import span
-from ..runtime import Runtime, default_runtime
+from ..runtime import Runtime
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
 from .partitioner import Partitioner, ShardAssignment, get_partitioner
@@ -155,8 +155,8 @@ class ShardedSelector(SimilaritySelector):
             selector_factory([self._dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
         ]
-        #: ``None`` means "the process-wide default runtime, resolved at use"
-        #: — an engine injects its own, so shard metrics land in its registry.
+        #: ``None`` means shard metrics land in the process default registry;
+        #: an engine injects its own runtime, so they land in its registry.
         self.runtime = runtime
         #: Serializes layout changes (shards/assignment/journal)
         #: against query capture and compaction.  Shard *compute*
@@ -251,8 +251,10 @@ class ShardedSelector(SimilaritySelector):
                 _record_shard_op(op, shard_id, time.perf_counter() - started)
             return results
 
-        runtime = self.runtime if self.runtime is not None else default_runtime()
-        return runtime.run_inline(loop), assignment
+        if self.runtime is None:
+            with use_registry(default_registry()):
+                return loop(), assignment
+        return self.runtime.run_inline(loop), assignment
 
     @staticmethod
     def _merge(
@@ -349,9 +351,9 @@ class ShardedSelector(SimilaritySelector):
         ``selector_factory`` is typically a caller closure — the restore hook
         substitutes :meth:`_rebuild_shard`, which reconstructs a same-type,
         same-configuration selector, so post-restore updates keep working.
-        The ``runtime`` reference persists as an object (its own hooks drop
-        the live pools), preserving runtime-sharing identity across restore:
-        an engine and its sharded selectors restore onto ONE runtime.  The
+        The ``runtime`` reference persists as an object, preserving
+        runtime-sharing identity across restore: an engine and its sharded
+        selectors restore onto ONE runtime.  The
         layout lock and an in-flight rebalance journal are likewise dropped —
         a restored selector serves the committed layout.
         """

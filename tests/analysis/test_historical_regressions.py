@@ -35,8 +35,7 @@ def test_pr3_mutable_cached_curve_fires_rpr007():
 
 def test_pr5_adhoc_threadpoolexecutor_fires_rpr001():
     # PR 5 removed ShardedSelector's private ThreadPoolExecutor; this is the
-    # pre-PR-5 fan-out shape, which bypassed WorkerPool drain/shutdown,
-    # pool telemetry, and the snapshot drop/rebuild hooks.
+    # fan-out shape before it, a private pool per selector.
     source = """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -47,6 +46,24 @@ def test_pr5_adhoc_threadpoolexecutor_fires_rpr001():
                 return [self._pool.submit(task) for task in tasks]
     """
     assert codes(source, "src/repro/sharding/selector.py") == ["RPR001"]
+
+
+def test_worker_thread_inside_runtime_fires_rpr001():
+    # repro/runtime/ used to be exempt: its worker pool spawned the threads a
+    # rebalance's driver and builds ran on, though no workload reached them.
+    # The exemption went with the pool; the worker-spawn shape now fires
+    # there like anywhere else.
+    source = """
+        import threading
+
+        class Pool:
+            def _spawn_locked(self, count):
+                for _ in range(count):
+                    thread = threading.Thread(target=self._worker_loop, daemon=True)
+                    self._threads.append(thread)
+                    thread.start()
+    """
+    assert codes(source, "src/repro/runtime/pool.py") == ["RPR001"]
 
 
 def test_pr3_swallowed_validation_error_fires_rpr005():

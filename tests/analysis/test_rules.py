@@ -2,8 +2,8 @@
 
 Each rule has at least one firing fixture (the contract violated) and one
 passing fixture (the contract honored), presented at the tree location the
-rule scopes to — ``path`` drives the ``src/`` strictness and the
-``repro/runtime`` exemption exactly as on disk.
+rule scopes to — ``path`` drives the ``src/`` strictness exactly as on
+disk.
 """
 
 import textwrap
@@ -19,7 +19,7 @@ def codes(source, path=SRC):
 
 
 # --------------------------------------------------------------------- #
-# RPR001 — no ad-hoc threads outside repro/runtime
+# RPR001 — the library constructs no thread
 # --------------------------------------------------------------------- #
 class TestAdHocThreads:
     def test_fires_on_threadpoolexecutor(self):
@@ -42,15 +42,6 @@ class TestAdHocThreads:
                 multiprocessing.Process(target=print).start()
         """
         assert codes(source) == ["RPR001", "RPR001"]
-
-    def test_passes_inside_runtime(self):
-        source = """
-            import threading
-
-            def spawn():
-                return threading.Thread(target=print, daemon=True)
-        """
-        assert codes(source, path="src/repro/runtime/pool.py") == []
 
     def test_suppression_silences_with_reason(self):
         source = """
@@ -352,7 +343,7 @@ class TestMetricNaming:
         source = """
             def record(registry):
                 registry.counter("repro_requests_total", {"endpoint": "e"}).inc()
-                registry.gauge("repro_pool_queue_depth").set(0)
+                registry.gauge("repro_cache_size").set(0)
                 registry.histogram("repro_request_latency_seconds").observe(0.1)
         """
         assert codes(source) == []

@@ -35,5 +35,5 @@ def test_src_analysis_covers_the_whole_package():
     report = analyze_paths([str(REPO_ROOT / "src")])
     covered = {Path(path).name for path in report.files}
     # Spot-check the layers the rules were written for.
-    for expected in ("pool.py", "service.py", "cache.py", "selector.py", "format.py"):
+    for expected in ("runtime.py", "service.py", "cache.py", "selector.py", "format.py"):
         assert expected in covered

@@ -6,6 +6,9 @@ suite trains each model exactly once.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -120,3 +123,46 @@ def trained_cardnet_accelerated(binary_dataset, binary_workload):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# --------------------------------------------------------------------------- #
+# Client threads: the library owns none, so thread-safety tests bring their own
+# --------------------------------------------------------------------------- #
+def run_on_client_threads(fn, args, timeout=60.0):
+    """``[fn(arg) for arg in args]`` with each call on its own thread, all
+    started together.  Results come back in argument order; the first
+    argument's error re-raises once every thread finished.  A thread still
+    running after ``timeout`` seconds fails the test instead of hanging it
+    (the threads are daemons, so a wedged lock cannot pin the interpreter)."""
+    args = list(args)
+    results = [None] * len(args)
+    errors = [None] * len(args)
+
+    def call(index, arg):
+        try:
+            results[index] = fn(arg)
+        except BaseException as error:  # noqa: BLE001 - re-raised on the caller
+            errors[index] = error
+
+    threads = [
+        threading.Thread(target=call, args=(index, arg), daemon=True)  # repro: ignore[RPR001] - test clients stand in for a caller's own threads
+        for index, arg in enumerate(args)
+    ]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    if any(thread.is_alive() for thread in threads):
+        raise TimeoutError(f"client threads still running after {timeout}s")
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+@pytest.fixture
+def client_threads():
+    """:func:`run_on_client_threads`, for tests that drive the library from
+    several threads at once."""
+    return run_on_client_threads

@@ -73,7 +73,6 @@ def through_engine(operation, sharded=False, managed=False):
         engine.attach_manager("a", manager_over(binding.selector))
     engine.apply_update("a", operation)
     column, index = ids(binding.records), ids(binding.selector.dataset)
-    engine.runtime.shutdown()
     assert column == index  # the column and its index absorbed the same delete
     return column
 
@@ -151,7 +150,6 @@ def test_an_update_that_changes_no_row_changes_nothing(mode):
     assert cache.hits > hits
     assert all(registry.get(e).estimator is s for e, s in zip(families, served))
     assert ids(binding.records) == ids(binding.selector.dataset) == list(range(ROWS))
-    engine.runtime.shutdown()
 
 
 def test_manager_skips_an_update_that_changes_no_row(monkeypatch):

@@ -4,18 +4,18 @@ the answers.
 One batched ``execute_many`` must be bit-identical to a loop of ``execute``
 on all four distances — results, plans, feedback windows, and drift
 telemetry — including when the driving attribute fans out across shards.
-Neither path hands work to a pool: plans run on the caller, in order, and
-the shard fan-out is a loop on the caller too.
+Both run on the caller: plans in order, and the shard fan-out as a loop.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.runtime import Runtime
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
 THETAS = {"hamming": 5.0, "edit": 3.0, "jaccard": 0.4, "euclidean": 1.5}
@@ -116,8 +116,8 @@ def assert_result_lists_equal(results_a, results_b):
 class TestNoDispatchBelowTheFloor:
     @pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
     def test_in_process_batch_of_32_touches_no_pool(self, datasets, sharded):
-        """32 queries through ``execute_many`` submit nothing and create no
-        pool: plans and shard fan-outs both run on the caller."""
+        """32 queries through ``execute_many`` start no thread: plans and
+        shard fan-outs both run on the caller."""
         dataset = datasets["hamming"]
         engine = SimilarityQueryEngine()
         if sharded:
@@ -144,19 +144,16 @@ class TestNoDispatchBelowTheFloor:
         queries = [
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in range(32)
         ]
+        threads = threading.active_count()
         results = engine.execute_many(queries)
         assert len(results) == 32 and all(result.record_ids for result in results)
-        assert engine.runtime.pool_names() == []
+        assert threading.active_count() == threads
         assert engine.runtime.stats() == {}
-        assert not [
-            name for name in engine.service.telemetry.snapshot() if name.startswith("pool:")
-        ]
         if sharded:
             report = engine.health_report()
             assert report.attributes["vec"]["shards"] == 4
             assert "shards=4" in report.describe()
             assert "fan_out" not in report.describe()
-            assert report.pools == {}
 
 
 class TestBitIdenticalToSequential:
@@ -166,9 +163,6 @@ class TestBitIdenticalToSequential:
         queries = _queries(datasets)
         sequential = [sequential_engine.execute(query) for query in queries]
         parallel = parallel_engine.execute_many(queries)
-        # The sharded attribute fanned out on the caller: no pool exists.
-        assert sequential_engine.runtime.pool_names() == []
-        assert parallel_engine.runtime.pool_names() == []
         assert_result_lists_equal(sequential, parallel)
 
         # Feedback state is identical too: same windows, same observations.
@@ -199,7 +193,6 @@ class TestBitIdenticalToSequential:
         query = SimilarityPredicate("hamming", datasets["hamming"].records[2], 5.0)
         result = engine.execute(query)
         assert result.record_ids  # the record itself at least
-        assert engine.runtime.pool_names() == []
 
 
 class TestShardedDriverOnSharedRuntime:
@@ -229,14 +222,13 @@ class TestShardedDriverOnSharedRuntime:
     ):
         """The shard fan-out runs on the caller under the engine runtime's
         metrics sink: one task per shard and query counted in the engine's
-        registry, no pool created, nothing pipelined."""
+        registry, nothing pipelined."""
         dataset = datasets["hamming"]
         queries = self._shard_queries(dataset)
         sequential_engine = self._build(dataset)
         sequential = [sequential_engine.execute(query) for query in queries]
         engine = self._build(dataset)
         assert_result_lists_equal(sequential, engine.execute_many(queries))
-        assert engine.runtime.pool_names() == []
         tasks = sum(
             metric.value
             for metric in engine.service.telemetry.metrics.collect()
@@ -244,9 +236,9 @@ class TestShardedDriverOnSharedRuntime:
         )
         assert tasks == 3 * len(queries)
 
-    def test_injected_runtime_is_shared_not_owned(self, datasets):
-        runtime = Runtime()
-        engine = _build_engine(datasets)
-        other = SimilarityQueryEngine(runtime=runtime)
-        assert other.runtime is runtime
-        assert engine.runtime is not runtime
+    def test_sharded_selector_shares_the_engine_runtime(self, datasets):
+        engine = self._build(datasets["hamming"])
+        other = self._build(datasets["hamming"])
+        assert engine.catalog.get("vec").selector.runtime is engine.runtime
+        assert engine.runtime.telemetry is engine.service.telemetry
+        assert other.runtime is not engine.runtime

@@ -113,8 +113,7 @@ def engine(dataset):
     engine.register_attribute(
         "x", dataset.records, "hamming", sampler(dataset.records), theta_max=THETA_MAX
     )
-    yield engine
-    engine.runtime.shutdown()
+    return engine
 
 
 def occupy(engine, dataset, endpoint):
@@ -477,7 +476,6 @@ def test_one_grid_through_every_surface(dataset, case):
         grids[f"{num_shards} shards, merged"] = registry.get("a").curve_thetas
         assert registry.get("a").canonical is True  # the merged estimator's own
         assert binding.theta_max == (expected[-1] if theta_max is None else theta_max)
-        engine.runtime.shutdown()
 
     for surface, grid in grids.items():
         assert grid.dtype == np.float64, surface

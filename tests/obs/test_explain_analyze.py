@@ -70,58 +70,49 @@ def _tracing_off():
 class TestReportContents:
     def test_two_predicate_report_pairs_estimates_with_actuals(self):
         engine, vec, aux = _build_engine()
-        try:
-            report = engine.explain_analyze(_two_predicate_query(vec, aux))
-            assert report.result_count >= 1  # the query record matches itself
-            assert {p.role for p in report.predicates} == {"driver", "residual"}
-            assert {p.attribute for p in report.predicates} == {"vec", "aux"}
-            for predicate in report.predicates:
-                assert predicate.estimated > 0.0
-                # The conjunction is an intersection: every single predicate
-                # matches at least every row the full query returned.
-                assert predicate.actual >= report.result_count
-                assert predicate.q_error >= 1.0
-            assert report.driver is not None
-            assert report.plan["driver"] in ("vec", "aux")
-            assert report.plan["execution_seconds"] > 0.0
-            as_dict = report.to_dict()
-            assert len(as_dict["predicates"]) == 2
-            assert as_dict["trace"]["name"] == "query.explain_analyze"
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(_two_predicate_query(vec, aux))
+        assert report.result_count >= 1  # the query record matches itself
+        assert {p.role for p in report.predicates} == {"driver", "residual"}
+        assert {p.attribute for p in report.predicates} == {"vec", "aux"}
+        for predicate in report.predicates:
+            assert predicate.estimated > 0.0
+            # The conjunction is an intersection: every single predicate
+            # matches at least every row the full query returned.
+            assert predicate.actual >= report.result_count
+            assert predicate.q_error >= 1.0
+        assert report.driver is not None
+        assert report.plan["driver"] in ("vec", "aux")
+        assert report.plan["execution_seconds"] > 0.0
+        as_dict = report.to_dict()
+        assert len(as_dict["predicates"]) == 2
+        assert as_dict["trace"]["name"] == "query.explain_analyze"
 
     def test_trace_covers_planning_and_execution_stages(self):
         engine, vec, aux = _build_engine()
-        try:
-            report = engine.explain_analyze(_two_predicate_query(vec, aux))
-            stages = report.stage_seconds()
-            for stage in (
-                "query.explain_analyze",
-                "query.plan",
-                "query.execute",
-                "execute.driver",
-                "execute.verify",
-                "analyze.actuals",
-            ):
-                assert stage in stages, f"missing stage {stage}"
-            rendered = report.describe()
-            assert "EXPLAIN ANALYZE" in rendered
-            assert "q-err=" in rendered
-            assert "query.plan" in rendered
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(_two_predicate_query(vec, aux))
+        stages = report.stage_seconds()
+        for stage in (
+            "query.explain_analyze",
+            "query.plan",
+            "query.execute",
+            "execute.driver",
+            "execute.verify",
+            "analyze.actuals",
+        ):
+            assert stage in stages, f"missing stage {stage}"
+        rendered = report.describe()
+        assert "EXPLAIN ANALYZE" in rendered
+        assert "q-err=" in rendered
+        assert "query.plan" in rendered
 
     def test_thread_backend_records_per_shard_spans(self):
         engine, vec, aux = _build_engine()
-        try:
-            report = engine.explain_analyze(_two_predicate_query(vec, aux))
-            # 'vec' fans out either as the driver scan or as the residual
-            # actual-cardinality measurement — shard spans appear either way.
-            shard_spans = report.shard_spans()
-            assert {s.attributes["shard"] for s in shard_spans} == {0, 1, 2}
-            assert all(s.duration is not None for s in shard_spans)
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(_two_predicate_query(vec, aux))
+        # 'vec' fans out either as the driver scan or as the residual
+        # actual-cardinality measurement — shard spans appear either way.
+        shard_spans = report.shard_spans()
+        assert {s.attributes["shard"] for s in shard_spans} == {0, 1, 2}
+        assert all(s.duration is not None for s in shard_spans)
 
     def test_gph_hamming_report_carries_the_allocation(self):
         records = [row for row in RNG.integers(0, 2, size=(80, 24)).astype(np.uint8)]
@@ -134,17 +125,14 @@ class TestReportContents:
             theta_max=12.0,
             gph_part_size=8,
         )
-        try:
-            report = engine.explain_analyze(
-                SimilarityPredicate("bits", records[0], 6.0)
-            )
-            assert report.plan["allocation"] is not None
-            assert "plan.gph" in report.stage_seconds()
-            (driver,) = report.predicates
-            assert driver.role == "driver"
-            assert driver.actual >= 1
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(
+            SimilarityPredicate("bits", records[0], 6.0)
+        )
+        assert report.plan["allocation"] is not None
+        assert "plan.gph" in report.stage_seconds()
+        (driver,) = report.predicates
+        assert driver.role == "driver"
+        assert driver.actual >= 1
 
 
 class TestServiceSpans:
@@ -167,69 +155,57 @@ class TestServiceSpans:
             theta_max=12.0,
             gph_part_size=8,
         )
-        try:
-            report = engine.explain_analyze(SimilarityPredicate("bits", records[3], 6.0))
-            assert report.plan["allocation"] is not None  # GPH drove the plan
-            endpoints = self._service_endpoints(report)
-            for part in range(3):
-                assert f"bits::part{part}" in endpoints
-            assert "bits" in endpoints
-            assert all(
-                s.attributes["batch"] >= 1 for s in report.trace.find("service.estimate")
-            )
-            # ... and each of those requests was recorded like any other.
-            for part in range(3):
-                stats = engine.service.telemetry.endpoint(f"bits::part{part}")
-                assert stats.requests >= 1
-                assert stats.latency_percentiles is not None
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(SimilarityPredicate("bits", records[3], 6.0))
+        assert report.plan["allocation"] is not None  # GPH drove the plan
+        endpoints = self._service_endpoints(report)
+        for part in range(3):
+            assert f"bits::part{part}" in endpoints
+        assert "bits" in endpoints
+        assert all(
+            s.attributes["batch"] >= 1 for s in report.trace.find("service.estimate")
+        )
+        # ... and each of those requests was recorded like any other.
+        for part in range(3):
+            stats = engine.service.telemetry.endpoint(f"bits::part{part}")
+            assert stats.requests >= 1
+            assert stats.latency_percentiles is not None
 
     def test_sharded_estimate_is_one_service_request(self):
         engine, vec, aux = _build_engine()
-        try:
-            report = engine.explain_analyze(_two_predicate_query(vec, aux, index=5))
-            endpoints = self._service_endpoints(report)
-            assert {"vec", "aux"} <= set(endpoints)
-            # The merged endpoint sums its shard estimators inside its own
-            # request: no shard endpoint is asked, at top level or nested.
-            assert not any("#shard" in endpoint for endpoint in endpoints)
-            (merged,) = [
-                s for s in report.trace.find("service.estimate")
-                if s.attributes["endpoint"] == "vec"
-            ]
-            assert merged.find("service.estimate") == [merged]
-            # Execution still fans out to every shard.
-            assert {s.attributes["shard"] for s in report.shard_spans()} == {0, 1, 2}
-        finally:
-            engine.runtime.shutdown()
+        report = engine.explain_analyze(_two_predicate_query(vec, aux, index=5))
+        endpoints = self._service_endpoints(report)
+        assert {"vec", "aux"} <= set(endpoints)
+        # The merged endpoint sums its shard estimators inside its own
+        # request: no shard endpoint is asked, at top level or nested.
+        assert not any("#shard" in endpoint for endpoint in endpoints)
+        (merged,) = [
+            s for s in report.trace.find("service.estimate")
+            if s.attributes["endpoint"] == "vec"
+        ]
+        assert merged.find("service.estimate") == [merged]
+        # Execution still fans out to every shard.
+        assert {s.attributes["shard"] for s in report.shard_spans()} == {0, 1, 2}
 
 
 class TestResultsUnchanged:
     def test_explain_analyze_matches_execute(self):
         engine, vec, aux = _build_engine()
-        try:
-            query = _two_predicate_query(vec, aux)
-            expected = engine.execute(query)
-            report = engine.explain_analyze(query, feedback=False)
-            assert report.result_count == len(expected.record_ids)
-        finally:
-            engine.runtime.shutdown()
+        query = _two_predicate_query(vec, aux)
+        expected = engine.execute(query)
+        report = engine.explain_analyze(query, feedback=False)
+        assert report.result_count == len(expected.record_ids)
 
     def test_tracing_does_not_change_results(self):
         engine, vec, aux = _build_engine()
+        query = _two_predicate_query(vec, aux)
+        untraced = engine.execute(query)
+        enable_tracing()
         try:
-            query = _two_predicate_query(vec, aux)
-            untraced = engine.execute(query)
-            enable_tracing()
-            try:
-                traced = engine.execute(query)
-            finally:
-                disable_tracing()
-            assert traced.record_ids == untraced.record_ids
-            assert traced.driver_actual == untraced.driver_actual
+            traced = engine.execute(query)
         finally:
-            engine.runtime.shutdown()
+            disable_tracing()
+        assert traced.record_ids == untraced.record_ids
+        assert traced.driver_actual == untraced.driver_actual
 
 
 class TestSlowQueryLog:
@@ -256,26 +232,20 @@ class TestSlowQueryLog:
 
     def test_engine_records_slow_queries(self):
         engine, vec, aux = _build_engine(slow_query_seconds=0.0, slow_query_capacity=8)
-        try:
-            for index in (0, 1, 2):
-                engine.execute(_two_predicate_query(vec, aux, index=index))
-            entries = engine.slow_queries.entries()
-            assert len(entries) == 3
-            entry = entries[0]
-            assert entry["duration_seconds"] > 0.0
-            assert entry["driver"] in ("vec", "aux")
-            assert sorted(attr for attr, _ in entry["predicates"]) == ["aux", "vec"]
-            assert "result_count" in entry and "estimated" in entry
-        finally:
-            engine.runtime.shutdown()
+        for index in (0, 1, 2):
+            engine.execute(_two_predicate_query(vec, aux, index=index))
+        entries = engine.slow_queries.entries()
+        assert len(entries) == 3
+        entry = entries[0]
+        assert entry["duration_seconds"] > 0.0
+        assert entry["driver"] in ("vec", "aux")
+        assert sorted(attr for attr, _ in entry["predicates"]) == ["aux", "vec"]
+        assert "result_count" in entry and "estimated" in entry
 
     def test_quiet_engine_keeps_an_empty_ring(self):
         engine, vec, aux = _build_engine(slow_query_seconds=30.0)
-        try:
-            engine.execute(_two_predicate_query(vec, aux))
-            assert len(engine.slow_queries) == 0
-        finally:
-            engine.runtime.shutdown()
+        engine.execute(_two_predicate_query(vec, aux))
+        assert len(engine.slow_queries) == 0
 
     def test_snapshot_hooks_roundtrip(self):
         log = SlowQueryLog(threshold_seconds=0.5, capacity=3)
@@ -292,30 +262,24 @@ class TestSlowQueryLog:
 class TestHealthReport:
     def test_health_report_renders_every_section(self):
         """Sharded 'vec' and unsharded 'aux' in one engine: attributes (with
-        shard topology), pools, the service cache, slow queries and feedback
-        reach both renderings."""
+        shard topology), the service cache, slow queries and feedback reach
+        both renderings."""
         engine, vec, aux = _build_engine(slow_query_seconds=0.0)
-        try:
-            engine.execute(_two_predicate_query(vec, aux))
-            # A tiny query fans out inline; run one task so a pool exists.
-            engine.runtime.pool("health", num_workers=1).submit(int).result()
-            report = engine.health_report()
-            assert report.attributes["vec"]["shards"] == 3
-            assert report.attributes["aux"]["shards"] is None
-            assert report.pools["health"]["completed"] == 1
-            assert report.service["cache"]
-            assert len(report.slow_queries) == 1
-            text = report.describe()
-            assert text.splitlines()[0] == "ENGINE HEALTH"
-            assert "shards=3" in text and "aux" in text
-            assert "health" in text and "completed=1" in text and "cache: size=" in text
-            assert "slow queries: 1 retained" in text
-            payload = json.loads(report.to_json())
-            assert set(payload) == {
-                "attributes", "pools", "service", "slow_queries",
-                "slow_query_threshold_seconds", "feedback",
-            }
-            assert sum(payload["attributes"]["vec"]["shard_sizes"]) == NUM_ROWS
-            assert payload["feedback"] == engine.feedback.snapshot()
-        finally:
-            engine.runtime.shutdown()
+        engine.execute(_two_predicate_query(vec, aux))
+        report = engine.health_report()
+        assert report.attributes["vec"]["shards"] == 3
+        assert report.attributes["aux"]["shards"] is None
+        assert report.service["cache"]
+        assert len(report.slow_queries) == 1
+        text = report.describe()
+        assert text.splitlines()[0] == "ENGINE HEALTH"
+        assert "shards=3" in text and "aux" in text
+        assert "cache: size=" in text
+        assert "slow queries: 1 retained" in text
+        payload = json.loads(report.to_json())
+        assert set(payload) == {
+            "attributes", "service", "slow_queries",
+            "slow_query_threshold_seconds", "feedback",
+        }
+        assert sum(payload["attributes"]["vec"]["shard_sizes"]) == NUM_ROWS
+        assert payload["feedback"] == engine.feedback.snapshot()

@@ -9,7 +9,6 @@ import threading
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry
-from repro.runtime import WorkerPool
 from repro.serving.telemetry import EndpointStats, ServingTelemetry
 from repro.store import load_component, save_component
 
@@ -110,21 +109,6 @@ class TestRegistryFeeds:
         assert (stats.batches, stats.batched_records, stats.max_batch_size) == (2, 8, 6)
         assert stats.mean_batch_size == 4.0
 
-    def test_pool_tasks_share_the_endpoint_helper_and_track_max(self):
-        telemetry = ServingTelemetry()
-        telemetry.record_pool_task("shards", 0.01)
-        telemetry.record_pool_task("shards", 0.03)
-        stats = telemetry.endpoint("pool:shards")
-        assert stats.requests == 2
-        assert stats.latency_seconds == pytest.approx(0.04)
-        assert stats.max_latency_seconds == 0.03
-        # Pool tasks never inflate the client-facing totals.
-        assert telemetry.total.requests == 0
-        assert telemetry.total.latency_seconds == 0.0
-        labels = {"pool": "shards"}
-        assert telemetry.metrics.get("repro_pool_tasks_total", labels).value == 2.0
-        assert telemetry.metrics.get("repro_pool_task_seconds", labels).count == 2
-
     def test_observation_feeds_q_error_histogram(self):
         telemetry = ServingTelemetry()
         error = telemetry.record_observation("euclid", estimated=10, actual=5)
@@ -163,7 +147,6 @@ class TestLedgerIdentity:
             lambda: telemetry.record_requests("euclid", 1, 0, 1),
             lambda: telemetry.record_batch("euclid", 1),
             lambda: telemetry.record_latency("euclid", 0.01),
-            lambda: telemetry.record_pool_task("shards", 0.01),
             lambda: telemetry.record_observation("euclid", 3.0, 4.0),
             lambda: telemetry.record_drift("euclid"),
             lambda: telemetry.endpoint("euclid"),
@@ -204,7 +187,7 @@ class TestSnapshotHooks:
 
 
 class TestThreadSafety:
-    def test_eight_threads_recording_into_one_telemetry_sum_exactly(self):
+    def test_eight_threads_recording_into_one_telemetry_sum_exactly(self, client_threads):
         telemetry = ServingTelemetry()
         threads, rounds = 8, 400
         barrier = threading.Barrier(threads)
@@ -219,14 +202,9 @@ class TestThreadSafety:
                     telemetry.record_batch(name, 2)
                     telemetry.record_latency(name, 0.5)
                     telemetry.record_observation(name, 2.0, 1.0)
-                telemetry.record_pool_task("fanout", 0.25)
                 telemetry.record_drift("shared")
 
-        pool = WorkerPool("recorders", num_workers=threads, telemetry=telemetry)
-        try:
-            pool.map(work, range(threads))
-        finally:
-            pool.shutdown()
+        client_threads(work, range(threads))
 
         calls = threads * rounds
         shared = telemetry.endpoint("shared")
@@ -238,9 +216,6 @@ class TestThreadSafety:
         assert shared.drift_events == calls
         for index in range(threads):
             assert telemetry.endpoint(f"own{index}").requests == 3 * rounds
-        fanout = telemetry.endpoint("pool:fanout")
-        assert (fanout.requests, fanout.latency_seconds) == (calls, 0.25 * calls)
-        assert telemetry.endpoint("pool:recorders").requests == threads
         total = telemetry.total
-        assert total.requests == 2 * 3 * calls  # pool tasks stay out
+        assert total.requests == 2 * 3 * calls
         assert total.latency_seconds == 2 * 0.5 * calls

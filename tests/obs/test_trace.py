@@ -1,5 +1,5 @@
-"""Trace layer: span trees, the off-by-default no-op path, and propagation
-through worker-pool threads."""
+"""Trace layer: span trees, the off-by-default no-op path, and one tree per
+client thread."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import pytest
 from repro.obs import (
     NOOP_SPAN,
     Span,
-    activate,
-    capture_context,
     current_span,
     disable_tracing,
     enable_tracing,
@@ -23,7 +21,6 @@ from repro.obs import (
     start_trace,
     tracing_enabled,
 )
-from repro.runtime import WorkerPool
 
 
 @pytest.fixture(autouse=True)
@@ -141,43 +138,28 @@ class TestDisabledPath:
         assert "traced-ok" in done.stdout
 
 
-class TestActivation:
-    def test_activate_restores_previous_context(self):
-        with start_trace("root") as root:
-            captured = capture_context()
-            assert captured is root
-        assert current_span() is None
-        with activate(captured):
-            assert current_span() is captured
-            with span("late") as late:
-                assert late.parent_id == captured.span_id
-        assert current_span() is None
-
-
-class TestPoolPropagation:
-    def test_thread_pool_tasks_join_the_submitters_trace(self):
-        pool = WorkerPool("trace-threads", 2)
-        try:
-            def work(i):
+class TestClientThreads:
+    def test_each_client_thread_builds_its_own_tree(self, client_threads):
+        def work(i):
+            with start_trace("root", index=i) as root:
                 with span("inner", index=i):
-                    return i * i
+                    pass
+            return root
 
-            with start_trace("root") as root:
-                handles = [pool.submit(work, i) for i in range(5)]
-                assert [h.result() for h in handles] == [0, 1, 4, 9, 16]
-            tasks = root.find("pool.task")
-            inners = root.find("inner")
-            assert len(tasks) == 5 and len(inners) == 5
-            assert {s.attributes["pool"] for s in tasks} == {"trace-threads"}
-            assert sorted(s.attributes["index"] for s in inners) == list(range(5))
-        finally:
-            pool.shutdown()
+        roots = client_threads(work, range(4))
+        assert [root.attributes["index"] for root in roots] == [0, 1, 2, 3]
+        for index, root in enumerate(roots):
+            (inner,) = root.find("inner")
+            assert inner.parent_id == root.span_id
+            assert inner.attributes["index"] == index
+        assert current_span() is None
 
-    def test_untraced_tasks_record_nothing(self):
-        pool = WorkerPool("trace-none", 1)
-        try:
-            assert pool.submit(lambda: 41).result() == 41
-        finally:
-            pool.shutdown()
+    def test_untraced_tasks_record_nothing(self, client_threads):
+        def work(_):
+            with span("untraced") as opened:
+                return opened, current_span()
+
+        ((opened, active),) = client_threads(work, [None])
+        assert opened is NOOP_SPAN and active is None
         assert current_span() is None
 

@@ -23,7 +23,6 @@ from repro.distances import (
     batch_levenshtein,
     levenshtein,
 )
-from repro.runtime import WorkerPool
 from repro.selection import (
     BallIndexEuclideanSelector,
     CompactionPolicy,
@@ -197,7 +196,9 @@ def test_batch_levenshtein_equals_scalar(query, candidates, threshold):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_eight_threads_probe_one_selector(name, string_dataset, set_dataset, vector_dataset):
+def test_eight_threads_probe_one_selector(
+    name, string_dataset, set_dataset, vector_dataset, client_threads
+):
     _, factory, _, thresholds = CASES[name]
     rows = {
         "edit": string_dataset.records,
@@ -213,12 +214,9 @@ def test_eight_threads_probe_one_selector(name, string_dataset, set_dataset, vec
 
     expected = run(None)
     interval = sys.getswitchinterval()
-    pool = WorkerPool("probes", num_workers=8)  # the runtime's own thread pool
     sys.setswitchinterval(1e-5)
     try:
-        handles = [pool.submit(run, worker) for worker in range(8)]
-        results = [handle.result(timeout=60) for handle in handles]
+        results = client_threads(run, range(8))
     finally:
         sys.setswitchinterval(interval)
-        pool.shutdown()
     assert all(result == expected for result in results)

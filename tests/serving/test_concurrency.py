@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.db_specialized import HistogramHammingEstimator
 from repro.datasets import make_binary_dataset
-from repro.runtime import WorkerPool
 from repro.serving import EstimationService
 
 THETA_MAX = 12
@@ -53,7 +52,7 @@ class TestStress:
     ROUNDS = 12
     BATCH = 5
 
-    def test_hammered_service_keeps_every_invariant(self, stress_dataset):
+    def test_hammered_service_keeps_every_invariant(self, stress_dataset, client_threads):
         service = _service(stress_dataset)
         records = stress_dataset.records
         rng = np.random.default_rng(11)
@@ -114,14 +113,8 @@ class TestStress:
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 
-        # One worker per hammer, so all of them pass the barrier together.
-        pool = WorkerPool("hammer", num_workers=self.NUM_THREADS)
-        try:
-            handles = [pool.submit(hammer, t) for t in range(self.NUM_THREADS)]
-            for handle in handles:
-                handle.result(timeout=60)
-        finally:
-            pool.shutdown()
+        # One thread per hammer, so all of them pass the barrier together.
+        client_threads(hammer, range(self.NUM_THREADS))
         assert not errors, errors
 
         # 1. Every answer matched the single-threaded reference (asserted in
@@ -157,7 +150,7 @@ class _ExplodingEstimator:
 
 class TestFailingEndpoint:
     def test_failing_micro_batch_raises_to_its_caller_and_wedges_nothing(
-        self, stress_dataset
+        self, stress_dataset, client_threads
     ):
         service = _service(stress_dataset)
         service.register(
@@ -171,15 +164,12 @@ class TestFailingEndpoint:
         assert len(service.cache) == 0  # nothing half-cached
         # The lock was released on the way out: another thread still serves,
         # on the healthy endpoints and on the failing one alike.
-        def serve():
+        def serve(_):
             healthy = service.estimate("a", records[0], 3.0)
             with pytest.raises(RuntimeError, match="exploded"):
                 service.estimate("broken", records[0], 2.0)
             return healthy
 
-        pool = WorkerPool("other-client", num_workers=1)
-        try:
-            answer = pool.submit(serve).result(timeout=30)
-        finally:
-            pool.shutdown(wait=False)  # a wedged lock must fail the test, not hang it
+        # A wedged lock fails the test at the timeout instead of hanging it.
+        (answer,) = client_threads(serve, [None], timeout=30)
         assert answer == service.estimate("a", records[0], 3.0)

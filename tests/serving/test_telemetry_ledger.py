@@ -22,7 +22,6 @@ from repro.obs import DEFAULT_LATENCY_BUCKETS, bucket_quantile
 from repro.serving.telemetry import ServingTelemetry, q_error
 
 ENDPOINTS = ["hm", "ed", "hm::part0", "vec#shard1"]
-POOLS = ["shards", "rebalance-build"]
 
 endpoint = st.sampled_from(ENDPOINTS)
 seconds = st.floats(0.0, 20.0, allow_nan=False)
@@ -34,7 +33,6 @@ events = st.lists(
         st.tuples(st.just("requests"), endpoint, count, count),
         st.tuples(st.just("batch"), endpoint, st.integers(1, 2000)),
         st.tuples(st.just("latency"), endpoint, seconds),
-        st.tuples(st.just("pool_task"), st.sampled_from(POOLS), seconds),
         st.tuples(st.just("observation"), endpoint, cardinality, cardinality),
         st.tuples(st.just("drift"), endpoint),
     ),
@@ -75,11 +73,6 @@ class Tally:
         elif kind == "latency":
             telemetry.record_latency(name, values[0])
             self._entry(name)["latencies"].append(values[0])
-        elif kind == "pool_task":
-            telemetry.record_pool_task(name, values[0])
-            entry = self._entry(f"pool:{name}")
-            entry["requests"] += 1
-            entry["latencies"].append(values[0])
         elif kind == "observation":
             error = telemetry.record_observation(name, *values)
             assert error == q_error(*values)
@@ -98,21 +91,20 @@ class Tally:
                 mine[key] = mine[key] + value  # ints add, lists concatenate
 
     def total(self) -> dict:
-        """Sum over the client endpoints: pool entries stay out."""
+        """Sum over every endpoint."""
         total = Tally()
-        for name, entry in self.entries.items():
-            if not name.startswith("pool:"):
-                total.add("total", entry)
+        for entry in self.entries.values():
+            total.add("total", entry)
         return total._entry("total")
 
     def snapshot(self) -> dict:
-        report = {"total": _report(self.total(), percentiles=True)}
+        report = {"total": _report(self.total())}
         for name, entry in self.entries.items():
-            report[name] = _report(entry, percentiles=not name.startswith("pool:"))
+            report[name] = _report(entry)
         return report
 
 
-def _report(entry: dict, percentiles: bool) -> dict:
+def _report(entry: dict) -> dict:
     lookups = entry["cache_hits"] + entry["cache_misses"]
     latency = sum(entry["latencies"])
     report = {
@@ -135,7 +127,7 @@ def _report(entry: dict, percentiles: bool) -> dict:
         "max_q_error": max(entry["q_errors"], default=0.0),
         "drift_events": entry["drift_events"],
     }
-    if percentiles and entry["latencies"]:
+    if entry["latencies"]:
         counts = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
         for value in entry["latencies"]:
             counts[bisect_left(DEFAULT_LATENCY_BUCKETS, value)] += 1
@@ -151,7 +143,7 @@ INT_KEYS = (
     "observations", "drift_events",
 )
 
-SAMPLE = re.compile(r'^(\w+)\{(?:endpoint|pool)="([^"]+)"\} (\S+)$', re.MULTILINE)
+SAMPLE = re.compile(r'^(\w+)\{endpoint="([^"]+)"\} (\S+)$', re.MULTILINE)
 
 
 def assert_agrees(telemetry: ServingTelemetry, tally: Tally) -> None:
@@ -177,13 +169,8 @@ def assert_agrees(telemetry: ServingTelemetry, tally: Tally) -> None:
     samples = defaultdict(float)  # a series that never recorded is absent: zero
     for metric, label, value in SAMPLE.findall(text):
         samples[metric, label] = float(value)
-    assert {label for _, label in samples} <= {name.removeprefix("pool:") for name in tally.entries}
+    assert {label for _, label in samples} <= set(tally.entries)
     for name, entry in tally.entries.items():
-        if name.startswith("pool:"):
-            pool = name.removeprefix("pool:")
-            assert samples["repro_pool_tasks_total", pool] == snapshot[name]["requests"]
-            assert samples["repro_pool_task_seconds_count", pool] == snapshot[name]["requests"]
-            continue
         view = snapshot[name]
         assert samples["repro_requests_total", name] == view["requests"]
         assert samples["repro_cache_hits_total", name] == view["cache_hits"]
@@ -201,10 +188,10 @@ def test_snapshot_equals_an_independent_tally(sequence):
     for event in sequence:
         tally.apply(telemetry, event)
     assert_agrees(telemetry, tally)
-    # total is the sum over client endpoints: pool entries stay out of it.
-    client = [entry for name, entry in tally.entries.items() if not name.startswith("pool:")]
-    assert telemetry.total.requests == sum(entry["requests"] for entry in client)
-    assert telemetry.total.observations == sum(len(entry["q_errors"]) for entry in client)
+    # total is the sum over every endpoint.
+    entries = tally.entries.values()
+    assert telemetry.total.requests == sum(entry["requests"] for entry in entries)
+    assert telemetry.total.observations == sum(len(entry["q_errors"]) for entry in entries)
 
 
 @settings(max_examples=40, deadline=None)

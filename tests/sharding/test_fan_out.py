@@ -3,7 +3,6 @@
 It answers exactly like the unsharded selector, counts every shard task once
 per op and shard, and reports those counts to the registry its runtime's
 telemetry owns — the engine's — and nothing to the process default registry.
-No pool is created for it.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ def test_fan_out_equals_unsharded_with_exact_shard_metrics(
         runtime=runtime,
     )
     answer = _run_op(selector, op, records, thetas)
-    assert runtime.pool_names() == []
 
     unsharded = selector_cls(records)
     if op == "query_many":
@@ -144,4 +142,3 @@ class TestOneRegistry:
             for shard in range(4)
         }
         assert _default_registry_shard_series() == before
-        assert engine.runtime.pool_names() == []

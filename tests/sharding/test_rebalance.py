@@ -240,16 +240,6 @@ class TestExecution:
         sharded.apply_operation(UpdateOperation("insert", make_records(5, seed=1)))
         assert len(sharded) == 95
 
-    def test_background_start_returns_a_handle(self):
-        records = make_records(140)
-        sharded = make_sharded(records, num_shards=4)
-        query = records[2]
-        expected = sorted(sharded.query(query, 14))
-        handle = Rebalancer().start(sharded, RebalancePlan([MergeShards((1, 3))]))
-        report = handle.result(timeout=30)
-        assert report.num_shards_after == 3
-        assert sorted(sharded.query(query, 14)) == expected
-
     def test_emptied_shard_still_queries_merges_and_snapshots(self, tmp_path):
         from repro.store import load_component, save_component
 

@@ -479,7 +479,6 @@ class TestShardedEngineLifetime:
                 weakref.ref(engine.service.cache),
             ]
             del group
-            engine.runtime.shutdown()
             del engine
             assert [ref() for ref in watched] == [None] * len(watched)
         finally:
@@ -498,7 +497,6 @@ class TestShardedEngineLifetime:
         for endpoint in restored.catalog.get("hm").shard_endpoints:
             restored.service.invalidate(endpoint)
         assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
-        restored.runtime.shutdown()
 
     def test_snapshot_holding_the_service_restores_without_a_cycle(
         self, sharded_engine, binary_dataset, tmp_path
@@ -528,7 +526,6 @@ class TestShardedEngineLifetime:
             assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
             watched = [weakref.ref(restored.service), weakref.ref(merged)]
             del merged
-            restored.runtime.shutdown()
             del restored
             assert [ref() for ref in watched] == [None] * len(watched)
         finally:

@@ -75,8 +75,7 @@ def engine(binary_dataset, binary_workload):
         cardnet_factory(binary_dataset, binary_workload),
         num_shards=NUM_SHARDS, theta_max=binary_dataset.theta_max,
     )
-    yield engine
-    engine.runtime.shutdown()
+    return engine
 
 
 @pytest.fixture
@@ -153,15 +152,12 @@ class TestStackCoherence:
         before = merged_curves(engine, "hm", records)
         save_engine(engine, tmp_path / "snap")
         restored = load_engine(tmp_path / "snap", mmap=mmap)
-        try:
-            group = restored.shard_group("hm")
-            assert group.merged._stack is None
-            after = merged_curves(restored, "hm", records)
-            assert np.array_equal(after, before)
-            assert np.array_equal(after, fresh_sum(group, records))
-            assert group.merged._stack.members == group.estimators
-        finally:
-            restored.runtime.shutdown()
+        group = restored.shard_group("hm")
+        assert group.merged._stack is None
+        after = merged_curves(restored, "hm", records)
+        assert np.array_equal(after, before)
+        assert np.array_equal(after, fresh_sum(group, records))
+        assert group.merged._stack.members == group.estimators
 
 
 class TestFallback:
@@ -182,7 +178,6 @@ class TestFallback:
         assert np.array_equal(merged_curves(engine, "hm", records), fresh_sum(group, records))
         stack = group.merged._stack
         assert stack.indices == [0, 2]
-        engine.runtime.shutdown()
 
     def test_edit_shards_with_differing_extractors_fall_back(self, string_dataset):
         # Without an alphabet or a maximum length in `extra`, each shard's
@@ -201,4 +196,3 @@ class TestFallback:
         stack = group.merged._stack
         assert 0 < len(stack.members) < NUM_SHARDS
         assert stack.indices[0] == 0
-        engine.runtime.shutdown()

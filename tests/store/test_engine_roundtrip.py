@@ -22,7 +22,6 @@ from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.sharding import RebalancePlan, SplitShard
-from repro.sharding.rebalance import REBALANCE_BUILD_POOL
 from repro.store import FORMAT_VERSION, inspect_snapshot, load_engine, save_engine
 
 
@@ -265,9 +264,9 @@ class TestGPHAndSharded:
 
 
 class TestRuntimeBackedTopology:
-    """An engine whose runtime has built pools (a rebalance builds its target
-    shards on one) must snapshot WITHOUT serializing pools and restore to a
-    fully working topology that rebuilds them on demand."""
+    """A rebalance builds its target shards on the caller, before a snapshot
+    and after a restore alike, and the restored engine keeps its sharded
+    selectors on its own runtime."""
 
     @staticmethod
     def _estimator_factory(records, shard):
@@ -285,69 +284,44 @@ class TestRuntimeBackedTopology:
         )
         return engine
 
-    def test_runtime_pools_never_serialize_and_rebuild_after_restore(
-        self, datasets, tmp_path
-    ):
+    def test_rebalances_start_no_thread(self, datasets, tmp_path):
+        import threading
+
         dataset = datasets["hamming"]
         engine = self._sharded_runtime_engine(dataset)
         queries = [
             SimilarityPredicate("vec", dataset.records[i], 6.0) for i in (2, 9, 31, 44)
         ]
-        restored = None
-        try:
-            # Spin up the rebalance build pool before saving.
-            engine.rebalance_attribute("vec", RebalancePlan([SplitShard(0)]))
-            assert engine.runtime.pool_names() == [REBALANCE_BUILD_POOL]
+        threads = threading.active_count()
+        engine.rebalance_attribute("vec", RebalancePlan([SplitShard(0)]))
+        assert threading.active_count() == threads
 
-            save_engine(engine, tmp_path / "snap")
-            manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
-            assert "WorkerPool" not in manifest_text  # pools are dropped, not saved
-            assert "_thread" not in manifest_text
+        save_engine(engine, tmp_path / "snap")
+        manifest_text = (tmp_path / "snap" / "manifest.json").read_text()
+        assert '"_pools"' not in manifest_text
+        assert "_thread" not in manifest_text
 
-            restored = load_engine(tmp_path / "snap")
-            # The restored runtime starts empty; identity survives — the restored
-            # sharded selector reports to the restored ENGINE's runtime.
-            assert restored.runtime.pool_names() == []
-            assert restored.catalog.get("vec").selector.runtime is restored.runtime
-            for original, loaded in zip(
-                engine.execute_many(queries), restored.execute_many(queries)
-            ):
-                assert_results_equal(original, loaded)
+        restored = load_engine(tmp_path / "snap")
+        # Identity survives: the restored sharded selector reports to the
+        # restored ENGINE's runtime.
+        assert restored.catalog.get("vec").selector.runtime is restored.runtime
+        for original, loaded in zip(
+            engine.execute_many(queries), restored.execute_many(queries)
+        ):
+            assert_results_equal(original, loaded)
 
-            # The next rebalance rebuilds the pool lazily, and both engines
-            # still answer query for query, shard counts included.
-            def builds(live):
-                return live.service.telemetry.endpoint(f"pool:{REBALANCE_BUILD_POOL}").requests
-
-            saved_builds = builds(restored)  # telemetry survives the round trip
-            restored.set_estimator_factory("vec", self._estimator_factory)
-            for live in (engine, restored):
-                live.rebalance_attribute("vec", RebalancePlan([SplitShard(1)]))
-            assert restored.runtime.pool_names() == [REBALANCE_BUILD_POOL]
-            assert builds(restored) == saved_builds + 2 == builds(engine)
-            for original, loaded in zip(
-                engine.execute_many(queries), restored.execute_many(queries)
-            ):
-                assert_results_equal(original, loaded)
-        finally:
-            engine.runtime.shutdown()
-            if restored is not None:
-                restored.runtime.shutdown()
-
-    def test_in_flight_runtime_work_blocks_save(self, datasets, tmp_path):
-        import threading
-
-        engine = _build_engine(datasets)
-        gate = threading.Event()
-        handle = engine.runtime.pool("side-work", num_workers=1).submit(gate.wait, 10)
-        try:
-            with pytest.raises(RuntimeError, match="tasks in flight"):
-                save_engine(engine, tmp_path / "snap")
-        finally:
-            gate.set()
-            handle.result(timeout=5)
-        engine.runtime.drain(timeout=5)
-        save_engine(engine, tmp_path / "snap")  # idle runtime saves cleanly
+        # The next rebalance runs on the caller on both engines, and both
+        # still answer query for query, shard counts included.
+        restored.set_estimator_factory("vec", self._estimator_factory)
+        for live in (engine, restored):
+            live.rebalance_attribute("vec", RebalancePlan([SplitShard(1)]))
+        assert threading.active_count() == threads
+        assert restored.catalog.get("vec").selector.num_shards == 5
+        assert engine.catalog.get("vec").selector.num_shards == 5
+        for original, loaded in zip(
+            engine.execute_many(queries), restored.execute_many(queries)
+        ):
+            assert_results_equal(original, loaded)
 
 
 class TestManagerAndFeedbackResume:
@@ -436,15 +410,12 @@ class TestStackedShardSnapshots:
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self, mmap):
         expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
         restored = load_engine(FORMAT8_SHARDED, mmap=mmap)
-        try:
-            for name, curves in expected.items():
-                records = list(restored.catalog.get(name).records[: len(curves)])
-                served = restored.service.estimate_curve_many(name, records)
-                assert np.array_equal(served, np.asarray(curves)), name
-                group = restored.shard_group(name)
-                assert group.merged._stack.members == group.estimators
-        finally:
-            restored.runtime.shutdown()
+        for name, curves in expected.items():
+            records = list(restored.catalog.get(name).records[: len(curves)])
+            served = restored.service.estimate_curve_many(name, records)
+            assert np.array_equal(served, np.asarray(curves)), name
+            group = restored.shard_group(name)
+            assert group.merged._stack.members == group.estimators
 
     def test_snapshot_holding_the_dispatch_switch_restores_without_it(self, tmp_path):
         """The snapshot was written while ``ShardedSelector`` still had a
@@ -452,18 +423,46 @@ class TestStackedShardSnapshots:
         assert '["parallel", true]' in (FORMAT8_SHARDED / "manifest.json").read_text()
         expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
         restored = load_engine(FORMAT8_SHARDED)
-        try:
-            for name, curves in expected.items():
-                selector = restored.catalog.get(name).selector
-                assert not hasattr(selector, "parallel")
-                assert "parallel" not in selector.stats()
-                records = list(restored.catalog.get(name).records[: len(curves)])
-                served = restored.service.estimate_curve_many(name, records)
-                assert np.array_equal(served, np.asarray(curves)), name
-            save_engine(restored, tmp_path / "resaved")
-            assert '"parallel"' not in (tmp_path / "resaved" / "manifest.json").read_text()
-        finally:
-            restored.runtime.shutdown()
+        for name, curves in expected.items():
+            selector = restored.catalog.get(name).selector
+            assert not hasattr(selector, "parallel")
+            assert "parallel" not in selector.stats()
+            records = list(restored.catalog.get(name).records[: len(curves)])
+            served = restored.service.estimate_curve_many(name, records)
+            assert np.array_equal(served, np.asarray(curves)), name
+        save_engine(restored, tmp_path / "resaved")
+        assert '"parallel"' not in (tmp_path / "resaved" / "manifest.json").read_text()
+
+    def test_snapshot_holding_the_pool_registry_restores_without_it(self, tmp_path):
+        """The snapshot was written while ``Runtime`` still kept worker pools;
+        the restore drops the (empty) registry, and a re-save omits it."""
+        manifest = (FORMAT8_SHARDED / "manifest.json").read_text()
+        assert '["_pools", {"t": "dict", "items": []}]' in manifest
+        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT8_SHARDED)
+        runtime = restored.runtime
+        assert not hasattr(runtime, "_pools")
+        assert runtime.stats() == {}
+        registry = restored.service.telemetry.metrics
+
+        def shard_tasks():
+            return sum(
+                metric.value for metric in registry.collect()
+                if metric.name == "repro_shard_tasks_total"
+            )
+
+        for name, curves in expected.items():
+            selector = restored.catalog.get(name).selector
+            assert selector.runtime is runtime
+            records = list(restored.catalog.get(name).records[: len(curves)])
+            served = restored.service.estimate_curve_many(name, records)
+            assert np.array_equal(served, np.asarray(curves)), name
+            # The shard loop runs under the restored runtime's sink.
+            tasks = shard_tasks()
+            selector.query(records[0], 2.0)
+            assert shard_tasks() == tasks + selector.num_shards
+        save_engine(restored, tmp_path / "resaved")
+        assert '"_pools"' not in (tmp_path / "resaved" / "manifest.json").read_text()
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
         engine = load_engine(FORMAT8_SHARDED)
@@ -481,7 +480,6 @@ class TestStackedShardSnapshots:
         files = [{path.name: path.read_bytes() for path in info.path.iterdir()}
                  for info in (before, after)]
         assert files[0] == files[1]
-        engine.runtime.shutdown()
 
 
 class TestInventory:
