@@ -74,8 +74,9 @@ class ModuleContext:
         """Dotted name of ``node`` with the root resolved through imports.
 
         Returns e.g. ``"numpy.random.shuffle"`` for ``np.random.shuffle`` or
-        ``"time.time"`` for a bare ``time`` imported from ``time``.  ``None`` when the expression is not a plain dotted
-        name (a call result, a subscript, ...).
+        ``"time.time"`` for a bare ``time`` imported from ``time``.  ``None``
+        when the expression is not a plain dotted name (a call result, a
+        subscript, ...).
         """
         chain: List[str] = []
         while isinstance(node, ast.Attribute):

@@ -51,7 +51,7 @@ class TestSnapshotHooks:
     def test_runtime_telemetry_survives_the_round_trip(self, tmp_path):
         telemetry = ServingTelemetry()
         runtime = Runtime(telemetry)
-        runtime.run_inline(telemetry.record_requests, "vec", 3, 1, 2)
+        telemetry.record_requests("vec", 3, 1, 2)
         save_component(runtime, tmp_path / "rt")
         restored = load_component(tmp_path / "rt")
         # Counters persisted; the lock was rebuilt (recording still works).
