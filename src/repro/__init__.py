@@ -14,14 +14,10 @@ Public API highlights
 * :mod:`repro.sharding` — horizontal scale-out: partitioned exact selection
   and per-shard serving endpoints merged by curve summation.
 * :mod:`repro.store` — versioned engine snapshots and warm-start restore.
-* :mod:`repro.runtime` — the shared concurrent execution layer: named worker
-  pools, one runtime under sharding, rebalancing, and the engine.
-* :mod:`repro.obs` — observability: span traces across threads, mergeable
-  histogram metrics with Prometheus/JSON exposition, and
-  ``Engine.explain_analyze``.
-* :mod:`repro.analysis` — AST contract linter enforcing the repo's
-  concurrency, snapshot, and determinism invariants
-  (``python -m repro.analysis src benchmarks tests``).
+* :mod:`repro.runtime` — the metrics sink an engine and its shards share; the
+  library spawns no threads.
+* :mod:`repro.obs` — observability: span traces, fixed-bucket histogram
+  metrics with Prometheus/JSON exposition, and ``Engine.explain_analyze``.
 """
 
 from .core import CardinalityEstimator, CardNet, CardNetConfig, CardNetEstimator

@@ -121,7 +121,7 @@ class RegressionTree:
                     np.sum((left_targets - left_targets.mean()) ** 2)
                     + np.sum((right_targets - right_targets.mean()) ** 2)
                 )
-                if sse < total_sse - 1e-12 and (best is None or sse < best[0]):
+                if sse < total_sse - 1e-12 and (best is None or sse < best[0]):  # repro: ignore[RPR011] - a split-gain margin
                     best = (sse, int(feature), float(threshold), left_mask)
         return best
 

@@ -706,8 +706,8 @@ class SimilarityQueryEngine:
     # Health
     # ------------------------------------------------------------------ #
     def health_report(self) -> HealthReport:
-        """Engine-wide status — attributes, pools, service cache, slow
-        queries, feedback — as one :class:`~repro.obs.explain.HealthReport`
+        """Engine-wide status — attributes, service cache, slow queries,
+        feedback — as one :class:`~repro.obs.explain.HealthReport`
         (render with ``describe()`` or ``to_json()``)."""
         return build_health_report(self)
 

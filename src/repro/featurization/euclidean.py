@@ -88,7 +88,7 @@ class PStableEuclideanFeatureExtractor(FeatureExtractor):
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)
         denominator = 1.0 - self._epsilon_at_max
-        if denominator <= 1e-12:
+        if denominator <= 1e-12:  # repro: ignore[RPR011] - a zero-variance test
             return np.zeros(thetas.shape, dtype=np.int64)
         # The proportional map on expected Hamming distance (1 - ε(θ)) · d.
         return proportional_threshold_map(

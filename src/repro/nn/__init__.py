@@ -42,7 +42,7 @@ from .losses import (
 )
 from .module import Module
 from .optim import SGD, Adam, Optimizer, StepLR
-from .serialization import load_module, save_module, serialized_size
+from .serialization import serialized_size
 from .tensor import Tensor, concatenate, stack, where
 
 __all__ = [
@@ -75,8 +75,6 @@ __all__ = [
     "SGD",
     "Adam",
     "StepLR",
-    "save_module",
-    "load_module",
     "serialized_size",
     "check_gradients",
     "numerical_gradient",

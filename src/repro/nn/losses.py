@@ -55,7 +55,7 @@ def weighted_msle(
         scale = 2.0 / max(squared.size, 1)
     else:
         weights = np.asarray(weights, dtype=np.float64)
-        total = float(max(np.sum(weights), 1e-12))
+        total = float(max(np.sum(weights), 1e-12))  # repro: ignore[RPR011] - a loss denominator
         value = (squared * weights).sum() / total
         scale = 2.0 * weights / total
     slope = scale * difference
@@ -77,7 +77,7 @@ def msle_loss(prediction: Tensor, target: Tensor) -> Tensor:
 def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error via a smooth |x| ~ sqrt(x^2 + eps) approximation."""
     diff = prediction - target
-    return ((diff * diff + 1e-12) ** 0.5).mean()
+    return ((diff * diff + 1e-12) ** 0.5).mean()  # repro: ignore[RPR011] - a loss smoothing term
 
 
 def bce_with_logits_loss(logits: Tensor, target: Tensor) -> Tensor:

@@ -1,65 +1,21 @@
-"""Saving and loading model parameters.
+"""Model size: the bytes of a module's flat ``state_dict`` as an ``.npz`` archive.
 
-Models are persisted as ``.npz`` archives of their flat ``state_dict``.  The
-model-size benchmark (paper Table 9) reports the size of these archives.
+The model-size benchmark (paper Table 9) reports this size; models are
+persisted with the engine by :mod:`repro.store`.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .module import Module
 
-PathLike = Union[str, os.PathLike]
-
-
-def _archive_path(path: Path) -> Path:
-    """The file :func:`numpy.savez` actually writes: ``np.savez`` appends a
-    ``.npz`` suffix whenever the given name lacks one."""
-    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-
-
-def save_module(module: Module, path: PathLike) -> int:
-    """Serialize ``module`` parameters to ``path`` and return the byte size.
-
-    The size is taken from the archive ``np.savez`` actually produced —
-    for a suffix-less ``path``, numpy writes ``path.npz``, so statting
-    ``path`` itself would raise (or measure an unrelated file).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    state = module.state_dict()
-    # npz keys cannot contain '/', dots are fine.
-    np.savez(path, **state)
-    return _archive_path(path).stat().st_size
-
-
-def load_module(module: Module, path: PathLike) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module`` in place.
-
-    Accepts the same path that was passed to :func:`save_module`, with or
-    without the ``.npz`` suffix numpy appended.
-    """
-    path = Path(path)
-    if not path.is_file():
-        path = _archive_path(path)
-    with np.load(path) as archive:
-        state = {key: archive[key] for key in archive.files}
-    module.load_state_dict(state)
-    return module
-
 
 def serialized_size(module: Module) -> int:
-    """Return the size in bytes of the module serialized to an in-memory npz.
-
-    This avoids touching the filesystem and is what the benchmarks report as
-    "model size".
-    """
+    """Return the size in bytes of the module serialized to an in-memory npz
+    (what the benchmarks report as "model size")."""
     buffer = io.BytesIO()
     np.savez(buffer, **module.state_dict())
     return buffer.getbuffer().nbytes

@@ -118,7 +118,7 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """Monotonically increasing count; merges by addition."""
+    """Monotonically increasing count."""
 
     kind = "counter"
 
@@ -137,13 +137,9 @@ class Counter(_Metric):
             return {"type": "counter", "name": self.name, "labels": dict(self.labels),
                     "description": self.description, "value": self.value}
 
-    def merge_export(self, state: Mapping[str, Any]) -> None:
-        with self._lock:
-            self.value += float(state["value"])
-
 
 class Gauge(_Metric):
-    """A value that can go anywhere; merges by last-write-wins."""
+    """A value that can go anywhere."""
 
     kind = "gauge"
 
@@ -167,10 +163,6 @@ class Gauge(_Metric):
         with self._lock:
             return {"type": "gauge", "name": self.name, "labels": dict(self.labels),
                     "description": self.description, "value": self.value}
-
-    def merge_export(self, state: Mapping[str, Any]) -> None:
-        with self._lock:
-            self.value = float(state["value"])
 
 
 class Histogram(_Metric):
@@ -229,18 +221,6 @@ class Histogram(_Metric):
     def percentiles(self) -> Dict[str, float]:
         return {"p50": self.quantile(0.50), "p95": self.quantile(0.95),
                 "p99": self.quantile(0.99)}
-
-    def merge(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {other.key!r}: bucket boundaries differ"
-            )
-        with self._lock:
-            for index, bucket_count in enumerate(other.counts):
-                self.counts[index] += bucket_count
-            self.sum += other.sum
-            self.count += other.count
-            self.max = max(self.max, other.max)
 
     def export(self) -> Dict[str, Any]:
         with self._lock:

@@ -13,8 +13,8 @@ shard cleanly:
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
 * :class:`Rebalancer` executes :class:`RebalancePlan` s (split hot shards,
-  merge cold ones, migrate id ranges) from the base rows on background
-  pools while the old layout serves, committing with an atomic swap after
+  merge cold ones, migrate id ranges) from the base rows on the caller
+  while the old layout serves, committing with an atomic swap after
   replaying mid-rebalance updates from the journal.
 """
 

@@ -100,7 +100,7 @@ def load_component(
     payload is streaming-checksummed once at open, loading allocates
     O(metadata) rather than O(arrays), and concurrent loads of one snapshot
     share physical pages.  Mmap'd restores are for read-path serving
-    (process-pool workers, a read-only engine); anything that mutates restored
+    (a read-only engine); anything that mutates restored
     arrays in place — retraining, optimizer steps — must use ``mmap=False``, and
     will fail loudly (not corrupt silently) if handed a view.
     """

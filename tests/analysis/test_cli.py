@@ -1,12 +1,15 @@
 """CLI contract: exit codes, human output, JSON report shape, artifacts."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.cli import main
+from tools.analysis import ALL_RULES
+from tools.analysis.cli import main
+from tools.analysis.findings import UNUSED_SUPPRESSION_CODE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -93,12 +96,12 @@ class TestJsonReport:
 class TestModuleEntryPoint:
     def test_list_rules_via_python_dash_m(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--list-rules"],
+            [sys.executable, "-m", "tools.analysis", "--list-rules"],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env={"PATH": "/usr/bin:/bin"},
         )
         assert result.returncode == 0
-        for code in [f"RPR00{n}" for n in (1, 2, 4, 5, 6, 7, 8)] + ["RPR900"]:
-            assert code in result.stdout
+        rendered = set(re.findall(r"^  (RPR\d{3}) ", result.stdout, re.MULTILINE))
+        assert rendered == {rule.code for rule in ALL_RULES} | {UNUSED_SUPPRESSION_CODE}

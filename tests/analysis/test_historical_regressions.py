@@ -8,7 +8,7 @@ motivating bug, these fail before the bug does.
 
 import textwrap
 
-from repro.analysis import analyze_source
+from tools.analysis import analyze_source
 
 
 def codes(source, path):
@@ -102,3 +102,23 @@ def test_pr5_pre_threadsafety_service_fires_rpr006():
                 self._pending[name] = []
     """
     assert codes(source, "src/repro/serving/service.py") == ["RPR006"]
+
+
+def test_pr30_hamming_index_truncated_threshold_fires_rpr011():
+    # Before PR 30, PackedHammingSelector compared distances against
+    # int(threshold): at θ = 24 - 5e-13 it admitted distance ≤ 23 where the
+    # linear scan admits 24.  Both the scalar and the curve shape, reverted.
+    source = """
+        class PackedHammingSelector:
+            def query(self, record, threshold):
+                distances = self.distances(record)
+                return [int(i) for i in np.nonzero(distances <= int(threshold))[0]]
+
+            def cardinality_curve(self, record, thresholds):
+                thresholds = np.asarray(thresholds, dtype=np.float64)
+                distances = self.distances(record)
+                return np.count_nonzero(
+                    distances[None, :] <= thresholds.astype(np.int64)[:, None], axis=1
+                )
+    """
+    assert codes(source, "src/repro/selection/hamming_index.py") == ["RPR011", "RPR011"]

@@ -8,7 +8,7 @@ disk.
 
 import textwrap
 
-from repro.analysis import analyze_source
+from tools.analysis import analyze_source
 
 SRC = "src/repro/example/module.py"
 
@@ -439,6 +439,45 @@ class TestUpdatePathRebuild:
                     self.selector = self.selector.rebuild(records)  # repro: ignore[RPR010] - wholesale replacement
         """
         assert codes(source) == []
+
+
+# --------------------------------------------------------------------- #
+# RPR011 — d <= θ is decided in repro/distances/base.py only
+# --------------------------------------------------------------------- #
+class TestOneThresholdRule:
+    COPIES = """
+        int(threshold)
+        int(driver.theta)
+        thresholds.astype(np.int64)[:, None]
+        np.asarray(thetas, dtype=np.float64).astype(np.int64)
+        np.floor(thetas + 1e-12).astype(np.int64)
+    """
+
+    def test_fires_on_every_copy_of_the_rule(self):
+        active, _ = analyze_source(textwrap.dedent(self.COPIES), SRC)
+        # The last line copies the rule twice: the slack and the truncation.
+        assert [(finding.code, finding.line) for finding in active] == [
+            ("RPR011", 2), ("RPR011", 3), ("RPR011", 4), ("RPR011", 5), ("RPR011", 6),
+            ("RPR011", 6),
+        ]
+
+    def test_fires_on_astype_int_and_a_bare_slack(self):
+        source = """
+            def radius(thresholds, d, theta):
+                return thresholds.astype(int), d <= theta + 1e-12
+        """
+        assert codes(source) == ["RPR011", "RPR011"]
+
+    def test_grid_bounds_and_other_ints_pass(self):
+        source = """
+            def grid(theta_max, count, thresholds):
+                return int(theta_max), int(count), thresholds.astype(np.float64)
+        """
+        assert codes(source) == []
+
+    def test_tests_and_the_rule_module_are_exempt(self):
+        assert codes(self.COPIES, path="tests/selection/test_thing.py") == []
+        assert codes(self.COPIES, path="src/repro/distances/base.py") == []
 
 
 # --------------------------------------------------------------------- #

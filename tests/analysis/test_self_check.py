@@ -1,6 +1,6 @@
 """The repo passes its own contract linter — the CI gate, as a test.
 
-``python -m repro.analysis src benchmarks tests`` exiting 0 is an acceptance
+``python -m tools.analysis src benchmarks tests tools`` exiting 0 is an acceptance
 criterion; running the same analysis in-process keeps the gate honest even
 where CI is not involved, and pins the suppression accounting (every
 ``repro: ignore`` in the tree must be load-bearing, or RPR900 fires here).
@@ -8,14 +8,14 @@ where CI is not involved, and pins the suppression accounting (every
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths
+from tools.analysis import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_tree_has_zero_unsuppressed_findings():
     report = analyze_paths(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks"), str(REPO_ROOT / "tests")]
+        [str(REPO_ROOT / tree) for tree in ("src", "benchmarks", "tests", "tools")]
     )
     rendered = "\n".join(finding.render() for finding in report.findings)
     assert not report.findings, f"contract violations:\n{rendered}"

@@ -14,7 +14,7 @@ import repro
 
 PACKAGES = ["repro"] + sorted(
     f"repro.{module.name}" for module in pkgutil.iter_modules(repro.__path__) if module.ispkg
-)
+) + ["tools.analysis"]
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

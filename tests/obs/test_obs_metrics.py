@@ -1,4 +1,4 @@
-"""Metrics registry: counters/gauges/histograms, per-metric merges,
+"""Metrics registry: counters/gauges/histograms, the histogram merge,
 quantile derivation, exposition formats, and the ambient-registry plumbing."""
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_merge_adds(self):
-        counter = MetricsRegistry().counter("hits_total")
-        counter.inc(2)
-        counter.merge_export({"value": 3})
-        assert counter.value == 5.0
-
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -51,12 +45,6 @@ class TestGauge:
         gauge.inc(2)
         gauge.dec(5)
         assert gauge.value == 7.0
-
-    def test_merge_is_last_write(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(10)
-        gauge.merge_export({"value": 3})
-        assert gauge.value == 3.0
 
 
 class TestHistogram:
@@ -112,19 +100,8 @@ class TestHistogram:
     def test_merge_requires_identical_buckets(self):
         left = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
         right = MetricsRegistry().histogram("lat", buckets=(1.0, 3.0))
-        with pytest.raises(ValueError):
-            left.merge(right)
-
-    def test_merge_adds_counts_and_keeps_max(self):
-        left = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
-        right = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
-        left.observe(0.5)
-        right.observe(1.5)
-        right.observe(9.0)
-        left.merge(right)
-        assert left.count == 3
-        assert left.max == 9.0
-        assert left.counts == [1, 1, 1]
+        with pytest.raises(ValueError, match="bucket boundaries differ"):
+            left.merge_export(right.export())
 
 
 class TestRegistry:

@@ -1,17 +1,18 @@
-"""repro.analysis — AST contract linter for the repo's cross-cutting invariants.
+"""tools.analysis — AST contract linter for the repo's cross-cutting invariants.
 
 Seven PRs in, the codebase's correctness rests on contracts no type checker
 sees: the library constructs no thread, everything reachable from an
 engine must snapshot-roundtrip, timings must be monotonic, swallowed
 exceptions must be counted, lock-guarded state must stay guarded, cached
-arrays must be frozen, and results must be bit-identical (seeded RNG only).  Each rule here encodes one of those
+arrays must be frozen, results must be bit-identical (seeded RNG only), and
+``d <= θ`` is decided in one place.  Each rule here encodes one of those
 contracts — most were violated at least once before being fixed by hand.
 
 Usage::
 
-    python -m repro.analysis src benchmarks tests
-    python -m repro.analysis src --json
-    python -m repro.analysis --list-rules
+    python -m tools.analysis src benchmarks tests tools
+    python -m tools.analysis src --json
+    python -m tools.analysis --list-rules
 
 Per-line suppression (same line or the line directly above)::
 

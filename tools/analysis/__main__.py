@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.analysis src benchmarks tests``."""
+"""Entry point: ``python -m tools.analysis src benchmarks tests tools``."""
 
 import sys
 

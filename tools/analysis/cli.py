@@ -1,4 +1,4 @@
-"""Command line: ``python -m repro.analysis src benchmarks tests``.
+"""Command line: ``python -m tools.analysis src benchmarks tests tools``.
 
 Exit codes: 0 clean, 1 findings (including unused suppressions), 2 usage or
 analysis failure (syntax error, missing path) — a file the linter cannot
@@ -31,7 +31,7 @@ def _list_rules() -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="python -m tools.analysis",
         description="AST contract linter for repro's concurrency, snapshot, "
         "and determinism invariants.",
     )
@@ -54,7 +54,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if not args.paths:
         parser.print_usage(sys.stderr)
-        print("error: no paths given (try: src benchmarks tests)", file=sys.stderr)
+        print("error: no paths given (try: src benchmarks tests tools)", file=sys.stderr)
         return 2
 
     try:

@@ -50,8 +50,8 @@ def analyze_source(
 ) -> Tuple[List[Finding], List[Finding]]:
     """Run rules over one source string; returns (active, suppressed).
 
-    ``path`` classifies the file (``src/`` strictness, the ``repro/runtime``
-    concurrency exemption) exactly as it would on disk, so tests can present
+    ``path`` classifies the file (``src/`` strictness, the modules a rule
+    exempts by path) exactly as it would on disk, so tests can present
     fixtures as any tree location.
     """
     try:

@@ -1,8 +1,8 @@
-"""Rule registry: one visitor class per rule, RPR001–RPR010.
+"""Rule registry: one visitor class per rule, RPR001–RPR011.
 
 Each rule class carries its ``code``, a one-line ``summary``, and a
 ``rationale`` naming the historical bug or pinned invariant it encodes —
-``python -m repro.analysis --list-rules`` and ``docs/analysis_rules.md``
+``python -m tools.analysis --list-rules`` and ``docs/analysis_rules.md``
 render straight from these attributes.
 """
 
@@ -15,6 +15,7 @@ from .caching import FrozenCacheArrayRule
 from .determinism import SeededRandomRule
 from .naming import MetricNamingRule
 from .updates import UpdatePathRebuildRule
+from .threshold import OneThresholdRule
 
 #: Every shipped rule, in code order.
 ALL_RULES = [
@@ -27,6 +28,7 @@ ALL_RULES = [
     SeededRandomRule,
     MetricNamingRule,
     UpdatePathRebuildRule,
+    OneThresholdRule,
 ]
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
@@ -43,4 +45,5 @@ __all__ = [
     "MetricNamingRule",
     "SeededRandomRule",
     "UpdatePathRebuildRule",
+    "OneThresholdRule",
 ]
