@@ -1,111 +1,215 @@
-"""E1 — Tables 3, 4, 5: estimation accuracy (MSE, MAPE, mean q-error).
+"""Tables 3-5 and 7, Figures 1, 5 and 9: the one accuracy runner.
 
-Reproduces the paper's headline comparison: CardNet / CardNet-A against
-database, traditional-learning, and deep-learning baselines.  The expected
-*shape* (paper): CardNet variants have the lowest errors on every dataset,
-deep-learning baselines (DL-RMI in particular) are the runners-up, database
-methods are the weakest.
+For each distance the runner labels once and estimates once:
+
+* probes: every dataset row not equal to a training or validation query of
+  that distance's workload (no seed, no sample);
+* labels: one ``LinearScanSelector.cardinality_curve`` call per probe on a
+  fixed grid, every integer in [0, θ_max] for HM and ED, 9 even steps for JC
+  and EU;
+* estimates: one ``estimate_curve_many(probes, grid)`` call per estimator.
+
+It prints one long-format table, a row per (distance, estimator or Table 7
+variant, metric): the metric over all cells, over three θ bands (low θ <
+θ_max/3, mid θ < 2θ_max/3, high the rest) and over the tail (cells in the top
+decile of the distance's true cardinalities), then the share of grid steps
+where the curve decreases.  Every declared-monotone curve is checked against
+Lemma 2 exactly; the other tests are the paper's shape checks, read off the
+same curves.
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 import pytest
 
-from repro.metrics import mape, mean_q_error, mse
+from repro.baselines import DNNEstimator, QueryFeaturizer
+from repro.core import CardNetConfig, CardNetEstimator
+from repro.distances import get_distance
+from repro.metrics import mape, mean_q_error, monotonicity_violation_rate, mse, msle
+from repro.selection import LinearScanSelector
+
+METRICS = {"q-error": mean_q_error, "MSLE": msle, "MAPE": mape, "MSE": mse}
+
+#: The comparison set of the all-distance columns of Tables 3-5.
+COMPETITORS = ["DB-US", "TL-XGB", "DL-DNN", "CardNet-A"]
+
+#: Table 7 rows: the full CardNet, then one variant per component removed.
+FULL = "T7 full CardNet"
+ABLATIONS = {
+    "incremental prediction": "T7 -incremental",
+    "variational auto-encoder": "T7 -VAE",
+    "dynamic training": "T7 -dynamic",
+}
 
 
-def _actual(workload):
-    return np.asarray([example.cardinality for example in workload.test], dtype=np.float64)
+def _grid(dataset) -> np.ndarray:
+    if get_distance(dataset.distance_name).integer_valued:
+        return np.arange(int(dataset.theta_max) + 1, dtype=np.float64)
+    return np.linspace(0.0, dataset.theta_max, 9)
 
 
-def test_table3_4_5_full_suite_on_default_dataset(
-    hm_estimators, hm_workload, print_table, benchmark
-):
+def _key(record):
+    return record.tobytes() if isinstance(record, np.ndarray) else record
+
+
+def _table7_variants(dataset, workload) -> Dict[str, object]:
+    """Table 7's full CardNet and its three one-component-removed variants."""
+
+    def cardnet(vae_weight=0.1, dynamic_weight=0.1):
+        config = CardNetConfig(vae_loss_weight=vae_weight, dynamic_loss_weight=dynamic_weight,
+                               seed=0)
+        return CardNetEstimator.for_dataset(dataset, config=config, epochs=50, seed=0,
+                                            vae_pretrain_epochs=3 if vae_weight > 0 else 0)
+
+    # No incremental prediction: one FNN regressing the total on [features; θ].
+    featurizer = QueryFeaturizer.for_dataset(dataset, seed=0)
+    variants = {
+        FULL: cardnet(),
+        ABLATIONS["incremental prediction"]: DNNEstimator(
+            featurizer, hidden_sizes=(64, 64, 32), epochs=50, seed=0
+        ),
+        ABLATIONS["variational auto-encoder"]: cardnet(vae_weight=0.0),
+        ABLATIONS["dynamic training"]: cardnet(dynamic_weight=0.0),
+    }
+    return {name: model.fit(workload.train, workload.validation)
+            for name, model in variants.items()}
+
+
+@pytest.fixture(scope="module")
+def accuracy(all_bench_datasets, all_bench_workloads, bench_suites, print_table):
+    """Per distance: the grid, the probes, their labels and every model's curves."""
+    readouts, rows, sizes = {}, [], []
+    for dataset_name, dataset in all_bench_datasets.items():
+        workload = all_bench_workloads[dataset_name]
+        seen = {_key(example.record) for example in workload.train + workload.validation}
+        probes = [record for record in dataset.records if _key(record) not in seen]
+        grid = _grid(dataset)
+        selector = LinearScanSelector(dataset.records, get_distance(dataset.distance_name))
+        labels = np.stack([selector.cardinality_curve(p, grid) for p in probes]).astype(float)
+        models = dict(bench_suites[dataset_name])
+        if dataset_name == "HM-Bench":
+            models.update(_table7_variants(dataset, workload))
+        curves = {name: model.estimate_curve_many(probes, grid) for name, model in models.items()}
+        readouts[dataset_name] = dict(grid=grid, probes=probes, labels=labels, curves=curves,
+                                      models=models)
+        # θ band of every cell (0 low, 1 mid, 2 high); grid[-1] is θ_max.
+        band = np.digitize(np.broadcast_to(grid, labels.shape), [grid[-1] / 3, grid[-1] * 2 / 3])
+        cells = [band >= 0, band == 0, band == 1, band == 2, labels >= np.quantile(labels, 0.9)]
+        for name, curve in curves.items():
+            violations = f"{monotonicity_violation_rate(curve.T):.3f}"
+            for metric_name, metric in METRICS.items():
+                values = [metric(labels[mask], curve[mask]) for mask in cells]
+                cells_text = [f"{v:.2f}" if v < 100 else f"{v:.0f}" for v in values]
+                rows.append([dataset_name, name, metric_name, *cells_text, violations])
+        sizes.append(f"{dataset_name} {len(probes)} probes x {len(grid)} θ")
+    headers = ["distance", "model", "metric", "all", "low θ", "mid θ", "high θ", "tail",
+               "non-monotone steps"]
+    print_table("Accuracy on held-out probes (Tables 3-5, 7; Figures 1, 5, 9): "
+                + ", ".join(sizes), headers, rows)
+    return readouts
+
+
+def _error(readout, name, metric=mean_q_error, columns=slice(None)) -> float:
+    return metric(readout["labels"][:, columns], readout["curves"][name][:, columns])
+
+
+def _columns(readout, thetas):
+    return np.searchsorted(readout["grid"], thetas)
+
+
+def test_lemma2_every_declared_monotone_curve_is_nondecreasing(accuracy):
+    """Lemma 2, exactly: no tolerance on any declared-monotone curve."""
+    checked = 0
+    for dataset_name, readout in accuracy.items():
+        for name, model in readout["models"].items():
+            if model.monotonic:
+                decreasing = np.diff(readout["curves"][name], axis=1) < 0
+                assert int(decreasing.sum()) == 0, f"{name} on {dataset_name}"
+                checked += 1
+    assert checked >= 4 * 6  # DB-SE, DB-US, TL-KDE, DL-DLN and both CardNets, per distance
+
+
+def test_table3_4_5_full_suite_on_default_dataset(accuracy, bench_suites, benchmark):
     """Full estimator suite on the default Hamming dataset (Tables 3-5, HM column)."""
-    actual = _actual(hm_workload)
-    rows = []
-    estimates_by_model = {}
-    for name, estimator in hm_estimators.items():
-        estimates = estimator.estimate_many(hm_workload.test)
-        estimates_by_model[name] = estimates
-        rows.append(
-            [
-                name,
-                f"{mse(actual, estimates):.1f}",
-                f"{mape(actual, estimates):.1f}",
-                f"{mean_q_error(actual, estimates):.2f}",
-            ]
-        )
-    print_table("Tables 3/4/5 — HM-Bench", ["model", "MSE", "MAPE%", "mean q-error"], rows)
-
-    # Shape check: the better of the two CardNet variants is competitive with
-    # the best baseline (at this scaled-down training budget we allow a 50%
-    # margin; at the paper's scale CardNet wins outright).
-    cardnet_best = min(
-        mean_q_error(actual, estimates_by_model["CardNet"]),
-        mean_q_error(actual, estimates_by_model["CardNet-A"]),
-    )
+    readout = accuracy["HM-Bench"]
+    errors = {name: _error(readout, name) for name in bench_suites["HM-Bench"]}
+    # The better CardNet variant is competitive with the best baseline (a 2x
+    # margin at this scaled-down training budget; at the paper's scale CardNet
+    # wins outright).
+    cardnet_best = min(errors["CardNet"], errors["CardNet-A"])
     baseline_best = min(
-        mean_q_error(actual, estimates)
-        for name, estimates in estimates_by_model.items()
-        if not name.startswith("CardNet")
+        error for name, error in errors.items() if not name.startswith("CardNet")
     )
-    assert cardnet_best <= baseline_best * 2.0, (
-        f"CardNet q-error {cardnet_best:.2f} should be at least competitive with "
-        f"the best baseline {baseline_best:.2f}"
-    )
+    print(f"\nTables 3-5 HM q-error: best CardNet {cardnet_best:.2f}, baseline {baseline_best:.2f}")
+    assert cardnet_best <= baseline_best * 2.0, errors
 
-    # Timed operation: CardNet-A batch estimation over the test workload.
-    benchmark(lambda: hm_estimators["CardNet-A"].estimate_many(hm_workload.test))
-
-
-#: Fails deterministically at PR 20 through PR 22 (the winner is DB-US or TL-XGB
-#: on all four distances; CardNet-A is within 2x of it on 0 of 4 under MSE and
-#: 1 of 4 under MAPE).  Strict, so the day the accuracy work makes it pass the
-#: suite turns red until the mark is removed.
-_KNOWN_UNCOMPETITIVE = pytest.mark.xfail(
-    strict=True,
-    reason='ROADMAP "Accuracy is the paper\'s claim and the one axis with no gate": '
-    "CardNet-A is within 2x of the best estimator on fewer than half of the datasets",
-)
+    # Timed operation: CardNet-A's curves over every HM probe.
+    cardnet_a = bench_suites["HM-Bench"]["CardNet-A"]
+    benchmark(lambda: cardnet_a.estimate_curve_many(readout["probes"], readout["grid"]))
 
 
-@pytest.mark.parametrize(
-    "metric_name",
-    [
-        pytest.param("mse", marks=_KNOWN_UNCOMPETITIVE),
-        pytest.param("mape", marks=_KNOWN_UNCOMPETITIVE),
-        "q_error",
-    ],
-)
-def test_table3_4_5_all_distances_small_suite(
-    small_suites, all_bench_workloads, print_table, metric_name, benchmark
-):
-    """Reduced suite across all four distance functions (Tables 3-5, all columns)."""
-    metric = {"mse": mse, "mape": mape, "q_error": mean_q_error}[metric_name]
-    rows = []
-    winners = {}
-    for dataset_name, suite in small_suites.items():
-        workload = all_bench_workloads[dataset_name]
-        actual = _actual(workload)
-        values = {name: metric(actual, est.estimate_many(workload.test)) for name, est in suite.items()}
-        winners[dataset_name] = min(values, key=values.get)
-        rows.append([dataset_name] + [f"{values[name]:.2f}" for name in suite])
-    headers = ["dataset"] + list(next(iter(small_suites.values())).keys())
-    print_table(f"Tables 3/4/5 — {metric_name} across distances", headers, rows)
+@pytest.mark.parametrize("metric_name", ["MSE", "MAPE", "q-error"])
+def test_table3_4_5_all_distances_small_suite(accuracy, metric_name):
+    """CardNet-A against the small comparison set on all four distances (Tables 3-5)."""
+    competitive = {}
+    for dataset_name, readout in accuracy.items():
+        values = {name: _error(readout, name, METRICS[metric_name]) for name in COMPETITORS}
+        competitive[dataset_name] = values["CardNet-A"] <= min(values.values()) * 2.0
+    print(f"\nTables 3-5 {metric_name}: CardNet-A within 2x of the best on {competitive}")
+    assert sum(competitive.values()) >= len(accuracy) / 2, competitive
 
-    # Shape check: on at least half of the datasets CardNet-A either wins or is
-    # within 50% of the winning baseline's error.
-    competitive = 0
-    for dataset_name, suite in small_suites.items():
-        workload = all_bench_workloads[dataset_name]
-        actual = _actual(workload)
-        values = {name: metric(actual, est.estimate_many(workload.test)) for name, est in suite.items()}
-        if values["CardNet-A"] <= min(values.values()) * 2.0:
-            competitive += 1
-    assert competitive >= len(small_suites) / 2, f"CardNet-A uncompetitive; winners: {winners}"
 
-    suite = small_suites["HM-Bench"]
-    workload = all_bench_workloads["HM-Bench"]
-    benchmark(lambda: suite["CardNet-A"].estimate_many(workload.test[:50]))
+def test_figure1_cardinality_distribution(accuracy):
+    """Figure 1: label curves are step-like (a), with a heavy right tail (b)."""
+    readout = accuracy["HM-Bench"]
+    theta_max = readout["grid"][-1]
+    curves = readout["labels"][:, _columns(readout, np.arange(0, theta_max + 1, 2))]
+    steps = np.diff(curves, axis=1)
+    assert np.all(steps >= 0)
+    assert steps.max() >= 5 * max(np.median(steps), 1.0)
+
+    at_half = readout["labels"][:, _columns(readout, [theta_max / 2])]
+    print(f"\nFigure 1: largest step {steps.max():.0f}, median step {np.median(steps):.0f}; "
+          f"at θ_max/2 median {np.median(at_half):.0f}, max {at_half.max():.0f}")
+    assert at_half.max() > 2 * np.median(at_half)
+
+
+def test_figure5_accuracy_vs_threshold(accuracy):
+    """Figure 5: CardNet-A's MAPE, averaged over θ = 0, 4, 8, 12, is within 1.5x DB-US's."""
+    readout = accuracy["HM-Bench"]
+    columns = _columns(readout, [0, 4, 8, 12])
+    means = {
+        name: float(np.mean([_error(readout, name, mape, column) for column in columns]))
+        for name in ("CardNet-A", "DB-US")
+    }
+    print(f"\nFigure 5: mean MAPE over θ = 0, 4, 8, 12: CardNet-A {means['CardNet-A']:.1f}, "
+          f"DB-US {means['DB-US']:.1f}")
+    assert means["CardNet-A"] <= means["DB-US"] * 1.5
+
+
+def test_figure9_longtail_queries(accuracy):
+    """Figure 9: CardNet-A's error does not shrink on the largest cardinalities."""
+    readout = accuracy["HM-Bench"]
+    columns = _columns(readout, [6, 9, 12])
+    actual = readout["labels"][:, columns].ravel()
+    estimated = readout["curves"]["CardNet-A"][:, columns].ravel()
+    # 0 = bottom, 1 = middle, 2 = top cardinality group.
+    groups = np.digitize(actual, np.quantile(actual, [0.5, 0.8]))
+    errors = [mse(actual[groups == group], estimated[groups == group]) for group in range(3)]
+    print("\nFigure 9: CardNet-A MSE by cardinality group (bottom, middle, top): "
+          + ", ".join(f"{error:.0f}" for error in errors))
+    # Errors grow with the cardinality in the paper; a generous margin at this scale.
+    assert errors[2] >= errors[0] * 0.3
+
+
+def test_table7_component_ablation(accuracy):
+    """Table 7: γ = (variant - full) / variant on q-error; incremental prediction helps."""
+    readout = accuracy["HM-Bench"]
+    full = _error(readout, FULL)
+    variants = {component: _error(readout, row) for component, row in ABLATIONS.items()}
+    gammas = {component: (variant - full) / variant for component, variant in variants.items()}
+    print("\nTable 7: γ " + ", ".join(f"{c} {gamma:.2f}" for c, gamma in gammas.items()))
+    assert gammas["incremental prediction"] > 0.0

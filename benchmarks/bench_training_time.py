@@ -65,7 +65,8 @@ def test_figure7_training_size_sweep(hm_dataset, hm_workload, print_table, bench
     ]
     print_table("Figure 7 — mean q-error vs training size", ["training size"] + names, rows)
 
-    # Shape check: with the full training data CardNet-A is not worse than with 25%.
+    # Shape check: with the full training data CardNet-A is not worse than with 30%.
     assert table["CardNet-A"][-1] <= table["CardNet-A"][0] * 1.25
 
-    benchmark(lambda: mean_q_error(actual, np.ones_like(actual)))
+    # Timed operation: the last model fitted (CardNet-A, full data) over the test split.
+    benchmark(lambda: estimator.estimate_many(hm_workload.test))

@@ -1,10 +1,12 @@
 """Shared fixtures for the reproductions under ``benchmarks/``.
 
-Every ``bench_*.py`` here either reproduces one table or figure of the paper
+Every ``bench_*.py`` here either reproduces tables or figures of the paper
 or times a serving path no ``benchmarks/e2e`` workload reaches yet (README,
 *Tests and benchmarks*, has the file → claim table).  The fixtures below build
-scaled-down datasets/workloads and train each estimator exactly once per
-session so the whole directory runs on a CPU in about a minute.
+one scaled-down dataset and workload per distance (``hm_workload`` is the
+Hamming one) and train the full comparison suite once per distance
+(``bench_suites``; ``hm_estimators`` is its Hamming entry), so the whole
+directory runs on a CPU in about a minute.
 
 A reproduction prints the rows of its table (shape comparison, not absolute
 numbers), asserts the paper's shape, writes no file and gates nothing; some use
@@ -44,9 +46,6 @@ BENCH_ESTIMATOR_NAMES: List[str] = [
     "CardNet",
     "CardNet-A",
 ]
-
-#: Reduced set used on the non-default datasets to keep the harness fast.
-BENCH_SMALL_SUITE: List[str] = ["DB-US", "TL-XGB", "DL-DNN", "CardNet-A"]
 
 BENCH_EPOCHS = 60
 
@@ -121,9 +120,11 @@ def hm_workload(hm_dataset) -> Workload:
 
 
 @pytest.fixture(scope="session")
-def all_bench_workloads(all_bench_datasets) -> Dict[str, Workload]:
+def all_bench_workloads(all_bench_datasets, hm_workload) -> Dict[str, Workload]:
+    """One workload per distance; the default (Hamming) one is ``hm_workload``."""
     return {
-        name: build_workload(dataset, query_fraction=0.07, num_thresholds=5, seed=1)
+        name: hm_workload if name == "HM-Bench"
+        else build_workload(dataset, query_fraction=0.07, num_thresholds=5, seed=1)
         for name, dataset in all_bench_datasets.items()
     }
 
@@ -132,29 +133,24 @@ def all_bench_workloads(all_bench_datasets) -> Dict[str, Workload]:
 # Trained estimator suites
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="session")
-def hm_estimators(hm_dataset, hm_workload) -> Dict[str, CardinalityEstimator]:
-    """Full comparison suite trained on the default (Hamming) benchmark dataset."""
-    estimators: Dict[str, CardinalityEstimator] = {}
-    for name in BENCH_ESTIMATOR_NAMES:
-        estimator = build_estimator(name, hm_dataset, seed=0, epochs=BENCH_EPOCHS)
-        estimator.fit(hm_workload.train, hm_workload.validation)
-        estimators[name] = estimator
-    return estimators
+def bench_suites(all_bench_datasets, all_bench_workloads) -> Dict[str, Dict[str, CardinalityEstimator]]:
+    """The full comparison suite, trained once on every distance's workload."""
+    suites: Dict[str, Dict[str, CardinalityEstimator]] = {}
+    for dataset_name, dataset in all_bench_datasets.items():
+        workload = all_bench_workloads[dataset_name]
+        suites[dataset_name] = {
+            name: build_estimator(name, dataset, seed=0, epochs=BENCH_EPOCHS).fit(
+                workload.train, workload.validation
+            )
+            for name in BENCH_ESTIMATOR_NAMES
+        }
+    return suites
 
 
 @pytest.fixture(scope="session")
-def small_suites(all_bench_datasets, all_bench_workloads) -> Dict[str, Dict[str, CardinalityEstimator]]:
-    """Reduced suite trained on every distance function's benchmark dataset."""
-    suites: Dict[str, Dict[str, CardinalityEstimator]] = {}
-    for name, dataset in all_bench_datasets.items():
-        workload = all_bench_workloads[name]
-        suite: Dict[str, CardinalityEstimator] = {}
-        for estimator_name in BENCH_SMALL_SUITE:
-            estimator = build_estimator(estimator_name, dataset, seed=0, epochs=BENCH_EPOCHS)
-            estimator.fit(workload.train, workload.validation)
-            suite[estimator_name] = estimator
-        suites[name] = suite
-    return suites
+def hm_estimators(bench_suites) -> Dict[str, CardinalityEstimator]:
+    """The suite trained on the default (Hamming) benchmark dataset."""
+    return bench_suites["HM-Bench"]
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ class MeanEstimator(CardinalityEstimator):
         self.theta_max = float(theta_max)
         self.num_buckets = int(num_buckets)
         self._bucket_means: Dict[int, float] = {}
-        self._global_mean = 0.0
         self._bucket_table = np.zeros(self.num_buckets)
 
     def _bucket(self, theta: float) -> int:
@@ -44,11 +43,15 @@ class MeanEstimator(CardinalityEstimator):
         return np.round(ratios * (self.num_buckets - 1)).astype(np.int64)
 
     def _rebuild_table(self) -> None:
-        """Dense bucket → estimate table encoding the nearest-below fallback."""
+        """Dense bucket → estimate table encoding the nearest-below fallback.
+
+        Buckets below the first trained one take its mean, so the table is
+        non-decreasing from bucket 0 (Lemma 2).
+        """
         table = np.full(self.num_buckets, np.nan)
         for bucket, mean in self._bucket_means.items():
             table[bucket] = mean
-        filled = self._global_mean
+        filled = self._bucket_means[min(self._bucket_means)] if self._bucket_means else 0.0
         for bucket in range(self.num_buckets):
             if np.isnan(table[bucket]):
                 table[bucket] = filled
@@ -61,14 +64,11 @@ class MeanEstimator(CardinalityEstimator):
     ) -> "MeanEstimator":
         sums: Dict[int, float] = {}
         counts: Dict[int, int] = {}
-        cardinalities = []
         for example in list(train) + list(validation):
             bucket = self._bucket(example.theta)
             sums[bucket] = sums.get(bucket, 0.0) + example.cardinality
             counts[bucket] = counts.get(bucket, 0) + 1
-            cardinalities.append(example.cardinality)
         self._bucket_means = {bucket: sums[bucket] / counts[bucket] for bucket in sums}
-        self._global_mean = float(np.mean(cardinalities)) if cardinalities else 0.0
         # Enforce monotonicity over buckets with a running maximum: the true
         # mean cardinality is non-decreasing in the threshold, but sampling
         # noise across buckets could break that.

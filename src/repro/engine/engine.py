@@ -529,11 +529,8 @@ class SimilarityQueryEngine:
         self, queries: Sequence["ConjunctiveQuery | SimilarityPredicate"]
     ) -> List[QueryResult]:
         """The bulk path: one batched planning pass for the whole workload,
-        then per-query execution and feedback, on this thread, in order.
-
-        Plan execution is interpreter-bound (index probes, candidate
-        filtering, merging), so handing plans to pool workers would only make
-        them take turns on one interpreter lock.
+        then per-query execution and feedback, in order, on the caller's
+        thread (the library starts no threads of its own).
         """
         results = []
         for plan in self.planner.plan_many(as_queries(queries)):

@@ -2,8 +2,6 @@
 
 from .errors import (
     AccuracyReport,
-    cardinality_range_groups,
-    grouped_errors,
     mape,
     mean_q_error,
     monotonicity_violation_rate,
@@ -18,6 +16,4 @@ __all__ = [
     "mean_q_error",
     "monotonicity_violation_rate",
     "AccuracyReport",
-    "grouped_errors",
-    "cardinality_range_groups",
 ]

@@ -1,15 +1,14 @@
 """Evaluation metrics for cardinality estimation (paper §2.1 and §9.2).
 
-The paper reports MSE, MAPE, and mean q-error, plus grouped variants
-(per-threshold in Fig. 5, per-cardinality-range in Fig. 9/10).  Monotonicity is
-one of the paper's headline properties, so a monotonicity-violation metric is
-provided as well.
+The paper reports MSE, MAPE, and mean q-error (MSLE is its training loss).
+Monotonicity is one of the paper's headline properties, so a
+monotonicity-violation metric is provided as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -93,49 +92,3 @@ class AccuracyReport:
 
     def as_dict(self) -> Dict[str, float]:
         return {"mse": self.mse, "mape": self.mape, "mean_q_error": self.mean_q_error}
-
-
-def grouped_errors(
-    actual: Sequence[float],
-    estimated: Sequence[float],
-    groups: Sequence,
-    metric: str = "mse",
-) -> Dict[object, float]:
-    """Compute a metric per group (e.g. per threshold or per cardinality range)."""
-    metric_functions = {"mse": mse, "mape": mape, "mean_q_error": mean_q_error, "msle": msle}
-    if metric not in metric_functions:
-        raise KeyError(f"unknown metric {metric!r}; options: {sorted(metric_functions)}")
-    function = metric_functions[metric]
-    actual_array, estimated_array = _to_arrays(actual, estimated)
-    groups_array = np.asarray(groups)
-    results: Dict[object, float] = {}
-    for group in np.unique(groups_array):
-        mask = groups_array == group
-        results[group.item() if hasattr(group, "item") else group] = function(
-            actual_array[mask], estimated_array[mask]
-        )
-    return results
-
-
-def cardinality_range_groups(
-    actual: Sequence[float], boundaries: Iterable[float]
-) -> List[str]:
-    """Assign each query to a cardinality range label (paper Fig. 9/10 buckets).
-
-    ``boundaries = [1000, 2000, 3000]`` produces labels ``"[0, 1000)"``,
-    ``"[1000, 2000)"``, ``"[2000, 3000)"``, and ``">= 3000"``.
-    """
-    sorted_bounds = sorted(boundaries)
-    labels: List[str] = []
-    for value in actual:
-        assigned = None
-        previous = 0.0
-        for bound in sorted_bounds:
-            if value < bound:
-                assigned = f"[{previous:g}, {bound:g})"
-                break
-            previous = bound
-        if assigned is None:
-            assigned = f">= {sorted_bounds[-1]:g}" if sorted_bounds else ">= 0"
-        labels.append(assigned)
-    return labels

@@ -14,8 +14,9 @@ Because curves are monotone in the threshold, a cached curve answers every
 future threshold for that record for free; the cache key is the featurized
 record, so repeated records across thresholds and across time all hit.
 
-**Concurrency.**  The service is safe to drive from many threads at once —
-shard fan-out threads and every caller of the engine hit one service.  A single
+**Concurrency.**  The service is safe to drive from many caller threads at
+once (the library starts none of its own); every shard's fan-out step and
+every caller of the engine hit one service.  A single
 re-entrant lock protects the cache, the registry, and every resolution step
 (re-entrant, so an estimator that calls back into the service while a
 request holds the lock cannot deadlock it); no request is ever lost, dropped,

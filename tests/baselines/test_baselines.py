@@ -26,6 +26,7 @@ from repro.baselines import (
     build_estimator,
     build_estimators,
 )
+from repro.distances import get_distance
 from repro.metrics import mean_q_error
 from repro.selection import default_selector
 from repro.nn import Tensor
@@ -294,3 +295,32 @@ class TestFactory:
         dataset = request.getfixturevalue(fixture_name)
         estimator = build_estimator("DB-SE", dataset, seed=0)
         assert estimator.estimate(dataset.records[0], dataset.theta_max) >= 0.0
+
+
+#: The four tier-1 datasets, each with the workload its estimators train on.
+TIER1_WORKLOADS = [
+    ("binary_dataset", "binary_workload"),
+    ("string_dataset", "string_workload"),
+    ("set_dataset", "set_workload"),
+    ("vector_dataset", "vector_workload"),
+]
+
+
+@pytest.mark.parametrize("dataset_fixture, workload_fixture", TIER1_WORKLOADS)
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_declared_monotone_curves_satisfy_lemma2(request, name, dataset_fixture, workload_fixture):
+    """Lemma 2, exactly: an estimator that declares ``monotonic`` returns
+    curves that never decrease in θ, with no tolerance.  The grid is every
+    integer in [0, θ_max] for integer-valued distances, else 9 even steps."""
+    dataset = request.getfixturevalue(dataset_fixture)
+    estimator = build_estimator(name, dataset, seed=0, epochs=3)
+    if not estimator.monotonic:
+        pytest.skip(f"{name} declares no monotonicity")
+    workload = request.getfixturevalue(workload_fixture)
+    estimator.fit(workload.train, workload.validation)
+    if get_distance(dataset.distance_name).integer_valued:
+        grid = np.arange(int(dataset.theta_max) + 1, dtype=np.float64)
+    else:
+        grid = np.linspace(0.0, dataset.theta_max, 9)
+    curves = estimator.estimate_curve_many(list(dataset.records), grid)
+    assert np.all(np.diff(curves, axis=1) >= 0)

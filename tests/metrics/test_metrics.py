@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     AccuracyReport,
-    cardinality_range_groups,
-    grouped_errors,
     mape,
     mean_q_error,
     monotonicity_violation_rate,
@@ -63,29 +61,6 @@ class TestMonotonicity:
 
     def test_single_threshold(self):
         assert monotonicity_violation_rate([[1.0, 2.0]]) == 0.0
-
-
-class TestGroupedMetrics:
-    def test_grouped_by_threshold(self):
-        actual = [10.0, 20.0, 30.0, 40.0]
-        estimated = [10.0, 25.0, 30.0, 50.0]
-        groups = [1, 1, 2, 2]
-        result = grouped_errors(actual, estimated, groups, metric="mse")
-        assert result[1] == pytest.approx(12.5)
-        assert result[2] == pytest.approx(50.0)
-
-    def test_unknown_metric(self):
-        with pytest.raises(KeyError):
-            grouped_errors([1.0], [1.0], [0], metric="rmse")
-
-    def test_cardinality_range_groups(self):
-        labels = cardinality_range_groups([5, 150, 2500], [100, 1000, 2000])
-        assert labels[0].startswith("[0")
-        assert labels[2].startswith(">=")
-
-    def test_cardinality_range_groups_empty_boundaries(self):
-        labels = cardinality_range_groups([5], [])
-        assert labels == [">= 0"]
 
 
 @settings(max_examples=40, deadline=None)
