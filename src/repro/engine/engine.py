@@ -730,8 +730,8 @@ class SimilarityQueryEngine:
 
     def __snapshot_state__(self) -> Dict[str, Any]:
         """Explicit full-``__dict__`` capture (matched pair of the restore
-        hook below — RPR002).  The service attributes carry their own
-        hooks that drop live locks; the per-attribute estimator
+        hook below — RPR002).  The codec restores the service's locks
+        fresh; the per-attribute estimator
         factories are caller closures (unserializable) and are dropped — a
         restored engine re-arms them with :meth:`set_estimator_factory`."""
         state = dict(self.__dict__)

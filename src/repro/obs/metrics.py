@@ -106,16 +106,6 @@ class _Metric:
     def key(self) -> str:
         return metric_key(self.name, self.labels)
 
-    # -- snapshot hooks (repro.store): state persists, the lock does not -- #
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class Counter(_Metric):
     """Monotonically increasing count."""
@@ -346,18 +336,6 @@ class MetricsRegistry:
                     f"{metric.name}{_prom_labels(metric.labels)} {exported['value']:g}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    # ------------------------------------------------------------------ #
-    # Snapshot hooks (repro.store) — metrics persist, the lock does not.
-    # ------------------------------------------------------------------ #
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 def _prom_labels(labels: Mapping[str, str], **extra: str) -> str:

@@ -42,13 +42,3 @@ class Runtime:
 
     def shutdown(self) -> None:
         """A no-op: there is nothing to stop."""
-
-    # Snapshot hooks (repro.store)
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        # Format-8 snapshots written while the runtime kept worker pools
-        # persist an (always empty) pool registry; it no longer exists.
-        state.pop("_pools", None)
-        self.__dict__.update(state)

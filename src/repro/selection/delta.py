@@ -80,8 +80,7 @@ class GrowableArray:
     zero-copy slice of the first ``count`` entries.  Duck-types as an array
     (``__array__``/``__getitem__``) so read-side callers never notice the
     wrapper.  Snapshot hooks store the trimmed view, so snapshots carry no
-    capacity slack and a store restored from a read-only mmap stays safe:
-    the first append reallocates into a fresh writable buffer.
+    capacity slack.
     """
 
     def __init__(self, rows: np.ndarray) -> None:

@@ -181,19 +181,6 @@ class EstimationService:
             }
 
     # ------------------------------------------------------------------ #
-    # Snapshot hooks (repro.store)
-    # ------------------------------------------------------------------ #
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        """The lock is live state and is rebuilt on restore."""
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
     def _curves_for(

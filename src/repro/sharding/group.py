@@ -21,7 +21,7 @@ extractor state run as one model pass: each record is featurized once and
 parameters with a leading shard axis, in the same inference kernel one model
 uses.  Shard parameters are views of the group's stack, so an optimizer's
 in-place step lands in it; a rebound ``.data`` (``load_state_dict``,
-snapshot restore, ``mmap`` load) is re-stacked on the next pass.  Any other
+snapshot restore) is re-stacked on the next pass.  Any other
 shard answers through its own ``estimate_curve_many``.
 """
 
@@ -189,10 +189,6 @@ class MergedShardEstimator(CardinalityEstimator):
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        # Older format-8 snapshots also hold the service and shard endpoint
-        # names; a service reference here would make the engine cyclic garbage.
-        state.pop("_service", None)
-        state.pop("_shard_endpoints", None)
         self.__dict__.update(state)
         self._stack = None
 

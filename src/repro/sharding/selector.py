@@ -353,25 +353,19 @@ class ShardedSelector(SimilaritySelector):
         same-configuration selector, so post-restore updates keep working.
         The ``runtime`` reference persists as an object, preserving
         runtime-sharing identity across restore: an engine and its sharded
-        selectors restore onto ONE runtime.  The
-        layout lock and an in-flight rebalance journal are likewise dropped —
-        a restored selector serves the committed layout.
+        selectors restore onto ONE runtime.  An in-flight rebalance journal
+        is dropped — a restored selector serves the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale
         state["_dataset_stale"] = False
         state.pop("selector_factory", None)
-        state.pop("_lock", None)
         state["_journal"] = None
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        # Format-8 snapshots written before the fan-out became one loop
-        # persist its dispatch switch; it no longer exists.
-        state.pop("parallel", None)
         self.__dict__.update(state)
         self.selector_factory = self._rebuild_shard
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
     # Update routing (the per-shard §8 path)

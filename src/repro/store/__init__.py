@@ -13,20 +13,18 @@ incremental retraining instead of rebuilding.
   :class:`SnapshotFormatError` on any mismatch);
 * :mod:`repro.store.codecs` — object-graph ↔ (manifest, array table) codecs
   with shared-reference/cycle preservation;
-* :mod:`repro.store.snapshot` — ``save_engine``/``load_engine`` (with
-  ``mmap=True``: a zero-copy, read-only restore) and the generic component
-  facades.
+* :mod:`repro.store.snapshot` — ``save_engine``/``load_engine`` and the
+  generic component facades; a load opens the payload once and reads,
+  checksums and copies each array it decodes.
 """
 
 from .format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     LazyArrayReader,
-    MmapArrayReader,
     SnapshotError,
     SnapshotFormatError,
     SnapshotManifest,
-    load_arrays,
 )
 from .snapshot import (
     SnapshotInfo,
@@ -50,6 +48,4 @@ __all__ = [
     "load_component",
     "inspect_snapshot",
     "LazyArrayReader",
-    "MmapArrayReader",
-    "load_arrays",
 ]

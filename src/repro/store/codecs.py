@@ -27,11 +27,15 @@ Three properties make restored components behave exactly like the originals:
    load; anything outside the ``repro`` package or the small builtin
    whitelist raises :class:`SnapshotFormatError` — a snapshot can never make
    the loader import arbitrary code.
-3. **Live, unserializable state fails loudly at save time.**  Closures,
-   lambdas, open thread pools, or an autograd graph in flight raise
-   :class:`SnapshotError` naming the offending object; classes with such
-   state implement ``__snapshot_state__``/``__snapshot_restore__`` to drop
-   and rebuild it (see :class:`~repro.sharding.ShardedSelector`).
+3. **Locks restore fresh; other live state fails loudly at save time.**  A
+   ``threading.Lock`` or ``RLock`` is written as a stateless node and
+   restores as a new, unlocked lock of the same kind — held or not at save
+   time, since it guards live threads rather than state — so no class needs a
+   hook for its lock.  Closures, lambdas, open thread pools, or an autograd
+   graph in flight raise :class:`SnapshotError` naming the offending object;
+   classes with such state implement ``__snapshot_state__``/
+   ``__snapshot_restore__`` to drop and rebuild it (see
+   :class:`~repro.sharding.ShardedSelector`).
 
 Hook protocol: ``__snapshot_state__(self) -> dict`` returns the attribute
 dict to persist (defaults to ``__dict__`` / ``__slots__``);
@@ -50,13 +54,14 @@ from __future__ import annotations
 import builtins
 import importlib
 import json
+import threading
 import types
 from collections import Counter, OrderedDict, defaultdict, deque
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .format import ArrayReader, ArrayWriter, SnapshotError, SnapshotFormatError
+from .format import ArrayWriter, LazyArrayReader, SnapshotError, SnapshotFormatError
 
 #: Modules object/function references may resolve into at load time.
 _ALLOWED_MODULE_ROOT = "repro"
@@ -66,6 +71,10 @@ _ALLOWED_BUILTINS = {"list", "dict", "set", "int", "float", "tuple", "frozenset"
 
 #: numpy BitGenerator names allowed when restoring ``np.random.Generator``s.
 _ALLOWED_BIT_GENERATORS = {"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+
+#: Lock types written as stateless nodes, and the factories restoring them.
+_LOCK_TAGS = {type(threading.Lock()): "lock", type(threading.RLock()): "rlock"}
+_LOCK_FACTORIES = {"lock": threading.Lock, "rlock": threading.RLock}
 
 #: Lists of at least this many same-dtype/shape arrays are stacked into one
 #: array-table entry instead of one entry per element.
@@ -212,6 +221,9 @@ class GraphEncoder:
                 "bit_generator": name,
                 "state": self.encode(value.bit_generator.state),
             }
+        lock_tag = _LOCK_TAGS.get(type(value))
+        if lock_tag is not None:
+            return {"t": lock_tag}
         if isinstance(value, types.MethodType):
             return {
                 "t": "method",
@@ -331,7 +343,7 @@ class GraphEncoder:
 class GraphDecoder:
     """Decodes what :class:`GraphEncoder` produced, preserving shared refs."""
 
-    def __init__(self, objects: List[Dict[str, Any]], reader: ArrayReader) -> None:
+    def __init__(self, objects: List[Dict[str, Any]], reader: LazyArrayReader) -> None:
         self._objects = objects
         self._reader = reader
         self._memo: Dict[int, Any] = {}
@@ -400,6 +412,8 @@ class GraphDecoder:
             generator = np.random.Generator(getattr(np.random, name)())
             generator.bit_generator.state = self.decode(encoded["state"])
             return generator
+        if tag in _LOCK_FACTORIES:
+            return _LOCK_FACTORIES[tag]()
         if tag == "method":
             owner = self.decode(encoded["self"])
             return getattr(owner, encoded["name"])

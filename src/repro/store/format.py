@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +66,14 @@ FORMAT_NAME = "repro-snapshot"
 #   8 — the process backend is gone: a version-7 ShardedSelector carries a
 #       `backend` and four shared-data-plane fields, and a version-7 engine
 #       the width of its pipelined-execution pool; nothing reads them now.
-FORMAT_VERSION = 8
+#   9 — no restore shims, and the codec writes locks: a version-8
+#       ShardedSelector may carry a `parallel` switch, a version-8 Runtime a
+#       `_pools` registry and a version-8 MergedShardEstimator the service and
+#       its shard endpoint names; a version-8 metric, registry, service or
+#       sharded selector holds no lock, and no hook rebuilds one now.  From
+#       here on, a change that drops a persisted attribute bumps the version
+#       instead of teaching a `__snapshot_restore__` to pop the old key.
+FORMAT_VERSION = 9
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"
@@ -84,18 +91,6 @@ class SnapshotFormatError(SnapshotError):
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path, chunk_bytes: int = 1 << 20) -> str:
-    """Streaming SHA-256 of a file: O(chunk) memory however large the payload."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        while True:
-            chunk = stream.read(chunk_bytes)
-            if not chunk:
-                break
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _little_endian(array: np.ndarray) -> np.ndarray:
@@ -182,22 +177,24 @@ class ArrayWriter:
         return b"".join(self._chunks)
 
 
-class ArrayReader:
-    """Decodes arrays out of a verified payload, checking per-array checksums.
+class LazyArrayReader:
+    """Decodes arrays out of an open payload stream, one span at a time.
 
-    Decoded arrays are memoized by index so every reference to the same array
-    in the object graph restores to the *same* ndarray object (shared-state
-    identity survives the round trip).  Restored arrays are fresh, writeable,
+    The payload is never materialized whole: each array is read with one
+    ``seek(offset)`` + ``read(nbytes)`` from its manifest entry and verified
+    against its per-array SHA-256, so every byte handed out is checksummed and
+    arrays the graph never references are never read.  The stream is opened
+    once per load (:func:`~repro.store.load_component`), so a re-save that
+    replaces the payload file mid-load cannot pull it away.  Decoded arrays
+    are memoized by index so every reference to the same array in the object
+    graph restores to the *same* ndarray object; they are fresh, writeable,
     native-byte-order copies with identical values.
     """
 
-    def __init__(self, payload: bytes, entries: Sequence[ArrayEntry]) -> None:
-        self._payload = payload
+    def __init__(self, stream: BinaryIO, entries: Sequence[ArrayEntry]) -> None:
+        self._stream = stream
         self._entries = list(entries)
         self._memo: Dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, index: int) -> np.ndarray:
         if index in self._memo:
@@ -206,7 +203,8 @@ class ArrayReader:
             entry = self._entries[index]
         except IndexError as error:
             raise SnapshotFormatError(f"array index {index} out of range") from error
-        data = self._payload[entry.offset : entry.offset + entry.nbytes]
+        self._stream.seek(entry.offset)
+        data = self._stream.read(entry.nbytes)
         if len(data) != entry.nbytes:
             raise SnapshotFormatError(
                 f"array {index} is truncated: expected {entry.nbytes} bytes at "
@@ -225,147 +223,6 @@ class ArrayReader:
         array = flat.reshape(entry.shape).astype(dtype.newbyteorder("="), copy=True)
         self._memo[index] = array
         return array
-
-
-def _entry_dtype(entry: ArrayEntry, index: int) -> np.dtype:
-    """The entry's dtype, with its recorded byte budget cross-checked."""
-    dtype = np.dtype(entry.dtype)
-    expected = dtype.itemsize * int(np.prod(entry.shape, dtype=np.int64))
-    if expected != entry.nbytes:
-        raise SnapshotFormatError(
-            f"array {index}: dtype {entry.dtype} x shape {entry.shape} "
-            f"needs {expected} bytes but entry records {entry.nbytes}"
-        )
-    return dtype
-
-
-class LazyArrayReader:
-    """Decodes arrays straight from the payload *file*, one span at a time.
-
-    Drop-in for :class:`ArrayReader` (same ``get`` contract, same memoization)
-    but never materializes the whole payload: each array is read with one
-    ``seek(offset)`` + ``read(nbytes)`` from the manifest entry and verified
-    against its per-array SHA-256 — every byte handed out is checksummed,
-    without the monolithic ``f.read()`` of :func:`read_snapshot`.  Restored
-    arrays are fresh, writeable, native-byte-order copies.
-    """
-
-    def __init__(self, payload_path: PathLike, entries: Sequence[ArrayEntry]) -> None:
-        self._path = Path(payload_path)
-        self._entries = list(entries)
-        self._memo: Dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, index: int) -> np.ndarray:
-        if index in self._memo:
-            return self._memo[index]
-        try:
-            entry = self._entries[index]
-        except IndexError as error:
-            raise SnapshotFormatError(f"array index {index} out of range") from error
-        try:
-            with open(self._path, "rb") as stream:
-                stream.seek(entry.offset)
-                data = stream.read(entry.nbytes)
-        except OSError as error:
-            raise SnapshotFormatError(
-                f"payload {self._path.name} vanished while reading array {index} "
-                "(concurrent re-save?); retry the load"
-            ) from error
-        if len(data) != entry.nbytes:
-            raise SnapshotFormatError(
-                f"array {index} is truncated: expected {entry.nbytes} bytes at "
-                f"offset {entry.offset}, payload holds {len(data)}"
-            )
-        if _sha256(data) != entry.sha256:
-            raise SnapshotFormatError(f"array {index} failed its SHA-256 checksum")
-        dtype = _entry_dtype(entry, index)
-        flat = np.frombuffer(data, dtype=dtype)
-        array = flat.reshape(entry.shape).astype(dtype.newbyteorder("="), copy=True)
-        self._memo[index] = array
-        return array
-
-
-class MmapArrayReader:
-    """Zero-copy arrays: read-only ``np.memmap`` views over the payload file.
-
-    The whole payload is checksum-verified ONCE at open (streaming hash, O(1)
-    memory) — a loud :class:`SnapshotFormatError` on mismatch, exactly like
-    the eager reader.  ``get`` then returns each array as a read-only view
-    sliced out of one shared memory map: no per-array allocation, no copies,
-    and N readers over the same file share one physical copy of the pages.
-    Views keep the pinned little-endian dtype (native on little-endian
-    machines; numpy transparently handles the swapped order elsewhere).
-    """
-
-    def __init__(
-        self,
-        payload_path: PathLike,
-        entries: Sequence[ArrayEntry],
-        payload_sha256: str,
-    ) -> None:
-        self._path = Path(payload_path)
-        self._entries = list(entries)
-        if _sha256_file(self._path) != payload_sha256:
-            raise SnapshotFormatError(
-                f"payload {self._path.name} failed its SHA-256 checksum"
-            )
-        self._mmap = np.memmap(self._path, dtype=np.uint8, mode="r")
-        self._memo: Dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, index: int) -> np.ndarray:
-        if index in self._memo:
-            return self._memo[index]
-        try:
-            entry = self._entries[index]
-        except IndexError as error:
-            raise SnapshotFormatError(f"array index {index} out of range") from error
-        if entry.offset + entry.nbytes > self._mmap.size:
-            raise SnapshotFormatError(
-                f"array {index} is truncated: expected {entry.nbytes} bytes at "
-                f"offset {entry.offset}, payload holds {self._mmap.size - entry.offset}"
-            )
-        dtype = _entry_dtype(entry, index)
-        span = self._mmap[entry.offset : entry.offset + entry.nbytes]
-        array = span.view(dtype).reshape(entry.shape)
-        self._memo[index] = array
-        return array
-
-
-def load_arrays(
-    path: PathLike,
-    indices: Optional[Sequence[int]] = None,
-    mmap: bool = True,
-) -> List[np.ndarray]:
-    """Load a snapshot's array table without decoding its object graph.
-
-    With ``mmap=True`` (the default) the arrays come back as **read-only
-    ``np.memmap`` views** over the content-named ``arrays-<sha12>.bin``
-    payload: the file is checksum-verified once at open (streaming, O(1)
-    memory, loud :class:`SnapshotFormatError` on mismatch) and each entry is
-    then a zero-copy slice — loading allocates O(metadata), not O(arrays),
-    and every process mapping the same snapshot shares one physical copy of
-    the pages.  With ``mmap=False`` each requested array is an independent
-    seek+read, per-array checksummed, returned as a writeable native copy.
-
-    ``indices`` selects a subset of the manifest array table (default: all).
-    """
-    manifest = read_manifest(path)
-    payload_path = Path(path) / manifest.payload_file
-    reader: Any
-    if mmap:
-        reader = MmapArrayReader(
-            payload_path, manifest.arrays, payload_sha256=manifest.payload_sha256
-        )
-    else:
-        reader = LazyArrayReader(payload_path, manifest.arrays)
-    selected = range(len(manifest.arrays)) if indices is None else indices
-    return [reader.get(int(index)) for index in selected]
 
 
 @dataclass
@@ -498,26 +355,3 @@ def read_manifest(path: PathLike) -> SnapshotManifest:
             f"{manifest.payload_bytes}; refusing a partial restore"
         )
     return manifest
-
-
-def read_snapshot(path: PathLike, verify_payload: bool = True) -> Tuple[SnapshotManifest, bytes]:
-    """Read and verify a snapshot directory; returns (manifest, payload)."""
-    manifest = read_manifest(path)
-    try:
-        payload = (Path(path) / manifest.payload_file).read_bytes()
-    except OSError as error:
-        # A concurrent re-save can commit a new manifest and clean up the old
-        # payload between our manifest read and this one — surface the typed
-        # error (callers can simply retry and get the new snapshot).
-        raise SnapshotFormatError(
-            f"payload {manifest.payload_file} vanished while reading the "
-            f"snapshot at {path} (concurrent re-save?); retry the load"
-        ) from error
-    if len(payload) != manifest.payload_bytes:
-        raise SnapshotFormatError(
-            f"payload is {len(payload)} bytes but the manifest records "
-            f"{manifest.payload_bytes}; refusing a partial restore"
-        )
-    if verify_payload and _sha256(payload) != manifest.payload_sha256:
-        raise SnapshotFormatError("payload failed its SHA-256 checksum")
-    return manifest, payload

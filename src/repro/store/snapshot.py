@@ -25,7 +25,6 @@ from .format import (
     FORMAT_VERSION,
     MANIFEST_FILENAME,
     LazyArrayReader,
-    MmapArrayReader,
     PathLike,
     SnapshotFormatError,
     SnapshotManifest,
@@ -87,36 +86,30 @@ def save_component(
     )
 
 
-def load_component(
-    path: PathLike, expected_kind: Optional[str] = None, mmap: bool = False
-) -> Any:
+def load_component(path: PathLike, expected_kind: Optional[str] = None) -> Any:
     """Restore the object graph saved at ``path`` (checksums verified).
 
-    The payload is NOT slurped with one monolithic read: each array is
-    fetched by seek + length from its manifest entry and verified against its
-    per-array SHA-256 (every decoded byte is checksummed; arrays the graph
-    never references are never read).  With ``mmap=True`` the arrays restore
-    as **read-only** ``np.memmap`` views instead of copies — the whole
-    payload is streaming-checksummed once at open, loading allocates
-    O(metadata) rather than O(arrays), and concurrent loads of one snapshot
-    share physical pages.  Mmap'd restores are for read-path serving
-    (a read-only engine); anything that mutates restored
-    arrays in place — retraining, optimizer steps — must use ``mmap=False``, and
-    will fail loudly (not corrupt silently) if handed a view.
+    The payload file is opened once and NOT slurped with one monolithic read:
+    each array is fetched by seek + length from its manifest entry and
+    verified against its per-array SHA-256 (every decoded byte is
+    checksummed; arrays the graph never references are never read).  Restored
+    arrays are writeable copies, so a restored model can keep training.
     """
     manifest = read_manifest(path)
     if expected_kind is not None and manifest.kind != expected_kind:
         raise SnapshotFormatError(
             f"snapshot at {path} holds a {manifest.kind!r}, expected {expected_kind!r}"
         )
-    payload_path = Path(path) / manifest.payload_file
-    if mmap:
-        reader: Any = MmapArrayReader(
-            payload_path, manifest.arrays, payload_sha256=manifest.payload_sha256
-        )
-    else:
-        reader = LazyArrayReader(payload_path, manifest.arrays)
-    return GraphDecoder(manifest.objects, reader).decode(manifest.root)
+    try:
+        stream = open(Path(path) / manifest.payload_file, "rb")
+    except OSError as error:
+        raise SnapshotFormatError(
+            f"payload {manifest.payload_file} vanished before the snapshot at {path} "
+            "was read (concurrent re-save?); retry the load"
+        ) from error
+    with stream:
+        reader = LazyArrayReader(stream, manifest.arrays)
+        return GraphDecoder(manifest.objects, reader).decode(manifest.root)
 
 
 def save_engine(engine: Any, path: PathLike) -> SnapshotInfo:
@@ -138,16 +131,11 @@ def save_engine(engine: Any, path: PathLike) -> SnapshotInfo:
     return save_component(engine, path, kind=ENGINE_KIND, meta=meta)
 
 
-def load_engine(path: PathLike, mmap: bool = False) -> Any:
-    """Restore an engine saved by :func:`save_engine` (warm-start restore).
-
-    ``mmap=True`` restores every persisted array as a read-only memmap view
-    (O(metadata) allocation; see :func:`load_component`) — the zero-copy
-    load for read-only serving.
-    """
+def load_engine(path: PathLike) -> Any:
+    """Restore an engine saved by :func:`save_engine` (warm-start restore)."""
     from ..engine.engine import SimilarityQueryEngine
 
-    engine = load_component(path, expected_kind=ENGINE_KIND, mmap=mmap)
+    engine = load_component(path, expected_kind=ENGINE_KIND)
     if not isinstance(engine, SimilarityQueryEngine):
         raise SnapshotFormatError(
             f"snapshot at {path} decoded to {type(engine).__name__}, "

@@ -19,6 +19,7 @@ from repro.obs import (
     use_registry,
 )
 from repro.obs.metrics import metric_key
+from repro.store import load_component, save_component
 
 
 class TestCounter:
@@ -159,15 +160,16 @@ class TestRegistry:
     def test_empty_registry_prometheus_is_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
 
-    def test_snapshot_hooks_drop_and_rebuild_locks(self):
+    def test_snapshot_hooks_drop_and_rebuild_locks(self, tmp_path):
+        """The codec writes no lock state and restores fresh locks."""
         registry = MetricsRegistry()
         registry.counter("hits_total").inc(2)
         hist = registry.histogram("lat", buckets=(1.0,))
         hist.observe(0.5)
-        state = registry.__snapshot_state__()
-        assert "_lock" not in state
-        restored = MetricsRegistry.__new__(MetricsRegistry)
-        restored.__snapshot_restore__(state)
+        save_component(registry, tmp_path / "registry")
+        assert '"_lock", {"t": "lock"}' in (tmp_path / "registry" / "manifest.json").read_text()
+        restored = load_component(tmp_path / "registry")
+        assert restored._lock is not registry._lock
         restored.counter("hits_total").inc(1)  # lock works again
         assert restored.counter("hits_total").value == 3.0
 

@@ -145,13 +145,10 @@ class TestStackCoherence:
         assert np.array_equal(after, fresh_sum(group, records))
         assert not np.array_equal(after, before)
 
-    @pytest.mark.parametrize("mmap", [False, True], ids=["load", "mmap"])
-    def test_restored_engine_restacks_and_serves_the_same_curves(
-        self, engine, records, tmp_path, mmap
-    ):
+    def test_restored_engine_restacks_and_serves_the_same_curves(self, engine, records, tmp_path):
         before = merged_curves(engine, "hm", records)
         save_engine(engine, tmp_path / "snap")
-        restored = load_engine(tmp_path / "snap", mmap=mmap)
+        restored = load_engine(tmp_path / "snap")
         group = restored.shard_group("hm")
         assert group.merged._stack is None
         after = merged_curves(restored, "hm", records)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import threading
 from collections import Counter, OrderedDict, defaultdict, deque
 
 import numpy as np
@@ -10,13 +12,13 @@ import pytest
 from repro.serving.registry import default_record_key
 from repro.store import SnapshotError, SnapshotFormatError
 from repro.store.codecs import GraphDecoder, GraphEncoder
-from repro.store.format import ArrayReader
+from repro.store.format import LazyArrayReader
 
 
 def roundtrip(value):
     encoder = GraphEncoder()
     encoded = encoder.encode(value)
-    reader = ArrayReader(encoder.writer.payload(), encoder.writer.entries)
+    reader = LazyArrayReader(io.BytesIO(encoder.writer.payload()), encoder.writer.entries)
     return GraphDecoder(encoder.objects, reader).decode(encoded)
 
 
@@ -160,7 +162,7 @@ class TestSharingAndCycles:
         encoded = encoder.encode(rows)
         assert encoded["t"] == "astack"
         assert len(encoder.writer.entries) == 1  # ONE entry, not 32
-        reader = ArrayReader(encoder.writer.payload(), encoder.writer.entries)
+        reader = LazyArrayReader(io.BytesIO(encoder.writer.payload()), encoder.writer.entries)
         restored = GraphDecoder(encoder.objects, reader).decode(encoded)
         assert len(restored) == 32
         for i, row in enumerate(restored):
@@ -170,6 +172,24 @@ class TestSharingAndCycles:
         rows = [np.zeros(3), np.zeros(4)] * 20
         encoder = GraphEncoder()
         assert encoder.encode(rows)["t"] == "list"
+
+
+class TestLocks:
+    def test_locks_restore_fresh_and_unlocked_of_the_same_kind(self):
+        held, free = threading.Lock(), threading.RLock()
+        with held:
+            encoder = GraphEncoder()
+            encoded = encoder.encode({"held": held, "free": free})
+        assert [node for _, node in encoded["items"]] == [{"t": "lock"}, {"t": "rlock"}]
+        restored = roundtrip({"held": held, "free": free})
+        for key, original in (("held", held), ("free", free)):
+            lock = restored[key]
+            assert type(lock) is type(original)
+            assert lock is not original
+            assert lock.acquire(blocking=False)
+            lock.release()
+        with restored["free"], restored["free"]:  # still re-entrant
+            pass
 
 
 class TestCallableReferences:
@@ -207,13 +227,13 @@ class TestWhitelist:
             roundtrip(json.JSONDecoder())
 
     def test_decoder_refuses_imports_outside_repro(self):
-        reader = ArrayReader(b"", [])
+        reader = LazyArrayReader(io.BytesIO(), [])
         decoder = GraphDecoder([{"class": "os:system", "state": []}], reader)
         with pytest.raises(SnapshotFormatError, match="refusing"):
             decoder.decode({"t": "obj", "id": 0})
 
     def test_decoder_refuses_unlisted_builtins(self):
-        reader = ArrayReader(b"", [])
+        reader = LazyArrayReader(io.BytesIO(), [])
         decoder = GraphDecoder([], reader)
         with pytest.raises(SnapshotFormatError, match="whitelist"):
             decoder.decode({"t": "fn", "ref": "builtins:eval"})
@@ -223,7 +243,7 @@ class TestWhitelist:
         # check but resolves INTO the imported os module — the round-trip
         # identity check must reject the alias (a tampered manifest could
         # otherwise execute it, e.g. as a defaultdict factory).
-        reader = ArrayReader(b"", [])
+        reader = LazyArrayReader(io.BytesIO(), [])
         decoder = GraphDecoder([], reader)
         for node in (
             {"t": "fn", "ref": "repro.store.format:os.system"},
@@ -234,6 +254,6 @@ class TestWhitelist:
                 decoder.decode(node)
 
     def test_unknown_tag_raises(self):
-        reader = ArrayReader(b"", [])
+        reader = LazyArrayReader(io.BytesIO(), [])
         with pytest.raises(SnapshotFormatError, match="unknown node tag"):
             GraphDecoder([], reader).decode({"t": "mystery"})

@@ -11,6 +11,7 @@ exactly where the original left off.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,13 @@ from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.sharding import RebalancePlan, SplitShard
-from repro.store import FORMAT_VERSION, inspect_snapshot, load_engine, save_engine
+from repro.store import (
+    FORMAT_VERSION,
+    SnapshotFormatError,
+    inspect_snapshot,
+    load_engine,
+    save_engine,
+)
 
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
@@ -188,19 +195,6 @@ class TestFourDistanceEquivalence:
         (curve,) = list(restored.service.cache._entries.values())
         with pytest.raises(ValueError):
             curve[0] = 1e9
-
-
-    def test_mmap_restore_answers_identically_over_read_only_views(self, datasets, tmp_path):
-        """``load_engine(mmap=True)``, the zero-copy restore: same answers on
-        all four distances, index arrays views of the payload file."""
-        engine = _build_engine(datasets)
-        queries = _queries(datasets)
-        save_engine(engine, tmp_path / "snap")
-        mapped = load_engine(tmp_path / "snap", mmap=True)
-        for original, loaded in zip(engine.execute_many(queries), mapped.execute_many(queries)):
-            assert_results_equal(original, loaded)
-        packed = np.asarray(mapped.catalog.get("hamming").selector._packed)
-        assert not packed.flags.writeable  # a view, not a copy
 
 
 class TestGPHAndSharded:
@@ -391,25 +385,25 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-8 engine with two 3-shard CardNet attributes (``hm_a``
-#: accelerated, ``hm`` not), written before shard CardNets were stacked into
-#: one pass, and the merged curves it served then.  ``make_format8_sharded.py``
-#: in the same directory wrote it.
-FORMAT8_SHARDED = Path(__file__).parent / "data" / "format8_sharded"
+#: A format-9 engine with two 3-shard CardNet attributes (``hm_a``
+#: accelerated, ``hm`` not), and the merged curves it served.
+#: ``make_format9_sharded.py`` in the same directory wrote it; its curves and
+#: payload equal those written before shard CardNets were stacked into one pass.
+FORMAT9_SHARDED = Path(__file__).parent / "data" / "format9_sharded"
 
 
 class TestStackedShardSnapshots:
     """The merged endpoint's parameter stack is runtime state: a snapshot does
-    not hold it, and one written before it existed serves the same curves."""
+    not hold it, and the committed one serves the curves its per-shard passes
+    served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 8
-        assert inspect_snapshot(FORMAT8_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 9
+        assert inspect_snapshot(FORMAT9_SHARDED).format_version == FORMAT_VERSION
 
-    @pytest.mark.parametrize("mmap", [False, True], ids=["load", "mmap"])
-    def test_snapshot_from_before_stacking_serves_its_merged_curves(self, mmap):
-        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT8_SHARDED, mmap=mmap)
+    def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
+        expected = json.loads((FORMAT9_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT9_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
@@ -417,55 +411,8 @@ class TestStackedShardSnapshots:
             group = restored.shard_group(name)
             assert group.merged._stack.members == group.estimators
 
-    def test_snapshot_holding_the_dispatch_switch_restores_without_it(self, tmp_path):
-        """The snapshot was written while ``ShardedSelector`` still had a
-        ``parallel`` switch; the restore drops it, and a re-save omits it."""
-        assert '["parallel", true]' in (FORMAT8_SHARDED / "manifest.json").read_text()
-        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT8_SHARDED)
-        for name, curves in expected.items():
-            selector = restored.catalog.get(name).selector
-            assert not hasattr(selector, "parallel")
-            assert "parallel" not in selector.stats()
-            records = list(restored.catalog.get(name).records[: len(curves)])
-            served = restored.service.estimate_curve_many(name, records)
-            assert np.array_equal(served, np.asarray(curves)), name
-        save_engine(restored, tmp_path / "resaved")
-        assert '"parallel"' not in (tmp_path / "resaved" / "manifest.json").read_text()
-
-    def test_snapshot_holding_the_pool_registry_restores_without_it(self, tmp_path):
-        """The snapshot was written while ``Runtime`` still kept worker pools;
-        the restore drops the (empty) registry, and a re-save omits it."""
-        manifest = (FORMAT8_SHARDED / "manifest.json").read_text()
-        assert '["_pools", {"t": "dict", "items": []}]' in manifest
-        expected = json.loads((FORMAT8_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT8_SHARDED)
-        runtime = restored.runtime
-        assert not hasattr(runtime, "_pools")
-        assert runtime.stats() == {}
-        registry = restored.service.telemetry.metrics
-
-        def shard_tasks():
-            return sum(
-                metric.value for metric in registry.collect()
-                if metric.name == "repro_shard_tasks_total"
-            )
-
-        for name, curves in expected.items():
-            selector = restored.catalog.get(name).selector
-            assert selector.runtime is runtime
-            records = list(restored.catalog.get(name).records[: len(curves)])
-            served = restored.service.estimate_curve_many(name, records)
-            assert np.array_equal(served, np.asarray(curves)), name
-            # The shard loop runs under the restored runtime's sink.
-            tasks = shard_tasks()
-            selector.query(records[0], 2.0)
-            assert shard_tasks() == tasks + selector.num_shards
-        save_engine(restored, tmp_path / "resaved")
-        assert '"_pools"' not in (tmp_path / "resaved" / "manifest.json").read_text()
-
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT8_SHARDED)
+        engine = load_engine(FORMAT9_SHARDED)
         groups = [engine.shard_group(name) for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
         for group in groups:  # every shard's own memos, as a per-shard pass leaves them
@@ -480,6 +427,44 @@ class TestStackedShardSnapshots:
         files = [{path.name: path.read_bytes() for path in info.path.iterdir()}
                  for info in (before, after)]
         assert files[0] == files[1]
+
+
+class TestCorruptSnapshotsRefused:
+    """``SimilarityQueryEngine.load`` raises the typed error on each fault."""
+
+    @pytest.fixture
+    def snapshot(self, tmp_path):
+        directory = tmp_path / "snap"
+        shutil.copytree(FORMAT9_SHARDED, directory)
+        return directory
+
+    @staticmethod
+    def _payload(directory):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        return directory / manifest["payload"], manifest
+
+    def test_payload_cut_short_by_one_byte(self, snapshot):
+        payload, _ = self._payload(snapshot)
+        payload.write_bytes(payload.read_bytes()[:-1])
+        with pytest.raises(SnapshotFormatError, match="partial restore"):
+            SimilarityQueryEngine.load(snapshot)
+
+    def test_one_flipped_byte_inside_a_referenced_array(self, snapshot):
+        payload, manifest = self._payload(snapshot)
+        entry = max(manifest["arrays"], key=lambda array: array["nbytes"])
+        data = bytearray(payload.read_bytes())
+        data[entry["offset"] + entry["nbytes"] // 2] ^= 0x01
+        payload.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="SHA-256"):
+            SimilarityQueryEngine.load(snapshot)
+
+    def test_version_8_manifest(self, snapshot):
+        manifest_file = snapshot / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        manifest["version"] = 8
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 9\b"):
+            SimilarityQueryEngine.load(snapshot)
 
 
 class TestInventory:

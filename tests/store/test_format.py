@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.store import FORMAT_VERSION, SnapshotFormatError
+from repro.store import (
+    FORMAT_VERSION,
+    SnapshotFormatError,
+    load_component,
+    save_component,
+)
 from repro.store.format import (
     MANIFEST_FILENAME,
-    ArrayReader,
     ArrayWriter,
+    LazyArrayReader,
     SnapshotManifest,
     read_manifest,
-    read_snapshot,
     write_snapshot,
 )
 
@@ -27,7 +32,7 @@ def _payload_file(directory):
 def roundtrip(arrays):
     writer = ArrayWriter()
     indices = [writer.add(array) for array in arrays]
-    reader = ArrayReader(writer.payload(), writer.entries)
+    reader = LazyArrayReader(io.BytesIO(writer.payload()), writer.entries)
     return [reader.get(index) for index in indices]
 
 
@@ -84,7 +89,7 @@ class TestArrayRoundTrip:
     def test_same_index_returns_same_object(self):
         writer = ArrayWriter()
         index = writer.add(np.arange(5.0))
-        reader = ArrayReader(writer.payload(), writer.entries)
+        reader = LazyArrayReader(io.BytesIO(writer.payload()), writer.entries)
         assert reader.get(index) is reader.get(index)
 
     def test_object_dtype_is_rejected_loudly(self):
@@ -99,15 +104,23 @@ class TestArrayRoundTrip:
         index = writer.add(np.arange(8, dtype=np.int64))
         payload = bytearray(writer.payload())
         payload[3] ^= 0xFF
-        reader = ArrayReader(bytes(payload), writer.entries)
+        reader = LazyArrayReader(io.BytesIO(bytes(payload)), writer.entries)
         with pytest.raises(SnapshotFormatError, match="SHA-256"):
             reader.get(index)
 
     def test_truncated_payload_raises(self):
         writer = ArrayWriter()
         index = writer.add(np.arange(8, dtype=np.int64))
-        reader = ArrayReader(writer.payload()[:-4], writer.entries)
+        reader = LazyArrayReader(io.BytesIO(writer.payload()[:-4]), writer.entries)
         with pytest.raises(SnapshotFormatError, match="truncated"):
+            reader.get(index)
+
+    def test_dtype_shape_byte_budget_mismatch_raises(self):
+        writer = ArrayWriter()
+        index = writer.add(np.arange(8, dtype=np.int64))
+        writer.entries[index].dtype = "<i4"  # same bytes and checksum, half the budget
+        reader = LazyArrayReader(io.BytesIO(writer.payload()), writer.entries)
+        with pytest.raises(SnapshotFormatError, match="needs 32 bytes but entry records 64"):
             reader.get(index)
 
 
@@ -131,14 +144,13 @@ def _write_minimal_snapshot(path, values=None):
 class TestSnapshotFiles:
     def test_write_read_verifies(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
-        manifest, payload = read_snapshot(directory)
-        assert manifest.version == FORMAT_VERSION
-        restored = ArrayReader(payload, manifest.arrays).get(0)
+        assert read_manifest(directory).version == FORMAT_VERSION
+        restored = load_component(directory)
         np.testing.assert_array_equal(restored, np.arange(10, dtype=np.float64))
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(SnapshotFormatError, match="no snapshot"):
-            read_snapshot(tmp_path / "nowhere")
+            load_component(tmp_path / "nowhere")
 
     def test_corrupt_payload_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
@@ -147,14 +159,14 @@ class TestSnapshotFiles:
         data[0] ^= 0xFF
         payload_file.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="checksum"):
-            read_snapshot(directory)
+            load_component(directory)
 
     def test_truncated_payload_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
         payload_file = _payload_file(directory)
         payload_file.write_bytes(payload_file.read_bytes()[:-1])
         with pytest.raises(SnapshotFormatError, match="partial restore"):
-            read_snapshot(directory)
+            load_component(directory)
 
     def test_resave_over_existing_directory_is_crash_safe(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
@@ -163,9 +175,8 @@ class TestSnapshotFiles:
         # must leave the old snapshot fully readable (content-named payloads
         # never overwrite the committed one).
         (directory / "arrays-0123456789ab.bin").write_bytes(b"half-written new payload")
-        manifest, payload = read_snapshot(directory)
         np.testing.assert_array_equal(
-            ArrayReader(payload, manifest.arrays).get(0), np.arange(10, dtype=np.float64)
+            load_component(directory), np.arange(10, dtype=np.float64)
         )
         # A completed re-save commits the new content and cleans up stale
         # payloads, including the fake crash leftover.
@@ -174,10 +185,31 @@ class TestSnapshotFiles:
         assert new_payload != old_payload
         leftovers = sorted(p.name for p in directory.glob("arrays*"))
         assert leftovers == [new_payload.name]
-        manifest, payload = read_snapshot(directory)
-        np.testing.assert_array_equal(
-            ArrayReader(payload, manifest.arrays).get(0), np.ones(3)
-        )
+        np.testing.assert_array_equal(load_component(directory), np.ones(3))
+
+    def test_resave_during_a_load_does_not_pull_the_payload_away(self, tmp_path, monkeypatch):
+        """Read one array, re-save the directory (its commit unlinks the old
+        payload), read the next: the load holds the payload it opened."""
+        directory = tmp_path / "snap"
+        saved = {"a": np.arange(4.0), "b": np.ones(3)}
+        save_component(saved, directory)
+        get = LazyArrayReader.get
+        resaves = []
+
+        def get_then_resave(reader, index):
+            array = get(reader, index)
+            if not resaves:
+                resaves.append(save_component({"other": np.zeros(5)}, directory))
+            return array
+
+        monkeypatch.setattr(LazyArrayReader, "get", get_then_resave)
+        restored = load_component(directory)
+        assert len(resaves) == 1
+        assert sorted(restored) == ["a", "b"]
+        for key, array in saved.items():
+            np.testing.assert_array_equal(restored[key], array)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(load_component(directory)["other"], np.zeros(5))
 
     def test_manifest_with_unsafe_payload_name_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
@@ -186,7 +218,7 @@ class TestSnapshotFiles:
         data["payload"] = "../outside.bin"
         manifest_file.write_text(json.dumps(data))
         with pytest.raises(SnapshotFormatError, match="unsafe payload"):
-            read_snapshot(directory)
+            load_component(directory)
 
     def test_version_mismatch_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
@@ -195,17 +227,17 @@ class TestSnapshotFiles:
         data["version"] = FORMAT_VERSION + 1
         manifest_file.write_text(json.dumps(data))
         with pytest.raises(SnapshotFormatError, match="version"):
-            read_snapshot(directory)
+            load_component(directory)
 
     def test_pre_bump_manifest_is_refused_naming_both_versions(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 8  # no process backend (7 = no monitoring hub)
-        data["version"] = 7
+        assert FORMAT_VERSION == 9  # no restore shims (8 = no process backend)
+        data["version"] = 8
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 7\b.*version 8\b"):
-            read_snapshot(directory)
+        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 9\b"):
+            load_component(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
@@ -214,10 +246,10 @@ class TestSnapshotFiles:
         data["format"] = "something-else"
         manifest_file.write_text(json.dumps(data))
         with pytest.raises(SnapshotFormatError, match="manifest"):
-            read_snapshot(directory)
+            load_component(directory)
 
     def test_garbage_manifest_raises(self, tmp_path):
         directory = _write_minimal_snapshot(tmp_path / "snap")
         (directory / MANIFEST_FILENAME).write_text("{not json")
         with pytest.raises(SnapshotFormatError, match="unreadable"):
-            read_snapshot(directory)
+            load_component(directory)

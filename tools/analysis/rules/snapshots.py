@@ -5,7 +5,7 @@ rebuilds through ``__snapshot_restore__``; whichever side is missing falls
 back to a plain ``__dict__`` copy/update.  A class customizing only one side
 is a drift trap: a custom ``state`` that drops an attribute restores an
 object missing it, and a custom ``restore`` re-establishing an invariant
-(frozen curves, rebuilt locks) silently depends on the default capture shape
+(frozen curves, a re-armed factory) silently depends on the default capture shape
 nobody pinned.  Restore-only classes (CurveCache, SimilarityQueryEngine)
 shipped before this rule existed; they now define both hooks explicitly.
 """
