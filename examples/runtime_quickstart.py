@@ -1,8 +1,8 @@
 """Runtime quickstart: the library owns no threads; its callers may.
 
-Builds an engine on ONE runtime, shows that its sharded fan-out ran on the
-calling thread (it is a loop over the shards: no thread is started), and
-drives the estimation service from many threads of the caller's own.
+Builds a sharded engine, shows that its fan-out ran on the calling thread
+(it is a loop over the shards: no thread is started), and drives the
+estimation service from many threads of the caller's own.
 
 Run with:  python examples/runtime_quickstart.py
 """
@@ -25,7 +25,7 @@ def main() -> None:
         theta_max=16, seed=3, name="HM-Runtime",
     )
 
-    # --- One runtime under the whole engine ------------------------------- #
+    # --- A sharded engine: the fan-out is a loop on this thread ----------- #
     engine = SimilarityQueryEngine()
     engine.register_sharded_attribute(
         "fingerprints",
@@ -62,14 +62,10 @@ def main() -> None:
           f"execute_many(): {batched_seconds * 1000:.1f} ms "
           "(bit-identical results)")
 
-    # The shard fan-out is a loop on this thread; its per-shard task counts
-    # land in the engine's registry, and no thread was started for it:
-    shard_tasks = sum(
-        metric.value
-        for metric in engine.service.telemetry.metrics.collect()
-        if metric.name == "repro_shard_tasks_total"
-    )
-    print(f"shard fan-out ran {shard_tasks:.0f} shard tasks on the caller; "
+    # EXPLAIN ANALYZE reads the fan-out back: one ``shard.task`` span per
+    # shard, all in this thread's trace, and no thread was started for it:
+    report = engine.explain_analyze(queries[0])
+    print(f"one query ran {len(report.shard_spans())} shard tasks on the caller; "
           f"threads started: {threading.active_count() - threads_before}")
 
     # --- Thread-safe serving: the caller's threads, one service ----------- #

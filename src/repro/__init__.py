@@ -14,8 +14,8 @@ Public API highlights
 * :mod:`repro.sharding` — horizontal scale-out: partitioned exact selection
   and per-shard serving endpoints merged by curve summation.
 * :mod:`repro.store` — versioned engine snapshots and warm-start restore.
-* :mod:`repro.runtime` — the metrics sink an engine and its shards share; the
-  library spawns no threads.
+* :mod:`repro.runtime` — two no-ops the e2e harness calls; the library spawns
+  no threads and records its metrics in the serving telemetry's registry.
 * :mod:`repro.obs` — observability: span traces, fixed-bucket histogram
   metrics with Prometheus/JSON exposition, and ``Engine.explain_analyze``.
 """

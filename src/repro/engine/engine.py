@@ -130,9 +130,9 @@ class SimilarityQueryEngine:
         slow_query_capacity: int = 64,
     ) -> None:
         self.service = service if service is not None else EstimationService()
-        #: One runtime under the whole engine: the shard fan-out runs under
-        #: its metrics sink, the service's telemetry registry.
-        self.runtime = Runtime(self.service.telemetry)
+        #: Stateless; kept only for the e2e harness's ``stats()`` /
+        #: ``shutdown()`` calls.
+        self.runtime = Runtime()
         self.catalog = AttributeCatalog()
         self.planner = QueryPlanner(self.catalog, self.service)
         self.executor = QueryExecutor(self.catalog)
@@ -335,7 +335,6 @@ class SimilarityQueryEngine:
             selector_factory,
             num_shards=num_shards,
             partitioner=partitioner,
-            runtime=self.runtime,  # shard metrics land in the engine's registry
         )
         estimators = [
             estimator_factory(list(shard.dataset), shard_index)

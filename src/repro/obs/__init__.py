@@ -3,7 +3,7 @@
 Observability substrate for the whole stack:
 
 * :mod:`repro.obs.trace` — per-request span trees;
-* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket mergeable
+* :mod:`repro.obs.metrics` — counters and fixed-bucket mergeable
   histograms with Prometheus/JSON exposition; ``ServingTelemetry`` keeps its
   one ledger in a registry and serves its flat counters as views of it;
 * :mod:`repro.obs.explain` — ``Engine.explain_analyze`` report structures
@@ -27,14 +27,10 @@ from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_Q_ERROR_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_quantile,
-    current_registry,
-    default_registry,
     metric_key,
-    use_registry,
 )
 from .trace import (
     NOOP_SPAN,
@@ -52,7 +48,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_Q_ERROR_BUCKETS",
     "ExplainAnalyzeReport",
-    "Gauge",
     "HealthReport",
     "Histogram",
     "MetricsRegistry",
@@ -62,14 +57,11 @@ __all__ = [
     "Span",
     "bucket_quantile",
     "build_health_report",
-    "current_registry",
     "current_span",
-    "default_registry",
     "disable_tracing",
     "enable_tracing",
     "metric_key",
     "span",
     "start_trace",
     "tracing_enabled",
-    "use_registry",
 ]

@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, and fixed-bucket mergeable histograms.
+"""Metrics: counters and fixed-bucket mergeable histograms.
 
 A :class:`Histogram` keeps one count per fixed bucket boundary plus
 a running sum/count/max — O(1) memory however many observations arrive, p50 /
@@ -7,18 +7,19 @@ buckets merge by adding counts (the serving telemetry folds per-endpoint
 latency histograms into its totals that way).
 
 Exposition comes in two shapes: :meth:`MetricsRegistry.to_prometheus` (text
-format 0.0.4 — counters, gauges, and cumulative ``_bucket``/``_sum``/
-``_count`` histogram series) and :meth:`MetricsRegistry.to_dict` (JSON with
-derived quantiles), so the same registry feeds a scrape endpoint and the
+format 0.0.4 — counters and cumulative ``_bucket``/``_sum``/``_count``
+histogram series) and :meth:`MetricsRegistry.to_dict` (JSON with derived
+quantiles), so the same registry feeds a scrape endpoint and the
 benchmark artifacts.
 
 Metric identity is ``name`` + sorted label pairs.  Every mutator takes the
 metric's own lock, so client threads and the serving path can all record
-into one registry; the locks are dropped and rebuilt across
-snapshots (``repro.store``).
+into one registry; a snapshot (``repro.store``) writes each lock as a node
+with no state and restores a fresh one.
 
-The library's instrumentation always records; the serving telemetry
-(:mod:`repro.serving.telemetry`) keeps its one ledger in a registry.
+The library records into one registry only: the serving telemetry's
+(:mod:`repro.serving.telemetry`), which an engine reaches as
+``engine.service.telemetry.metrics``.  There is no process-wide registry.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def metric_key(name: str, labels: Optional[Mapping[str, Any]] = None) -> str:
 
 
 class _Metric:
-    """Shared base: identity, a lock, and snapshot hooks that drop it."""
+    """Shared base: identity and a lock."""
 
     kind = "metric"
 
@@ -118,40 +119,13 @@ class Counter(_Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for deltas")
+            raise ValueError(f"counters only go up; got inc({amount})")
         with self._lock:
             self.value += amount
 
     def export(self) -> Dict[str, Any]:
         with self._lock:
             return {"type": "counter", "name": self.name, "labels": dict(self.labels),
-                    "description": self.description, "value": self.value}
-
-
-class Gauge(_Metric):
-    """A value that can go anywhere."""
-
-    kind = "gauge"
-
-    def __init__(self, name, labels=None, description="") -> None:
-        super().__init__(name, labels, description)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
-    def export(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"type": "gauge", "name": self.name, "labels": dict(self.labels),
                     "description": self.description, "value": self.value}
 
 
@@ -261,9 +235,6 @@ class MetricsRegistry:
     def counter(self, name: str, labels=None, description: str = "") -> Counter:
         return self._get_or_create(Counter, name, labels, description)
 
-    def gauge(self, name: str, labels=None, description: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, labels, description)
-
     def histogram(
         self, name: str, labels=None, description: str = "",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
@@ -343,50 +314,3 @@ def _prom_labels(labels: Mapping[str, str], **extra: str) -> str:
     if not merged:
         return ""
     return "{" + ",".join(f'{k}="{v}"' for k, v in merged) + "}"
-
-
-# ---------------------------------------------------------------------- #
-# Current registry: where ambient instrumentation lands.
-# ---------------------------------------------------------------------- #
-_default_registry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry ambient recordings fall back to."""
-    return _default_registry
-
-
-class _RegistryState(threading.local):
-    registry: Optional[MetricsRegistry] = None
-
-
-_CURRENT = _RegistryState()
-
-
-def current_registry() -> MetricsRegistry:
-    """The thread's active registry (a pushed sink, or the default).
-
-    Instrumentation that cannot be handed a registry explicitly — a shard
-    task inside the fan-out loop — records here; the runtime layer points it
-    at the right sink (the runtime's telemetry registry).
-    """
-    override = _CURRENT.registry
-    return override if override is not None else _default_registry
-
-
-class use_registry:
-    """Scope ``current_registry()`` to ``registry`` for the block."""
-
-    __slots__ = ("_registry", "_previous")
-
-    def __init__(self, registry: Optional[MetricsRegistry]) -> None:
-        self._registry = registry
-
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = _CURRENT.registry
-        _CURRENT.registry = self._registry
-        return current_registry()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _CURRENT.registry = self._previous
-        return False

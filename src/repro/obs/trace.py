@@ -70,12 +70,8 @@ _ACTIVE = _ThreadState()
 
 
 def current_span() -> "Optional[Span]":
-    """The thread's active span (``None`` outside any trace).
-
-    This is also the *trace context* the runtime captures at task submission:
-    a non-``None`` value means "this thread is inside a trace", and spans
-    started on other threads under this context attach to it.
-    """
+    """The thread's active span (``None`` outside any trace): a
+    non-``None`` value means "this thread is inside a trace"."""
     return _ACTIVE.span
 
 

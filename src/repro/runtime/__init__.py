@@ -1,8 +1,7 @@
-"""Runtime layer: the metrics sink an engine and its shards share.
+"""Runtime layer: what is left of the old execution layer.
 
-The library spawns no threads.  :class:`Runtime` runs the shard fan-out on
-the caller's thread through :meth:`Runtime.run_inline`, under the engine's
-metrics registry.
+The library spawns no threads and keeps no runtime state.  :class:`Runtime`
+is two no-ops the end-to-end benchmark harness still calls.
 """
 
 from .runtime import Runtime

@@ -43,8 +43,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.metrics import current_registry
-
 __all__ = [
     "CompactionPolicy",
     "DeltaIndexMixin",
@@ -55,21 +53,6 @@ __all__ = [
     "rebuild_in_place",
     "resolve_delete_positions",
 ]
-
-
-def _record_delta_rows(op: str, rows: int) -> None:
-    current_registry().counter(
-        "repro_update_delta_rows_total",
-        {"op": op},
-        description="Rows applied through O(Δ) delta maintenance, by operation kind.",
-    ).inc(rows)
-
-
-def _record_compaction() -> None:
-    current_registry().counter(
-        "repro_compactions_total",
-        description="Tombstone-reclaiming index compactions (from-scratch rebuilds).",
-    ).inc()
 
 
 class GrowableArray:
@@ -393,7 +376,6 @@ class DeltaIndexMixin:
                 self._dataset.extend(records)
             self._delta_insert(records, physical_ids)
         self._mutations += 1
-        _record_delta_rows("insert", len(records))
         self._maybe_force_compact()
         return len(records)
 
@@ -410,7 +392,6 @@ class DeltaIndexMixin:
         self._delta_delete(physical_ids)
         self._dataset_stale = True
         self._mutations += 1
-        _record_delta_rows("delete", int(positions.size))
         self._maybe_force_compact()
         return int(positions.size)
 
@@ -426,7 +407,6 @@ class DeltaIndexMixin:
         if reclaimed == 0:
             return 0
         rebuild_in_place(self, self.dataset)
-        _record_compaction()
         return reclaimed
 
     def _maybe_force_compact(self) -> None:

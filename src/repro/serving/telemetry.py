@@ -117,7 +117,7 @@ class ServingTelemetry:
     """Recorder into ``self.metrics`` and reader of the flat view (module docstring)."""
 
     def __init__(self) -> None:
-        #: The ledger; the engine's runtime holds this very object.
+        #: The ledger: the one registry the library records into.
         self.metrics = metrics.MetricsRegistry()
         #: (metric name, endpoint) -> the resolved metric: get-or-create costs
         #: a key format and a registry lock, recording is per request.

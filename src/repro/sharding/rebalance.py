@@ -30,36 +30,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..obs.metrics import current_registry
 from ..selection.base import SimilaritySelector
 from .partitioner import Partitioner, ShardAssignment
 from .selector import ShardedSelector, ShardLayoutSnapshot
-
-
-def _record_rebalance(outcome: str, seconds: float) -> None:
-    registry = current_registry()
-    registry.counter(
-        "repro_rebalance_total", {"outcome": outcome},
-        description="rebalance executions by outcome",
-    ).inc()
-    registry.histogram(
-        "repro_rebalance_seconds", {"outcome": outcome},
-        description="rebalance wall-time by outcome",
-    ).observe(seconds)
-
-
-def _record_rebalance_volume(moved_records: int, journal_replayed: int) -> None:
-    registry = current_registry()
-    if moved_records:
-        registry.counter(
-            "repro_rebalance_moved_records_total",
-            description="records re-indexed into new shards by rebalances",
-        ).inc(moved_records)
-    if journal_replayed:
-        registry.counter(
-            "repro_rebalance_journal_replayed_total",
-            description="journaled update operations replayed at rebalance commit",
-        ).inc(journal_replayed)
 
 
 # --------------------------------------------------------------------------- #
@@ -372,8 +345,6 @@ class Rebalancer:
         )
         seconds = time.perf_counter() - staged.started
         moved = int(sum(len(assignment.global_ids[t]) for t in resolved.build_targets))
-        _record_rebalance("committed", seconds)
-        _record_rebalance_volume(moved, replayed)
         return RebalanceReport(
             num_shards_before=staged.base.assignment.num_shards,
             num_shards_after=resolved.num_shards,
@@ -387,7 +358,6 @@ class Rebalancer:
     def abort(self, staged: StagedRebalance) -> None:
         """Discard the staging; the live layout never stopped being current."""
         staged.selector.abort_rebalance()
-        _record_rebalance("aborted", time.perf_counter() - staged.started)
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -30,7 +30,6 @@ replaying the journal — so the new layout answers exactly like the old one.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,33 +37,13 @@ import numpy as np
 
 from ..datasets.updates import UpdateOperation
 from ..distances.base import DistanceFunction
-from ..obs.metrics import current_registry, default_registry, use_registry
 from ..obs.trace import span
-from ..runtime import Runtime
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
 from .partitioner import Partitioner, ShardAssignment, get_partitioner
 
 #: Builds the exact selector for one shard's records.
 SelectorFactory = Callable[[Sequence], SimilaritySelector]
-
-
-def _record_shard_op(op: str, shard_id: int, seconds: float) -> None:
-    """Count one shard task into the ambient registry (op + shard labelled).
-
-    ``current_registry()`` is the registry :meth:`~repro.runtime.Runtime.run_inline`
-    pushed around the fan-out — the engine's, when an engine owns the runtime.
-    """
-    labels = {"op": op, "shard": shard_id}
-    registry = current_registry()
-    registry.counter(
-        "repro_shard_tasks_total", labels,
-        description="shard fan-out tasks per op and shard",
-    ).inc()
-    registry.histogram(
-        "repro_shard_task_seconds", labels,
-        description="shard fan-out task wall-time per op and shard",
-    ).observe(seconds)
 
 
 @dataclass
@@ -131,7 +110,6 @@ class ShardedSelector(SimilaritySelector):
         selector_factory: SelectorFactory,
         num_shards: Optional[int] = None,
         partitioner: Union[str, Partitioner, None] = None,
-        runtime: Optional[Runtime] = None,
     ) -> None:
         super().__init__(dataset)
         self.selector_factory = selector_factory
@@ -155,9 +133,6 @@ class ShardedSelector(SimilaritySelector):
             selector_factory([self._dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
         ]
-        #: ``None`` means shard metrics land in the process default registry;
-        #: an engine injects its own runtime, so they land in its registry.
-        self.runtime = runtime
         #: Serializes layout changes (shards/assignment/journal)
         #: against query capture and compaction.  Shard *compute*
         #: runs outside the lock, so queries never block behind an update for
@@ -230,31 +205,21 @@ class ShardedSelector(SimilaritySelector):
     ) -> Tuple[List[Any], ShardAssignment]:
         """Run ``task`` on every shard, in shard order, on the calling thread.
 
-        The loop runs under :meth:`~repro.runtime.Runtime.run_inline`, which
-        pushes the runtime's metrics sink, so each shard's ``shard.task`` span
-        and op metrics land in the engine's registry.  The (shards,
-        assignment) pair is captured under the layout lock so a concurrent
-        rebalance commit cannot tear it; the shard compute itself runs
-        outside the lock.  Returns the captured assignment so the caller
-        merges local ids against the layout that actually answered.
+        Each task runs in a ``shard.task`` span (what
+        ``explain_analyze().shard_spans()`` reads).  The (shards, assignment)
+        pair is captured under the layout lock so a concurrent rebalance
+        commit cannot tear it; the shard compute itself runs outside the
+        lock.  Returns the captured assignment so the caller merges local ids
+        against the layout that actually answered.
         """
         with self._lock:
             shards = list(self._shards)
             assignment = self._assignment
-
-        def loop() -> List[Any]:
-            results = []
-            for shard_id, shard in enumerate(shards):
-                started = time.perf_counter()
-                with span("shard.task", op=op, shard=shard_id):
-                    results.append(task(shard))
-                _record_shard_op(op, shard_id, time.perf_counter() - started)
-            return results
-
-        if self.runtime is None:
-            with use_registry(default_registry()):
-                return loop(), assignment
-        return self.runtime.run_inline(loop), assignment
+        results = []
+        for shard_id, shard in enumerate(shards):
+            with span("shard.task", op=op, shard=shard_id):
+                results.append(task(shard))
+        return results, assignment
 
     @staticmethod
     def _merge(
@@ -329,12 +294,7 @@ class ShardedSelector(SimilaritySelector):
         return np.sum(curves, axis=0).astype(np.int64)
 
     def rebuild(self, dataset: Sequence) -> "ShardedSelector":
-        return ShardedSelector(
-            dataset,
-            self.selector_factory,
-            partitioner=self.partitioner,
-            runtime=self.runtime,
-        )
+        return ShardedSelector(dataset, self.selector_factory, partitioner=self.partitioner)
 
     # ------------------------------------------------------------------ #
     # Snapshot hooks (repro.store)
@@ -351,10 +311,8 @@ class ShardedSelector(SimilaritySelector):
         ``selector_factory`` is typically a caller closure — the restore hook
         substitutes :meth:`_rebuild_shard`, which reconstructs a same-type,
         same-configuration selector, so post-restore updates keep working.
-        The ``runtime`` reference persists as an object, preserving
-        runtime-sharing identity across restore: an engine and its sharded
-        selectors restore onto ONE runtime.  An in-flight rebalance journal
-        is dropped — a restored selector serves the committed layout.
+        An in-flight rebalance journal is dropped — a restored selector
+        serves the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale

@@ -73,7 +73,10 @@ FORMAT_NAME = "repro-snapshot"
 #       sharded selector holds no lock, and no hook rebuilds one now.  From
 #       here on, a change that drops a persisted attribute bumps the version
 #       instead of teaching a `__snapshot_restore__` to pop the old key.
-FORMAT_VERSION = 9
+#  10 — one metrics ledger: a version-9 ShardedSelector carries a `runtime`
+#       and a version-9 Runtime a `telemetry` reference; the Runtime is now
+#       stateless and no selector holds one.
+FORMAT_VERSION = 10
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

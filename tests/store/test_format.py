@@ -233,10 +233,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 9  # no restore shims (8 = no process backend)
-        data["version"] = 8
+        assert FORMAT_VERSION == 10  # one metrics ledger (9 = no restore shims)
+        data["version"] = 9
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 9\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 9\b.*version 10\b"):
             load_component(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):
