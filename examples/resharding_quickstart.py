@@ -3,11 +3,11 @@
 Builds a sharded Hamming deployment, streams mixed updates through it (every
 insert/delete lands as an O(Δ) index delta — append segments + tombstones,
 no rebuild), then rebalances the layout while it keeps serving: a hot shard
-is split and two cold shards merged, staged shards build from the base
-rows on the caller, mid-rebalance updates are journaled, and the
-commit replays the journal before atomically swapping assignment, shards,
-and serving endpoints.  Every step is checked bit-identical against a
-linear scan.
+is split and two cold shards merged: the changed shards and their serving
+estimators are staged from the base rows on the caller, then one checked swap
+replaces assignment, shards and serving endpoints at once (an update landing
+between the two would make the swap refuse and the old layout keep serving).
+Every step is checked bit-identical against a linear scan.
 
 Run with:  python examples/resharding_quickstart.py
 """
@@ -81,8 +81,7 @@ def main() -> None:
     print(
         f"rebalanced {report.num_shards_before} -> {report.num_shards_after} "
         f"shards: built {report.built_targets}, aliased {report.aliased_targets}, "
-        f"moved {report.moved_records} records, replayed "
-        f"{report.journal_replayed} journaled ops in {report.seconds * 1e3:.1f} ms"
+        f"moved {report.moved_records} records in {report.seconds * 1e3:.1f} ms"
     )
     print(f"serving endpoints now: {binding.shard_endpoints}")
 

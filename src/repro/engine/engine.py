@@ -53,12 +53,7 @@ from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_s
 from ..selection.delta import resolve_delete_positions
 from ..serving import EstimationService, resolve_curve_grid
 from ..sharding import Partitioner, ShardedEstimatorGroup, ShardedSelector
-from ..sharding.rebalance import (
-    RebalancePlan,
-    Rebalancer,
-    RebalanceReport,
-    suggest_plan,
-)
+from ..sharding.rebalance import RebalancePlan, RebalanceReport, stage, suggest_plan
 from .catalog import AttributeBinding, AttributeCatalog
 from .executor import QueryExecutor, QueryResult
 from .feedback import FeedbackMonitor
@@ -214,7 +209,8 @@ class SimilarityQueryEngine:
         family = None
         try:
             family = up()
-            committed = commit() if commit else None
+            if commit:
+                commit()
             if binding is None:
                 theta_max = grid[-1] if theta_max is None else theta_max
                 binding = self.catalog.add(name, records, distance_name, name, theta_max, selector)
@@ -229,7 +225,7 @@ class SimilarityQueryEngine:
             self._groups[name] = family
         else:
             binding.part_endpoints = [e for e in names if e != name]
-        return committed if commit else binding
+        return binding
 
     def register_attribute(
         self,
@@ -378,11 +374,11 @@ class SimilarityQueryEngine:
         sizes (:func:`~repro.sharding.suggest_plan`); a balanced layout
         returns ``None`` without doing anything.  The new shards and then
         their serving estimators (the registered factory, over each new
-        shard's rows) are built while the old layout serves and journals
-        updates; only then do the ``name#shardK`` endpoints swap (same curve
-        grid) and the selector commit atomically.  If anything fails, the
-        factory included, the rebalance is aborted with the old layout,
-        endpoints and managers still serving.  On success attached per-shard
+        shard's rows) are staged while the old layout serves; only then do
+        the ``name#shardK`` endpoints swap (same curve grid) and the selector
+        its layout, atomically.  If anything fails — the factory, or a swap
+        refused because an update landed since staging — the old layout,
+        endpoints and managers keep serving.  On success attached per-shard
         update managers are dropped (they were built for the old layout;
         reattach with :meth:`attach_shard_managers` if per-shard paper-§8
         maintenance is still wanted).
@@ -401,27 +397,22 @@ class SimilarityQueryEngine:
             plan = suggest_plan(selector.assignment)
             if plan is None:
                 return None
-        rebalancer = Rebalancer()
         with span("engine.rebalance", attribute=name, actions=len(plan)):
-            staged = rebalancer.begin(selector, plan, partitioner)
-            try:
-                estimators = [
-                    factory(staged.shard_records(target), target)
-                    for target in range(staged.resolved.num_shards)
-                ]
-                report = self._bring_up(
-                    name, binding.distance.name, selector, estimators,
-                    self._groups[name].curve_thetas,
-                    commit=lambda: rebalancer.commit(staged),
-                )
-            except BaseException:
-                rebalancer.abort(staged)
-                raise
+            staged = stage(selector, plan, partitioner)
+            estimators = [
+                factory(staged.shard_records(target), target)
+                for target in range(len(staged.shards))
+            ]
+            self._bring_up(
+                name, binding.distance.name, selector, estimators,
+                self._groups[name].curve_thetas,
+                commit=lambda: selector.swap_layout(staged),
+            )
             # Per-shard managers were built for the old layout; drop them so
             # drift repair never retrains against shards that no longer exist.
             if self._links.pop(name, None) is not None:
                 self.feedback.detach_manager(binding.endpoint)
-        return report
+        return staged.report()
 
     def attach_shard_managers(
         self,

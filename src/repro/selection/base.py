@@ -42,7 +42,8 @@ class SimilaritySelector(ABC):
     # ------------------------------------------------------------------ #
     @property
     def mutation_count(self) -> int:
-        """Count of logical mutations applied through the update protocol."""
+        """Count of logical mutations applied through the update protocol
+        (inserts and deletes; a compaction changes no row and counts nothing)."""
         return self._mutations
 
     def insert_many(self, records: Sequence) -> int:

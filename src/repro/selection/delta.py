@@ -333,15 +333,6 @@ class DeltaIndexMixin:
             self._dataset_stale = False
         return self._dataset
 
-    @property
-    def mutation_count(self) -> int:
-        """Count of logical mutations (inserts/deletes; compaction excluded).
-
-        Rebalancing uses this to prove a shard adopted by reference has not
-        been updated behind the base snapshot's back.
-        """
-        return self._mutations
-
     def delta_stats(self) -> dict:
         return {
             "live": self._view.live_count,

@@ -12,10 +12,12 @@ shard cleanly:
   shard estimators' curves, computed in one service request;
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
-* :class:`Rebalancer` executes :class:`RebalancePlan` s (split hot shards,
-  merge cold ones, migrate id ranges) from the base rows on the caller
-  while the old layout serves, committing with an atomic swap after
-  replaying mid-rebalance updates from the journal.
+* :func:`repro.sharding.rebalance.rebalance` carries out a
+  :class:`RebalancePlan` (split hot shards, merge cold ones, migrate id
+  ranges): the changed shards are built from the base rows on the caller
+  while the old layout serves, then swapped in atomically — unless an update
+  landed meanwhile, which raises :class:`StaleRebalanceError` with the old
+  layout still serving.
 """
 
 from .group import MergedShardEstimator, ShardedEstimatorGroup
@@ -31,11 +33,10 @@ from .rebalance import (
     MigrateRange,
     RebalancePlan,
     RebalanceReport,
-    Rebalancer,
     SplitShard,
     suggest_plan,
 )
-from .selector import ShardedSelector, ShardLayoutSnapshot, ShardRouting
+from .selector import ShardedSelector, ShardRouting, StaleRebalanceError
 
 __all__ = [
     "Partitioner",
@@ -44,13 +45,12 @@ __all__ = [
     "ShardAssignment",
     "get_partitioner",
     "ShardedSelector",
-    "ShardLayoutSnapshot",
     "ShardRouting",
+    "StaleRebalanceError",
     "ShardedEstimatorGroup",
     "MergedShardEstimator",
     "RebalancePlan",
     "RebalanceReport",
-    "Rebalancer",
     "SplitShard",
     "MergeShards",
     "MigrateRange",

@@ -6,20 +6,18 @@ merge cold shards, migrate a global-id range — and resolves to a concrete new
 assignment plus, per new shard, the base shard it is an exact copy of (if
 any).  :func:`suggest_plan` derives a plan from the per-shard sizes.
 
-The :class:`Rebalancer` executes a plan against a live
-:class:`~repro.sharding.ShardedSelector` without stopping the world:
+A rebalance is two steps on the caller's thread:
 
-1. :meth:`~repro.sharding.ShardedSelector.begin_rebalance` captures the base
-   layout and starts journaling updates; the old layout keeps serving
-   queries *and updates* throughout.
-2. Only the *changed* targets are built, each from the base rows it holds,
-   one after another on the caller's thread; unchanged shards are aliased —
-   zero build cost, zero extra memory.
-3. :meth:`~repro.sharding.ShardedSelector.commit_rebalance` swaps the staged
-   layout in atomically, replaying every journaled update first, so the new
-   layout answers bit-identically to the old one.
+1. :func:`stage` captures the selector's layout, resolves the plan against it
+   and builds only the *changed* target shards, each from the base rows it
+   holds; unchanged shards are aliased — zero build cost, zero extra memory.
+   Staging touches nothing live, so dropping a staging is the abort.
+2. :meth:`~repro.sharding.ShardedSelector.swap_layout` swaps the staged layout
+   in atomically, or raises :class:`~repro.sharding.StaleRebalanceError` if an
+   update landed since the capture — the old layout keeps serving and the
+   plan is staged again.
 
-Steps 1–2 are :meth:`Rebalancer.begin`, step 3 :meth:`Rebalancer.commit`.
+:func:`rebalance` is the two in one call.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from ..selection.base import SimilaritySelector
 from .partitioner import Partitioner, ShardAssignment
-from .selector import ShardedSelector, ShardLayoutSnapshot
+from .selector import ShardedSelector
 
 
 # --------------------------------------------------------------------------- #
@@ -263,124 +261,93 @@ class RebalanceReport:
     built_targets: List[int]
     aliased_targets: Dict[int, int]
     moved_records: int
-    journal_replayed: int
     seconds: float
 
 
 @dataclass
-class StagedRebalance:
-    """A rebalance between :meth:`Rebalancer.begin` and its commit or abort:
-    the new layout resolved and its changed shards built, the old one serving."""
+class StagedLayout:
+    """A resolved plan with its changed shards built; the live layout is
+    untouched until :meth:`~repro.sharding.ShardedSelector.swap_layout`."""
 
-    selector: ShardedSelector
-    base: ShardLayoutSnapshot
+    #: The selector's :attr:`~repro.sharding.ShardedSelector.mutation_count`
+    #: at capture; the swap refuses once an update has moved it.
+    mutation_count: int
+    #: The base rows in global-id order, as captured.
+    records: List
+    num_shards_before: int
+    resolved: ResolvedPlan
+    assignment: ShardAssignment
+    #: ``None`` keeps the selector's partitioner (the width is unchanged).
     partitioner: Optional[Partitioner]
-    resolved: Optional[ResolvedPlan] = None
-    assignment: Optional[ShardAssignment] = None
-    built: Dict[int, SimilaritySelector] = field(default_factory=dict)
-    started: float = field(default_factory=time.perf_counter)
+    started: float
+    #: One selector per new shard: built, or the aliased base shard.
+    shards: List[SimilaritySelector] = field(default_factory=list)
 
     def shard_records(self, target: int) -> List:
         """The base rows new shard ``target`` holds, in its local order."""
-        return [self.base.records[int(i)] for i in self.assignment.global_ids[target]]
+        return [self.records[int(i)] for i in self.assignment.global_ids[target]]
 
-
-class Rebalancer:
-    """Executes :class:`RebalancePlan` s against live sharded selectors."""
-
-    def execute(
-        self,
-        selector: ShardedSelector,
-        plan: RebalancePlan,
-        partitioner: Optional[Partitioner] = None,
-    ) -> RebalanceReport:
-        """Run one plan to completion: :meth:`begin` → :meth:`commit`.
-
-        The selector keeps serving queries and absorbing updates on its old
-        layout the whole time; mid-rebalance updates are journaled and
-        replayed before the atomic swap.  On any failure the staging is
-        aborted and the live (old, fully current) layout keeps serving.
-        """
-        staged = self.begin(selector, plan, partitioner)
-        try:
-            return self.commit(staged)
-        except BaseException:
-            self.abort(staged)
-            raise
-
-    def begin(
-        self,
-        selector: ShardedSelector,
-        plan: RebalancePlan,
-        partitioner: Optional[Partitioner] = None,
-    ) -> StagedRebalance:
-        """Start journaling, resolve ``plan`` against the captured base and
-        build the changed target shards; a failure in here aborts the staging.
-        A caller may stand between this and :meth:`commit` — the old layout
-        serves and journals meanwhile — to build what else the new one needs."""
-        staged = StagedRebalance(selector, selector.begin_rebalance(), partitioner)
-        try:
-            resolved = staged.resolved = plan.resolve(staged.base.assignment)
-            staged.assignment = ShardAssignment.from_shard_of(
-                resolved.shard_of, resolved.num_shards
-            )
-            if partitioner is None and resolved.num_shards != selector.num_shards:
-                staged.partitioner = self._derive_partitioner(selector, resolved.num_shards)
-            staged.built = self._build_targets(staged)
-        except BaseException:
-            self.abort(staged)
-            raise
-        return staged
-
-    def commit(self, staged: StagedRebalance) -> RebalanceReport:
-        """Swap the staged layout in atomically, replaying the journal; a
-        refusal leaves the staging open for :meth:`abort`."""
-        resolved, assignment = staged.resolved, staged.assignment
-        replayed = staged.selector.commit_rebalance(
-            staged.base,
-            assignment,
-            staged.built,
-            aliased_sources=resolved.aliased,
-            partitioner=staged.partitioner,
-        )
-        seconds = time.perf_counter() - staged.started
-        moved = int(sum(len(assignment.global_ids[t]) for t in resolved.build_targets))
+    def report(self) -> RebalanceReport:
+        built = self.resolved.build_targets
         return RebalanceReport(
-            num_shards_before=staged.base.assignment.num_shards,
-            num_shards_after=resolved.num_shards,
-            built_targets=resolved.build_targets,
-            aliased_targets=resolved.aliased,
-            moved_records=moved,
-            journal_replayed=replayed,
-            seconds=seconds,
+            num_shards_before=self.num_shards_before,
+            num_shards_after=self.resolved.num_shards,
+            built_targets=built,
+            aliased_targets=self.resolved.aliased,
+            moved_records=int(sum(len(self.assignment.global_ids[t]) for t in built)),
+            seconds=time.perf_counter() - self.started,
         )
 
-    def abort(self, staged: StagedRebalance) -> None:
-        """Discard the staging; the live layout never stopped being current."""
-        staged.selector.abort_rebalance()
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _build_targets(staged: StagedRebalance) -> Dict[int, SimilaritySelector]:
-        """Build the changed targets' selectors, each from the base rows it
-        holds — aliased shards cost nothing."""
-        factory = staged.selector.selector_factory
-        return {
-            target: factory(staged.shard_records(target))
-            for target in staged.resolved.build_targets
-        }
-
-    @staticmethod
-    def _derive_partitioner(selector: ShardedSelector, num_shards: int) -> Partitioner:
-        """Same partitioner family, new shard count — for plans that change
-        the layout width.  Custom partitioner types whose constructor is not
-        ``(num_shards)`` must be passed explicitly to :meth:`execute`."""
+def stage(
+    selector: ShardedSelector,
+    plan: RebalancePlan,
+    partitioner: Optional[Partitioner] = None,
+) -> StagedLayout:
+    """Resolve ``plan`` against the selector's current layout and build the
+    changed target shards; the old layout keeps serving throughout.  A plan
+    that changes the shard count without a ``partitioner`` gets one of the
+    selector's partitioner family at the new width (a type whose constructor
+    is not ``(num_shards)`` must be passed)."""
+    started = time.perf_counter()
+    with selector._lock:  # one consistent capture: count, rows, layout
+        mutation_count = selector.mutation_count
+        records = list(selector.dataset)
+        base, base_shards = selector.assignment, selector.shards
+    resolved = plan.resolve(base)
+    if partitioner is None and resolved.num_shards != base.num_shards:
         try:
-            return type(selector.partitioner)(num_shards)
+            partitioner = type(selector.partitioner)(resolved.num_shards)
         except TypeError as error:
             raise ValueError(
                 f"cannot derive a {type(selector.partitioner).__name__} for "
-                f"{num_shards} shards; pass partitioner= to execute()"
+                f"{resolved.num_shards} shards; pass partitioner="
             ) from error
+    staged = StagedLayout(
+        mutation_count=mutation_count,
+        records=records,
+        num_shards_before=base.num_shards,
+        resolved=resolved,
+        assignment=ShardAssignment.from_shard_of(resolved.shard_of, resolved.num_shards),
+        partitioner=partitioner,
+        started=started,
+    )
+    staged.shards = [
+        selector.selector_factory(staged.shard_records(target))
+        if source is None else base_shards[source]
+        for target, source in sorted(resolved.sources.items())
+    ]
+    return staged
+
+
+def rebalance(
+    selector: ShardedSelector,
+    plan: RebalancePlan,
+    partitioner: Optional[Partitioner] = None,
+) -> RebalanceReport:
+    """Stage ``plan`` and swap it in.  On any failure the live layout — old,
+    and current — keeps serving."""
+    staged = stage(selector, plan, partitioner)
+    selector.swap_layout(staged)
+    return staged.report()
+

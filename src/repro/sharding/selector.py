@@ -20,18 +20,21 @@ an O(Δ) in-place delta (:meth:`~repro.selection.SimilaritySelector.insert_many`
 / :meth:`~repro.selection.SimilaritySelector.delete_many`) on exactly those
 shards — untouched shards keep their index, labels, model and served curves.
 
-Live rebalancing rides the same machinery: :meth:`begin_rebalance` captures a
-consistent base layout and starts journaling updates, the new layout is built
-elsewhere (``repro.sharding.rebalance``) while the old one keeps serving, and
-:meth:`commit_rebalance` swaps the staged shards in atomically after
-replaying the journal — so the new layout answers exactly like the old one.
+A rebalance is one staged build and one checked swap:
+``repro.sharding.rebalance.stage`` builds the changed shards of a new layout
+from a captured base while the old layout serves, and
+:meth:`ShardedSelector.swap_layout` swaps it in atomically — or, if an update
+landed since the capture, raises :class:`StaleRebalanceError` and leaves the
+old layout serving.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -41,6 +44,9 @@ from ..obs.trace import span
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
 from .partitioner import Partitioner, ShardAssignment, get_partitioner
+
+if TYPE_CHECKING:  # repro.sharding.rebalance imports this module
+    from .rebalance import StagedLayout
 
 #: Builds the exact selector for one shard's records.
 SelectorFactory = Callable[[Sequence], SimilaritySelector]
@@ -68,22 +74,9 @@ class ShardRouting:
         return sorted(self.local_operations)
 
 
-@dataclass
-class ShardLayoutSnapshot:
-    """The consistent base a rebalance builds from (:meth:`begin_rebalance`).
-
-    ``versions`` pins each shard's :attr:`mutation_count` at capture time:
-    shards are mutated *in place* by concurrent updates, so at commit a shard
-    object may be aliased into the new layout only if its version is
-    unchanged — otherwise the target is rebuilt from ``records`` (a list
-    copy, immune to in-place shard mutation) and the journal replay restores
-    the updates.
-    """
-
-    records: List
-    assignment: ShardAssignment
-    shards: List[SimilaritySelector]
-    versions: List[int]
+class StaleRebalanceError(RuntimeError):
+    """A staged rebalance was captured before an update the selector has since
+    applied; the live layout is untouched and the plan must be staged again."""
 
 
 class _MergedIds(list):
@@ -133,15 +126,12 @@ class ShardedSelector(SimilaritySelector):
             selector_factory([self._dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
         ]
-        #: Serializes layout changes (shards/assignment/journal)
-        #: against query capture and compaction.  Shard *compute*
+        #: Serializes layout changes (shards/assignment) against query
+        #: capture and compaction.  Shard *compute*
         #: runs outside the lock, so queries never block behind an update for
         #: longer than the O(Δ) commit itself.
         self._lock = threading.RLock()
         self._dataset_stale = False
-        #: ``None`` = no rebalance in flight; a list = journal of updates
-        #: applied since :meth:`begin_rebalance`, replayed at commit.
-        self._journal: Optional[List[UpdateOperation]] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -193,8 +183,6 @@ class ShardedSelector(SimilaritySelector):
             "num_shards": self.num_shards,
             "shard_sizes": self.shard_sizes(),
             "records": len(self),
-            "rebalance_in_flight": self._journal is not None,
-            "journal_depth": len(self._journal) if self._journal is not None else 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -208,7 +196,7 @@ class ShardedSelector(SimilaritySelector):
         Each task runs in a ``shard.task`` span (what
         ``explain_analyze().shard_spans()`` reads).  The (shards, assignment)
         pair is captured under the layout lock so a concurrent rebalance
-        commit cannot tear it; the shard compute itself runs outside the
+        swap cannot tear it; the shard compute itself runs outside the
         lock.  Returns the captured assignment so the caller merges local ids
         against the layout that actually answered.
         """
@@ -311,14 +299,11 @@ class ShardedSelector(SimilaritySelector):
         ``selector_factory`` is typically a caller closure — the restore hook
         substitutes :meth:`_rebuild_shard`, which reconstructs a same-type,
         same-configuration selector, so post-restore updates keep working.
-        An in-flight rebalance journal is dropped — a restored selector
-        serves the committed layout.
         """
         state = dict(self.__dict__)
         state["_dataset"] = self.dataset  # materialize if delta-stale
         state["_dataset_stale"] = False
         state.pop("selector_factory", None)
-        state["_journal"] = None
         return state
 
     def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
@@ -419,8 +404,6 @@ class ShardedSelector(SimilaritySelector):
             else:
                 self._dataset_stale = True
             self._mutations += 1
-            if self._journal is not None:
-                self._journal.append(routing.operation)
 
     def apply_operation(self, operation: UpdateOperation) -> ShardRouting:
         """Route and commit a global update in one call (no external managers)."""
@@ -459,121 +442,33 @@ class ShardedSelector(SimilaritySelector):
         return any(shard.needs_compaction() for shard in self._shards)
 
     # ------------------------------------------------------------------ #
-    # Live rebalancing (repro.sharding.rebalance drives these)
+    # Rebalance swap (repro.sharding.rebalance.stage builds the layout)
     # ------------------------------------------------------------------ #
-    def begin_rebalance(self) -> ShardLayoutSnapshot:
-        """Capture a consistent base layout and start journaling updates.
-
-        The old layout keeps serving queries *and updates* while the new one
-        is built elsewhere; every update applied between begin and commit is
-        journaled and replayed against the staged layout at commit, so the
-        swap loses nothing.
-        """
+    def swap_layout(self, staged: "StagedLayout") -> None:
+        """Swap a staged layout in — assignment, shards and partitioner — in
+        O(shards) under the lock, so a query sees the whole old layout or the
+        whole new one.  If an update landed since staging captured
+        ``staged.mutation_count``, the staged shards miss its rows: the swap
+        raises :class:`StaleRebalanceError` and the old layout keeps serving.
+        Global ids keep their order, so the record list is left as it is."""
+        assignment = staged.assignment
         with self._lock:
-            if self._journal is not None:
-                raise RuntimeError(
-                    "a rebalance is already in flight; commit or abort it first"
+            if self._mutations != staged.mutation_count:
+                raise StaleRebalanceError(
+                    f"the layout changed {self._mutations - staged.mutation_count} "
+                    "time(s) since this rebalance was staged (updates or another "
+                    "rebalance); the old layout keeps serving — stage the plan again"
                 )
-            base = ShardLayoutSnapshot(
-                records=list(self.dataset),
-                assignment=self._assignment,
-                shards=list(self._shards),
-                versions=[shard.mutation_count for shard in self._shards],
-            )
-            self._journal = []
-            return base
-
-    def abort_rebalance(self) -> int:
-        """Discard the staged rebalance; the live layout is already current.
-
-        Returns the number of journaled operations dropped (they were applied
-        to the live layout as they arrived — only the replay list is
-        discarded)."""
-        with self._lock:
-            journal, self._journal = self._journal, None
-            return len(journal) if journal is not None else 0
-
-    def commit_rebalance(
-        self,
-        base: ShardLayoutSnapshot,
-        assignment: ShardAssignment,
-        built_shards: Dict[int, SimilaritySelector],
-        aliased_sources: Optional[Dict[int, int]] = None,
-        partitioner: Optional[Partitioner] = None,
-    ) -> int:
-        """Atomically swap in a rebalanced layout; returns ops replayed.
-
-        ``assignment`` maps the *base* records (global ids as of ``base``) to
-        the new shards.  ``built_shards`` holds the target selectors built
-        from base slices; ``aliased_sources`` maps target shard id → base
-        shard id for targets whose record set is unchanged — the old shard
-        object is aliased into the new layout *only if* its mutation count
-        still matches the base capture (shards mutate in place, so a version
-        bump means journaled updates touched it; the target is then rebuilt
-        from the immutable base records instead, and the journal replay
-        re-applies those updates).
-
-        The swap itself is O(shards) under the lock: queries either see the
-        complete old layout or the complete new one, never a mix.  After the
-        swap the journal replays through the normal O(Δ) delta path.
-        """
-        aliased_sources = dict(aliased_sources or {})
-        with self._lock:
-            if self._journal is None:
-                raise RuntimeError("no rebalance in flight; call begin_rebalance first")
-            if len(assignment) != len(base.records):
+            partitioner = staged.partitioner or self.partitioner
+            if partitioner.num_shards != assignment.num_shards:
                 raise ValueError(
-                    f"rebalance assignment covers {len(assignment)} records, "
-                    f"base layout has {len(base.records)}"
+                    f"partitioner covers {partitioner.num_shards} shards, "
+                    f"assignment has {assignment.num_shards}"
                 )
-            staged: List[Optional[SimilaritySelector]] = [None] * assignment.num_shards
-            for target in range(assignment.num_shards):
-                expected = len(assignment.global_ids[target])
-                shard: Optional[SimilaritySelector] = None
-                if target in built_shards:
-                    shard = built_shards[target]
-                elif target in aliased_sources:
-                    source = aliased_sources[target]
-                    candidate = base.shards[source]
-                    if candidate.mutation_count == base.versions[source]:
-                        shard = candidate
-                if shard is None and target in aliased_sources:
-                    # Aliased source mutated since begin: rebuild the target
-                    # from the immutable base records; the journal replay
-                    # below restores the in-flight updates.
-                    shard = self.selector_factory(
-                        [base.records[int(i)] for i in assignment.global_ids[target]]
-                    )
-                if shard is None:
-                    raise ValueError(
-                        f"rebalance target shard {target} has neither a built "
-                        "selector nor an aliased source"
-                    )
-                if len(shard) != expected:
-                    raise ValueError(
-                        f"rebalance target shard {target} has {len(shard)} records, "
-                        f"expected {expected}"
-                    )
-                staged[target] = shard
-            if partitioner is not None:
-                if partitioner.num_shards != assignment.num_shards:
-                    raise ValueError(
-                        f"partitioner covers {partitioner.num_shards} shards, "
-                        f"assignment has {assignment.num_shards}"
-                    )
-                self.partitioner = partitioner
-            elif assignment.num_shards != self.partitioner.num_shards:
-                raise ValueError(
-                    "shard count changed; pass a partitioner covering "
-                    f"{assignment.num_shards} shards"
-                )
+            if [len(shard) for shard in staged.shards] != assignment.shard_sizes():
+                raise ValueError("the staged shards do not hold the rows the assignment gives them")
+            self.partitioner = partitioner
             self.num_shards = assignment.num_shards
-            self._shards = list(staged)
+            self._shards = list(staged.shards)
             self._assignment = assignment
-            self._dataset = list(base.records)
-            self._dataset_stale = False
             self._mutations += 1
-            journal, self._journal = self._journal, None
-            for operation in journal:
-                self.apply_operation(operation)
-            return len(journal)

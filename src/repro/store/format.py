@@ -76,7 +76,10 @@ FORMAT_NAME = "repro-snapshot"
 #  10 — one metrics ledger: a version-9 ShardedSelector carries a `runtime`
 #       and a version-9 Runtime a `telemetry` reference; the Runtime is now
 #       stateless and no selector holds one.
-FORMAT_VERSION = 10
+#  11 — a rebalance is one staged build and one checked swap: a version-10
+#       ShardedSelector carries the update journal of a rebalance, and
+#       nothing reads it now.
+FORMAT_VERSION = 11
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -325,7 +325,7 @@ class TestMetricNaming:
     def test_fires_on_invalid_identifier(self):
         source = """
             def record(registry):
-                registry.gauge("queueDepth").set(3)
+                registry.histogram("queueDepth").observe(3)
                 registry.histogram("repro-latency").observe(0.1)
         """
         assert codes(source) == ["RPR009", "RPR009"]
@@ -343,7 +343,7 @@ class TestMetricNaming:
         source = """
             def record(registry):
                 registry.counter("repro_requests_total", {"endpoint": "e"}).inc()
-                registry.gauge("repro_cache_size").set(0)
+                registry.histogram("repro_cache_size").observe(0)
                 registry.histogram("repro_request_latency_seconds").observe(0.1)
         """
         assert codes(source) == []
@@ -395,9 +395,6 @@ class TestUpdatePathRebuild:
                 def _compact_shard(self, shard_id, records):
                     return self.selector_factory(records)
 
-                def commit_rebalance(self, records):
-                    return self.selector.rebuild(records)
-
                 def _rebuild_shard(self, records):
                     return self.selector_factory(records)
 
@@ -405,6 +402,15 @@ class TestUpdatePathRebuild:
                     self.shard = self.selector_factory(records)
         """
         assert codes(source) == []
+        # A rebalance builds its shards in repro/sharding/rebalance.py only; a
+        # method named after it elsewhere is no exemption.
+        rebalance_site = """
+            class Shards:
+                def commit_rebalance(self, records):
+                    return self.selector.rebuild(records)
+        """
+        assert codes(rebalance_site) == ["RPR010"]
+        assert codes(rebalance_site, path="src/repro/sharding/rebalance.py") == []
 
     def test_allowlisted_modules_are_exempt(self):
         source = """

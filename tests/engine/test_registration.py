@@ -24,7 +24,9 @@ from repro.distances import get_distance
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.selection import LinearScanSelector
 from repro.serving import EstimationService
-from repro.sharding import HashPartitioner, MergeShards, RebalancePlan, SplitShard
+from repro.sharding import (
+    HashPartitioner, MergeShards, RebalancePlan, SplitShard, StaleRebalanceError,
+)
 
 ROWS, WIDTH, THETA_MAX = 120, 32, 12
 
@@ -88,9 +90,7 @@ def state(engine):
             for b in engine.catalog
             if b.sharded
         },
-        "in_flight": [
-            b.selector.stats()["rebalance_in_flight"] for b in engine.catalog if b.sharded
-        ],
+        "shards": {b.name: [id(s) for s in b.selector.shards] for b in engine.catalog if b.sharded},
     }
 
 
@@ -354,9 +354,7 @@ def sharded_engine(engine, dataset):
 
 def assert_rebalance_left_nothing(engine, before):
     assert state(engine) == before
-    selector = engine.catalog.get("y").selector
-    assert selector.stats()["rebalance_in_flight"] is False
-    assert selector.num_shards == 4
+    assert engine.catalog.get("y").selector.num_shards == 4
     assert sorted(engine._links["y"].managers) == [0, 1, 2, 3]
     assert_exact(engine)
     engine._links.pop("y")  # the stubs cannot process updates
@@ -403,6 +401,33 @@ def test_commit_refusal_during_rebalance_restores_the_old_endpoints(sharded_engi
             "y", RebalancePlan([SplitShard(0, parts=2)]), partitioner=HashPartitioner(7)
         )
     assert_rebalance_left_nothing(engine, before)
+
+
+def test_update_landing_before_the_swap_refuses_the_rebalance(engine, dataset):
+    """An update between staging and the swap (here: applied from inside the
+    estimator factory) makes the selector refuse the stale layout; the new
+    endpoints come down and the old family serves the updated rows."""
+    binding = sharded(engine, dataset.records, num_shards=4)
+    rows = new_rows()
+
+    def updating(shard_records, shard_index):
+        if shard_index == 0:
+            engine.apply_update("y", UpdateOperation("insert", rows))
+        return factory(shard_records, shard_index)
+
+    engine.set_estimator_factory("y", updating)
+    before = state(engine)
+    with pytest.raises(StaleRebalanceError, match="stage the plan again"):
+        engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
+    after = state(engine)
+    assert after.pop("num_shards")["y"][0] == before.pop("num_shards")["y"][0] == 4
+    assert after == before
+    assert len(binding.selector) == len(binding.records) == ROWS + len(rows)
+    assert_exact(engine)
+    engine.set_estimator_factory("y", factory)
+    report = engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
+    assert report.num_shards_after == 5 == len(binding.shard_endpoints)
+    assert_exact(engine)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Live resharding: plan resolution, journaled execution, engine swap."""
+"""Live resharding: plan resolution, staged builds and the checked swap."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,13 @@ from repro.sharding import (
     MergeShards,
     MigrateRange,
     RebalancePlan,
-    Rebalancer,
     ShardAssignment,
     ShardedSelector,
     SplitShard,
+    StaleRebalanceError,
     suggest_plan,
 )
+from repro.sharding.rebalance import rebalance, stage
 
 
 def make_records(count, width=64, seed=11):
@@ -141,7 +142,7 @@ class TestExecution:
         queries = [records[i] for i in (0, 17, 130)]
         before = [sorted(sharded.query(q, 14)) for q in queries]
 
-        report = Rebalancer().execute(sharded, RebalancePlan(actions))
+        report = rebalance(sharded, RebalancePlan(actions))
 
         assert len(sharded) == len(records)
         for query, expected in zip(queries, before):
@@ -159,46 +160,48 @@ class TestExecution:
         untouched = [s for s in range(4) if s not in (1, 2)]
         before = {s: sharded.shard(s) for s in untouched}
 
-        report = Rebalancer().execute(sharded, RebalancePlan([MergeShards((1, 2))]))
+        report = rebalance(sharded, RebalancePlan([MergeShards((1, 2))]))
 
         assert report.aliased_targets  # at least shards 0 and 3
         for old_id in untouched:
             new_id = old_id if old_id < 1 else old_id - 1 if old_id > 2 else old_id
             assert sharded.shard(new_id) is before[old_id]
 
-    def test_mid_rebalance_updates_are_journaled_and_replayed(self):
+    def test_a_swap_after_an_update_since_staging_is_refused(self):
         records = make_records(180)
         sharded = make_sharded(records, num_shards=3)
+        plan = RebalancePlan([SplitShard(0, parts=2)])
+        staged = stage(sharded, plan)
 
-        # Updates arrive after staging, before the commit.
-        rebalancer = Rebalancer()
-        staged = rebalancer.begin(sharded, RebalancePlan([SplitShard(0, parts=2)]))
-        sharded.apply_operation(UpdateOperation("insert", make_records(7, seed=99)))
+        # An insert and a delete land between staging and the swap.
+        inserted = make_records(7, seed=99)
+        sharded.apply_operation(UpdateOperation("insert", inserted))
         sharded.apply_operation(UpdateOperation("delete", np.array([4, 40, 170])))
-        report = rebalancer.commit(staged)
-        assert report.journal_replayed == 2
-        assert len(sharded) == 180 + 7 - 3
-        assert sharded.stats()["journal_depth"] == 0
-        query = records[9]
-        assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
+        old_shards = sharded.shards
+        with pytest.raises(StaleRebalanceError, match="changed 2 time.*stage the plan again"):
+            sharded.swap_layout(staged)
 
-    def test_mutated_alias_candidate_is_rebuilt_from_base_plus_journal(self):
-        records = make_records(160)
-        sharded = make_sharded(records, num_shards=4)
-        positions = np.flatnonzero(np.asarray(sharded._assignment.shard_of) == 3)[:2]
+        # The old layout keeps serving, with both updates in it.
+        assert sharded.num_shards == 3
+        assert all(new is old for new, old in zip(sharded.shards, old_shards))
+        expected = np.delete(np.concatenate([records, inserted]), [4, 40, 170], axis=0)
+        scan = LinearScanSelector(expected, distance=get_distance("hamming"))
+        queries = [records[9], records[100], inserted[2]]
+        before = [sharded.query(query, 14) for query in queries]
+        assert before == [scan.query(query, 14) for query in queries]
 
-        # Rows on an otherwise-aliased shard are deleted mid-rebalance.
-        rebalancer = Rebalancer()
-        staged = rebalancer.begin(sharded, RebalancePlan([MergeShards((0, 1))]))
-        sharded.apply_operation(UpdateOperation("delete", positions))
-        report = rebalancer.commit(staged)
-        # Shard 3 was an alias candidate but mutated mid-flight: the commit
-        # must fall back to rebuilding it from base records, then journal
-        # replay re-applies the delete — never silently losing either side.
-        assert report.journal_replayed == 1
-        assert len(sharded) == 158
-        query = records[25]
-        assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
+        # A fresh staging swaps in, bit-identically.
+        sharded.swap_layout(stage(sharded, plan))
+        assert sharded.num_shards == 4
+        assert [sharded.query(query, 14) for query in queries] == before
+
+        # Of two stagings of one layout, only the first swap goes in.
+        first, second = stage(sharded, plan), stage(sharded, plan)
+        sharded.swap_layout(first)
+        with pytest.raises(StaleRebalanceError, match="changed 1 time"):
+            sharded.swap_layout(second)
+        assert sharded.num_shards == 5
+        assert [sharded.query(query, 14) for query in queries] == before
 
     def test_failure_aborts_and_the_old_layout_keeps_serving(self):
         records = make_records(120)
@@ -214,25 +217,18 @@ class TestExecution:
         sharded.selector_factory = exploding_factory
         try:
             with pytest.raises(RuntimeError, match="factory exploded"):
-                Rebalancer().execute(sharded, RebalancePlan([SplitShard(0)]))
+                rebalance(sharded, RebalancePlan([SplitShard(0)]))
         finally:
             sharded.selector_factory = original_factory
-        assert sharded.stats()["rebalance_in_flight"] is False
+        assert sharded.num_shards == 3
         assert sorted(sharded.query(query, 14)) == expected
-        # A fresh rebalance is possible after the abort.
-        Rebalancer().execute(sharded, RebalancePlan([SplitShard(0)]))
+        # A fresh rebalance is possible after the failed one.
+        rebalance(sharded, RebalancePlan([SplitShard(0)]))
         assert sorted(sharded.query(query, 14)) == expected
-
-    def test_concurrent_rebalance_is_rejected(self):
-        sharded = make_sharded(make_records(60), num_shards=2)
-        sharded.begin_rebalance()
-        with pytest.raises(RuntimeError, match="rebalance"):
-            Rebalancer().execute(sharded, RebalancePlan([SplitShard(0)]))
-        assert sharded.abort_rebalance() == 0
 
     def test_shard_count_change_derives_a_partitioner(self):
         sharded = make_sharded(make_records(90), num_shards=3)
-        Rebalancer().execute(sharded, RebalancePlan([SplitShard(0, parts=2)]))
+        rebalance(sharded, RebalancePlan([SplitShard(0, parts=2)]))
         assert sharded.num_shards == 4
         assert sharded.partitioner.num_shards == 4
         assert isinstance(sharded.partitioner, HashPartitioner)
@@ -257,7 +253,7 @@ class TestExecution:
         assert sorted(restored.query(query, 14)) == sorted(sharded.query(query, 14))
 
         # A rebalance can then merge the empty shard away entirely.
-        Rebalancer().execute(sharded, RebalancePlan([MergeShards((victim, 3))]))
+        rebalance(sharded, RebalancePlan([MergeShards((victim, 3))]))
         assert sharded.num_shards == 3
         assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
 

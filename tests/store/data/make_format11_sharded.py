@@ -1,15 +1,17 @@
-"""Write ``format10_sharded/``: a format-10 engine snapshot with two sharded
+"""Write ``format11_sharded/``: a format-11 engine snapshot with two sharded
 CardNet attributes, and the merged curves it served when written.
 
 Usage::
 
-    PYTHONPATH=src python tests/store/data/make_format10_sharded.py tests/store/data/format10_sharded
+    PYTHONPATH=src python tests/store/data/make_format11_sharded.py tests/store/data/format11_sharded
 
 ``tests/store/test_engine_roundtrip.py`` loads the directory and checks that
 the merged endpoints still serve ``curves.json`` bit for bit.  The curves and
-the payload equal those of the format-8 and format-9 copies before it; the
+the payload equal those of the format-8 to format-10 copies before it; the
 format-8 one was written while the merged endpoint still summed per-shard
-passes, before shard CardNets were stacked into one pass.
+passes, before shard CardNets were stacked into one pass.  The snapshot is
+saved with an empty serving ledger, so the request latencies the curves took
+to serve are not written and two runs write the same bytes.
 """
 
 import json
@@ -23,6 +25,7 @@ from repro.datasets import make_binary_dataset
 from repro.datasets.synthetic import Dataset
 from repro.engine import SimilarityQueryEngine
 from repro.featurization import build_feature_extractor
+from repro.serving import ServingTelemetry
 from repro.store import save_engine
 
 NUM_SHARDS = 3
@@ -52,7 +55,7 @@ def factory(parent, accelerated):
 def main(directory: Path) -> None:
     dataset = make_binary_dataset(
         num_records=60, dimension=12, num_clusters=3, flip_probability=0.1,
-        theta_max=5, seed=3, name="HM-Format10",
+        theta_max=5, seed=3, name="HM-Format11",
     )
     engine = SimilarityQueryEngine()
     curves = {}
@@ -64,6 +67,7 @@ def main(directory: Path) -> None:
         records = list(engine.catalog.get(name).records[:NUM_RECORDS])
         curves[name] = engine.service.estimate_curve_many(name, records).tolist()
     engine.service.invalidate()
+    engine.service.telemetry = ServingTelemetry()  # no wall-clock readings
     save_engine(engine, directory)
     (directory / "curves.json").write_text(json.dumps(curves, indent=1) + "\n")
     engine.runtime.shutdown()

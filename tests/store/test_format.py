@@ -233,10 +233,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 10  # one metrics ledger (9 = no restore shims)
-        data["version"] = 9
+        assert FORMAT_VERSION == 11  # no rebalance journal (10 = one metrics ledger)
+        data["version"] = 10
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 9\b.*version 10\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 10\b.*version 11\b"):
             load_component(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):

@@ -3,13 +3,13 @@
 Every metric in the repo is a valid Prometheus identifier
 (``[a-z_][a-z0-9_]*``) and every *counter* name ends in ``_total`` —
 the exposition format's convention, and what ``to_prometheus()`` and
-``docs/metrics_catalog.md`` key on.  A camelCase gauge or a ``_total``-less
-counter slips through at runtime (the registry takes any string) and only
+``docs/metrics_catalog.md`` key on.  A camelCase histogram or a
+``_total``-less counter slips through at runtime (the registry takes any string) and only
 breaks later, when a scrape query or a catalog row silently matches
 nothing.
 
 The rule checks every statically-knowable creation site: registry factory
-calls (``registry.counter("...")`` / ``.gauge`` / ``.histogram``) and direct
+calls (``registry.counter("...")`` / ``.histogram``) and direct
 constructions of the :mod:`repro.obs.metrics` classes.  Dynamic names
 (variables, f-strings) are invisible to it by design — the convention is
 enforced where names are spelled out, which is everywhere in this repo.
@@ -26,10 +26,10 @@ from ..context import ContextVisitor
 _IDENTIFIER_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
 #: Registry factory method names, mapped to the metric kind they create.
-_FACTORY_KINDS = {"counter": "counter", "gauge": "gauge", "histogram": "histogram"}
+_FACTORY_KINDS = {"counter": "counter", "histogram": "histogram"}
 
 #: repro.obs.metrics class constructors (resolved through import aliases).
-_CLASS_KINDS = {"Counter": "counter", "Gauge": "gauge", "Histogram": "histogram"}
+_CLASS_KINDS = {"Counter": "counter", "Histogram": "histogram"}
 
 
 class MetricNamingRule(ContextVisitor):

@@ -18,8 +18,8 @@ from-scratch construction is the *job*:
   ``repro/selection/delta.py`` (the rebuild/bootstrap helpers) and
   ``repro/sharding/rebalance.py`` (staging new shard layouts);
 * enclosing functions whose name marks a legitimate reconstruction site —
-  containing ``compact``, ``rebalance``, ``rebuild``, ``bootstrap``, or
-  ``register`` (first-time registration), or ``__init__``.
+  containing ``compact``, ``rebuild``, ``bootstrap``, or ``register``
+  (first-time registration), or ``__init__``.
 
 Everything else is an update-path rebuild and needs either a fix or an
 explicit ``# repro: ignore[RPR010] - reason`` with the justification.
@@ -39,11 +39,10 @@ _ALLOWED_MODULE_SUFFIXES = (
 )
 
 #: An enclosing function with one of these markers is a legitimate
-#: from-scratch construction site (registration, compaction, the rebalance
-#: staging path, or an explicit rebuild entry point).
+#: from-scratch construction site (registration, compaction, or an explicit
+#: rebuild entry point).
 _EXEMPT_FUNCTION_MARKERS = (
     "compact",
-    "rebalance",
     "rebuild",
     "bootstrap",
     "register",
