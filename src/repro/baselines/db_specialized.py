@@ -6,9 +6,10 @@ semi-lattice for Jaccard [46], and LSH-based sampling for Euclidean [76].
 This module provides a faithful-in-spirit implementation of each:
 
 * :class:`HistogramHammingEstimator` — partitions the dimensions into groups,
-  keeps an exact pattern histogram per group, and combines the per-group
-  distance distributions under an independence assumption (convolution), the
-  classic multidimensional-histogram recipe.
+  keeps an exact pattern histogram per group (maintained under inserts and
+  deletes from the Δ rows alone), and combines the per-group distance
+  distributions under an independence assumption (convolution), the classic
+  multidimensional-histogram recipe.
 * :class:`QGramInvertedIndexEstimator` — estimates edit-distance selectivity
   from the q-gram count filter evaluated on an inverted index (records whose
   shared q-gram count passes the filter are counted, without verification).
@@ -46,8 +47,11 @@ from .common import counts_within_thresholds
 _DENSE_CODE_BITS = 16
 
 
-def _pattern_histogram(block: np.ndarray, binary: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``block`` and how often each occurs, in one array pass.
+def _pattern_histogram(
+    block: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``block`` and how often each occurs (the sum of
+    their ``weights``, if given; patterns summing to 0 drop out), in one array pass.
 
     A 0/1 group of at most 16 bits (every group size the repo builds) is one
     integer code per row, counted with ``np.bincount`` and decoded back into
@@ -56,13 +60,18 @@ def _pattern_histogram(block: np.ndarray, binary: bool) -> Tuple[np.ndarray, np.
     every sum over them is exact in any order.
     """
     width = block.shape[1]
-    if not binary or width > _DENSE_CODE_BITS:
-        return np.unique(block, axis=0, return_counts=True)
-    shifts = np.arange(width, dtype=np.int64)
-    codes = (block.astype(np.int64) << shifts).sum(axis=1)
-    counts = np.bincount(codes, minlength=1 << width)
-    distinct = np.flatnonzero(counts)
-    return ((distinct[:, None] >> shifts) & 1).astype(np.uint8), counts[distinct]
+    if block.max(initial=0) > 1 or width > _DENSE_CODE_BITS:
+        patterns, inverse = np.unique(block, axis=0, return_inverse=True)
+        counts = np.bincount(inverse.reshape(-1), weights, minlength=len(patterns))
+        distinct = np.flatnonzero(counts)
+        patterns = patterns[distinct]
+    else:
+        shifts = np.arange(width, dtype=np.int64)
+        codes = (block.astype(np.int64) << shifts).sum(axis=1)
+        counts = np.bincount(codes, weights, minlength=1 << width)
+        distinct = np.flatnonzero(counts)
+        patterns = ((distinct[:, None] >> shifts) & 1).astype(np.uint8)
+    return patterns, counts[distinct].astype(np.int64)
 
 
 class HistogramHammingEstimator(CardinalityEstimator):
@@ -86,13 +95,36 @@ class HistogramHammingEstimator(CardinalityEstimator):
             start = stop
         # Pattern histogram per group, stored as (patterns matrix, counts vector)
         # so the batch kernel can compare every query against every pattern at once.
-        binary = matrix.max(initial=0) <= 1
         self._pattern_matrices: List[np.ndarray] = []
         self._pattern_counts: List[np.ndarray] = []
         for start, stop in self._groups:
-            patterns, counts = _pattern_histogram(matrix[:, start:stop], binary)
+            patterns, counts = _pattern_histogram(matrix[:, start:stop])
             self._pattern_matrices.append(patterns)
-            self._pattern_counts.append(counts.astype(np.float64))
+            self._pattern_counts.append(counts)
+
+    def counts_after(self, inserted: np.ndarray, removed: np.ndarray) -> tuple:
+        """The histogram once the ``inserted`` rows are added and the
+        ``removed`` ones (counted now) taken out, from the stored patterns and
+        the Δ rows alone: O(patterns + Δ), not O(rows).  Changes nothing;
+        :meth:`adopt_counts` takes the result."""
+        delta = np.concatenate([inserted, removed]).astype(np.uint8)
+        weights = np.repeat([1.0, -1.0], [len(inserted), len(removed)])
+        matrices, counts = [], []
+        for (start, stop), patterns, stored in zip(
+            self._groups, self._pattern_matrices, self._pattern_counts
+        ):
+            group_patterns, group_counts = _pattern_histogram(
+                np.concatenate([patterns, delta[:, start:stop]]),
+                np.concatenate([stored, weights]),
+            )
+            if group_counts.size and group_counts.min() < 0:
+                raise ValueError("removed rows are not in the histogram")
+            matrices.append(group_patterns)
+            counts.append(group_counts)
+        return self._num_records + len(inserted) - len(removed), matrices, counts
+
+    def adopt_counts(self, counts: tuple) -> None:
+        self._num_records, self._pattern_matrices, self._pattern_counts = counts
 
     def _distance_distributions(self, queries: np.ndarray) -> np.ndarray:
         """Convolved distance distribution per query: (n, dimension + 1)."""

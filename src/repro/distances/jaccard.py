@@ -38,31 +38,16 @@ class JaccardDistance(DistanceFunction):
     def distance(self, x: SetLike, y: SetLike) -> float:
         return 1.0 - jaccard_similarity(x, y)
 
-    def cross_distances(self, queries: Sequence[SetLike], dataset: Sequence[SetLike]) -> np.ndarray:
-        """Pairwise Jaccard distances via a token-membership matrix product."""
-        if len(queries) == 0:
-            return np.zeros((0, len(dataset)))
-        query_sets = [as_frozenset(record) for record in queries]
-        data_sets = [as_frozenset(record) for record in dataset]
-        vocabulary = {token: i for i, token in enumerate(set().union(*query_sets, *data_sets))}
-        if not vocabulary:
-            # All sets empty: every pair is identical by convention.
-            return np.zeros((len(queries), len(dataset)))
-
-        def membership(sets: Sequence[FrozenSet]) -> np.ndarray:
-            matrix = np.zeros((len(sets), len(vocabulary)), dtype=np.float64)
-            for row, tokens in enumerate(sets):
-                for token in tokens:
-                    matrix[row, vocabulary[token]] = 1.0
-            return matrix
-
-        query_matrix = membership(query_sets)
-        data_matrix = membership(data_sets)
-        intersection = query_matrix @ data_matrix.T
-        sizes_q = query_matrix.sum(axis=1)[:, None]
-        sizes_d = data_matrix.sum(axis=1)[None, :]
-        union = sizes_q + sizes_d - intersection
-        similarity = np.divide(
-            intersection, union, out=np.ones_like(intersection), where=union > 0
+    def distances_to(self, x: SetLike, dataset: Sequence[SetLike]) -> np.ndarray:
+        """Exact intersections by C-level set operations, one per row: the
+        same integers :func:`jaccard_similarity` divides, so the same floats.
+        ``cross_distances`` is one such row per query (the base default)."""
+        query = as_frozenset(x)
+        rows = list(map(as_frozenset, dataset))
+        intersection = np.fromiter(
+            map(len, map(query.intersection, rows)), dtype=np.int64, count=len(rows)
         )
+        union = len(query) + np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        union -= intersection
+        similarity = np.divide(intersection, union, out=np.ones(len(rows)), where=union > 0)
         return 1.0 - similarity

@@ -162,9 +162,9 @@ class SimilarityQueryEngine:
         it happens.  The exact index ``selector`` says which family they are
         and ``estimators`` holds one per maintenance unit: the attribute's own
         endpoint plus a ``::partJ`` histogram per part of a pigeonhole index
-        (after an update no estimator is passed: only the histograms, which
-        summarize the rows, are rebuilt), or ``#shardK`` per shard plus the
-        merged endpoint (at registration, and again for a rebalanced layout).
+        (at registration; updates keep the histograms by their delta, see
+        :meth:`apply_update`), or ``#shardK`` per shard plus the merged
+        endpoint (at registration, and again for a rebalanced layout).
 
         Callers have validated what is cheap (options, the catalog's say on
         name and rows) and built what is dear (index, estimators), touching
@@ -177,10 +177,7 @@ class SimilarityQueryEngine:
         comes down again, what it replaced is restored whole.
         """
         binding = self.catalog.get(name) if records is None else None
-        if estimators:
-            grid, canonical = resolve_curve_grid(
-                estimators, curve_thetas, theta_max, distance_name
-            )
+        grid, canonical = resolve_curve_grid(estimators, curve_thetas, theta_max, distance_name)
         sharded = isinstance(selector, ShardedSelector)
         if sharded:
             names = ShardedEstimatorGroup.endpoints_for(name, len(estimators))
@@ -189,16 +186,12 @@ class SimilarityQueryEngine:
                 curve_thetas=grid, distance_name=distance_name,
             )
         else:
-            endpoints = self._part_endpoints(
-                name, selector, records if binding is None else binding.records
-            )
-            if estimators:
-                own = {"curve_thetas": None if canonical else grid, "distance_name": distance_name}
-                endpoints.insert(0, (name, estimators[0], own))
+            own = {"curve_thetas": None if canonical else grid, "distance_name": distance_name}
+            endpoints = [(name, estimators[0], own), *self._part_endpoints(name, selector, records)]
             names = [endpoint for endpoint, _, _ in endpoints]
             up = functools.partial(self.service.register_all, endpoints)
         replacing = [] if binding is None else [
-            *binding.shard_endpoints, *binding.part_endpoints, *([name] if estimators else [])
+            *binding.shard_endpoints, *binding.part_endpoints, name
         ]
         taken = [e for e in names if e in self.service.registry and e not in replacing]
         if taken:
@@ -267,8 +260,9 @@ class SimilarityQueryEngine:
     @staticmethod
     def _part_endpoints(name: str, selector: SimilaritySelector, records) -> List[Tuple]:
         """One histogram endpoint per part of a pigeonhole index (none for any
-        other), over the current rows — the histograms summarize the data, so
-        stale ones would mis-allocate."""
+        other), built over the registered rows.  From then on
+        :meth:`apply_update` keeps each by its delta — the histograms
+        summarize the data, so stale ones would mis-allocate."""
         if not isinstance(selector, PigeonholeHammingSelector):
             return []
         matrix = np.asarray(records, dtype=np.uint8)
@@ -308,7 +302,8 @@ class SimilarityQueryEngine:
         over the shard's records, or the distance's default selector), and
         ``estimator_factory(shard_records, shard_index)`` supplies one
         estimator per shard (called once per shard, in shard order, with a
-        list of that shard's rows — here and at a rebalance).  Serving endpoints:
+        list of that shard's rows — here, and at a rebalance for each shard it
+        builds).  Serving endpoints:
         ``name#shardK`` per shard plus a merged ``name`` endpoint whose curves
         sum the shard estimators' curves in shard order, in one request and,
         for shard CardNets of one configuration, one stacked model pass — the
@@ -373,8 +368,9 @@ class SimilarityQueryEngine:
         Without an explicit ``plan``, one is derived from the current shard
         sizes (:func:`~repro.sharding.suggest_plan`); a balanced layout
         returns ``None`` without doing anything.  The new shards and then
-        their serving estimators (the registered factory, over each new
-        shard's rows) are staged while the old layout serves; only then do
+        their serving estimators (the registered factory, over each built
+        shard's rows; a shard the plan leaves as it was keeps its estimator)
+        are staged while the old layout serves; only then do
         the ``name#shardK`` endpoints swap (same curve grid) and the selector
         its layout, atomically.  If anything fails — the factory, or a swap
         refused because an update landed since staging — the old layout,
@@ -399,8 +395,12 @@ class SimilarityQueryEngine:
                 return None
         with span("engine.rebalance", attribute=name, actions=len(plan)):
             staged = stage(selector, plan, partitioner)
+            # An aliased target is a shard the old layout already serves:
+            # its estimator carries over; only built targets are trained.
+            aliased, current = staged.resolved.aliased, self._groups[name].estimators
             estimators = [
-                factory(staged.shard_records(target), target)
+                current[aliased[target]] if target in aliased
+                else factory(staged.shard_records(target), target)
                 for target in range(len(staged.shards))
             ]
             self._bring_up(
@@ -655,6 +655,9 @@ class SimilarityQueryEngine:
                 return ShardedUpdateReport(operation_index, [], len(binding))
             manager = managers.get(0)
             return None if manager is None else manager.process(operation, operation_index)
+        # Staged before anything changes: parts that cannot take the delta
+        # leave index, column and every part as they were.
+        parts = self._staged_part_histograms(binding, operation) if binding.uses_gph else []
         routing = (
             binding.selector.route_operation(operation) if binding.sharded else None
         )
@@ -673,10 +676,9 @@ class SimilarityQueryEngine:
                 apply(operation.records)
         binding.apply_column_delta(operation)
         if routing is None:
-            if binding.uses_gph:
-                # Fresh histograms for the changed rows; if they cannot come
-                # up the stale family is back whole and the error propagates.
-                self._bring_up(name, binding.distance.name, binding.selector, None)
+            for endpoint, estimator, counts in parts:
+                estimator.adopt_counts(counts)
+                self.service.invalidate(endpoint)
             return reports.get(0)
         binding.selector.apply_routed(routing, applied_shards=reports)
         # Merged curves are sums over every shard — stale whenever any shard
@@ -688,6 +690,22 @@ class SimilarityQueryEngine:
             dataset_size=len(binding),
             reports=reports,
         )
+
+    def _staged_part_histograms(self, binding: AttributeBinding, operation) -> List[Tuple]:
+        """``(endpoint, estimator, counts)`` per ``::partJ`` histogram: its
+        counts once ``operation`` lands, from the Δ rows alone (a delete's
+        read from the column before it changes), every part before any is adopted."""
+        insert = operation.kind == "insert"
+        rows = np.asarray(
+            operation.records if insert else binding.values_at(operation.records), dtype=np.uint8
+        )
+        inserted, removed = (rows, rows[:0]) if insert else (rows[:0], rows)
+        staged = []
+        for endpoint, (lo, hi) in zip(binding.part_endpoints, binding.selector.parts):
+            estimator = self.service.registry.get(endpoint).estimator
+            counts = estimator.counts_after(inserted[:, lo:hi], removed[:, lo:hi])
+            staged.append((endpoint, estimator, counts))
+        return staged
 
     # ------------------------------------------------------------------ #
     # Health

@@ -6,7 +6,8 @@ binary vectors by splitting the dimensions into ``m`` parts and allocating a
 per-part threshold with the general pigeonhole principle: if the allocated
 thresholds satisfy ``Σ_i t_i >= θ - m + 1``, every true result collides with
 the query in at least one part within that part's threshold.  Candidates are
-the union of per-part index lookups and are then verified exactly.
+the rows where some part collides within its threshold — one masked popcount
+pass per part over the packed rows — and are then verified exactly.
 
 The *query optimizer* chooses the allocation that minimizes the sum of the
 estimated per-part cardinalities (a dynamic program over parts × budget).

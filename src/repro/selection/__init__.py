@@ -14,7 +14,6 @@ from .euclidean_index import BallIndexEuclideanSelector
 from .hamming_index import (
     PackedHammingSelector,
     PigeonholeHammingSelector,
-    enumerate_within_radius,
     split_dimensions,
 )
 from .jaccard_index import PrefixFilterJaccardSelector
@@ -35,7 +34,6 @@ __all__ = [
     "PrefixFilterJaccardSelector",
     "BallIndexEuclideanSelector",
     "split_dimensions",
-    "enumerate_within_radius",
     "qgrams",
 ]
 

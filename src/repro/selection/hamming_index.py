@@ -9,21 +9,19 @@ Two selectors are provided:
   ICDE 2018) that the paper's second query-optimizer case study builds on: the
   dimensions are split into ``m`` parts; a record can only be within Hamming
   distance ``θ`` of the query if at least one part is within the threshold
-  allocated to that part (general pigeonhole principle).  Candidate sets are
-  retrieved from per-part inverted indexes keyed by the part's bit pattern
-  enumerated within the allocated radius, then verified exactly.
+  allocated to that part (general pigeonhole principle).  Candidates come from
+  the same packed words: part ``j`` collides when
+  ``popcount((row ^ q) & mask_j) <= t_j``, one masked pass per part over the
+  words that part's bits fall in; they are then verified exactly.
 
 Both maintain their indexes under updates in O(Δ): inserts append packed rows
-to capacity-doubling stores (and, for GPH, physical ids to the part buckets);
-deletes tombstone rows that query paths mask out (see
-:mod:`repro.selection.delta`).
+to capacity-doubling stores; deletes tombstone rows that query paths mask out
+(see :mod:`repro.selection.delta`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,9 +67,13 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
 
     def distances(self, record) -> np.ndarray:
         """All Hamming distances from ``record`` to the dataset (used by workloads)."""
-        query_words = pack_bits_words(pack_bits(np.asarray(record, dtype=np.uint8)))[0]
-        distances = packed_hamming_distances_words(query_words, self._packed64.view())
+        distances = packed_hamming_distances_words(
+            self._query_words(record), self._packed64.view()
+        )
         return self._live_rows(distances)
+
+    def _query_words(self, record) -> np.ndarray:
+        return pack_bits_words(pack_bits(np.asarray(record, dtype=np.uint8)))[0]
 
     # ------------------------------------------------------------------ #
     # Delta maintenance hooks
@@ -116,53 +118,33 @@ def split_dimensions(dimension: int, part_size: int) -> List[Tuple[int, int]]:
     return parts
 
 
-def enumerate_within_radius(bits: np.ndarray, radius: int) -> List[bytes]:
-    """Enumerate all bit patterns within Hamming distance ``radius`` of ``bits``.
+class PigeonholeHammingSelector(PackedHammingSelector):
+    """GPH-style exact selection: per-part masked scans + pigeonhole allocation.
 
-    Patterns are returned as ``bytes`` keys suitable for dictionary lookup.
-    The number of patterns is ``sum_{k<=radius} C(len(bits), k)``, so callers
-    must keep part sizes and radii small (as GPH does).
+    The packed store, its delta hooks and the ``cardinality_curve`` scan are
+    :class:`PackedHammingSelector`'s; ``query`` verifies the candidates of an
+    allocation instead of scanning every row.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    width = len(bits)
-    keys: List[bytes] = []
-    for flip_count in range(0, radius + 1):
-        for positions in combinations(range(width), flip_count):
-            candidate = bits.copy()
-            for position in positions:
-                candidate[position] ^= 1
-            keys.append(candidate.tobytes())
-    return keys
 
-
-class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
-    """GPH-style exact selection: per-part inverted indexes + pigeonhole allocation."""
-
-    distance = HammingDistance()
-    _SNAPSHOT_DROP = ("_packed64",)
+    _SNAPSHOT_DROP = ("_packed64", "_part_masks")
 
     def __init__(self, dataset: Sequence, part_size: int = 16) -> None:
-        super().__init__([np.asarray(record, dtype=np.uint8) for record in dataset])
-        if self._dataset:
-            matrix = np.stack(self._dataset)
-        else:
-            matrix = np.zeros((0, 1), dtype=np.uint8)
-        self._dimension = matrix.shape[1] if matrix.size else 0
+        super().__init__(dataset)
         self.parts = split_dimensions(self._dimension, part_size)
-        self._matrix = GrowableArray(matrix)
-        self._packed = GrowableArray(
-            pack_bits(matrix) if matrix.size else np.zeros((0, 1), dtype=np.uint8)
-        )
-        self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))
-        # One inverted index per part: bit pattern (bytes) -> physical row ids.
-        self._part_indexes: List[Dict[bytes, List[int]]] = []
+        self._mask_parts()
+
+    def _restore_derived(self) -> None:
+        super()._restore_derived()
+        self._mask_parts()
+
+    def _mask_parts(self) -> None:
+        """Per part: the slice of words its bits fall in and its 1-bit mask there."""
+        self._part_masks: List[Tuple[slice, np.ndarray]] = []
         for start, stop in self.parts:
-            index: Dict[bytes, List[int]] = defaultdict(list)
-            for record_id in range(len(matrix)):
-                key = matrix[record_id, start:stop].tobytes()
-                index[key].append(record_id)
-            self._part_indexes.append(dict(index))
-        self._init_delta()
+            bits = np.zeros(self._dimension, dtype=np.uint8)
+            bits[start:stop] = 1
+            words = slice(start // 64, (stop - 1) // 64 + 1)
+            self._part_masks.append((words, pack_bits_words(pack_bits(bits))[0][words]))
 
     # ------------------------------------------------------------------ #
     # Threshold allocation
@@ -188,23 +170,22 @@ class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
         return allocation
 
     def candidates(self, record: np.ndarray, allocation: Sequence[int]) -> np.ndarray:
-        """Union of per-part candidate sets under the given threshold allocation.
+        """Ascending live ids of the rows that collide with ``record`` in some
+        part ``j`` within ``allocation[j]`` bits (tombstoned rows are masked out)."""
+        return self._view.to_logical(self._candidate_rows(self._query_words(record), allocation))
 
-        Returned ids index the live dataset (tombstoned rows are masked out).
-        """
-        record = np.asarray(record, dtype=np.uint8)
-        candidate_ids: set[int] = set()
-        for (start, stop), radius, index in zip(self.parts, allocation, self._part_indexes):
-            part_bits = record[start:stop]
-            for key in enumerate_within_radius(part_bits, int(radius)):
-                bucket = index.get(key)
-                if bucket:
-                    candidate_ids.update(bucket)
-        physical = np.fromiter(candidate_ids, dtype=np.int64, count=len(candidate_ids))
-        if self._view.is_compact:
-            return physical
-        physical = physical[self._view.alive_rows[physical]]
-        return self._view.to_logical(physical)
+    def _candidate_rows(self, query_words: np.ndarray, allocation: Sequence[int]) -> np.ndarray:
+        """Ascending live physical rows where ``popcount((row ^ q) & mask_j) <= t_j``
+        for some part ``j``: one pass over the packed words per part, reading
+        only the words the part's mask touches."""
+        xor = np.bitwise_xor(self._packed64.view(), query_words[None, :])
+        hit = np.zeros(len(xor), dtype=bool)
+        for (words, mask), radius in zip(self._part_masks, allocation):
+            counts = np.bitwise_count(xor[:, words] & mask)
+            hit |= (counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)) <= radius
+        if not self._view.is_compact:
+            hit &= self._view.alive_rows
+        return np.flatnonzero(hit)
 
     # ------------------------------------------------------------------ #
     # Query answering
@@ -235,63 +216,16 @@ class PigeonholeHammingSelector(DeltaIndexMixin, SimilaritySelector):
             return [], 0
         if allocation is None:
             allocation = self.uniform_allocation(threshold_int)
-        record = np.asarray(record, dtype=np.uint8)
-        candidate_ids = self.candidates(record, allocation)
-        if candidate_ids.size == 0:
-            return [], 0
-        physical_ids = (
-            candidate_ids
-            if self._view.is_compact
-            else self._view.live_physical[candidate_ids]
-        )
-        query_words = pack_bits_words(pack_bits(record))[0]
-        distances = packed_hamming_distances_words(
-            query_words, self._packed64.view()[physical_ids]
-        )
-        matches = candidate_ids[distances <= threshold_int]
-        return sorted(int(i) for i in matches), int(candidate_ids.size)
-
-    def cardinality_curve(self, record, thresholds) -> np.ndarray:
-        """One packed XOR+popcount scan answers every threshold."""
-        thresholds = np.asarray(thresholds, dtype=np.float64)
-        if thresholds.size == 0 or len(self) == 0:
-            return np.zeros(thresholds.size, dtype=np.int64)
-        query_words = pack_bits_words(pack_bits(np.asarray(record, dtype=np.uint8)))[0]
-        distances = self._live_rows(
-            packed_hamming_distances_words(query_words, self._packed64.view())
-        )
-        return np.count_nonzero(
-            distances[None, :] <= integer_radius(thresholds)[:, None], axis=1
-        ).astype(np.int64)
+        query_words = self._query_words(record)
+        rows = self._candidate_rows(query_words, allocation)
+        distances = packed_hamming_distances_words(query_words, self._packed64.view()[rows])
+        matches = self._view.to_logical(rows[distances <= threshold_int])
+        return matches.tolist(), int(rows.size)
 
     def candidate_count(self, record, allocation: Sequence[int]) -> int:
         """Number of candidates produced by an allocation (query-optimizer cost)."""
-        return int(self.candidates(np.asarray(record, dtype=np.uint8), allocation).size)
+        return int(self._candidate_rows(self._query_words(record), allocation).size)
 
     def rebuild(self, dataset: Sequence) -> "PigeonholeHammingSelector":
         part_size = self.parts[0][1] - self.parts[0][0] if self.parts else 16
         return PigeonholeHammingSelector(dataset, part_size=part_size)
-
-    # ------------------------------------------------------------------ #
-    # Delta maintenance hooks
-    # ------------------------------------------------------------------ #
-    def _normalize_record(self, record) -> np.ndarray:
-        return np.asarray(record, dtype=np.uint8)
-
-    def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
-        matrix = np.stack(records)
-        if matrix.shape[1] != self._dimension:
-            raise ValueError(
-                f"inserted records have {matrix.shape[1]} dimensions, index has {self._dimension}"
-            )
-        self._matrix.append(matrix)
-        packed = pack_bits(matrix)
-        self._packed.append(packed)
-        self._packed64.append(pack_bits_words(packed))
-        for row, physical_id in enumerate(physical_ids):
-            for (start, stop), index in zip(self.parts, self._part_indexes):
-                key = matrix[row, start:stop].tobytes()
-                index.setdefault(key, []).append(int(physical_id))
-
-    def _restore_derived(self) -> None:
-        self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))

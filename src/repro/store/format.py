@@ -79,7 +79,12 @@ FORMAT_NAME = "repro-snapshot"
 #  11 — a rebalance is one staged build and one checked swap: a version-10
 #       ShardedSelector carries the update journal of a rebalance, and
 #       nothing reads it now.
-FORMAT_VERSION = 11
+#  12 — GPH at array speed: a version-11 PigeonholeHammingSelector carries
+#       one dict of row ids per part and an unpacked row copy (`_matrix`)
+#       that nothing reads now (candidates come from the packed words), and
+#       a version-11 HistogramHammingEstimator float pattern counts where
+#       updates now add and subtract integer ones.
+FORMAT_VERSION = 12
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -417,7 +417,7 @@ class TestUpdates:
         before = list(binding.part_endpoints)
         engine.apply_update("hm", UpdateOperation("delete", [0, 1, 2]))
         assert len(binding.records) == len(binary_dataset.records) - 3
-        assert binding.part_endpoints == before  # same names, fresh histograms
+        assert binding.part_endpoints == before  # same endpoints, kept by the delta
         ground_truth = LinearScanSelector(binding.records, get_distance("hamming"))
         record = binding.records[0]
         result = engine.execute(SimilarityPredicate("hm", record, 5.0))

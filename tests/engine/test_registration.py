@@ -1,10 +1,11 @@
 """The engine's one registration path: all or nothing, on one curve grid.
 
 Every way an attribute's serving endpoints come up — ``register_attribute``
-(its own endpoint, plus ``::partJ`` for a pigeonhole index), the per-part
-rebuild after an update, ``register_sharded_attribute`` (``#shardK`` plus the
-merged endpoint) and ``rebalance_attribute`` (the same for the new layout) —
-runs through one routine.  The first half of this file makes each of them fail
+(its own endpoint, plus ``::partJ`` for a pigeonhole index),
+``register_sharded_attribute`` (``#shardK`` plus the merged endpoint) and
+``rebalance_attribute`` (the same for the new layout) — runs through one
+routine; an update keeps the ``::partJ`` histograms by its delta, all parts or
+none.  The first half of this file makes each of them fail
 at every failure point that exists and checks that catalog, registry, the
 binding's endpoint lists, the engine's group / manager maps and the selector's
 layout are what they were before the call, that a seeded query sample still
@@ -25,7 +26,8 @@ from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.selection import LinearScanSelector
 from repro.serving import EstimationService
 from repro.sharding import (
-    HashPartitioner, MergeShards, RebalancePlan, SplitShard, StaleRebalanceError,
+    HashPartitioner, MergedShardEstimator, MergeShards, RebalancePlan, SplitShard,
+    StaleRebalanceError,
 )
 
 ROWS, WIDTH, THETA_MAX = 120, 32, 12
@@ -246,9 +248,45 @@ def test_factory_is_called_once_per_shard_in_order_with_lists(engine, dataset):
     assert seen == [(k, list, size) for k, size in enumerate(binding.selector.shard_sizes())]
     del seen[:]
     engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
-    assert seen == [(k, list, size) for k, size in enumerate(binding.selector.shard_sizes())]
-    for (_, _, size), shard in zip(seen, binding.selector.shards):
-        assert size == len(shard)
+    sizes = binding.selector.shard_sizes()
+    assert seen == [(k, list, sizes[k]) for k in (0, 4)]  # the built targets only
+    for shard_index, _, size in seen:
+        assert size == len(binding.selector.shards[shard_index])
+
+
+def curves(engine, endpoints, records):
+    engine.service.invalidate()  # computed now, not read back from the cache
+    return {e: engine.service.estimate_curve_many(e, records) for e in endpoints}
+
+
+def test_a_rebalance_trains_only_the_shards_it_builds(engine, dataset):
+    """``SplitShard(0)`` on 4 shards builds targets 0 and 4; targets 1-3 are
+    the old shards 1-3 and keep their estimators.  Their endpoints and the
+    merged one answer exactly what retraining every target would."""
+    calls = []
+
+    def counting(shard_records, shard_index):
+        calls.append(shard_index)
+        return sampler(shard_records)  # a function of the rows alone
+
+    binding = sharded(engine, dataset.records, estimator_factory=counting, num_shards=4)
+    group = engine.shard_group("y")
+    kept = group.estimators[1:]
+    records = list(np.asarray(binding.records)[:12])
+    untouched = [f"y#shard{k}" for k in (1, 2, 3)]
+    before = curves(engine, untouched, records)
+    del calls[:]
+    engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
+    assert calls == [0, 4]
+    group = engine.shard_group("y")
+    assert group.estimators[1:4] == kept
+    after = curves(engine, untouched + ["y"], records)
+    for endpoint in untouched:
+        assert np.array_equal(after[endpoint], before[endpoint]), endpoint
+    retrained = MergedShardEstimator(
+        [sampler(shard.dataset) for shard in binding.selector.shards], group.curve_thetas
+    )
+    assert np.array_equal(after["y"], retrained.estimate_curve_many(records, group.curve_thetas))
 
 
 def test_a_backend_other_than_thread_is_refused_before_anything_is_built(engine, dataset):
@@ -278,62 +316,43 @@ def new_rows(count=5, seed=3):
     return rng.integers(0, 2, size=(count, WIDTH), dtype=np.uint8)
 
 
+def part_tables(engine, name="y"):
+    """Each ``::partJ`` histogram's row count, patterns and counts, copied."""
+    tables = []
+    for endpoint in engine.catalog.get(name).part_endpoints:
+        estimator = engine.service.registry.get(endpoint).estimator
+        tables.append((
+            estimator._num_records,
+            [patterns.tobytes() for patterns in estimator._pattern_matrices],
+            [counts.tolist() for counts in estimator._pattern_counts],
+        ))
+    return tables
+
+
 def test_part_swap_that_cannot_build_keeps_the_old_family(gph_engine, dataset, monkeypatch):
-    import repro.engine.engine as engine_module
-
+    """A part histogram that cannot take the delta (``y::part2`` raises, after
+    parts 0 and 1 computed theirs) leaves every part, the index and the
+    column as they were: all parts are staged before any is adopted."""
     engine = gph_engine
-    before = state(engine)
-    built = []
+    before, tables = state(engine), part_tables(engine)
+    part2 = engine.service.registry.get("y::part2").estimator
 
-    def exploding_histogram(matrix):
-        built.append(matrix.shape)
-        if len(built) == 3:
-            raise RuntimeError("histogram exploded")
-        return HistogramHammingEstimator(matrix)
+    def exploding(inserted, removed):
+        raise RuntimeError("histogram exploded")
 
-    monkeypatch.setattr(engine_module, "HistogramHammingEstimator", exploding_histogram)
+    monkeypatch.setattr(part2, "counts_after", exploding)
     with pytest.raises(RuntimeError, match="histogram exploded"):
         engine.apply_update("y", UpdateOperation("insert", new_rows()))
     monkeypatch.undo()
-    # Nothing was unregistered: the very same (now stale) part family serves.
-    assert state(engine) == before
-    assert len(engine.catalog.get("y")) == ROWS + 5  # the rows did change
-    engine.apply_update("x", UpdateOperation("insert", new_rows()))
-    assert_exact(engine)  # answers never read an estimate
+    assert state(engine) == before and part_tables(engine) == tables
+    binding = engine.catalog.get("y")
+    assert len(binding) == len(binding.selector) == ROWS  # nothing landed
+    assert_exact(engine)
     engine.apply_update("y", UpdateOperation("delete", [0, 1]))
     engine.apply_update("x", UpdateOperation("delete", [0, 1]))
-    assert state(engine)["registry"] != before["registry"]  # fresh histograms
+    assert state(engine) == before  # the same endpoints, kept by the delta
+    assert part_tables(engine) != tables
     assert_exact(engine)
-
-
-def test_part_swap_that_cannot_register_restores_the_old_family(
-    gph_engine, dataset, monkeypatch
-):
-    """Torn-parts, update side: at the parent a refusal on ``y::part2`` left 2
-    of 4 part endpoints behind a binding that still said ``uses_gph``."""
-    engine = gph_engine
-    before = state(engine)
-    register = engine.service.register
-    refused = []
-
-    def refusing(name, estimator, **options):
-        if name == "y::part2" and not refused:
-            refused.append(name)
-            raise KeyError("estimator 'y::part2' is already registered")
-        return register(name, estimator, **options)
-
-    monkeypatch.setattr(engine.service, "register", refusing)
-    with pytest.raises(KeyError):
-        engine.apply_update("y", UpdateOperation("insert", new_rows()))
-    monkeypatch.undo()
-    # The pre-update family is back whole: same estimators, grids and flags.
-    assert refused and state(engine) == before
-    binding = engine.catalog.get("y")
-    assert binding.uses_gph and len(binding.part_endpoints) == 4
-    engine.apply_update("x", UpdateOperation("insert", new_rows()))
-    assert_exact(engine)
-    record = np.asarray(binding.records)[3]
-    assert engine.explain(SimilarityPredicate("y", record, 6.0)).allocation is not None
 
 
 @pytest.fixture
@@ -368,14 +387,19 @@ def assert_rebalance_left_nothing(engine, before):
 
 @pytest.mark.parametrize("fail_on", [0, 1, 4])
 def test_factory_raising_during_rebalance(sharded_engine, fail_on):
-    """Torn-rebalance reproduction: at the parent a factory failing on the
-    second new shard left 5 index shards behind 4 shard endpoints, and the next
-    ``apply_update`` raised ``IndexError``."""
+    """Torn-rebalance reproduction: a factory failing on the second new shard
+    once left 5 index shards behind 4 shard endpoints, and the next
+    ``apply_update`` raised ``IndexError``.  The plan builds five targets
+    (0, 1, 4, 5, 6); ``fail_on`` is the first, second and last of them."""
     engine = sharded_engine
     before = state(engine)
-    engine.set_estimator_factory("y", ExplodingFactory(fail_on))
+    factory_ = ExplodingFactory(fail_on)
+    engine.set_estimator_factory("y", factory_)
     with pytest.raises(RuntimeError, match="exploded"):
-        engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
+        engine.rebalance_attribute(
+            "y", RebalancePlan([SplitShard(0, parts=2), SplitShard(1, parts=3)])
+        )
+    assert factory_.calls == [0, 1, 4, 5, 6][: fail_on + 1]
     engine.set_estimator_factory("y", factory)
     assert_rebalance_left_nothing(engine, before)
 
@@ -428,6 +452,53 @@ def test_update_landing_before_the_swap_refuses_the_rebalance(engine, dataset):
     report = engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
     assert report.num_shards_after == 5 == len(binding.shard_endpoints)
     assert_exact(engine)
+
+
+def cardnet_factory(parent):
+    """Tiny untrained CardNets: one configuration, so the merged endpoint
+    answers through one stacked pass over every shard's parameters."""
+    from repro.core import CardNetConfig, CardNetEstimator
+    from repro.datasets.synthetic import Dataset
+    from repro.featurization import build_feature_extractor
+
+    def build(shard_records, shard_index):
+        shard = Dataset(
+            name=parent.name, records=shard_records, distance_name="hamming",
+            theta_max=parent.theta_max,
+            cluster_labels=np.zeros(len(shard_records), dtype=np.int64),
+            extra=dict(parent.extra),
+        )
+        config = CardNetConfig(
+            vae_latent_dimension=3, vae_hidden_sizes=(6,), distance_embedding_dimension=2,
+            embedding_dimension=4, encoder_hidden_sizes=(6, 5),
+        )
+        return CardNetEstimator(build_feature_extractor(shard), config=config, seed=shard_index)
+
+    return build
+
+
+def test_a_stale_swap_leaves_the_old_family_serving_its_curves(engine, dataset):
+    """The kept estimators are stacked into the new merged endpoint before
+    the swap is refused; the old family still answers bit for bit."""
+    build = cardnet_factory(dataset)
+    binding = sharded(engine, dataset.records, estimator_factory=build, num_shards=4)
+    endpoints = [*binding.shard_endpoints, "y"]
+    records = list(np.asarray(binding.records)[:10])
+    before = curves(engine, endpoints, records)
+    kept = list(engine.shard_group("y").estimators)
+
+    def updating(shard_records, shard_index):
+        if shard_index == 0:
+            engine.apply_update("y", UpdateOperation("insert", new_rows()))
+        return build(shard_records, shard_index)
+
+    engine.set_estimator_factory("y", updating)
+    with pytest.raises(StaleRebalanceError):
+        engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
+    assert engine.shard_group("y").estimators == kept
+    after = curves(engine, endpoints, records)
+    for endpoint in endpoints:
+        assert np.array_equal(after[endpoint], before[endpoint]), endpoint
 
 
 # --------------------------------------------------------------------------- #

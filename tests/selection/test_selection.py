@@ -21,7 +21,6 @@ from repro.selection import (
     PrefixFilterJaccardSelector,
     QGramEditSelector,
     default_selector,
-    enumerate_within_radius,
     qgrams,
     split_dimensions,
 )
@@ -73,12 +72,6 @@ class TestPigeonholeHamming:
     def test_split_dimensions_invalid(self):
         with pytest.raises(ValueError):
             split_dimensions(10, 0)
-
-    def test_enumerate_within_radius_counts(self):
-        bits = np.zeros(4, dtype=np.uint8)
-        assert len(enumerate_within_radius(bits, 0)) == 1
-        assert len(enumerate_within_radius(bits, 1)) == 5
-        assert len(enumerate_within_radius(bits, 2)) == 11
 
     def test_uniform_allocation_sums_to_threshold(self, binary_dataset):
         selector = PigeonholeHammingSelector(binary_dataset.records, part_size=8)

@@ -1,13 +1,13 @@
-"""Write ``format11_sharded/``: a format-11 engine snapshot with two sharded
+"""Write ``format12_sharded/``: a format-12 engine snapshot with two sharded
 CardNet attributes, and the merged curves it served when written.
 
 Usage::
 
-    PYTHONPATH=src python tests/store/data/make_format11_sharded.py tests/store/data/format11_sharded
+    PYTHONPATH=src python tests/store/data/make_format12_sharded.py tests/store/data/format12_sharded
 
 ``tests/store/test_engine_roundtrip.py`` loads the directory and checks that
 the merged endpoints still serve ``curves.json`` bit for bit.  The curves and
-the payload equal those of the format-8 to format-10 copies before it; the
+the payload equal those of the format-8 to format-11 copies before it; the
 format-8 one was written while the merged endpoint still summed per-shard
 passes, before shard CardNets were stacked into one pass.  The snapshot is
 saved with an empty serving ledger, so the request latencies the curves took
