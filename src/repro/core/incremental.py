@@ -93,8 +93,8 @@ class IncrementalUpdateManager:
 
     @property
     def records(self) -> Sequence:
-        """The rows labels are computed against — a read-only view of the
-        index's live dataset.  The manager owns no rows and no index: an
+        """The rows labels are computed against, read back from the index's
+        store (an O(n) copy).  The manager owns no rows and no index: an
         engine hands it the attribute's (or shard's) own index at attach."""
         return self.selector.dataset
 
@@ -198,8 +198,7 @@ class IncrementalUpdateManager:
         positions = resolve_delete_positions(len(self.selector), operation.records)
         if positions.size == 0:
             return [], []
-        records = self.records
-        removed = [records[int(i)] for i in positions]
+        removed = list(self.selector.rows_at(positions))
         self.selector.delete_many(positions)
         return [], removed
 

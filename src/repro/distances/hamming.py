@@ -148,6 +148,8 @@ class HammingDistance(DistanceFunction):
         return float(np.count_nonzero(x != y))
 
     def distances_to(self, x, dataset: Sequence) -> np.ndarray:
+        if len(dataset) == 0:
+            return np.zeros(0)
         data = np.asarray(dataset)
         query = np.asarray(x)
         if data.ndim != 2:
@@ -155,8 +157,8 @@ class HammingDistance(DistanceFunction):
         return np.count_nonzero(data != query[None, :], axis=1).astype(np.float64)
 
     def cross_distances(self, queries: Sequence, dataset: Sequence) -> np.ndarray:
-        if len(queries) == 0:
-            return np.zeros((0, len(dataset)))
+        if len(queries) == 0 or len(dataset) == 0:
+            return np.zeros((len(queries), len(dataset)))
         data = np.asarray(dataset)
         if data.ndim != 2:
             data = np.stack([np.asarray(record) for record in dataset])

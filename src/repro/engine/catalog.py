@@ -1,12 +1,14 @@
 """Attribute catalog: everything the engine knows about the data it serves.
 
 One :class:`AttributeBinding` per registered attribute bundles the physical
-access paths the planner and executor need — the raw column, its distance
-function, the exact selection index, and the serving endpoint(s) answering
-cardinality estimates for it.  The catalog enforces the single table-shape
-invariant (every attribute has the same record count, so record ids line up
-across predicates of one conjunctive query); a binding is the one place its
-column changes under updates.
+access paths the planner and executor need — the distance function, the exact
+selection index, and the serving endpoint(s) answering cardinality estimates
+for it.  A binding holds no rows: the index's store is the column, so an
+update changes it once, as the index's own O(Δ) delta, and
+:meth:`AttributeBinding.values_at` reads it back from there.  The catalog
+enforces the single table-shape invariant (every attribute has the same
+record count, so record ids line up across predicates of one conjunctive
+query).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class AttributeBinding:
     """Physical metadata for one queryable attribute."""
 
     name: str
-    records: Sequence
     distance: DistanceFunction
     selector: SimilaritySelector
     endpoint: str
@@ -39,7 +40,13 @@ class AttributeBinding:
     shard_endpoints: List[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.selector)
+
+    @property
+    def records(self) -> Sequence:
+        """The whole column, read back from the index (an O(n) copy: for
+        callers that want every row, never for a per-query path)."""
+        return self.selector.dataset
 
     @property
     def uses_gph(self) -> bool:
@@ -54,10 +61,9 @@ class AttributeBinding:
         return bool(self.shard_endpoints)
 
     def values_at(self, record_ids: np.ndarray) -> Sequence:
-        """Column values at ``record_ids`` (vectorized for array columns)."""
-        if isinstance(self.records, np.ndarray):
-            return self.records[record_ids]
-        return [self.records[int(record_id)] for record_id in record_ids]
+        """Column values at ``record_ids``, gathered from the index's store
+        (vectorized for array columns)."""
+        return self.selector.rows_at(record_ids)
 
     def units(self) -> List[Tuple[SimilaritySelector, str]]:
         """The attribute's maintenance units, ``(exact index, serving endpoint)``.
@@ -68,37 +74,6 @@ class AttributeBinding:
         if self.sharded:
             return list(zip(self.selector.shards, self.shard_endpoints))
         return [(self.selector, self.endpoint)]
-
-    def apply_column_delta(self, operation) -> None:
-        """Absorb one *normalized* update operation into the column.
-
-        The one place the column changes: the indexes take the same operation
-        as their own O(Δ) deltas (through a §8 manager, or directly), so an
-        array column keeps its type and dtype through any update sequence.
-        Delete positions must already be distinct and in range
-        (:func:`~repro.selection.delta.resolve_delete_positions`).
-        """
-        array = isinstance(self.records, np.ndarray)
-        if operation.kind == "insert":
-            added = list(operation.records)
-            if not added:
-                return
-            if array:
-                self.records = np.concatenate(
-                    [self.records, np.asarray(added, dtype=self.records.dtype)]
-                )
-            else:
-                self.records = list(self.records) + added
-        elif len(operation.records):
-            if array:
-                self.records = np.delete(self.records, operation.records, axis=0)
-            else:
-                dropped = {int(i) for i in operation.records}
-                self.records = [
-                    record
-                    for index, record in enumerate(self.records)
-                    if index not in dropped
-                ]
 
 
 class AttributeCatalog:
@@ -116,10 +91,10 @@ class AttributeCatalog:
         if len(records) == 0:
             raise ValueError(f"attribute {name!r} has no records")
         for other in self._bindings.values():
-            if len(other.records) != len(records):
+            if len(other) != len(records):
                 raise ValueError(
                     f"attribute {name!r} has {len(records)} records but "
-                    f"{other.name!r} has {len(other.records)}; conjunctive queries "
+                    f"{other.name!r} has {len(other)}; conjunctive queries "
                     "need aligned record ids across attributes"
                 )
 
@@ -135,7 +110,6 @@ class AttributeCatalog:
         self.validate(name, records)
         binding = AttributeBinding(
             name=name,
-            records=records,
             distance=get_distance(distance_name),
             selector=selector if selector is not None else default_selector(distance_name, records),
             endpoint=endpoint,

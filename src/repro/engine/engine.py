@@ -19,8 +19,8 @@ exactly one — the attribute's own index and planning endpoint — otherwise.
 An :class:`~repro.core.IncrementalUpdateManager` adopts its unit's index by
 reference at attach and never owns rows or an index of its own, so there is
 one maintained state per unit and nothing to reconcile: :meth:`apply_update`
-routes an operation to the units it touches, each applies it once (through
-its manager, or directly), and the attribute's column absorbs it once.
+routes an operation to the units it touches, and each applies it once
+(through its manager, or directly) to its index, whose store is the column.
 """
 
 from __future__ import annotations
@@ -291,7 +291,8 @@ class SimilarityQueryEngine:
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
         # Kept only because the e2e fixture passes backend="thread"; it goes
-        # with ROADMAP's benchmark-only item (e).  Any other value raises.
+        # with ROADMAP's new direction 1 (repro.runtime leaves the package).
+        # Any other value raises.
         backend: str = "thread",
     ) -> AttributeBinding:
         """Register one attribute partitioned across ``num_shards`` shards.
@@ -474,9 +475,9 @@ class SimilarityQueryEngine:
                     f"({len(units)} shards)"
                 )
             index, endpoint = units[unit_id]
-            if len(manager.records) != len(index):
+            if len(manager.selector) != len(index):
                 raise ValueError(
-                    f"manager for {endpoint!r} holds {len(manager.records)} "
+                    f"manager for {endpoint!r} holds {len(manager.selector)} "
                     f"records but its index has {len(index)}; build managers "
                     "over the rows (or the index itself) they maintain"
                 )
@@ -656,7 +657,7 @@ class SimilarityQueryEngine:
             manager = managers.get(0)
             return None if manager is None else manager.process(operation, operation_index)
         # Staged before anything changes: parts that cannot take the delta
-        # leave index, column and every part as they were.
+        # leave the index and every part as they were.
         parts = self._staged_part_histograms(binding, operation) if binding.uses_gph else []
         routing = (
             binding.selector.route_operation(operation) if binding.sharded else None
@@ -674,7 +675,6 @@ class SimilarityQueryEngine:
             if routing is None:  # a shard's delta commits in apply_routed, under its lock
                 apply = index.insert_many if operation.kind == "insert" else index.delete_many
                 apply(operation.records)
-        binding.apply_column_delta(operation)
         if routing is None:
             for endpoint, estimator, counts in parts:
                 estimator.adopt_counts(counts)
@@ -694,7 +694,7 @@ class SimilarityQueryEngine:
     def _staged_part_histograms(self, binding: AttributeBinding, operation) -> List[Tuple]:
         """``(endpoint, estimator, counts)`` per ``::partJ`` histogram: its
         counts once ``operation`` lands, from the Δ rows alone (a delete's
-        read from the column before it changes), every part before any is adopted."""
+        read from the index before it changes), every part before any is adopted."""
         insert = operation.kind == "insert"
         rows = np.asarray(
             operation.records if insert else binding.values_at(operation.records), dtype=np.uint8

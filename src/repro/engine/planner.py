@@ -180,9 +180,7 @@ class QueryPlanner:
         if binding.uses_gph:
             gph_start = time.perf_counter()
             with span("plan.gph", attribute=driver.attribute) as gph_span:
-                gph_plan = GPHQueryProcessor(
-                    binding.records, selector=binding.selector
-                ).plan(
+                gph_plan = GPHQueryProcessor(selector=binding.selector).plan(
                     driver.predicate.record,
                     integer_radius(driver.theta),
                     ServicePartCurves(self.service, binding.part_endpoints),

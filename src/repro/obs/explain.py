@@ -238,7 +238,7 @@ def build_health_report(engine: Any) -> HealthReport:
     for name in engine.catalog.names():
         binding = engine.catalog.get(name)
         info: Dict[str, Any] = {
-            "records": len(binding.records),
+            "records": len(binding),
             "distance": binding.distance.name,
             "sharded": bool(binding.sharded),
             "shards": None,

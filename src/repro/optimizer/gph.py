@@ -63,7 +63,7 @@ class GPHQueryProcessor:
 
     def __init__(
         self,
-        dataset_records: Sequence,
+        dataset_records: Sequence = (),
         part_size: int = 16,
         selector: Optional[PigeonholeHammingSelector] = None,
     ) -> None:

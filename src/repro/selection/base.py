@@ -15,7 +15,6 @@ from typing import Any, Iterable, List, Sequence
 import numpy as np
 
 from ..distances.base import DistanceFunction, within
-from .delta import check_delete_positions, rebuild_in_place
 
 
 class SimilaritySelector(ABC):
@@ -26,19 +25,26 @@ class SimilaritySelector(ABC):
     #: with it.
     distance: DistanceFunction
 
-    def __init__(self, dataset: Sequence) -> None:
-        self._dataset = list(dataset)
-        self._mutations = 0
-
+    @abstractmethod
     def __len__(self) -> int:
-        return len(self._dataset)
+        """Number of live records."""
+
+    @abstractmethod
+    def rows_at(self, ids: Sequence[int]) -> Sequence:
+        """The live records at these logical ids, read from the index's own
+        store, in the form the distance's ``cross_distances`` takes: a 2-D
+        ``uint8`` array for Hamming, a 2-D ``float64`` array for Euclidean, a
+        list for edit and Jaccard."""
 
     @property
-    def dataset(self) -> List:
-        return self._dataset
+    def dataset(self) -> Sequence:
+        """Every live record in logical order: :meth:`rows_at` over all of
+        them, computed on each read and never cached (the index's store is
+        the only copy of the rows)."""
+        return self.rows_at(np.arange(len(self), dtype=np.int64))
 
     # ------------------------------------------------------------------ #
-    # Update protocol (O(Δ) in delta-maintained subclasses)
+    # Update protocol (O(Δ): append segments + tombstones, or per shard)
     # ------------------------------------------------------------------ #
     @property
     def mutation_count(self) -> int:
@@ -46,44 +52,17 @@ class SimilaritySelector(ABC):
         (inserts and deletes; a compaction changes no row and counts nothing)."""
         return self._mutations
 
+    @abstractmethod
     def insert_many(self, records: Sequence) -> int:
-        """Append records in place; returns the number inserted.
+        """Append records in place; returns the number inserted."""
 
-        Generic fallback for selectors without delta support: wholesale
-        rebuild over the extended dataset, kept in place so every reference
-        to this selector stays valid.  Delta-maintained selectors
-        (:class:`~repro.selection.delta.DeltaIndexMixin`) override this with
-        O(Δ) append-segment maintenance.
-        """
-        records = list(records)
-        if not records:
-            return 0
-        rebuild_in_place(self, list(self.dataset) + records)
-        self._mutations += 1
-        return len(records)
-
+    @abstractmethod
     def delete_many(self, positions: Iterable[int]) -> int:
         """Delete the records at these live positions in place; returns the count.
 
         Strict: out-of-range positions raise ``IndexError``, duplicates raise
         ``ValueError``, an empty request is a no-op.
         """
-        positions = check_delete_positions(len(self), positions)
-        if positions.size == 0:
-            return 0
-        dataset = list(self.dataset)
-        for position in positions[::-1]:
-            del dataset[int(position)]
-        rebuild_in_place(self, dataset)
-        self._mutations += 1
-        return int(positions.size)
-
-    def needs_compaction(self) -> bool:
-        return False
-
-    def compact(self) -> int:
-        """Reclaim tombstoned rows; returns rows reclaimed (0 without deltas)."""
-        return 0
 
     @abstractmethod
     def query(self, record: Any, threshold: float) -> List[int]:

@@ -11,6 +11,12 @@ rows through the view; query paths mask candidates with the alive bitmap and
 translate survivors back, allocating only candidate-sized temporaries — never
 an O(physical) copy.
 
+The physical store plus the view is the one copy of an attribute's rows:
+there is no logical record list beside it.  :meth:`DeltaIndexMixin.rows_at`
+gathers rows from the store at ``live_physical[ids]``, a delete reads the
+rows it removes that way, and ``dataset`` is that gather over every live id,
+computed on each read.  A snapshot persists the compacted store.
+
 Two deliberately-not-O(Δ) pieces, called out for honesty:
 
 * the logical→physical directory is a lazy ``np.flatnonzero`` over the alive
@@ -180,13 +186,11 @@ class TombstoneView:
             self._live = np.flatnonzero(self._alive.view()).astype(np.int64, copy=False)
         return self._live
 
-    def append(self, count: int) -> np.ndarray:
-        """Admit ``count`` new physical rows; returns their physical ids."""
-        start = self._alive.count
+    def append(self, count: int) -> None:
+        """Admit ``count`` new physical rows at the end of the physical space."""
         self._alive.append(np.ones(int(count), dtype=bool))
         self._live_count += int(count)
         self._live = None
-        return np.arange(start, start + int(count), dtype=np.int64)
 
     def delete_logical(self, positions: np.ndarray) -> np.ndarray:
         """Tombstone the rows at these logical positions; returns physical ids."""
@@ -201,6 +205,15 @@ class TombstoneView:
         if self.is_compact:
             return physical_ids
         return np.searchsorted(self.live_physical, np.asarray(physical_ids, dtype=np.int64))
+
+    def __snapshot_state__(self) -> dict:
+        # A selector compacts before it snapshots, so its row count is the view.
+        if not self.is_compact:
+            raise ValueError("a view with tombstones is not snapshotted; compact first")
+        return {"_live_count": self._live_count}
+
+    def __snapshot_restore__(self, state: dict) -> None:
+        self.__init__(state["_live_count"])
 
 
 @dataclass(frozen=True)
@@ -293,17 +306,21 @@ def rebuild_in_place(selector, records: Sequence) -> None:
 
 
 class DeltaIndexMixin:
-    """insert_many/delete_many/compact for selectors with physical row stores.
+    """insert_many/delete_many/compact/rows_at for selectors with physical row stores.
 
     List the mixin FIRST in the bases (``class X(DeltaIndexMixin,
-    SimilaritySelector)``) so its lazy ``dataset``/``__len__`` win the MRO.
-    A selector's ``__init__`` builds its index eagerly over the full dataset
-    as before and finishes with :meth:`_init_delta`; the physical row space
-    then equals the logical one until the first update.  Subclasses hook
-    :meth:`_normalize_record`, :meth:`_delta_insert` (append Δ rows to the
-    index) and :meth:`_delta_delete` (usually a no-op — the tombstone mask
-    already hides the rows), and list index-derived caches in
-    ``_SNAPSHOT_DROP`` + recompute them in :meth:`_restore_derived`.
+    SimilaritySelector)``) so its ``__len__`` and update protocol win the MRO.
+    The physical store plus the :class:`TombstoneView` is the one copy of the
+    rows: :meth:`rows_at` gathers from it and ``dataset`` is computed from it
+    on each read.  A selector's ``__init__`` builds its store and index
+    eagerly over the full dataset and finishes with :meth:`_init_delta`; the
+    physical row space then equals the logical one until the first update.
+    Subclasses hook :meth:`_normalize_record`, :meth:`_gather` (read physical
+    rows back; the default reads a ``_phys_records`` list), :meth:`_delta_insert`
+    (append Δ rows to the store and the index) and :meth:`_delta_delete`
+    (usually a no-op — the tombstone mask already hides the rows), and list
+    index-derived caches in ``_SNAPSHOT_DROP`` + recompute them in
+    :meth:`_restore_derived`.
     """
 
     #: Index-derived attributes dropped from snapshots (recomputed on restore).
@@ -314,24 +331,19 @@ class DeltaIndexMixin:
     # ------------------------------------------------------------------ #
     # Bookkeeping
     # ------------------------------------------------------------------ #
-    def _init_delta(self) -> None:
-        """Adopt the eagerly-built state as physical == logical; call last in __init__."""
-        self._phys_records: List = list(self._dataset)
-        self._view = TombstoneView(len(self._phys_records))
-        self._dataset_stale = False
+    def _init_delta(self, count: int) -> None:
+        """Adopt the eagerly-built store of ``count`` rows as physical ==
+        logical; call last in __init__."""
+        self._view = TombstoneView(count)
         self._mutations = 0
 
     def __len__(self) -> int:
         return self._view.live_count
 
-    @property
-    def dataset(self) -> List:
-        """The live records in logical order (lazily refreshed after deletes)."""
-        if self._dataset_stale:
-            records = self._phys_records
-            self._dataset = [records[int(p)] for p in self._view.live_physical]
-            self._dataset_stale = False
-        return self._dataset
+    def rows_at(self, ids) -> Sequence:
+        """The live rows at these logical ids, gathered from the physical store."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return self._gather(ids if self._view.is_compact else self._view.live_physical[ids])
 
     def delta_stats(self) -> dict:
         return {
@@ -361,11 +373,10 @@ class DeltaIndexMixin:
             # dataset-dependent layout (dimension, pivots) cleanly.
             rebuild_in_place(self, records)
         else:
-            physical_ids = self._view.append(len(records))
-            self._phys_records.extend(records)
-            if not self._dataset_stale:
-                self._dataset.extend(records)
-            self._delta_insert(records, physical_ids)
+            # The store and index first: a batch they refuse leaves no row behind.
+            start = self._view.physical_count
+            self._delta_insert(records, np.arange(start, start + len(records), dtype=np.int64))
+            self._view.append(len(records))
         self._mutations += 1
         self._maybe_force_compact()
         return len(records)
@@ -381,7 +392,6 @@ class DeltaIndexMixin:
             return 0
         physical_ids = self._view.delete_logical(positions)
         self._delta_delete(physical_ids)
-        self._dataset_stale = True
         self._mutations += 1
         self._maybe_force_compact()
         return int(positions.size)
@@ -410,8 +420,14 @@ class DeltaIndexMixin:
     def _normalize_record(self, record: Any) -> Any:
         return record
 
+    def _gather(self, physical_ids: np.ndarray) -> Sequence:
+        """The rows at these physical ids, from a ``_phys_records`` list."""
+        records = self._phys_records
+        return [records[i] for i in physical_ids.tolist()]
+
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
-        """Append Δ rows to the index structures (physical ids pre-assigned)."""
+        """Append Δ rows to the store and the index (physical ids pre-assigned)."""
+        self._phys_records.extend(records)
 
     def _delta_delete(self, physical_ids: np.ndarray) -> None:
         """React to tombstoned rows; default no-op — the mask hides them."""
@@ -423,18 +439,14 @@ class DeltaIndexMixin:
     # Snapshot hooks (shared by every delta selector)
     # ------------------------------------------------------------------ #
     def __snapshot_state__(self) -> dict:
-        # Compact first: the snapshot then carries no tombstones and no delta
-        # bookkeeping — byte-compatible with a from-scratch build's state.
+        # Compact first: the snapshot then carries the compacted store, a
+        # compact view and no tombstones — a from-scratch build's state.
         self.compact()
         state = dict(self.__dict__)
-        for attr in ("_phys_records", "_view", "_dataset_stale") + self._SNAPSHOT_DROP:
+        for attr in self._SNAPSHOT_DROP:
             state.pop(attr, None)
         return state
 
     def __snapshot_restore__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._restore_derived()
-        self._phys_records = list(self._dataset)
-        self._view = TombstoneView(len(self._dataset))
-        self._dataset_stale = False
-        self._mutations = int(state.get("_mutations", 0))

@@ -34,7 +34,8 @@ Updates are O(Δ): an insert appends the new rows' lengths, signatures and code
 rows (widening the code matrix only when a string is longer than every stored
 one) and one block per distinct gram of the batch to the posting arrays;
 deletes tombstone rows, which the probe mask hides (see
-:mod:`repro.selection.delta`).  Every array derives from the strings, so
+:mod:`repro.selection.delta`).  The strings themselves (``_phys_records``)
+are the store :meth:`rows_at` reads; every array derives from them, so
 snapshots persist only the strings and ``q``.
 """
 
@@ -74,12 +75,12 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
     _SNAPSHOT_DROP = ("_lengths", "_codes", "_signatures", "_postings")
 
     def __init__(self, dataset: Sequence[str], q: int = 2) -> None:
-        super().__init__([str(record) for record in dataset])
         if q <= 0:
             raise ValueError("q must be positive")
         self.q = q
+        self._phys_records: List[str] = [str(record) for record in dataset]
         self._restore_derived()
-        self._init_delta()
+        self._init_delta(len(self._phys_records))
 
     def _signature_survivors(
         self, query_signature: int, candidates, threshold: int
@@ -142,6 +143,7 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
         return str(record)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
+        super()._delta_insert(records, physical_ids)
         grams = [qgrams(record, self.q) for record in records]
         codes, lengths = string_codes(records, self._codes.view().shape[1])
         self._codes.widen(codes.shape[1], fill=-1)
@@ -158,9 +160,10 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
         )
 
     def _restore_derived(self) -> None:
-        """Index the live strings: the insert path, run once over empty arrays."""
+        """Index the stored strings: the insert path, run once over an empty store."""
+        records, self._phys_records = self._phys_records, []
         self._lengths = GrowableArray(np.zeros(0, dtype=np.int64))
         self._codes = GrowableArray(np.zeros((0, 0), dtype=np.int32))
         self._signatures = GrowableArray(np.zeros(0, dtype=np.uint64))
         self._postings: Dict[str, GrowableArray] = {}
-        self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
+        self._delta_insert(records, np.arange(len(records), dtype=np.int64))

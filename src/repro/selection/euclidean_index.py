@@ -3,8 +3,9 @@
 The paper uses a cover tree for the conjunctive-query case study.  Here the
 dataset is partitioned into balls around pivot points (a light-weight
 approximation of a one-level cover tree).  Stored, over *physical* rows:
-``_matrix`` (float64 rows), ``_pivots`` and ``_radii`` (one per ball), and
-``_members`` (one ascending row-id array per ball).
+``_matrix`` (float64 rows, the one copy of them, which ``rows_at`` reads),
+``_pivots`` and ``_radii`` (one per ball), and ``_members`` (one ascending
+row-id array per ball).
 
 A probe is a fixed number of array passes, its only Python loop running over
 the balls that survive pruning:
@@ -44,7 +45,6 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
         matrix = np.asarray(dataset, dtype=np.float64)
         if matrix.ndim != 2 and matrix.size == 0:
             matrix = np.zeros((0, 0))  # no rows, no dimension: the next insert re-derives it
-        super().__init__(list(matrix))
         self._matrix = GrowableArray(matrix)
         rng = np.random.default_rng(seed)
         num_records = len(matrix)
@@ -68,7 +68,7 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
             self._pivots = np.zeros((0, matrix.shape[1]))
             self._members = []
             self._radii = np.zeros(0)
-        self._init_delta()
+        self._init_delta(num_records)
 
     def _probe(self, record, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
         """(ascending logical ids, their exact distances) within ``threshold``."""
@@ -106,6 +106,9 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
     # ------------------------------------------------------------------ #
     def _normalize_record(self, record) -> np.ndarray:
         return np.asarray(record, dtype=np.float64)
+
+    def _gather(self, physical_ids: np.ndarray) -> np.ndarray:
+        return self._matrix.view()[physical_ids]
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
         block = np.stack(records)

@@ -14,9 +14,10 @@ Two selectors are provided:
   ``popcount((row ^ q) & mask_j) <= t_j``, one masked pass per part over the
   words that part's bits fall in; they are then verified exactly.
 
-Both maintain their indexes under updates in O(Δ): inserts append packed rows
-to capacity-doubling stores; deletes tombstone rows that query paths mask out
-(see :mod:`repro.selection.delta`).
+Both keep one store, the packed words, and read rows back from it; rows must
+be 0/1.  Both maintain their indexes under updates in O(Δ): inserts append
+packed rows to a capacity-doubling store; deletes tombstone rows that query
+paths mask out (see :mod:`repro.selection.delta`).
 """
 
 from __future__ import annotations
@@ -31,27 +32,41 @@ from ..distances.hamming import (
     pack_bits,
     pack_bits_words,
     packed_hamming_distances_words,
+    unpack_bits,
 )
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray
 
 
+def _bit_matrix(rows: Sequence) -> np.ndarray:
+    """``rows`` as one ``(n, d)`` ``uint8`` matrix of 0/1 values.
+
+    Any other value is refused with ``ValueError``: the packed words keep one
+    bit per coordinate while :class:`HammingDistance` counts ``x != y``, so a
+    stored 2 would read back as 1 and answers would disagree with a scan.
+    """
+    matrix = np.asarray(rows) if len(rows) else np.zeros((0, 0), dtype=np.uint8)
+    if matrix.ndim != 2:
+        raise ValueError(f"binary rows must be vectors of one dimension, got shape {matrix.shape}")
+    if not ((matrix == 0) | (matrix == 1)).all():
+        raise ValueError("binary rows may hold only the values 0 and 1")
+    return matrix.astype(np.uint8, copy=False)
+
+
 class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
-    """Vectorized exact scan over bit-packed binary vectors."""
+    """Vectorized exact scan over bit-packed binary vectors.
+
+    The packed uint64 words (``_packed64``) are the only copy of the rows:
+    :meth:`rows_at` unpacks them, which is exact because every row is 0/1.
+    """
 
     distance = HammingDistance()
-    _SNAPSHOT_DROP = ("_packed64",)
 
     def __init__(self, dataset: Sequence) -> None:
-        super().__init__([np.asarray(record, dtype=np.uint8) for record in dataset])
-        matrix = np.stack(self._dataset) if self._dataset else np.zeros((0, 1), dtype=np.uint8)
-        self._dimension = matrix.shape[1] if matrix.size else 0
-        self._packed = GrowableArray(
-            pack_bits(matrix) if matrix.size else np.zeros((0, 1), dtype=np.uint8)
-        )
-        # uint64 word view cached once: every query scans words, not bytes.
-        self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))
-        self._init_delta()
+        matrix = _bit_matrix(dataset)
+        self._dimension = matrix.shape[1]
+        self._packed64 = GrowableArray(pack_bits_words(pack_bits(matrix)))
+        self._init_delta(len(matrix))
 
     def query(self, record, threshold: float) -> List[int]:
         if len(self) == 0:
@@ -78,21 +93,17 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
     # ------------------------------------------------------------------ #
     # Delta maintenance hooks
     # ------------------------------------------------------------------ #
-    def _normalize_record(self, record) -> np.ndarray:
-        return np.asarray(record, dtype=np.uint8)
+    def _gather(self, physical_ids: np.ndarray) -> np.ndarray:
+        words = self._packed64.view()[physical_ids].astype("<u8", copy=False)
+        return unpack_bits(words.view(np.uint8), self._dimension)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
-        matrix = np.stack(records)
+        matrix = _bit_matrix(records)
         if matrix.shape[1] != self._dimension:
             raise ValueError(
                 f"inserted records have {matrix.shape[1]} dimensions, index has {self._dimension}"
             )
-        packed = pack_bits(matrix)
-        self._packed.append(packed)
-        self._packed64.append(pack_bits_words(packed))
-
-    def _restore_derived(self) -> None:
-        self._packed64 = GrowableArray(pack_bits_words(self._packed.view()))
+        self._packed64.append(pack_bits_words(pack_bits(matrix)))
 
     def cardinality_curve(self, record, thresholds) -> np.ndarray:
         """One packed XOR+popcount scan answers every threshold."""
@@ -126,7 +137,7 @@ class PigeonholeHammingSelector(PackedHammingSelector):
     allocation instead of scanning every row.
     """
 
-    _SNAPSHOT_DROP = ("_packed64", "_part_masks")
+    _SNAPSHOT_DROP = ("_part_masks",)
 
     def __init__(self, dataset: Sequence, part_size: int = 16) -> None:
         super().__init__(dataset)
@@ -134,7 +145,6 @@ class PigeonholeHammingSelector(PackedHammingSelector):
         self._mask_parts()
 
     def _restore_derived(self) -> None:
-        super()._restore_derived()
         self._mask_parts()
 
     def _mask_parts(self) -> None:

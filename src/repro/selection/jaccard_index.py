@@ -24,7 +24,8 @@ prefix computation.  When a distance of 1 is within θ every live row matches.
 
 Updates are O(Δ): an insert appends the new rows' sizes and one block of row
 ids per distinct token of the batch; deletes tombstone rows (see
-:mod:`repro.selection.delta`).  Both arrays derive from the sets, so snapshots
+:mod:`repro.selection.delta`).  The sets themselves (``_phys_records``) are
+the store :meth:`rows_at` reads; both arrays derive from them, so snapshots
 persist only the sets.
 """
 
@@ -47,9 +48,9 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
     _SNAPSHOT_DROP = ("_sizes", "_postings")
 
     def __init__(self, dataset: Sequence) -> None:
-        super().__init__([as_frozenset(record) for record in dataset])
+        self._phys_records: List[frozenset] = [as_frozenset(record) for record in dataset]
         self._restore_derived()
-        self._init_delta()
+        self._init_delta(len(self._phys_records))
 
     def _probe(self, record, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
         """(ascending logical ids, their exact Jaccard distances) within ``threshold``."""
@@ -95,6 +96,7 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
         return as_frozenset(record)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
+        super()._delta_insert(records, physical_ids)
         self._sizes.append(np.fromiter(map(len, records), dtype=np.int64, count=len(records)))
         extend_postings(
             self._postings,
@@ -106,7 +108,8 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
         )
 
     def _restore_derived(self) -> None:
-        """Index the live sets: the insert path, run once over empty arrays."""
+        """Index the stored sets: the insert path, run once over an empty store."""
+        records, self._phys_records = self._phys_records, []
         self._sizes = GrowableArray(np.zeros(0, dtype=np.int64))
         self._postings: Dict[Hashable, GrowableArray] = {}
-        self._delta_insert(self._dataset, np.arange(len(self._dataset), dtype=np.int64))
+        self._delta_insert(records, np.arange(len(records), dtype=np.int64))

@@ -14,15 +14,16 @@ from .delta import DeltaIndexMixin
 class LinearScanSelector(DeltaIndexMixin, SimilaritySelector):
     """Evaluate the distance to every record; correct for any distance function.
 
-    Delta maintenance rides the shared mixin with no-op index hooks: the scan
-    has no index to maintain, so queries simply run over the lazily-refreshed
-    live dataset — every query is O(n) in distance evaluations regardless.
+    Delta maintenance rides the shared mixin with its default hooks: the
+    store is a record list and there is no index, so queries run over the
+    live records gathered from it — every query is O(n) in distance
+    evaluations regardless.
     """
 
     def __init__(self, dataset: Sequence, distance: DistanceFunction) -> None:
-        super().__init__(dataset)
+        self._phys_records = list(dataset)
         self.distance = distance
-        self._init_delta()
+        self._init_delta(len(self._phys_records))
 
     def query(self, record: Any, threshold: float) -> List[int]:
         distances = self.distance.distances_to(record, self.dataset)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -273,7 +273,7 @@ class StagedLayout:
     #: at capture; the swap refuses once an update has moved it.
     mutation_count: int
     #: The base rows in global-id order, as captured.
-    records: List
+    records: Sequence
     num_shards_before: int
     resolved: ResolvedPlan
     assignment: ShardAssignment
@@ -312,7 +312,7 @@ def stage(
     started = time.perf_counter()
     with selector._lock:  # one consistent capture: count, rows, layout
         mutation_count = selector.mutation_count
-        records = list(selector.dataset)
+        records = selector.dataset
         base, base_shards = selector.assignment, selector.shards
     resolved = plan.resolve(base)
     if partitioner is None and resolved.num_shards != base.num_shards:

@@ -104,7 +104,6 @@ class ShardedSelector(SimilaritySelector):
         num_shards: Optional[int] = None,
         partitioner: Union[str, Partitioner, None] = None,
     ) -> None:
-        super().__init__(dataset)
         self.selector_factory = selector_factory
         if isinstance(partitioner, Partitioner):
             if num_shards is not None and int(num_shards) != partitioner.num_shards:
@@ -121,9 +120,9 @@ class ShardedSelector(SimilaritySelector):
                 self.DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards),
             )
         self.num_shards = self.partitioner.num_shards
-        self._assignment = self.partitioner.partition(self._dataset)
+        self._assignment = self.partitioner.partition(dataset)
         self._shards: List[SimilaritySelector] = [
-            selector_factory([self._dataset[int(i)] for i in ids])
+            selector_factory([dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
         ]
         #: Serializes layout changes (shards/assignment) against query
@@ -131,7 +130,7 @@ class ShardedSelector(SimilaritySelector):
         #: runs outside the lock, so queries never block behind an update for
         #: longer than the O(Δ) commit itself.
         self._lock = threading.RLock()
-        self._dataset_stale = False
+        self._mutations = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -139,24 +138,35 @@ class ShardedSelector(SimilaritySelector):
     def __len__(self) -> int:
         return len(self._assignment)
 
-    @property
-    def dataset(self) -> List:
-        """The global record list, reconstructed lazily from the shards.
-
-        Deltas keep the shard indexes current in O(Δ) and merely mark this
-        view stale; the first reader pays one O(n) pointer gather (records in
-        global-id order, via each shard's lazily-refreshed live dataset).
-        """
+    def rows_at(self, ids) -> Sequence:
+        """The records at these global ids, gathered from the shards that hold
+        them: one ``rows_at`` per shard touched, no per-row loop for array
+        columns.  ``dataset`` is this gather over every global id."""
+        ids = np.asarray(ids, dtype=np.int64)
         with self._lock:
-            if self._dataset_stale:
-                merged: List = [None] * len(self._assignment)
-                for shard_id, shard in enumerate(self._shards):
-                    ids = self._assignment.global_ids[shard_id]
-                    for global_id, record in zip(ids, shard.dataset):
-                        merged[int(global_id)] = record
-                self._dataset = merged
-                self._dataset_stale = False
-            return self._dataset
+            shards, assignment = self._shards, self._assignment
+        order = np.argsort(assignment.shard_of[ids], kind="stable")
+        ids = ids[order]  # grouped by shard, each group in the caller's order
+        bounds = np.searchsorted(assignment.shard_of[ids], np.arange(len(shards) + 1))
+        local = assignment.local_of[ids]
+        rows = None
+        for shard_id, shard in enumerate(shards):
+            lo, hi = bounds[shard_id], bounds[shard_id + 1]
+            if lo == hi:
+                continue  # an untouched shard may be empty, its rows of no width
+            part = shard.rows_at(local[lo:hi])
+            if rows is None:
+                array = isinstance(part, np.ndarray)
+                if array:
+                    rows = np.empty((len(ids),) + part.shape[1:], part.dtype)
+                else:
+                    rows = [None] * len(ids)
+            if array:
+                rows[order[lo:hi]] = part
+            else:
+                for position, row in zip(order[lo:hi].tolist(), part):
+                    rows[position] = row
+        return shards[0].rows_at(ids) if rows is None else rows
 
     @property
     def assignment(self) -> ShardAssignment:
@@ -301,8 +311,6 @@ class ShardedSelector(SimilaritySelector):
         same-configuration selector, so post-restore updates keep working.
         """
         state = dict(self.__dict__)
-        state["_dataset"] = self.dataset  # materialize if delta-stale
-        state["_dataset_stale"] = False
         state.pop("selector_factory", None)
         return state
 
@@ -399,10 +407,6 @@ class ShardedSelector(SimilaritySelector):
                         "shard's index disagree"
                     )
             self._assignment = new_assignment
-            if routing.operation.kind == "insert" and not self._dataset_stale:
-                self._dataset.extend(routing.operation.records)
-            else:
-                self._dataset_stale = True
             self._mutations += 1
 
     def apply_operation(self, operation: UpdateOperation) -> ShardRouting:
@@ -449,8 +453,7 @@ class ShardedSelector(SimilaritySelector):
         O(shards) under the lock, so a query sees the whole old layout or the
         whole new one.  If an update landed since staging captured
         ``staged.mutation_count``, the staged shards miss its rows: the swap
-        raises :class:`StaleRebalanceError` and the old layout keeps serving.
-        Global ids keep their order, so the record list is left as it is."""
+        raises :class:`StaleRebalanceError` and the old layout keeps serving."""
         assignment = staged.assignment
         with self._lock:
             if self._mutations != staged.mutation_count:

@@ -84,7 +84,12 @@ FORMAT_NAME = "repro-snapshot"
 #       that nothing reads now (candidates come from the packed words), and
 #       a version-11 HistogramHammingEstimator float pattern counts where
 #       updates now add and subtract integer ones.
-FORMAT_VERSION = 12
+#  13 — one copy of the rows: a version-12 selector persists its logical
+#       `_dataset` list beside its store (a Hamming selector its unpacked
+#       bytes `_packed` too, a sharded selector a merged `_dataset`, an
+#       attribute binding its `records`); a snapshot now holds each row once,
+#       in the compacted physical store, and a tombstone view as its count.
+FORMAT_VERSION = 13
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -1,10 +1,13 @@
 """Array-native probes: edit, Jaccard and Euclidean answer exactly like a scan.
 
-The three indexes store what their filters and verification read as arrays
-(ISSUE 14).  The contract pinned here is the one Berkholz et al. state for
-maintained structures: after ANY sequence of inserts, deletes, compactions and
-snapshot round trips, ``query`` returns the same list — order included — and
+The three indexes store what their filters and verification read as arrays.
+The contract pinned here is the one Berkholz et al. state for maintained
+structures: after ANY sequence of inserts, deletes, compactions and snapshot
+round trips, ``query`` returns the same list — order included — and
 ``cardinality_curve`` the same counts as a linear scan over the live records.
+The generated sequences also run on both Hamming indexes, and after every step
+``rows_at`` reads the live rows back from each index's one store, type and
+dtype included.
 """
 
 import sys
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from repro.distances import (
     EditDistance,
     EuclideanDistance,
+    HammingDistance,
     JaccardDistance,
     batch_levenshtein,
     levenshtein,
@@ -27,6 +31,8 @@ from repro.selection import (
     BallIndexEuclideanSelector,
     CompactionPolicy,
     LinearScanSelector,
+    PackedHammingSelector,
+    PigeonholeHammingSelector,
     PrefixFilterJaccardSelector,
     QGramEditSelector,
 )
@@ -39,6 +45,9 @@ vectors = st.lists(st.integers(-8, 8), min_size=3, max_size=3).map(
 )
 strings = st.text(alphabet="abc\U0001F600", max_size=7)
 token_sets = st.frozensets(st.integers(0, 9), max_size=5)
+bit_rows = st.lists(st.integers(0, 1), min_size=12, max_size=12).map(
+    lambda row: np.asarray(row, dtype=np.uint8)
+)
 
 #: distance name -> (record strategy, selector factory, distance, thresholds)
 CASES = {
@@ -56,6 +65,37 @@ CASES = {
         [0.0, 0.5, 1.25, 3.0, 100.0],
     ),
 }
+
+
+#: The generated update sequences also cover both Hamming indexes.
+UPDATE_CASES = {
+    **CASES,
+    "hamming": (bit_rows, PackedHammingSelector, HammingDistance(), [0, 1, 2.5, 4, 12]),
+    "pigeonhole": (
+        bit_rows,
+        lambda rows: PigeonholeHammingSelector(rows, part_size=4),
+        HammingDistance(),
+        [0, 1, 2.5, 4, 12],
+    ),
+}
+#: What ``rows_at`` returns per distance: a list, or a 2-D array of this dtype.
+ROW_DTYPES = {
+    "edit": None, "jaccard": None, "euclidean": np.float64,
+    "hamming": np.uint8, "pigeonhole": np.uint8,
+}
+
+
+def assert_rows_equal_mirror(name, selector, live):
+    rows = selector.rows_at(np.arange(len(selector)))
+    dtype = ROW_DTYPES[name]
+    if dtype is None:
+        assert type(rows) is list
+        assert rows == live
+    else:
+        assert type(rows) is np.ndarray
+        assert rows.dtype == dtype and rows.ndim == 2
+        assert len(rows) == len(live)
+        assert all(np.array_equal(row, record) for row, record in zip(rows, live))
 
 
 def assert_equals_scan(selector, live, distance, probes, thresholds):
@@ -78,11 +118,11 @@ def roundtrip(selector):
         return load_component(Path(directory) / "snapshot")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(UPDATE_CASES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_any_update_sequence_equals_linear_scan(name, data):
-    records, factory, distance, thresholds = CASES[name]
+    records, factory, distance, thresholds = UPDATE_CASES[name]
     live = data.draw(st.lists(records, min_size=1, max_size=12))
     selector = factory(live)
     # A low floor makes forced compaction (and the rebuild over an emptied
@@ -109,6 +149,7 @@ def test_any_update_sequence_equals_linear_scan(name, data):
         # (perturbed: unseen grams, tokens and points).
         probes = live[:2] + [data.draw(records)]
         assert_equals_scan(selector, live, distance, probes, thresholds)
+        assert_rows_equal_mirror(name, selector, live)
 
 
 class TestEditEdges:

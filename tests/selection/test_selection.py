@@ -63,6 +63,25 @@ class TestPackedHamming:
         assert distances[0] == 0
         assert len(distances) == len(binary_dataset)
 
+    @pytest.mark.parametrize("factory", [PackedHammingSelector, PigeonholeHammingSelector])
+    @pytest.mark.parametrize("bad", [2, 255, 0.5, -1.0])
+    def test_rows_that_are_not_bits_are_refused(self, factory, bad):
+        # Packing reads any nonzero value as a 1 bit; HammingDistance counts
+        # x != y.  Accepting [0, 2, 0, ...] made query([0, 1, 0, ...], 0)
+        # return [0, 1] where a linear scan returns [1].
+        good = np.zeros(8)
+        good[1] = 1
+        not_bits = np.zeros(8)
+        not_bits[1] = bad
+        with pytest.raises(ValueError, match="0 and 1"):
+            factory([not_bits, good])
+        selector = factory([good, good])
+        with pytest.raises(ValueError, match="0 and 1"):
+            selector.insert_many([not_bits])
+        assert len(selector) == 2
+        assert selector.query(good, 0) == [0, 1]
+        assert selector.insert_many([good.astype(bool)]) == 1
+
 
 class TestPigeonholeHamming:
     def test_split_dimensions(self):

@@ -182,8 +182,8 @@ class TestManagerWiring:
         the merged endpoint would keep summing a stale shard (regression)."""
 
         class StubManager:
-            def __init__(self, records, service, endpoint):
-                self.records = records
+            def __init__(self, selector, service, endpoint):
+                self.selector = selector
                 self.service = service
                 self.service_endpoint = endpoint
 
@@ -197,19 +197,19 @@ class TestManagerWiring:
                 return None
 
         binding = sharded_engine.catalog.get("hm")
-        shard_records = list(binding.selector.shard(0).dataset)
+        shard_index = binding.selector.shard(0)
         # Wired to the MERGED endpoint instead of hm#shard0: rejected.
-        wrong_endpoint = StubManager(shard_records, sharded_engine.service, "hm")
+        wrong_endpoint = StubManager(shard_index, sharded_engine.service, "hm")
         with pytest.raises(ValueError):
             sharded_engine.attach_shard_managers("hm", {0: wrong_endpoint})
         # Wired to the right endpoint name but on a foreign service: rejected.
         from repro.serving import EstimationService
 
-        foreign = StubManager(shard_records, EstimationService(), "hm#shard0")
+        foreign = StubManager(shard_index, EstimationService(), "hm#shard0")
         with pytest.raises(ValueError):
             sharded_engine.attach_shard_managers("hm", {0: foreign})
         # Correctly wired (or unwired) managers attach fine.
-        correct = StubManager(shard_records, sharded_engine.service, "hm#shard0")
+        correct = StubManager(shard_index, sharded_engine.service, "hm#shard0")
         sharded_engine.attach_shard_managers("hm", {0: correct})
 
 

@@ -219,6 +219,7 @@ class TestUpdateRouting:
         operations = generate_update_stream(
             binary_dataset, num_operations=8, records_per_operation=6, seed=2
         )
+        rng = np.random.default_rng(5)
         for operation in operations:
             sharded.apply_operation(operation)
             records = apply_operation(records, operation)
@@ -226,9 +227,12 @@ class TestUpdateRouting:
             reference = LinearScanSelector(records, get_distance("hamming"))
             record = records[0]
             assert sharded.query(record, 6.0) == reference.query(record, 6.0)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(sharded.dataset, records)
-        )
+            # The rows are read back from the shards' stores, in the order asked.
+            ids = rng.choice(len(records), size=20)
+            rows = sharded.rows_at(ids)
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+            assert np.array_equal(rows, np.asarray([records[int(i)] for i in ids]))
+        assert np.array_equal(sharded.dataset, np.asarray(records))
 
     def test_untouched_shards_keep_their_index(self, binary_dataset):
         sharded = sharded_for(binary_dataset, 4, partitioner="round_robin")

@@ -1,17 +1,17 @@
-"""Write ``format12_sharded/``: a format-12 engine snapshot with two sharded
+"""Write ``format13_sharded/``: a format-13 engine snapshot with two sharded
 CardNet attributes, and the merged curves it served when written.
 
 Usage::
 
-    PYTHONPATH=src python tests/store/data/make_format12_sharded.py tests/store/data/format12_sharded
+    PYTHONPATH=src python tests/store/data/make_format13_sharded.py tests/store/data/format13_sharded
 
 ``tests/store/test_engine_roundtrip.py`` loads the directory and checks that
-the merged endpoints still serve ``curves.json`` bit for bit.  The curves and
-the payload equal those of the format-8 to format-11 copies before it; the
-format-8 one was written while the merged endpoint still summed per-shard
-passes, before shard CardNets were stacked into one pass.  The snapshot is
-saved with an empty serving ledger, so the request latencies the curves took
-to serve are not written and two runs write the same bytes.
+the merged endpoints still serve ``curves.json`` bit for bit.  The curves
+equal those of the format-8 to format-12 copies before it; the format-8 one
+was written while the merged endpoint still summed per-shard passes, before
+shard CardNets were stacked into one pass.  The snapshot is saved with an
+empty serving ledger, so the request latencies the curves took to serve are
+not written and two runs write the same bytes.
 """
 
 import json

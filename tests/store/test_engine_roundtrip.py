@@ -381,11 +381,11 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-12 engine with two 3-shard CardNet attributes (``hm_a``
+#: A format-13 engine with two 3-shard CardNet attributes (``hm_a``
 #: accelerated, ``hm`` not), and the merged curves it served.
-#: ``make_format12_sharded.py`` in the same directory wrote it; its curves and
-#: payload equal those written before shard CardNets were stacked into one pass.
-FORMAT12_SHARDED = Path(__file__).parent / "data" / "format12_sharded"
+#: ``make_format13_sharded.py`` in the same directory wrote it; its curves
+#: equal those written before shard CardNets were stacked into one pass.
+FORMAT13_SHARDED = Path(__file__).parent / "data" / "format13_sharded"
 
 
 class TestStackedShardSnapshots:
@@ -394,12 +394,12 @@ class TestStackedShardSnapshots:
     served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 12
-        assert inspect_snapshot(FORMAT12_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 13
+        assert inspect_snapshot(FORMAT13_SHARDED).format_version == FORMAT_VERSION
 
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
-        expected = json.loads((FORMAT12_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT12_SHARDED)
+        expected = json.loads((FORMAT13_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT13_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
@@ -408,7 +408,7 @@ class TestStackedShardSnapshots:
             assert group.merged._stack.members == group.estimators
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT12_SHARDED)
+        engine = load_engine(FORMAT13_SHARDED)
         groups = [engine.shard_group(name) for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
         for group in groups:  # every shard's own memos, as a per-shard pass leaves them
@@ -431,7 +431,7 @@ class TestCorruptSnapshotsRefused:
     @pytest.fixture
     def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        shutil.copytree(FORMAT12_SHARDED, directory)
+        shutil.copytree(FORMAT13_SHARDED, directory)
         return directory
 
     @staticmethod
@@ -459,7 +459,7 @@ class TestCorruptSnapshotsRefused:
         manifest = json.loads(manifest_file.read_text())
         manifest["version"] = 8
         manifest_file.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 12\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 13\b"):
             SimilarityQueryEngine.load(snapshot)
 
 
