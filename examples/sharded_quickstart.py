@@ -58,8 +58,7 @@ def main() -> None:
     print("sharded result is bit-identical to the unsharded scan")
 
     # --- Monotonicity survives the merge ---------------------------------- #
-    group = engine.shard_group("fingerprints")
-    merged_curve = group.estimate_curve(dataset.records[7])
+    merged_curve = engine.service.estimate_curve("fingerprints", dataset.records[7])
     assert np.all(np.diff(merged_curve) >= -1e-9)
     print(f"merged curve is monotone over {len(merged_curve)} thresholds "
           "(a sum of monotone per-shard curves)")

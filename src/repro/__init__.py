@@ -34,7 +34,7 @@ from .obs import (
 )
 from .runtime import Runtime
 from .serving import CurveCache, EstimationService, EstimatorRegistry
-from .sharding import ShardedEstimatorGroup, ShardedSelector
+from .sharding import ShardedSelector
 from .store import load_engine, save_engine
 from .workloads import Workload, build_workload
 
@@ -52,7 +52,6 @@ __all__ = [
     "SimilarityPredicate",
     "ConjunctiveQuery",
     "ShardedSelector",
-    "ShardedEstimatorGroup",
     "Runtime",
     "save_engine",
     "load_engine",

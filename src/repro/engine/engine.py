@@ -25,7 +25,6 @@ routes an operation to the units it touches, and each applies it once
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -52,7 +51,7 @@ from ..runtime import Runtime
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
 from ..selection.delta import resolve_delete_positions
 from ..serving import EstimationService, resolve_curve_grid
-from ..sharding import Partitioner, ShardedEstimatorGroup, ShardedSelector
+from ..sharding import MergedShardEstimator, Partitioner, ShardedSelector
 from ..sharding.rebalance import RebalancePlan, RebalanceReport, stage, suggest_plan
 from .catalog import AttributeBinding, AttributeCatalog
 from .executor import QueryExecutor, QueryResult
@@ -139,7 +138,6 @@ class SimilarityQueryEngine:
         )
         #: Attribute → its attached §8 managers (one per maintenance unit).
         self._links: Dict[str, _ManagerLink] = {}
-        self._groups: Dict[str, ShardedEstimatorGroup] = {}
         #: Per-shard estimator factories kept from register_sharded_attribute
         #: so a live rebalance can build estimators for the new shard layout.
         #: Caller closures — dropped from snapshots; re-arm after restore with
@@ -180,16 +178,11 @@ class SimilarityQueryEngine:
         grid, canonical = resolve_curve_grid(estimators, curve_thetas, theta_max, distance_name)
         sharded = isinstance(selector, ShardedSelector)
         if sharded:
-            names = ShardedEstimatorGroup.endpoints_for(name, len(estimators))
-            up = functools.partial(
-                ShardedEstimatorGroup, name, self.service, estimators,
-                curve_thetas=grid, distance_name=distance_name,
-            )
+            endpoints = self._shard_endpoints(name, estimators, grid, distance_name)
         else:
             own = {"curve_thetas": None if canonical else grid, "distance_name": distance_name}
             endpoints = [(name, estimators[0], own), *self._part_endpoints(name, selector, records)]
-            names = [endpoint for endpoint, _, _ in endpoints]
-            up = functools.partial(self.service.register_all, endpoints)
+        names = [endpoint for endpoint, _, _ in endpoints]
         replacing = [] if binding is None else [
             *binding.shard_endpoints, *binding.part_endpoints, name
         ]
@@ -199,25 +192,26 @@ class SimilarityQueryEngine:
         replaced = [self.service.registry.get(e).registration() for e in replacing]
         for endpoint in replacing:
             self.service.unregister(endpoint)
-        family = None
+        up = False
         try:
-            family = up()
+            self.service.register_all(endpoints)
+            up = True
             if commit:
                 commit()
             if binding is None:
                 theta_max = grid[-1] if theta_max is None else theta_max
                 binding = self.catalog.add(name, records, distance_name, name, theta_max, selector)
         except BaseException:
-            if family is not None:
+            if up:
                 for endpoint in names:
                     self.service.unregister(endpoint)
             self.service.register_all(replaced)
             raise
+        family = [e for e in names if e != name]
         if sharded:
-            binding.shard_endpoints = list(family.shard_endpoints)
-            self._groups[name] = family
+            binding.shard_endpoints = family
         else:
-            binding.part_endpoints = [e for e in names if e != name]
+            binding.part_endpoints = family
         return binding
 
     def register_attribute(
@@ -277,6 +271,31 @@ class SimilarityQueryEngine:
                 },
             )
             for part_index, (start, stop) in enumerate(selector.parts)
+        ]
+
+    @staticmethod
+    def _shard_endpoints(name: str, estimators, grid: np.ndarray, distance_name: str) -> List[Tuple]:
+        """One endpoint per shard estimator (``name#shardK``), then the merged
+        ``name`` summing their curves, all on ``grid``: per-shard curves only
+        sum on a shared grid."""
+        merged = {
+            "distance_name": distance_name,
+            "metadata": {"sharded": True, "num_shards": len(estimators)},
+        }
+        return [
+            *(
+                (
+                    f"{name}#shard{shard_index}",
+                    estimator,
+                    {
+                        "curve_thetas": grid,
+                        "distance_name": distance_name,
+                        "metadata": {"shard_of": name, "shard_index": shard_index},
+                    },
+                )
+                for shard_index, estimator in enumerate(estimators)
+            ),
+            (name, MergedShardEstimator(estimators, grid), merged),
         ]
 
     def register_sharded_attribute(
@@ -354,10 +373,6 @@ class SimilarityQueryEngine:
             raise ValueError(f"attribute {name!r} is not sharded")
         self._estimator_factories[name] = estimator_factory
 
-    def shard_group(self, name: str) -> ShardedEstimatorGroup:
-        """The serving group behind a sharded attribute (introspection)."""
-        return self._groups[name]
-
     def rebalance_attribute(
         self,
         name: str,
@@ -398,7 +413,8 @@ class SimilarityQueryEngine:
             staged = stage(selector, plan, partitioner)
             # An aliased target is a shard the old layout already serves:
             # its estimator carries over; only built targets are trained.
-            aliased, current = staged.resolved.aliased, self._groups[name].estimators
+            aliased = staged.resolved.aliased
+            current = [self.service.registry.get(e).estimator for e in binding.shard_endpoints]
             estimators = [
                 current[aliased[target]] if target in aliased
                 else factory(staged.shard_records(target), target)
@@ -406,7 +422,7 @@ class SimilarityQueryEngine:
             ]
             self._bring_up(
                 name, binding.distance.name, selector, estimators,
-                self._groups[name].curve_thetas,
+                self.service.registry.get(binding.endpoint).curve_thetas,
                 commit=lambda: selector.swap_layout(staged),
             )
             # Per-shard managers were built for the old layout; drop them so

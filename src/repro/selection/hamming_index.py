@@ -41,11 +41,15 @@ from .delta import DeltaIndexMixin, GrowableArray
 def _bit_matrix(rows: Sequence) -> np.ndarray:
     """``rows`` as one ``(n, d)`` ``uint8`` matrix of 0/1 values.
 
-    Any other value is refused with ``ValueError``: the packed words keep one
-    bit per coordinate while :class:`HammingDistance` counts ``x != y``, so a
-    stored 2 would read back as 1 and answers would disagree with a scan.
+    An empty 2-D input keeps its width (an emptied index keeps its
+    dimension); an empty list has none.  Any other value is refused with
+    ``ValueError``: the packed words keep one bit per coordinate while
+    :class:`HammingDistance` counts ``x != y``, so a stored 2 would read back
+    as 1 and answers would disagree with a scan.
     """
-    matrix = np.asarray(rows) if len(rows) else np.zeros((0, 0), dtype=np.uint8)
+    matrix = np.asarray(rows)
+    if matrix.size == 0 and matrix.ndim != 2:
+        matrix = np.zeros((0, 0), dtype=np.uint8)
     if matrix.ndim != 2:
         raise ValueError(f"binary rows must be vectors of one dimension, got shape {matrix.shape}")
     if not ((matrix == 0) | (matrix == 1)).all():
@@ -141,6 +145,7 @@ class PigeonholeHammingSelector(PackedHammingSelector):
 
     def __init__(self, dataset: Sequence, part_size: int = 16) -> None:
         super().__init__(dataset)
+        self.part_size = part_size
         self.parts = split_dimensions(self._dimension, part_size)
         self._mask_parts()
 
@@ -237,5 +242,4 @@ class PigeonholeHammingSelector(PackedHammingSelector):
         return int(self._candidate_rows(self._query_words(record), allocation).size)
 
     def rebuild(self, dataset: Sequence) -> "PigeonholeHammingSelector":
-        part_size = self.parts[0][1] - self.parts[0][0] if self.parts else 16
-        return PigeonholeHammingSelector(dataset, part_size=part_size)
+        return PigeonholeHammingSelector(dataset, part_size=self.part_size)

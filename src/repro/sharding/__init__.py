@@ -7,9 +7,9 @@ shard cleanly:
 * :class:`ShardedSelector` answers exact selections by fan-out (a loop on
   the caller) + merge over per-shard indexes, bit-identical to the unsharded
   selector;
-* :class:`ShardedEstimatorGroup` serves one endpoint per shard
-  (``name#shardK``) plus a merged endpoint whose curves are the sums of the
-  shard estimators' curves, computed in one service request;
+* :class:`MergedShardEstimator` backs a sharded attribute's merged endpoint
+  beside its per-shard ones (``name#shardK``): its curves are the sums of
+  the shard estimators' curves, computed in one service request;
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
 * :func:`repro.sharding.rebalance.rebalance` carries out a
@@ -20,7 +20,7 @@ shard cleanly:
   layout still serving.
 """
 
-from .group import MergedShardEstimator, ShardedEstimatorGroup
+from .group import MergedShardEstimator
 from .partitioner import (
     HashPartitioner,
     Partitioner,
@@ -47,7 +47,6 @@ __all__ = [
     "ShardedSelector",
     "ShardRouting",
     "StaleRebalanceError",
-    "ShardedEstimatorGroup",
     "MergedShardEstimator",
     "RebalancePlan",
     "RebalanceReport",

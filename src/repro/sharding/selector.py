@@ -254,25 +254,6 @@ class ShardedSelector(SimilaritySelector):
             [len(matches) for matches in local_matches],
         )
 
-    def query_many(
-        self, records: Sequence[Any], thresholds: Sequence[float]
-    ) -> List[List[int]]:
-        """Batched fan-out: each shard answers the whole workload in one task,
-        amortizing the per-task overhead over every query."""
-        if len(records) != len(thresholds):
-            raise ValueError("records and thresholds must have the same length")
-        per_shard, assignment = self._fan_out(
-            "query_many",
-            lambda shard: [
-                shard.query(record, float(threshold))
-                for record, threshold in zip(records, thresholds)
-            ],
-        )
-        return [
-            self._merge([matches[q] for matches in per_shard], assignment).tolist()
-            for q in range(len(records))
-        ]
-
     def cardinality(self, record: Any, threshold: float) -> int:
         counts, _ = self._fan_out(
             "cardinality", lambda shard: shard.cardinality(record, threshold)

@@ -16,12 +16,12 @@ Three properties make restored components behave exactly like the originals:
    referenced thereafter; decode memoizes the same way, so e.g. the
    estimator registered on a serving endpoint and the one held by an
    :class:`~repro.core.IncrementalUpdateManager` restore to the *same*
-   object, and the service ↔ merged-shard-estimator cycle closes.  Plain
-   containers (lists/dicts/sets) are values: two holders of one list decode
-   to two equal lists, and an array inside a stacked list is distinct from a
-   standalone reference to it — the library shares state through objects and
-   reassigns containers rather than mutating them in place, so this is
-   unobservable today; don't build in-place container sharing on top of it.
+   object.  Plain containers (lists/dicts/sets) are values: two holders of
+   one list decode to two equal lists, and an array inside a stacked list is
+   distinct from a standalone reference to it — the library shares state
+   through objects and reassigns containers rather than mutating them in
+   place, so this is unobservable today; don't build in-place container
+   sharing on top of it.
 2. **Only repro classes (plus vetted builtins) decode.**  Class and function
    references are stored as ``module:qualname`` strings and re-resolved on
    load; anything outside the ``repro`` package or the small builtin

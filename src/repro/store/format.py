@@ -89,7 +89,11 @@ FORMAT_NAME = "repro-snapshot"
 #       bytes `_packed` too, a sharded selector a merged `_dataset`, an
 #       attribute binding its `records`); a snapshot now holds each row once,
 #       in the compacted physical store, and a tombstone view as its count.
-FORMAT_VERSION = 13
+#  14 — a sharded attribute registers like any other: a version-13 engine
+#       persists a `_groups` map of sharded-serving group objects whose class
+#       no longer exists to decode into, and a version-13
+#       PigeonholeHammingSelector lacks the `part_size` it now persists.
+FORMAT_VERSION = 14
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

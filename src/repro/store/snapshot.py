@@ -1,8 +1,8 @@
 """Snapshot facades: capture a component (or a whole engine) to a directory.
 
 ``save_component``/``load_component`` work for any snapshottable object graph
-(an estimator, a :class:`~repro.sharding.ShardedSelector`, a
-:class:`~repro.sharding.ShardedEstimatorGroup` with its serving stack, …).
+(an estimator, a :class:`~repro.sharding.ShardedSelector`, an
+:class:`~repro.serving.EstimationService` with its endpoints, …).
 ``save_engine``/``load_engine`` wrap them for the common case — a full
 :class:`~repro.engine.SimilarityQueryEngine` — adding an inventory to the
 manifest and a type check on restore.
@@ -125,7 +125,9 @@ def save_engine(engine: Any, path: PathLike) -> SnapshotInfo:
         "endpoints": engine.service.registry.names(),
         "cached_curves": len(engine.service.cache),
         "managed_attributes": sorted(engine._links),
-        "sharded_attributes": sorted(engine._groups),
+        "sharded_attributes": [
+            name for name in engine.catalog.names() if engine.catalog.get(name).sharded
+        ],
         "drift_events": len(engine.feedback.events),
     }
     return save_component(engine, path, kind=ENGINE_KIND, meta=meta)

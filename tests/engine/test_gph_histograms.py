@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.baselines import HistogramHammingEstimator, UniformSamplingEstimator
 from repro.datasets.updates import UpdateOperation
 from repro.engine import SimilarityQueryEngine
+from repro.selection import CompactionPolicy
 
 ROWS, WIDTH, PART = 60, 32, 8
 
@@ -78,3 +79,28 @@ def test_delta_kept_histograms_equal_fresh_ones(seed, steps):
             engine.apply_update("hm", UpdateOperation("delete", [len(binding) - 1]))
         assert_parts_fresh(engine, rng)
     assert len(binding) == len(binding.selector)
+
+
+def test_an_emptied_index_keeps_its_parts_and_histograms():
+    """Deleting every row compacts the index down to no rows; it keeps its
+    dimension and part size, so the rows inserted next land in the same
+    parts and every part histogram counts them."""
+    rng = np.random.default_rng(3)
+    engine = SimilarityQueryEngine()
+    base = rng.integers(0, 2, size=(ROWS, WIDTH), dtype=np.uint8)
+    engine.register_attribute(
+        "hm", base, "hamming", UniformSamplingEstimator(base, "hamming", seed=0),
+        theta_max=WIDTH, gph_part_size=PART,
+    )
+    binding = engine.catalog.get("hm")
+    parts = list(binding.selector.parts)
+    assert len(parts) == WIDTH // PART
+    binding.selector.compaction_policy = CompactionPolicy(0.25, 0.5, min_tombstones=1)
+    engine.apply_update("hm", UpdateOperation("delete", list(range(ROWS))))
+    assert binding.selector.delta_stats()["physical"] == 0  # compacted to nothing
+    assert binding.selector.parts == parts
+    engine.apply_update(
+        "hm", UpdateOperation("insert", list(rng.integers(0, 2, size=(4, WIDTH), dtype=np.uint8)))
+    )
+    assert binding.selector.parts == parts
+    assert_parts_fresh(engine, rng)

@@ -7,7 +7,7 @@ Every way an attribute's serving endpoints come up — ``register_attribute``
 routine; an update keeps the ``::partJ`` histograms by its delta, all parts or
 none.  The first half of this file makes each of them fail
 at every failure point that exists and checks that catalog, registry, the
-binding's endpoint lists, the engine's group / manager maps and the selector's
+binding's endpoint lists, the engine's manager map and the selector's
 layout are what they were before the call, that a seeded query sample still
 equals a linear scan, and that the corrected retry succeeds.  The second half
 sends one ``(estimators, curve_thetas, theta_max, distance)`` through every
@@ -85,7 +85,6 @@ def state(engine):
         },
         "shard_endpoints": {b.name: list(b.shard_endpoints) for b in engine.catalog},
         "part_endpoints": {b.name: list(b.part_endpoints) for b in engine.catalog},
-        "groups": sorted(engine._groups),
         "links": sorted(engine._links),
         "num_shards": {
             b.name: (b.selector.num_shards, b.selector.shard_sizes())
@@ -94,6 +93,12 @@ def state(engine):
         },
         "shards": {b.name: [id(s) for s in b.selector.shards] for b in engine.catalog if b.sharded},
     }
+
+
+def shard_estimators(engine, name):
+    """The estimators behind a sharded attribute's ``#shardK`` endpoints."""
+    registry = engine.service.registry
+    return [registry.get(e).estimator for e in engine.catalog.get(name).shard_endpoints]
 
 
 def assert_exact(engine, seed=17):
@@ -270,23 +275,22 @@ def test_a_rebalance_trains_only_the_shards_it_builds(engine, dataset):
         return sampler(shard_records)  # a function of the rows alone
 
     binding = sharded(engine, dataset.records, estimator_factory=counting, num_shards=4)
-    group = engine.shard_group("y")
-    kept = group.estimators[1:]
+    kept = shard_estimators(engine, "y")[1:]
     records = list(np.asarray(binding.records)[:12])
     untouched = [f"y#shard{k}" for k in (1, 2, 3)]
     before = curves(engine, untouched, records)
     del calls[:]
     engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
     assert calls == [0, 4]
-    group = engine.shard_group("y")
-    assert group.estimators[1:4] == kept
+    assert shard_estimators(engine, "y")[1:4] == kept
     after = curves(engine, untouched + ["y"], records)
     for endpoint in untouched:
         assert np.array_equal(after[endpoint], before[endpoint]), endpoint
+    grid = engine.service.registry.get("y").curve_thetas
     retrained = MergedShardEstimator(
-        [sampler(shard.dataset) for shard in binding.selector.shards], group.curve_thetas
+        [sampler(shard.dataset) for shard in binding.selector.shards], grid
     )
-    assert np.array_equal(after["y"], retrained.estimate_curve_many(records, group.curve_thetas))
+    assert np.array_equal(after["y"], retrained.estimate_curve_many(records, grid))
 
 
 def test_a_backend_other_than_thread_is_refused_before_anything_is_built(engine, dataset):
@@ -485,7 +489,7 @@ def test_a_stale_swap_leaves_the_old_family_serving_its_curves(engine, dataset):
     endpoints = [*binding.shard_endpoints, "y"]
     records = list(np.asarray(binding.records)[:10])
     before = curves(engine, endpoints, records)
-    kept = list(engine.shard_group("y").estimators)
+    kept = shard_estimators(engine, "y")
 
     def updating(shard_records, shard_index):
         if shard_index == 0:
@@ -495,7 +499,7 @@ def test_a_stale_swap_leaves_the_old_family_serving_its_curves(engine, dataset):
     engine.set_estimator_factory("y", updating)
     with pytest.raises(StaleRebalanceError):
         engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
-    assert engine.shard_group("y").estimators == kept
+    assert shard_estimators(engine, "y") == kept
     after = curves(engine, endpoints, records)
     for endpoint in endpoints:
         assert np.array_equal(after[endpoint], before[endpoint]), endpoint

@@ -153,6 +153,11 @@ class TestUpdateSemantics:
         assert len(selector) == 10
         assert selector.query(binary_dataset.records[0], 0) == [0]
 
+    def test_pigeonhole_bootstrap_keeps_its_part_size(self, binary_dataset):
+        selector = PigeonholeHammingSelector([], part_size=8)
+        selector.insert_many(binary_dataset.records[:10])
+        assert selector.parts == [(0, 8), (8, 16), (16, 24), (24, 32)]
+
     def test_delete_to_empty_then_reinsert(self, binary_dataset):
         selector = PackedHammingSelector(binary_dataset.records[:5])
         selector.delete_many(range(5))

@@ -37,8 +37,6 @@ def _run_op(selector, op, records, thetas):
     probes = records[:3]
     if op == "query":
         return [selector.query(probe, thetas[1]) for probe in probes]
-    if op == "query_many":
-        return selector.query_many(probes, thetas)
     if op == "cardinality":
         return [selector.cardinality(probe, thetas[1]) for probe in probes]
     return [selector.cardinality_curve(probe, thetas).tolist() for probe in probes]
@@ -48,7 +46,7 @@ def _run_op(selector, op, records, thetas):
 @given(
     kind=st.sampled_from(sorted(KINDS)),
     num_shards=st.integers(min_value=1, max_value=6),
-    op=st.sampled_from(["query", "query_many", "cardinality", "cardinality_curve"]),
+    op=st.sampled_from(["query", "cardinality", "cardinality_curve"]),
     num_records=st.integers(min_value=12, max_value=48),
     seed=st.integers(min_value=0, max_value=2**16),
 )
@@ -61,11 +59,7 @@ def test_fan_out_equals_unsharded(kind, num_shards, op, num_records, seed):
     answer = _run_op(selector, op, records, thetas)
 
     unsharded = selector_cls(records)
-    if op == "query_many":
-        expected = [unsharded.query(p, theta) for p, theta in zip(records[:3], thetas)]
-    else:
-        expected = _run_op(unsharded, op, records, thetas)
-    assert answer == expected
+    assert answer == _run_op(unsharded, op, records, thetas)
 
 
 # --------------------------------------------------------------------------- #

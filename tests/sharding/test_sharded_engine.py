@@ -55,7 +55,8 @@ class TestShardedExecution:
         assert binding.shard_endpoints == [f"hm#shard{k}" for k in range(4)]
         for endpoint in ["hm", *binding.shard_endpoints]:
             assert endpoint in sharded_engine.service.registry
-        assert sharded_engine.shard_group("hm").num_shards == 4
+        merged = sharded_engine.service.registry.get("hm")
+        assert merged.metadata == {"sharded": True, "num_shards": 4}
 
     def test_plans_read_the_merged_curve(self, sharded_engine, binary_dataset):
         plan = sharded_engine.explain(
@@ -64,9 +65,11 @@ class TestShardedExecution:
         assert plan.driver_shards == 4
         assert "shards=4" in plan.describe()
         # Merged estimate == sum of the per-shard served estimates.
-        group = sharded_engine.shard_group("hm")
-        per_shard = group.shard_estimates([binary_dataset.records[0]], [5.0])
-        assert plan.driver.estimated_cardinality == pytest.approx(per_shard.sum())
+        per_shard = [
+            sharded_engine.service.estimate(endpoint, binary_dataset.records[0], 5.0)
+            for endpoint in sharded_engine.catalog.get("hm").shard_endpoints
+        ]
+        assert plan.driver.estimated_cardinality == pytest.approx(sum(per_shard))
 
     def test_execution_is_exact_with_shard_counts(self, sharded_engine, binary_dataset):
         reference = LinearScanSelector(binary_dataset.records, get_distance("hamming"))
@@ -358,8 +361,7 @@ class TestEngineRebalance:
         record = binary_dataset.records[5]
         predicate = SimilarityPredicate("hm", record, 6.0)
         before_ids = engine.execute(predicate).record_ids
-        old_group = engine.shard_group("hm")
-        old_grid = old_group.curve_thetas
+        old_merged = engine.service.registry.get("hm")
 
         report = engine.rebalance_attribute(
             "hm", RebalancePlan([SplitShard(0, parts=2)])
@@ -370,9 +372,9 @@ class TestEngineRebalance:
         assert binding.shard_endpoints == [
             f"hm#shard{i}" for i in range(report.num_shards_after)
         ]
-        new_group = engine.shard_group("hm")
-        assert new_group is not old_group
-        assert list(new_group.curve_thetas) == list(old_grid)
+        new_merged = engine.service.registry.get("hm")
+        assert new_merged.estimator is not old_merged.estimator
+        assert list(new_merged.curve_thetas) == list(old_merged.curve_thetas)
         # Planning still works against the swapped endpoints...
         plan = engine.explain(ConjunctiveQuery([predicate]))
         assert plan.driver.predicate.attribute == "hm"
@@ -470,15 +472,15 @@ class TestShardedEngineLifetime:
                 num_shards=4, theta_max=binary_dataset.theta_max,
             )
             engine.execute(SimilarityPredicate("hm", binary_dataset.records[0], 5.0))
-            group = engine.shard_group("hm")
+            merged = engine.service.registry.get("hm").estimator
             watched = [
                 weakref.ref(engine.service),
                 weakref.ref(engine.service.registry),
-                weakref.ref(group.merged),
-                weakref.ref(group.estimators[0]),
+                weakref.ref(merged),
+                weakref.ref(merged._shard_estimators[0]),
                 weakref.ref(engine.service.cache),
             ]
-            del group
+            del merged
             del engine
             assert [ref() for ref in watched] == [None] * len(watched)
         finally:
@@ -513,7 +515,7 @@ class TestShardedEngineLifetime:
         gc.disable()
         try:
             restored = load_engine(tmp_path / "snap")
-            merged = restored.shard_group("hm").merged
+            merged = restored.service.registry.get("hm").estimator
             restored.service.invalidate("hm")
             assert np.array_equal(restored.service.estimate_curve_many("hm", records), before)
             watched = [weakref.ref(restored.service), weakref.ref(merged)]

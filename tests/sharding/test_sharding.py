@@ -19,12 +19,12 @@ from repro.core.interface import CardinalityEstimator
 from repro.datasets.updates import UpdateOperation, apply_operation, generate_update_stream
 from repro.distances import get_distance
 from repro.selection import LinearScanSelector, default_selector
+from repro.engine import SimilarityQueryEngine
 from repro.serving import EstimationService
 from repro.sharding import (
     HashPartitioner,
     RoundRobinPartitioner,
     ShardAssignment,
-    ShardedEstimatorGroup,
     ShardedSelector,
     get_partitioner,
 )
@@ -171,18 +171,6 @@ class TestShardedSelectorExact:
         assert np.array_equal(curve, reference.cardinality_curve(record, grid))
         assert np.all(np.diff(curve) >= 0)
 
-    def test_query_many_equals_per_query(self, dataset):
-        sharded = sharded_for(dataset, 3)
-        rng = np.random.default_rng(8)
-        records = [
-            dataset.records[int(i)]
-            for i in rng.choice(len(dataset.records), size=6, replace=False)
-        ]
-        thetas = [self.thetas(dataset)[1]] * len(records)
-        batched = sharded.query_many(records, thetas)
-        singles = [sharded.query(r, t) for r, t in zip(records, thetas)]
-        assert batched == singles
-
     def test_query_with_counts_sums(self, binary_dataset):
         sharded = sharded_for(binary_dataset, 4)
         record = binary_dataset.records[0]
@@ -201,11 +189,6 @@ class TestShardedSelectorExact:
         )
         record = binary_dataset.records[0]
         assert rebuilt.query(record, 5.0) == reference.query(record, 5.0)
-
-    def test_mismatched_query_many_lengths(self, binary_dataset):
-        sharded = sharded_for(binary_dataset, 2)
-        with pytest.raises(ValueError):
-            sharded.query_many([binary_dataset.records[0]], [1.0, 2.0])
 
 
 # --------------------------------------------------------------------------- #
@@ -274,64 +257,62 @@ class TestUpdateRouting:
 # --------------------------------------------------------------------------- #
 # Sharded serving: merged endpoint = sum of the shard estimators' curves
 # --------------------------------------------------------------------------- #
-class TestShardedEstimatorGroup:
+class TestShardedServing:
+    """A sharded attribute's endpoints, driven through the engine's service."""
+
+    GRID = np.arange(13, dtype=np.float64)
+
     @pytest.fixture
-    def setup(self, binary_dataset):
-        sharded = sharded_for(binary_dataset, 3)
-        service = EstimationService()
-        estimators = [
-            ExactCountEstimator(list(shard.dataset), "hamming")
-            for shard in sharded.shards
-        ]
-        group = ShardedEstimatorGroup(
-            "hm",
-            service,
-            estimators,
-            curve_thetas=np.arange(int(binary_dataset.theta_max) + 1, dtype=np.float64),
-            distance_name="hamming",
+    def engine(self, binary_dataset):
+        assert binary_dataset.theta_max == self.GRID[-1]
+        engine = SimilarityQueryEngine()
+        engine.register_sharded_attribute(
+            "hm", binary_dataset.records, "hamming",
+            lambda rows, _: ExactCountEstimator(rows, "hamming"),
+            num_shards=3, curve_thetas=self.GRID,
         )
-        return sharded, service, group
+        return engine
 
-    def test_endpoints_registered(self, setup):
-        _, service, group = setup
-        assert group.shard_endpoints == ["hm#shard0", "hm#shard1", "hm#shard2"]
-        for endpoint in [*group.shard_endpoints, "hm"]:
-            assert endpoint in service.registry
+    def test_endpoints_registered(self, engine):
+        binding = engine.catalog.get("hm")
+        assert binding.shard_endpoints == ["hm#shard0", "hm#shard1", "hm#shard2"]
+        assert engine.service.registry.names() == ["hm", *binding.shard_endpoints]
 
-    def test_merged_equals_shard_sum_and_unsharded_exact(self, setup, binary_dataset):
-        _, _, group = setup
+    def test_merged_equals_shard_sum_and_unsharded_exact(self, engine, binary_dataset):
+        service, registry = engine.service, engine.service.registry
+        endpoints = engine.catalog.get("hm").shard_endpoints
         rng = np.random.default_rng(4)
         records = [
             binary_dataset.records[int(i)]
             for i in rng.choice(len(binary_dataset.records), size=8, replace=False)
         ]
         thetas = [float(rng.integers(1, int(binary_dataset.theta_max))) for _ in records]
-        merged = group.estimate_many(records, thetas)
+        merged = service.estimate_many("hm", records, thetas)
         # Exactly the shard estimators' curves, summed in shard order.
-        summed = np.zeros((len(records), len(group.curve_thetas)))
-        for estimator in group.estimators:
-            summed += estimator.estimate_curve_many(records, group.curve_thetas)
-        assert np.array_equal(group.estimate_curve_many(records), summed)
-        assert np.array_equal(merged, group.shard_estimates(records, thetas).sum(axis=0))
+        summed = np.zeros((len(records), len(self.GRID)))
+        for endpoint in endpoints:
+            summed += registry.get(endpoint).estimator.estimate_curve_many(records, self.GRID)
+        assert np.array_equal(service.estimate_curve_many("hm", records), summed)
+        per_shard = [service.estimate_many(endpoint, records, thetas) for endpoint in endpoints]
+        assert np.array_equal(merged, np.sum(per_shard, axis=0))
         # Exact per-shard oracles: the sum IS the unsharded exact count.
         reference = LinearScanSelector(binary_dataset.records, get_distance("hamming"))
         assert merged == pytest.approx(
             [reference.cardinality(r, t) for r, t in zip(records, thetas)]
         )
 
-    def test_merged_curve_is_monotone_by_construction(self, setup, binary_dataset):
-        _, _, group = setup
+    def test_merged_curve_is_monotone_by_construction(self, engine, binary_dataset):
         for record_id in (0, 11, 42):
-            curve = group.estimate_curve(binary_dataset.records[record_id])
+            curve = engine.service.estimate_curve("hm", binary_dataset.records[record_id])
             assert np.all(np.diff(curve) >= -1e-9)
 
-    def test_repeat_requests_hit_every_cache(self, setup, binary_dataset):
-        _, service, group = setup
+    def test_repeat_requests_hit_every_cache(self, engine, binary_dataset):
+        service = engine.service
         records = [binary_dataset.records[i] for i in range(5)]
         thetas = [4.0] * 5
-        group.estimate_many(records, thetas)
+        service.estimate_many("hm", records, thetas)
         hits_before = service.cache.hits
-        group.estimate_many(records, thetas)
+        service.estimate_many("hm", records, thetas)
         # The repeat is answered fully from the merged endpoint's cache.
         assert service.cache.hits >= hits_before + len(records)
         assert service.telemetry.endpoint("hm").hit_rate > 0.0
@@ -341,7 +322,7 @@ class TestShardedEstimatorGroup:
         unsharded.register(
             "hm",
             ExactCountEstimator(binary_dataset.records, "hamming"),
-            curve_thetas=np.arange(int(binary_dataset.theta_max) + 1, dtype=np.float64),
+            curve_thetas=self.GRID,
             distance_name="hamming",
         )
         for _ in range(2):
@@ -352,21 +333,32 @@ class TestShardedEstimatorGroup:
             assert merged[key] == plain[key], key
         assert merged["cache_hits"] == len(records)
 
-    def test_shard_invalidation_also_drops_merged_curves(self, setup, binary_dataset):
-        _, service, group = setup
+    def test_shard_invalidation_also_drops_merged_curves(self, engine, binary_dataset):
+        service = engine.service
+        endpoints = engine.catalog.get("hm").shard_endpoints
         record = binary_dataset.records[0]
-        group.estimate_many([record], [4.0])
+        service.estimate_many("hm", [record], [4.0])
         # One record through the merged endpoint: one merged curve, and the
         # shard endpoints' caches are not touched.
         assert len(service.cache) == 1
-        assert all(service.telemetry.endpoint(e).requests == 0 for e in group.shard_endpoints)
-        group.shard_estimates([record], [4.0])
+        assert all(service.telemetry.endpoint(e).requests == 0 for e in endpoints)
+        for endpoint in endpoints:
+            service.estimate_many(endpoint, [record], [4.0])
         assert len(service.cache) == 4
-        dropped = group.invalidate_shard(1)
-        # The merged curve sums every shard, so it went stale with shard 1 —
-        # but the untouched shards keep their cached curves.
-        assert dropped == 2
-        assert len(service.cache) == 2
+        report = engine.apply_update(
+            "hm", UpdateOperation("insert", [binary_dataset.records[1]])
+        )
+        # The merged curve sums every shard, so it went stale with the
+        # touched shard — but the untouched shards keep their cached curves.
+        assert len(report.touched_shards) == 1
+        cached = [
+            endpoint
+            for endpoint in ["hm", *endpoints]
+            if service.cache.get(endpoint, service.registry.get(endpoint).key_for(record))
+            is not None
+        ]
+        touched = endpoints[report.touched_shards[0]]
+        assert cached == [endpoint for endpoint in endpoints if endpoint != touched]
 
     def test_mismatched_canonical_grids_rejected(self, binary_dataset):
         class GriddedEstimator(ExactCountEstimator):
@@ -377,31 +369,30 @@ class TestShardedEstimatorGroup:
             def curve_thetas(self):
                 return self._grid
 
-        service = EstimationService()
+        engine = SimilarityQueryEngine()
         with pytest.raises(ValueError):
-            ShardedEstimatorGroup(
-                "bad",
-                service,
-                [
-                    GriddedEstimator(binary_dataset.records[:10], np.arange(5.0)),
-                    GriddedEstimator(binary_dataset.records[10:20], np.arange(7.0)),
-                ],
+            engine.register_sharded_attribute(
+                "bad", binary_dataset.records[:20], "hamming",
+                lambda rows, index: GriddedEstimator(rows, np.arange(5.0 + 2 * index)),
+                num_shards=2,
             )
+        assert engine.service.registry.names() == []
+        assert engine.catalog.names() == []
 
     def test_gridless_estimators_require_theta_max(self, binary_dataset):
-        service = EstimationService()
-        estimators = [
-            UniformSamplingEstimator(binary_dataset.records[:50], "hamming", seed=0)
-        ]
-        with pytest.raises(ValueError):
-            ShardedEstimatorGroup("us", service, estimators)
-        group = ShardedEstimatorGroup(
-            "us", service, estimators, theta_max=binary_dataset.theta_max
-        )
-        assert group.curve_thetas[-1] == pytest.approx(binary_dataset.theta_max)
+        engine = SimilarityQueryEngine()
 
-    def test_unregister_removes_every_endpoint(self, setup):
-        _, service, group = setup
-        group.unregister()
-        assert "hm" not in service.registry
-        assert "hm#shard0" not in service.registry
+        def factory(rows, index):
+            return UniformSamplingEstimator(rows, "hamming", seed=index)
+
+        with pytest.raises(ValueError):
+            engine.register_sharded_attribute(
+                "us", binary_dataset.records[:50], "hamming", factory, num_shards=1
+            )
+        assert engine.service.registry.names() == []
+        engine.register_sharded_attribute(
+            "us", binary_dataset.records[:50], "hamming", factory, num_shards=1,
+            theta_max=binary_dataset.theta_max,
+        )
+        grid = engine.service.registry.get("us").curve_thetas
+        assert grid[-1] == pytest.approx(binary_dataset.theta_max)

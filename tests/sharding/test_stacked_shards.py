@@ -1,11 +1,11 @@
 """The merged endpoint's stacked pass: one featurization, one model pass.
 
-A group's CardNet shards with one configuration and one extractor state run
+A sharded attribute's CardNet shards with one configuration and one extractor state run
 as one inference over parameters with a leading shard axis; their
 parameters are views of that stack.  After every event that moves a shard's
 parameters (an in-place write, ``load_state_dict``, a routed retrain, a
 snapshot round trip) the merged curve must still equal the in-order sum of
-fresh per-shard curves, and a group whose shards cannot share the pass
+fresh per-shard curves, and shards that cannot share the pass
 (other estimator types, differing extractors) must fall back shard by shard.
 """
 
@@ -53,11 +53,12 @@ def cardnet_factory(parent, workload=None, extra=None):
     return factory
 
 
-def fresh_sum(group, records):
+def fresh_sum(merged, records):
     """Σ over shards, in shard order, of each shard estimator's own curves."""
-    total = np.zeros((len(records), len(group.curve_thetas)))
-    for estimator in group.estimators:
-        total += estimator.estimate_curve_many(records, group.curve_thetas)
+    grid = merged.curve_thetas()
+    total = np.zeros((len(records), len(grid)))
+    for estimator in merged._shard_estimators:
+        total += estimator.estimate_curve_many(records, grid)
     return total
 
 
@@ -87,37 +88,37 @@ class TestStackCoherence:
     def test_every_cardnet_shard_runs_in_one_pass_over_views_of_the_stack(
         self, engine, records
     ):
-        group = engine.shard_group("hm")
-        assert np.array_equal(merged_curves(engine, "hm", records), fresh_sum(group, records))
-        stack = group.merged._stack
-        assert stack.members == group.estimators
+        merged = engine.service.registry.get("hm").estimator
+        assert np.array_equal(merged_curves(engine, "hm", records), fresh_sum(merged, records))
+        stack = merged._stack
+        assert stack.members == merged._shard_estimators
         assert stack.indices == list(range(NUM_SHARDS))
-        for row, estimator in enumerate(group.estimators):
+        for row, estimator in enumerate(merged._shard_estimators):
             for stacked, param in zip(stack.estimator.model.parameters(), estimator.model.parameters()):
                 assert np.shares_memory(param.data, stacked.data)
                 assert np.array_equal(stacked.data[row].reshape(param.shape), param.data)
 
     def test_in_place_write_lands_in_the_stack(self, engine, records):
-        group = engine.shard_group("hm")
+        merged = engine.service.registry.get("hm").estimator
         before = merged_curves(engine, "hm", records)
-        stacked_model = group.merged._stack.estimator.model
-        group.estimators[1].model.decoders.biases.data += 0.5
+        stacked_model = merged._stack.estimator.model
+        merged._shard_estimators[1].model.decoders.biases.data += 0.5
         after = merged_curves(engine, "hm", records)
-        assert group.merged._stack.estimator.model is stacked_model  # no re-stack needed
-        assert np.array_equal(after, fresh_sum(group, records))
+        assert merged._stack.estimator.model is stacked_model  # no re-stack needed
+        assert np.array_equal(after, fresh_sum(merged, records))
         assert not np.array_equal(after, before)
 
     def test_load_state_dict_on_one_shard_is_restacked(self, engine, records):
-        group = engine.shard_group("hm")
+        merged = engine.service.registry.get("hm").estimator
         before = merged_curves(engine, "hm", records)
-        model = group.estimators[2].model
+        model = merged._shard_estimators[2].model
         state = model.state_dict()
         state["decoders.biases"] = state["decoders.biases"] + 0.5
         model.load_state_dict(state)
         after = merged_curves(engine, "hm", records)
-        assert np.array_equal(after, fresh_sum(group, records))
+        assert np.array_equal(after, fresh_sum(merged, records))
         assert not np.array_equal(after, before)
-        stacked_model = group.merged._stack.estimator.model
+        stacked_model = merged._stack.estimator.model
         for stacked, param in zip(stacked_model.parameters(), model.parameters()):
             assert np.shares_memory(param.data, stacked.data)
 
@@ -125,7 +126,7 @@ class TestStackCoherence:
         self, engine, records, binary_dataset, binary_workload
     ):
         binding = engine.catalog.get("hm")
-        group = engine.shard_group("hm")
+        merged = engine.service.registry.get("hm").estimator
         managers = [
             IncrementalUpdateManager(
                 estimator, shard,
@@ -133,7 +134,7 @@ class TestStackCoherence:
                 relabel(binary_workload.validation[:8], shard),
                 error_tolerance=-np.inf, max_epochs_per_update=1,
             )
-            for estimator, shard in zip(group.estimators, binding.selector.shards)
+            for estimator, shard in zip(merged._shard_estimators, binding.selector.shards)
         ]
         engine.attach_shard_managers("hm", managers)
         before = merged_curves(engine, "hm", records)
@@ -142,19 +143,19 @@ class TestStackCoherence:
         )
         assert any(shard_report.retrained for shard_report in report.reports.values())
         after = engine.service.estimate_curve_many("hm", records)
-        assert np.array_equal(after, fresh_sum(group, records))
+        assert np.array_equal(after, fresh_sum(merged, records))
         assert not np.array_equal(after, before)
 
     def test_restored_engine_restacks_and_serves_the_same_curves(self, engine, records, tmp_path):
         before = merged_curves(engine, "hm", records)
         save_engine(engine, tmp_path / "snap")
         restored = load_engine(tmp_path / "snap")
-        group = restored.shard_group("hm")
-        assert group.merged._stack is None
+        merged = restored.service.registry.get("hm").estimator
+        assert merged._stack is None
         after = merged_curves(restored, "hm", records)
         assert np.array_equal(after, before)
-        assert np.array_equal(after, fresh_sum(group, records))
-        assert group.merged._stack.members == group.estimators
+        assert np.array_equal(after, fresh_sum(merged, records))
+        assert merged._stack.members == merged._shard_estimators
 
 
 class TestFallback:
@@ -171,9 +172,9 @@ class TestFallback:
             "hm", binary_dataset.records, "hamming", factory,
             num_shards=NUM_SHARDS, curve_thetas=np.arange(13.0),
         )
-        group = engine.shard_group("hm")
-        assert np.array_equal(merged_curves(engine, "hm", records), fresh_sum(group, records))
-        stack = group.merged._stack
+        merged = engine.service.registry.get("hm").estimator
+        assert np.array_equal(merged_curves(engine, "hm", records), fresh_sum(merged, records))
+        stack = merged._stack
         assert stack.indices == [0, 2]
 
     def test_edit_shards_with_differing_extractors_fall_back(self, string_dataset):
@@ -185,11 +186,11 @@ class TestFallback:
             "ed", string_dataset.records, "edit", cardnet_factory(string_dataset, extra=extra),
             num_shards=NUM_SHARDS, theta_max=string_dataset.theta_max,
         )
-        group = engine.shard_group("ed")
-        dimensions = {estimator.extractor.dimension for estimator in group.estimators}
+        merged = engine.service.registry.get("ed").estimator
+        dimensions = {estimator.extractor.dimension for estimator in merged._shard_estimators}
         assert len(dimensions) > 1
         records = list(string_dataset.records[:9])
-        assert np.array_equal(merged_curves(engine, "ed", records), fresh_sum(group, records))
-        stack = group.merged._stack
+        assert np.array_equal(merged_curves(engine, "ed", records), fresh_sum(merged, records))
+        stack = merged._stack
         assert 0 < len(stack.members) < NUM_SHARDS
         assert stack.indices[0] == 0

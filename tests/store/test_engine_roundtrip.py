@@ -240,10 +240,13 @@ class TestGPHAndSharded:
         assert_results_equal(original, loaded)
         assert loaded.shard_counts is not None and sum(loaded.shard_counts) == loaded.driver_actual
 
-        # The restored group's merged endpoint still sums per-shard curves.
-        group = restored.shard_group("vec")
-        assert group.service is restored.service
-        assert group.shard_endpoints == engine.shard_group("vec").shard_endpoints
+        # The restored merged endpoint still sums the shard endpoints' estimators.
+        endpoints = restored.catalog.get("vec").shard_endpoints
+        assert endpoints == engine.catalog.get("vec").shard_endpoints
+        merged = restored.service.registry.get("vec").estimator
+        assert merged._shard_estimators == [
+            restored.service.registry.get(endpoint).estimator for endpoint in endpoints
+        ]
 
         # Post-restore updates work: the restored selector factory clones the
         # CURRENT shard 0's configuration (bound to the sharded selector, not
@@ -381,11 +384,11 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-13 engine with two 3-shard CardNet attributes (``hm_a``
+#: A format-14 engine with two 3-shard CardNet attributes (``hm_a``
 #: accelerated, ``hm`` not), and the merged curves it served.
-#: ``make_format13_sharded.py`` in the same directory wrote it; its curves
+#: ``make_format14_sharded.py`` in the same directory wrote it; its curves
 #: equal those written before shard CardNets were stacked into one pass.
-FORMAT13_SHARDED = Path(__file__).parent / "data" / "format13_sharded"
+FORMAT14_SHARDED = Path(__file__).parent / "data" / "format14_sharded"
 
 
 class TestStackedShardSnapshots:
@@ -394,30 +397,30 @@ class TestStackedShardSnapshots:
     served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 13
-        assert inspect_snapshot(FORMAT13_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 14
+        assert inspect_snapshot(FORMAT14_SHARDED).format_version == FORMAT_VERSION
 
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
-        expected = json.loads((FORMAT13_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT13_SHARDED)
+        expected = json.loads((FORMAT14_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT14_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
             assert np.array_equal(served, np.asarray(curves)), name
-            group = restored.shard_group(name)
-            assert group.merged._stack.members == group.estimators
+            merged = restored.service.registry.get(name).estimator
+            assert merged._stack.members == merged._shard_estimators
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT13_SHARDED)
-        groups = [engine.shard_group(name) for name in ("hm", "hm_a")]
+        engine = load_engine(FORMAT14_SHARDED)
+        mergeds = [engine.service.registry.get(name).estimator for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
-        for group in groups:  # every shard's own memos, as a per-shard pass leaves them
-            for estimator in group.estimators:
-                estimator.estimate_curve_many(records, group.curve_thetas)
+        for merged in mergeds:  # every shard's own memos, as a per-shard pass leaves them
+            for estimator in merged._shard_estimators:
+                estimator.estimate_curve_many(records, merged.curve_thetas())
         before = save_engine(engine, tmp_path / "before")
-        for group in groups:  # bypasses the service: no cache entry, no telemetry
-            group.merged.estimate_curve_many(records, group.curve_thetas)
-            assert group.merged._stack.estimator is not None
+        for merged in mergeds:  # bypasses the service: no cache entry, no telemetry
+            merged.estimate_curve_many(records, merged.curve_thetas())
+            assert merged._stack.estimator is not None
         after = save_engine(engine, tmp_path / "after")
         assert after.total_bytes == before.total_bytes
         files = [{path.name: path.read_bytes() for path in info.path.iterdir()}
@@ -431,7 +434,7 @@ class TestCorruptSnapshotsRefused:
     @pytest.fixture
     def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        shutil.copytree(FORMAT13_SHARDED, directory)
+        shutil.copytree(FORMAT14_SHARDED, directory)
         return directory
 
     @staticmethod
@@ -459,7 +462,7 @@ class TestCorruptSnapshotsRefused:
         manifest = json.loads(manifest_file.read_text())
         manifest["version"] = 8
         manifest_file.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 13\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 14\b"):
             SimilarityQueryEngine.load(snapshot)
 
 

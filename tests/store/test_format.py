@@ -233,10 +233,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 13  # one copy of the rows (12 = no GPH part indexes)
-        data["version"] = 12
+        assert FORMAT_VERSION == 14  # one registration path (13 = an engine `_groups` map)
+        data["version"] = 13
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 12\b.*version 13\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 13\b.*version 14\b"):
             load_component(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):
