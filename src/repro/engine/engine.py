@@ -51,7 +51,7 @@ from ..runtime import Runtime
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
 from ..selection.delta import resolve_delete_positions
 from ..serving import EstimationService, resolve_curve_grid
-from ..sharding import MergedShardEstimator, Partitioner, ShardedSelector
+from ..sharding import MergedShardEstimator, ShardedSelector
 from ..sharding.rebalance import RebalancePlan, RebalanceReport, stage, suggest_plan
 from .catalog import AttributeBinding, AttributeCatalog
 from .executor import QueryExecutor, QueryResult
@@ -305,7 +305,6 @@ class SimilarityQueryEngine:
         distance_name: str,
         estimator_factory: Callable[[Sequence, int], CardinalityEstimator],
         num_shards: Optional[int] = None,
-        partitioner: "Union[str, Partitioner, None]" = None,
         selector_factory: Optional[Callable[[Sequence], SimilaritySelector]] = None,
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
@@ -316,9 +315,8 @@ class SimilarityQueryEngine:
     ) -> AttributeBinding:
         """Register one attribute partitioned across ``num_shards`` shards.
 
-        The records are partitioned (hash by default; ``num_shards`` defaults
-        to 4 and must agree with an explicitly supplied ``partitioner``
-        instance), one exact index is built per shard (``selector_factory``
+        The records are partitioned by a content hash (``num_shards``
+        defaults to 4), one exact index is built per shard (``selector_factory``
         over the shard's records, or the distance's default selector), and
         ``estimator_factory(shard_records, shard_index)`` supplies one
         estimator per shard (called once per shard, in shard order, with a
@@ -341,12 +339,7 @@ class SimilarityQueryEngine:
             selector_factory = lambda shard_records: default_selector(  # noqa: E731
                 distance_name, shard_records
             )
-        sharded = ShardedSelector(
-            records,
-            selector_factory,
-            num_shards=num_shards,
-            partitioner=partitioner,
-        )
+        sharded = ShardedSelector(records, selector_factory, num_shards=num_shards)
         estimators = [
             estimator_factory(list(shard.dataset), shard_index)
             for shard_index, shard in enumerate(sharded.shards)
@@ -377,7 +370,6 @@ class SimilarityQueryEngine:
         self,
         name: str,
         plan: Optional[RebalancePlan] = None,
-        partitioner: Optional[Partitioner] = None,
     ) -> Optional[RebalanceReport]:
         """Reshape a sharded attribute's layout while it keeps serving.
 
@@ -410,7 +402,7 @@ class SimilarityQueryEngine:
             if plan is None:
                 return None
         with span("engine.rebalance", attribute=name, actions=len(plan)):
-            staged = stage(selector, plan, partitioner)
+            staged = stage(selector, plan)
             # An aliased target is a shard the old layout already serves:
             # its estimator carries over; only built targets are trained.
             aliased = staged.resolved.aliased
@@ -623,6 +615,8 @@ class SimilarityQueryEngine:
             plan.driver.estimated_cardinality,
             result.driver_actual,
         )
+        if result.execution_seconds < self.slow_queries.threshold_seconds:
+            return
         active = current_span()
         self.slow_queries.record(
             {

@@ -100,10 +100,7 @@ class QueryExecutor:
                     shards=len(shard_counts) if shard_counts is not None else 1,
                 )
 
-            # A sharded driver hands its merged id array over beside the list.
-            surviving = getattr(matches, "array", None)
-            if surviving is None:
-                surviving = np.asarray(matches, dtype=np.int64)
+            surviving = np.asarray(matches, dtype=np.int64)
             verification_examined = 0
             for planned in plan.residuals:
                 if surviving.size == 0:

@@ -1,24 +1,21 @@
 """Registry of estimators: many datasets and distance functions, one endpoint.
 
 Each registered estimator carries everything the service needs to answer a
-request without touching the caller's objects again: the estimator itself,
-the canonical threshold grid its curves are materialized on, and a record →
-cache-key function.  Registration is the only place configuration happens;
-the serving hot path is pure lookups.
+request without touching the caller's objects again: the estimator itself
+and the canonical threshold grid its curves are materialized on (records are
+cache-keyed by :func:`default_record_key`).  Registration is the only place
+configuration happens; the serving hot path is pure lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.interface import CardinalityEstimator
 from ..distances import get_distance
-
-#: Maps a query record to a stable, hashable cache key.
-RecordKeyFunction = Callable[[Any], bytes]
 
 #: Grid points used when a registration supplies only ``theta_max``.
 DEFAULT_CURVE_RESOLUTION = 65
@@ -98,12 +95,11 @@ def default_record_key(record: Any) -> bytes:
 
 @dataclass
 class RegisteredEstimator:
-    """One serving endpoint: estimator + curve grid + cache-key function."""
+    """One serving endpoint: estimator + curve grid."""
 
     name: str
     estimator: CardinalityEstimator
     curve_thetas: np.ndarray
-    record_key: RecordKeyFunction = default_record_key
     distance_name: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: True when ``curve_thetas`` is the estimator's own canonical grid, in
@@ -111,14 +107,13 @@ class RegisteredEstimator:
     canonical: bool = False
 
     def key_for(self, record: Any) -> bytes:
-        return self.record_key(record)
+        return default_record_key(record)
 
     def registration(self) -> Tuple[str, CardinalityEstimator, Dict[str, Any]]:
         """``(name, estimator, options)`` that register this endpoint again as
         it stands — grid, ``canonical`` flag and all."""
         return self.name, self.estimator, {
             "curve_thetas": None if self.canonical else self.curve_thetas,
-            "record_key": self.record_key,
             "distance_name": self.distance_name,
             "metadata": self.metadata,
         }
@@ -144,7 +139,6 @@ class EstimatorRegistry:
         estimator: CardinalityEstimator,
         curve_thetas: Optional[Sequence[float]] = None,
         theta_max: Optional[float] = None,
-        record_key: Optional[RecordKeyFunction] = None,
         distance_name: str = "",
         metadata: Optional[Dict[str, Any]] = None,
     ) -> RegisteredEstimator:
@@ -159,7 +153,6 @@ class EstimatorRegistry:
             name=name,
             estimator=estimator,
             curve_thetas=grid,
-            record_key=record_key or default_record_key,
             distance_name=distance_name,
             metadata=dict(metadata or {}),
             canonical=canonical,

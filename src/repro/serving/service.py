@@ -41,12 +41,8 @@ from .telemetry import ServingTelemetry
 class EstimationService:
     """Serves cardinality estimates for every registered estimator."""
 
-    def __init__(
-        self,
-        registry: Optional[EstimatorRegistry] = None,
-        cache_capacity: int = 1024,
-    ) -> None:
-        self.registry = registry if registry is not None else EstimatorRegistry()
+    def __init__(self, cache_capacity: int = 1024) -> None:
+        self.registry = EstimatorRegistry()
         self.cache = CurveCache(capacity=cache_capacity)
         self.telemetry = ServingTelemetry()
         #: Re-entrant: an estimator called while the lock is held may call

@@ -12,25 +12,21 @@ shard cleanly:
   the shard estimators' curves, computed in one service request;
 * updates route per shard (:meth:`ShardedSelector.route_operation`), so an
   insert or delete relabels/retrains only the shard it touched;
+* records land on shards by a content hash
+  (:func:`repro.sharding.partitioner.assign_shards`); the shard count is the
+  only setting;
 * :func:`repro.sharding.rebalance.rebalance` carries out a
-  :class:`RebalancePlan` (split hot shards, merge cold ones, migrate id
-  ranges): the changed shards are built from the base rows on the caller
-  while the old layout serves, then swapped in atomically — unless an update
-  landed meanwhile, which raises :class:`StaleRebalanceError` with the old
-  layout still serving.
+  :class:`RebalancePlan` (split hot shards, merge cold ones): the changed
+  shards are built from the base rows on the caller while the old layout
+  serves, then swapped in atomically — unless an update landed meanwhile,
+  which raises :class:`StaleRebalanceError` with the old layout still
+  serving.
 """
 
 from .group import MergedShardEstimator
-from .partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-    ShardAssignment,
-    get_partitioner,
-)
+from .partitioner import ShardAssignment
 from .rebalance import (
     MergeShards,
-    MigrateRange,
     RebalancePlan,
     RebalanceReport,
     SplitShard,
@@ -39,11 +35,7 @@ from .rebalance import (
 from .selector import ShardedSelector, ShardRouting, StaleRebalanceError
 
 __all__ = [
-    "Partitioner",
-    "HashPartitioner",
-    "RoundRobinPartitioner",
     "ShardAssignment",
-    "get_partitioner",
     "ShardedSelector",
     "ShardRouting",
     "StaleRebalanceError",
@@ -52,6 +44,5 @@ __all__ = [
     "RebalanceReport",
     "SplitShard",
     "MergeShards",
-    "MigrateRange",
     "suggest_plan",
 ]

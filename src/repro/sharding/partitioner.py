@@ -1,19 +1,14 @@
 """Partitioning dataset records across shards.
 
-A :class:`Partitioner` maps records to shard ids; a :class:`ShardAssignment`
-is the materialized mapping the sharded selector and serving group share: for
+:func:`assign_shards` maps records to shard ids by a stable content hash of
+the record (the serving layer's :func:`~repro.serving.default_record_key`
+bytes), so a record always lands on the same shard regardless of arrival
+order; the shard count is the only setting.  A :class:`ShardAssignment` is
+the materialized mapping the sharded selector and a rebalance share: for
 every *global* record id it knows the shard and the *local* id inside that
 shard, and per shard it keeps the ascending list of global ids.  Local ids
 follow global order within each shard, so applying a routed per-shard update
 (:mod:`repro.sharding.selector`) keeps both views consistent.
-
-Two partitioners are provided:
-
-* :class:`HashPartitioner` — a stable content hash of the record (via the
-  serving layer's :func:`~repro.serving.default_record_key` bytes key), so a
-  record always lands on the same shard regardless of arrival order;
-* :class:`RoundRobinPartitioner` — ``global index mod num_shards``, the
-  balanced choice when records carry no natural key.
 
 Correctness never depends on the partitioning: the sharded selector answers
 by exact fan-out + merge, so any assignment yields bit-identical results.
@@ -22,9 +17,8 @@ by exact fan-out + merge, so any assignment yields bit-identical results.
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Union
+from typing import Any, List, Sequence
 
 import numpy as np
 
@@ -102,57 +96,18 @@ class ShardAssignment:
         return self.global_ids[shard][np.asarray(local_ids, dtype=np.int64)]
 
 
-class Partitioner(ABC):
-    """Maps records to shard ids; stateless, so rebuilds are deterministic."""
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.num_shards = int(num_shards)
-
-    @abstractmethod
-    def assign(self, records: Sequence[Any], start_index: int = 0) -> np.ndarray:
-        """Shard id per record.  ``start_index`` is the global id the first
-        record will receive (used by index-based partitioners on inserts)."""
-
-    def partition(self, records: Sequence[Any]) -> ShardAssignment:
-        return ShardAssignment.from_shard_of(self.assign(records, 0), self.num_shards)
-
-
-class HashPartitioner(Partitioner):
-    """Stable content hash of the record → shard (arrival-order independent)."""
-
-    def assign(self, records: Sequence[Any], start_index: int = 0) -> np.ndarray:
-        return np.asarray(
-            [
-                int.from_bytes(
-                    hashlib.blake2b(default_record_key(record), digest_size=8).digest(),
-                    "big",
-                )
-                % self.num_shards
-                for record in records
-            ],
-            dtype=np.int64,
-        )
-
-
-class RoundRobinPartitioner(Partitioner):
-    """``global index mod num_shards`` — perfectly balanced, key-free."""
-
-    def assign(self, records: Sequence[Any], start_index: int = 0) -> np.ndarray:
-        return (np.arange(start_index, start_index + len(records)) % self.num_shards).astype(
-            np.int64
-        )
-
-
-def get_partitioner(
-    partitioner: Union[str, Partitioner, None], num_shards: int
-) -> Partitioner:
-    """Resolve a partitioner spec: an instance, a name, or ``None`` (hash)."""
-    if isinstance(partitioner, Partitioner):
-        return partitioner
-    if partitioner is None or partitioner == "hash":
-        return HashPartitioner(num_shards)
-    if partitioner == "round_robin":
-        return RoundRobinPartitioner(num_shards)
-    raise KeyError(f"unknown partitioner {partitioner!r}; use 'hash' or 'round_robin'")
+def assign_shards(records: Sequence[Any], num_shards: int) -> np.ndarray:
+    """Shard id per record: a stable content hash of its
+    :func:`~repro.serving.default_record_key` bytes, so a record always lands
+    on the same shard regardless of arrival order."""
+    return np.asarray(
+        [
+            int.from_bytes(
+                hashlib.blake2b(default_record_key(record), digest_size=8).digest(),
+                "big",
+            )
+            % num_shards
+            for record in records
+        ],
+        dtype=np.int64,
+    )

@@ -1,10 +1,10 @@
-"""Live resharding: split/merge/migrate shards while the old layout serves.
+"""Live resharding: split and merge shards while the old layout serves.
 
 A :class:`RebalancePlan` describes layout surgery against a base
 :class:`~repro.sharding.partitioner.ShardAssignment` — split a hot shard,
-merge cold shards, migrate a global-id range — and resolves to a concrete new
-assignment plus, per new shard, the base shard it is an exact copy of (if
-any).  :func:`suggest_plan` derives a plan from the per-shard sizes.
+merge cold shards — and resolves to a concrete new assignment plus, per new
+shard, the base shard it is an exact copy of (if any).  :func:`suggest_plan`
+derives a plan from the per-shard sizes.
 
 A rebalance is two steps on the caller's thread:
 
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..selection.base import SimilaritySelector
-from .partitioner import Partitioner, ShardAssignment
+from .partitioner import ShardAssignment
 from .selector import ShardedSelector
 
 
@@ -63,22 +63,7 @@ class MergeShards:
         object.__setattr__(self, "shard_ids", ids)
 
 
-@dataclass(frozen=True)
-class MigrateRange:
-    """Move the global-id range ``[start, stop)`` onto shard ``to_shard``."""
-
-    start: int
-    stop: int
-    to_shard: int
-
-    def __post_init__(self) -> None:
-        if self.stop <= self.start or self.start < 0:
-            raise ValueError(
-                f"migrate range [{self.start}, {self.stop}) is empty or negative"
-            )
-
-
-RebalanceAction = Union[SplitShard, MergeShards, MigrateRange]
+RebalanceAction = Union[SplitShard, MergeShards]
 
 
 @dataclass
@@ -122,9 +107,7 @@ class RebalancePlan:
 
         Validation is strict because a rebalance is expensive and a silently
         dropped action would leave a hot shard hot: every base shard may be
-        named by at most one action (a record can only move once), migrate
-        ranges must not overlap each other, and a migrated range must not
-        drain records out of a shard another action is splitting or merging.
+        named by at most one action (a record can only move once).
         """
         base_shards = assignment.num_shards
         named: Dict[int, RebalanceAction] = {}
@@ -143,66 +126,28 @@ class RebalancePlan:
                 )
             named[shard_id] = action
 
-        migrations = [a for a in self.actions if isinstance(a, MigrateRange)]
-        for index, migration in enumerate(migrations):
-            if migration.stop > len(assignment):
-                raise ValueError(
-                    f"{migration!r} exceeds the {len(assignment)}-record layout"
-                )
-            for other in migrations[:index]:
-                if migration.start < other.stop and other.start < migration.stop:
-                    raise ValueError(
-                        f"migrate ranges {other!r} and {migration!r} overlap"
-                    )
-
-        for action in self.actions:
-            if isinstance(action, SplitShard):
-                claim(action.shard_id, action)
-            elif isinstance(action, MergeShards):
-                for shard_id in action.shard_ids:
-                    claim(shard_id, action)
-            else:
-                claim(action.to_shard, action)
-
         # Working copy in *base* shard numbering, with split chunks assigned
         # provisional ids past the base range; renumbered at the end.
         shard_of = np.array(assignment.shard_of, dtype=np.int64, copy=True)
-        touched: set = set()
         next_provisional = base_shards
         freed: set = set()
         for action in self.actions:
             if isinstance(action, SplitShard):
+                claim(action.shard_id, action)
                 ids = assignment.global_ids[action.shard_id]
                 chunks = np.array_split(ids, action.parts)
-                touched.add(action.shard_id)
                 # Chunk 0 stays on the split shard's id; later chunks get
                 # provisional ids appended after every surviving base shard.
                 for chunk in chunks[1:]:
                     shard_of[chunk] = next_provisional
                     next_provisional += 1
-            elif isinstance(action, MergeShards):
+            else:
                 target = min(action.shard_ids)
                 for shard_id in action.shard_ids:
-                    touched.add(shard_id)
+                    claim(shard_id, action)
                     if shard_id != target:
                         shard_of[assignment.global_ids[shard_id]] = target
                         freed.add(shard_id)
-            else:
-                moved = np.arange(action.start, action.stop, dtype=np.int64)
-                moved = moved[shard_of[moved] != action.to_shard]
-                if moved.size == 0:
-                    continue
-                drained = {int(s) for s in np.unique(assignment.shard_of[moved])}
-                for shard_id in drained:
-                    conflict = named.get(shard_id)
-                    if conflict is not None and conflict is not action:
-                        raise ValueError(
-                            f"{action!r} drains records out of shard {shard_id}, "
-                            f"which {conflict!r} also moves"
-                        )
-                    touched.add(shard_id)
-                touched.add(action.to_shard)
-                shard_of[moved] = action.to_shard
 
         # Renumber: surviving base ids keep their relative order, then the
         # provisional split chunks in creation order.  Merged-away ids free
@@ -214,23 +159,25 @@ class RebalancePlan:
         num_shards = len(renumber)
         sources: Dict[int, Optional[int]] = {}
         for old, new in renumber.items():
-            if old < base_shards and old not in touched:
+            if old < base_shards and old not in named:
                 sources[new] = old  # exact copy of an untouched base shard
             else:
                 sources[new] = None
         return ResolvedPlan(shard_of=shard_of, num_shards=num_shards, sources=sources)
 
 
-def suggest_plan(
-    assignment: ShardAssignment,
-    hot_factor: float = 2.0,
-    cold_factor: float = 0.25,
-) -> Optional[RebalancePlan]:
+#: A shard larger than this multiple of the mean shard size is hot.
+HOT_FACTOR = 2.0
+#: A shard smaller than this multiple of the mean shard size is cold.
+COLD_FACTOR = 0.25
+
+
+def suggest_plan(assignment: ShardAssignment) -> Optional[RebalancePlan]:
     """Derive a plan from per-shard sizes.
 
-    A shard is *hot* when its size exceeds ``hot_factor ×`` the mean shard
-    size (and it holds at least two rows); hot shards are split in two.
-    Shards smaller than ``cold_factor ×`` the mean are merged.  Returns
+    A shard is *hot* when its size exceeds :data:`HOT_FACTOR` × the mean
+    shard size (and it holds at least two rows); hot shards are split in two.
+    Shards smaller than :data:`COLD_FACTOR` × the mean are merged.  Returns
     ``None`` when the layout is already balanced.
     """
     sizes = np.asarray(assignment.shard_sizes(), dtype=np.float64)
@@ -238,13 +185,13 @@ def suggest_plan(
         return None
     mean = float(sizes.mean())
     actions: List[RebalanceAction] = []
-    hot = [s for s in range(len(sizes)) if sizes[s] > hot_factor * mean and sizes[s] >= 2]
+    hot = [s for s in range(len(sizes)) if sizes[s] > HOT_FACTOR * mean and sizes[s] >= 2]
     for shard_id in hot:
         actions.append(SplitShard(shard_id, parts=2))
     cold = [
         s
         for s in range(len(sizes))
-        if s not in hot and sizes[s] < cold_factor * mean
+        if s not in hot and sizes[s] < COLD_FACTOR * mean
     ]
     if len(cold) >= 2:
         actions.append(MergeShards(tuple(cold)))
@@ -277,8 +224,6 @@ class StagedLayout:
     num_shards_before: int
     resolved: ResolvedPlan
     assignment: ShardAssignment
-    #: ``None`` keeps the selector's partitioner (the width is unchanged).
-    partitioner: Optional[Partitioner]
     started: float
     #: One selector per new shard: built, or the aliased base shard.
     shards: List[SimilaritySelector] = field(default_factory=list)
@@ -299,37 +244,21 @@ class StagedLayout:
         )
 
 
-def stage(
-    selector: ShardedSelector,
-    plan: RebalancePlan,
-    partitioner: Optional[Partitioner] = None,
-) -> StagedLayout:
+def stage(selector: ShardedSelector, plan: RebalancePlan) -> StagedLayout:
     """Resolve ``plan`` against the selector's current layout and build the
-    changed target shards; the old layout keeps serving throughout.  A plan
-    that changes the shard count without a ``partitioner`` gets one of the
-    selector's partitioner family at the new width (a type whose constructor
-    is not ``(num_shards)`` must be passed)."""
+    changed target shards; the old layout keeps serving throughout."""
     started = time.perf_counter()
     with selector._lock:  # one consistent capture: count, rows, layout
         mutation_count = selector.mutation_count
         records = selector.dataset
         base, base_shards = selector.assignment, selector.shards
     resolved = plan.resolve(base)
-    if partitioner is None and resolved.num_shards != base.num_shards:
-        try:
-            partitioner = type(selector.partitioner)(resolved.num_shards)
-        except TypeError as error:
-            raise ValueError(
-                f"cannot derive a {type(selector.partitioner).__name__} for "
-                f"{resolved.num_shards} shards; pass partitioner="
-            ) from error
     staged = StagedLayout(
         mutation_count=mutation_count,
         records=records,
         num_shards_before=base.num_shards,
         resolved=resolved,
         assignment=ShardAssignment.from_shard_of(resolved.shard_of, resolved.num_shards),
-        partitioner=partitioner,
         started=started,
     )
     staged.shards = [
@@ -340,14 +269,10 @@ def stage(
     return staged
 
 
-def rebalance(
-    selector: ShardedSelector,
-    plan: RebalancePlan,
-    partitioner: Optional[Partitioner] = None,
-) -> RebalanceReport:
+def rebalance(selector: ShardedSelector, plan: RebalancePlan) -> RebalanceReport:
     """Stage ``plan`` and swap it in.  On any failure the live layout — old,
     and current — keeps serving."""
-    staged = stage(selector, plan, partitioner)
+    staged = stage(selector, plan)
     selector.swap_layout(staged)
     return staged.report()
 

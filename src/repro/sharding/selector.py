@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -43,7 +43,7 @@ from ..distances.base import DistanceFunction
 from ..obs.trace import span
 from ..selection.base import SimilaritySelector
 from ..selection.delta import resolve_delete_positions
-from .partitioner import Partitioner, ShardAssignment, get_partitioner
+from .partitioner import ShardAssignment, assign_shards
 
 if TYPE_CHECKING:  # repro.sharding.rebalance imports this module
     from .rebalance import StagedLayout
@@ -79,19 +79,6 @@ class StaleRebalanceError(RuntimeError):
     applied; the live layout is untouched and the plan must be staged again."""
 
 
-class _MergedIds(list):
-    """The ascending global ids :meth:`ShardedSelector.query` promises — the
-    plain list they always were — carrying the sorted int64 array they were
-    read from, so the engine's executor (the one caller that wants the array)
-    takes it as is instead of rebuilding it from the list."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        super().__init__(array.tolist())
-        self.array = array
-
-
 class ShardedSelector(SimilaritySelector):
     """Fan-out + merge over per-shard exact selectors."""
 
@@ -102,25 +89,14 @@ class ShardedSelector(SimilaritySelector):
         dataset: Sequence,
         selector_factory: SelectorFactory,
         num_shards: Optional[int] = None,
-        partitioner: Union[str, Partitioner, None] = None,
     ) -> None:
         self.selector_factory = selector_factory
-        if isinstance(partitioner, Partitioner):
-            if num_shards is not None and int(num_shards) != partitioner.num_shards:
-                raise ValueError(
-                    f"num_shards={num_shards} conflicts with the supplied "
-                    f"partitioner's {partitioner.num_shards} shards; pass one "
-                    "or the other (silently preferring either would hand back "
-                    "a different shard count than requested)"
-                )
-            self.partitioner = partitioner
-        else:
-            self.partitioner = get_partitioner(
-                partitioner,
-                self.DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards),
-            )
-        self.num_shards = self.partitioner.num_shards
-        self._assignment = self.partitioner.partition(dataset)
+        self.num_shards = self.DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards)
+        if self.num_shards <= 0:
+            raise ValueError("num_shards must be positive")
+        self._assignment = ShardAssignment.from_shard_of(
+            assign_shards(dataset, self.num_shards), self.num_shards
+        )
         self._shards: List[SimilaritySelector] = [
             selector_factory([dataset[int(i)] for i in ids])
             for ids in self._assignment.global_ids
@@ -240,17 +216,18 @@ class ShardedSelector(SimilaritySelector):
     # ------------------------------------------------------------------ #
     def query(self, record: Any, threshold: float) -> List[int]:
         merged, _ = self.query_with_counts(record, threshold)
-        return merged
+        return merged.tolist()
 
     def query_with_counts(
         self, record: Any, threshold: float
-    ) -> Tuple[List[int], List[int]]:
-        """Global match ids plus the per-shard match counts (executor telemetry)."""
+    ) -> Tuple[np.ndarray, List[int]]:
+        """The sorted int64 array of global match ids plus the per-shard match
+        counts (executor telemetry)."""
         local_matches, assignment = self._fan_out(
             "query", lambda shard: shard.query(record, threshold)
         )
         return (
-            _MergedIds(self._merge(local_matches, assignment)),
+            self._merge(local_matches, assignment),
             [len(matches) for matches in local_matches],
         )
 
@@ -273,7 +250,7 @@ class ShardedSelector(SimilaritySelector):
         return np.sum(curves, axis=0).astype(np.int64)
 
     def rebuild(self, dataset: Sequence) -> "ShardedSelector":
-        return ShardedSelector(dataset, self.selector_factory, partitioner=self.partitioner)
+        return ShardedSelector(dataset, self.selector_factory, num_shards=self.num_shards)
 
     # ------------------------------------------------------------------ #
     # Snapshot hooks (repro.store)
@@ -315,12 +292,11 @@ class ShardedSelector(SimilaritySelector):
         """
         with self._lock:
             assignment = self._assignment
-            partitioner = self.partitioner
         total = len(assignment)
         local_operations: Dict[int, UpdateOperation] = {}
         if operation.kind == "insert":
             new_records = list(operation.records)
-            shard_ids = partitioner.assign(new_records, start_index=total)
+            shard_ids = assign_shards(new_records, assignment.num_shards)
             for shard_id in np.unique(shard_ids):
                 subset = [
                     record
@@ -430,7 +406,7 @@ class ShardedSelector(SimilaritySelector):
     # Rebalance swap (repro.sharding.rebalance.stage builds the layout)
     # ------------------------------------------------------------------ #
     def swap_layout(self, staged: "StagedLayout") -> None:
-        """Swap a staged layout in — assignment, shards and partitioner — in
+        """Swap a staged layout in — assignment and shards — in
         O(shards) under the lock, so a query sees the whole old layout or the
         whole new one.  If an update landed since staging captured
         ``staged.mutation_count``, the staged shards miss its rows: the swap
@@ -443,15 +419,8 @@ class ShardedSelector(SimilaritySelector):
                     "time(s) since this rebalance was staged (updates or another "
                     "rebalance); the old layout keeps serving — stage the plan again"
                 )
-            partitioner = staged.partitioner or self.partitioner
-            if partitioner.num_shards != assignment.num_shards:
-                raise ValueError(
-                    f"partitioner covers {partitioner.num_shards} shards, "
-                    f"assignment has {assignment.num_shards}"
-                )
             if [len(shard) for shard in staged.shards] != assignment.shard_sizes():
                 raise ValueError("the staged shards do not hold the rows the assignment gives them")
-            self.partitioner = partitioner
             self.num_shards = assignment.num_shards
             self._shards = list(staged.shards)
             self._assignment = assignment

@@ -93,7 +93,8 @@ FORMAT_NAME = "repro-snapshot"
 #       persists a `_groups` map of sharded-serving group objects whose class
 #       no longer exists to decode into, and a version-13
 #       PigeonholeHammingSelector lacks the `part_size` it now persists.
-FORMAT_VERSION = 14
+#  15 — one sharding knob: no ShardedSelector `partitioner`, no endpoint `record_key`.
+FORMAT_VERSION = 15
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

@@ -26,7 +26,7 @@ from repro.engine import SimilarityPredicate, SimilarityQueryEngine
 from repro.selection import LinearScanSelector
 from repro.serving import EstimationService
 from repro.sharding import (
-    HashPartitioner, MergedShardEstimator, MergeShards, RebalancePlan, SplitShard,
+    MergedShardEstimator, MergeShards, RebalancePlan, ShardedSelector, SplitShard,
     StaleRebalanceError,
 )
 
@@ -419,15 +419,21 @@ def test_new_shard_name_taken_during_rebalance(sharded_engine, dataset):
     assert_rebalance_left_nothing(engine, before)
 
 
-def test_commit_refusal_during_rebalance_restores_the_old_endpoints(sharded_engine):
-    """The selector refuses the swap (a partitioner for the wrong width) after
-    the new endpoints are up: they come down and the old family is back."""
+def test_commit_refusal_during_rebalance_restores_the_old_endpoints(
+    sharded_engine, monkeypatch
+):
+    """The selector refuses the swap after the new endpoints are up: they
+    come down and the old family is back."""
     engine = sharded_engine
     before = state(engine)
-    with pytest.raises(ValueError, match="partitioner covers 7 shards"):
-        engine.rebalance_attribute(
-            "y", RebalancePlan([SplitShard(0, parts=2)]), partitioner=HashPartitioner(7)
-        )
+
+    def refuse(selector, staged):
+        raise ValueError("swap refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardedSelector, "swap_layout", refuse)
+        with pytest.raises(ValueError, match="swap refused"):
+            engine.rebalance_attribute("y", RebalancePlan([SplitShard(0, parts=2)]))
     assert_rebalance_left_nothing(engine, before)
 
 

@@ -247,6 +247,15 @@ class TestSlowQueryLog:
         engine.execute(_two_predicate_query(vec, aux))
         assert len(engine.slow_queries) == 0
 
+    def test_fast_query_builds_no_entry(self, monkeypatch):
+        """Below the threshold the engine hands the log nothing: no entry
+        dict is built only to be dropped."""
+        engine, vec, aux = _build_engine(slow_query_seconds=30.0)
+        offered = []
+        monkeypatch.setattr(engine.slow_queries, "record", offered.append)
+        engine.execute_many([_two_predicate_query(vec, aux, index=i) for i in (0, 1)])
+        assert offered == []
+
     def test_snapshot_hooks_roundtrip(self):
         log = SlowQueryLog(threshold_seconds=0.5, capacity=3)
         log.record({"duration_seconds": 1.0, "driver": "vec"})

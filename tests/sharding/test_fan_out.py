@@ -53,9 +53,7 @@ def _run_op(selector, op, records, thetas):
 def test_fan_out_equals_unsharded(kind, num_shards, op, num_records, seed):
     make_records, selector_cls, thetas = KINDS[kind]
     records = make_records(np.random.default_rng(seed), num_records)
-    selector = ShardedSelector(
-        records, selector_cls, num_shards=num_shards, partitioner="round_robin"
-    )
+    selector = ShardedSelector(records, selector_cls, num_shards=num_shards)
     answer = _run_op(selector, op, records, thetas)
 
     unsharded = selector_cls(records)
@@ -78,7 +76,6 @@ class TestEngineFanOut:
                 shard_records, "hamming", sample_ratio=0.5, seed=shard
             ),
             num_shards=4,
-            partitioner="round_robin",
             theta_max=8.0,
         )
         queries = [SimilarityPredicate("vec", records[i], 5.0) for i in range(10)]

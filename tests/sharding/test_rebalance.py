@@ -7,9 +7,7 @@ from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
 from repro.selection import LinearScanSelector, PackedHammingSelector
 from repro.sharding import (
-    HashPartitioner,
     MergeShards,
-    MigrateRange,
     RebalancePlan,
     ShardAssignment,
     ShardedSelector,
@@ -25,12 +23,11 @@ def make_records(count, width=64, seed=11):
     return rng.integers(0, 2, size=(count, width), dtype=np.uint8)
 
 
-def make_sharded(records, num_shards=4, **kwargs):
+def make_sharded(records, num_shards=4):
     return ShardedSelector(
         records,
         lambda recs: PackedHammingSelector(np.asarray(recs, dtype=np.uint8)),
         num_shards=num_shards,
-        **kwargs,
     )
 
 
@@ -64,22 +61,20 @@ class TestPlanResolution:
         assert list(resolved.shard_of) == [0, 0, 0, 1, 1, 1]
         assert resolved.sources == {0: None, 1: 2}
 
-    def test_migrate_moves_the_range(self):
+    def test_split_and_merge_in_one_plan_renumber_together(self):
         assignment = ShardAssignment.from_shard_of(
-            np.array([0, 0, 1, 1, 2, 2]), num_shards=3
+            np.array([0, 0, 1, 1, 2, 2, 3, 3]), num_shards=4
         )
-        resolved = RebalancePlan([MigrateRange(0, 2, to_shard=2)]).resolve(assignment)
-        assert list(resolved.shard_of) == [2, 2, 1, 1, 2, 2]
-        # Source 0 drained and target 2 grew: both must rebuild; 1 aliases.
-        assert resolved.sources == {0: None, 1: 1, 2: None}
-
-    def test_migrate_of_records_already_on_target_is_a_noop(self):
-        assignment = ShardAssignment.from_shard_of(
-            np.array([2, 2, 1, 1, 2, 2]), num_shards=3
+        resolved = RebalancePlan([SplitShard(0), MergeShards((2, 3))]).resolve(
+            assignment
         )
-        resolved = RebalancePlan([MigrateRange(0, 2, to_shard=2)]).resolve(assignment)
-        assert resolved.sources == {0: 0, 1: 1, 2: 2}
-        assert resolved.build_targets == []
+        # The merge frees slot 3; the split's second chunk takes the first
+        # id past the surviving base shards, which is that same 3.
+        assert resolved.num_shards == 4
+        assert list(resolved.shard_of) == [0, 3, 1, 1, 2, 2, 2, 2]
+        assert resolved.sources == {0: None, 1: 1, 2: None, 3: None}
+        assert resolved.build_targets == [0, 2, 3]
+        assert resolved.aliased == {1: 1}
 
     def test_shard_referenced_twice_is_rejected(self):
         assignment = ShardAssignment.from_shard_of(
@@ -89,24 +84,6 @@ class TestPlanResolution:
         with pytest.raises(ValueError, match="at most once"):
             plan.resolve(assignment)
 
-    def test_overlapping_migrate_ranges_are_rejected(self):
-        assignment = ShardAssignment.from_shard_of(
-            np.array([0, 0, 1, 1, 2, 2]), num_shards=3
-        )
-        plan = RebalancePlan(
-            [MigrateRange(0, 3, to_shard=2), MigrateRange(2, 4, to_shard=1)]
-        )
-        with pytest.raises(ValueError, match="overlap"):
-            plan.resolve(assignment)
-
-    def test_migrate_draining_a_split_shard_is_rejected(self):
-        assignment = ShardAssignment.from_shard_of(
-            np.array([0, 0, 0, 0, 1, 1]), num_shards=2
-        )
-        plan = RebalancePlan([SplitShard(0), MigrateRange(0, 2, to_shard=1)])
-        with pytest.raises(ValueError, match="drains"):
-            plan.resolve(assignment)
-
     def test_action_constructor_validation(self):
         with pytest.raises(ValueError):
             SplitShard(0, parts=1)
@@ -114,15 +91,13 @@ class TestPlanResolution:
             MergeShards((3,))
         with pytest.raises(ValueError):
             MergeShards((1, 1))
-        with pytest.raises(ValueError):
-            MigrateRange(5, 5, to_shard=0)
 
-    def test_out_of_range_shard_and_range_are_rejected(self):
+    def test_out_of_range_shard_is_rejected(self):
         assignment = ShardAssignment.from_shard_of(np.array([0, 0, 1, 1]), num_shards=2)
         with pytest.raises(ValueError, match="has 2 shards"):
             RebalancePlan([SplitShard(5)]).resolve(assignment)
-        with pytest.raises(ValueError, match="exceeds"):
-            RebalancePlan([MigrateRange(0, 99, to_shard=1)]).resolve(assignment)
+        with pytest.raises(ValueError, match="has 2 shards"):
+            RebalancePlan([MergeShards((0, 2))]).resolve(assignment)
 
 
 class TestExecution:
@@ -131,10 +106,11 @@ class TestExecution:
         [
             [SplitShard(0, parts=2)],
             [MergeShards((1, 2))],
-            [MigrateRange(10, 60, to_shard=3)],
             [SplitShard(1, parts=3), MergeShards((2, 3))],
+            [SplitShard(0), SplitShard(3, parts=3)],
+            [MergeShards((0, 1, 2, 3))],
         ],
-        ids=["split", "merge", "migrate", "split+merge"],
+        ids=["split", "merge", "split+merge", "split+split", "merge-all"],
     )
     def test_rebalance_is_bit_identical(self, actions):
         records = make_records(260)
@@ -226,15 +202,19 @@ class TestExecution:
         rebalance(sharded, RebalancePlan([SplitShard(0)]))
         assert sorted(sharded.query(query, 14)) == expected
 
-    def test_shard_count_change_derives_a_partitioner(self):
+    def test_shard_count_change_routes_inserts_at_the_new_width(self):
         sharded = make_sharded(make_records(90), num_shards=3)
         rebalance(sharded, RebalancePlan([SplitShard(0, parts=2)]))
-        assert sharded.num_shards == 4
-        assert sharded.partitioner.num_shards == 4
-        assert isinstance(sharded.partitioner, HashPartitioner)
+        assert sharded.num_shards == sharded.assignment.num_shards == 4
         # Routing against the new width works (inserts land in range).
-        sharded.apply_operation(UpdateOperation("insert", make_records(5, seed=1)))
-        assert len(sharded) == 95
+        inserted = make_records(40, seed=1)
+        routing = sharded.route_operation(UpdateOperation("insert", inserted))
+        assert set(routing.touched_shards) <= {0, 1, 2, 3}
+        assert 3 in routing.touched_shards
+        sharded.apply_routed(routing)
+        assert len(sharded) == 130
+        query = inserted[0]
+        assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
 
     def test_emptied_shard_still_queries_merges_and_snapshots(self, tmp_path):
         from repro.store import load_component, save_component

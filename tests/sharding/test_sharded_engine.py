@@ -281,7 +281,6 @@ def managed_sharded_setup(binary_dataset, binary_workload):
         "hamming",
         cardnet_factory,
         num_shards=2,
-        partitioner="round_robin",
         theta_max=binary_dataset.theta_max,
     )
     managers = {}
@@ -307,8 +306,8 @@ class TestPerShardManagers:
     ):
         engine, managers = managed_sharded_setup
         sizes_before = {k: len(m.records) for k, m in managers.items()}
-        # Round-robin: one appended record lands on shard len(dataset) % 2.
-        touched = len(engine.catalog.get("hm").records) % 2
+        # The hash sends a copy of record 1 to record 1's shard.
+        touched = int(engine.catalog.get("hm").selector.assignment.shard_of[1])
         report = engine.apply_update(
             "hm", UpdateOperation("insert", [binary_dataset.records[1]])
         )

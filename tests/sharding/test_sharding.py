@@ -1,4 +1,4 @@
-"""Tests for the sharding layer: partitioners, fan-out selection, serving.
+"""Tests for the sharding layer: the hash partition, fan-out selection, serving.
 
 The load-bearing guarantees:
 
@@ -21,13 +21,8 @@ from repro.distances import get_distance
 from repro.selection import LinearScanSelector, default_selector
 from repro.engine import SimilarityQueryEngine
 from repro.serving import EstimationService
-from repro.sharding import (
-    HashPartitioner,
-    RoundRobinPartitioner,
-    ShardAssignment,
-    ShardedSelector,
-    get_partitioner,
-)
+from repro.sharding import ShardAssignment, ShardedSelector
+from repro.sharding.partitioner import assign_shards
 
 
 class ExactCountEstimator(CardinalityEstimator):
@@ -57,34 +52,62 @@ class ExactCountEstimator(CardinalityEstimator):
         )
 
 
-def sharded_for(dataset, num_shards, partitioner="hash"):
+def sharded_for(dataset, num_shards):
     return ShardedSelector(
         dataset.records,
         lambda shard_records: default_selector(dataset.distance_name, shard_records),
         num_shards=num_shards,
-        partitioner=partitioner,
     )
 
 
+#: One record of each kind the library serves, a few of each shape.
+PINNED_RECORDS = [
+    np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8),
+    np.zeros(8, dtype=np.uint8),
+    np.ones(16, dtype=np.uint8),
+    np.array([0.5, -1.25, 3.0]),
+    np.zeros(3),
+    np.array([1e-3, 2.0, -7.5, 4.25]),
+    "monotone",
+    "cardinality",
+    "",
+    frozenset({1, 5, 9}),
+    frozenset(),
+    frozenset({"similarity", "selection"}),
+]
+
+
 # --------------------------------------------------------------------------- #
-# Partitioners and assignments
+# The hash partition and assignments
 # --------------------------------------------------------------------------- #
 class TestPartitioner:
     def test_hash_is_content_stable(self, binary_dataset):
-        partitioner = HashPartitioner(4)
-        first = partitioner.assign(binary_dataset.records[:20])
-        again = partitioner.assign([np.array(r) for r in binary_dataset.records[:20]])
+        first = assign_shards(binary_dataset.records[:20], 4)
+        again = assign_shards([np.array(r) for r in binary_dataset.records[:20]], 4)
         assert np.array_equal(first, again)  # copies land on the same shard
 
-    def test_round_robin_is_balanced(self):
-        partitioner = RoundRobinPartitioner(4)
-        assignment = partitioner.partition(list(range(103)))
-        sizes = assignment.shard_sizes()
-        assert sum(sizes) == 103
-        assert max(sizes) - min(sizes) <= 1
+    @pytest.mark.parametrize(
+        "num_shards, expected",
+        [
+            (4, [0, 2, 3, 3, 1, 3, 3, 3, 2, 3, 3, 2]),
+            (5, [0, 0, 1, 3, 1, 0, 0, 3, 4, 0, 1, 1]),
+        ],
+    )
+    def test_shard_of_each_record_kind_is_pinned(self, num_shards, expected):
+        """The hash decides every shard layout, and with it every per-shard
+        model a snapshot or a benchmark fixture holds: these ids must not
+        move."""
+        sharded = ShardedSelector(
+            PINNED_RECORDS,
+            lambda rows: LinearScanSelector(rows, get_distance("hamming")),
+            num_shards=num_shards,
+        )
+        assert sharded.assignment.shard_of.tolist() == expected
 
     def test_assignment_views_are_inverse(self, binary_dataset):
-        assignment = HashPartitioner(3).partition(binary_dataset.records)
+        assignment = ShardAssignment.from_shard_of(
+            assign_shards(binary_dataset.records, 3), num_shards=3
+        )
         for shard, ids in enumerate(assignment.global_ids):
             assert np.array_equal(assignment.shard_of[ids], np.full(len(ids), shard))
             assert np.array_equal(
@@ -92,39 +115,11 @@ class TestPartitioner:
             )
             assert np.array_equal(assignment.to_global(shard, np.arange(len(ids))), ids)
 
-    def test_invalid_configuration(self):
+    def test_invalid_configuration(self, binary_dataset):
         with pytest.raises(ValueError):
-            RoundRobinPartitioner(0)
-        with pytest.raises(KeyError):
-            get_partitioner("nope", 2)
+            sharded_for(binary_dataset, 0)
         with pytest.raises(ValueError):
             ShardAssignment.from_shard_of(np.asarray([0, 5]), num_shards=2)
-
-    def test_conflicting_num_shards_and_partitioner_rejected(self, binary_dataset):
-        """num_shards and an explicit partitioner instance must agree — a
-        silent preference would hand back a different shard count than the
-        caller asked for (regression)."""
-        with pytest.raises(ValueError):
-            ShardedSelector(
-                binary_dataset.records,
-                lambda shard_records: default_selector("hamming", shard_records),
-                num_shards=8,
-                partitioner=HashPartitioner(4),
-            )
-        # Consistent and partitioner-only configurations both work.
-        consistent = ShardedSelector(
-            binary_dataset.records,
-            lambda shard_records: default_selector("hamming", shard_records),
-            num_shards=4,
-            partitioner=HashPartitioner(4),
-        )
-        assert consistent.num_shards == 4
-        inferred = ShardedSelector(
-            binary_dataset.records,
-            lambda shard_records: default_selector("hamming", shard_records),
-            partitioner=HashPartitioner(3),
-        )
-        assert inferred.num_shards == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -143,14 +138,15 @@ class TestShardedSelectorExact:
             return [1.0, float(max(1, top // 2)), float(top)]
         return [dataset.theta_max * 0.3, dataset.theta_max * 0.7, dataset.theta_max]
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin"])
-    @pytest.mark.parametrize("num_shards", [1, 3, 4])
-    def test_query_bit_identical(self, dataset, partitioner, num_shards):
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 7, 256])
+    def test_query_bit_identical(self, dataset, num_shards):
         reference = LinearScanSelector(
             dataset.records, get_distance(dataset.distance_name)
         )
-        sharded = sharded_for(dataset, num_shards, partitioner)
+        sharded = sharded_for(dataset, num_shards)
         assert sum(sharded.shard_sizes()) == len(dataset.records)
+        if num_shards > len(dataset.records):
+            assert 0 in sharded.shard_sizes()  # empty shards answer too
         rng = np.random.default_rng(3)
         for record_id in rng.choice(len(dataset.records), size=5, replace=False):
             record = dataset.records[int(record_id)]
@@ -177,9 +173,11 @@ class TestShardedSelectorExact:
         matches, counts = sharded.query_with_counts(record, 6.0)
         assert len(counts) == 4
         assert sum(counts) == len(matches)
+        assert matches.dtype == np.int64
+        assert matches.tolist() == sharded.query(record, 6.0)
 
     def test_rebuild_preserves_configuration(self, binary_dataset):
-        sharded = sharded_for(binary_dataset, 3, partitioner="round_robin")
+        sharded = sharded_for(binary_dataset, 3)
         rebuilt = sharded.rebuild(binary_dataset.records[:100])
         assert isinstance(rebuilt, ShardedSelector)
         assert rebuilt.num_shards == 3
@@ -195,9 +193,9 @@ class TestShardedSelectorExact:
 # Update routing: per-shard local operations == the global operation
 # --------------------------------------------------------------------------- #
 class TestUpdateRouting:
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin"])
-    def test_routed_stream_tracks_global_apply(self, binary_dataset, partitioner):
-        sharded = sharded_for(binary_dataset, 3, partitioner)
+    @pytest.mark.parametrize("num_shards", [1, 3, 8])
+    def test_routed_stream_tracks_global_apply(self, binary_dataset, num_shards):
+        sharded = sharded_for(binary_dataset, num_shards)
         records = list(binary_dataset.records)
         operations = generate_update_stream(
             binary_dataset, num_operations=8, records_per_operation=6, seed=2
@@ -218,11 +216,11 @@ class TestUpdateRouting:
         assert np.array_equal(sharded.dataset, np.asarray(records))
 
     def test_untouched_shards_keep_their_index(self, binary_dataset):
-        sharded = sharded_for(binary_dataset, 4, partitioner="round_robin")
+        sharded = sharded_for(binary_dataset, 4)
         before = sharded.shards
         versions = [shard.mutation_count for shard in before]
-        # Round-robin sends one appended record to shard len(dataset) % 4.
-        touched = len(sharded) % 4
+        # The hash sends a copy of record 0 to record 0's shard.
+        touched = int(sharded.assignment.shard_of[0])
         routing = sharded.route_operation(
             UpdateOperation("insert", [binary_dataset.records[0]])
         )

@@ -384,11 +384,11 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-14 engine with two 3-shard CardNet attributes (``hm_a``
+#: A format-15 engine with two 3-shard CardNet attributes (``hm_a``
 #: accelerated, ``hm`` not), and the merged curves it served.
-#: ``make_format14_sharded.py`` in the same directory wrote it; its curves
+#: ``make_format15_sharded.py`` in the same directory wrote it; its curves
 #: equal those written before shard CardNets were stacked into one pass.
-FORMAT14_SHARDED = Path(__file__).parent / "data" / "format14_sharded"
+FORMAT15_SHARDED = Path(__file__).parent / "data" / "format15_sharded"
 
 
 class TestStackedShardSnapshots:
@@ -397,12 +397,12 @@ class TestStackedShardSnapshots:
     served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 14
-        assert inspect_snapshot(FORMAT14_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 15
+        assert inspect_snapshot(FORMAT15_SHARDED).format_version == FORMAT_VERSION
 
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
-        expected = json.loads((FORMAT14_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT14_SHARDED)
+        expected = json.loads((FORMAT15_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT15_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
@@ -411,7 +411,7 @@ class TestStackedShardSnapshots:
             assert merged._stack.members == merged._shard_estimators
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT14_SHARDED)
+        engine = load_engine(FORMAT15_SHARDED)
         mergeds = [engine.service.registry.get(name).estimator for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
         for merged in mergeds:  # every shard's own memos, as a per-shard pass leaves them
@@ -434,7 +434,7 @@ class TestCorruptSnapshotsRefused:
     @pytest.fixture
     def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        shutil.copytree(FORMAT14_SHARDED, directory)
+        shutil.copytree(FORMAT15_SHARDED, directory)
         return directory
 
     @staticmethod
@@ -457,12 +457,13 @@ class TestCorruptSnapshotsRefused:
         with pytest.raises(SnapshotFormatError, match="SHA-256"):
             SimilarityQueryEngine.load(snapshot)
 
-    def test_version_8_manifest(self, snapshot):
+    @pytest.mark.parametrize("version", [8, 14])
+    def test_old_version_manifest(self, snapshot, version):
         manifest_file = snapshot / "manifest.json"
         manifest = json.loads(manifest_file.read_text())
-        manifest["version"] = 8
+        manifest["version"] = version
         manifest_file.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotFormatError, match=r"version 8\b.*version 14\b"):
+        with pytest.raises(SnapshotFormatError, match=rf"version {version}\b.*version 15\b"):
             SimilarityQueryEngine.load(snapshot)
 
 
