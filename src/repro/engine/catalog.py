@@ -5,7 +5,7 @@ access paths the planner and executor need — the distance function, the exact
 selection index, and the serving endpoint(s) answering cardinality estimates
 for it.  A binding holds no rows: the index's store is the column, so an
 update changes it once, as the index's own O(Δ) delta, and
-:meth:`AttributeBinding.values_at` reads it back from there.  The catalog
+``selector.rows_at`` reads it back from there.  The catalog
 enforces the single table-shape invariant (every attribute has the same
 record count, so record ids line up across predicates of one conjunctive
 query).
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..distances import DistanceFunction, get_distance
 from ..selection import PigeonholeHammingSelector, SimilaritySelector, default_selector
@@ -59,11 +57,6 @@ class AttributeBinding:
     def sharded(self) -> bool:
         """Whether this attribute executes by fan-out over per-shard indexes."""
         return bool(self.shard_endpoints)
-
-    def values_at(self, record_ids: np.ndarray) -> Sequence:
-        """Column values at ``record_ids``, gathered from the index's store
-        (vectorized for array columns)."""
-        return self.selector.rows_at(record_ids)
 
     def units(self) -> List[Tuple[SimilaritySelector, str]]:
         """The attribute's maintenance units, ``(exact index, serving endpoint)``.

@@ -575,6 +575,7 @@ class SimilarityQueryEngine:
                 "driver_shards": plan.driver_shards,
                 "allocation": plan.allocation,
                 "estimated_candidates": plan.estimated_candidates,
+                "estimated_cost": plan.estimated_cost,
                 "planning_seconds": plan.planning_seconds,
                 "execution_seconds": result.execution_seconds,
             },
@@ -707,7 +708,8 @@ class SimilarityQueryEngine:
         read from the index before it changes), every part before any is adopted."""
         insert = operation.kind == "insert"
         rows = np.asarray(
-            operation.records if insert else binding.values_at(operation.records), dtype=np.uint8
+            operation.records if insert else binding.selector.rows_at(operation.records),
+            dtype=np.uint8,
         )
         inserted, removed = (rows, rows[:0]) if insert else (rows[:0], rows)
         staged = []

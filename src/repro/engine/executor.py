@@ -3,10 +3,12 @@
 The executor is estimator-free: given a :class:`~repro.engine.planner.QueryPlan`
 it answers the driving predicate with the attribute's exact index (using the
 plan's GPH allocation when present) and verifies residual predicates over the
-shrinking candidate set — one ``cross_distances`` call per residual, whose
-distances equal ``distances_to``'s, decided by
-:func:`~repro.distances.base.within` as the linear scan decides them.  Results
-are therefore exact whatever the plan quality; planning only moves the cost.
+shrinking candidate set — one ``distances_at`` call per residual, which reads
+the distances from the residual's own index (XOR + popcount on the packed
+words for Hamming; ``cross_distances`` over the gathered rows otherwise) and
+equals ``distances_to``, decided by :func:`~repro.distances.base.within` as
+the linear scan decides them.  Results are therefore exact whatever the plan;
+planning only moves the cost.
 """
 
 from __future__ import annotations
@@ -110,11 +112,9 @@ class QueryExecutor:
                 ) as verify_span:
                     candidates_in = int(surviving.size)
                     verification_examined += candidates_in
-                    binding = self.catalog.get(planned.attribute)
-                    values = binding.values_at(surviving)
-                    distances = binding.distance.cross_distances(
-                        [planned.predicate.record], values
-                    )[0]
+                    distances = self.catalog.get(planned.attribute).selector.distances_at(
+                        planned.predicate.record, surviving
+                    )
                     surviving = surviving[within(distances, planned.theta)]
                     verify_span.set(
                         candidates_in=candidates_in, survivors=int(surviving.size)

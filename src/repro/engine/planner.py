@@ -6,11 +6,19 @@ so micro-batching and the monotone curve cache apply to planning traffic
 exactly as to any other client (the §9.11 case study passes
 :class:`repro.optimizer.DirectEstimates` instead).  Two levels of planning:
 
-* **predicate ordering** — all predicates of a query (and, in
+* **driver choice** — all predicates of a query (and, in
   :meth:`QueryPlanner.plan_many`, of a whole workload) are estimated with one
-  batched service call per endpoint; the smallest estimate becomes the
-  *driving* predicate answered by its index, the rest verify candidates in
-  ascending-estimate order;
+  batched service call per endpoint.  Each predicate is priced as the
+  *driving* predicate answered by its index, the rest verifying candidates
+  in ascending-estimate order: the driver's ``probe_cost(estimate)`` plus
+  each residual's ``verify_cost(rows)`` over the rows flowing into it (the
+  driver's estimate, shrunk by ``estimate / n`` after every residual), plus
+  the GPH allocation for a pigeonhole driver.  The costs are µs constants
+  each index class carries (:class:`~repro.selection.SimilaritySelector`),
+  so no clock is read and plans are deterministic.  The cheapest plan wins;
+  a tie keeps the query's predicate order.  The paper's §9.11.1 rule — the
+  smallest estimate drives — is the special case of one index class, size
+  and distance everywhere, where the price rises with the estimate;
 * **GPH threshold allocation** — when the driving predicate's attribute is a
   pigeonhole Hamming index with per-part endpoints, the general-pigeonhole
   allocation DP (:class:`repro.optimizer.GPHQueryProcessor`) chooses per-part
@@ -30,8 +38,14 @@ from ..distances.base import integer_radius
 from ..obs.trace import span
 from ..optimizer.gph import GPHQueryProcessor, PartCardinalityEstimator
 from ..serving import EstimationService
-from .catalog import AttributeCatalog
+from .catalog import AttributeBinding, AttributeCatalog
 from .spec import ConjunctiveQuery, SimilarityPredicate
+
+
+#: µs the service spends serving one per-part curve of a GPH allocation from a
+#: cold cache (measured by ``calibrate_costs.py`` under ``docs/perf/``): a GPH
+#: driver pays it once per part on top of its probe.
+GPH_PART_CURVE_COST_US = 280.0
 
 
 class ServicePartCurves(PartCardinalityEstimator):
@@ -77,10 +91,11 @@ class PlannedPredicate:
 class QueryPlan:
     """Inspectable execution plan for one query.
 
-    ``driver`` is answered with its attribute's exact index; ``residuals``
-    verify the driver's candidates with vectorized distance kernels, most
-    selective first.  ``allocation`` carries GPH per-part thresholds when the
-    driver is a pigeonhole Hamming attribute.
+    ``driver`` — the predicate whose plan prices cheapest
+    (``estimated_cost``) — is answered with its attribute's exact index;
+    ``residuals`` verify the driver's candidates with vectorized distance
+    kernels, most selective first.  ``allocation`` carries GPH per-part
+    thresholds when the driver is a pigeonhole Hamming attribute.
     """
 
     query: ConjunctiveQuery
@@ -88,6 +103,10 @@ class QueryPlan:
     residuals: List[PlannedPredicate] = field(default_factory=list)
     allocation: Optional[List[int]] = None
     estimated_candidates: float = 0.0
+    #: The planner's price of this plan in µs (driver probe + residual
+    #: verifies, from the indexes' measured cost constants); the chosen
+    #: driver is the one that minimises it.
+    estimated_cost: float = 0.0
     planning_seconds: float = 0.0
     #: Number of shards the driving predicate executes over (1 = unsharded).
     #: The estimate behind ``driver`` is the merged (summed-curve) endpoint's,
@@ -109,6 +128,7 @@ class QueryPlan:
             for planned in self.residuals
         )
         lines.append(f"  estimated candidates: {self.estimated_candidates:.1f}")
+        lines.append(f"  estimated cost: {self.estimated_cost:.0f} us")
         return "\n".join(lines)
 
 
@@ -161,20 +181,22 @@ class QueryPlanner:
             PlannedPredicate(predicate=predicate, estimated_cardinality=estimate)
             for predicate, estimate in zip(query.predicates, predicate_estimates)
         ]
-        # min() breaks ties by position, i.e. the query's own predicate order.
-        driver = min(planned, key=lambda p: p.estimated_cardinality)
-        residuals = sorted(
-            (p for p in planned if p is not driver),
-            key=lambda p: p.estimated_cardinality,
-        )
+        bindings = [self.catalog.get(p.attribute) for p in planned]
+        # Every driver's residuals verify in ascending-estimate order (ties by
+        # the query's predicate order); min() keeps cost ties in that order too.
+        ascending = sorted(range(len(planned)), key=lambda i: planned[i].estimated_cardinality)
+        costs = self._plan_costs(planned, bindings, ascending)
+        chosen = min(range(len(planned)), key=costs.__getitem__)
+        driver = planned[chosen]
         plan = QueryPlan(
             query=query,
             driver=driver,
-            residuals=residuals,
+            residuals=[planned[i] for i in ascending if i != chosen],
             estimated_candidates=driver.estimated_cardinality,
+            estimated_cost=costs[chosen],
             planning_seconds=planning_seconds,
         )
-        binding = self.catalog.get(driver.attribute)
+        binding = bindings[chosen]
         if binding.sharded:
             plan.driver_shards = len(binding.shard_endpoints)
         if binding.uses_gph:
@@ -190,6 +212,34 @@ class QueryPlanner:
             plan.estimated_candidates = gph_plan.estimated_candidates
             plan.planning_seconds += time.perf_counter() - gph_start
         return plan
+
+    @staticmethod
+    def _plan_costs(
+        planned: Sequence[PlannedPredicate],
+        bindings: Sequence[AttributeBinding],
+        ascending: Sequence[int],
+    ) -> List[float]:
+        """Estimated µs of executing with each predicate as the driver: its
+        index's probe (plus the GPH allocation, priced cold), then each
+        residual's verify over the rows flowing into it — the driver's
+        estimate, shrunk by ``estimate / n`` after every residual."""
+        selectors = [binding.selector for binding in bindings]
+        shrink = [
+            p.estimated_cardinality / max(1, len(selector))
+            for p, selector in zip(planned, selectors)
+        ]
+        costs = []
+        for driver, binding in enumerate(bindings):
+            rows = planned[driver].estimated_cardinality
+            cost = selectors[driver].probe_cost(rows)
+            if binding.uses_gph:
+                cost += GPH_PART_CURVE_COST_US * len(binding.part_endpoints)
+            for residual in ascending:
+                if residual != driver:
+                    cost += selectors[residual].verify_cost(rows)
+                    rows *= shrink[residual]
+            costs.append(cost)
+        return costs
 
     def plan(self, query: ConjunctiveQuery) -> QueryPlan:
         """Plan one query (a one-element batch through the workload path)."""

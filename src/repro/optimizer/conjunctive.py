@@ -3,11 +3,14 @@
 A query is a conjunction of Euclidean-distance predicates over the attributes
 of a multi-attribute relation (the paper's example: blocking rules for entity
 matching).  The processing strategy is the engine's: estimate every
-predicate, answer the smallest estimate with its index, verify the rest over
-the candidates (:class:`repro.engine.QueryPlanner` +
-:class:`repro.engine.QueryExecutor`).  This module holds what is case study
-and not engine: the query workload, the relation's catalog, an estimate source
-that asks a policy's estimators directly, and the plan-quality report.
+predicate, answer the cheapest-priced driver with its index, verify the rest
+over the candidates (:class:`repro.engine.QueryPlanner` +
+:class:`repro.engine.QueryExecutor`).  Every attribute here sits behind the
+same ball index over the same rows, so the price rises with the estimate and
+the smallest estimate drives — the paper's rule.  This module holds what is
+case study and not engine: the query workload, the relation's catalog, an
+estimate source that asks a policy's estimators directly, and the
+plan-quality report.
 
 The quality of the cardinality estimator determines how often the truly most
 selective predicate is chosen (*planning precision*, Fig. 12) and hence the

@@ -10,11 +10,22 @@ Exact selection serves three purposes in the reproduction, mirroring the paper:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List, Sequence
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..distances.base import DistanceFunction, within
+
+
+#: ``(fixed, per_row)`` µs of the default :meth:`SimilaritySelector.distances_at`
+#: (``rows_at`` + ``cross_distances``) per distance, on the distance's default
+#: index (measured by ``calibrate_costs.py`` under ``docs/perf/``).
+DEFAULT_VERIFY_COST_US = {
+    "hamming": (36.0, 0.057),
+    "edit": (150.0, 1.4),
+    "jaccard": (14.0, 0.74),
+    "euclidean": (9.8, 0.064),
+}
 
 
 class SimilaritySelector(ABC):
@@ -42,6 +53,42 @@ class SimilaritySelector(ABC):
         them, computed on each read and never cached (the index's store is
         the only copy of the rows)."""
         return self.rows_at(np.arange(len(self), dtype=np.int64))
+
+    def distances_at(self, record: Any, ids: Sequence[int]) -> np.ndarray:
+        """Exact distances from ``record`` to the live rows at these logical
+        ids, in the ids' order: the values of ``distance.cross_distances``
+        over :meth:`rows_at`, which is what this default computes.  Residual
+        verification decides by them."""
+        return self.distance.cross_distances([record], self.rows_at(ids))[0]
+
+    # ------------------------------------------------------------------ #
+    # Cost model (what the planner prices a plan with, in µs)
+    # ------------------------------------------------------------------ #
+    #: ``(a, b, c)`` of a :meth:`query` costing ``a + b·len(self) + c·matches``
+    #: µs, or ``None``: a probe then costs :meth:`verify_cost` over every
+    #: stored row.  Class constants copied from the output of the
+    #: calibration script ``calibrate_costs.py`` under ``docs/perf/``; not
+    #: options.
+    PROBE_COST_US: Optional[Tuple[float, float, float]] = None
+    #: ``(fixed, per_row)`` of a :meth:`distances_at` call, µs, for a class
+    #: with its own kernel; ``None`` prices the default kernel by distance
+    #: (:data:`DEFAULT_VERIFY_COST_US`).
+    VERIFY_COST_US: Optional[Tuple[float, float]] = None
+
+    def probe_cost(self, estimate: float) -> float:
+        """Estimated µs of one :meth:`query` that matches ``estimate`` rows."""
+        if self.PROBE_COST_US is None:
+            return self.verify_cost(len(self))
+        fixed, per_stored, per_match = self.PROBE_COST_US
+        return fixed + per_stored * len(self) + per_match * max(0.0, estimate)
+
+    def verify_cost(self, rows: float) -> float:
+        """Estimated µs of one :meth:`distances_at` call over ``rows`` ids."""
+        # Any other distance is priced as the slowest kernel, edit's.
+        fixed, per_row = self.VERIFY_COST_US or DEFAULT_VERIFY_COST_US.get(
+            self.distance.name, DEFAULT_VERIFY_COST_US["edit"]
+        )
+        return fixed + per_row * max(0.0, rows)
 
     # ------------------------------------------------------------------ #
     # Update protocol (O(Δ): append segments + tombstones, or per shard)

@@ -72,6 +72,7 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
     """Length/signature mask + q-gram posting arrays + batched DP verification."""
 
     distance = EditDistance()
+    PROBE_COST_US = (240.0, 0.033, 1.7)
     _SNAPSHOT_DROP = ("_lengths", "_codes", "_signatures", "_postings")
 
     def __init__(self, dataset: Sequence[str], q: int = 2) -> None:

@@ -65,6 +65,8 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
     """
 
     distance = HammingDistance()
+    PROBE_COST_US = (17.0, 0.0023, 0.17)
+    VERIFY_COST_US = (16.0, 0.008)
 
     def __init__(self, dataset: Sequence) -> None:
         matrix = _bit_matrix(dataset)
@@ -90,6 +92,19 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
             self._query_words(record), self._packed64.view()
         )
         return self._live_rows(distances)
+
+    def distances_at(self, record, ids) -> np.ndarray:
+        """XOR + popcount of ``record`` against the stored words at these ids:
+        no unpacking, the same integers as the default path for a 0/1
+        ``record`` (any other record takes that path)."""
+        record = np.asarray(record)
+        if not ((record == 0) | (record == 1)).all():
+            return super().distances_at(record, ids)
+        ids = np.asarray(ids, dtype=np.int64)
+        physical = ids if self._view.is_compact else self._view.live_physical[ids]
+        return packed_hamming_distances_words(
+            self._query_words(record), self._packed64.view()[physical]
+        )
 
     def _query_words(self, record) -> np.ndarray:
         return pack_bits_words(pack_bits(np.asarray(record, dtype=np.uint8)))[0]
@@ -142,6 +157,7 @@ class PigeonholeHammingSelector(PackedHammingSelector):
     """
 
     _SNAPSHOT_DROP = ("_part_masks",)
+    PROBE_COST_US = (44.0, 0.0043, 0.047)
 
     def __init__(self, dataset: Sequence, part_size: int = 16) -> None:
         super().__init__(dataset)

@@ -45,6 +45,7 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
     """Token posting arrays + size filter; similarities from exact overlap counts."""
 
     distance = JaccardDistance()
+    PROBE_COST_US = (73.0, 0.028, 0.11)
     _SNAPSHOT_DROP = ("_sizes", "_postings")
 
     def __init__(self, dataset: Sequence) -> None:

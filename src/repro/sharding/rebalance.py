@@ -155,7 +155,9 @@ class RebalancePlan:
         survivors = [s for s in range(base_shards) if s not in freed]
         provisional = list(range(base_shards, next_provisional))
         renumber = {old: new for new, old in enumerate(survivors + provisional)}
-        shard_of = np.asarray([renumber[int(s)] for s in shard_of], dtype=np.int64)
+        lookup = np.zeros(next_provisional, dtype=np.int64)
+        lookup[list(renumber)] = list(renumber.values())
+        shard_of = lookup[shard_of]
         num_shards = len(renumber)
         sources: Dict[int, Optional[int]] = {}
         for old, new in renumber.items():
@@ -219,8 +221,9 @@ class StagedLayout:
     #: The selector's :attr:`~repro.sharding.ShardedSelector.mutation_count`
     #: at capture; the swap refuses once an update has moved it.
     mutation_count: int
-    #: The base rows in global-id order, as captured.
-    records: Sequence
+    #: Per built target: its rows in local order, captured from the base
+    #: layout (an aliased target needs none).
+    rows: Dict[int, Sequence]
     num_shards_before: int
     resolved: ResolvedPlan
     assignment: ShardAssignment
@@ -229,8 +232,8 @@ class StagedLayout:
     shards: List[SimilaritySelector] = field(default_factory=list)
 
     def shard_records(self, target: int) -> List:
-        """The base rows new shard ``target`` holds, in its local order."""
-        return [self.records[int(i)] for i in self.assignment.global_ids[target]]
+        """The base rows built shard ``target`` holds, in its local order."""
+        return list(self.rows[target])
 
     def report(self) -> RebalanceReport:
         built = self.resolved.build_targets
@@ -246,19 +249,24 @@ class StagedLayout:
 
 def stage(selector: ShardedSelector, plan: RebalancePlan) -> StagedLayout:
     """Resolve ``plan`` against the selector's current layout and build the
-    changed target shards; the old layout keeps serving throughout."""
+    changed target shards; the old layout keeps serving throughout.  Only
+    the built targets' rows are read, from the shards that hold them."""
     started = time.perf_counter()
-    with selector._lock:  # one consistent capture: count, rows, layout
+    with selector._lock:  # one consistent capture: count, layout, rows
         mutation_count = selector.mutation_count
-        records = selector.dataset
         base, base_shards = selector.assignment, selector.shards
-    resolved = plan.resolve(base)
+        resolved = plan.resolve(base)
+        assignment = ShardAssignment.from_shard_of(resolved.shard_of, resolved.num_shards)
+        rows = {
+            target: selector.rows_at(assignment.global_ids[target])
+            for target in resolved.build_targets
+        }
     staged = StagedLayout(
         mutation_count=mutation_count,
-        records=records,
+        rows=rows,
         num_shards_before=base.num_shards,
         resolved=resolved,
-        assignment=ShardAssignment.from_shard_of(resolved.shard_of, resolved.num_shards),
+        assignment=assignment,
         started=started,
     )
     staged.shards = [

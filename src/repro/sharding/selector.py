@@ -144,6 +144,14 @@ class ShardedSelector(SimilaritySelector):
                     rows[position] = row
         return shards[0].rows_at(ids) if rows is None else rows
 
+    def probe_cost(self, estimate: float) -> float:
+        """Every shard's probe, each matching its size's share of ``estimate``:
+        a fan-out pays every shard's fixed cost.  (A verify is the default
+        one: :meth:`rows_at` gathers shard by shard and one kernel runs over
+        the gathered rows, priced by the distance.)"""
+        per_row = estimate / max(1, len(self))
+        return sum(shard.probe_cost(per_row * len(shard)) for shard in self._shards)
+
     @property
     def assignment(self) -> ShardAssignment:
         return self._assignment

@@ -192,7 +192,7 @@ class Harness:
         if self.column_dtype is not None:
             assert binding.records.dtype == self.column_dtype
             ends = np.asarray([0, len(mirror) - 1])
-            values = binding.values_at(ends)
+            values = binding.selector.rows_at(ends)
             assert isinstance(values, np.ndarray)  # vectorized, never per-row
             assert np.array_equal(values, np.asarray([mirror[0], mirror[-1]]))
             assert np.array_equal(binding.records, np.asarray(mirror))

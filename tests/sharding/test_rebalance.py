@@ -143,6 +143,28 @@ class TestExecution:
             new_id = old_id if old_id < 1 else old_id - 1 if old_id > 2 else old_id
             assert sharded.shard(new_id) is before[old_id]
 
+    def test_staging_a_split_reads_only_the_split_shards_rows(self, monkeypatch):
+        records = make_records(240)
+        sharded = make_sharded(records, num_shards=4)
+        split = sharded.shard(0)
+        reads = []
+        original = PackedHammingSelector.rows_at
+
+        def counting_rows_at(shard, ids):
+            reads.append((shard, len(ids)))
+            return original(shard, ids)
+
+        monkeypatch.setattr(PackedHammingSelector, "rows_at", counting_rows_at)
+        staged = stage(sharded, RebalancePlan([SplitShard(0)]))
+        monkeypatch.undo()
+
+        assert {shard for shard, _ in reads} == {split}
+        assert sum(count for _, count in reads) == len(split)
+        rebuilt = np.concatenate([staged.shard_records(t) for t in staged.resolved.build_targets])
+        assert np.array_equal(rebuilt, split.dataset)
+        sharded.swap_layout(staged)
+        assert sorted(sharded.query(records[5], 14)) == reference_ids(sharded, records[5], 14)
+
     def test_a_swap_after_an_update_since_staging_is_refused(self):
         records = make_records(180)
         sharded = make_sharded(records, num_shards=3)
