@@ -7,7 +7,7 @@ Usage (BLAS pinned by the script; about a minute per tree)::
 ``TREE`` is a checkout of this repository; its ``src`` is imported, so the
 same script measures a parent and a change.  Per size ``n`` it draws ``n``
 uniform random 64-bit rows (seed 3) and registers them as a GPH attribute
-(``gph_part_size=16``: four parts, four ``::partJ`` histograms) on a fresh
+(``part_size=16``: four parts, four ``::partJ`` histograms) on a fresh
 engine, then prints one JSON line with
 
 * ``candidates_ms``: median wall ms of ``selector.candidates`` over 200 probes
@@ -36,6 +36,7 @@ import numpy as np  # noqa: E402
 from repro.baselines import HistogramHammingEstimator  # noqa: E402
 from repro.datasets.updates import UpdateOperation  # noqa: E402
 from repro.engine import SimilarityQueryEngine  # noqa: E402
+from repro.selection import PigeonholeHammingSelector  # noqa: E402
 
 
 def measure(n: int) -> dict:
@@ -44,7 +45,7 @@ def measure(n: int) -> dict:
     engine = SimilarityQueryEngine()
     engine.register_attribute(
         "hm", records, "hamming", HistogramHammingEstimator(records[:1000]),
-        theta_max=20, gph_part_size=16,
+        selector=PigeonholeHammingSelector(records, part_size=16), theta_max=20,
     )
     binding = engine.catalog.get("hm")
     selector = binding.selector

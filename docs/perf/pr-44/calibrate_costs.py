@@ -127,7 +127,7 @@ def part_curve_cost(records, queries) -> float:
     engine = SimilarityQueryEngine()
     engine.register_attribute(
         "hm", records, "hamming", HistogramHammingEstimator(records),
-        theta_max=16, gph_part_size=wl.GPH_PART_SIZE,
+        selector=PigeonholeHammingSelector(records, part_size=wl.GPH_PART_SIZE), theta_max=16,
     )
     binding = engine.catalog.get("hm")
     processor = GPHQueryProcessor(selector=binding.selector)

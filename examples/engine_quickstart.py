@@ -22,6 +22,7 @@ from repro.core import CardNetEstimator, IncrementalUpdateManager
 from repro.datasets import make_binary_dataset
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
+from repro.selection import PigeonholeHammingSelector
 from repro.baselines import UniformSamplingEstimator
 from repro.workloads import build_workload
 
@@ -48,7 +49,8 @@ def main() -> None:
     engine = SimilarityQueryEngine(drift_threshold=6.0, min_feedback_observations=6)
     engine.register_attribute(
         "signature", signatures.records, "hamming", signature_estimator,
-        theta_max=signatures.theta_max, gph_part_size=8,
+        selector=PigeonholeHammingSelector(signatures.records, part_size=8),
+        theta_max=signatures.theta_max,
     )
     engine.register_attribute(
         "embedding", embeddings, "euclidean",

@@ -9,7 +9,7 @@ Jaccard data they are fed the same feature extraction as CardNet.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -21,11 +21,7 @@ from ..workloads.examples import QueryExample
 
 
 def raw_record_vector(record: Any) -> np.ndarray:
-    """Flatten a Hamming/Euclidean record into a float feature vector.
-
-    Module-level (rather than a closure inside ``for_dataset``) so featurizers
-    built over raw vectors stay snapshottable by :mod:`repro.store`.
-    """
+    """Flatten a Hamming/Euclidean record into a float feature vector."""
     return np.asarray(record, dtype=np.float64).reshape(-1)
 
 
@@ -50,11 +46,12 @@ class QueryFeaturizer:
 
     def __init__(
         self,
-        record_to_vector: Callable[[Any], np.ndarray],
+        extractor: Optional[FeatureExtractor],
         theta_max: float,
         dimension: int,
     ) -> None:
-        self.record_to_vector = record_to_vector
+        #: CardNet's extractor for ED/JC data; ``None`` feeds the raw vector.
+        self.extractor = extractor
         self.theta_max = float(theta_max)
         self.dimension = int(dimension)
 
@@ -71,15 +68,17 @@ class QueryFeaturizer:
         """Raw vectors for HM/EU data; CardNet's feature extraction for ED/JC."""
         if dataset.distance_name in ("hamming", "euclidean"):
             dimension = int(dataset.extra.get("dimension", len(dataset.records[0])))
-            return cls(raw_record_vector, dataset.theta_max, dimension)
+            return cls(None, dataset.theta_max, dimension)
         extractor = extractor or build_feature_extractor(dataset, seed=seed)
-        return cls(extractor.transform_record, dataset.theta_max, extractor.dimension)
+        return cls(extractor, dataset.theta_max, extractor.dimension)
 
     # ------------------------------------------------------------------ #
     # Featurization
     # ------------------------------------------------------------------ #
     def record_vector(self, record: Any) -> np.ndarray:
-        return np.asarray(self.record_to_vector(record), dtype=np.float64).reshape(-1)
+        if self.extractor is None:
+            return raw_record_vector(record)
+        return np.asarray(self.extractor.transform_record(record), dtype=np.float64).reshape(-1)
 
     def normalized_theta(self, theta: float) -> float:
         if self.theta_max <= 0:

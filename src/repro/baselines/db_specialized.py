@@ -198,12 +198,14 @@ class QGramInvertedIndexEstimator(CardinalityEstimator):
     def __init__(self, dataset_records: Sequence[str], q: int = 2) -> None:
         self.q = int(q)
         self._records = [str(r) for r in dataset_records]
-        self._grams = [qgrams(record, self.q) for record in self._records]
+        # Plain dicts, so a snapshot holds them like any other state.
+        self._grams = [dict(qgrams(record, self.q)) for record in self._records]
         self._lengths = np.asarray([len(record) for record in self._records])
-        self._inverted: Dict[str, List[int]] = defaultdict(list)
+        inverted: Dict[str, List[int]] = defaultdict(list)
         for record_id, grams in enumerate(self._grams):
             for gram in grams:
-                self._inverted[gram].append(record_id)
+                inverted[gram].append(record_id)
+        self._inverted = dict(inverted)
 
     def _query_state(self, record: Any) -> tuple[int, np.ndarray, np.ndarray]:
         """(query length, ids of records sharing a gram, their shared-gram counts)."""

@@ -223,29 +223,20 @@ class SimilarityQueryEngine:
         selector: Optional[SimilaritySelector] = None,
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
-        gph_part_size: Optional[int] = None,
     ) -> AttributeBinding:
         """Register one queryable attribute.
 
         ``estimator`` is served under an endpoint named after the attribute,
         on the grid :func:`repro.serving.resolve_curve_grid` decides.
-        ``gph_part_size`` switches a Hamming attribute to a pigeonhole index
-        with GPH-allocated plans, backed by one per-part histogram endpoint
-        (``name::partJ``) on the same service; so does a pigeonhole ``selector``.
+        ``selector`` is the attribute's exact index (default: the distance's
+        default selector).  A Hamming attribute gets a pigeonhole index with
+        GPH-allocated plans from
+        ``selector=PigeonholeHammingSelector(records, part_size=k)``, backed
+        by one per-part histogram endpoint (``name::partJ``) on the same
+        service.
         """
-        if gph_part_size is not None:
-            if distance_name != "hamming":
-                raise ValueError("gph_part_size only applies to hamming attributes")
-            if selector is not None:
-                raise ValueError(
-                    "pass either gph_part_size or an explicit selector, not both "
-                    "(a supplied selector would silently override the requested "
-                    "pigeonhole configuration)"
-                )
         self.catalog.validate(name, records)
-        if gph_part_size is not None:
-            selector = PigeonholeHammingSelector(records, part_size=gph_part_size)
-        elif selector is None:
+        if selector is None:
             selector = default_selector(distance_name, records)
         return self._bring_up(
             name, distance_name, selector, [estimator], curve_thetas, theta_max, records

@@ -168,22 +168,6 @@ class SlowQueryLog:
         """The log as JSON (entries are plain dicts by construction)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
 
-    # -- snapshot hooks (repro.store): ring persists, lock does not ------- #
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "threshold_seconds": self.threshold_seconds,
-                "capacity": self._entries.maxlen,
-                "entries": [dict(entry) for entry in self._entries],
-            }
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.threshold_seconds = float(state.get("threshold_seconds", 0.1))
-        self._entries = deque(
-            state.get("entries", ()), maxlen=int(state.get("capacity", 64) or 64)
-        )
-        self._lock = threading.Lock()
-
 
 @dataclass
 class HealthReport:

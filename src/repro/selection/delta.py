@@ -15,7 +15,8 @@ The physical store plus the view is the one copy of an attribute's rows:
 there is no logical record list beside it.  :meth:`DeltaIndexMixin.rows_at`
 gathers rows from the store at ``live_physical[ids]``, a delete reads the
 rows it removes that way, and ``dataset`` is that gather over every live id,
-computed on each read.  A snapshot persists the compacted store.
+computed on each read.  A snapshot persists the compacted store, and the
+view as its row count.
 
 Two deliberately-not-O(Δ) pieces, called out for honesty:
 
@@ -25,9 +26,7 @@ Two deliberately-not-O(Δ) pieces, called out for honesty:
 * compaction (:meth:`DeltaIndexMixin.compact`) is a from-scratch rebuild over
   the live records.  A :class:`CompactionPolicy` bounds tombstone debt: past
   ``force_ratio`` the next update compacts synchronously, so the amortized
-  per-row update cost stays O(Δ); past ``tombstone_ratio`` the selector merely
-  *advertises* ``needs_compaction()`` so an owner can schedule the rebuild
-  when it suits it.
+  per-row update cost stays O(Δ).
 
 Bit-identity with ``rebuild``: every selector here answers by exact
 verification — filters (prefixes, signatures, pivots, pigeonhole buckets) are
@@ -206,36 +205,18 @@ class TombstoneView:
             return physical_ids
         return np.searchsorted(self.live_physical, np.asarray(physical_ids, dtype=np.int64))
 
-    def __snapshot_state__(self) -> dict:
-        # A selector compacts before it snapshots, so its row count is the view.
-        if not self.is_compact:
-            raise ValueError("a view with tombstones is not snapshotted; compact first")
-        return {"_live_count": self._live_count}
-
-    def __snapshot_restore__(self, state: dict) -> None:
-        self.__init__(state["_live_count"])
-
 
 @dataclass(frozen=True)
 class CompactionPolicy:
     """When to reclaim tombstones.
 
-    ``tombstone_ratio`` is advisory (``needs_compaction()`` turns true so an
-    owner can schedule background compaction); ``force_ratio`` is the hard
-    ceiling at which the next update compacts synchronously, bounding scan
-    overhead at a constant factor and keeping amortized update cost O(Δ).
+    ``force_ratio`` is the tombstone share at which the next update compacts
+    synchronously (once at least ``min_tombstones`` rows are dead), bounding
+    scan overhead at a constant factor and keeping amortized update cost O(Δ).
     """
 
-    tombstone_ratio: float = 0.25
     force_ratio: float = 0.5
     min_tombstones: int = 64
-
-    def wants(self, view: TombstoneView) -> bool:
-        tombstones = view.tombstone_count
-        return (
-            tombstones >= self.min_tombstones
-            and tombstones >= self.tombstone_ratio * max(1, view.physical_count)
-        )
 
     def must(self, view: TombstoneView) -> bool:
         tombstones = view.tombstone_count
@@ -399,9 +380,6 @@ class DeltaIndexMixin:
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
-    def needs_compaction(self) -> bool:
-        return self.compaction_policy.wants(self._view)
-
     def compact(self) -> int:
         """Reclaim tombstones with a from-scratch rebuild; returns rows reclaimed."""
         reclaimed = self._view.tombstone_count
@@ -439,14 +417,18 @@ class DeltaIndexMixin:
     # Snapshot hooks (shared by every delta selector)
     # ------------------------------------------------------------------ #
     def __snapshot_state__(self) -> dict:
-        # Compact first: the snapshot then carries the compacted store, a
-        # compact view and no tombstones — a from-scratch build's state.
+        # Compact first: the snapshot then carries the compacted store and no
+        # tombstones — a from-scratch build's state, whose view is its count.
         self.compact()
+        if not self._view.is_compact:
+            raise ValueError("a view with tombstones is not snapshotted; compact first")
         state = dict(self.__dict__)
         for attr in self._SNAPSHOT_DROP:
             state.pop(attr, None)
+        state["_view"] = self._view.live_count
         return state
 
     def __snapshot_restore__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._view = TombstoneView(state["_view"])
         self._restore_derived()

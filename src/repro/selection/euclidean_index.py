@@ -43,6 +43,10 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
     PROBE_COST_US = (14.0, 0.059, 0.23)
 
     def __init__(self, dataset: Sequence, num_pivots: int = 16, seed: int = 0) -> None:
+        #: The configuration a rebuild (compaction, a new shard) starts from;
+        #: fewer pivots are used while there are fewer rows.
+        self.num_pivots = int(num_pivots)
+        self.seed = int(seed)
         matrix = np.asarray(dataset, dtype=np.float64)
         if matrix.ndim != 2 and matrix.size == 0:
             matrix = np.zeros((0, 0))  # no rows, no dimension: the next insert re-derives it
@@ -100,7 +104,7 @@ class BallIndexEuclideanSelector(DeltaIndexMixin, SimilaritySelector):
         return self._probe(record, threshold)[1]
 
     def rebuild(self, dataset: Sequence) -> "BallIndexEuclideanSelector":
-        return BallIndexEuclideanSelector(dataset, num_pivots=len(self._pivots) or 16)
+        return BallIndexEuclideanSelector(dataset, num_pivots=self.num_pivots, seed=self.seed)
 
     # ------------------------------------------------------------------ #
     # Delta maintenance hooks

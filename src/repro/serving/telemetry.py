@@ -190,11 +190,3 @@ class ServingTelemetry:
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format."""
         return self.metrics.to_prometheus()
-
-    # Snapshot hooks (repro.store): the registry is the whole state.
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        return {"metrics": self.metrics}
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.metrics = state["metrics"]
-        self._handles = {}  # re-resolved on first use

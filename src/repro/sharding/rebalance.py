@@ -9,9 +9,10 @@ derives a plan from the per-shard sizes.
 A rebalance is two steps on the caller's thread:
 
 1. :func:`stage` captures the selector's layout, resolves the plan against it
-   and builds only the *changed* target shards, each from the base rows it
-   holds; unchanged shards are aliased — zero build cost, zero extra memory.
-   Staging touches nothing live, so dropping a staging is the abort.
+   and builds only the *changed* target shards, each by shard 0's ``rebuild``
+   over the base rows it holds; unchanged shards are aliased — zero build
+   cost, zero extra memory.  Staging touches nothing live, so dropping a
+   staging is the abort.
 2. :meth:`~repro.sharding.ShardedSelector.swap_layout` swaps the staged layout
    in atomically, or raises :class:`~repro.sharding.StaleRebalanceError` if an
    update landed since the capture — the old layout keeps serving and the
@@ -270,7 +271,7 @@ def stage(selector: ShardedSelector, plan: RebalancePlan) -> StagedLayout:
         started=started,
     )
     staged.shards = [
-        selector.selector_factory(staged.shard_records(target))
+        base_shards[0].rebuild(staged.shard_records(target))
         if source is None else base_shards[source]
         for target, source in sorted(resolved.sources.items())
     ]

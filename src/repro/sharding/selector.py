@@ -1,10 +1,9 @@
 """Exact similarity selection over horizontally sharded data.
 
 :class:`ShardedSelector` partitions the dataset into shards (one inner
-selector per shard, built by a caller-supplied factory) and answers every
-query by fan-out + merge: each shard runs the exact selection on its slice
-and the shard-local match ids are translated back to global record ids and
-merged in ascending order.  Because every shard is exact and the merge loses
+selector per shard) and answers every query by fan-out + merge: each shard
+runs the exact selection on its slice and the shard-local match ids are
+translated back to global record ids and merged in ascending order.  Because every shard is exact and the merge loses
 nothing, results are bit-identical to running the unsharded selector over the
 full dataset, for any partitioning.
 
@@ -26,6 +25,12 @@ from a captured base while the old layout serves, and
 :meth:`ShardedSelector.swap_layout` swaps it in atomically — or, if an update
 landed since the capture, raises :class:`StaleRebalanceError` and leaves the
 old layout serving.
+
+A caller-supplied factory builds the first layout's shards and is not kept.
+Every later shard — of a :meth:`ShardedSelector.rebuild` or a rebalance — is
+built by shard 0's own ``rebuild``, so it has shard 0's class and
+configuration, and a restored selector builds shards exactly as the saved one
+did.
 """
 
 from __future__ import annotations
@@ -90,7 +95,6 @@ class ShardedSelector(SimilaritySelector):
         selector_factory: SelectorFactory,
         num_shards: Optional[int] = None,
     ) -> None:
-        self.selector_factory = selector_factory
         self.num_shards = self.DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards)
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -162,7 +166,7 @@ class ShardedSelector(SimilaritySelector):
 
     @property
     def distance(self) -> DistanceFunction:
-        """The distance every shard decides by (one factory built them all)."""
+        """The distance every shard decides by (all share shard 0's configuration)."""
         return self._shards[0].distance
 
     def shard(self, shard_id: int) -> SimilaritySelector:
@@ -258,31 +262,9 @@ class ShardedSelector(SimilaritySelector):
         return np.sum(curves, axis=0).astype(np.int64)
 
     def rebuild(self, dataset: Sequence) -> "ShardedSelector":
-        return ShardedSelector(dataset, self.selector_factory, num_shards=self.num_shards)
-
-    # ------------------------------------------------------------------ #
-    # Snapshot hooks (repro.store)
-    # ------------------------------------------------------------------ #
-    def _rebuild_shard(self, records: Sequence) -> SimilaritySelector:
-        """Post-restore selector factory: clone the *current* shard 0's
-        configuration via its ``rebuild``.  A method (not a bound method of a
-        shard) so it never pins a replaced shard's index and dataset alive."""
-        return self._shards[0].rebuild(records)
-
-    def __snapshot_state__(self) -> Dict[str, Any]:
-        """Persist shards + assignment; drop the unserializable members.
-
-        ``selector_factory`` is typically a caller closure — the restore hook
-        substitutes :meth:`_rebuild_shard`, which reconstructs a same-type,
-        same-configuration selector, so post-restore updates keep working.
-        """
-        state = dict(self.__dict__)
-        state.pop("selector_factory", None)
-        return state
-
-    def __snapshot_restore__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.selector_factory = self._rebuild_shard
+        """The same sharding over ``dataset``, each shard built by shard 0's
+        ``rebuild``."""
+        return ShardedSelector(dataset, self._shards[0].rebuild, num_shards=self.num_shards)
 
     # ------------------------------------------------------------------ #
     # Update routing (the per-shard §8 path)
@@ -406,9 +388,6 @@ class ShardedSelector(SimilaritySelector):
         amortized O(Δ)) keeps its tombstones bounded."""
         with self._lock:
             return sum(shard.compact() for shard in self._shards)
-
-    def needs_compaction(self) -> bool:
-        return any(shard.needs_compaction() for shard in self._shards)
 
     # ------------------------------------------------------------------ #
     # Rebalance swap (repro.sharding.rebalance.stage builds the layout)

@@ -1,13 +1,23 @@
 """Object-graph codecs: the library's state ↔ (JSON manifest + array table).
 
-The encoder walks an arbitrary object graph rooted at the component being
+The encoder walks the object graph rooted at the component being
 snapshotted and lowers it to exactly two representations:
 
 * **numpy arrays** go to the snapshot's array table (little-endian bytes with
   pinned dtype/shape/checksum, :mod:`repro.store.format`);
-* **everything else** goes to a tagged JSON structure: scalars as themselves,
-  containers (list/tuple/dict/set/OrderedDict/defaultdict/Counter/deque) as
-  tagged nodes, and class instances as entries in a shared *object table*.
+* **everything else** goes to a tagged JSON structure.
+
+It knows the kinds of value the library's state holds, and no more.  JSON
+scalars (``None``, bools, strings, floats, ints below 2**53) are themselves;
+every other value is a node tagged with one of 15 kinds: ``array`` and
+``astack`` (array-table entries), ``obj`` (an entry in a shared *object
+table*), ``int`` (a big int), ``bytes``, ``npscalar`` (an ``np.generic`` —
+without it an ``np.float64`` would decode as a ``float``), ``list``,
+``tuple``, ``frozenset``, ``dict``, ``odict``, ``deque`` (with its
+``maxlen``), ``rng`` (an ``np.random.Generator``), ``lock`` and ``rlock``.
+Containers match their exact type: a ``Counter``, ``defaultdict``, ``set``,
+dtype, function, method or class in state is not a repro object and fails at
+save, and a manifest naming any other tag fails at load as an unknown node.
 
 Three properties make restored components behave exactly like the originals:
 
@@ -16,32 +26,35 @@ Three properties make restored components behave exactly like the originals:
    referenced thereafter; decode memoizes the same way, so e.g. the
    estimator registered on a serving endpoint and the one held by an
    :class:`~repro.core.IncrementalUpdateManager` restore to the *same*
-   object.  Plain containers (lists/dicts/sets) are values: two holders of
-   one list decode to two equal lists, and an array inside a stacked list is
-   distinct from a standalone reference to it — the library shares state
+   object.  Plain containers (lists/dicts/frozensets) are values: two holders
+   of one list decode to two equal lists, and an array inside a stacked list
+   is distinct from a standalone reference to it — the library shares state
    through objects and reassigns containers rather than mutating them in
    place, so this is unobservable today; don't build in-place container
    sharing on top of it.
-2. **Only repro classes (plus vetted builtins) decode.**  Class and function
-   references are stored as ``module:qualname`` strings and re-resolved on
-   load; anything outside the ``repro`` package or the small builtin
-   whitelist raises :class:`SnapshotFormatError` — a snapshot can never make
-   the loader import arbitrary code.
+2. **Only repro classes decode.**  An object's class is stored as a
+   ``module:qualname`` string and re-resolved on load; anything outside the
+   ``repro`` package, or a name that does not resolve back to itself, raises
+   :class:`SnapshotFormatError` — a snapshot can never make the loader import
+   arbitrary code.
 3. **Locks restore fresh; other live state fails loudly at save time.**  A
    ``threading.Lock`` or ``RLock`` is written as a stateless node and
    restores as a new, unlocked lock of the same kind — held or not at save
    time, since it guards live threads rather than state — so no class needs a
    hook for its lock.  Closures, lambdas, open thread pools, or an autograd
-   graph in flight raise :class:`SnapshotError` naming the offending object;
-   classes with such state implement ``__snapshot_state__``/
-   ``__snapshot_restore__`` to drop and rebuild it (see
-   :class:`~repro.sharding.ShardedSelector`).
+   graph in flight raise :class:`SnapshotError` naming the offending object.
 
 Hook protocol: ``__snapshot_state__(self) -> dict`` returns the attribute
 dict to persist (defaults to ``__dict__`` / ``__slots__``);
 ``__snapshot_restore__(self, state)`` rebuilds the instance from the decoded
 dict (defaults to attribute assignment).  Instances are created with
-``cls.__new__(cls)`` — ``__init__`` never runs on restore.
+``cls.__new__(cls)`` — ``__init__`` never runs on restore.  A class defines
+the pair only to drop what is derived or live and rebuild it.  Five do: the
+engine (drops caller-supplied estimator factories), the merged shard
+estimator (drops its stacked weights), the curve cache (re-freezes its
+curves), the delta indexes (compact first, write the tombstone view as a row
+count, drop index-derived caches) and their growable arrays (trim capacity
+slack).
 
 One deliberate non-guarantee: long homogeneous lists of equal-shape arrays
 (dataset columns) are stacked into a single array entry for compactness, so
@@ -51,23 +64,18 @@ the library treats record arrays as immutable, so the aliasing is unobservable.
 
 from __future__ import annotations
 
-import builtins
 import importlib
 import json
 import threading
-import types
-from collections import Counter, OrderedDict, defaultdict, deque
+from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .format import ArrayWriter, LazyArrayReader, SnapshotError, SnapshotFormatError
 
-#: Modules object/function references may resolve into at load time.
+#: The package object references may resolve into at load time.
 _ALLOWED_MODULE_ROOT = "repro"
-
-#: Builtin callables allowed as e.g. ``defaultdict`` factories.
-_ALLOWED_BUILTINS = {"list", "dict", "set", "int", "float", "tuple", "frozenset", "str"}
 
 #: numpy BitGenerator names allowed when restoring ``np.random.Generator``s.
 _ALLOWED_BIT_GENERATORS = {"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
@@ -88,32 +96,24 @@ def _qualified_ref(obj: Any) -> str:
         raise SnapshotError(f"cannot build a stable reference for {obj!r}")
     if "<locals>" in qualname:
         raise SnapshotError(
-            f"cannot snapshot {module}:{qualname}: functions/classes defined "
-            "inside another function have no stable import path.  Move it to "
-            "module level, or give the owning class __snapshot_state__/"
-            "__snapshot_restore__ hooks that drop and rebuild it."
+            f"cannot snapshot {module}:{qualname}: a class defined inside a "
+            "function has no stable import path.  Move it to module level."
         )
     return f"{module}:{qualname}"
 
 
 def _resolve_ref(ref: str) -> Any:
-    """Resolve a ``module:qualname`` reference under the repro/builtins whitelist.
+    """Resolve a ``module:qualname`` reference inside the ``repro`` package.
 
     Resolution must *round-trip*: the resolved object's own
     ``__module__:__qualname__`` has to equal ``ref``.  Without this check a
     tampered manifest could tunnel through a repro module into its imports
     (``repro.store.format:os.system`` resolves via attribute traversal!) and
-    reach — or, via a ``ddict`` factory, even execute — arbitrary callables.
+    reach arbitrary callables.
     """
     module_name, _, qualname = ref.partition(":")
     if not module_name or not qualname:
         raise SnapshotFormatError(f"malformed reference {ref!r}")
-    if module_name == "builtins":
-        if qualname not in _ALLOWED_BUILTINS:
-            raise SnapshotFormatError(
-                f"builtin {qualname!r} is not on the snapshot whitelist"
-            )
-        return getattr(builtins, qualname)
     if module_name != _ALLOWED_MODULE_ROOT and not module_name.startswith(
         _ALLOWED_MODULE_ROOT + "."
     ):
@@ -142,7 +142,7 @@ def _resolve_ref(ref: str) -> Any:
 
 
 def _sort_key(encoded: Any) -> str:
-    """Deterministic ordering key for set elements (content-based)."""
+    """Deterministic ordering key for frozenset elements (content-based)."""
     return json.dumps(encoded, sort_keys=True, default=str)
 
 
@@ -179,26 +179,15 @@ class GraphEncoder:
             return value
         if isinstance(value, (bytes, bytearray)):
             return {"t": "bytes", "hex": bytes(value).hex()}
-        if isinstance(value, np.dtype):
-            return {"t": "dtype", "str": value.str}
         if isinstance(value, deque):
             return {
                 "t": "deque",
                 "maxlen": value.maxlen,
                 "items": [self.encode(item) for item in value],
             }
-        if isinstance(value, Counter):
-            return {"t": "counter", "items": self._encode_pairs(value.items())}
-        if isinstance(value, defaultdict):
-            factory = value.default_factory
-            return {
-                "t": "ddict",
-                "factory": None if factory is None else self._function_ref(factory),
-                "items": self._encode_pairs(value.items()),
-            }
-        if isinstance(value, OrderedDict):
+        if type(value) is OrderedDict:
             return {"t": "odict", "items": self._encode_pairs(value.items())}
-        if isinstance(value, dict):
+        if type(value) is dict:
             return {"t": "dict", "items": self._encode_pairs(value.items())}
         if isinstance(value, list):
             stacked = self._try_stack(value)
@@ -207,9 +196,9 @@ class GraphEncoder:
             return {"t": "list", "items": [self.encode(item) for item in value]}
         if isinstance(value, tuple):
             return {"t": "tuple", "items": [self.encode(item) for item in value]}
-        if isinstance(value, (set, frozenset)):
+        if type(value) is frozenset:
             items = sorted((self.encode(item) for item in value), key=_sort_key)
-            return {"t": "frozenset" if isinstance(value, frozenset) else "set", "items": items}
+            return {"t": "frozenset", "items": items}
         if isinstance(value, np.random.Generator):
             name = type(value.bit_generator).__name__
             if name not in _ALLOWED_BIT_GENERATORS:
@@ -224,18 +213,6 @@ class GraphEncoder:
         lock_tag = _LOCK_TAGS.get(type(value))
         if lock_tag is not None:
             return {"t": lock_tag}
-        if isinstance(value, types.MethodType):
-            return {
-                "t": "method",
-                "self": self.encode(value.__self__),
-                "name": value.__func__.__name__,
-            }
-        if isinstance(value, (types.FunctionType, types.BuiltinFunctionType)) or (
-            isinstance(value, type) and getattr(value, "__module__", "") == "builtins"
-        ):
-            return {"t": "fn", "ref": self._function_ref(value)}
-        if isinstance(value, type):
-            return {"t": "cls", "ref": self._function_ref(value)}
         return {"t": "obj", "id": self._object_id(value)}
 
     def _encode_pairs(self, pairs: Any) -> List[List[Any]]:
@@ -249,21 +226,6 @@ class GraphEncoder:
         if array.dtype != little:
             array = array.astype(little)
         return {"t": "npscalar", "dtype": array.dtype.str, "hex": array.tobytes().hex()}
-
-    def _function_ref(self, function: Any) -> str:
-        ref = _qualified_ref(function)
-        # A reference is only trustworthy if resolving it gets the SAME
-        # object back — this rejects decorated wrappers and monkey-patches
-        # at save time instead of restoring something subtly different.
-        try:
-            resolved = _resolve_ref(ref)
-        except SnapshotFormatError as error:
-            raise SnapshotError(str(error)) from error
-        if resolved is not function:
-            raise SnapshotError(
-                f"function reference {ref!r} does not round-trip to the same object"
-            )
-        return ref
 
     def _try_stack(self, value: list) -> Optional[Dict[str, Any]]:
         """Lower a long homogeneous list of arrays to ONE stacked array entry."""
@@ -376,31 +338,16 @@ class GraphDecoder:
             if array.size != 1:
                 raise SnapshotFormatError("npscalar payload is not a single element")
             return array.astype(dtype.newbyteorder("="), copy=True)[0]
-        if tag == "dtype":
-            return np.dtype(encoded["str"])
         if tag == "list":
             return [self.decode(item) for item in encoded["items"]]
         if tag == "tuple":
             return tuple(self.decode(item) for item in encoded["items"])
-        if tag == "set":
-            return {self.decode(item) for item in encoded["items"]}
         if tag == "frozenset":
             return frozenset(self.decode(item) for item in encoded["items"])
         if tag == "dict":
             return {self.decode(k): self.decode(v) for k, v in encoded["items"]}
         if tag == "odict":
             return OrderedDict((self.decode(k), self.decode(v)) for k, v in encoded["items"])
-        if tag == "counter":
-            counter: Counter = Counter()
-            for k, v in encoded["items"]:
-                counter[self.decode(k)] = self.decode(v)
-            return counter
-        if tag == "ddict":
-            factory = None if encoded["factory"] is None else _resolve_ref(encoded["factory"])
-            restored = defaultdict(factory)
-            for k, v in encoded["items"]:
-                restored[self.decode(k)] = self.decode(v)
-            return restored
         if tag == "deque":
             return deque(
                 (self.decode(item) for item in encoded["items"]), maxlen=encoded["maxlen"]
@@ -414,16 +361,6 @@ class GraphDecoder:
             return generator
         if tag in _LOCK_FACTORIES:
             return _LOCK_FACTORIES[tag]()
-        if tag == "method":
-            owner = self.decode(encoded["self"])
-            return getattr(owner, encoded["name"])
-        if tag == "fn":
-            return _resolve_ref(encoded["ref"])
-        if tag == "cls":
-            resolved = _resolve_ref(encoded["ref"])
-            if not isinstance(resolved, type):
-                raise SnapshotFormatError(f"{encoded['ref']!r} is not a class")
-            return resolved
         raise SnapshotFormatError(f"unknown node tag {tag!r}")
 
     def _decode_object(self, index: int) -> Any:

@@ -94,7 +94,14 @@ FORMAT_NAME = "repro-snapshot"
 #       no longer exists to decode into, and a version-13
 #       PigeonholeHammingSelector lacks the `part_size` it now persists.
 #  15 — one sharding knob: no ShardedSelector `partitioner`, no endpoint `record_key`.
-FORMAT_VERSION = 15
+#  16 — a snapshot encodes what the engine holds: the `counter`, `ddict`,
+#       `set`, `dtype`, `method`, `fn` and `cls` node kinds are gone (a
+#       version-15 manifest may name them); SlowQueryLog and ServingTelemetry
+#       persist their plain attributes; a ShardedSelector no longer persists
+#       a `selector_factory`, a delta index persists its `_view` as a row
+#       count (no TombstoneView object), and a BallIndexEuclideanSelector
+#       persists the `num_pivots` and `seed` it rebuilds with.
+FORMAT_VERSION = 16
 
 MANIFEST_FILENAME = "manifest.json"
 PAYLOAD_FILENAME = "arrays.bin"

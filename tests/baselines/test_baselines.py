@@ -29,6 +29,7 @@ from repro.baselines import (
 from repro.distances import get_distance
 from repro.metrics import mean_q_error
 from repro.selection import default_selector
+from repro.store import load_component, save_component
 from repro.nn import Tensor
 
 
@@ -324,3 +325,22 @@ def test_declared_monotone_curves_satisfy_lemma2(request, name, dataset_fixture,
         grid = np.linspace(0.0, dataset.theta_max, 9)
     curves = estimator.estimate_curve_many(list(dataset.records), grid)
     assert np.all(np.diff(curves, axis=1) >= 0)
+
+
+@pytest.mark.parametrize("dataset_fixture, workload_fixture", TIER1_WORKLOADS)
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_every_estimator_survives_a_snapshot(request, tmp_path, name, dataset_fixture, workload_fixture):
+    """Every estimator of the suite holds plain state (arrays, dicts, repro
+    objects; no function or bound method), so ``save_component`` takes it and
+    the restored estimator answers bit for bit what the original did."""
+    dataset = request.getfixturevalue(dataset_fixture)
+    workload = request.getfixturevalue(workload_fixture)
+    estimator = build_estimator(name, dataset, seed=0, epochs=1)
+    estimator.fit(workload.train[:40], workload.validation[:10])
+    save_component(estimator, tmp_path / name)
+    restored = load_component(tmp_path / name)
+    records = [example.record for example in workload.test[:10]]
+    thetas = [example.theta for example in workload.test[:10]]
+    np.testing.assert_array_equal(
+        restored.estimate_batch(records, thetas), estimator.estimate_batch(records, thetas)
+    )

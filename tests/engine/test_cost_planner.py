@@ -32,6 +32,7 @@ from repro.selection import (
     BallIndexEuclideanSelector,
     LinearScanSelector,
     PackedHammingSelector,
+    PigeonholeHammingSelector,
     QGramEditSelector,
 )
 from repro.sharding import ShardedSelector
@@ -92,7 +93,7 @@ def relation_engine(sharded: str) -> SimilarityQueryEngine:
         else:
             engine.register_attribute(
                 name, rows, distance, ConstantEstimator(5.0), theta_max=theta_max,
-                gph_part_size=8 if name == "hm" else None,
+                selector=PigeonholeHammingSelector(rows, part_size=8) if name == "hm" else None,
             )
     return engine
 
@@ -225,7 +226,8 @@ def test_a_gph_driver_pays_its_allocation_priced_cold():
     _, rows, theta_max = RELATION["hm"]
     engine = SimilarityQueryEngine()
     engine.register_attribute(
-        "hm", rows, "hamming", ConstantEstimator(5.0), theta_max=theta_max, gph_part_size=8
+        "hm", rows, "hamming", ConstantEstimator(5.0), theta_max=theta_max,
+        selector=PigeonholeHammingSelector(rows, part_size=8),
     )
     plan = engine.explain(SimilarityPredicate("hm", rows[0], 6.0))
     binding = engine.catalog.get("hm")

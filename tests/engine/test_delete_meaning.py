@@ -17,7 +17,7 @@ from repro.baselines import UniformSamplingEstimator
 from repro.core import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation, apply_operation
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.selection import PackedHammingSelector, default_selector
+from repro.selection import PackedHammingSelector, PigeonholeHammingSelector, default_selector
 from repro.sharding import ShardedSelector
 
 ROWS, WIDTH = 40, 8
@@ -127,7 +127,8 @@ def test_an_update_that_changes_no_row_changes_nothing(mode):
         )
     else:
         binding = engine.register_attribute(
-            "h", RECORDS, "hamming", estimator(RECORDS), theta_max=WIDTH, gph_part_size=4
+            "h", RECORDS, "hamming", estimator(RECORDS), theta_max=WIDTH,
+            selector=PigeonholeHammingSelector(RECORDS, part_size=4),
         )
     if mode == "gph, routed manager":
         engine.attach_manager("h", manager_over(binding.selector))

@@ -23,7 +23,7 @@ from repro.engine import (
     as_query,
 )
 from repro.metrics import mean_q_error
-from repro.selection import LinearScanSelector
+from repro.selection import LinearScanSelector, PigeonholeHammingSelector
 from repro.serving import EstimationService
 
 
@@ -168,8 +168,8 @@ class TestGPHHammingDriver:
             binary_dataset.records,
             "hamming",
             estimator,
+            selector=PigeonholeHammingSelector(binary_dataset.records, part_size=8),
             theta_max=binary_dataset.theta_max,
-            gph_part_size=8,
         )
         ground_truth = LinearScanSelector(binary_dataset.records, get_distance("hamming"))
         rng = np.random.default_rng(5)
@@ -190,7 +190,8 @@ class TestGPHHammingDriver:
         )
         binding = engine.register_attribute(
             "hm", binary_dataset.records, "hamming", estimator,
-            theta_max=binary_dataset.theta_max, gph_part_size=8,
+            selector=PigeonholeHammingSelector(binary_dataset.records, part_size=8),
+            theta_max=binary_dataset.theta_max,
         )
         assert binding.uses_gph
         assert len(binding.part_endpoints) == len(binding.selector.parts)
@@ -412,7 +413,8 @@ class TestUpdates:
         )
         binding = engine.register_attribute(
             "hm", binary_dataset.records, "hamming", estimator,
-            theta_max=binary_dataset.theta_max, gph_part_size=8,
+            selector=PigeonholeHammingSelector(binary_dataset.records, part_size=8),
+            theta_max=binary_dataset.theta_max,
         )
         before = list(binding.part_endpoints)
         engine.apply_update("hm", UpdateOperation("delete", [0, 1, 2]))
@@ -422,17 +424,3 @@ class TestUpdates:
         record = binding.records[0]
         result = engine.execute(SimilarityPredicate("hm", record, 5.0))
         assert result.record_ids == ground_truth.query(record, 5.0)
-
-    def test_selector_and_gph_part_size_are_exclusive(self, binary_dataset):
-        from repro.selection import PackedHammingSelector
-
-        engine = SimilarityQueryEngine()
-        estimator = UniformSamplingEstimator(
-            binary_dataset.records, "hamming", sample_ratio=0.2, seed=0
-        )
-        with pytest.raises(ValueError):
-            engine.register_attribute(
-                "hm", binary_dataset.records, "hamming", estimator,
-                selector=PackedHammingSelector(binary_dataset.records),
-                theta_max=binary_dataset.theta_max, gph_part_size=8,
-            )

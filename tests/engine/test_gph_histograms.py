@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.baselines import HistogramHammingEstimator, UniformSamplingEstimator
 from repro.datasets.updates import UpdateOperation
 from repro.engine import SimilarityQueryEngine
-from repro.selection import CompactionPolicy
+from repro.selection import CompactionPolicy, PigeonholeHammingSelector
 
 ROWS, WIDTH, PART = 60, 32, 8
 
@@ -64,7 +64,7 @@ def test_delta_kept_histograms_equal_fresh_ones(seed, steps):
     base = rows(ROWS)
     engine.register_attribute(
         "hm", base, "hamming", UniformSamplingEstimator(base, "hamming", seed=0),
-        theta_max=WIDTH, gph_part_size=2 * PART,
+        selector=PigeonholeHammingSelector(base, part_size=2 * PART), theta_max=WIDTH,
     )
     binding = engine.catalog.get("hm")
     for kind, count in steps:
@@ -90,12 +90,12 @@ def test_an_emptied_index_keeps_its_parts_and_histograms():
     base = rng.integers(0, 2, size=(ROWS, WIDTH), dtype=np.uint8)
     engine.register_attribute(
         "hm", base, "hamming", UniformSamplingEstimator(base, "hamming", seed=0),
-        theta_max=WIDTH, gph_part_size=PART,
+        selector=PigeonholeHammingSelector(base, part_size=PART), theta_max=WIDTH,
     )
     binding = engine.catalog.get("hm")
     parts = list(binding.selector.parts)
     assert len(parts) == WIDTH // PART
-    binding.selector.compaction_policy = CompactionPolicy(0.25, 0.5, min_tombstones=1)
+    binding.selector.compaction_policy = CompactionPolicy(force_ratio=0.5, min_tombstones=1)
     engine.apply_update("hm", UpdateOperation("delete", list(range(ROWS))))
     assert binding.selector.delta_stats()["physical"] == 0  # compacted to nothing
     assert binding.selector.parts == parts

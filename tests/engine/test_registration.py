@@ -23,7 +23,7 @@ from repro.datasets import make_binary_dataset, make_vector_dataset
 from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.selection import LinearScanSelector
+from repro.selection import LinearScanSelector, PigeonholeHammingSelector
 from repro.serving import EstimationService
 from repro.sharding import (
     MergedShardEstimator, MergeShards, RebalancePlan, ShardedSelector, SplitShard,
@@ -136,7 +136,7 @@ def plain(engine, rows, **options):
 
 
 def gph(engine, rows, **options):
-    return plain(engine, rows, gph_part_size=8, **options)
+    return plain(engine, rows, selector=PigeonholeHammingSelector(rows, part_size=8), **options)
 
 
 def sharded(engine, rows, estimator_factory=factory, **options):

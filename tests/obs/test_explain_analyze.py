@@ -12,6 +12,8 @@ import pytest
 from repro.baselines import UniformSamplingEstimator
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
 from repro.obs import SlowQueryLog, disable_tracing, enable_tracing
+from repro.selection import PigeonholeHammingSelector
+from repro.store import load_component, save_component
 
 RNG = np.random.default_rng(31)
 
@@ -122,8 +124,8 @@ class TestReportContents:
             records,
             "hamming",
             UniformSamplingEstimator(records, "hamming", sample_ratio=0.3, seed=0),
+            selector=PigeonholeHammingSelector(records, part_size=8),
             theta_max=12.0,
-            gph_part_size=8,
         )
         report = engine.explain_analyze(
             SimilarityPredicate("bits", records[0], 6.0)
@@ -152,8 +154,8 @@ class TestServiceSpans:
             records,
             "hamming",
             UniformSamplingEstimator(records, "hamming", sample_ratio=0.3, seed=0),
+            selector=PigeonholeHammingSelector(records, part_size=8),
             theta_max=12.0,
-            gph_part_size=8,
         )
         report = engine.explain_analyze(SimilarityPredicate("bits", records[3], 6.0))
         assert report.plan["allocation"] is not None  # GPH drove the plan
@@ -256,16 +258,20 @@ class TestSlowQueryLog:
         engine.execute_many([_two_predicate_query(vec, aux, index=i) for i in (0, 1)])
         assert offered == []
 
-    def test_snapshot_hooks_roundtrip(self):
+    def test_snapshot_round_trip_keeps_the_ring(self, tmp_path):
         log = SlowQueryLog(threshold_seconds=0.5, capacity=3)
         log.record({"duration_seconds": 1.0, "driver": "vec"})
-        state = log.__snapshot_state__()
-        restored = SlowQueryLog.__new__(SlowQueryLog)
-        restored.__snapshot_restore__(state)
+        save_component(log, tmp_path / "log")
+        restored = load_component(tmp_path / "log")
         assert restored.threshold_seconds == 0.5
         assert restored.entries() == log.entries()
-        restored.record({"duration_seconds": 2.0})  # lock rebuilt
+        assert restored.to_dict() == log.to_dict()
+        restored.record({"duration_seconds": 2.0})  # the lock restored fresh
         assert len(restored) == 2
+        for seconds in (3.0, 4.0):
+            restored.record({"duration_seconds": seconds})
+        assert len(restored) == 3  # the ring keeps its capacity
+        assert [e["duration_seconds"] for e in restored.entries()] == [2.0, 3.0, 4.0]
 
 
 class TestHealthReport:

@@ -137,7 +137,7 @@ class TestRegistryFeeds:
 
 
 class TestLedgerIdentity:
-    def test_registry_sees_traffic_after_every_public_call(self):
+    def test_registry_sees_traffic_after_every_public_call(self, tmp_path):
         """Regression: ``reset()`` used to swap in a new registry, orphaning
         every reader holding the old one.  The registry's identity is now
         fixed for the telemetry's lifetime, whichever public method runs."""
@@ -153,7 +153,7 @@ class TestLedgerIdentity:
             lambda: telemetry.total,
             lambda: telemetry.snapshot(),
             lambda: telemetry.to_prometheus(),
-            lambda: telemetry.__snapshot_state__(),
+            lambda: save_component(telemetry, tmp_path / "telemetry"),
         ]
         assert not hasattr(telemetry, "reset")
         for tick, call in enumerate(calls, start=1):
@@ -164,7 +164,7 @@ class TestLedgerIdentity:
             assert requests.value == float(tick + 1)
 
 
-class TestSnapshotHooks:
+class TestSnapshotRoundTrip:
     def test_state_roundtrip_drops_and_rebuilds_lock(self, tmp_path):
         telemetry = ServingTelemetry()
         telemetry.record_requests("euclid", 3, 2, 1)
@@ -178,12 +178,21 @@ class TestSnapshotHooks:
         assert restored.endpoint("euclid").requests == 4
         assert telemetry.endpoint("euclid").requests == 3
 
-    def test_state_is_the_registry_and_nothing_else(self):
+    def test_restored_handles_record_into_the_restored_registry(self, tmp_path):
+        """The codec keeps shared objects shared: each cached handle restores
+        as the very metric its restored registry holds, so a recording
+        through the handle shows in every view."""
         telemetry = ServingTelemetry()
         telemetry.record_requests("euclid", 3, 2, 1)
-        state = telemetry.__snapshot_state__()
-        assert list(state) == ["metrics"]
-        assert isinstance(state["metrics"], MetricsRegistry)
+        save_component(telemetry, tmp_path / "telemetry")
+        restored = load_component(tmp_path / "telemetry")
+        assert isinstance(restored.metrics, MetricsRegistry)
+        assert restored.metrics is not telemetry.metrics
+        handle = restored._handles[("repro_requests_total", "euclid")]
+        assert handle is restored.metrics.get("repro_requests_total", {"endpoint": "euclid"})
+        restored.record_requests("euclid", 2, 2, 0)
+        assert handle.value == 5.0
+        assert "repro_requests_total" in restored.to_prometheus()
 
 
 class TestThreadSafety:

@@ -5,9 +5,10 @@ Usage::
 
     PYTHONPATH=src python tests/optimizer/data/make_gph_golden.py tests/optimizer/data/gph_golden.json
 
-A seeded 2,000-row, 64-bit attribute is registered with ``gph_part_size=16``
-(four parts, one ``::partJ`` histogram endpoint each).  For 100 probes at
-three thresholds the file records the plan's ``allocation`` and
+A seeded 2,000-row, 64-bit attribute is registered with a
+``PigeonholeHammingSelector(part_size=16)`` (four parts, one ``::partJ``
+histogram endpoint each).  For 100 probes at three thresholds the file
+records the plan's ``allocation`` and
 ``repr(estimated_candidates)`` and the execution's ``driver_candidates`` and
 matched ids; then 40 generated inserts and deletes (inserts flip a few bits
 of existing rows, so they bring unseen part patterns) are applied through
@@ -28,6 +29,7 @@ from repro.baselines.db_specialized import HistogramHammingEstimator
 from repro.datasets import make_binary_dataset
 from repro.datasets.updates import UpdateOperation
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
+from repro.selection import PigeonholeHammingSelector
 
 NUM_RECORDS = 2000
 DIMENSION = 64
@@ -81,7 +83,8 @@ def golden() -> dict:
     engine = SimilarityQueryEngine()
     engine.register_attribute(
         "hm", records, "hamming", HistogramHammingEstimator(records),
-        theta_max=dataset.theta_max, gph_part_size=PART_SIZE,
+        selector=PigeonholeHammingSelector(records, part_size=PART_SIZE),
+        theta_max=dataset.theta_max,
     )
     before = answers(engine, probes)
     for index, operation in enumerate(updates(records, rng)):

@@ -127,7 +127,7 @@ def test_any_update_sequence_equals_linear_scan(name, data):
     selector = factory(live)
     # A low floor makes forced compaction (and the rebuild over an emptied
     # dataset) part of the generated sequences.
-    selector.compaction_policy = CompactionPolicy(0.25, 0.5, min_tombstones=3)
+    selector.compaction_policy = CompactionPolicy(force_ratio=0.5, min_tombstones=3)
     live = list(live)
     for _ in range(data.draw(st.integers(1, 6))):
         step = data.draw(st.sampled_from(["insert", "delete", "compact", "snapshot"]))
@@ -213,7 +213,7 @@ def test_deleted_to_empty_then_reinserted(name):
         "jaccard": [frozenset({1, 2}), frozenset(), frozenset({2, 3})],
         "euclidean": list(np.arange(12, dtype=np.float64).reshape(4, 3) / 4.0),
     }[name]
-    for policy in (CompactionPolicy(), CompactionPolicy(0.25, 0.5, min_tombstones=1)):
+    for policy in (CompactionPolicy(), CompactionPolicy(force_ratio=0.5, min_tombstones=1)):
         selector = factory(rows)
         selector.compaction_policy = policy  # tombstoned-empty, then compacted-empty
         selector.delete_many(range(len(rows)))

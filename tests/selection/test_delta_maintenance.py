@@ -145,6 +145,15 @@ class TestDeltaBitIdentity:
             restored.insert_many(live[:3])
             assert len(restored) == len(live) + 3
 
+    def test_snapshot_refuses_a_view_left_with_tombstones(self, binary_dataset, tmp_path, monkeypatch):
+        """The view is written as its row count, which is only the view when
+        no row is tombstoned; a compaction that leaves any is an error."""
+        selector = PackedHammingSelector(binary_dataset.records[:50])
+        selector.delete_many([0, 1])
+        monkeypatch.setattr(selector, "compact", lambda: 0)
+        with pytest.raises(ValueError, match="tombstones"):
+            save_component(selector, tmp_path / "snap")
+
 
 class TestUpdateSemantics:
     def test_insert_bootstrap_from_empty(self, binary_dataset):
@@ -157,6 +166,21 @@ class TestUpdateSemantics:
         selector = PigeonholeHammingSelector([], part_size=8)
         selector.insert_many(binary_dataset.records[:10])
         assert selector.parts == [(0, 8), (8, 16), (16, 24), (24, 32)]
+
+    def test_ball_index_compaction_keeps_its_configuration(self):
+        """Built over 3 rows (so 3 pivots), grown to 2,003 and shrunk to 503:
+        the forced compaction rebuilds with the 16 pivots and the seed the
+        index was built with, as a fresh build over those rows does."""
+        rng = np.random.default_rng(4)
+        selector = BallIndexEuclideanSelector(rng.normal(size=(3, 6)), num_pivots=16, seed=7)
+        assert len(selector._pivots) == 3
+        selector.insert_many(list(rng.normal(size=(2000, 6))))
+        selector.delete_many(range(1500))
+        assert selector.delta_stats()["tombstones"] == 0  # the forced compaction ran
+        fresh = BallIndexEuclideanSelector(selector.dataset, num_pivots=16, seed=7)
+        assert len(selector._pivots) == len(fresh._pivots) == 16
+        np.testing.assert_array_equal(selector._pivots, fresh._pivots)
+        assert selector.rebuild(selector.dataset).seed == 7
 
     def test_delete_to_empty_then_reinsert(self, binary_dataset):
         selector = PackedHammingSelector(binary_dataset.records[:5])
@@ -196,25 +220,12 @@ class TestUpdateSemantics:
 
     def test_forced_compaction_bounds_tombstone_debt(self, binary_dataset):
         selector = PackedHammingSelector(binary_dataset.records[:40])
-        selector.compaction_policy = CompactionPolicy(
-            tombstone_ratio=0.1, force_ratio=0.3, min_tombstones=4
-        )
+        selector.compaction_policy = CompactionPolicy(force_ratio=0.3, min_tombstones=4)
         for _ in range(6):
             selector.delete_many([0, 1, 2])
         stats = selector.delta_stats()
         assert stats["tombstones"] < 0.5 * max(1, stats["physical"])
         assert selector.compaction_policy.force_ratio == 0.3  # survives compaction
-
-    def test_needs_compaction_is_advisory(self, binary_dataset):
-        selector = PackedHammingSelector(binary_dataset.records[:40])
-        selector.compaction_policy = CompactionPolicy(
-            tombstone_ratio=0.05, force_ratio=0.9, min_tombstones=1
-        )
-        selector.delete_many([0, 1, 2, 3])
-        assert selector.needs_compaction()
-        reclaimed = selector.compact()
-        assert reclaimed == 4
-        assert not selector.needs_compaction()
 
     def test_generic_fallback_rebuilds_in_place(self, binary_dataset):
         selector = LinearScanSelector(list(binary_dataset.records[:10]), HammingDistance())

@@ -136,7 +136,8 @@ VECTORS = 1e4 / np.sqrt(8) + np.random.default_rng(4).normal(size=(60, 8))
 def _engine():
     engine = SimilarityQueryEngine()
     engine.register_attribute(
-        "hm", BITS, "hamming", MeanEstimator(32.0), theta_max=32, gph_part_size=8
+        "hm", BITS, "hamming", MeanEstimator(32.0), theta_max=32,
+        selector=PigeonholeHammingSelector(BITS, part_size=8),
     )
     engine.register_attribute("eu", VECTORS, "euclidean", MeanEstimator(1e3), theta_max=1e3)
     return engine

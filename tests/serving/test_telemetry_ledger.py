@@ -9,8 +9,10 @@ itself — and still do after a snapshot round trip.
 from __future__ import annotations
 
 import re
+import tempfile
 from bisect import bisect_left
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.metrics import mean_q_error
 from repro.obs import DEFAULT_LATENCY_BUCKETS, bucket_quantile
 from repro.serving.telemetry import ServingTelemetry, q_error
+from repro.store import load_component, save_component
 
 ENDPOINTS = ["hm", "ed", "hm::part0", "vec#shard1"]
 
@@ -200,8 +203,9 @@ def test_still_equal_after_a_snapshot_round_trip(before, after):
     telemetry, tally = ServingTelemetry(), Tally()
     for event in before:
         tally.apply(telemetry, event)
-    restored = ServingTelemetry.__new__(ServingTelemetry)
-    restored.__snapshot_restore__(telemetry.__snapshot_state__())
+    with tempfile.TemporaryDirectory() as directory:
+        save_component(telemetry, Path(directory) / "telemetry")
+        restored = load_component(Path(directory) / "telemetry")
     assert restored.snapshot() == telemetry.snapshot()
     assert restored.to_prometheus() == telemetry.to_prometheus()
     for event in after:  # ... and it keeps counting where it left off

@@ -201,23 +201,20 @@ class TestExecution:
         assert sharded.num_shards == 5
         assert [sharded.query(query, 14) for query in queries] == before
 
-    def test_failure_aborts_and_the_old_layout_keeps_serving(self):
+    def test_failure_aborts_and_the_old_layout_keeps_serving(self, monkeypatch):
         records = make_records(120)
         sharded = make_sharded(records, num_shards=3)
         query = records[3]
         expected = sorted(sharded.query(query, 14))
-        boom = RuntimeError("factory exploded")
-        original_factory = sharded.selector_factory
 
-        def exploding_factory(recs):
-            raise boom
+        def exploding_rebuild(recs):
+            raise RuntimeError("shard build exploded")
 
-        sharded.selector_factory = exploding_factory
-        try:
-            with pytest.raises(RuntimeError, match="factory exploded"):
-                rebalance(sharded, RebalancePlan([SplitShard(0)]))
-        finally:
-            sharded.selector_factory = original_factory
+        # A staged shard is built by shard 0's rebuild.
+        monkeypatch.setattr(sharded.shard(0), "rebuild", exploding_rebuild)
+        with pytest.raises(RuntimeError, match="shard build exploded"):
+            rebalance(sharded, RebalancePlan([SplitShard(0)]))
+        monkeypatch.undo()
         assert sharded.num_shards == 3
         assert sorted(sharded.query(query, 14)) == expected
         # A fresh rebalance is possible after the failed one.

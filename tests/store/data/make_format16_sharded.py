@@ -1,13 +1,13 @@
-"""Write ``format15_sharded/``: a format-15 engine snapshot with two sharded
+"""Write ``format16_sharded/``: a format-16 engine snapshot with two sharded
 CardNet attributes, and the merged curves it served when written.
 
 Usage::
 
-    PYTHONPATH=src python tests/store/data/make_format15_sharded.py tests/store/data/format15_sharded
+    PYTHONPATH=src python tests/store/data/make_format16_sharded.py tests/store/data/format16_sharded
 
 ``tests/store/test_engine_roundtrip.py`` loads the directory and checks that
 the merged endpoints still serve ``curves.json`` bit for bit.  The curves
-equal those of the format-8 to format-14 copies before it; the format-8 one
+equal those of the format-8 to format-15 copies before it; the format-8 one
 was written while the merged endpoint still summed per-shard passes, before
 shard CardNets were stacked into one pass.  The snapshot is saved with an
 empty serving ledger, so the request latencies the curves took to serve are

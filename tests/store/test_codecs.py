@@ -1,4 +1,5 @@
-"""Object-graph codecs: containers, shared refs, cycles, and the whitelist."""
+"""Object-graph codecs: containers, shared refs, cycles, the whitelist, and
+the kinds of value no library state holds (refused at save and at load)."""
 
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ class TestScalarsAndContainers:
             [1, [2, [3]]],
             {"a": 1, "b": [2]},
             {1: "int-key", (2, 3): "tuple-key", b"k": "bytes-key"},
-            {4, 5, 6},
             frozenset({7, 8}),
         ],
         ids=str,
@@ -67,20 +67,6 @@ class TestScalarsAndContainers:
         assert isinstance(restored, OrderedDict)
         assert list(restored.items()) == list(value.items())
 
-    def test_defaultdict_keeps_factory(self):
-        value = defaultdict(list, {"x": [1]})
-        restored = roundtrip(value)
-        assert isinstance(restored, defaultdict)
-        assert restored.default_factory is list
-        assert restored["x"] == [1]
-        restored["new"].append(2)  # the factory still works
-        assert restored["new"] == [2]
-
-    def test_counter_round_trips(self):
-        value = Counter({"ab": 2, "cd": 1})
-        restored = roundtrip(value)
-        assert isinstance(restored, Counter) and restored == value
-
     def test_deque_keeps_maxlen(self):
         value = deque([1.0, 2.0, 3.0], maxlen=5)
         restored = roundtrip(value)
@@ -101,9 +87,6 @@ class TestScalarsAndContainers:
         assert restored.dtype == np.float64  # the numpy API survives
         restored_str = roundtrip(np.str_("ab"))
         assert isinstance(restored_str, np.str_)
-
-    def test_dtype_round_trips(self):
-        assert roundtrip(np.dtype("<f4")) == np.dtype("<f4")
 
     def test_rng_resumes_identically(self):
         rng = np.random.default_rng(123)
@@ -192,30 +175,58 @@ class TestLocks:
             pass
 
 
-class TestCallableReferences:
-    def test_module_function_round_trips_to_same_object(self):
-        assert roundtrip(default_record_key) is default_record_key
+class _TaggedDict(dict):
+    """A dict subclass: the dict node matches ``dict`` exactly, so this is refused."""
 
-    def test_bound_method_rebinds_to_restored_owner(self):
-        from repro.featurization.hamming import HammingFeatureExtractor
 
-        extractor = HammingFeatureExtractor(dimension=8, theta_max=4.0)
-        restored = roundtrip({"fn": extractor.transform_record, "owner": extractor})
-        assert restored["fn"].__self__ is restored["owner"]
-        record = np.ones(8, dtype=np.uint8)
-        np.testing.assert_array_equal(
-            restored["fn"](record), extractor.transform_record(record)
-        )
+def _extractor():
+    from repro.featurization.hamming import HammingFeatureExtractor
+
+    return HammingFeatureExtractor(dimension=8, theta_max=4.0)
+
+
+#: One value of each kind no library state holds, with the tag a format-15
+#: manifest wrote it under.
+REMOVED_KINDS = [
+    ("counter", lambda: Counter({"ab": 2, "cd": 1})),
+    ("ddict", lambda: defaultdict(list, {"x": [1]})),
+    ("set", lambda: {4, 5, 6}),
+    ("dtype", lambda: np.dtype("<f4")),
+    ("method", lambda: _extractor().transform_record),
+    ("fn", lambda: default_record_key),
+    ("cls", lambda: GraphEncoder),
+]
+
+
+class TestRemovedKinds:
+    """A snapshot encodes what the engine holds: a value of another kind
+    fails at save, and a manifest naming its tag fails at load."""
+
+    @pytest.mark.parametrize("tag, make", REMOVED_KINDS, ids=[tag for tag, _ in REMOVED_KINDS])
+    def test_value_fails_loudly_at_save(self, tag, make):
+        with pytest.raises(SnapshotError, match="only objects from"):
+            roundtrip(make())
+
+    @pytest.mark.parametrize("tag", [tag for tag, _ in REMOVED_KINDS])
+    def test_tag_fails_at_load_as_unknown(self, tag):
+        reader = LazyArrayReader(io.BytesIO(), [])
+        node = {"t": tag, "items": [], "ref": "builtins:list", "factory": None, "str": "<f4"}
+        with pytest.raises(SnapshotFormatError, match="unknown node tag"):
+            GraphDecoder([], reader).decode(node)
+
+    def test_a_dict_subclass_is_not_written_as_a_dict(self):
+        with pytest.raises(SnapshotError, match="only objects from"):
+            roundtrip(_TaggedDict(a=1))
 
     def test_closure_fails_loudly_at_save_time(self):
         def local_function():  # pragma: no cover - never called
             return 1
 
-        with pytest.raises(SnapshotError, match="stable import path"):
+        with pytest.raises(SnapshotError, match="only objects from"):
             roundtrip(local_function)
 
     def test_lambda_fails_loudly_at_save_time(self):
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="only objects from"):
             roundtrip(lambda x: x)
 
 
@@ -232,26 +243,23 @@ class TestWhitelist:
         with pytest.raises(SnapshotFormatError, match="refusing"):
             decoder.decode({"t": "obj", "id": 0})
 
-    def test_decoder_refuses_unlisted_builtins(self):
+    def test_decoder_refuses_builtins(self):
         reader = LazyArrayReader(io.BytesIO(), [])
-        decoder = GraphDecoder([], reader)
-        with pytest.raises(SnapshotFormatError, match="whitelist"):
-            decoder.decode({"t": "fn", "ref": "builtins:eval"})
+        decoder = GraphDecoder([{"class": "builtins:set", "state": []}], reader)
+        with pytest.raises(SnapshotFormatError, match="refusing"):
+            decoder.decode({"t": "obj", "id": 0})
 
-    def test_decoder_refuses_attribute_traversal_out_of_repro(self):
+    @pytest.mark.parametrize(
+        "ref", ["repro.store.format:os.system", "repro.store.format:Path"]
+    )
+    def test_decoder_refuses_attribute_traversal_out_of_repro(self, ref):
         # Regression: "repro.store.format:os.system" passes the module-prefix
         # check but resolves INTO the imported os module — the round-trip
-        # identity check must reject the alias (a tampered manifest could
-        # otherwise execute it, e.g. as a defaultdict factory).
+        # identity check must reject the alias.
         reader = LazyArrayReader(io.BytesIO(), [])
-        decoder = GraphDecoder([], reader)
-        for node in (
-            {"t": "fn", "ref": "repro.store.format:os.system"},
-            {"t": "cls", "ref": "repro.store.format:Path"},
-            {"t": "ddict", "factory": "repro.store.format:os.getcwd", "items": []},
-        ):
-            with pytest.raises(SnapshotFormatError):
-                decoder.decode(node)
+        decoder = GraphDecoder([{"class": ref, "state": []}], reader)
+        with pytest.raises(SnapshotFormatError, match="alias"):
+            decoder.decode({"t": "obj", "id": 0})
 
     def test_unknown_tag_raises(self):
         reader = LazyArrayReader(io.BytesIO(), [])

@@ -22,6 +22,7 @@ from repro.core import CardNetEstimator
 from repro.core.incremental import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation
 from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
+from repro.selection import BallIndexEuclideanSelector, PigeonholeHammingSelector
 from repro.sharding import RebalancePlan, SplitShard
 from repro.store import (
     FORMAT_VERSION,
@@ -206,8 +207,8 @@ class TestGPHAndSharded:
             dataset.records,
             "hamming",
             _sampling(dataset.records, "hamming"),
+            selector=PigeonholeHammingSelector(dataset.records, part_size=8),
             theta_max=dataset.theta_max,
-            gph_part_size=8,
         )
         query = SimilarityPredicate("hm", dataset.records[4], 6.0)
         original = engine.execute(query)
@@ -248,11 +249,7 @@ class TestGPHAndSharded:
             restored.service.registry.get(endpoint).estimator for endpoint in endpoints
         ]
 
-        # Post-restore updates work: the restored selector factory clones the
-        # CURRENT shard 0's configuration (bound to the sharded selector, not
-        # to a shard instance, so replaced shards are never pinned alive).
-        sharded = restored.catalog.get("vec").selector
-        assert sharded.selector_factory.__self__ is sharded
+        # Post-restore updates route to the same shards as before the save.
         report = restored.apply_update("vec", UpdateOperation("insert", [dataset.records[0]]))
         assert len(report.touched_shards) == 1
         both = engine.apply_update("vec", UpdateOperation("insert", [dataset.records[0]]))
@@ -314,6 +311,45 @@ class TestRuntimeBackedTopology:
         for original, loaded in zip(
             engine.execute_many(queries), restored.execute_many(queries)
         ):
+            assert_results_equal(original, loaded)
+
+    def test_a_rebalance_after_a_restore_builds_the_saved_shard_configuration(
+        self, datasets, tmp_path
+    ):
+        dataset = datasets["euclidean"]
+
+        def estimators(records, shard):
+            return UniformSamplingEstimator(records, "euclidean", sample_ratio=0.5, seed=shard)
+
+        engine = SimilarityQueryEngine()
+        engine.register_sharded_attribute(
+            "vec", dataset.records, "euclidean", estimators, num_shards=2,
+            theta_max=dataset.theta_max,
+            selector_factory=lambda records: BallIndexEuclideanSelector(
+                records, num_pivots=5, seed=3
+            ),
+        )
+        save_engine(engine, tmp_path / "snap")
+        restored = load_engine(tmp_path / "snap")
+        restored.set_estimator_factory("vec", estimators)
+        for live in (engine, restored):
+            live.rebalance_attribute("vec", RebalancePlan([SplitShard(0)]))
+
+        def configurations(live):
+            return [
+                (type(shard), shard.num_pivots, shard.seed, len(shard._pivots))
+                for shard in live.catalog.get("vec").selector.shards
+            ]
+
+        assert configurations(restored) == configurations(engine)
+        assert {config[:3] for config in configurations(engine)} == {
+            (BallIndexEuclideanSelector, 5, 3)
+        }
+        queries = [
+            SimilarityPredicate("vec", dataset.records[i], dataset.theta_max / 2)
+            for i in (1, 17, 40)
+        ]
+        for original, loaded in zip(engine.execute_many(queries), restored.execute_many(queries)):
             assert_results_equal(original, loaded)
 
 
@@ -384,11 +420,11 @@ class TestManagerAndFeedbackResume:
         assert (original_event.revalidation is None) == (restored_event.revalidation is None)
 
 
-#: A format-15 engine with two 3-shard CardNet attributes (``hm_a``
+#: A format-16 engine with two 3-shard CardNet attributes (``hm_a``
 #: accelerated, ``hm`` not), and the merged curves it served.
-#: ``make_format15_sharded.py`` in the same directory wrote it; its curves
+#: ``make_format16_sharded.py`` in the same directory wrote it; its curves
 #: equal those written before shard CardNets were stacked into one pass.
-FORMAT15_SHARDED = Path(__file__).parent / "data" / "format15_sharded"
+FORMAT16_SHARDED = Path(__file__).parent / "data" / "format16_sharded"
 
 
 class TestStackedShardSnapshots:
@@ -397,12 +433,12 @@ class TestStackedShardSnapshots:
     served before the stack existed."""
 
     def test_format_version_is_unchanged(self):
-        assert FORMAT_VERSION == 15
-        assert inspect_snapshot(FORMAT15_SHARDED).format_version == FORMAT_VERSION
+        assert FORMAT_VERSION == 16
+        assert inspect_snapshot(FORMAT16_SHARDED).format_version == FORMAT_VERSION
 
     def test_snapshot_from_before_stacking_serves_its_merged_curves(self):
-        expected = json.loads((FORMAT15_SHARDED / "curves.json").read_text())
-        restored = load_engine(FORMAT15_SHARDED)
+        expected = json.loads((FORMAT16_SHARDED / "curves.json").read_text())
+        restored = load_engine(FORMAT16_SHARDED)
         for name, curves in expected.items():
             records = list(restored.catalog.get(name).records[: len(curves)])
             served = restored.service.estimate_curve_many(name, records)
@@ -411,7 +447,7 @@ class TestStackedShardSnapshots:
             assert merged._stack.members == merged._shard_estimators
 
     def test_snapshot_bytes_do_not_depend_on_the_stack(self, tmp_path):
-        engine = load_engine(FORMAT15_SHARDED)
+        engine = load_engine(FORMAT16_SHARDED)
         mergeds = [engine.service.registry.get(name).estimator for name in ("hm", "hm_a")]
         records = list(engine.catalog.get("hm").records[:5])
         for merged in mergeds:  # every shard's own memos, as a per-shard pass leaves them
@@ -434,7 +470,7 @@ class TestCorruptSnapshotsRefused:
     @pytest.fixture
     def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        shutil.copytree(FORMAT15_SHARDED, directory)
+        shutil.copytree(FORMAT16_SHARDED, directory)
         return directory
 
     @staticmethod
@@ -457,13 +493,13 @@ class TestCorruptSnapshotsRefused:
         with pytest.raises(SnapshotFormatError, match="SHA-256"):
             SimilarityQueryEngine.load(snapshot)
 
-    @pytest.mark.parametrize("version", [8, 14])
+    @pytest.mark.parametrize("version", [8, 15])
     def test_old_version_manifest(self, snapshot, version):
         manifest_file = snapshot / "manifest.json"
         manifest = json.loads(manifest_file.read_text())
         manifest["version"] = version
         manifest_file.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotFormatError, match=rf"version {version}\b.*version 15\b"):
+        with pytest.raises(SnapshotFormatError, match=rf"version {version}\b.*version 16\b"):
             SimilarityQueryEngine.load(snapshot)
 
 

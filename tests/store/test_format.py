@@ -233,10 +233,10 @@ class TestSnapshotFiles:
         directory = _write_minimal_snapshot(tmp_path / "snap")
         manifest_file = directory / MANIFEST_FILENAME
         data = json.loads(manifest_file.read_text())
-        assert FORMAT_VERSION == 15  # one sharding knob (14 = a `partitioner` object)
-        data["version"] = 14
+        assert FORMAT_VERSION == 16  # seven node kinds gone (15 may name them)
+        data["version"] = 15
         manifest_file.write_text(json.dumps(data))
-        with pytest.raises(SnapshotFormatError, match=r"version 14\b.*version 15\b"):
+        with pytest.raises(SnapshotFormatError, match=r"version 15\b.*version 16\b"):
             load_component(directory)
 
     def test_foreign_format_name_raises(self, tmp_path):

@@ -5,7 +5,7 @@ O(Δ): selectors absorb updates as append segments + tombstones
 (``insert_many`` / ``delete_many``), sharded layouts apply routed local
 deltas in place, and bindings resync column views without reconstructing
 anything.  One stray ``selector.rebuild(records)`` — or a call through a
-stored ``selector_factory`` — on an update code path silently reintroduces
+``selector_factory`` — on an update code path silently reintroduces
 the O(n) rebuild the subsystem exists to eliminate, and nothing fails: the
 results stay bit-identical, only update latency quietly scales with the
 dataset again.
