@@ -3,7 +3,8 @@
 Paper shape: CardNet-A is faster than CardNet (the acceleration removes the
 per-distance encoder passes), both are much faster than running the exact
 similarity selection (SimSelect), and the sampling/KDE database methods are the
-slowest of the estimators.
+slowest of the estimators.  The table reports the timings; the check counts
+the encoder passes, which a busy machine cannot reorder.
 """
 
 from __future__ import annotations
@@ -46,7 +47,28 @@ def _mean_estimation_seconds(estimators, examples) -> dict:
     return {name: min(seconds) for name, seconds in passes.items()}
 
 
-def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_table, benchmark):
+def _encoder_passes_per_query(estimator, examples, monkeypatch) -> float:
+    """Rows the encoder's first layer computes per scalar estimate: one per
+    pass of Φ′ (CardNet-A) or of Φ over one ``(x'; e_i)`` row (CardNet)."""
+    encoder = estimator.model.encoder
+    first = encoder.trunk0 if estimator.model.accelerated else encoder.network.layer0
+    rows = []
+    infer = first.infer
+
+    def counted(x):
+        rows.append(len(x))
+        return infer(x)
+
+    monkeypatch.setattr(first, "infer", counted)
+    for example in examples:
+        estimator.estimate(example.record, example.theta)
+    monkeypatch.undo()
+    return sum(rows) / len(examples)
+
+
+def test_table6_estimation_time(
+    hm_estimators, hm_dataset, hm_workload, print_table, benchmark, monkeypatch
+):
     examples = hm_workload.test[:40]
     rows = []
     timings = {}
@@ -64,11 +86,16 @@ def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_ta
         rows.append([name, f"{seconds * 1e3:.3f}"])
     print_table("Table 6 — average estimation time", ["model", "ms/query"], rows)
 
-    # Shape check from the paper that holds at any scale: the accelerated model
-    # is faster than CardNet (one encoder pass instead of τ+1).  The orderings
-    # against SimSelect/DB-US depend on the dataset scale (millions of records
-    # in the paper vs hundreds here) and are reported in the table only.
-    assert timings["CardNet-A"] < timings["CardNet"]
+    # Shape check from the paper that holds at any scale, counted rather than
+    # timed: the accelerated model runs its encoder once per query, CardNet
+    # once per distance value 0..τ_max (τ+1 passes at τ = τ_max: an estimate
+    # reads the whole curve).  The timings and the orderings against
+    # SimSelect/DB-US depend on the machine and the dataset scale (millions
+    # of records in the paper vs hundreds here) and are reported in the
+    # table only.
+    tau_max = hm_estimators["CardNet"].model.tau_max
+    for name, per_query in (("CardNet-A", 1), ("CardNet", tau_max + 1)):
+        assert _encoder_passes_per_query(hm_estimators[name], examples, monkeypatch) == per_query
 
     example = examples[0]
     benchmark(lambda: hm_estimators["CardNet-A"].estimate(example.record, example.theta))

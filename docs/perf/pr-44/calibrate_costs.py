@@ -18,9 +18,9 @@ For each index class, over the first ``n`` rows of its column for ``n`` in
   Fitted by non-negative least squares as ``a + b·n + c·matches``, which is
   ``SimilaritySelector.PROBE_COST_US = (a, b, c)``.
 * **verify**: ``distances_at(record, ids)`` over 1 / 4 / 16 / 64 / 256
-  random ids at ``n`` = 5,000, fitted as ``fixed + per_row·rows``: the
-  packed Hamming kernel (``PackedHammingSelector.VERIFY_COST_US``), and the
-  default one (``rows_at`` + ``cross_distances``) on each distance's default
+  random ids at ``n`` = 5,000, fitted as ``fixed + per_row·rows``: each
+  class's own kernel, where it defines one (``VERIFY_COST_US`` of
+  ``PackedHammingSelector`` and ``QGramEditSelector``), and the default one (``rows_at`` + ``cross_distances``) on each distance's default
   index (``repro.selection.base.DEFAULT_VERIFY_COST_US``), which also prices
   a sharded attribute's verify.
 * **GPH allocation**: ``GPHQueryProcessor.plan`` with every part curve
@@ -152,7 +152,7 @@ def calibrate(relation, rng: np.random.Generator) -> dict:
         records = relation[name].records
         queries = probes(name, records, rng)
         constants[cls.__name__] = {"PROBE_COST_US": probe_cost(build, records, queries)}
-        if cls is PackedHammingSelector:  # the one class with its own distances_at
+        if "distances_at" in vars(cls):  # a class with its own verify kernel
             constants[cls.__name__]["VERIFY_COST_US"] = verify_cost(
                 cls.distances_at, build(records), queries, rng
             )

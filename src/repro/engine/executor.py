@@ -3,12 +3,15 @@
 The executor is estimator-free: given a :class:`~repro.engine.planner.QueryPlan`
 it answers the driving predicate with the attribute's exact index (using the
 plan's GPH allocation when present) and verifies residual predicates over the
-shrinking candidate set — one ``distances_at`` call per residual, which reads
-the distances from the residual's own index (XOR + popcount on the packed
-words for Hamming; ``cross_distances`` over the gathered rows otherwise) and
-equals ``distances_to``, decided by :func:`~repro.distances.base.within` as
-the linear scan decides them.  Results are therefore exact whatever the plan;
-planning only moves the cost.
+shrinking candidate set, in the plan's order (ascending rank: the residual
+that costs least per row it discards first) — one ``distances_at`` call per
+residual, which reads the distances from the residual's own index (XOR +
+popcount on the packed words for Hamming; the DP over the stored code rows
+for the q-gram edit index; ``cross_distances`` over the gathered rows
+otherwise) and equals ``distances_to``, decided by
+:func:`~repro.distances.base.within` as the linear scan decides them.
+Results are therefore exact whatever the plan and whatever the residual
+order; planning only moves the cost.
 """
 
 from __future__ import annotations

@@ -10,15 +10,23 @@ exactly as to any other client (the §9.11 case study passes
   :meth:`QueryPlanner.plan_many`, of a whole workload) are estimated with one
   batched service call per endpoint.  Each predicate is priced as the
   *driving* predicate answered by its index, the rest verifying candidates
-  in ascending-estimate order: the driver's ``probe_cost(estimate)`` plus
-  each residual's ``verify_cost(rows)`` over the rows flowing into it (the
-  driver's estimate, shrunk by ``estimate / n`` after every residual), plus
-  the GPH allocation for a pigeonhole driver.  The costs are µs constants
-  each index class carries (:class:`~repro.selection.SimilaritySelector`),
-  so no clock is read and plans are deterministic.  The cheapest plan wins;
-  a tie keeps the query's predicate order.  The paper's §9.11.1 rule — the
+  in rank order: the driver's ``probe_cost(estimate)`` plus each residual's
+  ``verify_cost(rows)`` over the rows flowing into it (the driver's
+  estimate, shrunk by ``estimate / n`` after every residual), plus the GPH
+  allocation for a pigeonhole driver.  The costs are µs constants each
+  index class carries (:class:`~repro.selection.SimilaritySelector`), so no
+  clock is read and plans are deterministic.  The cheapest plan wins; a tie
+  keeps the query's predicate order.  The paper's §9.11.1 rule — the
   smallest estimate drives — is the special case of one index class, size
   and distance everywhere, where the price rises with the estimate;
+* **residual order** — residuals verify by ascending rank
+  ``per_row_verify_cost / (1 - estimate / n)``, the µs a residual spends
+  per row it discards (``inf`` when it is expected to discard none), ties
+  in ascending-estimate order.  For independent filters this order
+  minimises the per-row part of the price above (swapping two adjacent
+  residuals out of rank order never lowers it); the fixed parts do not
+  depend on the order.  With one index class everywhere it is
+  ascending-estimate order, most selective first;
 * **GPH threshold allocation** — when the driving predicate's attribute is a
   pigeonhole Hamming index with per-part endpoints, the general-pigeonhole
   allocation DP (:class:`repro.optimizer.GPHQueryProcessor`) chooses per-part
@@ -28,6 +36,7 @@ exactly as to any other client (the §9.11 case study passes
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +46,7 @@ import numpy as np
 from ..distances.base import integer_radius
 from ..obs.trace import span
 from ..optimizer.gph import GPHQueryProcessor, PartCardinalityEstimator
+from ..selection import SimilaritySelector
 from ..serving import EstimationService
 from .catalog import AttributeBinding, AttributeCatalog
 from .spec import ConjunctiveQuery, SimilarityPredicate
@@ -94,7 +104,8 @@ class QueryPlan:
     ``driver`` — the predicate whose plan prices cheapest
     (``estimated_cost``) — is answered with its attribute's exact index;
     ``residuals`` verify the driver's candidates with vectorized distance
-    kernels, most selective first.  ``allocation`` carries GPH per-part
+    kernels, in ascending rank (see the module docstring): the residual that
+    costs least per row it discards first.  ``allocation`` carries GPH per-part
     thresholds when the driver is a pigeonhole Hamming attribute.
     """
 
@@ -130,6 +141,26 @@ class QueryPlan:
         lines.append(f"  estimated candidates: {self.estimated_candidates:.1f}")
         lines.append(f"  estimated cost: {self.estimated_cost:.0f} us")
         return "\n".join(lines)
+
+
+def residual_order(
+    planned: Sequence[PlannedPredicate], selectors: Sequence[SimilaritySelector]
+) -> List[int]:
+    """Positions of ``planned`` in the order residuals verify: ascending rank
+    ``per_row_verify_cost / (1 - estimate / n)`` — the µs a residual's verify
+    spends per row it is expected to discard, ``inf`` when it is expected to
+    discard none — ties in ascending-estimate order, then in predicate order
+    (both sorts are stable).  A plan's residuals are this order without its
+    driver."""
+
+    def rank(position: int) -> float:
+        estimate, rows = planned[position].estimated_cardinality, len(selectors[position])
+        if estimate >= rows:
+            return math.inf
+        return selectors[position].verify_cost_coefficients()[1] / (1.0 - estimate / rows)
+
+    ascending = sorted(range(len(planned)), key=lambda i: planned[i].estimated_cardinality)
+    return sorted(ascending, key=rank)
 
 
 class QueryPlanner:
@@ -182,16 +213,16 @@ class QueryPlanner:
             for predicate, estimate in zip(query.predicates, predicate_estimates)
         ]
         bindings = [self.catalog.get(p.attribute) for p in planned]
-        # Every driver's residuals verify in ascending-estimate order (ties by
-        # the query's predicate order); min() keeps cost ties in that order too.
-        ascending = sorted(range(len(planned)), key=lambda i: planned[i].estimated_cardinality)
-        costs = self._plan_costs(planned, bindings, ascending)
+        # Every driver's residuals verify in one order; min() keeps cost ties
+        # in the query's predicate order.
+        order = residual_order(planned, [binding.selector for binding in bindings])
+        costs = self._plan_costs(planned, bindings, order)
         chosen = min(range(len(planned)), key=costs.__getitem__)
         driver = planned[chosen]
         plan = QueryPlan(
             query=query,
             driver=driver,
-            residuals=[planned[i] for i in ascending if i != chosen],
+            residuals=[planned[i] for i in order if i != chosen],
             estimated_candidates=driver.estimated_cardinality,
             estimated_cost=costs[chosen],
             planning_seconds=planning_seconds,
@@ -217,12 +248,13 @@ class QueryPlanner:
     def _plan_costs(
         planned: Sequence[PlannedPredicate],
         bindings: Sequence[AttributeBinding],
-        ascending: Sequence[int],
+        order: Sequence[int],
     ) -> List[float]:
         """Estimated µs of executing with each predicate as the driver: its
         index's probe (plus the GPH allocation, priced cold), then each
-        residual's verify over the rows flowing into it — the driver's
-        estimate, shrunk by ``estimate / n`` after every residual."""
+        residual's verify, in ``order`` — the order the plan's residuals run
+        in — over the rows flowing into it: the driver's estimate, shrunk by
+        ``estimate / n`` after every residual."""
         selectors = [binding.selector for binding in bindings]
         shrink = [
             p.estimated_cardinality / max(1, len(selector))
@@ -234,7 +266,7 @@ class QueryPlanner:
             cost = selectors[driver].probe_cost(rows)
             if binding.uses_gph:
                 cost += GPH_PART_CURVE_COST_US * len(binding.part_endpoints)
-            for residual in ascending:
+            for residual in order:
                 if residual != driver:
                     cost += selectors[residual].verify_cost(rows)
                     rows *= shrink[residual]

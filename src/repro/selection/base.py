@@ -82,12 +82,16 @@ class SimilaritySelector(ABC):
         fixed, per_stored, per_match = self.PROBE_COST_US
         return fixed + per_stored * len(self) + per_match * max(0.0, estimate)
 
-    def verify_cost(self, rows: float) -> float:
-        """Estimated µs of one :meth:`distances_at` call over ``rows`` ids."""
+    def verify_cost_coefficients(self) -> Tuple[float, float]:
+        """``(fixed, per_row)`` µs of one :meth:`distances_at` call."""
         # Any other distance is priced as the slowest kernel, edit's.
-        fixed, per_row = self.VERIFY_COST_US or DEFAULT_VERIFY_COST_US.get(
+        return self.VERIFY_COST_US or DEFAULT_VERIFY_COST_US.get(
             self.distance.name, DEFAULT_VERIFY_COST_US["edit"]
         )
+
+    def verify_cost(self, rows: float) -> float:
+        """Estimated µs of one :meth:`distances_at` call over ``rows`` ids."""
+        fixed, per_row = self.verify_cost_coefficients()
         return fixed + per_row * max(0.0, rows)
 
     # ------------------------------------------------------------------ #

@@ -30,6 +30,10 @@ linear scan:
 * verification: :func:`repro.distances.edit.levenshtein_codes` over the
   gathered code rows of the survivors.
 
+A residual verify (:meth:`QGramEditSelector.distances_at`) runs the same
+kernel over the stored code rows of the ids it is given, so it neither reads
+the strings back nor re-encodes them.
+
 Updates are O(Δ): an insert appends the new rows' lengths, signatures and code
 rows (widening the code matrix only when a string is longer than every stored
 one) and one block per distinct gram of the batch to the posting arrays;
@@ -73,6 +77,7 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
 
     distance = EditDistance()
     PROBE_COST_US = (240.0, 0.033, 1.7)
+    VERIFY_COST_US = (120.0, 1.1)
     _SNAPSHOT_DROP = ("_lengths", "_codes", "_signatures", "_postings")
 
     def __init__(self, dataset: Sequence[str], q: int = 2) -> None:
@@ -119,14 +124,28 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
                     shared[rows] += np.minimum(counts, multiplicity)
             survivors = survivors[shared[survivors] >= required]
 
-        lengths = lengths[survivors]
-        distances = levenshtein_codes(
-            string_codes([record])[0][0],
-            self._codes.view()[:, : lengths.max(initial=0)][survivors],
-            lengths,
-        )
+        distances = self._verify(record, survivors)
         keep = distances <= threshold_int
         return self._view.to_logical(survivors[keep]), distances[keep]
+
+    def _verify(self, record: str, physical_ids: np.ndarray) -> np.ndarray:
+        """Edit distances from ``record`` to the stored rows at these physical
+        ids: one :func:`levenshtein_codes` pass over their gathered code rows,
+        cut to the longest of them."""
+        lengths = self._lengths.view()[physical_ids]
+        return levenshtein_codes(
+            string_codes([record])[0][0],
+            self._codes.view()[:, : lengths.max(initial=0)][physical_ids],
+            lengths,
+        )
+
+    def distances_at(self, record, ids) -> np.ndarray:
+        """The default's values — ``cross_distances`` over :meth:`rows_at`,
+        float64 — computed on the stored code rows: no string is read back or
+        re-encoded."""
+        ids = np.asarray(ids, dtype=np.int64)
+        physical_ids = ids if self._view.is_compact else self._view.live_physical[ids]
+        return self._verify(str(record), physical_ids).astype(np.float64)
 
     def query(self, record: str, threshold: float) -> List[int]:
         return self._probe(record, threshold)[0].tolist()

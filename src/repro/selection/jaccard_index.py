@@ -3,24 +3,32 @@
 Stored, over *physical* rows: ``_sizes`` (int64 set sizes) and ``_postings``,
 token → the ids of the rows holding it (one posting array per distinct token;
 tokens are arbitrary hashables).  A probe with similarity threshold
-``s = 1 - θ`` adds 1 to ``overlap[posting]`` once per query token — row ids
-inside a posting are unique, so ``overlap`` is the *exact* intersection size
-of every row sharing a token — and the similarity of those rows is
-``overlap / (|x| + |y| - overlap)``: the same integers
+``s = 1 - θ`` concatenates the postings of the query's tokens and counts them
+with one ``np.bincount`` — row ids inside a posting are unique, so ``overlap``
+is the *exact* intersection size of every row — and the similarity of a row
+is ``overlap / (|x| + |y| - overlap)``: the same integers
 :func:`repro.distances.jaccard.jaccard_similarity` divides, so the same float.
-The only Python loop runs over the query's own tokens.
+The only Python loop runs over the query's own tokens (one dict lookup each).
 
-Filters applied to the rows that share a token (or, for the empty query, the
-empty rows — two empty sets are identical by convention):
+Filters, all necessary conditions for ``J(x, y) >= s``, with ``s`` lowered to
+``1 - (θ + THETA_SLACK)`` so they admit every row :func:`within` admits:
 
+* overlap filter: ``overlap >= s · |x|`` (the union is at least ``|x|``); it
+  implies the lower size bound ``|y| >= s · |x|``, since ``|y| >= overlap``;
+* size filter: ``|y| <= |x| / s``;
 * the tombstone mask;
-* size filter: ``s · |x| <= |y| <= |x| / s``;
 * the exact predicate, :func:`~repro.distances.base.within` on
   ``1 - similarity`` — the float :class:`JaccardDistance` yields.
 
+The bounds carry a relative margin far above float rounding, so a row
+exactly on a bound is never lost; the exact predicate decides it.  For the
+empty query the overlap filter admits every row and the size filter keeps the
+empty ones (two empty sets are identical by convention).  When a distance of
+1 is within θ (``s <= 0``) no filter applies and every live row matches.
+
 The class keeps its historical name, but with exact overlaps in hand a prefix
 restriction has nothing left to save: there is no global token order and no
-prefix computation.  When a distance of 1 is within θ every live row matches.
+prefix computation.
 
 Updates are O(Δ): an insert appends the new rows' sizes and one block of row
 ids per distinct token of the batch; deletes tombstone rows (see
@@ -35,17 +43,21 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.base import within
+from ..distances.base import THETA_SLACK, within
 from ..distances.jaccard import JaccardDistance, as_frozenset
 from .base import SimilaritySelector
 from .delta import DeltaIndexMixin, GrowableArray, extend_postings
+
+#: Relative margin on the overlap and size bounds: far above the rounding of
+#: the float products they compare, so no row ``within`` admits is filtered.
+_ROUNDING = 1e-9
 
 
 class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
     """Token posting arrays + size filter; similarities from exact overlap counts."""
 
     distance = JaccardDistance()
-    PROBE_COST_US = (73.0, 0.028, 0.11)
+    PROBE_COST_US = (34.0, 0.011, 0.055)
     _SNAPSHOT_DROP = ("_sizes", "_postings")
 
     def __init__(self, dataset: Sequence) -> None:
@@ -57,28 +69,32 @@ class PrefixFilterJaccardSelector(DeltaIndexMixin, SimilaritySelector):
         """(ascending logical ids, their exact Jaccard distances) within ``threshold``."""
         query_set = as_frozenset(record)
         query_size = len(query_set)
-        similarity_threshold = 1.0 - float(threshold)
         sizes = self._sizes.view()
-        overlap = np.zeros(sizes.size, dtype=np.int64)  # per call: probes run concurrently
-        for token in query_set:
-            posting = self._postings.get(token)
-            if posting is not None:
-                overlap[posting.view()] += 1
+        postings = [
+            posting.view()
+            for posting in map(self._postings.get, query_set)
+            if posting is not None
+        ]
+        overlap = np.bincount(
+            np.concatenate(postings) if postings else np.zeros(0, dtype=np.int64),
+            minlength=sizes.size,
+        )
 
-        if within(1.0, threshold):
-            rows = np.arange(sizes.size)
+        # The lowest similarity ``within`` admits; see the module docstring.
+        similarity_floor = 1.0 - (float(threshold) + THETA_SLACK)
+        if similarity_floor > 0.0:
+            mask = overlap >= similarity_floor * query_size * (1.0 - _ROUNDING)
+            mask &= sizes <= query_size / similarity_floor * (1.0 + _ROUNDING)
         else:
-            rows = np.flatnonzero(overlap if query_size else sizes == 0)
-        size, shared = sizes[rows], overlap[rows]
-        union = query_size + size - shared
+            mask = np.ones(sizes.size, dtype=bool)
+        if not self._view.is_compact:
+            mask &= self._view.alive_rows
+        rows = np.flatnonzero(mask)
+        shared = overlap[rows]
+        union = query_size + sizes[rows] - shared
         similarity = np.divide(shared, union, out=np.ones(rows.size), where=union > 0)
         distances = 1.0 - similarity
         keep = within(distances, threshold)
-        if similarity_threshold > 0.0:
-            keep &= size >= similarity_threshold * query_size - 1e-9
-            keep &= size <= query_size / similarity_threshold + 1e-9
-        if not self._view.is_compact:
-            keep &= self._view.alive_rows[rows]
         return self._view.to_logical(rows[keep]), distances[keep]
 
     def query(self, record, threshold: float) -> List[int]:

@@ -152,9 +152,31 @@ class ShardedSelector(SimilaritySelector):
         """Every shard's probe, each matching its size's share of ``estimate``:
         a fan-out pays every shard's fixed cost.  (A verify is the default
         one: :meth:`rows_at` gathers shard by shard and one kernel runs over
-        the gathered rows, priced by the distance.)"""
-        per_row = estimate / max(1, len(self))
-        return sum(shard.probe_cost(per_row * len(shard)) for shard in self._shards)
+        the gathered rows, priced by the distance.)
+
+        Each shard's price is affine in ``max(0, estimate)``, so their sum is
+        one line, ``intercept + slope · max(0, estimate)``; its two
+        coefficients are kept and recomputed only when the layout changes
+        (an update or a swap), not walked over the shards per plan."""
+        with self._lock:
+            # ``(mutation count, intercept, slope)``; absent until the first
+            # price and on a selector restored from a snapshot that had none.
+            line = getattr(self, "_probe_line", None)
+            if line is None or line[0] != self._mutations:
+                line = self._probe_line = (self._mutations, *self._price_line())
+        _, intercept, slope = line
+        return intercept + slope * max(0.0, estimate)
+
+    def _price_line(self) -> Tuple[float, float]:
+        """``(intercept, slope)`` of :meth:`probe_cost` over the current shards:
+        every shard's price at no match, and what each adds per matching row
+        spread over the shards by size."""
+        intercept = sum(shard.probe_cost(0.0) for shard in self._shards)
+        slope = sum(
+            shard.probe_cost(float(len(shard))) - shard.probe_cost(0.0)
+            for shard in self._shards
+        ) / max(1, len(self))
+        return intercept, slope
 
     @property
     def assignment(self) -> ShardAssignment:

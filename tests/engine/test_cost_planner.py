@@ -10,6 +10,7 @@ rows flowing into it, from the indexes' measured cost constants.  Load-bearing:
 * no clock is read when pricing, so a workload plans the same every time.
 """
 
+import itertools
 from dataclasses import replace
 from functools import lru_cache
 
@@ -35,7 +36,9 @@ from repro.selection import (
     PigeonholeHammingSelector,
     QGramEditSelector,
 )
-from repro.sharding import ShardedSelector
+from repro.selection.base import DEFAULT_VERIFY_COST_US
+from repro.sharding import RebalancePlan, ShardedSelector
+from repro.sharding.rebalance import SplitShard, stage
 
 ROWS = 40
 
@@ -128,6 +131,86 @@ def test_every_forced_driver_answers_like_the_linear_scan(sharded, row, shares):
         assert result.record_ids == sorted(expected), name
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    sharded=st.sampled_from(sorted(RELATION)),
+    row=st.integers(0, ROWS - 1),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_every_residual_order_answers_alike(sharded, row, shares):
+    engine = relation_engine(sharded)
+    predicates = [
+        SimilarityPredicate(name, rows[row], share * theta_max)
+        for (name, (_, rows, theta_max)), share in zip(RELATION.items(), shares)
+    ]
+    plan = engine.explain(ConjunctiveQuery(predicates))
+    expected = engine.executor.execute(plan).record_ids
+    for residuals in itertools.permutations(plan.residuals):
+        result = engine.executor.execute(replace(plan, residuals=list(residuals)))
+        assert result.record_ids == expected
+
+
+#: attribute → the constant estimate of its predicate (n = ROWS everywhere)
+RANKED = {"hm": 30.0, "ed": 4.0, "jc": 2.0, "eu": 10.0}
+
+
+def ranked_engine(estimates):
+    """Unsharded, one index per distance (packed Hamming), fixed estimates."""
+    engine = SimilarityQueryEngine()
+    for name, (distance, rows, theta_max) in RELATION.items():
+        engine.register_attribute(
+            name, rows, distance, ConstantEstimator(estimates[name]), theta_max=theta_max
+        )
+    return engine
+
+
+def price(engine, driver, residuals):
+    """The planner's price of ``driver`` then ``residuals`` in that order."""
+    selector = engine.catalog.get(driver.attribute).selector
+    rows = driver.estimated_cardinality
+    cost = selector.probe_cost(rows)
+    for residual in residuals:
+        selector = engine.catalog.get(residual.attribute).selector
+        cost += selector.verify_cost(rows)
+        rows *= residual.estimated_cardinality / len(selector)
+    return cost
+
+
+@pytest.mark.parametrize(
+    "estimates", [RANKED, {**RANKED, "hm": float(ROWS)}, {**RANKED, "eu": 50.0, "jc": 0.0}]
+)
+def test_residuals_verify_cheapest_per_discarded_row_first(estimates):
+    """Residuals run by ascending ``per_row / (1 - estimate / n)``, not by
+    estimate: the packed Hamming verify (0.008 µs a row) runs before edit's
+    although it discards fewer rows.  The plan's price is the price of the
+    list the executor runs, and no other order of it prices lower."""
+    engine = ranked_engine(estimates)
+    query = ConjunctiveQuery(
+        [SimilarityPredicate(name, rows[0], 0.5 * theta_max)
+         for name, (_, rows, theta_max) in RELATION.items()]
+    )
+    plan = engine.explain(query)
+
+    def rank(planned):
+        selector = engine.catalog.get(planned.attribute).selector
+        share = planned.estimated_cardinality / len(selector)
+        per_row = selector.verify_cost(1.0) - selector.verify_cost(0.0)
+        return per_row / (1.0 - share) if share < 1.0 else float("inf")
+
+    ranks = [rank(p) for p in plan.residuals]
+    assert ranks == sorted(ranks)
+    if estimates["hm"] < ROWS and plan.driver.attribute != "hm":
+        hm, ed = ([p.attribute for p in plan.residuals].index(a) for a in ("hm", "ed"))
+        assert hm < ed
+    everyone = [plan.driver, *plan.residuals]
+    assert [p.attribute for p in everyone if rank(p) == float("inf")] == [
+        name for name, estimate in estimates.items() if estimate >= ROWS
+    ]
+    assert plan.estimated_cost == pytest.approx(price(engine, plan.driver, plan.residuals))
+    for residuals in itertools.permutations(plan.residuals):
+        assert plan.estimated_cost <= price(engine, plan.driver, residuals) * (1 + 1e-12)
+
+
 def euclidean_engine(estimates):
     """Euclidean attributes of one index class and size, with fixed estimates."""
     engine = SimilarityQueryEngine()
@@ -156,17 +239,42 @@ def test_with_equal_classes_the_smallest_estimate_drives(estimates):
         assert residual_estimates == sorted(residual_estimates)
 
 
+def assert_sum_of_shards(sharded):
+    for estimate in (-3.0, 0.0, 4.0, 25.0, 1e6):
+        assert sharded.probe_cost(estimate) == pytest.approx(
+            sum(s.probe_cost(estimate * len(s) / len(sharded)) for s in sharded.shards),
+            rel=1e-12,
+        )
+
+
 def test_sharded_probe_cost_is_the_sum_of_its_shards():
     rows = RELATION["ed"][1]
     sharded = ShardedSelector(rows, QGramEditSelector, num_shards=3)
+    assert_sum_of_shards(sharded)
     for estimate in (0.0, 4.0, 25.0):
-        assert sharded.probe_cost(estimate) == pytest.approx(
-            sum(s.probe_cost(estimate * len(s) / len(rows)) for s in sharded.shards)
-        )
         # More than the unsharded index: every shard pays its fixed cost.
         assert sharded.probe_cost(estimate) > QGramEditSelector(rows).probe_cost(estimate)
-    # A verify gathers the rows shard by shard and runs one kernel over them.
-    assert sharded.verify_cost(10.0) == QGramEditSelector(rows).verify_cost(10.0)
+    # A verify gathers the rows shard by shard and runs the default kernel
+    # over them, priced by the distance.
+    assert sharded.verify_cost(10.0) == pytest.approx(
+        DEFAULT_VERIFY_COST_US["edit"][0] + 10.0 * DEFAULT_VERIFY_COST_US["edit"][1]
+    )
+
+
+def test_a_sharded_probe_price_follows_every_layout_change():
+    """The price line is kept between layout changes and recomputed after
+    each one: an insert, a delete and a rebalance swap."""
+    rows = RELATION["ed"][1]
+    sharded = ShardedSelector(rows[:30], QGramEditSelector, num_shards=3)
+    assert_sum_of_shards(sharded)
+    sharded.insert_many(rows[30:])
+    assert_sum_of_shards(sharded)
+    sharded.delete_many(range(0, 40, 3))
+    assert_sum_of_shards(sharded)
+    staged = stage(sharded, RebalancePlan([SplitShard(0)]))
+    sharded.swap_layout(staged)
+    assert sharded.num_shards == 4
+    assert_sum_of_shards(sharded)
 
 
 def test_plans_are_deterministic():

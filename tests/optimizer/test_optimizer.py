@@ -385,9 +385,16 @@ class TestPlanObjects:
         assert {p.attribute for p in plan.residuals} == set(queries[0].attributes()) - {
             plan.driver.attribute
         }
-        # Residuals verify in ascending-estimate order.
-        residual_estimates = [p.estimated_cardinality for p in plan.residuals]
-        assert residual_estimates == sorted(residual_estimates)
+        # Residuals verify by ascending rank, per_row / (1 - estimate / n):
+        # the µs each spends per row it discards.
+        def rank(planned):
+            selector = planner.catalog.get(planned.attribute).selector
+            share = planned.estimated_cardinality / len(selector)
+            per_row = selector.verify_cost(1.0) - selector.verify_cost(0.0)
+            return per_row / (1.0 - share) if share < 1.0 else float("inf")
+
+        ranks = [rank(p) for p in plan.residuals]
+        assert ranks == sorted(ranks)
         assert plan.estimated_candidates == plan.driver.estimated_cardinality
         # The exact policy's estimate is the driver's true cardinality.
         selector = planner.catalog.get(plan.driver.attribute).selector

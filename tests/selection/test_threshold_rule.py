@@ -123,6 +123,32 @@ def test_selector_answers_like_the_linear_scan(name, sharded, probe, pick, place
     )
 
 
+@pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "2-shard"])
+@pytest.mark.parametrize("shift", [-HAIR, 0.0, HAIR])
+@pytest.mark.parametrize(
+    "query_size, row_size", [(3000, 2999), (2999, 3000), (3000, 2700), (2700, 3000)]
+)
+def test_large_jaccard_sets_answer_like_the_linear_scan(query_size, row_size, shift, sharded):
+    """The Jaccard overlap and size bounds admit a row a hair inside θ however
+    large the sets: their slack grows with ``|x|`` as ``THETA_SLACK · |x|``
+    does, where a fixed slack (1e-9) stops covering it past ~1,000 tokens."""
+    record = frozenset(range(query_size))
+    rows = [frozenset(range(row_size)), frozenset(range(1, row_size + 1)), frozenset()]
+    scan = LinearScanSelector(rows, get_distance("jaccard"))
+    selector = (
+        ShardedSelector(rows, PrefixFilterJaccardSelector, num_shards=2)
+        if sharded
+        else PrefixFilterJaccardSelector(rows)
+    )
+    for distance in sorted(set(scan.distance.distances_to(record, rows))):
+        theta = float(distance) + shift
+        assert selector.query(record, theta) == scan.query(record, theta)
+        assert selector.query(record, theta), theta
+        assert np.array_equal(
+            selector.cardinality_curve(record, [theta]), scan.cardinality_curve(record, [theta])
+        )
+
+
 # --------------------------------------------------------------------------- #
 # The engine: the planner's GPH allocation, and the residual verify
 # --------------------------------------------------------------------------- #
