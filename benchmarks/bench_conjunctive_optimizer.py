@@ -72,10 +72,9 @@ def test_figures11_12_conjunctive_optimizer(relation, planners, print_table, ben
     queries = generate_conjunctive_queries(relation, num_queries=30, threshold_range=(0.2, 0.5), seed=5)
 
     results = {
-        policy: [
-            executor.execute(plan)
-            for plan in QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
-        ]
+        policy: executor.execute(
+            QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
+        )
         for policy, estimators in planners.items()
     }
     reports = {policy: plan_quality(catalog, executed) for policy, executed in results.items()}
@@ -125,4 +124,4 @@ def test_figures11_12_conjunctive_optimizer(relation, planners, print_table, ben
             assert result.record_ids == sorted(truth), policy
 
     planner = QueryPlanner(catalog, DirectEstimates(planners["CardNet-A"]))
-    benchmark(lambda: executor.execute(planner.plan(queries[0])))
+    benchmark(lambda: executor.execute([planner.plan(queries[0])]))

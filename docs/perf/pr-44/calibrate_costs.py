@@ -22,7 +22,10 @@ For each index class, over the first ``n`` rows of its column for ``n`` in
   class's own kernel, where it defines one (``VERIFY_COST_US`` of
   ``PackedHammingSelector`` and ``QGramEditSelector``), and the default one (``rows_at`` + ``cross_distances``) on each distance's default
   index (``repro.selection.base.DEFAULT_VERIFY_COST_US``), which also prices
-  a sharded attribute's verify.
+  a sharded attribute's verify.  On a tree whose verify is the pair kernel
+  ``distances_at(records, ids, owners)`` (own kernel: a class defining
+  ``_verify_kernel``) the call is ``distances_at([record], ids)`` and the
+  default is ``rows_at`` + the distance's ``pair_distances``, one query.
 * **GPH allocation**: ``GPHQueryProcessor.plan`` with every part curve
   fetched through the service from a cold cache, per part — the planner's
   ``GPH_PART_CURVE_COST_US``.
@@ -34,6 +37,7 @@ its 5 values.  Prints one table; the last line is the constants as JSON.  The co
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import sys
@@ -67,6 +71,8 @@ REPEATS = 5
 #: Every constant is the median of this many independent rounds.
 ROUNDS = 5
 VERIFY_ROWS = (1, 4, 16, 64, 256)
+#: Whether ``distances_at`` is the pair kernel (``records, ids, owners``).
+PAIR_KERNEL = "records" in inspect.signature(SimilaritySelector.distances_at).parameters
 #: index class -> (its column, how the benchmark's engine builds it)
 INDEXES = {
     PackedHammingSelector: ("hm", PackedHammingSelector),
@@ -122,6 +128,17 @@ def verify_cost(verify, index, queries, rng: np.random.Generator) -> list:
     return fit(columns, times)
 
 
+def own_verify(index, record, ids):
+    return index.distances_at([record] if PAIR_KERNEL else record, ids)
+
+
+def default_verify(index, record, ids):
+    """``rows_at`` + the distance's kernel, whatever the index's own kernel."""
+    if PAIR_KERNEL:
+        return index.distance.pair_distances([record], index.rows_at(ids))
+    return SimilaritySelector.distances_at(index, record, ids)
+
+
 def part_curve_cost(records, queries) -> float:
     """µs per part curve of one GPH allocation, every curve a cache miss."""
     engine = SimilarityQueryEngine()
@@ -152,15 +169,15 @@ def calibrate(relation, rng: np.random.Generator) -> dict:
         records = relation[name].records
         queries = probes(name, records, rng)
         constants[cls.__name__] = {"PROBE_COST_US": probe_cost(build, records, queries)}
-        if "distances_at" in vars(cls):  # a class with its own verify kernel
+        if ("_verify_kernel" if PAIR_KERNEL else "distances_at") in vars(cls):  # own kernel
             constants[cls.__name__]["VERIFY_COST_US"] = verify_cost(
-                cls.distances_at, build(records), queries, rng
+                own_verify, build(records), queries, rng
             )
     for name in ("hm", "ed", "jc", "eu"):
         records = relation[name].records
         distance = wl.ATTRIBUTE_BY_NAME[name].distance
         constants[distance] = verify_cost(
-            SimilaritySelector.distances_at, default_selector(distance, records),
+            default_verify, default_selector(distance, records),
             probes(name, records, rng), rng,
         )
     records = relation["hm"].records

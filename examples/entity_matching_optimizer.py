@@ -82,7 +82,7 @@ def main() -> None:
         ("Mean", mean_planner),
     ):
         plans = QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
-        report = plan_quality(catalog, [executor.execute(plan) for plan in plans])
+        report = plan_quality(catalog, executor.execute(plans))
         print(
             f"{policy_name:>10}  {report.planning_precision:>9.2f}  "
             f"{report.driver_candidates:>10}  {report.total_seconds:>14.3f}"

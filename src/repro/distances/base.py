@@ -69,6 +69,27 @@ class DistanceFunction(ABC):
         return np.stack([self.distances_to(query, dataset) for query in queries]) \
             if len(queries) else np.zeros((0, len(dataset)))
 
+    def pair_distances(
+        self, queries: Sequence[Any], rows: Sequence[Any], owners=None
+    ) -> np.ndarray:
+        """Distance from ``queries[owners[k]]`` to ``rows[k]``, for every ``k``.
+
+        ``owners`` is ``None`` when one query owns every row.  Each value
+        equals ``cross_distances([queries[owners[k]]], [rows[k]])`` bit for
+        bit, so a residual verify decides alike whichever batch it ran in.
+        Subclasses override it with one pass over every pair; the default
+        runs one ``cross_distances`` row per distinct owner.
+        """
+        if owners is None:
+            return self.cross_distances([queries[0]], rows)[0]
+        owners = np.asarray(owners, dtype=np.int64)
+        out = np.empty(len(owners))
+        for owner in np.unique(owners).tolist():
+            at = np.flatnonzero(owners == owner)
+            part = rows[at] if isinstance(rows, np.ndarray) else [rows[i] for i in at.tolist()]
+            out[at] = self.cross_distances([queries[owner]], part)[0]
+        return out
+
     def __call__(self, x: Any, y: Any) -> float:
         return self.distance(x, y)
 

@@ -48,18 +48,28 @@ def string_codes(strings: Sequence[str], width: int = 0) -> Tuple[np.ndarray, np
 
 
 def levenshtein_codes(
-    x: np.ndarray, codes: np.ndarray, lengths: np.ndarray, threshold: Optional[int] = None
+    x: np.ndarray,
+    codes: np.ndarray,
+    lengths: np.ndarray,
+    threshold: Optional[int] = None,
+    x_lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Edit distances from the code vector ``x`` to every row of a padded code matrix.
+    """Edit distances from query codes to every row of a padded code matrix.
+
+    ``x`` is one code vector, compared with every row, or a ``(count, m)``
+    matrix of per-row query codes padded with -1, whose lengths are
+    ``x_lengths``: row ``r`` is then compared with its own query ``x[r]``.
 
     One dynamic program runs for all rows at once, on ``e[j] = d[j] - j`` so
     the column offsets cancel: the insertion recurrence
     ``d[j] = min(b[j], d[j-1] + 1)`` unrolls to a prefix minimum,
     ``e[j] = min(i, min_{k<=j}(b[k] - k))`` with
     ``b[k] - k = min(e_prev[k-1] - [x_i == y_k], e_prev[k] + 1)`` — so the only
-    Python loop is over the characters of ``x``.  ``codes`` may be wider than
+    Python loop is over the query positions.  ``codes`` may be wider than
     the longest row: pad columns (-1) match nothing and each distance is read
-    at its own row's length.
+    at its own row's length.  Per-row queries share the loop over the longest
+    of them; a row's distance is read after its own query's last code, once
+    per distinct query length.
 
     With ``threshold`` the DP stops as soon as every row's minimum (a lower
     bound on its final distance, non-decreasing across rows) exceeds it;
@@ -67,15 +77,26 @@ def levenshtein_codes(
     to be reported as some value ``> threshold``.
     """
     count, width = codes.shape
-    if x.size == 0 or width == 0:
-        return np.maximum(lengths, x.size)
+    per_row = x.ndim == 2
+    size = x.shape[-1]
+    if size == 0 or width == 0:
+        return np.maximum(lengths, x_lengths if per_row else size)
+    if per_row:
+        # A row's query ends after step ``x_lengths[r]``: rows sorted by it,
+        # ``ends[i]`` of them end at step i or before.
+        steps = np.ascontiguousarray(x.T)
+        order = np.argsort(x_lengths, kind="stable")
+        ends = np.searchsorted(x_lengths[order], np.arange(size + 1), side="right").tolist()
+        out = lengths.astype(np.int64)  # an empty query is its row's length away
+    else:
+        steps = x.tolist()
     # Candidates run along the contiguous axis, so each prefix-minimum step is
     # one vector operation across all of them.
     codes = np.ascontiguousarray(codes.T)
     columns = np.arange(width + 1, dtype=np.int32)[:, None]
     previous = np.zeros((width + 1, count), dtype=np.int32)
     current = np.empty_like(previous)
-    for i, code in enumerate(x.tolist(), start=1):
+    for i, code in enumerate(steps, start=1):
         current[0] = i
         best = current[1:]
         np.subtract(previous[:-1], codes == code, out=best)
@@ -83,8 +104,14 @@ def levenshtein_codes(
         np.minimum.accumulate(best, axis=0, out=best)
         np.minimum(best, i, out=best)
         previous, current = current, previous
-        if threshold is not None and (previous + columns).min() > threshold:
+        stop = threshold is not None and (previous + columns).min() > threshold
+        if per_row and (stop or ends[i] > ends[i - 1]):
+            done = order[ends[i - 1] : count if stop else ends[i]]
+            out[done] = previous[lengths[done], done] + lengths[done]
+        if stop:
             break
+    if per_row:
+        return out
     return previous[lengths, np.arange(count)] + lengths
 
 

@@ -23,13 +23,21 @@ class EuclideanDistance(DistanceFunction):
         return float(np.linalg.norm(x - y))
 
     def distances_to(self, x, dataset: Sequence) -> np.ndarray:
-        if len(dataset) == 0:
+        return self.pair_distances([x], dataset)
+
+    def pair_distances(self, queries: Sequence, rows: Sequence, owners=None) -> np.ndarray:
+        """One subtraction and one row-wise ``einsum`` over every pair: the
+        arithmetic of :meth:`distances_to`, which is this call with one query."""
+        if len(rows) == 0:
             return np.zeros(0)
-        data = np.asarray(dataset, dtype=np.float64)
+        data = np.asarray(rows, dtype=np.float64)
         if data.ndim != 2:
-            data = np.stack([np.asarray(record, dtype=np.float64) for record in dataset])
-        query = np.asarray(x, dtype=np.float64)
-        deltas = data - query[None, :]
+            data = np.stack([np.asarray(record, dtype=np.float64) for record in rows])
+        if owners is None:
+            other = np.asarray(queries[0], dtype=np.float64)[None, :]
+        else:
+            other = np.asarray(queries, dtype=np.float64)[owners]
+        deltas = data - other
         return np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
 
     def cross_distances(self, queries: Sequence, dataset: Sequence) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import FrozenSet, Sequence, Set, Union
 
 import numpy as np
@@ -39,15 +40,27 @@ class JaccardDistance(DistanceFunction):
         return 1.0 - jaccard_similarity(x, y)
 
     def distances_to(self, x: SetLike, dataset: Sequence[SetLike]) -> np.ndarray:
-        """Exact intersections by C-level set operations, one per row: the
-        same integers :func:`jaccard_similarity` divides, so the same floats.
+        """One :meth:`pair_distances` pass with ``x`` owning every row;
         ``cross_distances`` is one such row per query (the base default)."""
-        query = as_frozenset(x)
-        rows = list(map(as_frozenset, dataset))
+        return self.pair_distances([x], dataset)
+
+    def pair_distances(
+        self, queries: Sequence[SetLike], rows: Sequence[SetLike], owners=None
+    ) -> np.ndarray:
+        """Exact intersections by C-level set operations, one per pair: the
+        same integers :func:`jaccard_similarity` divides, so the same floats."""
+        sets = list(map(as_frozenset, queries))
+        rows = list(map(as_frozenset, rows))
+        if owners is None:
+            left, sizes = itertools.repeat(sets[0], len(rows)), len(sets[0])
+        else:
+            owners = np.asarray(owners, dtype=np.int64)
+            left = [sets[owner] for owner in owners.tolist()]
+            sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))[owners]
         intersection = np.fromiter(
-            map(len, map(query.intersection, rows)), dtype=np.int64, count=len(rows)
+            map(len, map(frozenset.intersection, left, rows)), dtype=np.int64, count=len(rows)
         )
-        union = len(query) + np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        union = sizes + np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         union -= intersection
         similarity = np.divide(intersection, union, out=np.ones(len(rows)), where=union > 0)
         return 1.0 - similarity

@@ -519,13 +519,17 @@ class SimilarityQueryEngine:
         self, queries: Sequence["ConjunctiveQuery | SimilarityPredicate"]
     ) -> List[QueryResult]:
         """The bulk path: one batched planning pass for the whole workload,
-        then per-query execution and feedback, in order, on the caller's
-        thread (the library starts no threads of its own).
+        one executor call for the whole planned batch (drivers query by query,
+        then each residual attribute verifies all of a round's pairs in one
+        kernel call), then feedback in query order, on the caller's thread
+        (the library starts no threads of its own).  The executor reads no
+        estimate, so the answers and the feedback sequence are those of a
+        loop of :meth:`execute`.
         """
-        results = []
-        for plan in self.planner.plan_many(as_queries(queries)):
-            results.append(self.executor.execute(plan))
-            self._observe(plan, results[-1])
+        plans = self.planner.plan_many(as_queries(queries))
+        results = self.executor.execute(plans)
+        for plan, result in zip(plans, results):
+            self._observe(plan, result)
         return results
 
     def explain_analyze(
@@ -551,7 +555,7 @@ class SimilarityQueryEngine:
         with start_trace("query.explain_analyze") as root:
             with span("query.plan"):
                 plan = self.planner.plan(normalized)
-            result = self.executor.execute(plan)
+            (result,) = self.executor.execute([plan])
             if feedback:
                 self._observe(plan, result)
             with span("analyze.actuals"):

@@ -18,8 +18,8 @@ from ..distances.base import DistanceFunction, within
 
 
 #: ``(fixed, per_row)`` µs of the default :meth:`SimilaritySelector.distances_at`
-#: (``rows_at`` + ``cross_distances``) per distance, on the distance's default
-#: index (measured by ``calibrate_costs.py`` under ``docs/perf/``).
+#: (``rows_at`` + the distance's kernel) per distance, on the distance's
+#: default index (measured by ``calibrate_costs.py`` under ``docs/perf/``).
 DEFAULT_VERIFY_COST_US = {
     "hamming": (36.0, 0.057),
     "edit": (150.0, 1.4),
@@ -54,12 +54,41 @@ class SimilaritySelector(ABC):
         the only copy of the rows)."""
         return self.rows_at(np.arange(len(self), dtype=np.int64))
 
-    def distances_at(self, record: Any, ids: Sequence[int]) -> np.ndarray:
-        """Exact distances from ``record`` to the live rows at these logical
-        ids, in the ids' order: the values of ``distance.cross_distances``
-        over :meth:`rows_at`, which is what this default computes.  Residual
-        verification decides by them."""
-        return self.distance.cross_distances([record], self.rows_at(ids))[0]
+    def distances_at(
+        self, records: Sequence, ids: Sequence[int], owners: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Exact distances of (query, row) pairs, float64: from
+        ``records[owners[k]]`` to the live row at logical id ``ids[k]``, for
+        every ``k``; ``owners`` is ``None`` when ``records`` holds one query,
+        which then owns every id.  Each value equals
+        ``distance.cross_distances([records[owners[k]]], rows_at([ids[k]]))``
+        bit for bit.  Residual verification decides by them.
+
+        One kernel call over every pair: the index gathers its stored kernel
+        input for the ids (:meth:`_verify_rows`) and runs its kernel over it
+        (:meth:`_verify_kernel`).  A sharded index gathers every shard's input
+        the same way and runs one shard's kernel once.
+        """
+        return self._verify_kernel(records, self._verify_rows(ids), owners)
+
+    def _verify_rows(self, ids: Sequence[int]):
+        """The kernel input for these logical ids, gathered from the index's
+        store; by default the rows themselves (:meth:`rows_at`)."""
+        return self.rows_at(ids)
+
+    @staticmethod
+    def _join_verify_rows(parts: Sequence):
+        """The kernel inputs of several index parts (shards) as one, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return [row for part in parts for row in part]
+
+    def _verify_kernel(self, records: Sequence, rows, owners) -> np.ndarray:
+        """:meth:`distances_at` over gathered kernel input; by default the
+        distance's :meth:`~repro.distances.base.DistanceFunction.pair_distances`."""
+        return self.distance.pair_distances(records, rows, owners)
 
     # ------------------------------------------------------------------ #
     # Cost model (what the planner prices a plan with, in µs)

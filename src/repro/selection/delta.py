@@ -323,8 +323,12 @@ class DeltaIndexMixin:
 
     def rows_at(self, ids) -> Sequence:
         """The live rows at these logical ids, gathered from the physical store."""
+        return self._gather(self._physical_ids(ids))
+
+    def _physical_ids(self, ids) -> np.ndarray:
+        """The physical rows of these logical ids."""
         ids = np.asarray(ids, dtype=np.int64)
-        return self._gather(ids if self._view.is_compact else self._view.live_physical[ids])
+        return ids if self._view.is_compact else self._view.live_physical[ids]
 
     def delta_stats(self) -> dict:
         return {

@@ -30,9 +30,11 @@ linear scan:
 * verification: :func:`repro.distances.edit.levenshtein_codes` over the
   gathered code rows of the survivors.
 
-A residual verify (:meth:`QGramEditSelector.distances_at`) runs the same
-kernel over the stored code rows of the ids it is given, so it neither reads
-the strings back nor re-encodes them.
+A residual verify (:meth:`~repro.selection.base.SimilaritySelector.distances_at`)
+runs the same kernel over the stored code rows of the ids it is given, each
+row against its own pair's query codes, so it neither reads the strings back
+nor re-encodes them; a sharded verify pads every shard's code rows to the
+widest and runs the kernel once.
 
 Updates are O(Δ): an insert appends the new rows' lengths, signatures and code
 rows (widening the code matrix only when a string is longer than every stored
@@ -124,28 +126,45 @@ class QGramEditSelector(DeltaIndexMixin, SimilaritySelector):
                     shared[rows] += np.minimum(counts, multiplicity)
             survivors = survivors[shared[survivors] >= required]
 
-        distances = self._verify(record, survivors)
+        distances = levenshtein_codes(string_codes([record])[0][0], *self._code_rows(survivors))
         keep = distances <= threshold_int
         return self._view.to_logical(survivors[keep]), distances[keep]
 
-    def _verify(self, record: str, physical_ids: np.ndarray) -> np.ndarray:
-        """Edit distances from ``record`` to the stored rows at these physical
-        ids: one :func:`levenshtein_codes` pass over their gathered code rows,
-        cut to the longest of them."""
+    def _code_rows(self, physical_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored code rows at these physical ids, cut to the longest of
+        them, and their lengths: what :func:`levenshtein_codes` reads."""
         lengths = self._lengths.view()[physical_ids]
-        return levenshtein_codes(
-            string_codes([record])[0][0],
-            self._codes.view()[:, : lengths.max(initial=0)][physical_ids],
-            lengths,
-        )
+        return self._codes.view()[:, : lengths.max(initial=0)][physical_ids], lengths
 
-    def distances_at(self, record, ids) -> np.ndarray:
-        """The default's values — ``cross_distances`` over :meth:`rows_at`,
-        float64 — computed on the stored code rows: no string is read back or
-        re-encoded."""
-        ids = np.asarray(ids, dtype=np.int64)
-        physical_ids = ids if self._view.is_compact else self._view.live_physical[ids]
-        return self._verify(str(record), physical_ids).astype(np.float64)
+    def _verify_rows(self, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored code rows of these ids: no string is read back."""
+        return self._code_rows(self._physical_ids(ids))
+
+    @staticmethod
+    def _join_verify_rows(parts):
+        """Code rows of several shards as one matrix, padded to the widest."""
+        if len(parts) == 1:
+            return parts[0]
+        lengths = np.concatenate([part_lengths for _, part_lengths in parts])
+        codes = np.full((lengths.size, max(part.shape[1] for part, _ in parts)), -1, np.int32)
+        offset = 0
+        for part, _ in parts:
+            codes[offset : offset + len(part), : part.shape[1]] = part
+            offset += len(part)
+        return codes, lengths
+
+    def _verify_kernel(self, records, rows, owners) -> np.ndarray:
+        """One :func:`levenshtein_codes` pass over the gathered code rows, each
+        against its pair's query codes (the default's float64 values)."""
+        codes, lengths = rows
+        if owners is None:
+            distances = levenshtein_codes(string_codes([str(records[0])])[0][0], codes, lengths)
+        else:
+            query_codes, query_lengths = string_codes([str(record) for record in records])
+            distances = levenshtein_codes(
+                query_codes[owners], codes, lengths, x_lengths=query_lengths[owners]
+            )
+        return distances.astype(np.float64)
 
     def query(self, record: str, threshold: float) -> List[int]:
         return self._probe(record, threshold)[0].tolist()

@@ -93,18 +93,20 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
         )
         return self._live_rows(distances)
 
-    def distances_at(self, record, ids) -> np.ndarray:
-        """XOR + popcount of ``record`` against the stored words at these ids:
-        no unpacking, the same integers as the default path for a 0/1
-        ``record`` (any other record takes that path)."""
-        record = np.asarray(record)
-        if not ((record == 0) | (record == 1)).all():
-            return super().distances_at(record, ids)
-        ids = np.asarray(ids, dtype=np.int64)
-        physical = ids if self._view.is_compact else self._view.live_physical[ids]
-        return packed_hamming_distances_words(
-            self._query_words(record), self._packed64.view()[physical]
-        )
+    def _verify_rows(self, ids) -> np.ndarray:
+        """The stored packed words of these ids: no unpacking."""
+        return self._packed64.view()[self._physical_ids(ids)]
+
+    def _verify_kernel(self, records, words: np.ndarray, owners) -> np.ndarray:
+        """XOR + popcount of each pair's query words against its row's words:
+        the same integers as the default path when every record is 0/1 (any
+        other record sends the call down that path, over the unpacked rows)."""
+        queries = np.asarray(records)
+        if not ((queries == 0) | (queries == 1)).all():
+            return super()._verify_kernel(records, self._unpack(words), owners)
+        query_words = pack_bits_words(pack_bits(queries.astype(np.uint8)))
+        xor = np.bitwise_xor(words, query_words[0] if owners is None else query_words[owners])
+        return np.bitwise_count(xor).sum(axis=1, dtype=np.float64)
 
     def _query_words(self, record) -> np.ndarray:
         return pack_bits_words(pack_bits(np.asarray(record, dtype=np.uint8)))[0]
@@ -113,8 +115,11 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
     # Delta maintenance hooks
     # ------------------------------------------------------------------ #
     def _gather(self, physical_ids: np.ndarray) -> np.ndarray:
-        words = self._packed64.view()[physical_ids].astype("<u8", copy=False)
-        return unpack_bits(words.view(np.uint8), self._dimension)
+        return self._unpack(self._packed64.view()[physical_ids])
+
+    def _unpack(self, words: np.ndarray) -> np.ndarray:
+        """Packed word rows as 0/1 rows."""
+        return unpack_bits(words.astype("<u8", copy=False).view(np.uint8), self._dimension)
 
     def _delta_insert(self, records: List, physical_ids: np.ndarray) -> None:
         matrix = _bit_matrix(records)

@@ -118,41 +118,81 @@ class ShardedSelector(SimilaritySelector):
     def __len__(self) -> int:
         return len(self._assignment)
 
+    def _by_shard(
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, List[Tuple[SimilaritySelector, np.ndarray]]]:
+        """``(order, parts)``: ``ids[order]`` groups the ids by shard, each
+        group in the caller's order, and ``parts`` lists every touched shard
+        with its group's local ids, in shard order.  The layout is captured
+        under the lock once; ``parts`` is empty for no ids."""
+        with self._lock:
+            shards, assignment = self._shards, self._assignment
+        order = np.argsort(assignment.shard_of[ids], kind="stable")
+        grouped = ids[order]
+        bounds = np.searchsorted(assignment.shard_of[grouped], np.arange(len(shards) + 1)).tolist()
+        local = assignment.local_of[grouped]
+        parts = [
+            (shard, local[lo:hi])
+            for shard, lo, hi in zip(shards, bounds, bounds[1:])
+            if lo < hi  # an untouched shard may be empty, its rows of no width
+        ]
+        return order, parts
+
     def rows_at(self, ids) -> Sequence:
         """The records at these global ids, gathered from the shards that hold
         them: one ``rows_at`` per shard touched, no per-row loop for array
         columns.  ``dataset`` is this gather over every global id."""
         ids = np.asarray(ids, dtype=np.int64)
-        with self._lock:
-            shards, assignment = self._shards, self._assignment
-        order = np.argsort(assignment.shard_of[ids], kind="stable")
-        ids = ids[order]  # grouped by shard, each group in the caller's order
-        bounds = np.searchsorted(assignment.shard_of[ids], np.arange(len(shards) + 1))
-        local = assignment.local_of[ids]
+        order, parts = self._by_shard(ids)
+        if not parts:
+            return self._shards[0].rows_at(ids)
         rows = None
-        for shard_id, shard in enumerate(shards):
-            lo, hi = bounds[shard_id], bounds[shard_id + 1]
-            if lo == hi:
-                continue  # an untouched shard may be empty, its rows of no width
-            part = shard.rows_at(local[lo:hi])
+        offset = 0
+        for shard, local in parts:
+            part = shard.rows_at(local)
+            at = order[offset : offset + len(local)]
+            offset += len(local)
             if rows is None:
                 array = isinstance(part, np.ndarray)
-                if array:
-                    rows = np.empty((len(ids),) + part.shape[1:], part.dtype)
-                else:
-                    rows = [None] * len(ids)
+                rows = (
+                    np.empty((len(ids),) + part.shape[1:], part.dtype) if array
+                    else [None] * len(ids)
+                )
             if array:
-                rows[order[lo:hi]] = part
+                rows[at] = part
             else:
-                for position, row in zip(order[lo:hi].tolist(), part):
+                for position, row in zip(at.tolist(), part):
                     rows[position] = row
-        return shards[0].rows_at(ids) if rows is None else rows
+        return rows
+
+    def distances_at(self, records, ids, owners=None) -> np.ndarray:
+        """One kernel call over every shard's stored kernel input: each
+        touched shard gathers its input for its ids (packed words for
+        Hamming, code rows for edit, rows otherwise), the inputs are joined
+        into one, grouped by shard, and the first touched shard's kernel
+        (every shard has shard 0's class and configuration) runs once over
+        it; the distances go back to the caller's order.  One kernel call per
+        shard measured slower (``docs/perf/pr-44/time_sharded_verify.txt``)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        order, parts = self._by_shard(ids)
+        if not parts:
+            return np.zeros(0)
+        kernel = parts[0][0]
+        distances = kernel._verify_kernel(
+            records,
+            kernel._join_verify_rows([shard._verify_rows(local) for shard, local in parts]),
+            None if owners is None else np.asarray(owners, dtype=np.int64)[order],
+        )
+        out = np.empty_like(distances)
+        out[order] = distances
+        return out
 
     def probe_cost(self, estimate: float) -> float:
         """Every shard's probe, each matching its size's share of ``estimate``:
-        a fan-out pays every shard's fixed cost.  (A verify is the default
-        one: :meth:`rows_at` gathers shard by shard and one kernel runs over
-        the gathered rows, priced by the distance.)
+        a fan-out pays every shard's fixed cost.  (A verify runs the shard
+        class's kernel once over every shard's gathered input, see
+        :meth:`distances_at`, but is still priced by the distance's default
+        kernel, :data:`~repro.selection.base.DEFAULT_VERIFY_COST_US`.)
 
         Each shard's price is affine in ``max(0, estimate)``, so their sum is
         one line, ``intercept + slope · max(0, estimate)``; its two

@@ -125,9 +125,9 @@ def test_every_forced_driver_answers_like_the_linear_scan(sharded, row, shares):
         predicates.append(SimilarityPredicate(name, rows[row], theta))
         expected &= set(LinearScanSelector(rows, get_distance(distance)).query(rows[row], theta))
     plan = engine.explain(ConjunctiveQuery(predicates))
-    assert engine.executor.execute(plan).record_ids == sorted(expected)
+    assert engine.executor.execute([plan])[0].record_ids == sorted(expected)
     for name in RELATION:
-        result = engine.executor.execute(forced(plan, name))
+        (result,) = engine.executor.execute([forced(plan, name)])
         assert result.record_ids == sorted(expected), name
 
 
@@ -144,9 +144,9 @@ def test_every_residual_order_answers_alike(sharded, row, shares):
         for (name, (_, rows, theta_max)), share in zip(RELATION.items(), shares)
     ]
     plan = engine.explain(ConjunctiveQuery(predicates))
-    expected = engine.executor.execute(plan).record_ids
+    expected = engine.executor.execute([plan])[0].record_ids
     for residuals in itertools.permutations(plan.residuals):
-        result = engine.executor.execute(replace(plan, residuals=list(residuals)))
+        (result,) = engine.executor.execute([replace(plan, residuals=list(residuals))])
         assert result.record_ids == expected
 
 

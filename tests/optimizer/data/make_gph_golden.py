@@ -60,7 +60,7 @@ def answers(engine: SimilarityQueryEngine, probes: np.ndarray) -> list:
     for probe in probes:
         for theta in THETAS:
             plan = engine.explain(SimilarityPredicate("hm", probe, float(theta)))
-            result = engine.executor.execute(plan)
+            (result,) = engine.executor.execute([plan])
             out.append({
                 "theta": theta,
                 "allocation": [int(t) for t in plan.allocation],

@@ -66,7 +66,7 @@ def run_policy(catalog, estimators, queries):
     """Plan a workload from a policy's estimators and execute every plan."""
     executor = QueryExecutor(catalog)
     plans = QueryPlanner(catalog, DirectEstimates(estimators)).plan_many(queries)
-    return [executor.execute(plan) for plan in plans]
+    return executor.execute(plans)
 
 
 def exact_policy(relation):

@@ -7,7 +7,8 @@
   θ >= 1 and for empty sets.
 * ``QGramEditSelector.distances_at`` runs the DP on the stored code rows: its
   values are the default's (``cross_distances`` over ``rows_at``) bit for
-  bit, on tombstoned stores, in any id order, for no ids at all.
+  bit, on tombstoned stores, in any id order, for no ids at all, and with
+  several queries in one call (each pair against its own query's codes).
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.selection import (
     LinearScanSelector,
     PrefixFilterJaccardSelector,
     QGramEditSelector,
-    SimilaritySelector,
 )
 
 HAIR = 5e-13
@@ -98,11 +98,11 @@ def test_empty_sets_and_wide_thresholds():
 # --------------------------------------------------------------------------- #
 def default_distances(selector, record, ids):
     """The default kernel: ``cross_distances`` over ``rows_at``."""
-    return SimilaritySelector.distances_at(selector, record, ids)
+    return selector.distance.cross_distances([record], selector.rows_at(ids))[0]
 
 
 def assert_bit_identical(selector, record, ids):
-    own = selector.distances_at(record, ids)
+    own = selector.distances_at([record], ids)
     default = default_distances(selector, record, ids)
     assert own.dtype == default.dtype == np.float64
     assert own.shape == (len(ids),)
@@ -124,9 +124,15 @@ def test_edit_distances_at_is_the_default_bit_for_bit(data):
             assert_bit_identical(selector, record, ids)
             assert_bit_identical(selector, record, sorted(set(ids)))
             assert np.array_equal(
-                selector.distances_at(record, ids),
+                selector.distances_at([record], ids),
                 EditDistance().distances_to(record, [live[i] for i in ids]),
             )
+        queries = [*live[:2], data.draw(strings), ""]
+        owners = data.draw(st.lists(st.integers(0, len(queries) - 1), min_size=len(ids), max_size=len(ids)))
+        paired = selector.distances_at(queries, ids, owners)
+        assert paired.tobytes() == np.array(
+            [default_distances(selector, queries[o], [i])[0] for o, i in zip(owners, ids)]
+        ).tobytes()
 
 
 def test_edit_verify_reads_no_row_back(monkeypatch):
@@ -146,7 +152,7 @@ def test_edit_verify_reads_no_row_back(monkeypatch):
     monkeypatch.setattr(selector, "_gather", refuse)
     for record, values in expected.items():
         for ids, value in zip(([], [0], [4, 0, 2], [3, 3]), values):
-            assert selector.distances_at(record, ids).tobytes() == value.tobytes()
+            assert selector.distances_at([record], ids).tobytes() == value.tobytes()
 
 
 def test_edit_distances_at_on_an_emptied_store():
@@ -154,7 +160,7 @@ def test_edit_distances_at_on_an_emptied_store():
     selector.compaction_policy = CompactionPolicy(force_ratio=2.0, min_tombstones=1)
     selector.delete_many([0, 1])
     assert len(selector) == 0
-    out = selector.distances_at("abc", [])
+    out = selector.distances_at(["abc"], [])
     assert out.dtype == np.float64 and out.shape == (0,)
     with pytest.raises(IndexError):
-        selector.distances_at("abc", [0])
+        selector.distances_at(["abc"], [0])

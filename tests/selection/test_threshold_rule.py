@@ -208,7 +208,7 @@ def test_euclidean_residual_answers_like_the_linear_scan(probe, pick, placement)
     # a residual: the plan is forced, so the Euclidean verify is what runs.
     plan = engine.explain(query)
     hm, eu = sorted([plan.driver, *plan.residuals], key=lambda p: p.attribute != "hm")
-    result = engine.executor.execute(replace(plan, driver=hm, residuals=[eu], allocation=None))
+    (result,) = engine.executor.execute([replace(plan, driver=hm, residuals=[eu], allocation=None)])
     assert result.verification_examined > 0
     expected = sorted(
         set(hamming.query(BITS[probe], 32.0)) & set(euclidean.query(VECTORS[probe], theta))
