@@ -519,9 +519,10 @@ class SimilarityQueryEngine:
         self, queries: Sequence["ConjunctiveQuery | SimilarityPredicate"]
     ) -> List[QueryResult]:
         """The bulk path: one batched planning pass for the whole workload,
-        one executor call for the whole planned batch (drivers query by query,
-        then each residual attribute verifies all of a round's pairs in one
-        kernel call), then feedback in query order, on the caller's thread
+        one executor call for the whole planned batch (each driving attribute
+        answers all of its plans with one ``query_many`` call, then each
+        residual attribute verifies all of a round's pairs in one kernel
+        call), then feedback in query order, on the caller's thread
         (the library starts no threads of its own).  The executor reads no
         estimate, so the answers and the feedback sequence are those of a
         loop of :meth:`execute`.

@@ -1,10 +1,14 @@
 """Plan execution against the exact selection indexes, a batch at a time.
 
 The executor is estimator-free.  Given a list of
-:class:`~repro.engine.planner.QueryPlan` it answers each plan's driving
-predicate with the attribute's exact index, one plan after the other (using
-the plan's GPH allocation when present, fanning out over the shards of a
-sharded driver), then verifies the residual predicates in **rounds**: round
+:class:`~repro.engine.planner.QueryPlan` it answers the driving predicates in
+**driver rounds**: the plans are grouped by driving attribute, and each
+attribute answers all of its plans with one ``query_many`` call (one
+``query_many`` per shard for a sharded driver, see
+:meth:`~repro.sharding.ShardedSelector.query_many_with_counts`), except that
+a plan with a GPH allocation runs its own ``verified_candidates`` and a round
+holding one plan makes that plan's ``query`` (``query_with_counts``) call
+alone.  It then verifies the residual predicates in **rounds**: round
 ``k`` takes every plan's ``k``-th residual (the plan's own order: ascending
 rank, the residual that costs least per row it discards first) that still
 has survivors, groups them by attribute, and makes one ``distances_at`` call
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +55,10 @@ class QueryResult:
     driver_actual: int
     #: Records examined by residual verification, summed over stages.
     verification_examined: int
-    #: The query's driver time plus its share of every verify call it joined,
-    #: split by the rows it put in; over one ``execute`` call these sum to the
-    #: call's execution time.
+    #: The query's share of its driver round, split by the rows each plan's
+    #: driver matched (a GPH plan: the candidates it verified) plus one, and
+    #: of every verify call it joined, split by the rows it put in; over one
+    #: ``execute`` call these sum to the call's execution time.
     execution_seconds: float = 0.0
     #: Per-shard driver match counts when the driving attribute is sharded
     #: (``sum(shard_counts) == driver_actual``); ``None`` otherwise.
@@ -75,25 +81,29 @@ class QueryExecutor:
     def execute(self, plans: Sequence[QueryPlan]) -> List[QueryResult]:
         """Answer every plan exactly: one :class:`QueryResult` per plan, in order."""
         plans = list(plans)
-        results: List[QueryResult] = []
+        results: List[QueryResult] = [None] * len(plans)  # type: ignore[list-item]
+        surviving: List[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
         with span("query.execute", queries=len(plans)):
             mark = time.perf_counter()
-            surviving: List[np.ndarray] = []
-            for plan in plans:
-                matches, driver_candidates, shard_counts = self._drive(plan)
-                surviving.append(matches)
-                results.append(
-                    QueryResult(
-                        plan=plan,
+            drivers: Dict[str, List[int]] = {}
+            for index, plan in enumerate(plans):
+                drivers.setdefault(plan.driver.attribute, []).append(index)
+            for attribute, members in drivers.items():
+                driven = self._drive(attribute, [plans[index] for index in members])
+                now = time.perf_counter()
+                weight_sum = sum(candidates + 1 for _, candidates, _ in driven)
+                for index, (matches, candidates, shard_counts) in zip(members, driven):
+                    surviving[index] = matches
+                    results[index] = QueryResult(
+                        plan=plans[index],
                         record_ids=[],
-                        driver_candidates=driver_candidates,
+                        driver_candidates=candidates,
                         driver_actual=int(matches.size),
                         verification_examined=0,
+                        execution_seconds=(now - mark) * (candidates + 1) / weight_sum,
                         shard_counts=shard_counts,
                     )
-                )
-                now = time.perf_counter()
-                results[-1].execution_seconds, mark = now - mark, now
+                mark = now
 
             for depth in range(max((len(plan.residuals) for plan in plans), default=0)):
                 rounds: Dict[str, List[int]] = {}
@@ -120,40 +130,53 @@ class QueryExecutor:
                 mark = now
         return results
 
-    def _drive(self, plan: QueryPlan) -> Tuple[np.ndarray, int, Optional[List[int]]]:
-        """``(matches, candidates, shard counts)`` of the plan's driving
-        predicate: its ascending int64 match ids, the rows its index verified,
-        and the per-shard match counts of a sharded driver (``None`` otherwise)."""
-        driver_binding = self.catalog.get(plan.driver.attribute)
-        driver_predicate = plan.driver.predicate
-        shard_counts: Optional[List[int]] = None
-        with span("execute.driver", attribute=plan.driver.attribute) as driver_span:
-            if plan.allocation is not None and isinstance(
-                driver_binding.selector, PigeonholeHammingSelector
-            ):
-                matches, driver_candidates = driver_binding.selector.verified_candidates(
-                    driver_predicate.record,
-                    driver_predicate.theta,
-                    allocation=plan.allocation,
-                )
-            elif isinstance(driver_binding.selector, ShardedSelector):
-                # Fan-out across shard indexes; per-shard counts are the
-                # observations a per-shard feedback loop would consume.
-                matches, shard_counts = driver_binding.selector.query_with_counts(
-                    driver_predicate.record, driver_predicate.theta
-                )
-                driver_candidates = len(matches)
+    def _drive(
+        self, attribute: str, plans: List[QueryPlan]
+    ) -> List[Tuple[np.ndarray, int, Optional[List[int]]]]:
+        """``(matches, candidates, shard counts)`` of each plan's driving
+        predicate on ``attribute``: its ascending int64 match ids, the rows
+        its index verified, and the per-shard match counts of a sharded
+        driver (``None`` otherwise).
+
+        A plan with a GPH allocation is answered by its own
+        ``verified_candidates`` call; the others by one ``query_many`` call
+        (``query_many_with_counts`` on a sharded index), or by that plan's
+        ``query`` (``query_with_counts``) when it is the only one."""
+        selector = self.catalog.get(attribute).selector
+        sharded = isinstance(selector, ShardedSelector)
+        gph = isinstance(selector, PigeonholeHammingSelector)
+        driven: List[Tuple[np.ndarray, int, Optional[List[int]]]] = [None] * len(plans)  # type: ignore[list-item]
+        probed: List[int] = []
+        with span("execute.driver", attribute=attribute, queries=len(plans)) as driver_span:
+            for k, plan in enumerate(plans):
+                if plan.allocation is not None and gph:
+                    matches, candidates = selector.verified_candidates(
+                        plan.driver.predicate.record, plan.driver.theta, allocation=plan.allocation
+                    )
+                    driven[k] = (np.asarray(matches, dtype=np.int64), candidates, None)
+                else:
+                    probed.append(k)
+            records = [plans[k].driver.predicate.record for k in probed]
+            thetas = [plans[k].driver.theta for k in probed]
+            counts: Iterable[Optional[List[int]]] = repeat(None)
+            if len(probed) > 1 and sharded:
+                answers, counts = selector.query_many_with_counts(records, thetas)
+            elif len(probed) > 1:
+                answers = selector.query_many(records, thetas)
+            elif probed and sharded:
+                matches, shard_counts = selector.query_with_counts(records[0], thetas[0])
+                answers, counts = [matches], [shard_counts]
             else:
-                matches = driver_binding.selector.query(
-                    driver_predicate.record, driver_predicate.theta
-                )
-                driver_candidates = len(matches)
+                answers = [selector.query(record, theta) for record, theta in zip(records, thetas)]
+            for k, matches, shard_counts in zip(probed, answers, counts):
+                matches = np.asarray(matches, dtype=np.int64)
+                driven[k] = (matches, int(matches.size), shard_counts)
             driver_span.set(
-                actual=len(matches),
-                candidates=driver_candidates,
-                shards=len(shard_counts) if shard_counts is not None else 1,
+                actual=sum(int(matches.size) for matches, _, _ in driven),
+                candidates=sum(candidates for _, candidates, _ in driven),
+                shards=selector.num_shards if sharded else 1,
             )
-        return np.asarray(matches, dtype=np.int64), driver_candidates, shard_counts
+        return driven
 
     def _verify(
         self, attribute: str, residuals: List[PlannedPredicate], candidates: List[np.ndarray]

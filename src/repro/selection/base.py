@@ -150,6 +150,15 @@ class SimilaritySelector(ABC):
         as Python ints in ascending order — the order a linear scan yields,
         so callers compare and merge results without sorting."""
 
+    def query_many(self, records: Sequence, thresholds: Sequence[float]) -> List[np.ndarray]:
+        """For each ``(records[k], thresholds[k])``: the ascending int64
+        logical ids :meth:`query` returns.  By default one :meth:`query` per
+        pair; an index whose scan serves many queries at once overrides it."""
+        return [
+            np.asarray(self.query(record, threshold), dtype=np.int64)
+            for record, threshold in zip(records, thresholds, strict=True)
+        ]
+
     def cardinality(self, record: Any, threshold: float) -> int:
         """Exact cardinality of the selection (length of :meth:`query`)."""
         return len(self.query(record, threshold))

@@ -67,6 +67,10 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
     distance = HammingDistance()
     PROBE_COST_US = (17.0, 0.0023, 0.17)
     VERIFY_COST_US = (16.0, 0.008)
+    #: Bytes of XOR scratch one chunk of :meth:`query_many` holds: the batch
+    #: is scanned a few queries at a time, so the scratch stays at a few MB
+    #: however many rows the index stores.
+    QUERY_MANY_BYTES = 1 << 22
 
     def __init__(self, dataset: Sequence) -> None:
         matrix = _bit_matrix(dataset)
@@ -79,6 +83,50 @@ class PackedHammingSelector(DeltaIndexMixin, SimilaritySelector):
             return []
         distances = self.distances(record)
         return [int(i) for i in np.nonzero(distances <= integer_radius(threshold))[0]]
+
+    def query_many(self, records, thresholds) -> List[np.ndarray]:
+        """Every query's matches from one packed scan per chunk of queries:
+        the batch is packed once, XORed and popcounted against the stored
+        words, and each row is compared with its own query's integer radius,
+        tombstones masked.  A batch the packed scan cannot answer as
+        :meth:`query` does (a record that is not a 0/1 vector of the index's
+        dimension, or a θ that is not finite) takes the default loop."""
+        thetas = np.asarray(thresholds, dtype=np.float64)
+        try:
+            queries = np.asarray(records)
+        except ValueError:  # ragged records
+            queries = None
+        if (
+            queries is None
+            or queries.shape != (thetas.size, self._dimension)
+            or thetas.size == 0
+            or not np.isfinite(thetas).all()
+            or not ((queries == 0) | (queries == 1)).all()
+        ):
+            return super().query_many(records, thresholds)
+        if len(self) == 0:
+            return [np.zeros(0, dtype=np.int64) for _ in range(thetas.size)]
+        # Clipping keeps every radius in int64 and changes no answer: no
+        # distance is below 0 or above the dimension.
+        radii = integer_radius(np.clip(thetas, -1.0, self._dimension))
+        query_words = pack_bits_words(pack_bits(queries.astype(np.uint8, copy=False)))
+        stored = self._packed64.view()
+        alive = None if self._view.is_compact else self._view.alive_rows
+        chunk = max(1, self.QUERY_MANY_BYTES // max(1, stored.nbytes))
+        owners, rows = [], []
+        for start in range(0, thetas.size, chunk):
+            block = query_words[start : start + chunk]
+            counts = np.bitwise_count(np.bitwise_xor(stored[None, :, :], block[:, None, :]))
+            distances = counts[:, :, 0] if counts.shape[2] == 1 else counts.sum(axis=2)
+            hit = distances <= radii[start : start + chunk, None]
+            if alive is not None:
+                hit &= alive
+            owner, row = np.nonzero(hit)
+            owners.append(owner + start)
+            rows.append(row)
+        owner = np.concatenate(owners)
+        ids = self._view.to_logical(np.concatenate(rows))
+        return np.split(ids, np.searchsorted(owner, np.arange(1, thetas.size)))
 
     def cardinality(self, record, threshold: float) -> int:
         if len(self) == 0:

@@ -1,9 +1,11 @@
 """Exact similarity selection over horizontally sharded data.
 
 :class:`ShardedSelector` partitions the dataset into shards (one inner
-selector per shard) and answers every query by fan-out + merge: each shard
-runs the exact selection on its slice and the shard-local match ids are
-translated back to global record ids and merged in ascending order.  Because every shard is exact and the merge loses
+selector per shard) and answers a query, or a batch of them
+(:meth:`ShardedSelector.query_many`, one ``query_many`` per shard for the
+whole batch), by fan-out + merge: each shard runs the exact selection on its
+slice and the shard-local match ids are translated back to global record ids
+and merged in ascending order.  Because every shard is exact and the merge loses
 nothing, results are bit-identical to running the unsharded selector over the
 full dataset, for any partitioning.
 
@@ -304,6 +306,35 @@ class ShardedSelector(SimilaritySelector):
             self._merge(local_matches, assignment),
             [len(matches) for matches in local_matches],
         )
+
+    def query_many(self, records: Sequence, thresholds: Sequence[float]) -> List[np.ndarray]:
+        merged, _ = self.query_many_with_counts(records, thresholds)
+        return merged
+
+    def query_many_with_counts(
+        self, records: Sequence, thresholds: Sequence[float]
+    ) -> Tuple[List[np.ndarray], List[List[int]]]:
+        """:meth:`query_with_counts` for every ``(records[k], thresholds[k])``:
+        one ``query_many`` task per shard for the whole batch, then each
+        shard's local ids are translated to global ids once, and one sort of
+        ``(query, global id)`` keys splits them into each query's ascending
+        int64 matches."""
+        local_answers, assignment = self._fan_out(
+            "query_many", lambda shard: shard.query_many(records, thresholds)
+        )
+        if not local_answers[0]:
+            return [], []
+        sizes = np.asarray([[ids.size for ids in answers] for answers in local_answers])
+        queries = sizes.shape[1]
+        stride = max(1, len(assignment))
+        keys = np.concatenate([
+            assignment.to_global(shard_id, np.concatenate(answers))
+            + np.repeat(np.arange(queries, dtype=np.int64) * stride, sizes[shard_id])
+            for shard_id, answers in enumerate(local_answers)
+        ])
+        keys.sort()
+        bounds = np.searchsorted(keys, np.arange(1, queries, dtype=np.int64) * stride)
+        return np.split(keys % stride, bounds), sizes.T.tolist()
 
     def cardinality(self, record: Any, threshold: float) -> int:
         counts, _ = self._fan_out(

@@ -4,8 +4,9 @@ the answers.
 One batched ``execute_many`` must be bit-identical to a loop of ``execute``
 on all four distances — results, plans, feedback windows, and drift
 telemetry — including when the driving attribute fans out across shards.
-Both run on the caller: drivers in order, and the shard fan-out as a loop.
-The batch verifies its residuals in rounds, one kernel call per attribute
+Both run on the caller, the shard fan-out as a loop.  The batch drives in
+rounds, one ``query_many`` call per driving attribute, and verifies its
+residuals in rounds, one kernel call per attribute
 per round; ``TestRoundsEqualOneQueryAtATime`` builds batches that mix
 drivers, residual orders, a GPH allocation, a repeated query, a driver that
 matches nothing, tombstoned indexes and θ a hair either side of an observed
@@ -23,8 +24,10 @@ import pytest
 from repro.baselines.sampling import UniformSamplingEstimator
 from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
-from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine
-from repro.selection import LinearScanSelector, PigeonholeHammingSelector
+from repro.engine import ConjunctiveQuery, SimilarityPredicate, SimilarityQueryEngine, as_queries
+from repro.obs.trace import start_trace
+from repro.engine import executor as executor_module
+from repro.selection import LinearScanSelector, PackedHammingSelector, PigeonholeHammingSelector
 
 DISTANCES = ["hamming", "edit", "jaccard", "euclidean"]
 THETAS = {"hamming": 5.0, "edit": 3.0, "jaccard": 0.4, "euclidean": 1.5}
@@ -229,8 +232,9 @@ class TestShardedDriverOnSharedRuntime:
     def test_sharded_fanout_reports_to_the_engine_runtime_without_pipelining(
         self, datasets
     ):
-        """The shard fan-out runs on the caller, one task per shard and query,
-        query after query: nothing pipelined, no thread started."""
+        """The shard fan-out runs on the caller, no thread started: a batch
+        makes one ``query_many`` task per shard for all of its queries, and a
+        batch of one makes one ``query`` task per shard."""
         dataset = datasets["hamming"]
         queries = self._shard_queries(dataset)
         sequential_engine = self._build(dataset)
@@ -239,16 +243,30 @@ class TestShardedDriverOnSharedRuntime:
         calls = []
         for shard_id, shard in enumerate(engine.catalog.get("vec").selector.shards):
             def counted(record, threshold, _query=shard.query, _shard_id=shard_id):
-                calls.append((_shard_id, threading.get_ident()))
+                calls.append(("query", _shard_id, 1, threading.get_ident()))
                 return _query(record, threshold)
 
+            def counted_many(records, thresholds, _many=shard.query_many, _shard_id=shard_id):
+                calls.append(("query_many", _shard_id, len(records), threading.get_ident()))
+                return _many(records, thresholds)
+
             shard.query = counted
+            shard.query_many = counted_many
         assert_result_lists_equal(sequential, engine.execute_many(queries))
         assert calls == [
-            (shard_id, threading.get_ident())
-            for _ in queries
+            ("query_many", shard_id, len(queries), threading.get_ident())
             for shard_id in range(3)
         ]
+        calls.clear()
+        assert_result_lists_equal(sequential[:1], engine.execute_many(queries[:1]))
+        assert calls == [("query", shard_id, 1, threading.get_ident()) for shard_id in range(3)]
+        with start_trace("batch") as root:
+            engine.execute_many(queries)
+        (driver,) = root.find("execute.driver")
+        assert driver.attributes["queries"] == len(queries)
+        assert driver.attributes["shards"] == 3
+        assert driver.attributes["actual"] == sum(len(result.record_ids) for result in sequential)
+        assert [task.attributes["op"] for task in driver.find("shard.task")] == ["query_many"] * 3
 
 
 HAIR = 5e-13
@@ -287,6 +305,47 @@ def _mixed_engine(datasets):
         units = getattr(selector, "shards", [selector])
         assert sum(unit.delta_stats()["tombstones"] for unit in units) == 6
     return engine
+
+
+def _packed_sharded_engine(datasets):
+    """Packed Hamming on three shards, Jaccard and Euclidean unsharded; every
+    attribute has rows deleted (tombstoned) before any query runs."""
+    engine = SimilarityQueryEngine()
+    for name in ("hamming", "jaccard", "euclidean"):
+        dataset = datasets[name]
+        estimator = UniformSamplingEstimator(dataset.records, name, sample_ratio=0.4, seed=3)
+        if name == "hamming":
+            engine.register_sharded_attribute(
+                name,
+                dataset.records,
+                name,
+                lambda records, shard: UniformSamplingEstimator(
+                    records, "hamming", sample_ratio=0.4, seed=3 + shard
+                ),
+                num_shards=3,
+                theta_max=dataset.theta_max,
+            )
+        else:
+            engine.register_attribute(
+                name, dataset.records, name, estimator, theta_max=dataset.theta_max
+            )
+    for name in ("hamming", "jaccard", "euclidean"):
+        engine.apply_update(name, UpdateOperation("delete", [0, 5, 17, 60, 61, 150]))
+    shards = engine.catalog.get("hamming").selector.shards
+    assert all(type(shard) is PackedHammingSelector for shard in shards)
+    assert sum(shard.delta_stats()["tombstones"] for shard in shards) == 6
+    return engine
+
+
+class _Ticks:
+    """A ``time`` stand-in whose ``perf_counter`` advances one second per reading."""
+
+    def __init__(self):
+        self.readings = []
+
+    def perf_counter(self):
+        self.readings.append(float(len(self.readings)))
+        return self.readings[-1]
 
 
 def _live(engine, name):
@@ -422,6 +481,78 @@ class TestRoundsEqualOneQueryAtATime:
         assert_field_for_field(loop, batch)
         for result in batch:
             assert result.record_ids == _truth(engine, result.plan.query)
+
+    def test_packed_sharded_hamming_drives_a_batch_in_one_round(self, datasets):
+        """Packed Hamming on three shards drives every plan: one
+        ``query_many`` per shard for the batch, and each plan's driver
+        fields equal its own one-plan call's, also for one record under two
+        θs and for a plan that matches nothing."""
+        engine = _packed_sharded_engine(datasets)
+        live = {name: _live(engine, name) for name in ("hamming", "jaccard", "euclidean")}
+        queries = [
+            ConjunctiveQuery([
+                SimilarityPredicate("hamming", live["hamming"][row], theta),
+                SimilarityPredicate("jaccard", live["jaccard"][row], 0.6),
+                SimilarityPredicate("euclidean", live["euclidean"][row], 2.5),
+            ])
+            for row, theta in ((1, 5.0), (8, 3.0), (8, 7.0), (23, 6.0), (40, 4.0), (77, 8.0))
+        ]
+        queries.append(ConjunctiveQuery([
+            SimilarityPredicate("hamming", 1 - live["hamming"][2], 0.0),
+            SimilarityPredicate("jaccard", live["jaccard"][2], 0.6),
+        ]))
+        plans = []
+        for plan in engine.planner.plan_many(queries):
+            (driver,) = [p for p in (plan.driver, *plan.residuals) if p.attribute == "hamming"]
+            residuals = [p for p in (plan.driver, *plan.residuals) if p is not driver]
+            plans.append(replace(plan, driver=driver, residuals=residuals, allocation=None))
+        loop = [engine.executor.execute([plan])[0] for plan in plans]
+        calls = []
+        for shard in engine.catalog.get("hamming").selector.shards:
+            def counted(records, thresholds, _many=shard.query_many):
+                calls.append(len(records))
+                return _many(records, thresholds)
+
+            shard.query_many = counted
+        batch = engine.executor.execute(plans)
+        assert calls == [len(plans)] * 3
+        assert_field_for_field(loop, batch)
+        for result in batch:
+            assert result.record_ids == _truth(engine, result.plan.query)
+            assert sum(result.shard_counts) == result.driver_actual
+        assert batch[1].driver_actual < batch[2].driver_actual
+        assert batch[-1].driver_actual == 0 and batch[-1].shard_counts == [0, 0, 0]
+        assert sum(result.verification_examined > 0 for result in batch) >= 4
+
+    def test_execution_seconds_sum_to_the_call(self, datasets, monkeypatch):
+        """On a clock that ticks one second per reading, a batch's
+        ``execution_seconds`` sum to the call's first-to-last reading, and a
+        driver round's time is split by the rows each plan's driver matched
+        (plus one)."""
+        clock = _Ticks()
+        monkeypatch.setattr(executor_module, "time", clock)
+        engine = _mixed_engine(datasets)
+        batch = engine.executor.execute(engine.planner.plan_many(as_queries(_mixed_queries(engine))))
+        assert sum(r.execution_seconds for r in batch) == pytest.approx(
+            clock.readings[-1] - clock.readings[0]
+        )
+
+        engine = _packed_sharded_engine(datasets)
+        live = _live(engine, "hamming")
+        queries = [SimilarityPredicate("hamming", live[row], 6.0) for row in (1, 8, 23, 40)]
+        queries.append(SimilarityPredicate("hamming", 1 - live[2], 0.0))
+        clock.readings.clear()
+        batch = engine.executor.execute(engine.planner.plan_many(as_queries(queries)))
+        # One reading opens the call, one closes the driver round, and one
+        # per plan closes its result: each plan's share of the round is its
+        # time less that last second.
+        assert len(clock.readings) == 2 + len(queries)
+        weights = np.asarray([r.driver_actual + 1 for r in batch], dtype=float)
+        shares = [r.execution_seconds - 1.0 for r in batch]
+        assert shares == pytest.approx((weights / weights.sum()).tolist())
+        assert sum(r.execution_seconds for r in batch) == pytest.approx(
+            clock.readings[-1] - clock.readings[0]
+        )
 
     def test_one_plan_and_no_plans(self, datasets):
         engine = _mixed_engine(datasets)
