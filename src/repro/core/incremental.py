@@ -246,7 +246,3 @@ class IncrementalUpdateManager:
         )
         outcome = self._retrain_if_degraded(self._relabel_training_from_pending)
         return UpdateStepReport(operation_index, len(self.selector), **vars(outcome))
-
-    def process_stream(self, operations: Sequence[UpdateOperation]) -> List[UpdateStepReport]:
-        """Process a whole update stream, returning one report per operation."""
-        return [self.process(operation, index) for index, operation in enumerate(operations)]

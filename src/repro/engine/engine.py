@@ -300,7 +300,7 @@ class SimilarityQueryEngine:
         theta_max: Optional[float] = None,
         curve_thetas: Optional[Sequence[float]] = None,
         # Kept only because the e2e fixture passes backend="thread"; it goes
-        # with ROADMAP's new direction 1 (repro.runtime leaves the package).
+        # with ROADMAP's harness item (a) (repro.runtime leaves the package).
         # Any other value raises.
         backend: str = "thread",
     ) -> AttributeBinding:

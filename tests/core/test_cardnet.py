@@ -213,7 +213,7 @@ class TestIncrementalLearning:
         operations = generate_update_stream(
             binary_dataset, num_operations=3, records_per_operation=10, seed=0
         )
-        reports = manager.process_stream(operations)
+        reports = [manager.process(operation, index) for index, operation in enumerate(operations)]
         assert len(reports) == 3
         assert all(report.dataset_size > 0 for report in reports)
         assert reports[-1].dataset_size == len(manager.records)
