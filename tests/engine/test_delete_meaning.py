@@ -4,20 +4,20 @@ Every entry point that forgives a delete list — ``datasets.updates.apply_opera
 on a plain list, ``ShardedSelector.apply_operation``, ``engine.apply_update``
 (unsharded, unsharded through a routed §8 manager, sharded) and
 ``IncrementalUpdateManager.process`` — must leave the same rows in the same
-order for a list with a repeat, a negative and a position past the end.  The
+order, for lists with repeats, negatives and positions past the end.  The
 strict ``selector.delete_many`` keeps refusing what it always refused.
-Generated delete lists, and updates that change no row, run through the
-engine in its state machine (``tests/engine/test_state_machine.py``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import UniformSamplingEstimator
 from repro.core import IncrementalUpdateManager
 from repro.datasets.updates import UpdateOperation, apply_operation
-from repro.engine import SimilarityQueryEngine
-from repro.selection import PackedHammingSelector, default_selector
+from repro.engine import SimilarityPredicate, SimilarityQueryEngine
+from repro.selection import PackedHammingSelector, PigeonholeHammingSelector, default_selector
 from repro.sharding import ShardedSelector
 
 ROWS, WIDTH = 40, 8
@@ -90,6 +90,15 @@ LENIENT = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-5, max_value=ROWS + 19), max_size=11))
+def test_every_lenient_entry_point_removes_the_same_rows(positions):
+    named = set(positions)
+    expected = [i for i in range(ROWS) if i not in named]
+    for label, path in LENIENT.items():
+        assert path(UpdateOperation("delete", list(positions))) == expected, label
+
+
 @pytest.mark.parametrize("label", sorted(LENIENT))
 def test_a_repeated_position_names_one_row(label):
     """``[16, 16]`` once removed rows 16 *and* 17 through ``apply_operation``
@@ -105,6 +114,44 @@ NO_OPS = [
     UpdateOperation("insert", []),
     UpdateOperation("delete", [-1, ROWS]),
 ]
+
+
+@pytest.mark.parametrize("mode", ["gph", "gph, routed manager", "sharded"])
+def test_an_update_that_changes_no_row_changes_nothing(mode):
+    """At the parent, ``delete [10**6]`` then ``insert []`` on a GPH attribute
+    recorded three invalidations, rebuilt ``h::part0`` and turned the next
+    repeated query from a hit into three misses."""
+    engine = SimilarityQueryEngine()
+    if mode == "sharded":
+        binding = engine.register_sharded_attribute(
+            "h", RECORDS, "hamming", estimator, num_shards=4, theta_max=WIDTH
+        )
+    else:
+        binding = engine.register_attribute(
+            "h", RECORDS, "hamming", estimator(RECORDS), theta_max=WIDTH,
+            selector=PigeonholeHammingSelector(RECORDS, part_size=4),
+        )
+    if mode == "gph, routed manager":
+        engine.attach_manager("h", manager_over(binding.selector))
+    registry, cache = engine.service.registry, engine.service.cache
+    families = binding.part_endpoints + binding.shard_endpoints + [binding.endpoint]
+    query = SimilarityPredicate("h", RECORDS[5], 2.0)
+    engine.execute(query)
+    served = [registry.get(endpoint).estimator for endpoint in families]
+    invalidations, misses, hits = cache.invalidations, cache.misses, cache.hits
+    for operation in NO_OPS:
+        report = engine.apply_update("h", operation)
+        if mode == "sharded":
+            assert report.touched_shards == [] and report.dataset_size == ROWS
+        elif mode == "gph":
+            assert report is None
+        else:
+            assert not report.retrained and np.isnan(report.validation_msle_before)
+    engine.execute(query)
+    assert (cache.invalidations, cache.misses) == (invalidations, misses)
+    assert cache.hits > hits
+    assert all(registry.get(e).estimator is s for e, s in zip(families, served))
+    assert ids(binding.records) == ids(binding.selector.dataset) == list(range(ROWS))
 
 
 def test_manager_skips_an_update_that_changes_no_row(monkeypatch):

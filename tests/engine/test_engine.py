@@ -3,8 +3,7 @@
 Load-bearing invariants:
 
 * engine results are bit-identical to :class:`LinearScanSelector` ground truth
-  whatever the estimator quality or plan shape (every distance, under
-  updates: the engine state machine, ``tests/engine/test_state_machine.py``);
+  for every distance type, whatever the estimator quality or plan shape;
 * planning is batched (one service call per endpoint per workload);
 * the feedback monitor's online q-error equals the offline metric on the same
   workload, and drift past the threshold flushes caches and revalidates.
@@ -85,6 +84,13 @@ def sampling_engine(dataset, **engine_kwargs) -> SimilarityQueryEngine:
     return engine
 
 
+def query_thetas(dataset):
+    if get_distance(dataset.distance_name).integer_valued:
+        top = int(dataset.theta_max)
+        return [1.0, float(max(1, top // 2)), float(top)]
+    return [dataset.theta_max * 0.25, dataset.theta_max * 0.6, dataset.theta_max]
+
+
 # --------------------------------------------------------------------------- #
 # Query spec
 # --------------------------------------------------------------------------- #
@@ -111,6 +117,44 @@ class TestSpec:
         assert as_query(query) is query
         with pytest.raises(TypeError):
             as_query("not a query")
+
+
+# --------------------------------------------------------------------------- #
+# The engine invariant: exact results for every distance type
+# --------------------------------------------------------------------------- #
+class TestMatchesLinearScan:
+    @pytest.fixture(
+        params=["binary_dataset", "string_dataset", "set_dataset", "vector_dataset"]
+    )
+    def dataset(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_single_predicate_matches_ground_truth(self, dataset):
+        engine = sampling_engine(dataset)
+        ground_truth = LinearScanSelector(
+            dataset.records, get_distance(dataset.distance_name)
+        )
+        rng = np.random.default_rng(11)
+        for record_id in rng.choice(len(dataset.records), size=8, replace=False):
+            record = dataset.records[int(record_id)]
+            for theta in query_thetas(dataset):
+                result = engine.execute(SimilarityPredicate(dataset.name, record, theta))
+                assert result.record_ids == ground_truth.query(record, theta)
+
+    def test_execute_many_matches_one_by_one(self, dataset):
+        engine = sampling_engine(dataset)
+        rng = np.random.default_rng(13)
+        queries = [
+            SimilarityPredicate(
+                dataset.name,
+                dataset.records[int(record_id)],
+                query_thetas(dataset)[1],
+            )
+            for record_id in rng.choice(len(dataset.records), size=6, replace=False)
+        ]
+        bulk = engine.execute_many(queries)
+        singles = [sampling_engine(dataset).execute(query) for query in queries]
+        assert [r.record_ids for r in bulk] == [r.record_ids for r in singles]
 
 
 class TestGPHHammingDriver:
@@ -336,3 +380,47 @@ class TestFeedback:
         for _ in range(4):
             event = monitor.observe("e", estimated=1.0, actual=1000.0)
         assert event is not None
+
+
+# --------------------------------------------------------------------------- #
+# Updates through the engine
+# --------------------------------------------------------------------------- #
+class TestUpdates:
+    def test_update_without_manager_keeps_results_exact(self, vector_dataset):
+        from repro.datasets.updates import UpdateOperation
+
+        engine = sampling_engine(vector_dataset)
+        name = vector_dataset.name
+        rng = np.random.default_rng(4)
+        new_records = [
+            vector_dataset.records[int(i)] * 0.9
+            for i in rng.integers(0, len(vector_dataset.records), size=5)
+        ]
+        engine.apply_update(name, UpdateOperation("insert", new_records))
+        updated = engine.catalog.get(name).records
+        assert len(updated) == len(vector_dataset.records) + 5
+        ground_truth = LinearScanSelector(updated, get_distance("euclidean"))
+        record = updated[0]
+        result = engine.execute(SimilarityPredicate(name, record, 0.4))
+        assert result.record_ids == ground_truth.query(record, 0.4)
+
+    def test_update_rebuilds_gph_part_endpoints(self, binary_dataset):
+        from repro.datasets.updates import UpdateOperation
+
+        engine = SimilarityQueryEngine()
+        estimator = UniformSamplingEstimator(
+            binary_dataset.records, "hamming", sample_ratio=0.2, seed=0
+        )
+        binding = engine.register_attribute(
+            "hm", binary_dataset.records, "hamming", estimator,
+            selector=PigeonholeHammingSelector(binary_dataset.records, part_size=8),
+            theta_max=binary_dataset.theta_max,
+        )
+        before = list(binding.part_endpoints)
+        engine.apply_update("hm", UpdateOperation("delete", [0, 1, 2]))
+        assert len(binding.records) == len(binary_dataset.records) - 3
+        assert binding.part_endpoints == before  # same endpoints, kept by the delta
+        ground_truth = LinearScanSelector(binding.records, get_distance("hamming"))
+        record = binding.records[0]
+        result = engine.execute(SimilarityPredicate("hm", record, 5.0))
+        assert result.record_ids == ground_truth.query(record, 5.0)

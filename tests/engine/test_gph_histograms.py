@@ -1,14 +1,17 @@
-"""An emptied GPH index keeps its parts, and its ``::partJ`` histograms count
-the rows inserted after.
+"""The ``::partJ`` histograms an update keeps by its delta equal fresh ones.
 
-The engine state machine (``tests/engine/test_state_machine.py``) checks the
-delta-kept histograms against fresh ones after every generated step, and
-GPH parts against the registered ones.  It reaches an emptied, compacted
-unsharded GPH index only on some seeds (it missed the reverted fix on seed 1
-of 1–3), so this example pins that path.
+``apply_update`` on a GPH attribute hands each part histogram the inserted
+rows or the rows a delete removes, instead of rebuilding it from the column.
+After any sequence of updates, every part must hold the counts a
+``HistogramHammingEstimator`` built over the live rows holds and serve
+bit-identical curves.  The base rows keep bit 0 of every 8-bit group at 0, so
+an all-ones row is a pattern no group has seen; the sequence inserts it and
+deletes it again, which takes the last row of that pattern out.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import HistogramHammingEstimator, UniformSamplingEstimator
 from repro.datasets.updates import UpdateOperation
@@ -39,6 +42,43 @@ def assert_parts_fresh(engine, rng):
             kept.estimate_curve_many(probes[:, start:stop]),
             fresh.estimate_curve_many(probes[:, start:stop]),
         ), endpoint
+
+
+operations = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "unseen"]), st.integers(1, 6)),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=operations)
+def test_delta_kept_histograms_equal_fresh_ones(seed, steps):
+    rng = np.random.default_rng(seed)
+    mask = np.ones(WIDTH, dtype=np.uint8)
+    mask[::PART] = 0  # bit 0 of every group stays 0 in the base rows
+
+    def rows(count):
+        return rng.integers(0, 2, size=(count, WIDTH), dtype=np.uint8) & mask
+
+    engine = SimilarityQueryEngine()
+    base = rows(ROWS)
+    engine.register_attribute(
+        "hm", base, "hamming", UniformSamplingEstimator(base, "hamming", seed=0),
+        selector=PigeonholeHammingSelector(base, part_size=2 * PART), theta_max=WIDTH,
+    )
+    binding = engine.catalog.get("hm")
+    for kind, count in steps:
+        if kind == "insert":
+            engine.apply_update("hm", UpdateOperation("insert", list(rows(count))))
+        elif kind == "delete":
+            positions = rng.choice(len(binding), size=min(count, len(binding) - 1), replace=False)
+            engine.apply_update("hm", UpdateOperation("delete", list(positions)))
+        else:  # an unseen pattern in every group comes in, then its last row goes
+            engine.apply_update("hm", UpdateOperation("insert", [np.ones(WIDTH, dtype=np.uint8)]))
+            assert_parts_fresh(engine, rng)
+            engine.apply_update("hm", UpdateOperation("delete", [len(binding) - 1]))
+        assert_parts_fresh(engine, rng)
+    assert len(binding) == len(binding.selector)
 
 
 def test_an_emptied_index_keeps_its_parts_and_histograms():

@@ -4,17 +4,19 @@ Every exact selector answers a batch of ``(record, θ)`` pairs with
 ``query_many``: the packed Hamming scan (and the GPH index that inherits it)
 in one pass per chunk of queries, a sharded selector with one ``query_many``
 per shard, every other index with the default loop.  Each answer must equal
-``np.asarray(query(record, θ), dtype=np.int64)`` — for the empty batch, an
-emptied index, a Hamming record that is not 0/1, and a batch larger than one
-chunk of the packed scan.  Batches after generated inserts, deletes and
-compactions, with θ on observed distances, a hair either side and at −0.5,
-run in the engine state machine (``tests/engine/test_state_machine.py``).
+``np.asarray(query(record, θ), dtype=np.int64)`` — after generated inserts
+and deletes left tombstones, again after ``compact()``, with θ on an observed
+distance and a hair either side of it, θ = -0.5, one record twice in a batch
+under two θs, the empty batch, an emptied index, a Hamming record that is not
+0/1, and a batch larger than one chunk of the packed scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distances import EuclideanDistance
 from repro.selection import (
@@ -27,14 +29,33 @@ from repro.selection import (
 )
 from repro.sharding import ShardedSelector
 
-#: kind → index factory
+HAIR = 5e-13
+
+
+def _bits(dimension):
+    return st.lists(st.integers(0, 1), min_size=dimension, max_size=dimension).map(
+        lambda row: np.asarray(row, dtype=np.uint8)
+    )
+
+
+_vectors = st.lists(st.integers(-4, 4), min_size=3, max_size=3).map(
+    lambda row: np.asarray(row, dtype=np.float64) / 2.0
+)
+
+#: kind → (index factory, record strategy given the hamming dimension)
 INDEXES = {
-    "packed": PackedHammingSelector,
-    "gph": lambda rows: PigeonholeHammingSelector(rows, part_size=8),
-    "jaccard": PrefixFilterJaccardSelector,
-    "edit": lambda rows: QGramEditSelector(rows, q=2),
-    "euclidean": lambda rows: BallIndexEuclideanSelector(rows, num_pivots=3),
-    "linear": lambda rows: LinearScanSelector(rows, EuclideanDistance()),
+    "packed": (PackedHammingSelector, _bits),
+    "gph": (lambda rows: PigeonholeHammingSelector(rows, part_size=8), _bits),
+    "jaccard": (
+        PrefixFilterJaccardSelector,
+        lambda _: st.frozensets(st.integers(0, 12), min_size=1, max_size=6),
+    ),
+    "edit": (
+        lambda rows: QGramEditSelector(rows, q=2),
+        lambda _: st.text(alphabet="abc", min_size=1, max_size=8),
+    ),
+    "euclidean": (lambda rows: BallIndexEuclideanSelector(rows, num_pivots=3), lambda _: _vectors),
+    "linear": (lambda rows: LinearScanSelector(rows, EuclideanDistance()), lambda _: _vectors),
 }
 HAMMING = ("packed", "gph")
 CASES = [(kind, sharded) for kind in INDEXES for sharded in (False, True)]
@@ -42,7 +63,7 @@ IDS = [f"{kind}-{'sharded' if sharded else 'single'}" for kind, sharded in CASES
 
 
 def _build(kind, sharded, rows):
-    factory = INDEXES[kind]
+    factory, _ = INDEXES[kind]
     if sharded:
         return ShardedSelector(rows, factory, num_shards=3)
     return factory(rows)
@@ -58,6 +79,77 @@ def assert_query_many_equals_query(selector, records, thetas):
     for answer, reference in zip(got, expected):
         assert isinstance(answer, np.ndarray) and answer.dtype == np.int64
         assert answer.tolist() == reference.tolist()
+
+
+def _thetas(selector, record, extra):
+    """θ on observed distances from ``record`` to live rows, a hair either
+    side of each, -0.5, and ``extra``."""
+    thetas = [-0.5, extra]
+    if len(selector):
+        observed = selector.distance.distances_to(record, selector.dataset)
+        for distance in np.unique(observed)[:3]:
+            thetas += [float(distance) - HAIR, float(distance), float(distance) + HAIR]
+    return thetas
+
+
+@st.composite
+def scenarios(draw, kind):
+    """Initial rows, a generated update stream, and query records."""
+    dimension = draw(st.sampled_from([10, 70]))
+    records = INDEXES[kind][1](dimension)
+    rows = draw(st.lists(records, min_size=4, max_size=16))
+    steps = []
+    live = len(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        if live and draw(st.booleans()):
+            positions = draw(
+                st.lists(st.integers(0, live - 1), min_size=1, max_size=min(3, live), unique=True)
+            )
+            steps.append(("delete", positions))
+            live -= len(positions)
+        else:
+            inserted = draw(st.lists(records, min_size=1, max_size=4))
+            steps.append(("insert", inserted))
+            live += len(inserted)
+    fresh = draw(st.lists(records, min_size=1, max_size=3))
+    return rows, steps, fresh, draw(st.floats(0.0, 3.0))
+
+
+def _apply(selector, steps):
+    for kind, payload in steps:
+        if kind == "insert":
+            selector.insert_many(payload)
+        else:
+            selector.delete_many(payload)
+
+
+def _batch(selector, fresh, extra):
+    """Live rows and fresh records, each under several θ (so every record
+    sits in the batch more than once, under different θ)."""
+    sources = list(fresh)
+    if len(selector):
+        sources += list(selector.rows_at(np.arange(min(3, len(selector)))))
+    records, thetas = [], []
+    for record in sources:
+        for theta in _thetas(selector, record, extra):
+            records.append(record)
+            thetas.append(theta)
+    return records, thetas
+
+
+@pytest.mark.parametrize("kind, sharded", CASES, ids=IDS)
+def test_query_many_equals_query_under_updates_and_after_compaction(kind, sharded):
+    @settings(max_examples=12, deadline=None)
+    @given(scenarios(kind))
+    def check(scenario):
+        rows, steps, fresh, extra = scenario
+        selector = _build(kind, sharded, rows)
+        _apply(selector, steps)
+        assert_query_many_equals_query(selector, *_batch(selector, fresh, extra))
+        selector.compact()
+        assert_query_many_equals_query(selector, *_batch(selector, fresh, extra))
+
+    check()
 
 
 def _fixed_rows(kind, count=12, seed=5):

@@ -7,7 +7,12 @@ result set as the brute-force linear scan, for every query and threshold.
 import numpy as np
 import pytest
 
-from repro.distances import EuclideanDistance, HammingDistance
+from repro.distances import (
+    EditDistance,
+    EuclideanDistance,
+    HammingDistance,
+    JaccardDistance,
+)
 from repro.selection import (
     BallIndexEuclideanSelector,
     LinearScanSelector,
@@ -39,6 +44,15 @@ class TestLinearScan:
 
 
 class TestPackedHamming:
+    def test_matches_linear_scan(self, binary_dataset):
+        reference = LinearScanSelector(binary_dataset.records, HammingDistance())
+        fast = PackedHammingSelector(binary_dataset.records)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            query = binary_dataset.records[rng.integers(0, len(binary_dataset))]
+            threshold = int(rng.integers(0, 13))
+            assert fast.query(query, threshold) == reference.query(query, threshold)
+
     def test_empty_dataset(self):
         selector = PackedHammingSelector([])
         assert selector.query(np.zeros(8, dtype=np.uint8), 3) == []
@@ -83,6 +97,14 @@ class TestPigeonholeHamming:
         allocation = selector.uniform_allocation(10)
         assert sum(allocation) == 10
 
+    def test_matches_linear_scan(self, binary_dataset):
+        reference = LinearScanSelector(binary_dataset.records, HammingDistance())
+        pigeonhole = PigeonholeHammingSelector(binary_dataset.records, part_size=8)
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            query = binary_dataset.records[rng.integers(0, len(binary_dataset))]
+            threshold = int(rng.integers(0, 9))
+            assert pigeonhole.query(query, threshold) == sorted(reference.query(query, threshold))
 
     def test_candidate_count_at_least_results(self, binary_dataset):
         pigeonhole = PigeonholeHammingSelector(binary_dataset.records, part_size=8)
@@ -106,8 +128,30 @@ class TestQGramEdit:
         with pytest.raises(ValueError):
             QGramEditSelector(["abc"], q=0)
 
+    def test_matches_linear_scan(self, string_dataset):
+        reference = LinearScanSelector(string_dataset.records, EditDistance())
+        indexed = QGramEditSelector(string_dataset.records, q=2)
+        rng = np.random.default_rng(2)
+        for _ in range(8):
+            query = string_dataset.records[rng.integers(0, len(string_dataset))]
+            threshold = int(rng.integers(0, 5))
+            assert sorted(indexed.query(query, threshold)) == sorted(
+                reference.query(query, threshold)
+            )
+
 
 class TestPrefixFilterJaccard:
+    def test_matches_linear_scan(self, set_dataset):
+        reference = LinearScanSelector(set_dataset.records, JaccardDistance())
+        indexed = PrefixFilterJaccardSelector(set_dataset.records)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            query = set_dataset.records[rng.integers(0, len(set_dataset))]
+            threshold = float(rng.uniform(0.0, 0.5))
+            assert sorted(indexed.query(query, threshold)) == sorted(
+                reference.query(query, threshold)
+            )
+
     def test_threshold_one_returns_everything(self, set_dataset):
         indexed = PrefixFilterJaccardSelector(set_dataset.records)
         assert len(indexed.query(set_dataset.records[0], 1.0)) == len(set_dataset)
@@ -118,6 +162,17 @@ class TestPrefixFilterJaccard:
 
 
 class TestBallIndexEuclidean:
+    def test_matches_linear_scan(self, vector_dataset):
+        reference = LinearScanSelector(vector_dataset.records, EuclideanDistance())
+        indexed = BallIndexEuclideanSelector(vector_dataset.records, num_pivots=8, seed=0)
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            query = vector_dataset.records[rng.integers(0, len(vector_dataset))]
+            threshold = float(rng.uniform(0.1, 0.9))
+            assert sorted(indexed.query(query, threshold)) == sorted(
+                reference.query(query, threshold)
+            )
+
     def test_empty_dataset(self):
         selector = BallIndexEuclideanSelector(np.zeros((0, 4)))
         assert selector.query(np.zeros(4), 1.0) == []

@@ -1,10 +1,4 @@
-"""Live resharding: plan resolution, staged builds and the checked swap.
-
-Rebalances inside generated update sequences — splits, merges and both in one
-plan, swaps an update or another rebalance overtook, emptied shards, save →
-load — answer like a scan in the engine state machine
-(``tests/engine/test_state_machine.py``).
-"""
+"""Live resharding: plan resolution, staged builds and the checked swap."""
 
 import numpy as np
 import pytest
@@ -18,6 +12,7 @@ from repro.sharding import (
     ShardAssignment,
     ShardedSelector,
     SplitShard,
+    StaleRebalanceError,
     suggest_plan,
 )
 from repro.sharding.rebalance import rebalance, stage
@@ -106,6 +101,35 @@ class TestPlanResolution:
 
 
 class TestExecution:
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            [SplitShard(0, parts=2)],
+            [MergeShards((1, 2))],
+            [SplitShard(1, parts=3), MergeShards((2, 3))],
+            [SplitShard(0), SplitShard(3, parts=3)],
+            [MergeShards((0, 1, 2, 3))],
+        ],
+        ids=["split", "merge", "split+merge", "split+split", "merge-all"],
+    )
+    def test_rebalance_is_bit_identical(self, actions):
+        records = make_records(260)
+        sharded = make_sharded(records, num_shards=4)
+        queries = [records[i] for i in (0, 17, 130)]
+        before = [sorted(sharded.query(q, 14)) for q in queries]
+
+        report = rebalance(sharded, RebalancePlan(actions))
+
+        assert len(sharded) == len(records)
+        for query, expected in zip(queries, before):
+            assert sorted(sharded.query(query, 14)) == expected
+            assert sorted(sharded.query(query, 14)) == reference_ids(
+                sharded, query, 14
+            )
+        assert report.moved_records == sum(
+            len(sharded._assignment.global_ids[t]) for t in report.built_targets
+        )
+
     def test_untouched_shards_are_aliased_not_rebuilt(self):
         records = make_records(200)
         sharded = make_sharded(records, num_shards=4)
@@ -141,6 +165,42 @@ class TestExecution:
         sharded.swap_layout(staged)
         assert sorted(sharded.query(records[5], 14)) == reference_ids(sharded, records[5], 14)
 
+    def test_a_swap_after_an_update_since_staging_is_refused(self):
+        records = make_records(180)
+        sharded = make_sharded(records, num_shards=3)
+        plan = RebalancePlan([SplitShard(0, parts=2)])
+        staged = stage(sharded, plan)
+
+        # An insert and a delete land between staging and the swap.
+        inserted = make_records(7, seed=99)
+        sharded.apply_operation(UpdateOperation("insert", inserted))
+        sharded.apply_operation(UpdateOperation("delete", np.array([4, 40, 170])))
+        old_shards = sharded.shards
+        with pytest.raises(StaleRebalanceError, match="changed 2 time.*stage the plan again"):
+            sharded.swap_layout(staged)
+
+        # The old layout keeps serving, with both updates in it.
+        assert sharded.num_shards == 3
+        assert all(new is old for new, old in zip(sharded.shards, old_shards))
+        expected = np.delete(np.concatenate([records, inserted]), [4, 40, 170], axis=0)
+        scan = LinearScanSelector(expected, distance=get_distance("hamming"))
+        queries = [records[9], records[100], inserted[2]]
+        before = [sharded.query(query, 14) for query in queries]
+        assert before == [scan.query(query, 14) for query in queries]
+
+        # A fresh staging swaps in, bit-identically.
+        sharded.swap_layout(stage(sharded, plan))
+        assert sharded.num_shards == 4
+        assert [sharded.query(query, 14) for query in queries] == before
+
+        # Of two stagings of one layout, only the first swap goes in.
+        first, second = stage(sharded, plan), stage(sharded, plan)
+        sharded.swap_layout(first)
+        with pytest.raises(StaleRebalanceError, match="changed 1 time"):
+            sharded.swap_layout(second)
+        assert sharded.num_shards == 5
+        assert [sharded.query(query, 14) for query in queries] == before
+
     def test_failure_aborts_and_the_old_layout_keeps_serving(self, monkeypatch):
         records = make_records(120)
         sharded = make_sharded(records, num_shards=3)
@@ -174,6 +234,28 @@ class TestExecution:
         assert len(sharded) == 130
         query = inserted[0]
         assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
+
+    def test_emptied_shard_still_queries_merges_and_snapshots(self, tmp_path):
+        from repro.store import load_component, save_component
+
+        records = make_records(80)
+        sharded = make_sharded(records, num_shards=4)
+        victim = 2
+        positions = np.flatnonzero(np.asarray(sharded._assignment.shard_of) == victim)
+        sharded.apply_operation(UpdateOperation("delete", positions))
+        assert len(sharded.shard(victim)) == 0
+        query = records[1]
+        assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
+
+        save_component(sharded, tmp_path / "sharded")
+        restored = load_component(tmp_path / "sharded")
+        assert sorted(restored.query(query, 14)) == sorted(sharded.query(query, 14))
+
+        # A rebalance can then merge the empty shard away entirely.
+        rebalance(sharded, RebalancePlan([MergeShards((victim, 3))]))
+        assert sharded.num_shards == 3
+        assert sorted(sharded.query(query, 14)) == reference_ids(sharded, query, 14)
+
 
 class TestSuggestPlan:
     def test_balanced_layout_suggests_nothing(self):

@@ -4,8 +4,6 @@ Covers the wiring the tentpole adds across layers: the planner reads one
 merged monotone curve, the executor fans out across shard indexes and merges
 exactly, updates route to per-shard managers so only the touched shard
 relabels/retrains, and merged-endpoint drift revalidates every shard.
-Generated update streams and rebalances run in the engine state machine
-(``tests/engine/test_state_machine.py``).
 """
 
 import numpy as np
@@ -239,6 +237,23 @@ class TestShardedUpdates:
         assert report.dataset_size == len(binary_dataset.records) + 1
         assert len(binding.records) == report.dataset_size
 
+    def test_results_stay_exact_through_update_stream(
+        self, sharded_engine, binary_dataset
+    ):
+        from repro.datasets import generate_update_stream
+
+        operations = generate_update_stream(
+            binary_dataset, num_operations=4, records_per_operation=8, seed=9
+        )
+        for operation in operations:
+            sharded_engine.apply_update("hm", operation)
+        binding = sharded_engine.catalog.get("hm")
+        reference = LinearScanSelector(binding.records, get_distance("hamming"))
+        record = binding.records[3]
+        result = sharded_engine.execute(SimilarityPredicate("hm", record, 6.0))
+        assert result.record_ids == reference.query(record, 6.0)
+
+
 @pytest.fixture(scope="module")
 def managed_sharded_setup(binary_dataset, binary_workload):
     """Two-shard CardNet deployment with one real update manager per shard."""
@@ -305,7 +320,89 @@ class TestPerShardManagers:
         binding = engine.catalog.get("hm")
         assert binding.selector.shard(touched) is managers[touched].selector
 
+    def test_post_update_execution_exact(self, managed_sharded_setup):
+        engine, _ = managed_sharded_setup
+        binding = engine.catalog.get("hm")
+        reference = LinearScanSelector(binding.records, get_distance("hamming"))
+        record = binding.records[-1]
+        result = engine.execute(SimilarityPredicate("hm", record, 5.0))
+        assert result.record_ids == reference.query(record, 5.0)
+
+    def test_merged_drift_revalidates_every_shard(self, managed_sharded_setup):
+        engine, managers = managed_sharded_setup
+        monitor = engine.feedback
+        # Push estimated-vs-actual pairs that are wildly wrong straight into
+        # the monitor (the unit under test is repair fan-out, not planning).
+        events = [
+            monitor.observe("hm", estimated=1.0, actual=50_000.0)
+            for _ in range(monitor.min_observations + 1)
+        ]
+        fired = [event for event in events if event is not None]
+        assert fired, "drift should have fired on the merged endpoint"
+        event = fired[0]
+        assert event.endpoint == "hm"
+        revalidation = event.revalidation
+        assert revalidation is not None
+        assert sorted(revalidation.reports) == sorted(managers)
+        assert revalidation.epochs_run >= 0  # aggregate is well-formed
+        snapshot = engine.feedback.snapshot()
+        assert snapshot["events"][-1]["endpoint"] == "hm"
+
+
 class TestEngineRebalance:
+    def test_rebalance_swaps_endpoints_and_stays_exact(
+        self, sharded_engine, binary_dataset
+    ):
+        from repro.sharding import RebalancePlan, SplitShard
+
+        engine = sharded_engine
+        binding = engine.catalog.get("hm")
+        record = binary_dataset.records[5]
+        predicate = SimilarityPredicate("hm", record, 6.0)
+        before_ids = engine.execute(predicate).record_ids
+        old_merged = engine.service.registry.get("hm")
+
+        report = engine.rebalance_attribute(
+            "hm", RebalancePlan([SplitShard(0, parts=2)])
+        )
+
+        assert report is not None
+        assert report.num_shards_after == report.num_shards_before + 1
+        assert binding.shard_endpoints == [
+            f"hm#shard{i}" for i in range(report.num_shards_after)
+        ]
+        new_merged = engine.service.registry.get("hm")
+        assert new_merged.estimator is not old_merged.estimator
+        assert list(new_merged.curve_thetas) == list(old_merged.curve_thetas)
+        # Planning still works against the swapped endpoints...
+        plan = engine.explain(ConjunctiveQuery([predicate]))
+        assert plan.driver.predicate.attribute == "hm"
+        assert plan.driver_shards == report.num_shards_after
+        # ...and execution is still bit-identical.
+        assert engine.execute(predicate).record_ids == before_ids
+
+    def test_rebalance_detaches_stale_shard_managers(
+        self, managed_sharded_setup
+    ):
+        from repro.sharding import MergeShards, RebalancePlan
+
+        engine, managers = managed_sharded_setup
+        assert sorted(engine._links["hm"].managers) == sorted(managers)
+        report = engine.rebalance_attribute(
+            "hm", RebalancePlan([MergeShards((0, 1))])
+        )
+        assert report is not None
+        assert "hm" not in engine._links
+        # Drift on the merged endpoint must not try to repair via managers
+        # built for the old layout (they hold dead shard selectors).
+        monitor = engine.feedback
+        events = [
+            monitor.observe("hm", estimated=1.0, actual=50_000.0)
+            for _ in range(monitor.min_observations + 1)
+        ]
+        fired = [event for event in events if event is not None]
+        assert fired and fired[0].revalidation is None
+
     def test_rebalance_requires_estimator_factory(self, sharded_engine):
         from repro.sharding import RebalancePlan, SplitShard
 
@@ -334,6 +431,27 @@ class TestEngineRebalance:
             engine.rebalance_attribute("flat")
         with pytest.raises(ValueError, match="not sharded"):
             engine.set_estimator_factory("flat", sampling_factory("hamming"))
+
+    def test_updates_keep_flowing_after_rebalance(
+        self, sharded_engine, binary_dataset
+    ):
+        from repro.sharding import RebalancePlan, SplitShard
+
+        engine = sharded_engine
+        engine.rebalance_attribute("hm", RebalancePlan([SplitShard(1, parts=2)]))
+        rng = np.random.default_rng(21)
+        inserted = rng.integers(0, 2, size=(6, 32), dtype=np.uint8)
+        report = engine.apply_update("hm", UpdateOperation("insert", inserted))
+        assert isinstance(report, ShardedUpdateReport)
+        binding = engine.catalog.get("hm")
+        assert len(binding.records) == len(binary_dataset.records) + 6
+        record = inserted[0]
+        reference = LinearScanSelector(
+            np.asarray(binding.records), get_distance("hamming")
+        )
+        result = engine.execute(SimilarityPredicate("hm", record, 5.0))
+        assert result.record_ids == reference.query(record, 5.0)
+
 
 class TestShardedEngineLifetime:
     """A dropped sharded engine is freed by reference counting, not by the

@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines import UniformSamplingEstimator
 from repro.core.interface import CardinalityEstimator
-from repro.datasets.updates import UpdateOperation
+from repro.datasets.updates import UpdateOperation, apply_operation, generate_update_stream
 from repro.distances import get_distance
 from repro.selection import LinearScanSelector, default_selector
 from repro.engine import SimilarityQueryEngine
@@ -193,6 +193,28 @@ class TestShardedSelectorExact:
 # Update routing: per-shard local operations == the global operation
 # --------------------------------------------------------------------------- #
 class TestUpdateRouting:
+    @pytest.mark.parametrize("num_shards", [1, 3, 8])
+    def test_routed_stream_tracks_global_apply(self, binary_dataset, num_shards):
+        sharded = sharded_for(binary_dataset, num_shards)
+        records = list(binary_dataset.records)
+        operations = generate_update_stream(
+            binary_dataset, num_operations=8, records_per_operation=6, seed=2
+        )
+        rng = np.random.default_rng(5)
+        for operation in operations:
+            sharded.apply_operation(operation)
+            records = apply_operation(records, operation)
+            assert len(sharded) == len(records)
+            reference = LinearScanSelector(records, get_distance("hamming"))
+            record = records[0]
+            assert sharded.query(record, 6.0) == reference.query(record, 6.0)
+            # The rows are read back from the shards' stores, in the order asked.
+            ids = rng.choice(len(records), size=20)
+            rows = sharded.rows_at(ids)
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+            assert np.array_equal(rows, np.asarray([records[int(i)] for i in ids]))
+        assert np.array_equal(sharded.dataset, np.asarray(records))
+
     def test_untouched_shards_keep_their_index(self, binary_dataset):
         sharded = sharded_for(binary_dataset, 4)
         before = sharded.shards
