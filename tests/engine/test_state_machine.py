@@ -392,6 +392,16 @@ class EngineMachine(RuleBasedStateMachine):
             name: Column(self.engine, name, *layout) for name, layout in zip(KINDS, layouts)
         }
         self.physical = {}  # id(index) → (index, physical rows) at the last check
+        # Every example empties the columns once and checks them empty (an
+        # emptied, compacted index keeps its parts and pivots; a scan of no
+        # rows answers), then refills them with the registered rows.
+        self.check_compacted()
+        self.delete_all()
+        self.maintained_state_equals_rebuild()
+        for column in self.columns.values():
+            rows = list(dataset(column.distance).records[:ROWS])
+            column.mirror = list(rows)
+            self.apply(column, UpdateOperation("insert", rows), rows, [])
 
     def binding(self, name):
         return self.engine.catalog.get(name)
