@@ -271,3 +271,36 @@ def test_maintained_state_equals_rebuild(trained, sharded, mode, sequence):
     harness.force_drift_repair()
     harness.check(labels_current=True)
 
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "4-shard"])
+def test_attach_rejects_a_manager_built_over_other_rows(trained, sharded):
+    """Unsharded attach has the length and wiring checks the sharded one has."""
+    harness = Harness(trained, sharded, "none")
+    index, endpoint = harness.binding.units()[0]
+    estimator = harness.engine.service.registry.get(endpoint).estimator
+    attach = (
+        (lambda m: harness.engine.attach_shard_managers("a", {0: m}))
+        if sharded
+        else (lambda m: harness.engine.attach_manager("a", m))
+    )
+    short = default_selector(harness.distance_name, harness.mirror[:5])
+    with pytest.raises(ValueError, match="records"):
+        attach(IncrementalUpdateManager(estimator, short, [], []))
+    miswired = IncrementalUpdateManager(
+        estimator, index, [], [],
+        service=harness.engine.service, service_endpoint="elsewhere",
+    )
+    with pytest.raises(ValueError, match="wired"):
+        attach(miswired)
+    assert "a" not in harness.engine._links
+    # A manager built over its own copy of the rows is adopted onto the
+    # unit's index: one maintained index from then on.
+    own = default_selector(harness.distance_name, list(index.dataset))
+    adopted = IncrementalUpdateManager(estimator, own, [], [])
+    attach(adopted)
+    assert adopted.selector is index
+    with pytest.raises(ValueError, match="sharded"):
+        if sharded:
+            harness.engine.attach_manager("a", adopted)
+        else:
+            harness.engine.attach_shard_managers("a", [adopted])

@@ -11,22 +11,19 @@ binding's endpoint lists, the engine's manager map and the selector's
 layout are what they were before the call, that a seeded query sample still
 equals a linear scan, and that the corrected retry succeeds.  The second half
 sends one ``(estimators, curve_thetas, theta_max, distance)`` through every
-registration surface and expects one grid.  The last section attaches
-managers: one built over other rows, or wired to another endpoint, is refused.
+registration surface and expects one grid.
 """
-
-import copy
 
 import numpy as np
 import pytest
 
 from repro.baselines import HistogramHammingEstimator, UniformSamplingEstimator
 from repro.core import IncrementalUpdateManager
-from repro.datasets import make_binary_dataset, make_set_dataset, make_vector_dataset
+from repro.datasets import make_binary_dataset, make_vector_dataset
 from repro.datasets.updates import UpdateOperation
 from repro.distances import get_distance
 from repro.engine import SimilarityPredicate, SimilarityQueryEngine
-from repro.selection import LinearScanSelector, PigeonholeHammingSelector, default_selector
+from repro.selection import LinearScanSelector, PigeonholeHammingSelector
 from repro.serving import EstimationService
 from repro.sharding import (
     MergedShardEstimator, MergeShards, RebalancePlan, ShardedSelector, SplitShard,
@@ -589,80 +586,3 @@ def test_one_grid_through_every_surface(dataset, case):
     for surface, grid in grids.items():
         assert grid.dtype == np.float64, surface
         assert np.array_equal(grid, np.asarray(expected, dtype=np.float64)), surface
-
-
-# --------------------------------------------------------------------------- #
-# Attaching a manager
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module", params=["hamming", "jaccard"])
-def trained(request):
-    """(dataset, estimator over its rows) for one distance."""
-    dataset = {
-        "hamming": lambda: make_binary_dataset(
-            num_records=96, dimension=16, num_clusters=3, flip_probability=0.1,
-            theta_max=6, seed=3,
-        ),
-        "jaccard": lambda: make_set_dataset(
-            num_records=96, num_clusters=3, universe_size=40, base_set_size=8,
-            theta_max=0.5, seed=3,
-        ),
-    }[request.param]()
-    estimator = UniformSamplingEstimator(dataset.records, dataset.distance_name, seed=0)
-    return dataset, estimator
-
-
-class Harness:
-    """One engine over one attribute ``"a"``, unsharded or on four shards,
-    with no manager attached (the one ``mode`` built here)."""
-
-    def __init__(self, trained, sharded, mode):
-        assert mode == "none"
-        dataset, estimator = trained
-        self.distance_name = dataset.distance_name
-        self.mirror = list(dataset.records)
-        self.engine = SimilarityQueryEngine()
-        if sharded:
-            self.binding = self.engine.register_sharded_attribute(
-                "a", dataset.records, self.distance_name,
-                lambda rows, shard_index: copy.deepcopy(estimator),
-                num_shards=4, theta_max=dataset.theta_max,
-            )
-        else:
-            self.binding = self.engine.register_attribute(
-                "a", dataset.records, self.distance_name, copy.deepcopy(estimator),
-                theta_max=dataset.theta_max,
-            )
-
-
-@pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "4-shard"])
-def test_attach_rejects_a_manager_built_over_other_rows(trained, sharded):
-    """Unsharded attach has the length and wiring checks the sharded one has."""
-    harness = Harness(trained, sharded, "none")
-    index, endpoint = harness.binding.units()[0]
-    estimator = harness.engine.service.registry.get(endpoint).estimator
-    attach = (
-        (lambda m: harness.engine.attach_shard_managers("a", {0: m}))
-        if sharded
-        else (lambda m: harness.engine.attach_manager("a", m))
-    )
-    short = default_selector(harness.distance_name, harness.mirror[:5])
-    with pytest.raises(ValueError, match="records"):
-        attach(IncrementalUpdateManager(estimator, short, [], []))
-    miswired = IncrementalUpdateManager(
-        estimator, index, [], [],
-        service=harness.engine.service, service_endpoint="elsewhere",
-    )
-    with pytest.raises(ValueError, match="wired"):
-        attach(miswired)
-    assert "a" not in harness.engine._links
-    # A manager built over its own copy of the rows is adopted onto the
-    # unit's index: one maintained index from then on.
-    own = default_selector(harness.distance_name, list(index.dataset))
-    adopted = IncrementalUpdateManager(estimator, own, [], [])
-    attach(adopted)
-    assert adopted.selector is index
-    with pytest.raises(ValueError, match="sharded"):
-        if sharded:
-            harness.engine.attach_manager("a", adopted)
-        else:
-            harness.engine.attach_shard_managers("a", [adopted])

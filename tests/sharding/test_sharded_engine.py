@@ -21,6 +21,7 @@ from repro.engine import (
     SimilarityQueryEngine,
 )
 from repro.selection import LinearScanSelector
+from repro.sharding.partitioner import assign_shards
 from repro.workloads.builder import relabel
 
 
@@ -252,6 +253,49 @@ class TestShardedUpdates:
         record = binding.records[3]
         result = sharded_engine.execute(SimilarityPredicate("hm", record, 6.0))
         assert result.record_ids == reference.query(record, 6.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ShardedSelector.apply_routed inserts shard by shard, so a shard "
+        "applied before the one that refuses keeps its rows",
+    )
+    def test_a_refused_mixed_batch_changes_no_shard(self, sharded_engine, binary_dataset):
+        binding = sharded_engine.catalog.get("hm")
+        good = binary_dataset.records[20:28]
+        bad = next(
+            row for row in (np.array(r, copy=True) for r in binary_dataset.records)
+            if assign_shards([row], 4)[0] == 3
+        )
+        bad[0] = 2
+        # Shards apply in id order: a good row's shard goes before the bad one.
+        assert min(assign_shards(good, 4)) < 3
+        sizes = [len(shard) for shard in binding.selector.shards]
+        with pytest.raises(ValueError):
+            sharded_engine.apply_update("hm", UpdateOperation("insert", [*good, bad]))
+        assert [len(shard) for shard in binding.selector.shards] == sizes
+        assert len(binding) == sum(sizes)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an emptied shard takes the width of the next row routed to it, "
+        "and rows_at then cannot stack the shards",
+    )
+    def test_an_emptied_shard_refuses_a_row_of_another_width(
+        self, sharded_engine, binary_dataset
+    ):
+        binding = sharded_engine.catalog.get("hm")
+        shard_of = np.asarray(binding.selector.assignment.shard_of)
+        sharded_engine.apply_update(
+            "hm", UpdateOperation("delete", np.flatnonzero(shard_of == 0).tolist())
+        )
+        assert len(binding.selector.shard(0)) == 0
+        wide = next(
+            row for row in (np.resize(r, 33) for r in binary_dataset.records)
+            if assign_shards([row], 4)[0] == 0
+        )
+        with pytest.raises(ValueError):
+            sharded_engine.apply_update("hm", UpdateOperation("insert", [wide]))
+        assert binding.selector.rows_at(np.arange(len(binding))).shape == (len(binding), 32)
 
 
 @pytest.fixture(scope="module")
